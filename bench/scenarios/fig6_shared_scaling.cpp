@@ -45,7 +45,7 @@ double edges_per_us(const graph::CSRGraph& g, int threads, bool smoke) {
         total += intersect::count_common_parallel(
             adj_v, g.neighbors(j), intersect::Method::Hybrid, par);
     }
-    sink += total;
+    sink = sink + total;
   });
   (void)sink;
   return static_cast<double>(g.num_edges()) / (summary.median * 1e6);

@@ -55,7 +55,7 @@ double throughput(bench::ScenarioContext& ctx, const V& a, const V& b,
   const auto summary = rec.run_until_ci([&] {
     std::uint64_t total = 0;
     for (int i = 0; i < inner; ++i) total += fn(a, b);
-    sink += total;
+    sink = sink + total;
   });
   (void)sink;
   return static_cast<double>(elems_per_call) * inner /

@@ -47,7 +47,7 @@ double edges_per_us(const graph::CSRGraph& g, intersect::Method m,
       for (graph::VertexId j : adj_v)
         total += intersect::count_common_parallel(adj_v, g.neighbors(j), m, par);
     }
-    sink += total;
+    sink = sink + total;
   });
   (void)sink;
   return static_cast<double>(g.num_edges()) / (summary.median * 1e6);

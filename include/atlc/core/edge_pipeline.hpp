@@ -5,14 +5,18 @@
 // The paper's core contribution is an edge-centric compute loop that fetches
 // the remote adjacency of edge e_{i+1} while intersecting e_i (Section III-A
 // double buffering). EdgePipeline factors that loop out of the individual
-// analytics: it walks the rank's flattened edge stream, keeps up to k-1
-// adjacency transfers in flight over a ring of k fetch buffers
-// (EngineConfig::pipeline_depth), and hands each edge to an arbitrary
-// kernel. LCC, global TC, Jaccard and the similarity measures are thin
-// kernels over this engine; `run_edge_analytic` deduplicates the
+// analytics: one prefetch ring walks an item source — the rank's local edge
+// stream times its column blocks, or an explicit edge list — keeps up to k-1
+// items' fetches in flight over a ring of k fetch buffers
+// (EngineConfig::pipeline_depth), and hands each item to an arbitrary
+// kernel. A 1D partition is the one-column-block case, so run(), run_over()
+// and run_segments() are thin adapters over the same loop. LCC, global TC
+// and the similarity measures are kernels over this engine that price
+// their intersections through one per-rank intersect::Intersector
+// (make_intersector); `run_edge_analytic` deduplicates the
 // partition/SPMD-launch/stats-aggregation boilerplate around it.
-// DESIGN.md §6 documents the kernel concept, the ring lifetime rules, and
-// how depth interacts with the NIC-serialisation model.
+// DESIGN.md §6 documents the kernel concept, the item source, the ring
+// lifetime rules, and how depth interacts with the NIC-serialisation model.
 
 #include <concepts>
 #include <span>
@@ -23,6 +27,7 @@
 #include "atlc/core/engine_config.hpp"
 #include "atlc/core/fetcher.hpp"
 #include "atlc/graph/hub_replica.hpp"
+#include "atlc/intersect/intersector.hpp"
 #include "atlc/util/check.hpp"
 
 namespace atlc::core {
@@ -39,18 +44,26 @@ concept EdgeKernel =
     std::invocable<K&, VertexId, VertexId, std::span<const VertexId>,
                    std::span<const VertexId>>;
 
-/// A segment kernel (2D partitions): invoked once per (local edge, column
-/// block) as kernel(lv, j, block, seg_v, seg_j), where `seg_v` / `seg_j`
-/// are the column-block-`block` restrictions of adj(v) / adj(j). Summing a
-/// pair intersection over all blocks reproduces the whole-row count:
+/// A segment kernel: invoked once per (local edge, column block) item as
+/// kernel(lv, j, block, seg_v, seg_j), where `seg_v` / `seg_j` are the
+/// column-block-`block` restrictions of adj(v) / adj(j). Summing a pair
+/// intersection over all blocks reproduces the whole-row count:
 /// |adj(v) ∩ adj(j)| = Σ_b |seg(v,b) ∩ seg(j,b)|, because the blocks
-/// partition the neighbor id range. BOTH spans may alias fetch-ring slots
-/// (v's segments for other column blocks live on sibling ranks), so
-/// neither is valid beyond the call.
+/// partition the neighbor id range. On a 1D partition there is one block
+/// and the call sequence is exactly an EdgeKernel's. Under 2D BOTH spans
+/// may alias fetch-ring slots (v's segments for other column blocks live
+/// on sibling ranks), so neither is valid beyond the call.
 template <typename K>
 concept SegmentKernel =
     std::invocable<K&, VertexId, VertexId, std::uint32_t,
                    std::span<const VertexId>, std::span<const VertexId>>;
+
+/// This rank's Intersector for `config` over `partition`. A local row is a
+/// stable lhs exactly when the partition is 1D (col_blocks() == 1): then
+/// seg_v is the rank's own row. Under 2D seg_v may be a fetched segment,
+/// so the Tiered path must not key its bitmap on it.
+[[nodiscard]] intersect::Intersector make_intersector(
+    const EngineConfig& config, const Partition& partition);
 
 /// Per-rank counters harvested from a pipeline after run().
 struct PipelineRankStats {
@@ -69,8 +82,8 @@ struct PipelineRankStats {
 
 /// Statistics every edge analytic reports identically: the SPMD run record
 /// plus pipeline/cache counters aggregated over all ranks. Analytic results
-/// (RunResult, JaccardResult, SimilarityResult) derive from this, so a
-/// stats field present for one analytic is present — and filled — for all.
+/// (RunResult, SimilarityResult, QueryStats) derive from this, so a stats
+/// field present for one analytic is present — and filled — for all.
 struct EdgeAnalyticStats {
   rma::Runtime::Result run;  ///< per-rank comm stats + virtual clocks
   clampi::CacheStats offsets_cache_total;
@@ -108,15 +121,14 @@ struct EdgeAnalyticStats {
   void absorb(PipelineRankStats&& rank);
 };
 
-/// Depth-k prefetch ring over one rank's flattened edge stream.
+/// Depth-k prefetch ring over one rank's pipeline items.
 ///
-/// run() visits every local edge e_0..e_{m-1} in order. With effective
-/// depth k (EngineConfig::effective_pipeline_depth), the adjacency fetch
-/// for edge e_{i+k-1} is issued before the kernel runs on e_i, so up to
-/// k-1 transfers ride under each intersection in virtual time. k=2
-/// reproduces the paper's double buffering exactly (same begin/finish/
-/// compute order, hence bit-identical virtual makespans); k=1 is the
-/// fully synchronous loop.
+/// Every entry point visits its items in order. With effective depth k
+/// (EngineConfig::effective_pipeline_depth), the fetches of item t+k-1 are
+/// issued before the kernel runs on item t, so up to k-1 items' transfers
+/// ride under each intersection in virtual time. k=2 reproduces the
+/// paper's double buffering exactly (same begin/finish/compute order, hence
+/// bit-identical virtual makespans); k=1 is the fully synchronous loop.
 class EdgePipeline {
  public:
   EdgePipeline(rma::RankCtx& ctx, const DistGraph& dg,
@@ -130,19 +142,11 @@ class EdgePipeline {
   [[nodiscard]] std::size_t depth() const { return depth_; }
   [[nodiscard]] AdjacencyFetcher& fetcher() { return fetcher_; }
 
-  /// Drive `kernel` over every local edge with depth-k prefetching.
+  /// Drive `kernel` over every local edge with depth-k prefetching (1D
+  /// partitions: a whole-row kernel has no column block to name).
   template <EdgeKernel K>
   void run(K&& kernel) {
-    run_stream(
-        static_cast<EdgeIndex>(dg_->adjacencies.size()),
-        [this](EdgeIndex i) { return dg_->adjacencies[i]; },
-        [this, lv = VertexId{0}](EdgeIndex ei) mutable {
-          // Called once per ei in ascending order, so the owning-vertex
-          // walk stays the original O(m + n) incremental scan.
-          while (dg_->offsets[lv + 1] <= ei) ++lv;
-          return lv;
-        },
-        kernel);
+    run_rows(LocalItems{dg_, 1}, kernel);
   }
 
   /// Drive `kernel` over an explicit edge list instead of the full local
@@ -154,70 +158,22 @@ class EdgePipeline {
   template <EdgeKernel K>
   void run_over(std::span<const std::pair<VertexId, VertexId>> edges,
                 K&& kernel) {
-    run_stream(
-        static_cast<EdgeIndex>(edges.size()),
-        [edges](EdgeIndex i) { return edges[i].second; },
-        [edges](EdgeIndex i) { return edges[i].first; }, kernel);
+    run_rows(ListItems{edges}, kernel);
   }
 
-  /// Drive a SegmentKernel over every (local edge, column block) item with
-  /// the same depth-k prefetch ring as run(). The rank's local CSR is its
-  /// segment store (each row slot holds only the rank's column-block slice),
-  /// so the item space is the local segment-edge stream × col_blocks():
-  /// item t = (edge t / B, block t % B). Each item issues up to TWO segment
-  /// fetches — seg(v, b) lives on a sibling rank of this grid row unless
-  /// b is this rank's own column block — which is why the fetcher doubles
-  /// its ring under 2D partitions (2·depth live tokens at lookahead).
-  /// edges_processed still counts each local edge once (at its block-0
-  /// item); remote segment fetches land in remote_edges via the fetcher.
+  /// Drive a SegmentKernel over every (local edge, column block) item. The
+  /// rank's local CSR is its segment store (each row slot holds only the
+  /// rank's column-block slice), so the item space is the local edge stream
+  /// × col_blocks(): item t = (edge t / B, block t % B). Under 2D each item
+  /// issues up to TWO segment fetches — seg(v, b) lives on a sibling rank
+  /// of this grid row unless b is this rank's own column block — which is
+  /// why the fetcher doubles its ring there (2·depth live tokens at
+  /// lookahead). On a 1D partition this is run() exactly. edges_processed
+  /// counts each local edge once (at its block-0 item); remote segment
+  /// fetches land in remote_edges via the fetcher.
   template <SegmentKernel K>
   void run_segments(K&& kernel) {
-    const auto& part = dg_->partition;
-    const auto nb = static_cast<std::uint64_t>(part.col_blocks());
-    const auto m = static_cast<std::uint64_t>(dg_->adjacencies.size());
-    const std::uint64_t total = m * nb;
-
-    // ei -> owning local vertex, precomputed: the prefetch lookahead
-    // random-accesses the stream, so the O(m + n) incremental walk run()
-    // uses cannot serve it.
-    std::vector<VertexId> lv_of(m);
-    {
-      VertexId lv = 0;
-      for (std::uint64_t ei = 0; ei < m; ++ei) {
-        while (dg_->offsets[lv + 1] <= ei) ++lv;
-        lv_of[ei] = static_cast<VertexId>(lv);
-      }
-    }
-
-    struct SegPair {
-      AdjacencyFetcher::Token v, j;
-    };
-    auto issue = [&](std::uint64_t t) {
-      const auto ei = static_cast<std::size_t>(t / nb);
-      const auto b = static_cast<std::uint32_t>(t % nb);
-      const VertexId v = part.global_id(rank_, lv_of[ei]);
-      SegPair p;
-      p.v = fetcher_.begin(v, b);
-      p.j = fetcher_.begin(dg_->adjacencies[ei], b);
-      return p;
-    };
-
-    const auto lookahead = static_cast<std::uint64_t>(depth_) - 1;
-    std::vector<SegPair> ring(std::max<std::uint64_t>(lookahead, 1));
-    for (std::uint64_t p = 0; p < std::min(lookahead, total); ++p)
-      ring[p % lookahead] = issue(p);
-
-    for (std::uint64_t t = 0; t < total; ++t) {
-      const auto ei = static_cast<std::size_t>(t / nb);
-      const auto b = static_cast<std::uint32_t>(t % nb);
-      const SegPair cur = lookahead > 0 ? ring[t % lookahead] : issue(t);
-      const std::span<const VertexId> seg_v = fetcher_.finish(cur.v);
-      const std::span<const VertexId> seg_j = fetcher_.finish(cur.j);
-      if (lookahead > 0 && t + lookahead < total)
-        ring[t % lookahead] = issue(t + lookahead);
-      kernel(lv_of[ei], dg_->adjacencies[ei], b, seg_v, seg_j);
-      if (b == 0) ++edges_run_;
-    }
+    ring(LocalItems{dg_, dg_->partition.col_blocks()}, kernel);
   }
 
   /// Snapshot this rank's pipeline counters (callable any time; counters
@@ -225,33 +181,103 @@ class EdgePipeline {
   [[nodiscard]] PipelineRankStats harvest();
 
  private:
-  /// The one prefetch loop both entry points share. `target(i)` is the
-  /// global vertex whose adjacency edge i fetches (pure; called for
-  /// prefetch lookahead too); `lv_of(i)` is the local owner index (called
-  /// exactly once per i, in ascending order, at kernel time).
-  template <typename TargetFn, typename LvFn, EdgeKernel K>
-  void run_stream(EdgeIndex m, TargetFn&& target, LvFn&& lv_of, K&& kernel) {
-    const auto lookahead = static_cast<EdgeIndex>(depth_) - 1;
+  /// One pipeline item: local owner lv, global neighbor j, column block.
+  struct Item {
+    VertexId lv;
+    VertexId j;
+    std::uint32_t block;
+  };
 
-    // Tokens are issued and retired strictly FIFO, so the in-flight window
-    // [e_i, e_{i+lookahead}) lives in a ring indexed by edge number: the
-    // prologue issues e_0..e_{lookahead-1}, then iteration i retires e_i
-    // and issues e_{i+lookahead} into the slot just vacated.
-    std::vector<AdjacencyFetcher::Token> ring(
-        std::max<EdgeIndex>(lookahead, 1));
-    for (EdgeIndex p = 0; p < std::min(lookahead, m); ++p)
-      ring[p % lookahead] = fetcher_.begin(target(p));
+  /// Item source over the local edge stream × `blocks` column blocks. A
+  /// forward cursor: next() yields the items in order and tracks the owning
+  /// local vertex incrementally, so a pass costs O(m·B + n).
+  struct LocalItems {
+    const DistGraph* dg;
+    std::uint32_t blocks;
+    EdgeIndex ei = 0;
+    VertexId lv = 0;
+    std::uint32_t block = 0;
+    [[nodiscard]] std::uint64_t size() const {
+      return static_cast<std::uint64_t>(dg->adjacencies.size()) * blocks;
+    }
+    Item next() {
+      while (dg->offsets[lv + 1] <= ei) ++lv;
+      const Item it{lv, dg->adjacencies[ei], block};
+      if (++block == blocks) {
+        block = 0;
+        ++ei;
+      }
+      return it;
+    }
+  };
 
-    for (EdgeIndex ei = 0; ei < m; ++ei) {
-      const VertexId lv = lv_of(ei);
-      const VertexId j = target(ei);
-      const AdjacencyFetcher::Token t =
-          lookahead > 0 ? ring[ei % lookahead] : fetcher_.begin(j);
-      const std::span<const VertexId> adj_j = fetcher_.finish(t);
-      if (lookahead > 0 && ei + lookahead < m)
-        ring[ei % lookahead] = fetcher_.begin(target(ei + lookahead));
-      kernel(lv, j, dg_->local_neighbors(lv), adj_j);
-      ++edges_run_;
+  /// Item source over an explicit (lv, j) list, all in block 0.
+  struct ListItems {
+    std::span<const std::pair<VertexId, VertexId>> edges;
+    std::size_t i = 0;
+    [[nodiscard]] std::uint64_t size() const { return edges.size(); }
+    Item next() {
+      const auto [lv, j] = edges[i++];
+      return {lv, j, 0};
+    }
+  };
+
+  /// The fetches one item needs: seg(v, b) and seg(j, b).
+  struct Fetch {
+    AdjacencyFetcher::Token v, j;
+  };
+
+  /// A whole-row pass: an EdgeKernel is the one-block SegmentKernel it
+  /// looks like, which needs a 1D partition (under 2D a row is B segments,
+  /// and only run_segments visits them).
+  template <typename Source, typename K>
+  void run_rows(Source items, K& kernel) {
+    ATLC_CHECK(dg_->partition.col_blocks() == 1,
+               "EdgePipeline::run/run_over stream whole rows (1D "
+               "partitions); 2D runs use run_segments");
+    ring(items, [&kernel](VertexId lv, VertexId j, std::uint32_t,
+                          std::span<const VertexId> adj_v,
+                          std::span<const VertexId> adj_j) {
+      kernel(lv, j, adj_v, adj_j);
+    });
+  }
+
+  /// Issue the fetches of `it`. On a 1D partition the v side is the rank's
+  /// own row and resolves from local memory without a fetcher call.
+  Fetch begin(const Item& it) {
+    Fetch f;
+    if (dg_->partition.col_blocks() == 1) {
+      f.v.local = true;
+      f.v.local_span = dg_->local_neighbors(it.lv);
+    } else {
+      f.v = fetcher_.begin(dg_->partition.global_id(rank_, it.lv), it.block);
+    }
+    f.j = fetcher_.begin(it.j, it.block);
+    return f;
+  }
+
+  /// The one prefetch loop. Fetches are issued and retired strictly FIFO,
+  /// so two monotone cursors over the same source suffice: `retire` walks
+  /// the items the kernel consumes, `issue` runs `lookahead` items ahead of
+  /// it, and the in-flight window lives in a ring indexed by item number.
+  template <typename Source, typename K>
+  void ring(Source retire, K&& kernel) {
+    const std::uint64_t total = retire.size();
+    const auto lookahead = static_cast<std::uint64_t>(depth_) - 1;
+    Source issue = retire;
+    std::vector<Fetch> slots(std::max<std::uint64_t>(lookahead, 1));
+    for (std::uint64_t p = 0; p < std::min(lookahead, total); ++p)
+      slots[p] = begin(issue.next());
+
+    for (std::uint64_t t = 0; t < total; ++t) {
+      const Item it = retire.next();
+      const Fetch cur = lookahead > 0 ? slots[t % lookahead] : begin(it);
+      const std::span<const VertexId> seg_v = fetcher_.finish(cur.v);
+      const std::span<const VertexId> seg_j = fetcher_.finish(cur.j);
+      if (lookahead > 0 && t + lookahead < total)
+        slots[t % lookahead] = begin(issue.next());
+      kernel(it.lv, it.j, it.block, seg_v, seg_j);
+      if (it.block == 0) ++edges_run_;
     }
   }
 
@@ -259,13 +285,12 @@ class EdgePipeline {
   const EngineConfig* config_;
   std::uint32_t rank_;  ///< this rank's id (global_id needs it)
   std::size_t depth_;
-  std::uint64_t edges_run_ = 0;  ///< kernel invocations across run() calls
+  std::uint64_t edges_run_ = 0;  ///< edges visited across all passes
   AdjacencyFetcher fetcher_;
 };
 
 /// A rank body for run_edge_analytic: runs the analytic's kernel(s) through
-/// the pipeline and scatters this rank's outputs (ranks own disjoint output
-/// slots, so direct writes into shared result arrays need no locks).
+/// the pipeline and records this rank's outputs.
 template <typename B>
 concept EdgeAnalyticBody =
     std::invocable<B&, rma::RankCtx&, const DistGraph&, EdgePipeline&>;

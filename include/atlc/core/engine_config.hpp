@@ -7,7 +7,6 @@
 #include "atlc/clampi/config.hpp"
 #include "atlc/graph/types.hpp"
 #include "atlc/intersect/cost_model.hpp"
-#include "atlc/intersect/parallel.hpp"
 
 namespace atlc::obs {
 class TraceCollector;
@@ -36,8 +35,11 @@ struct CacheSizing {
 };
 
 /// Configuration of the distributed edge-analytic engine (paper Algorithm 3
-/// generalised by core::EdgePipeline): every analytic — LCC, TC, Jaccard,
-/// the similarity measures — runs on the same configuration surface.
+/// generalised by core::EdgePipeline): every analytic — LCC, TC, the
+/// similarity measures, the stream counter, serve's queries — runs on the
+/// same configuration surface. `method`, `intersect_tier`, `tier_policy` and
+/// `cost` build each rank's intersect::Intersector (core::make_intersector),
+/// the one place an intersection is counted and priced.
 struct EngineConfig {
   intersect::Method method = intersect::Method::Hybrid;
 
@@ -120,11 +122,6 @@ struct EngineConfig {
   /// paper Section II-C). Halves work for global TC; per-vertex LCC needs
   /// the full count, so LCC runs keep this false.
   bool upper_triangle_only = false;
-
-  /// OpenMP-parallel intersection (paper Section III-C). Off by default in
-  /// distributed runs: ranks are already threads in this simulation.
-  bool parallel_intersect = false;
-  intersect::ParallelConfig parallel{};
 
   /// Out-of-core graph build: when non-null, run_edge_analytic passes this
   /// to build_dist_graph and each rank's local CSR slice is seek-read from

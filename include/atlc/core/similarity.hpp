@@ -6,24 +6,38 @@
 
 namespace atlc::core {
 
-/// Per-edge neighborhood-similarity analytics beyond Jaccard, added as
-/// proof that core::EdgePipeline makes a new distributed analytic a small
-/// kernel instead of a copied fetch/intersect loop. Both follow the
-/// Jaccard reporting convention: `score[k]` belongs to the k-th entry of
-/// the graph's adjacencies array (the edge u->v where u owns slot k), and
-/// the inherited EdgeAnalyticStats block is aggregated by run_edge_analytic
-/// identically to every other analytic.
+/// Per-edge neighborhood-similarity measures — the paper's future-work
+/// direction (Section VI (ii), citing the communication-efficient Jaccard
+/// work [12]). Their access pattern is LCC's — for each local edge (u, v),
+/// read adj(v) (possibly remote) and intersect it with adj(u) — so each
+/// measure is a score formula over one EdgePipeline kernel, and every
+/// intersection is counted and priced by the rank's Intersector (so the
+/// measures honour EngineConfig::intersect_tier like LCC does).
+///
+/// `score[k]` belongs to the k-th entry of the graph's adjacencies array
+/// (the edge u->v where u owns slot k); link-prediction applications rank
+/// candidate edges by it. The inherited EdgeAnalyticStats block is
+/// aggregated by run_edge_analytic identically to every other analytic.
+/// Measures run on the same EngineConfig as LCC (method, tier, caching,
+/// pipeline depth, 1D partitioning; `upper_triangle_only` must stay false).
 struct SimilarityResult : EdgeAnalyticStats {
   std::vector<double> score;  ///< one per adjacency slot
 };
+
+/// Jaccard similarity per edge:
+///
+///   J(u, v) = |adj(u) ∩ adj(v)| / |adj(u) ∪ adj(v)|
+[[nodiscard]] SimilarityResult run_distributed_jaccard(
+    const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
+    const rma::NetworkModel& net = {},
+    graph::PartitionKind partition = graph::PartitionKind::Block1D);
 
 /// Overlap (Szymkiewicz–Simpson) coefficient per edge:
 ///
 ///   O(u, v) = |adj(u) ∩ adj(v)| / min(|adj(u)|, |adj(v)|)
 ///
 /// The normalisation by the smaller neighborhood makes hub-leaf edges
-/// comparable to hub-hub edges, which plain Jaccard suppresses. Runs on the
-/// unchanged LCC access pattern (fetch adj(v), count the intersection).
+/// comparable to hub-hub edges, which plain Jaccard suppresses.
 [[nodiscard]] SimilarityResult run_distributed_overlap(
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
@@ -40,8 +54,8 @@ struct SimilarityResult : EdgeAnalyticStats {
 /// Needs deg(w) for arbitrary global w, so each rank replicates the degree
 /// vector once at setup by reading every peer's offsets window — a one-shot
 /// O(|V|) transfer charged to the virtual clock, after which the per-edge
-/// loop is the standard pipeline with an enumerating (for_each_common)
-/// kernel charged at SSI cost.
+/// loop is the standard pipeline with the Intersector's enumerating
+/// (SSI-priced) walk.
 [[nodiscard]] SimilarityResult run_distributed_adamic_adar(
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
@@ -50,6 +64,7 @@ struct SimilarityResult : EdgeAnalyticStats {
 /// Single-node references for validation (same slot layout and, for
 /// Adamic–Adar, the same ascending summation order, so distributed results
 /// match bit-for-bit).
+[[nodiscard]] std::vector<double> reference_jaccard(const CSRGraph& g);
 [[nodiscard]] std::vector<double> reference_overlap(const CSRGraph& g);
 [[nodiscard]] std::vector<double> reference_adamic_adar(const CSRGraph& g);
 

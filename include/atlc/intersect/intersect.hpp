@@ -95,9 +95,9 @@ struct TierPolicy {
 /// Visit every element of a ∩ b in ascending order (two-pointer merge, the
 /// SSI walk of paper Algorithm 2 with a visitor instead of a counter).
 /// Kernels that need the common neighbors themselves — Adamic–Adar weights
-/// each by its degree — use this; its virtual-time cost is charged as an
-/// SSI intersection (CostModel::seconds(Method::SSI, |a|, |b|)) since it
-/// performs exactly that merge. Preconditions: sorted, no duplicates.
+/// each by its degree — use this through Intersector::for_each_common,
+/// which prices it as the SSI intersection it performs. Preconditions:
+/// sorted, no duplicates.
 template <typename F>
   requires std::invocable<F&, VertexId>
 void for_each_common(std::span<const VertexId> a, std::span<const VertexId> b,

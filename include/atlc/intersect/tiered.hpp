@@ -14,7 +14,8 @@
 //     row.
 //
 // TieredIntersector packages the per-pair dispatch (select_tier_kernel),
-// the bitmap-reuse lifetime, and the virtual-time pricing behind one call.
+// the bitmap-reuse lifetime, and the virtual-time pricing behind one call;
+// the engine reaches it through intersect::Intersector (intersector.hpp).
 // All kernels are exact — tests/test_intersect_diff.cpp cross-checks every
 // tier against std::set_intersection over ~10k randomized pairs.
 
@@ -130,6 +131,10 @@ class TieredIntersector {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// Run kernel `k` on the pair and price it (the bitmap keyed on `row`).
+  Outcome run(TierKernel k, std::span<const VertexId> row,
+              std::span<const VertexId> other);
+
   TierPolicy policy_;
   CostModel cost_;
   VertexId universe_;

@@ -34,7 +34,8 @@ struct RoutedDeltas {
   std::int64_t global_delta = 0;
 };
 
-/// Per-rank incremental counting kernel. Stateless between batches; the
+/// Per-rank incremental counting kernel. Stateless between batches (its
+/// Intersector walk keeps no row state, so rows may change in between); the
 /// pipeline it drives persists so the CLaMPI caches keep their (epoch-
 /// checked) contents across batches.
 class IncrementalCounter {
@@ -42,7 +43,10 @@ class IncrementalCounter {
   IncrementalCounter(rma::RankCtx& ctx, const core::DistGraph& dg,
                      core::EdgePipeline& pipeline,
                      const core::EngineConfig& config)
-      : ctx_(&ctx), dg_(&dg), pipeline_(&pipeline), config_(&config) {}
+      : ctx_(&ctx),
+        dg_(&dg),
+        pipeline_(&pipeline),
+        isect_(core::make_intersector(config, dg.partition)) {}
 
   /// Count the triangles destroyed by `eff`'s deletions against the
   /// CURRENT graph state — must run BEFORE the batch is applied, while
@@ -68,7 +72,7 @@ class IncrementalCounter {
   rma::RankCtx* ctx_;
   const core::DistGraph* dg_;
   core::EdgePipeline* pipeline_;
-  const core::EngineConfig* config_;
+  intersect::Intersector isect_;
 };
 
 }  // namespace atlc::stream

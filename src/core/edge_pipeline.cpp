@@ -19,6 +19,13 @@ CacheSizing CacheSizing::paper_default(VertexId num_vertices,
   return s;
 }
 
+intersect::Intersector make_intersector(const EngineConfig& config,
+                                        const Partition& partition) {
+  return {config.method,      config.intersect_tier,
+          config.tier_policy, config.cost,
+          partition.num_vertices(), partition.col_blocks() == 1};
+}
+
 PipelineRankStats EdgePipeline::harvest() {
   PipelineRankStats ps;
   ps.edges_processed = edges_run_;

@@ -1,15 +1,21 @@
 #include "atlc/core/similarity.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
-#include <utility>
 
 #include "atlc/intersect/intersect.hpp"
-#include "edge_scores.hpp"
+#include "atlc/util/check.hpp"
 
 namespace atlc::core {
 
 namespace {
+
+double jaccard_from_counts(std::uint64_t common, std::size_t deg_u,
+                           std::size_t deg_v) {
+  const std::uint64_t uni = deg_u + deg_v - common;
+  return uni == 0 ? 0.0 : static_cast<double>(common) / static_cast<double>(uni);
+}
 
 double overlap_from_counts(std::uint64_t common, std::size_t deg_u,
                            std::size_t deg_v) {
@@ -49,40 +55,102 @@ std::vector<VertexId> replicate_degrees(rma::RankCtx& ctx,
   return degree;
 }
 
-/// detail::run_edge_scores with the SimilarityResult wrapper (setup runs
-/// once per rank before the pipeline: Adamic–Adar replicates degrees
-/// there; overlap is a no-op).
+/// One edge's score and the modeled seconds of the work behind it.
+struct Scored {
+  double score;
+  double seconds;
+};
+
+/// The one per-edge measure driver. `score` is laid out per adjacency slot
+/// of the *global* CSR (the edge u->v where u owns slot k); `setup(ctx,
+/// dg)` runs once per rank before the pipeline and its result is handed to
+/// every `score_edge(isect, state, adj_v, adj_j)` call, which scores one
+/// edge through the rank's Intersector.
 template <typename Setup, typename ScoreEdge>
-SimilarityResult run_similarity(const CSRGraph& g, std::uint32_t ranks,
-                                const EngineConfig& config,
-                                const rma::NetworkModel& net,
-                                graph::PartitionKind partition_kind,
-                                Setup&& setup, ScoreEdge&& score_edge) {
+SimilarityResult run_measure(const CSRGraph& g, std::uint32_t ranks,
+                             const EngineConfig& config,
+                             const rma::NetworkModel& net,
+                             graph::PartitionKind partition_kind,
+                             Setup&& setup, ScoreEdge&& score_edge) {
+  ATLC_CHECK(!config.upper_triangle_only,
+             "per-edge scores need full intersections per edge");
+  ATLC_CHECK(partition_kind != graph::PartitionKind::Grid2D,
+             "per-edge score analytics are 1D-only: their kernels need the "
+             "whole adjacency row per edge (denominators use full degrees), "
+             "not the per-block segments Grid2D streams");
   SimilarityResult out;
-  static_cast<EdgeAnalyticStats&>(out) = detail::run_edge_scores(
-      g, ranks, config, net, partition_kind, out.score,
-      std::forward<Setup>(setup), std::forward<ScoreEdge>(score_edge));
+  out.score.assign(g.num_edges(), 0.0);
+  static_cast<EdgeAnalyticStats&>(out) = run_edge_analytic(
+      g, ranks, config, net, partition_kind,
+      [&](rma::RankCtx& ctx, const DistGraph& dg, EdgePipeline& pipeline) {
+        auto state = setup(ctx, dg);
+        intersect::Intersector isect = make_intersector(config, dg.partition);
+        // Global slot of each local edge: adjacency slots are laid out per
+        // owning vertex, so local slot ei of local vertex lv maps to
+        // offsets(global v) + (ei - local offsets(lv)).
+        EdgeIndex ei = 0;
+        pipeline.run([&](VertexId lv, VertexId, std::span<const VertexId> adj_v,
+                         std::span<const VertexId> adj_j) {
+          const VertexId v_global = dg.partition.global_id(ctx.rank(), lv);
+          const Scored s = score_edge(isect, state, adj_v, adj_j);
+          ctx.charge_compute(s.seconds);
+          out.score[g.offsets()[v_global] + (ei - dg.offsets[lv])] = s.score;
+          ++ei;
+        });
+      });
+  return out;
+}
+
+/// A measure that is a formula of (|adj(u) ∩ adj(v)|, |adj(u)|, |adj(v)|).
+SimilarityResult run_count_measure(const CSRGraph& g, std::uint32_t ranks,
+                                   const EngineConfig& config,
+                                   const rma::NetworkModel& net,
+                                   graph::PartitionKind partition,
+                                   double (*formula)(std::uint64_t,
+                                                     std::size_t,
+                                                     std::size_t)) {
+  return run_measure(
+      g, ranks, config, net, partition,
+      [](rma::RankCtx&, const DistGraph&) { return 0; },
+      [formula](intersect::Intersector& isect, int,
+                std::span<const VertexId> adj_v,
+                std::span<const VertexId> adj_j) {
+        const auto o = isect.count(adj_v, adj_j);
+        return Scored{formula(o.common, adj_v.size(), adj_j.size()),
+                      o.seconds};
+      });
+}
+
+/// Single-node reference: `score(adj(u), adj(v))` per adjacency slot.
+template <typename Score>
+std::vector<double> reference_scores(const CSRGraph& g, Score&& score) {
+  std::vector<double> out(g.num_edges(), 0.0);
+  std::size_t k = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto adj_u = g.neighbors(u);
+    for (VertexId v : adj_u) out[k++] = score(adj_u, g.neighbors(v));
+  }
   return out;
 }
 
 }  // namespace
+
+SimilarityResult run_distributed_jaccard(const CSRGraph& g,
+                                         std::uint32_t ranks,
+                                         const EngineConfig& config,
+                                         const rma::NetworkModel& net,
+                                         graph::PartitionKind partition) {
+  return run_count_measure(g, ranks, config, net, partition,
+                           jaccard_from_counts);
+}
 
 SimilarityResult run_distributed_overlap(const CSRGraph& g,
                                          std::uint32_t ranks,
                                          const EngineConfig& config,
                                          const rma::NetworkModel& net,
                                          graph::PartitionKind partition) {
-  return run_similarity(
-      g, ranks, config, net, partition,
-      [](rma::RankCtx&, const DistGraph&) { return 0; },
-      [&config](rma::RankCtx& ctx, int, std::span<const VertexId> adj_v,
-                std::span<const VertexId> adj_j) {
-        const std::uint64_t common =
-            intersect::count_common(adj_v, adj_j, config.method);
-        ctx.charge_compute(
-            config.cost.seconds(config.method, adj_v.size(), adj_j.size()));
-        return overlap_from_counts(common, adj_v.size(), adj_j.size());
-      });
+  return run_count_measure(g, ranks, config, net, partition,
+                           overlap_from_counts);
 }
 
 SimilarityResult run_distributed_adamic_adar(const CSRGraph& g,
@@ -90,54 +158,43 @@ SimilarityResult run_distributed_adamic_adar(const CSRGraph& g,
                                              const EngineConfig& config,
                                              const rma::NetworkModel& net,
                                              graph::PartitionKind partition) {
-  return run_similarity(
+  return run_measure(
       g, ranks, config, net, partition,
       [](rma::RankCtx& ctx, const DistGraph& dg) {
         return replicate_degrees(ctx, dg);
       },
-      [&config](rma::RankCtx& ctx, const std::vector<VertexId>& degree,
-                std::span<const VertexId> adj_v,
-                std::span<const VertexId> adj_j) {
+      [](intersect::Intersector& isect, const std::vector<VertexId>& degree,
+         std::span<const VertexId> adj_v, std::span<const VertexId> adj_j) {
         double aa = 0.0;
-        intersect::for_each_common(adj_v, adj_j, [&](VertexId w) {
-          aa += adamic_adar_weight(degree[w]);
-        });
-        // The enumerating merge is an SSI walk; charge it as one (see
-        // for_each_common in intersect.hpp).
-        ctx.charge_compute(config.cost.seconds(
-            intersect::Method::SSI, adj_v.size(), adj_j.size()));
-        return aa;
+        const auto walk = isect.for_each_common(
+            adj_v, adj_j,
+            [&](VertexId w) { aa += adamic_adar_weight(degree[w]); });
+        return Scored{aa, walk.seconds};
       });
+}
+
+std::vector<double> reference_jaccard(const CSRGraph& g) {
+  return reference_scores(g, [](auto adj_u, auto adj_v) {
+    return jaccard_from_counts(intersect::count_hybrid(adj_u, adj_v),
+                               adj_u.size(), adj_v.size());
+  });
 }
 
 std::vector<double> reference_overlap(const CSRGraph& g) {
-  std::vector<double> out(g.num_edges(), 0.0);
-  std::size_t k = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto adj_u = g.neighbors(u);
-    for (VertexId v : adj_u) {
-      const auto adj_v = g.neighbors(v);
-      out[k++] = overlap_from_counts(intersect::count_hybrid(adj_u, adj_v),
-                                     adj_u.size(), adj_v.size());
-    }
-  }
-  return out;
+  return reference_scores(g, [](auto adj_u, auto adj_v) {
+    return overlap_from_counts(intersect::count_hybrid(adj_u, adj_v),
+                               adj_u.size(), adj_v.size());
+  });
 }
 
 std::vector<double> reference_adamic_adar(const CSRGraph& g) {
-  std::vector<double> out(g.num_edges(), 0.0);
-  std::size_t k = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto adj_u = g.neighbors(u);
-    for (VertexId v : adj_u) {
-      double aa = 0.0;
-      intersect::for_each_common(adj_u, g.neighbors(v), [&](VertexId w) {
-        aa += adamic_adar_weight(g.degree(w));
-      });
-      out[k++] = aa;
-    }
-  }
-  return out;
+  return reference_scores(g, [&g](auto adj_u, auto adj_v) {
+    double aa = 0.0;
+    intersect::for_each_common(adj_u, adj_v, [&](VertexId w) {
+      aa += adamic_adar_weight(g.degree(w));
+    });
+    return aa;
+  });
 }
 
 }  // namespace atlc::core

@@ -109,9 +109,24 @@ std::uint64_t RowBitmap::count_in(std::span<const VertexId> list) const {
 
 TieredIntersector::Outcome TieredIntersector::intersect(
     std::span<const VertexId> row, std::span<const VertexId> other) {
+  return run(select_tier_kernel(row.size(), other.size(), policy_), row,
+             other);
+}
+
+TieredIntersector::Outcome TieredIntersector::intersect_transient(
+    std::span<const VertexId> a, std::span<const VertexId> b) {
+  // No stable row, no amortised build: gallop is the right kernel for the
+  // bitmap-shaped (highly skewed) pairs.
+  const TierKernel k = select_tier_kernel(a.size(), b.size(), policy_);
+  return run(k == TierKernel::Bitmap ? TierKernel::Gallop : k, a, b);
+}
+
+TieredIntersector::Outcome TieredIntersector::run(
+    TierKernel k, std::span<const VertexId> row,
+    std::span<const VertexId> other) {
   Outcome out;
-  out.kernel = select_tier_kernel(row.size(), other.size(), policy_);
-  switch (out.kernel) {
+  out.kernel = k;
+  switch (k) {
     case TierKernel::Bitmap:
       if (!bitmap_.built_for(row)) {
         bitmap_.build(row, universe_);
@@ -130,30 +145,7 @@ TieredIntersector::Outcome TieredIntersector::intersect(
       ++stats_.merge_pairs;
       break;
   }
-  out.seconds += cost_.seconds_tiered(out.kernel, row.size(), other.size());
-  return out;
-}
-
-TieredIntersector::Outcome TieredIntersector::intersect_transient(
-    std::span<const VertexId> a, std::span<const VertexId> b) {
-  Outcome out;
-  out.kernel = select_tier_kernel(a.size(), b.size(), policy_);
-  if (out.kernel == TierKernel::Bitmap) {
-    // No stable row, no amortised build: gallop is the right kernel for
-    // the bitmap-shaped (highly skewed) pairs.
-    out.kernel = TierKernel::Gallop;
-  }
-  switch (out.kernel) {
-    case TierKernel::Gallop:
-      out.common = count_gallop(a, b);
-      ++stats_.gallop_pairs;
-      break;
-    default:
-      out.common = count_merge_vec(a, b);
-      ++stats_.merge_pairs;
-      break;
-  }
-  out.seconds += cost_.seconds_tiered(out.kernel, a.size(), b.size());
+  out.seconds += cost_.seconds_tiered(k, row.size(), other.size());
   return out;
 }
 

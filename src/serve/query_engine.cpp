@@ -85,9 +85,10 @@ bool batch_affects(VertexId v, std::span<const VertexId> touched,
 /// miss drive the (lv, neighbor) work list through the pipeline's prefetch
 /// ring, memoize, and diff the pipeline counters into the QueryCost.
 void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
-                core::EdgePipeline& pipeline, const core::EngineConfig& cfg,
-                HotVertexCache& hot, const Query& q, double epoch_open,
-                QueryAnswer& a, core::QueryCost& qc) {
+                core::EdgePipeline& pipeline, intersect::Intersector& isect,
+                const core::EngineConfig& cfg, HotVertexCache& hot,
+                const Query& q, double epoch_open, QueryAnswer& a,
+                core::QueryCost& qc) {
   obs::Tracer& tr = ctx.tracer();
   a.arrival = epoch_open;
   const double t0 = ctx.now();
@@ -125,9 +126,9 @@ void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
       pipeline.run_over(
           work, [&](VertexId, VertexId, std::span<const VertexId> av,
                     std::span<const VertexId> aj) {
-            tri += intersect::count_common(av, aj, cfg.method);
-            ctx.charge_compute(
-                cfg.cost.seconds(cfg.method, av.size(), aj.size()));
+            const auto o = isect.count(av, aj);
+            tri += o.common;
+            ctx.charge_compute(o.seconds);
           });
       a.lcc = graph::lcc_score(tri, static_cast<VertexId>(adj_v.size()));
       hot.insert_lcc(q.v, a.lcc);
@@ -249,6 +250,9 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
       const std::size_t accepted =
           std::min<std::size_t>(ep.queries.size(),
                                 options_.admission_capacity);
+      // Rows change in the update phase, so a stable-row Intersector (whose
+      // Tiered bitmap keys on row spans) lives for one query phase.
+      intersect::Intersector isect = core::make_intersector(cfg, partition);
       for (std::size_t qi = 0; qi < ep.queries.size(); ++qi) {
         QueryAnswer& a = out.answers[id_base + qi];
         if (qi >= accepted) {
@@ -261,7 +265,7 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
         }
         const Query& q = ep.queries[qi];
         if (partition.owner(q.v) != ctx.rank()) continue;
-        answer_one(ctx, dg, pipeline, cfg, hot, q, epoch_open, a,
+        answer_one(ctx, dg, pipeline, isect, cfg, hot, q, epoch_open, a,
                    costs[id_base + qi]);
       }
       ctx.tracer().end("queries");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "atlc/intersect/intersect.hpp"
 #include "atlc/util/check.hpp"
 
 namespace atlc::stream {
@@ -27,28 +26,26 @@ void IncrementalCounter::count(const EffectiveBatch& eff, Op which,
                 std::span<const VertexId> adj_b) {
         const VertexId a = part.global_id(ctx_->rank(), lv);
         const std::uint64_t e_ab = canonical_key(a, b);  // a < b (canonical)
-        intersect::for_each_common(adj_a, adj_b, [&](VertexId w) {
-          // Triangle {a, b, w}. Intra-batch attribution: among the
-          // triangle's edges that are in this batch's effective set, only
-          // the lexicographically smallest one counts the triangle —
-          // otherwise a triangle closed by two or three in-batch edges
-          // would be counted once per such edge. canonical_key preserves
-          // (a, b) lexicographic order, so the uint64 compare suffices.
-          const std::uint64_t e_aw =
-              canonical_key(std::min(a, w), std::max(a, w));
-          const std::uint64_t e_bw =
-              canonical_key(std::min(b, w), std::max(b, w));
-          if (members.contains(e_aw) && e_aw < e_ab) return;
-          if (members.contains(e_bw) && e_bw < e_ab) return;
-          out.per_vertex[a] += 2 * sign;
-          out.per_vertex[b] += 2 * sign;
-          out.per_vertex[w] += 2 * sign;
-          out.distinct_triangles += sign;
-        });
-        // The enumerating merge is an SSI walk; charge it as such (the
-        // same pricing rule the Adamic–Adar kernel uses).
-        ctx_->charge_compute(config_->cost.seconds(
-            intersect::Method::SSI, adj_a.size(), adj_b.size()));
+        const auto walk =
+            isect_.for_each_common(adj_a, adj_b, [&](VertexId w) {
+              // Triangle {a, b, w}. Intra-batch attribution: among the
+              // triangle's edges that are in this batch's effective set, only
+              // the lexicographically smallest one counts the triangle —
+              // otherwise a triangle closed by two or three in-batch edges
+              // would be counted once per such edge. canonical_key preserves
+              // (a, b) lexicographic order, so the uint64 compare suffices.
+              const std::uint64_t e_aw =
+                  canonical_key(std::min(a, w), std::max(a, w));
+              const std::uint64_t e_bw =
+                  canonical_key(std::min(b, w), std::max(b, w));
+              if (members.contains(e_aw) && e_aw < e_ab) return;
+              if (members.contains(e_bw) && e_bw < e_ab) return;
+              out.per_vertex[a] += 2 * sign;
+              out.per_vertex[b] += 2 * sign;
+              out.per_vertex[w] += 2 * sign;
+              out.distinct_triangles += sign;
+            });
+        ctx_->charge_compute(walk.seconds);
       });
 }
 

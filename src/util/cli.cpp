@@ -62,7 +62,9 @@ bool Cli::parse(int argc, char** argv) {
       auto it = entries_.find(name);
       const bool is_flag = it != entries_.end() && it->second.kind == Kind::Flag;
       if (is_flag) {
-        value = "1";
+        // push_back, not `= "1"`: GCC 12 at -O3 misreports the inlined
+        // literal assign as an overlapping memcpy (-Werror=restrict).
+        value.push_back('1');
       } else if (i + 1 < argc) {
         value = argv[++i];
       } else {

@@ -426,6 +426,33 @@ TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
   }
 }
 
+TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
+  // orient_dodg orients the graph in memory, but the snapshot's slices hold
+  // the UNORIENTED rows: the DODG path must build from the oriented graph,
+  // not the slice source (reading the slices overcounted ~6x).
+  const auto raw = raw_rmat(8, 8, 29);
+  const std::string bin = tmp_path("dodg.bin");
+  graph::save_binary_edges(raw, bin);
+  const std::string snap = tmp_path("dodg.v2");
+  ingest::IngestOptions opt;
+  opt.ranks = 4;
+  opt.relabel_seed = 6;
+  (void)ingest::run_ingest(bin, snap, opt);
+
+  ingest::SnapshotReader reader(snap);
+  const auto g = graph::CSRGraph::from_edges(reader.read_all());
+  const std::uint64_t want = graph::reference_lcc(g).global_triangles;
+  ASSERT_GT(want, 0u);
+  for (const auto kind :
+       {graph::PartitionKind::Block1D, graph::PartitionKind::Grid2D}) {
+    core::EngineConfig cfg;
+    cfg.orient_dodg = true;
+    cfg.slice_source = &reader;
+    EXPECT_EQ(core::run_distributed_tc(g, 4, cfg, {}, kind), want)
+        << graph::partition_kind_name(kind);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Spill path
 

@@ -8,7 +8,6 @@
 #include <map>
 #include <numeric>
 
-#include "atlc/core/jaccard.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
 #include "atlc/graph/clean.hpp"
@@ -252,9 +251,9 @@ TEST(Determinism, SimilarityAnalyticsIndependentOfPartitionKind) {
     const auto jac = core::run_distributed_jaccard(g, p, {}, {}, kind);
     const auto ovl = core::run_distributed_overlap(g, p, {}, {}, kind);
     const auto aa = core::run_distributed_adamic_adar(g, p, {}, {}, kind);
-    ASSERT_EQ(jac.similarity.size(), jac1.similarity.size());
-    for (std::size_t k = 0; k < jac1.similarity.size(); ++k) {
-      ASSERT_DOUBLE_EQ(jac.similarity[k], jac1.similarity[k])
+    ASSERT_EQ(jac.score.size(), jac1.score.size());
+    for (std::size_t k = 0; k < jac1.score.size(); ++k) {
+      ASSERT_DOUBLE_EQ(jac.score[k], jac1.score[k])
           << "jaccard p=" << p << " slot=" << k;
       ASSERT_DOUBLE_EQ(ovl.score[k], ovl1.score[k])
           << "overlap p=" << p << " slot=" << k;

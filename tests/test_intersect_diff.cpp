@@ -1,8 +1,8 @@
 // Randomized differential harness for every intersection kernel tier
 // (ISSUE 6): binary, SSI, hybrid, branch-reduced merge, galloping search,
-// RowBitmap, for_each_common, count_common_above, and the TieredIntersector
-// dispatch are all cross-checked against a trivial std::set_intersection
-// oracle over >10k seeded pairs. Vectorized/block-skipping kernels break
+// RowBitmap, for_each_common, count_common_above, the TieredIntersector
+// dispatch and the engine-facing Intersector are all cross-checked against a
+// trivial std::set_intersection oracle over >10k seeded pairs. Vectorized/block-skipping kernels break
 // silently on boundary lengths, so the sweep deliberately pins lengths
 // straddling SIMD-width boundaries (7,8,9, 15,16,17, 31,32,33) and the
 // degenerate structures (empty, one-element, disjoint, subset, identical)
@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "atlc/intersect/cost_model.hpp"
 #include "atlc/intersect/intersect.hpp"
+#include "atlc/intersect/intersector.hpp"
 #include "atlc/intersect/tiered.hpp"
 #include "atlc/util/rng.hpp"
 
@@ -51,6 +53,64 @@ TierPolicy force_gallop() {
 TierPolicy force_merge() {
   return {.bitmap_min_row = static_cast<std::size_t>(-1),
           .gallop_ratio = 1e300};
+}
+
+/// The Intersector against the formulas the engine priced with before it
+/// existed: count_common + CostModel::seconds per Paper method,
+/// TieredIntersector::intersect (stable lhs) / intersect_transient, and the
+/// SSI-priced for_each_common walk. Counts AND seconds must match exactly —
+/// this is what keeps every virtual-time baseline bit-identical. Each
+/// Tiered pair is asked twice, so bitmap reuse is priced too.
+std::uint64_t check_intersector(const V& a, const V& b, VertexId universe,
+                                std::uint64_t expected) {
+  const CostModel cost;
+  std::uint64_t checks = 0;
+  for (auto m : {Method::Binary, Method::SSI, Method::Hybrid}) {
+    for (bool stable : {true, false}) {
+      Intersector isect(m, Tier::Paper, TierPolicy{}, cost, universe, stable);
+      const auto out = isect.count(a, b);
+      checks += 3;
+      EXPECT_EQ(out.common, count_common(a, b, m)) << method_name(m);
+      EXPECT_EQ(out.seconds, cost.seconds(m, a.size(), b.size()))
+          << method_name(m);
+      EXPECT_STREQ(out.label, "intersect");
+    }
+  }
+  for (const TierPolicy& policy :
+       {TierPolicy{}, force_bitmap(), force_gallop(), force_merge()}) {
+    for (bool stable : {true, false}) {
+      Intersector isect(Method::Hybrid, Tier::Tiered, policy, cost, universe,
+                        stable);
+      TieredIntersector ref(policy, cost, universe);
+      for (int round = 0; round < 2; ++round) {
+        const auto want =
+            stable ? ref.intersect(a, b) : ref.intersect_transient(a, b);
+        const auto got = isect.count(a, b);
+        checks += 4;
+        EXPECT_EQ(got.common, expected) << "stable=" << stable;
+        EXPECT_EQ(got.common, want.common);
+        EXPECT_EQ(got.seconds, want.seconds)
+            << "stable=" << stable << " round " << round;
+        EXPECT_EQ(std::string(got.label),
+                  std::string("intersect_") +
+                      (want.kernel == TierKernel::MergeVec
+                           ? "merge"
+                           : tier_kernel_name(want.kernel)));
+      }
+    }
+  }
+  for (auto tier : {Tier::Paper, Tier::Tiered}) {
+    const Intersector isect(Method::Binary, tier, TierPolicy{}, cost,
+                            universe, true);
+    V visited;
+    const auto walk =
+        isect.for_each_common(a, b, [&](VertexId x) { visited.push_back(x); });
+    checks += 3;
+    EXPECT_EQ(visited, oracle(a, b));
+    EXPECT_EQ(walk.common, expected);
+    EXPECT_EQ(walk.seconds, cost.seconds(Method::SSI, a.size(), b.size()));
+  }
+  return checks;
 }
 
 /// Cross-check every kernel tier on one (a, b) pair. All ids must be
@@ -136,7 +196,7 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
     ++checks;
     EXPECT_GE(out.seconds, 0.0);
   }
-  return checks;
+  return checks + check_intersector(a, b, universe, expected);
 }
 
 // --------------------------------------------------- boundary-length grid ---

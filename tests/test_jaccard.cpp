@@ -2,7 +2,7 @@
 // future-work (ii) built on the same RMA+cache substrate as LCC).
 #include <gtest/gtest.h>
 
-#include "atlc/core/jaccard.hpp"
+#include "atlc/core/similarity.hpp"
 #include "atlc/graph/clean.hpp"
 #include "atlc/graph/generators.hpp"
 
@@ -28,7 +28,7 @@ TEST(Jaccard, CompleteGraphClosedForm) {
   e.symmetrize();
   const auto g = CSRGraph::from_edges(e);
   const auto r = run_distributed_jaccard(g, 3);
-  for (double j : r.similarity) EXPECT_DOUBLE_EQ(j, 4.0 / 6.0);
+  for (double j : r.score) EXPECT_DOUBLE_EQ(j, 4.0 / 6.0);
 }
 
 TEST(Jaccard, StarGraphEndpointsShareNothing) {
@@ -40,7 +40,7 @@ TEST(Jaccard, StarGraphEndpointsShareNothing) {
   e.symmetrize();
   const auto g = CSRGraph::from_edges(e);
   const auto r = run_distributed_jaccard(g, 2);
-  for (double j : r.similarity) EXPECT_DOUBLE_EQ(j, 0.0);
+  for (double j : r.score) EXPECT_DOUBLE_EQ(j, 0.0);
 }
 
 class JaccardRanks : public ::testing::TestWithParam<std::uint32_t> {};
@@ -49,9 +49,9 @@ TEST_P(JaccardRanks, MatchesReference) {
   const auto g = rmat_graph(8, 8, 21);
   const auto ref = reference_jaccard(g);
   const auto r = run_distributed_jaccard(g, GetParam());
-  ASSERT_EQ(r.similarity.size(), ref.size());
+  ASSERT_EQ(r.score.size(), ref.size());
   for (std::size_t k = 0; k < ref.size(); ++k)
-    ASSERT_DOUBLE_EQ(r.similarity[k], ref[k]) << "slot " << k;
+    ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
 }
 
 TEST_P(JaccardRanks, MatchesReferenceCached) {
@@ -64,7 +64,7 @@ TEST_P(JaccardRanks, MatchesReferenceCached) {
       CacheSizing::paper_default(g.num_vertices(), g.csr_bytes() / 4);
   const auto r = run_distributed_jaccard(g, GetParam(), cfg);
   for (std::size_t k = 0; k < ref.size(); ++k)
-    ASSERT_DOUBLE_EQ(r.similarity[k], ref[k]) << "slot " << k;
+    ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
   if (GetParam() > 1) EXPECT_GT(r.adj_cache_total.accesses(), 0u);
 }
 
@@ -73,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, JaccardRanks, ::testing::Values(1u, 2u, 4u, 8u))
 TEST(Jaccard, ValuesAreProbabilities) {
   const auto g = rmat_graph(9, 8, 23);
   const auto r = run_distributed_jaccard(g, 4);
-  for (double j : r.similarity) {
+  for (double j : r.score) {
     EXPECT_GE(j, 0.0);
     EXPECT_LT(j, 1.0);  // open neighborhoods: u ∉ adj(u), so never 1 here
   }
@@ -95,8 +95,8 @@ TEST(Jaccard, SimilarityCorrelatesWithLcc) {
     for (double x : v) s += x;
     return v.empty() ? 0.0 : s / static_cast<double>(v.size());
   };
-  EXPECT_GT(mean(run_distributed_jaccard(gc, 2).similarity),
-            2.0 * mean(run_distributed_jaccard(gu, 2).similarity));
+  EXPECT_GT(mean(run_distributed_jaccard(gc, 2).score),
+            2.0 * mean(run_distributed_jaccard(gu, 2).score));
 }
 
 TEST(Jaccard, CyclicPartitionAgrees) {
@@ -105,7 +105,7 @@ TEST(Jaccard, CyclicPartitionAgrees) {
   const auto r = run_distributed_jaccard(g, 4, {}, {},
                                          graph::PartitionKind::Cyclic1D);
   for (std::size_t k = 0; k < ref.size(); ++k)
-    ASSERT_DOUBLE_EQ(r.similarity[k], ref[k]) << "slot " << k;
+    ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
 }
 
 }  // namespace

@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "atlc/core/edge_pipeline.hpp"
 #include "atlc/core/fetcher.hpp"
-#include "atlc/core/jaccard.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
 #include "atlc/graph/reference.hpp"
@@ -105,9 +105,9 @@ TEST_P(PipelineDepth, JaccardMatchesReference) {
   const CSRGraph g = rmat_graph(8, 8, 36);
   const auto ref = reference_jaccard(g);
   const auto r = run_distributed_jaccard(g, 4, depth_config(GetParam()));
-  ASSERT_EQ(r.similarity.size(), ref.size());
+  ASSERT_EQ(r.score.size(), ref.size());
   for (std::size_t k = 0; k < ref.size(); ++k)
-    ASSERT_DOUBLE_EQ(r.similarity[k], ref[k]) << "slot " << k;
+    ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, PipelineDepth,
@@ -207,6 +207,83 @@ TEST(PipelineBehaviour, ResultsInvariantAcrossDepths) {
     const auto r = run_distributed_lcc(g, 4, depth_config(k));
     ASSERT_EQ(r.triangles, base.triangles) << "depth " << k;
     EXPECT_EQ(r.remote_edges, base.remote_edges) << "depth " << k;
+  }
+}
+
+// ----------------------------------- one ring: 1D run_segments is run() ---
+
+/// Every kernel call of one pass, per rank, with the spans' contents.
+struct KernelCall {
+  VertexId lv, j;
+  std::vector<VertexId> adj_v, adj_j;
+  bool operator==(const KernelCall&) const = default;
+};
+
+struct PassRecord {
+  std::vector<std::vector<KernelCall>> calls;  ///< per rank, in call order
+  double makespan = 0.0;
+  std::vector<std::string> comm;  ///< per-rank CommStats as JSON
+};
+
+/// One pass over every local edge on `kind`, through run_segments or run,
+/// with a kernel that records the call and charges the Paper price.
+PassRecord record_pass(const CSRGraph& g, graph::PartitionKind kind,
+                       const EngineConfig& cfg, bool segments) {
+  constexpr std::uint32_t kRanks = 4;
+  const graph::Partition part = graph::make_partition(g, kind, kRanks);
+  PassRecord rec;
+  rec.calls.resize(kRanks);
+  rma::Runtime::Options o;
+  o.ranks = kRanks;
+  const auto run = rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+    const DistGraph dg = build_dist_graph(ctx, g, part);
+    EdgePipeline pipeline(ctx, dg, cfg);
+    auto& calls = rec.calls[ctx.rank()];
+    const auto visit = [&](VertexId lv, VertexId j,
+                           std::span<const VertexId> adj_v,
+                           std::span<const VertexId> adj_j) {
+      calls.push_back({lv, j, {adj_v.begin(), adj_v.end()},
+                       {adj_j.begin(), adj_j.end()}});
+      ctx.charge_compute(
+          cfg.cost.seconds(cfg.method, adj_v.size(), adj_j.size()));
+    };
+    if (segments) {
+      pipeline.run_segments([&](VertexId lv, VertexId j, std::uint32_t block,
+                                std::span<const VertexId> seg_v,
+                                std::span<const VertexId> seg_j) {
+        EXPECT_EQ(block, 0u);
+        visit(lv, j, seg_v, seg_j);
+      });
+    } else {
+      pipeline.run(visit);
+    }
+    ctx.barrier();
+  });
+  rec.makespan = run.makespan;
+  for (const auto& s : run.stats) rec.comm.push_back(util::to_json(s).dump());
+  return rec;
+}
+
+TEST(PipelineEquivalence, RunSegmentsIsRunOnEvery1DPartition) {
+  // A 1D partition is the one-column-block case of the segment ring: same
+  // kernel calls in the same order, same virtual makespan, same per-rank
+  // communication — uncached and cached at a deeper ring.
+  const CSRGraph g = rmat_graph(8, 8, 62);
+  EngineConfig cached = depth_config(3);
+  cached.use_cache = true;
+  cached.cache_sizing = CacheSizing::paper_default(g.num_vertices(), 1 << 17);
+  for (const auto kind : {graph::PartitionKind::Block1D,
+                          graph::PartitionKind::Cyclic1D,
+                          graph::PartitionKind::DegreeBalanced1D}) {
+    for (const EngineConfig& cfg : {EngineConfig{}, cached}) {
+      SCOPED_TRACE(graph::partition_kind_name(kind));
+      const PassRecord rows = record_pass(g, kind, cfg, false);
+      const PassRecord segs = record_pass(g, kind, cfg, true);
+      EXPECT_TRUE(rows.calls == segs.calls);
+      EXPECT_GT(rows.calls[0].size(), 0u);
+      EXPECT_EQ(rows.makespan, segs.makespan);
+      EXPECT_EQ(rows.comm, segs.comm);
+    }
   }
 }
 
@@ -316,6 +393,24 @@ TEST_P(SimilarityRanks, AdamicAdarMatchesReferenceCachedAndDeep) {
     ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
 }
 
+TEST_P(SimilarityRanks, MeasuresHonourTieredIntersection) {
+  // The measures price through the rank's Intersector, so Tier::Tiered
+  // changes their charged compute — never their scores. A low bitmap
+  // threshold drives every tiered kernel.
+  const CSRGraph g = rmat_graph(8, 8, 63);
+  EngineConfig tiered;
+  tiered.intersect_tier = intersect::Tier::Tiered;
+  tiered.tier_policy.bitmap_min_row = 8;
+  const auto jac = run_distributed_jaccard(g, GetParam(), tiered);
+  const auto ovl = run_distributed_overlap(g, GetParam(), tiered);
+  const auto aa = run_distributed_adamic_adar(g, GetParam(), tiered);
+  EXPECT_EQ(jac.score, reference_jaccard(g));
+  EXPECT_EQ(ovl.score, reference_overlap(g));
+  EXPECT_EQ(aa.score, reference_adamic_adar(g));
+  EXPECT_NE(jac.run.total().compute_seconds,
+            run_distributed_jaccard(g, GetParam()).run.total().compute_seconds);
+}
+
 INSTANTIATE_TEST_SUITE_P(Ranks, SimilarityRanks,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
@@ -331,7 +426,7 @@ TEST(AdamicAdar, DirectedSinkContributesZero) {
 TEST(Similarity, OverlapDominatesJaccard) {
   // min(|A|,|B|) <= |A ∪ B| always, so O(u,v) >= J(u,v) edge-wise.
   const CSRGraph g = rmat_graph(9, 8, 47);
-  const auto jac = run_distributed_jaccard(g, 2).similarity;
+  const auto jac = run_distributed_jaccard(g, 2).score;
   const auto ovl = run_distributed_overlap(g, 2).score;
   ASSERT_EQ(jac.size(), ovl.size());
   for (std::size_t k = 0; k < jac.size(); ++k)

@@ -273,7 +273,7 @@ TEST(Recorder, HonorsMaxReps) {
   int calls = 0;
   (void)rec.run_until_ci([&] {
     volatile double x = 0;
-    for (int i = 0; i < (calls % 2 ? 100000 : 10); ++i) x += i;
+    for (int i = 0; i < (calls % 2 ? 100000 : 10); ++i) x = x + i;
     ++calls;
   });
   EXPECT_EQ(rec.samples().size(), 7u);
@@ -494,7 +494,7 @@ TEST(Table, RenderedCellsRoundTrip) {
 TEST(Timer, MeasuresSomethingPositive) {
   Timer t;
   volatile double x = 0;
-  for (int i = 0; i < 10000; ++i) x += i;
+  for (int i = 0; i < 10000; ++i) x = x + i;
   EXPECT_GT(t.elapsed_ns(), 0u);
   EXPECT_GE(t.elapsed_us(), 0.0);
 }

@@ -17,10 +17,10 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "atlc/core/jaccard.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
 #include "atlc/graph/clean.hpp"
@@ -82,12 +82,18 @@ core::EngineConfig engine_config(const util::Cli& cli,
   return cfg;
 }
 
+/// What the shared artifacts (trace, --stats-json, summary line) read.
+struct RunRecord {
+  rma::Runtime::Result run;
+  clampi::CacheStats offsets;
+  clampi::CacheStats adj;
+};
+
 /// --stats-json: the run's aggregate CommStats/CacheStats/makespan as one
 /// JSON document, for one-off runs without the bench harness.
 bool write_stats_json(const std::string& path, const std::string& algo,
-                      const rma::Runtime::Result& run,
-                      const clampi::CacheStats& offsets,
-                      const clampi::CacheStats& adj) {
+                      const RunRecord& rec) {
+  const rma::Runtime::Result& run = rec.run;
   util::Json doc = util::Json::object();
   doc["algo"] = algo;
   doc["ranks"] = run.stats.size();
@@ -100,8 +106,8 @@ bool write_stats_json(const std::string& path, const std::string& algo,
   util::Json clocks = util::Json::array();
   for (const double c : run.clocks) clocks.push_back(c);
   doc["clocks"] = std::move(clocks);
-  doc["offsets_cache"] = util::to_json(offsets);
-  doc["adj_cache"] = util::to_json(adj);
+  doc["offsets_cache"] = util::to_json(rec.offsets);
+  doc["adj_cache"] = util::to_json(rec.adj);
   doc["peak_rss_bytes"] = util::peak_rss_bytes();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
@@ -111,8 +117,8 @@ bool write_stats_json(const std::string& path, const std::string& algo,
   return std::fclose(f) == 0 && ok;
 }
 
-void print_run_summary(const rma::Runtime::Result& run,
-                       const clampi::CacheStats& adj) {
+void print_run_summary(const RunRecord& rec) {
+  const rma::Runtime::Result& run = rec.run;
   const auto total = run.total();
   std::fprintf(stderr,
                "# makespan %.4f s (virtual) | wall %.2f s | remote gets "
@@ -120,17 +126,129 @@ void print_run_summary(const rma::Runtime::Result& run,
                run.makespan, run.wall_seconds,
                static_cast<unsigned long long>(total.remote_gets),
                total.comm_seconds, total.compute_seconds,
-               100.0 * adj.hit_rate());
+               100.0 * rec.adj.hit_rate());
   if (total.hub_local_hits > 0)
     std::fprintf(stderr, "# hub replica served %llu fetches locally\n",
                  static_cast<unsigned long long>(total.hub_local_hits));
 }
 
+/// One engine run as main() drives it: the inputs, plus where the CSV
+/// body goes (unless --stats-only).
+struct Job {
+  const util::Cli& cli;
+  const graph::CSRGraph& g;
+  std::uint32_t ranks;
+  const core::EngineConfig& cfg;
+  graph::PartitionKind partition;
+  std::FILE* out;
+
+  [[nodiscard]] bool csv() const { return !cli.get_flag("stats-only"); }
+};
+
+RunRecord record(const core::EdgeAnalyticStats& s) {
+  return {s.run, s.offsets_cache_total, s.adj_cache_total};
+}
+
+RunRecord run_lcc(const Job& j) {
+  const auto r =
+      core::run_distributed_lcc(j.g, j.ranks, j.cfg, {}, j.partition);
+  std::fprintf(stderr, "# global triangles: %llu\n",
+               static_cast<unsigned long long>(r.global_triangles));
+  if (j.csv()) {
+    std::fprintf(j.out, "vertex,degree,triangles,lcc\n");
+    for (graph::VertexId v = 0; v < j.g.num_vertices(); ++v)
+      std::fprintf(j.out, "%u,%u,%llu,%.6f\n", v, j.g.degree(v),
+                   static_cast<unsigned long long>(r.triangles[v]), r.lcc[v]);
+  }
+  return record(r);
+}
+
+RunRecord run_tc(const Job& j) {
+  const auto r =
+      core::run_distributed_tc_result(j.g, j.ranks, j.cfg, {}, j.partition);
+  std::fprintf(j.out, "global_triangles\n%llu\n",
+               static_cast<unsigned long long>(r.global_triangles));
+  return record(r);
+}
+
+/// The per-edge similarity measures share the slot layout and the stats
+/// block, so one emission path serves all three.
+template <core::SimilarityResult (*Measure)(
+    const graph::CSRGraph&, std::uint32_t, const core::EngineConfig&,
+    const rma::NetworkModel&, graph::PartitionKind)>
+RunRecord run_similarity(const Job& j) {
+  const auto r = Measure(j.g, j.ranks, j.cfg, {}, j.partition);
+  if (j.csv()) {
+    std::fprintf(j.out, "u,v,%s\n", j.cli.get_string("algo").c_str());
+    std::size_t k = 0;
+    for (graph::VertexId u = 0; u < j.g.num_vertices(); ++u)
+      for (graph::VertexId v : j.g.neighbors(u))
+        std::fprintf(j.out, "%u,%u,%.6f\n", u, v, r.score[k++]);
+  }
+  return record(r);
+}
+
+/// --stream-batches: generated update batches through the incremental
+/// engine, maintaining TC (--algo tc) or per-vertex LCC.
+RunRecord run_streaming(const Job& j) {
+  stream::WorkloadConfig wl;
+  wl.num_batches = static_cast<std::size_t>(j.cli.get_int("stream-batches"));
+  wl.batch_size = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, j.cli.get_int("batch-size")));
+  wl.insert_fraction = j.cli.get_double("stream-insert-frac");
+  wl.seed = static_cast<std::uint64_t>(j.cli.get_int("seed"));
+  const auto batches = stream::generate_batches(j.g, wl);
+
+  stream::StreamOptions sopts;
+  sopts.engine = j.cfg;
+  sopts.partition = j.partition;
+  const auto r = stream::run_streaming_lcc(j.g, batches, j.ranks, sopts);
+  std::fprintf(stderr,
+               "# cold count %.4f s | stream %.4f s over %zu batches | "
+               "stale evictions %llu\n",
+               r.initial_makespan, r.stream_makespan, batches.size(),
+               static_cast<unsigned long long>(
+                   r.adj_cache_total.stale_evictions +
+                   r.offsets_cache_total.stale_evictions));
+  for (std::size_t bi = 0; bi < r.batches.size(); ++bi) {
+    const auto& b = r.batches[bi];
+    std::fprintf(stderr,
+                 "#   batch %zu: +%llu -%llu edges, %lld tri delta -> "
+                 "%llu triangles, %llu rows, %.5f s\n",
+                 bi, static_cast<unsigned long long>(b.effective_insertions),
+                 static_cast<unsigned long long>(b.effective_deletions),
+                 static_cast<long long>(b.triangles_delta),
+                 static_cast<unsigned long long>(b.global_triangles),
+                 static_cast<unsigned long long>(b.rows_rebuilt), b.makespan);
+  }
+  if (j.cli.get_string("algo") == "tc") {
+    std::fprintf(j.out, "global_triangles\n%llu\n",
+                 static_cast<unsigned long long>(r.global_triangles));
+  } else if (j.csv()) {
+    std::fprintf(j.out, "vertex,triangles,lcc\n");
+    for (graph::VertexId v = 0; v < j.g.num_vertices(); ++v)
+      std::fprintf(j.out, "%u,%llu,%.6f\n", v,
+                   static_cast<unsigned long long>(r.triangles[v]), r.lcc[v]);
+  }
+  return {r.run, r.offsets_cache_total, r.adj_cache_total};
+}
+
+/// The static analytics by --algo name.
+using Analytic = RunRecord (*)(const Job&);
+constexpr std::pair<std::string_view, Analytic> kAnalytics[] = {
+    {"lcc", run_lcc},
+    {"tc", run_tc},
+    {"jaccard", run_similarity<core::run_distributed_jaccard>},
+    {"overlap", run_similarity<core::run_distributed_overlap>},
+    {"adamic-adar", run_similarity<core::run_distributed_adamic_adar>},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli("atlc_run",
-                "distributed LCC / TC / Jaccard on an edge list or R-MAT");
+                "distributed LCC / TC / similarity measures on an edge "
+                "list or R-MAT");
   cli.add_string("input", "SNAP-format edge list ('' = generate R-MAT)", "");
   cli.add_string("snapshot",
                  "v2 partition-sliced snapshot (atlc_ingest output): the "
@@ -274,12 +392,13 @@ int main(int argc, char** argv) {
   const std::string& trace_path = cli.get_string("trace");
   const std::string& stats_path = cli.get_string("stats-json");
   if (!trace_path.empty()) cfg.trace = &trace;
+  const bool streaming = cli.get_int("stream-batches") > 0;
   if (snap) {
     // Out-of-core build: the static engine seek-reads each rank's slice
     // from the snapshot's extent index. The streaming engine rebuilds rows
     // in memory as updates land, so its graph builds stay in-memory; a
     // rank-count mismatch falls back too (the slice index is per-rank).
-    if (cli.get_int("stream-batches") > 0) {
+    if (streaming) {
       std::fprintf(stderr,
                    "# snapshot slices unused by the streaming engine "
                    "(updates rebuild rows in memory)\n");
@@ -295,47 +414,31 @@ int main(int argc, char** argv) {
   auto out = open_out(cli.get_string("out"));
 
   const std::string& algo = cli.get_string("algo");
-  // Shared artifact emission for every engine path (stream / lcc / tc /
-  // similarity): the Chrome trace and the --stats-json document.
-  const auto emit_artifacts = [&](const rma::Runtime::Result& run,
-                                  const clampi::CacheStats& offsets,
-                                  const clampi::CacheStats& adj) {
-    if (!trace_path.empty()) {
-      if (!trace.write_chrome_trace(trace_path)) {
-        std::fprintf(stderr, "atlc_run: cannot write %s\n",
-                     trace_path.c_str());
-        std::exit(1);
-      }
-      std::fprintf(stderr, "# trace: %zu events -> %s\n",
-                   trace.total_events(), trace_path.c_str());
-    }
-    if (!stats_path.empty()) {
-      if (!write_stats_json(stats_path, algo, run, offsets, adj)) {
-        std::fprintf(stderr, "atlc_run: cannot write %s\n",
-                     stats_path.c_str());
-        std::exit(1);
-      }
-    }
-  };
+  Analytic analytic = nullptr;
+  for (const auto& [name, fn] : kAnalytics)
+    if (name == algo) analytic = fn;
+  if (analytic == nullptr) {
+    std::fprintf(stderr, "atlc_run: unknown --algo '%s'\n", algo.c_str());
+    return 1;
+  }
+  const bool similarity = algo != "lcc" && algo != "tc";
   // Friendly rejections for the 2D partition: the incremental stream
   // counter and the per-edge similarity analytics are 1D-only (the library
   // would abort on the same conditions via ATLC_CHECK).
-  if (partition == graph::PartitionKind::Grid2D &&
-      cli.get_int("stream-batches") > 0) {
+  if (partition == graph::PartitionKind::Grid2D && streaming) {
     std::fprintf(stderr,
                  "atlc_run: --partition grid2d does not support "
                  "--stream-batches yet (incremental counting is 1D-only)\n");
     return 1;
   }
-  if (partition == graph::PartitionKind::Grid2D &&
-      (algo == "jaccard" || algo == "overlap" || algo == "adamic-adar")) {
+  if (partition == graph::PartitionKind::Grid2D && similarity) {
     std::fprintf(stderr,
                  "atlc_run: --partition grid2d does not support per-edge "
                  "similarity scores (they need whole adjacency rows)\n");
     return 1;
   }
-  if (cli.get_int("stream-batches") > 0) {
-    if (algo != "lcc" && algo != "tc") {
+  if (streaming) {
+    if (similarity) {
       std::fprintf(stderr,
                    "atlc_run: --stream-batches maintains TC/LCC only "
                    "(--algo %s unsupported)\n",
@@ -347,99 +450,24 @@ int main(int argc, char** argv) {
                    "atlc_run: --stream-batches needs an undirected graph\n");
       return 1;
     }
-    stream::WorkloadConfig wl;
-    wl.num_batches = static_cast<std::size_t>(cli.get_int("stream-batches"));
-    wl.batch_size = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, cli.get_int("batch-size")));
-    wl.insert_fraction = cli.get_double("stream-insert-frac");
-    wl.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto batches = stream::generate_batches(g, wl);
-
-    stream::StreamOptions sopts;
-    sopts.engine = cfg;
-    sopts.partition = partition;
-    const auto r = stream::run_streaming_lcc(g, batches, ranks, sopts);
-    emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-    print_run_summary(r.run, r.adj_cache_total);
-    std::fprintf(stderr,
-                 "# cold count %.4f s | stream %.4f s over %zu batches | "
-                 "stale evictions %llu\n",
-                 r.initial_makespan, r.stream_makespan, batches.size(),
-                 static_cast<unsigned long long>(
-                     r.adj_cache_total.stale_evictions +
-                     r.offsets_cache_total.stale_evictions));
-    for (std::size_t bi = 0; bi < r.batches.size(); ++bi) {
-      const auto& b = r.batches[bi];
-      std::fprintf(stderr,
-                   "#   batch %zu: +%llu -%llu edges, %lld tri delta -> "
-                   "%llu triangles, %llu rows, %.5f s\n",
-                   bi, static_cast<unsigned long long>(b.effective_insertions),
-                   static_cast<unsigned long long>(b.effective_deletions),
-                   static_cast<long long>(b.triangles_delta),
-                   static_cast<unsigned long long>(b.global_triangles),
-                   static_cast<unsigned long long>(b.rows_rebuilt),
-                   b.makespan);
-    }
-    if (algo == "tc") {
-      std::fprintf(out.get(), "global_triangles\n%llu\n",
-                   static_cast<unsigned long long>(r.global_triangles));
-    } else if (!cli.get_flag("stats-only")) {
-      std::fprintf(out.get(), "vertex,triangles,lcc\n");
-      for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-        std::fprintf(out.get(), "%u,%llu,%.6f\n", v,
-                     static_cast<unsigned long long>(r.triangles[v]),
-                     r.lcc[v]);
-    }
-    return 0;
+    analytic = run_streaming;
   }
-  if (algo == "lcc") {
-    const auto r = core::run_distributed_lcc(g, ranks, cfg, {}, partition);
-    emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-    print_run_summary(r.run, r.adj_cache_total);
-    std::fprintf(stderr, "# global triangles: %llu\n",
-                 static_cast<unsigned long long>(r.global_triangles));
-    if (!cli.get_flag("stats-only")) {
-      std::fprintf(out.get(), "vertex,degree,triangles,lcc\n");
-      for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-        std::fprintf(out.get(), "%u,%u,%llu,%.6f\n", v, g.degree(v),
-                     static_cast<unsigned long long>(r.triangles[v]),
-                     r.lcc[v]);
+
+  const RunRecord rec = analytic({cli, g, ranks, cfg, partition, out.get()});
+  // Shared artifacts of every engine path: the Chrome trace, the
+  // --stats-json document and the summary line.
+  if (!trace_path.empty()) {
+    if (!trace.write_chrome_trace(trace_path)) {
+      std::fprintf(stderr, "atlc_run: cannot write %s\n", trace_path.c_str());
+      return 1;
     }
-  } else if (algo == "tc") {
-    const auto r = core::run_distributed_tc_result(g, ranks, cfg, {}, partition);
-    emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-    std::fprintf(out.get(), "global_triangles\n%llu\n",
-                 static_cast<unsigned long long>(r.global_triangles));
-  } else if (algo == "jaccard" || algo == "overlap" || algo == "adamic-adar") {
-    // The per-edge similarity analytics share the slot layout and the
-    // EdgeAnalyticStats block, so one emission path serves all three.
-    std::vector<double> scores;
-    if (algo == "jaccard") {
-      auto r = core::run_distributed_jaccard(g, ranks, cfg, {}, partition);
-      emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-      print_run_summary(r.run, r.adj_cache_total);
-      scores = std::move(r.similarity);
-    } else if (algo == "overlap") {
-      auto r = core::run_distributed_overlap(g, ranks, cfg, {}, partition);
-      emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-      print_run_summary(r.run, r.adj_cache_total);
-      scores = std::move(r.score);
-    } else {
-      auto r = core::run_distributed_adamic_adar(g, ranks, cfg, {}, partition);
-      emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-      print_run_summary(r.run, r.adj_cache_total);
-      scores = std::move(r.score);
-    }
-    if (!cli.get_flag("stats-only")) {
-      std::fprintf(out.get(), "u,v,%s\n", algo.c_str());
-      std::size_t k = 0;
-      for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
-        for (graph::VertexId v : g.neighbors(u))
-          std::fprintf(out.get(), "%u,%u,%.6f\n", u, v, scores[k++]);
-    }
-  } else {
-    std::fprintf(stderr, "atlc_run: unknown --algo '%s'\n", algo.c_str());
+    std::fprintf(stderr, "# trace: %zu events -> %s\n", trace.total_events(),
+                 trace_path.c_str());
+  }
+  if (!stats_path.empty() && !write_stats_json(stats_path, algo, rec)) {
+    std::fprintf(stderr, "atlc_run: cannot write %s\n", stats_path.c_str());
     return 1;
   }
+  print_run_summary(rec);
   return 0;
 }
