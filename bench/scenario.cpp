@@ -70,10 +70,10 @@ const graph::CSRGraph& ScenarioContext::graph_or_file(
 }
 
 core::RunResult ScenarioContext::run_lcc_trials(
-    const std::string& metric, const util::BenchRecorder::MetricOptions& opts,
-    const graph::CSRGraph& g, std::uint32_t ranks, core::EngineConfig cfg,
+    const std::string& metric, bool gate, const graph::CSRGraph& g,
+    std::uint32_t ranks, core::EngineConfig cfg,
     graph::PartitionKind partition) const {
-  rec.declare_metric(metric, opts);
+  rec.declare_metric(metric, {.unit = "s", .gate = gate});
   cfg.cost = cost();
   core::RunResult last;
   for (std::size_t trial = 0; trial < std::max<std::size_t>(1, repeats);
@@ -105,9 +105,9 @@ core::RunResult ScenarioContext::run_lcc_trials(
 }
 
 tric::TricResult ScenarioContext::run_tric_trials(
-    const std::string& metric, const util::BenchRecorder::MetricOptions& opts,
-    const graph::CSRGraph& g, std::uint32_t ranks, tric::TricConfig cfg) const {
-  rec.declare_metric(metric, opts);
+    const std::string& metric, bool gate, const graph::CSRGraph& g,
+    std::uint32_t ranks, tric::TricConfig cfg) const {
+  rec.declare_metric(metric, {.unit = "s", .gate = gate});
   cfg.cost = cost();
   tric::TricResult last;
   for (std::size_t trial = 0; trial < std::max<std::size_t>(1, repeats);

@@ -63,18 +63,17 @@ struct ScenarioContext {
       const std::string& proxy_name) const;
 
   /// Run the distributed LCC engine `repeats` times and record one trial
-  /// per run under `metric`: makespan as the value, plus aggregated
+  /// per run under `metric` (virtual seconds, gated when `gate`): makespan
+  /// as the value, plus aggregated
   /// CommStats, per-window CacheStats (when caching), triangle totals and
   /// the remote-edge fraction as detail. Returns the last run's result for
   /// scenario-specific analysis. `cfg.cost` is overwritten with cost().
   core::RunResult run_lcc_trials(
-      const std::string& metric, const util::BenchRecorder::MetricOptions& opts,
-      const graph::CSRGraph& g, std::uint32_t ranks, core::EngineConfig cfg,
+      const std::string& metric, bool gate, const graph::CSRGraph& g, std::uint32_t ranks, core::EngineConfig cfg,
       graph::PartitionKind partition = graph::PartitionKind::Block1D) const;
 
   /// Same for the TriC baseline.
-  tric::TricResult run_tric_trials(const std::string& metric,
-                                   const util::BenchRecorder::MetricOptions& opts,
+  tric::TricResult run_tric_trials(const std::string& metric, bool gate,
                                    const graph::CSRGraph& g,
                                    std::uint32_t ranks,
                                    tric::TricConfig cfg) const;

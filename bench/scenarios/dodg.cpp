@@ -66,17 +66,17 @@ void run(bench::ScenarioContext& ctx) {
     std::uint64_t first_count = 0;
     for (const auto& arm : arms) {
       core::EngineConfig cfg;
-      cfg.orient_dodg = arm.orient;
       cfg.intersect_tier = arm.tier;
       cfg.cost = ctx.cost();
 
       const std::string metric =
           std::string("makespan/") + gtag + "/" + arm.tag;
-      ctx.rec.declare_metric(metric, {.gate = true});
+      ctx.rec.declare_metric(metric, {.unit = "s", .gate = true});
       core::RunResult r;
       for (std::size_t trial = 0; trial < std::max<std::size_t>(1, ctx.repeats);
            ++trial) {
-        r = core::run_distributed_tc_result(g, ranks, cfg);
+        r = core::run_distributed_tc_result(
+            g, ranks, cfg, {}, graph::PartitionKind::Block1D, arm.orient);
         util::Json detail = util::Json::object();
         detail["global_triangles"] = r.global_triangles;
         detail["edges_processed"] = r.edges_processed;

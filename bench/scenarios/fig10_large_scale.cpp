@@ -50,7 +50,7 @@ void run(bench::ScenarioContext& ctx) {
       std::snprintf(metric, sizeof(metric), "makespan/plain/%s/p%u",
                     name.c_str(), p);
       const auto plain =
-          ctx.run_lcc_trials(metric, {.gate = gate}, g, p, {});
+          ctx.run_lcc_trials(metric, gate, g, p, {});
 
       core::EngineConfig cached_cfg;
       cached_cfg.use_cache = true;
@@ -62,14 +62,14 @@ void run(bench::ScenarioContext& ctx) {
       std::snprintf(metric, sizeof(metric), "makespan/cached/%s/p%u",
                     name.c_str(), p);
       const auto cached =
-          ctx.run_lcc_trials(metric, {.gate = gate}, g, p, cached_cfg);
+          ctx.run_lcc_trials(metric, gate, g, p, cached_cfg);
 
       std::string tric_s = "- (exceeds wall-time, as in paper)";
       if (!skip_tric && (name != "R-MAT-S30-EF16" || tric_on_s30)) {
         std::snprintf(metric, sizeof(metric), "makespan/tric/%s/p%u",
                       name.c_str(), p);
         tric_s = util::Table::fmt(
-            ctx.run_tric_trials(metric, {}, g, p, {}).run.makespan, 3);
+            ctx.run_tric_trials(metric, false, g, p, {}).run.makespan, 3);
       } else if (skip_tric) {
         tric_s = "-";
       }

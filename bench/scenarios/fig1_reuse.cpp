@@ -23,7 +23,7 @@ void run(bench::ScenarioContext& ctx) {
   core::EngineConfig cfg;
   cfg.track_remote_reads = true;
   const auto result = ctx.run_lcc_trials(
-      "makespan/plain", {.gate = true}, g,
+      "makespan/plain", true, g,
       static_cast<std::uint32_t>(ctx.cli.get_int("ranks")), cfg);
 
   // Bucket repetition counts like the paper's y-axis: 1, 4, 16, 64, 256.

@@ -31,7 +31,7 @@ void run(bench::ScenarioContext& ctx) {
     core::EngineConfig cfg;
     cfg.track_remote_reads = true;
     const auto result = ctx.run_lcc_trials(
-        "makespan/" + name, {.gate = name == "R-MAT-S21-EF16"}, g, ranks, cfg);
+        "makespan/" + name, name == "R-MAT-S21-EF16", g, ranks, cfg);
 
     std::vector<std::string> row = {name};
     for (double f : fractions) {

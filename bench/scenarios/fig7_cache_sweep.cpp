@@ -53,7 +53,7 @@ void run(bench::ScenarioContext& ctx) {
 
   // Baseline without any cache.
   const auto baseline =
-      ctx.run_lcc_trials("makespan/uncached", {.gate = true}, g, ranks, {});
+      ctx.run_lcc_trials("makespan/uncached", true, g, ranks, {});
   const double comm_base = mean_comm(baseline);
   std::printf("non-cached communication time (mean/rank): %.3f s\n\n",
               comm_base);
@@ -77,8 +77,7 @@ void run(bench::ScenarioContext& ctx) {
       std::snprintf(metric, sizeof(metric), "makespan/%s/frac=%.2f", window,
                     fraction);
       // Gate the full-size point of each window's sweep.
-      const auto r = ctx.run_lcc_trials(metric, {.gate = s == steps}, g,
-                                        ranks, cfg);
+      const auto r = ctx.run_lcc_trials(metric, s == steps, g, ranks, cfg);
       const auto& cs = sweep_adj ? r.adj_cache_total : r.offsets_cache_total;
       points.push_back(
           {fraction, bytes, cs.miss_rate(),

@@ -40,8 +40,7 @@ Measurement run_once(bench::ScenarioContext& ctx, const graph::CSRGraph& g,
   char metric[64];
   std::snprintf(metric, sizeof(metric), "makespan/%s/p%u", label, ranks);
   const auto r = ctx.run_lcc_trials(
-      metric,
-      {.gate = policy == clampi::VictimPolicy::UserScore && ranks == 8}, g,
+      metric, policy == clampi::VictimPolicy::UserScore && ranks == 8, g,
       ranks, cfg);
   double comm = 0;
   for (const auto& s : r.run.stats) comm += s.comm_seconds;

@@ -62,7 +62,7 @@ void run(bench::ScenarioContext& ctx) {
       std::snprintf(metric, sizeof(metric), "makespan/plain/%s/p%u",
                     name.c_str(), p);
       const auto plain =
-          ctx.run_lcc_trials(metric, {.gate = gate}, g, p, {});
+          ctx.run_lcc_trials(metric, gate, g, p, {});
 
       core::EngineConfig cached_cfg;
       cached_cfg.use_cache = true;
@@ -74,14 +74,14 @@ void run(bench::ScenarioContext& ctx) {
       std::snprintf(metric, sizeof(metric), "makespan/cached/%s/p%u",
                     name.c_str(), p);
       const auto cached =
-          ctx.run_lcc_trials(metric, {.gate = gate}, g, p, cached_cfg);
+          ctx.run_lcc_trials(metric, gate, g, p, cached_cfg);
 
       std::string tric_s = "-", tric_buf_s = "-";
       if (!skip_tric) {
         tric::TricConfig tc;
         std::snprintf(metric, sizeof(metric), "makespan/tric/%s/p%u",
                       name.c_str(), p);
-        const auto tr = ctx.run_tric_trials(metric, {}, g, p, tc);
+        const auto tr = ctx.run_tric_trials(metric, false, g, p, tc);
         tric_s = util::Table::fmt(tr.run.makespan, 3);
         tric::TricConfig tb = tc;
         // Paper: 16 MiB per-peer buffers at paper-scale graphs; scaled
@@ -91,7 +91,7 @@ void run(bench::ScenarioContext& ctx) {
         std::snprintf(metric, sizeof(metric), "makespan/tric_buf/%s/p%u",
                       name.c_str(), p);
         tric_buf_s = util::Table::fmt(
-            ctx.run_tric_trials(metric, {}, g, p, tb).run.makespan, 3);
+            ctx.run_tric_trials(metric, false, g, p, tb).run.makespan, 3);
       }
 
       if (p == nodes.front()) first_plain = plain.run.makespan;

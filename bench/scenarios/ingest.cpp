@@ -101,43 +101,52 @@ void run(bench::ScenarioContext& ctx) {
   };
 
   // -------------------------------------------------------------------
-  // Determinism arm (gated): a fixed single-thread configuration, re-run
-  // per --repeats; every field must come out identical every time, on
-  // every host.
-  const util::BenchRecorder::MetricOptions det{
-      .unit = "", .direction = "higher", .gate = true,
-      .expect_deterministic = true};
+  // Determinism arm: a fixed single-thread configuration, re-run per
+  // --repeats; every field must come out identical every time, on every
+  // host, so the gate is exact: any change to a count, checksum or
+  // equivalence bit fails bench_compare, whatever the tolerance.
+  const auto det = [](const char* unit) {
+    return util::BenchRecorder::MetricOptions{
+        .unit = unit, .direction = "exact", .gate = true};
+  };
+  struct DetField {
+    const char* name;
+    const char* unit;
+    double value;
+  };
   std::string base_snapshot;
   for (std::size_t r = 0; r < ctx.repeats; ++r) {
     auto [rep, snap] = ingest_to("det", {.num_threads = 1});
     base_snapshot = snap;
-    for (const auto& [name, value] :
-         {std::pair<const char*, double>
-              {"det/num_vertices", static_cast<double>(rep.num_vertices)},
-          {"det/num_edges", static_cast<double>(rep.num_edges)},
-          {"det/edge_checksum_lo32",
-           static_cast<double>(rep.edge_checksum & 0xffffffffu)},
-          {"det/edge_checksum_hi32",
-           static_cast<double>(rep.edge_checksum >> 32)},
-          {"det/degree_checksum_lo32",
-           static_cast<double>(rep.degree_checksum & 0xffffffffu)},
-          {"det/snapshot_bytes", static_cast<double>(rep.snapshot_bytes)},
-          {"det/extents_block",
-           static_cast<double>(rep.extents[0])},
-          {"det/extents_cyclic",
-           static_cast<double>(rep.extents[1])},
-          {"det/extents_degree",
-           static_cast<double>(rep.extents[2])},
-          {"det/extents_grid",
-           static_cast<double>(rep.extents[3])}}) {
-      ctx.rec.declare_metric(name, det);
+    for (const auto& [name, unit, value] : {
+             DetField{"det/num_vertices", "count",
+                      static_cast<double>(rep.num_vertices)},
+             DetField{"det/num_edges", "count",
+                      static_cast<double>(rep.num_edges)},
+             DetField{"det/edge_checksum_lo32", "checksum",
+                      static_cast<double>(rep.edge_checksum & 0xffffffffu)},
+             DetField{"det/edge_checksum_hi32", "checksum",
+                      static_cast<double>(rep.edge_checksum >> 32)},
+             DetField{"det/degree_checksum_lo32", "checksum",
+                      static_cast<double>(rep.degree_checksum & 0xffffffffu)},
+             DetField{"det/snapshot_bytes", "bytes",
+                      static_cast<double>(rep.snapshot_bytes)},
+             DetField{"det/extents_block", "count",
+                      static_cast<double>(rep.extents[0])},
+             DetField{"det/extents_cyclic", "count",
+                      static_cast<double>(rep.extents[1])},
+             DetField{"det/extents_degree", "count",
+                      static_cast<double>(rep.extents[2])},
+             DetField{"det/extents_grid", "count",
+                      static_cast<double>(rep.extents[3])}}) {
+      ctx.rec.declare_metric(name, det(unit));
       ctx.rec.add_trial(name, value);
     }
   }
 
   {
     ingest::SnapshotReader reader(base_snapshot);
-    ctx.rec.declare_metric("det/slice_equivalence_ok", det);
+    ctx.rec.declare_metric("det/slice_equivalence_ok", det("bool"));
     ctx.rec.add_trial("det/slice_equivalence_ok",
                       slices_match(reader, ranks) ? 1.0 : 0.0);
   }
@@ -157,7 +166,7 @@ void run(bench::ScenarioContext& ctx) {
       b.assign(std::istreambuf_iterator<char>(fb),
                std::istreambuf_iterator<char>());
     }
-    ctx.rec.declare_metric("det/spill_bytes_identical", det);
+    ctx.rec.declare_metric("det/spill_bytes_identical", det("bool"));
     ctx.rec.add_trial("det/spill_bytes_identical",
                       (!a.empty() && a == b) ? 1.0 : 0.0);
     ctx.rec.declare_metric("ingest/spill_runs",
@@ -237,7 +246,7 @@ void run(bench::ScenarioContext& ctx) {
                          {.unit = "MiB", .direction = "lower",
                           .expect_deterministic = false});
   ctx.rec.add_trial("ingest/peak_rss_mb",
-                    static_cast<double>(ingest::peak_rss_bytes()) /
+                    static_cast<double>(util::peak_rss_bytes()) /
                         (1024.0 * 1024.0));
   ctx.rec.meta()["input_bytes"] = static_cast<double>(input_bytes);
   ctx.rec.add_note(

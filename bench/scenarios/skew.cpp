@@ -76,7 +76,7 @@ void run(bench::ScenarioContext& ctx) {
         const std::string metric = std::string("makespan/") + tag + "/" +
                                    kind_name + "/hub" + pct;
         const auto r =
-            ctx.run_lcc_trials(metric, {.gate = true}, g, ranks, cfg, kind);
+            ctx.run_lcc_trials(metric, true, g, ranks, cfg, kind);
 
         const auto total = r.run.total();
         t.add_row({kind_name, pct, util::Table::fmt(r.run.makespan, 4),

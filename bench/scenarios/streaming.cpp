@@ -65,11 +65,11 @@ void run(bench::ScenarioContext& ctx) {
       char metric[64];
       std::snprintf(metric, sizeof(metric), "makespan/stream%s/bs%zu",
                     cached ? "_cached" : "", bs);
-      ctx.rec.declare_metric(metric, {.gate = true});
+      ctx.rec.declare_metric(metric, {.unit = "s", .gate = true});
       char rmetric[64];
       std::snprintf(rmetric, sizeof(rmetric), "makespan/recount%s/bs%zu",
                     cached ? "_cached" : "", bs);
-      ctx.rec.declare_metric(rmetric, {.gate = true});
+      ctx.rec.declare_metric(rmetric, {.unit = "s", .gate = true});
 
       stream::StreamResult last;
       double recount_total = 0.0;

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "atlc/util/counters.hpp"
+
 namespace atlc::clampi {
 
 /// Victim-selection policy.
@@ -65,24 +67,31 @@ struct CacheStats {
   std::uint64_t bytes_hit = 0;
   std::uint64_t bytes_missed = 0;
 
-  CacheStats& operator+=(const CacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    compulsory_misses += o.compulsory_misses;
-    capacity_misses += o.capacity_misses;
-    conflict_misses += o.conflict_misses;
-    flush_misses += o.flush_misses;
-    evictions_space += o.evictions_space;
-    evictions_conflict += o.evictions_conflict;
-    stale_evictions += o.stale_evictions;
-    insert_failures += o.insert_failures;
-    admission_rejects += o.admission_rejects;
-    flushes += o.flushes;
-    hash_resizes += o.hash_resizes;
-    bytes_hit += o.bytes_hit;
-    bytes_missed += o.bytes_missed;
-    return *this;
+  /// The counter list: JSON key order, field-wise sums, audits.
+  static constexpr auto counters() {
+    using S = CacheStats;
+    return std::tuple{
+        util::Counter{"hits", &S::hits},
+        util::Counter{"misses", &S::misses},
+        util::Counter{"compulsory_misses", &S::compulsory_misses},
+        util::Counter{"capacity_misses", &S::capacity_misses},
+        util::Counter{"conflict_misses", &S::conflict_misses},
+        util::Counter{"flush_misses", &S::flush_misses},
+        util::Counter{"evictions_space", &S::evictions_space},
+        util::Counter{"evictions_conflict", &S::evictions_conflict},
+        util::Counter{"stale_evictions", &S::stale_evictions},
+        util::Counter{"insert_failures", &S::insert_failures},
+        util::Counter{"admission_rejects", &S::admission_rejects},
+        util::Counter{"flushes", &S::flushes},
+        util::Counter{"hash_resizes", &S::hash_resizes},
+        util::Counter{"bytes_hit", &S::bytes_hit},
+        util::Counter{"bytes_missed", &S::bytes_missed}};
   }
+
+  CacheStats& operator+=(const CacheStats& o) {
+    return util::add_counters(*this, o);
+  }
+  bool operator==(const CacheStats&) const = default;
 
   [[nodiscard]] std::uint64_t accesses() const { return hits + misses; }
   [[nodiscard]] double hit_rate() const {
@@ -94,5 +103,6 @@ struct CacheStats {
     return accesses() ? 1.0 - hit_rate() : 0.0;
   }
 };
+static_assert(util::lists_every_member<CacheStats>());
 
 }  // namespace atlc::clampi

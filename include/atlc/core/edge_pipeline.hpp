@@ -29,6 +29,7 @@
 #include "atlc/graph/hub_replica.hpp"
 #include "atlc/intersect/intersector.hpp"
 #include "atlc/util/check.hpp"
+#include "atlc/util/json.hpp"
 
 namespace atlc::core {
 
@@ -122,6 +123,13 @@ struct EdgeAnalyticStats {
   /// Fold one rank's counters in (driver aggregation; ranks in order).
   void absorb(PipelineRankStats&& rank);
 };
+
+/// The engine block of every `--stats-json` document (atlc_run and
+/// atlc_serve; DESIGN.md §12): ranks, makespan_s, wall_seconds,
+/// comm_total, comm_per_rank, clocks, offsets_cache, adj_cache,
+/// edges_processed, remote_edges, peak_rss_bytes. Callers append their
+/// own keys after it.
+[[nodiscard]] util::Json stats_json(const EdgeAnalyticStats& s);
 
 /// Depth-k prefetch ring over one rank's pipeline items.
 ///

@@ -57,13 +57,6 @@ struct EngineConfig {
   /// Shape thresholds of the Tiered dispatch (ignored under Paper).
   intersect::TierPolicy tier_policy{};
 
-  /// Orient the input degree-ordered (graph::orient_dodg) before counting,
-  /// so each triangle is enumerated exactly once with no per-edge
-  /// upper-triangle floor trick. Honored by run_distributed_tc only: LCC
-  /// and the similarity analytics need full undirected neighborhoods, so
-  /// their drivers reject it. DESIGN.md §9.
-  bool orient_dodg = false;
-
   /// Compute-cost model for virtual-time charging (see
   /// intersect/cost_model.hpp). Benches calibrate this once on startup.
   intersect::CostModel cost{};

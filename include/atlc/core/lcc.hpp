@@ -15,24 +15,13 @@ namespace atlc::core {
 struct RankResult {
   std::vector<std::uint64_t> triangles;  ///< edge-centric t(v), local vertices
   std::vector<double> lcc;               ///< LCC scores, local vertices
-  std::uint64_t edges_processed = 0;
-  std::uint64_t remote_edges = 0;  ///< edges whose neighbor list was remote
-  clampi::CacheStats offsets_cache;  ///< zeroed when caching is off
-  clampi::CacheStats adj_cache;
-  std::vector<std::uint64_t> remote_reads;  ///< per global vertex, optional
-  std::vector<clampi::EntryInfo> adj_cache_entries;  ///< optional snapshot
 };
 
 /// Paper Algorithm 3 body for one rank, as an EdgePipeline kernel: count
 /// triangles for every locally owned vertex, reading remote adjacency lists
 /// through the two-get RMA protocol (optionally cached), and derive LCC
-/// scores. The 3-argument overload builds its own pipeline and fills the
-/// RankResult stats block; the 4-argument overload drives a caller-provided
-/// pipeline and fills only the per-vertex outputs — its caller (the
-/// run_edge_analytic driver) harvests the pipeline counters itself.
-[[nodiscard]] RankResult compute_lcc_rank(rma::RankCtx& ctx,
-                                          const DistGraph& dg,
-                                          const EngineConfig& config);
+/// scores. Drives the caller's pipeline and fills only the per-vertex
+/// outputs; the caller harvests the pipeline counters itself.
 [[nodiscard]] RankResult compute_lcc_rank(rma::RankCtx& ctx,
                                           const DistGraph& dg,
                                           const EngineConfig& config,
@@ -56,14 +45,17 @@ struct RunResult : EdgeAnalyticStats {
 
 /// Global triangle count via the same machinery. For undirected graphs
 /// returns the number of distinct triangles. Two de-duplication paths:
-/// the paper's upper-triangle floor trick (default), or — when
-/// `config.orient_dodg` is set — a degree-ordered orientation pass
-/// (graph::orient_dodg) that enumerates each triangle exactly once with no
-/// per-edge trimming and caps every row at O(sqrt(m)) (DESIGN.md §9).
+/// the paper's upper-triangle floor trick (default), or — with
+/// `orient_dodg` — a degree-ordered orientation pass (graph::orient_dodg)
+/// that enumerates each triangle exactly once with no per-edge trimming
+/// and caps every row at O(sqrt(m)) (DESIGN.md §9). Only TC takes the
+/// orientation: LCC and the similarity measures need full undirected
+/// neighborhoods.
 [[nodiscard]] std::uint64_t run_distributed_tc(
     const CSRGraph& g, std::uint32_t ranks, EngineConfig config = {},
     const rma::NetworkModel& net = {},
-    graph::PartitionKind partition = graph::PartitionKind::Block1D);
+    graph::PartitionKind partition = graph::PartitionKind::Block1D,
+    bool orient_dodg = false);
 
 /// Full-record variant of run_distributed_tc: same counting paths, but
 /// returns the whole RunResult (makespan, comm/cache stats, per-vertex
@@ -74,6 +66,7 @@ struct RunResult : EdgeAnalyticStats {
 [[nodiscard]] RunResult run_distributed_tc_result(
     const CSRGraph& g, std::uint32_t ranks, EngineConfig config = {},
     const rma::NetworkModel& net = {},
-    graph::PartitionKind partition = graph::PartitionKind::Block1D);
+    graph::PartitionKind partition = graph::PartitionKind::Block1D,
+    bool orient_dodg = false);
 
 }  // namespace atlc::core

@@ -100,8 +100,4 @@ struct IngestReport {
 IngestReport run_ingest(const std::string& input, const std::string& output,
                         const IngestOptions& options = {});
 
-/// Peak resident set size of this process in bytes (VmHWM from
-/// /proc/self/status, getrusage fallback); 0 if unavailable.
-[[nodiscard]] std::uint64_t peak_rss_bytes();
-
 }  // namespace atlc::ingest

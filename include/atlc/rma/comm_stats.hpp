@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "atlc/util/counters.hpp"
+
 namespace atlc::rma {
 
 /// Per-rank communication counters. Benches aggregate these across ranks to
@@ -31,21 +33,29 @@ struct CommStats {
   /// Virtual seconds charged as local computation (thread-CPU measured).
   double compute_seconds = 0.0;
 
-  CommStats& operator+=(const CommStats& o) {
-    remote_gets += o.remote_gets;
-    local_gets += o.local_gets;
-    remote_bytes += o.remote_bytes;
-    local_bytes += o.local_bytes;
-    flushes += o.flushes;
-    barriers += o.barriers;
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    hub_local_hits += o.hub_local_hits;
-    segment_gets += o.segment_gets;
-    comm_seconds += o.comm_seconds;
-    compute_seconds += o.compute_seconds;
-    return *this;
+  /// The counter list: JSON key order, field-wise sums, audits.
+  static constexpr auto counters() {
+    using S = CommStats;
+    return std::tuple{
+        util::Counter{"remote_gets", &S::remote_gets},
+        util::Counter{"local_gets", &S::local_gets},
+        util::Counter{"remote_bytes", &S::remote_bytes},
+        util::Counter{"local_bytes", &S::local_bytes},
+        util::Counter{"flushes", &S::flushes},
+        util::Counter{"barriers", &S::barriers},
+        util::Counter{"messages_sent", &S::messages_sent},
+        util::Counter{"bytes_sent", &S::bytes_sent},
+        util::Counter{"hub_local_hits", &S::hub_local_hits},
+        util::Counter{"segment_gets", &S::segment_gets},
+        util::Counter{"comm_seconds", &S::comm_seconds},
+        util::Counter{"compute_seconds", &S::compute_seconds}};
   }
+
+  CommStats& operator+=(const CommStats& o) {
+    return util::add_counters(*this, o);
+  }
+  bool operator==(const CommStats&) const = default;
 };
+static_assert(util::lists_every_member<CommStats>());
 
 }  // namespace atlc::rma

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "atlc/serve/query.hpp"
+#include "atlc/util/counters.hpp"
 
 namespace atlc::serve {
 
@@ -55,13 +56,34 @@ struct HotCacheStats {
   std::uint64_t rejects = 0;       ///< inserts the full bucket turned away
   std::uint64_t invalidated = 0;   ///< entries marked stale by batches
 
-  HotCacheStats& operator+=(const HotCacheStats& o);
+  /// The counter list: JSON key order, field-wise sums, audits.
+  static constexpr auto counters() {
+    using S = HotCacheStats;
+    return std::tuple{
+        util::Counter{"probes", &S::probes},
+        util::Counter{"hits", &S::hits},
+        util::Counter{"misses", &S::misses},
+        util::Counter{"stale_misses", &S::stale_misses},
+        util::Counter{"short_misses", &S::short_misses},
+        util::Counter{"inserts", &S::inserts},
+        util::Counter{"updates", &S::updates},
+        util::Counter{"evictions", &S::evictions},
+        util::Counter{"decrements", &S::decrements},
+        util::Counter{"rejects", &S::rejects},
+        util::Counter{"invalidated", &S::invalidated}};
+  }
+
+  HotCacheStats& operator+=(const HotCacheStats& o) {
+    return util::add_counters(*this, o);
+  }
+  bool operator==(const HotCacheStats&) const = default;
 
   [[nodiscard]] double hit_rate() const {
     return probes == 0 ? 0.0 : static_cast<double>(hits) /
                                    static_cast<double>(probes);
   }
 };
+static_assert(util::lists_every_member<HotCacheStats>());
 
 class HotVertexCache {
  public:

@@ -11,7 +11,8 @@ namespace atlc::util {
 /// builds). Used by `tools/bench_compare` and the CI bench-smoke job.
 struct CompareOptions {
   /// Allowed fractional slowdown on gated metrics: a "lower is better"
-  /// metric regresses when current > baseline * (1 + tolerance).
+  /// metric regresses when current > baseline * (1 + tolerance). Metrics
+  /// with direction "exact" ignore it: any change regresses.
   double tolerance = 0.25;
   /// Metrics whose baseline median is below this (in the metric's unit) are
   /// reported but never gate — they sit in the noise floor.
@@ -24,7 +25,7 @@ struct CompareOptions {
 struct MetricComparison {
   std::string name;
   std::string unit;
-  std::string direction;  ///< "lower" or "higher"
+  std::string direction;  ///< "lower", "higher" or "exact"
   bool gated = false;
   double baseline = 0.0;  ///< baseline median
   double current = 0.0;   ///< current median

@@ -105,4 +105,8 @@ class Json {
 /// Escape `s` as the *contents* of a JSON string literal (no quotes added).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// Write `doc` to `path` as the harness and tools emit every JSON file:
+/// dump(2) plus a trailing newline. False on any open/write/close failure.
+[[nodiscard]] bool write_json_file(const std::string& path, const Json& doc);
+
 }  // namespace atlc::util

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "atlc/clampi/config.hpp"
-#include "atlc/rma/comm_stats.hpp"
-#include "atlc/serve/hot_cache.hpp"
+#include "atlc/util/counters.hpp"
 #include "atlc/util/json.hpp"
 #include "atlc/util/stats.hpp"
 
@@ -55,10 +55,20 @@ class Recorder {
   std::vector<double> samples_;
 };
 
-/// JSON serializers for the counters every bench report carries.
-[[nodiscard]] Json to_json(const rma::CommStats& s);
-[[nodiscard]] Json to_json(const clampi::CacheStats& s);
-[[nodiscard]] Json to_json(const serve::HotCacheStats& s);
+/// JSON record of a counter struct (CommStats, CacheStats, HotCacheStats):
+/// its counters under their listed names, in list order, followed by the
+/// derived rates the struct defines.
+template <typename S>
+  requires requires { S::counters(); }
+[[nodiscard]] Json to_json(const S& s) {
+  Json j = Json::object();
+  for_each_counter<S>([&](std::string_view name, auto member) {
+    j[std::string(name)] = s.*member;
+  });
+  if constexpr (requires { s.hit_rate(); }) j["hit_rate"] = s.hit_rate();
+  if constexpr (requires { s.miss_rate(); }) j["miss_rate"] = s.miss_rate();
+  return j;
+}
 [[nodiscard]] Json to_json(const Summary& s);
 
 /// Peak resident set size of this process in bytes (VmHWM from
@@ -78,9 +88,12 @@ class Recorder {
 class BenchRecorder {
  public:
   struct MetricOptions {
-    std::string unit = "s";
+    /// Required: "s", "count", "bytes", ... (declare_metric rejects "").
+    std::string unit;
     /// "lower" (times) or "higher" (throughputs) is better; bench_compare
-    /// flips its regression test accordingly.
+    /// flips its regression test accordingly. "exact" (deterministic
+    /// counts, checksums, equivalence bits) fails the gate on any change,
+    /// whatever the tolerance.
     std::string direction = "lower";
     /// Gated metrics fail bench_compare when they regress beyond tolerance.
     bool gate = false;
@@ -96,11 +109,13 @@ class BenchRecorder {
   Json& meta() { return root_["meta"]; }
 
   /// Declare `name` before adding trials; re-declaring is a no-op so sweep
-  /// loops can declare inside the loop body.
+  /// loops can declare inside the loop body. An empty unit is a
+  /// programming error (ATLC_CHECK).
   void declare_metric(const std::string& name, const MetricOptions& opts);
 
-  /// Append one trial. `detail` (optional object) is merged into the trial
-  /// record next to "value" — callers attach to_json(CommStats) etc. here.
+  /// Append one trial to a declared metric. `detail` (optional object) is
+  /// merged into the trial record next to "value" — callers attach
+  /// to_json(CommStats) etc. here.
   void add_trial(const std::string& metric, double value,
                  Json detail = Json());
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "atlc/util/recorder.hpp"
+
 namespace atlc::core {
 
 CacheSizing CacheSizing::paper_default(VertexId num_vertices,
@@ -69,6 +71,26 @@ void EdgeAnalyticStats::absorb(PipelineRankStats&& rank) {
   adj_cache_entries.insert(adj_cache_entries.end(),
                            std::make_move_iterator(rank.adj_cache_entries.begin()),
                            std::make_move_iterator(rank.adj_cache_entries.end()));
+}
+
+util::Json stats_json(const EdgeAnalyticStats& s) {
+  util::Json doc = util::Json::object();
+  doc["ranks"] = s.run.stats.size();
+  doc["makespan_s"] = s.run.makespan;
+  doc["wall_seconds"] = s.run.wall_seconds;
+  doc["comm_total"] = util::to_json(s.run.total());
+  util::Json per_rank = util::Json::array();
+  for (const auto& c : s.run.stats) per_rank.push_back(util::to_json(c));
+  doc["comm_per_rank"] = std::move(per_rank);
+  util::Json clocks = util::Json::array();
+  for (const double c : s.run.clocks) clocks.push_back(c);
+  doc["clocks"] = std::move(clocks);
+  doc["offsets_cache"] = util::to_json(s.offsets_cache_total);
+  doc["adj_cache"] = util::to_json(s.adj_cache_total);
+  doc["edges_processed"] = s.edges_processed;
+  doc["remote_edges"] = s.remote_edges;
+  doc["peak_rss_bytes"] = util::peak_rss_bytes();
+  return doc;
 }
 
 }  // namespace atlc::core

@@ -63,21 +63,6 @@ RankResult compute_lcc_rank(rma::RankCtx& ctx, const DistGraph& dg,
   return r;
 }
 
-RankResult compute_lcc_rank(rma::RankCtx& ctx, const DistGraph& dg,
-                            const EngineConfig& config) {
-  EdgePipeline pipeline(ctx, dg, config);
-  RankResult r = compute_lcc_rank(ctx, dg, config, pipeline);
-
-  PipelineRankStats ps = pipeline.harvest();
-  r.edges_processed = ps.edges_processed;
-  r.remote_edges = ps.remote_edges;
-  r.offsets_cache = ps.offsets_cache;
-  r.adj_cache = ps.adj_cache;
-  r.remote_reads = std::move(ps.remote_reads);
-  r.adj_cache_entries = std::move(ps.adj_cache_entries);
-  return r;
-}
-
 namespace {
 
 RunResult run_engine(const CSRGraph& g, std::uint32_t ranks,
@@ -131,17 +116,15 @@ RunResult run_distributed_lcc(const CSRGraph& g, std::uint32_t ranks,
                               const EngineConfig& config,
                               const rma::NetworkModel& net,
                               graph::PartitionKind partition) {
-  ATLC_CHECK(!config.orient_dodg,
-             "LCC needs full undirected neighborhoods; orient_dodg is a "
-             "run_distributed_tc optimisation");
   return run_engine(g, ranks, config, net, partition, false);
 }
 
 RunResult run_distributed_tc_result(const CSRGraph& g, std::uint32_t ranks,
                                     EngineConfig config,
                                     const rma::NetworkModel& net,
-                                    graph::PartitionKind partition) {
-  if (config.orient_dodg && g.directedness() == Directedness::Undirected) {
+                                    graph::PartitionKind partition,
+                                    bool orient_dodg) {
+  if (orient_dodg && g.directedness() == Directedness::Undirected) {
     // DODG path: each triangle appears exactly once as a common
     // out-neighbor of its (deg, id)-least edge, so the engine runs over the
     // oriented graph with NO per-edge suffix trimming and the raw t(v) sum
@@ -163,8 +146,10 @@ RunResult run_distributed_tc_result(const CSRGraph& g, std::uint32_t ranks,
 std::uint64_t run_distributed_tc(const CSRGraph& g, std::uint32_t ranks,
                                  EngineConfig config,
                                  const rma::NetworkModel& net,
-                                 graph::PartitionKind partition) {
-  return run_distributed_tc_result(g, ranks, std::move(config), net, partition)
+                                 graph::PartitionKind partition,
+                                 bool orient_dodg) {
+  return run_distributed_tc_result(g, ranks, std::move(config), net, partition,
+                                   orient_dodg)
       .global_triangles;
 }
 

@@ -209,8 +209,6 @@ void for_each_clean(const ExternalEdgeSorter& sorter, Visit&& visit) {
 
 }  // namespace
 
-std::uint64_t peak_rss_bytes() { return util::peak_rss_bytes(); }
-
 IngestReport run_ingest(const std::string& input, const std::string& output,
                         const IngestOptions& opt) {
   util::Timer total;
@@ -424,7 +422,7 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   rep.parse_sort_seconds = rep.parse_seconds + rep.sort_seconds;
   rep.snapshot_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(output));
-  rep.peak_rss_bytes = peak_rss_bytes();
+  rep.peak_rss_bytes = util::peak_rss_bytes();
   rep.total_seconds = total.elapsed_s();
   return rep;
 }

@@ -20,21 +20,6 @@ const char* query_kind_name(QueryKind kind) {
   return "unknown";
 }
 
-HotCacheStats& HotCacheStats::operator+=(const HotCacheStats& o) {
-  probes += o.probes;
-  hits += o.hits;
-  misses += o.misses;
-  stale_misses += o.stale_misses;
-  short_misses += o.short_misses;
-  inserts += o.inserts;
-  updates += o.updates;
-  evictions += o.evictions;
-  decrements += o.decrements;
-  rejects += o.rejects;
-  invalidated += o.invalidated;
-  return *this;
-}
-
 HotVertexCache::HotVertexCache(const HotCacheConfig& config)
     : config_(config) {
   if (config_.entries == 0) return;

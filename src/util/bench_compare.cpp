@@ -73,10 +73,14 @@ CompareReport compare_bench_runs(const Json& baseline, const Json& current,
     c.current = metric_median(cur);
     c.ratio = c.baseline != 0.0 ? c.current / c.baseline : 0.0;
 
-    // Only a sub-floor *baseline* exempts a metric: a current value that
-    // collapsed toward zero must still trip the gate on higher-is-better
-    // metrics (a lower-is-better collapse is an improvement either way).
-    if (c.baseline < options.min_value) {
+    // Exact metrics (deterministic counts, checksums) fail on any change,
+    // whatever the tolerance or noise floor. Otherwise only a sub-floor
+    // *baseline* exempts a metric: a current value that collapsed toward
+    // zero must still trip the gate on higher-is-better metrics (a
+    // lower-is-better collapse is an improvement either way).
+    if (c.gated && c.direction == "exact") {
+      c.regressed = c.current != c.baseline;
+    } else if (c.baseline < options.min_value) {
       report.notes.push_back("metric '" + name +
                              "' baseline below the noise floor (not gated)");
     } else if (c.gated) {

@@ -363,4 +363,13 @@ std::optional<Json> Json::parse(std::string_view text, std::string* error) {
   return out;
 }
 
+bool write_json_file(const std::string& path, const Json& doc) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) return false;
+  const std::string text = doc.dump(2);
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+                  std::fputc('\n', f) != EOF;
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace atlc::util

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <ctime>
 
+#include "atlc/util/check.hpp"
 #include "atlc/util/table.hpp"
 #include "atlc/util/timer.hpp"
 
@@ -50,62 +51,6 @@ bool Recorder::converged() const {
 
 // ---------------------------------------------------------------------------
 // JSON serializers
-
-Json to_json(const rma::CommStats& s) {
-  Json j = Json::object();
-  j["remote_gets"] = s.remote_gets;
-  j["local_gets"] = s.local_gets;
-  j["remote_bytes"] = s.remote_bytes;
-  j["local_bytes"] = s.local_bytes;
-  j["flushes"] = s.flushes;
-  j["barriers"] = s.barriers;
-  j["messages_sent"] = s.messages_sent;
-  j["bytes_sent"] = s.bytes_sent;
-  j["hub_local_hits"] = s.hub_local_hits;
-  j["segment_gets"] = s.segment_gets;
-  j["comm_seconds"] = s.comm_seconds;
-  j["compute_seconds"] = s.compute_seconds;
-  return j;
-}
-
-Json to_json(const clampi::CacheStats& s) {
-  Json j = Json::object();
-  j["hits"] = s.hits;
-  j["misses"] = s.misses;
-  j["compulsory_misses"] = s.compulsory_misses;
-  j["capacity_misses"] = s.capacity_misses;
-  j["conflict_misses"] = s.conflict_misses;
-  j["flush_misses"] = s.flush_misses;
-  j["evictions_space"] = s.evictions_space;
-  j["evictions_conflict"] = s.evictions_conflict;
-  j["stale_evictions"] = s.stale_evictions;
-  j["insert_failures"] = s.insert_failures;
-  j["admission_rejects"] = s.admission_rejects;
-  j["flushes"] = s.flushes;
-  j["hash_resizes"] = s.hash_resizes;
-  j["bytes_hit"] = s.bytes_hit;
-  j["bytes_missed"] = s.bytes_missed;
-  j["hit_rate"] = s.hit_rate();
-  j["miss_rate"] = s.miss_rate();
-  return j;
-}
-
-Json to_json(const serve::HotCacheStats& s) {
-  Json j = Json::object();
-  j["probes"] = s.probes;
-  j["hits"] = s.hits;
-  j["misses"] = s.misses;
-  j["stale_misses"] = s.stale_misses;
-  j["short_misses"] = s.short_misses;
-  j["inserts"] = s.inserts;
-  j["updates"] = s.updates;
-  j["evictions"] = s.evictions;
-  j["decrements"] = s.decrements;
-  j["rejects"] = s.rejects;
-  j["invalidated"] = s.invalidated;
-  j["hit_rate"] = s.hit_rate();
-  return j;
-}
 
 Json to_json(const Summary& s) {
   Json j = Json::object();
@@ -174,6 +119,7 @@ void BenchRecorder::declare_metric(const std::string& name,
                                    const MetricOptions& opts) {
   Json& metrics = root_["metrics"];
   if (metrics.find(name)) return;
+  ATLC_CHECK(!opts.unit.empty(), "bench metric declared without a unit");
   Json& m = metrics[name];
   m["unit"] = opts.unit;
   m["direction"] = opts.direction;
@@ -184,7 +130,8 @@ void BenchRecorder::declare_metric(const std::string& name,
 
 void BenchRecorder::add_trial(const std::string& metric, double value,
                               Json detail) {
-  declare_metric(metric, MetricOptions{});
+  ATLC_CHECK(root_["metrics"].find(metric) != nullptr,
+             "bench trial added to an undeclared metric");
   Json trial = Json::object();
   trial["value"] = value;
   if (detail.is_object())
@@ -241,13 +188,7 @@ const Json& BenchRecorder::finalize() {
 }
 
 bool BenchRecorder::write_file(const std::string& path) {
-  finalize();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string text = root_.dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
+  return write_json_file(path, finalize());
 }
 
 }  // namespace atlc::util

@@ -3,10 +3,13 @@
 // determinism verdicts), and the bench_compare regression gate.
 #include <gtest/gtest.h>
 
+#include "atlc/clampi/config.hpp"
+#include "atlc/rma/comm_stats.hpp"
 #include "atlc/util/bench_compare.hpp"
 #include "atlc/util/json.hpp"
 #include "atlc/util/recorder.hpp"
 #include "atlc/util/table.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -185,6 +188,44 @@ TEST(BenchCompare, HigherIsBetterDirection) {
   EXPECT_FALSE(report.ok);
 }
 
+TEST(BenchCompare, ExactMetricFailsOnAnyChangeAtAnyTolerance) {
+  // det/* counts and checksums: a move either way must fail, even at the
+  // CI tolerance of 1.0 (where "higher" could never fail: x < base * 0).
+  const auto doc = [](double value) {
+    BenchRecorder rec("ingest", "a", "t");
+    rec.declare_metric("det/num_edges",
+                       {.unit = "count", .direction = "exact", .gate = true});
+    rec.add_trial("det/num_edges", value);
+    return rec;
+  };
+  auto base = doc(1000.0);
+  for (const double moved : {999.0, 1001.0}) {
+    auto cur = doc(moved);
+    const auto report = compare_bench_runs(base.finalize(), cur.finalize(),
+                                           {.tolerance = 1.0});
+    EXPECT_FALSE(report.ok) << moved;
+    ASSERT_EQ(report.metrics.size(), 1u);
+    EXPECT_TRUE(report.metrics[0].regressed) << moved;
+  }
+  auto same = doc(1000.0);
+  EXPECT_TRUE(
+      compare_bench_runs(base.finalize(), same.finalize(), {.tolerance = 1.0})
+          .ok);
+  // A 0/1 equivalence bit sits below the noise floor when it is 0; exact
+  // metrics gate anyway.
+  auto zero = doc(0.0), one = doc(1.0);
+  EXPECT_FALSE(
+      compare_bench_runs(zero.finalize(), one.finalize(), {.tolerance = 1.0})
+          .ok);
+}
+
+TEST(BenchRecorder, RejectsMetricWithoutUnit) {
+  atlc::testsupport::use_threadsafe_death_tests();
+  BenchRecorder rec("s", "a", "t");
+  EXPECT_DEATH(rec.declare_metric("makespan/x", {.gate = true}), "unit");
+  EXPECT_DEATH(rec.add_trial("undeclared", 1.0), "undeclared");
+}
+
 TEST(BenchCompare, UngatedMetricsNeverFail) {
   auto base = make_recorder(1.0, 1.0, /*gate=*/false);
   auto worse = make_recorder(9.0, 9.0, /*gate=*/false);
@@ -208,7 +249,7 @@ TEST(BenchCompare, ScenarioMismatchAndMissingMetrics) {
 
   // A brand-new gated metric must not fail against an old baseline.
   BenchRecorder old_doc("s", "x", "t"), new_doc("s", "x", "t");
-  new_doc.declare_metric("makespan/new", {.gate = true});
+  new_doc.declare_metric("makespan/new", {.unit = "s", .gate = true});
   new_doc.add_trial("makespan/new", 1.0);
   const auto added =
       compare_bench_runs(old_doc.finalize(), new_doc.finalize(), {});

@@ -1061,14 +1061,17 @@ TEST(Dodg, TcMatchesUndirectedReferenceAcrossRanks) {
   for (const CSRGraph& g : fixtures) {
     const auto expected = reference_lcc(g).global_triangles;
     for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
-      core::EngineConfig dodg_cfg;
-      dodg_cfg.orient_dodg = true;
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, dodg_cfg), expected)
+      constexpr auto kBlock = graph::PartitionKind::Block1D;
+      EXPECT_EQ(core::run_distributed_tc(g, ranks, {}, {}, kBlock,
+                                         /*orient_dodg=*/true),
+                expected)
           << "ranks " << ranks;
       // The tiered kernels must agree on the same oriented stream.
-      core::EngineConfig tiered_cfg = dodg_cfg;
+      core::EngineConfig tiered_cfg;
       tiered_cfg.intersect_tier = intersect::Tier::Tiered;
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, tiered_cfg), expected)
+      EXPECT_EQ(core::run_distributed_tc(g, ranks, tiered_cfg, {}, kBlock,
+                                         /*orient_dodg=*/true),
+                expected)
           << "ranks " << ranks << " (tiered)";
     }
   }

@@ -427,7 +427,7 @@ TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
 }
 
 TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
-  // orient_dodg orients the graph in memory, but the snapshot's slices hold
+  // The DODG path orients the graph in memory, but the snapshot's slices hold
   // the UNORIENTED rows: the DODG path must build from the oriented graph,
   // not the slice source (reading the slices overcounted ~6x).
   const auto raw = raw_rmat(8, 8, 29);
@@ -446,9 +446,10 @@ TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
   for (const auto kind :
        {graph::PartitionKind::Block1D, graph::PartitionKind::Grid2D}) {
     core::EngineConfig cfg;
-    cfg.orient_dodg = true;
     cfg.slice_source = &reader;
-    EXPECT_EQ(core::run_distributed_tc(g, 4, cfg, {}, kind), want)
+    EXPECT_EQ(core::run_distributed_tc(g, 4, cfg, {}, kind,
+                                       /*orient_dodg=*/true),
+              want)
         << graph::partition_kind_name(kind);
   }
 }

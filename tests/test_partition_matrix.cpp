@@ -109,9 +109,10 @@ TEST(PartitionMatrix, DodgTcAcrossKinds) {
       SCOPED_TRACE(::testing::Message()
                    << "kind=" << graph::partition_kind_name(kind)
                    << " ranks=" << ranks);
-      EngineConfig cfg = matrix_config(g, /*cached=*/true, /*tiered=*/true);
-      cfg.orient_dodg = true;
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, cfg, {}, kind),
+      const EngineConfig cfg =
+          matrix_config(g, /*cached=*/true, /*tiered=*/true);
+      EXPECT_EQ(core::run_distributed_tc(g, ranks, cfg, {}, kind,
+                                         /*orient_dodg=*/true),
                 ref.global_triangles);
     }
   }

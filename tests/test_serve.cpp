@@ -363,20 +363,6 @@ class ModelCache {
   std::vector<ModelEntry> slots_;
 };
 
-void expect_stats_eq(const HotCacheStats& a, const HotCacheStats& b) {
-  EXPECT_EQ(a.probes, b.probes);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.stale_misses, b.stale_misses);
-  EXPECT_EQ(a.short_misses, b.short_misses);
-  EXPECT_EQ(a.inserts, b.inserts);
-  EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.decrements, b.decrements);
-  EXPECT_EQ(a.rejects, b.rejects);
-  EXPECT_EQ(a.invalidated, b.invalidated);
-}
-
 TEST(HotCacheFuzz, MatchesModelOver10kSeededSequences) {
   const std::uint64_t base = serve_seed();
   constexpr std::size_t kSequences = 10'500;
@@ -441,7 +427,7 @@ TEST(HotCacheFuzz, MatchesModelOver10kSeededSequences) {
       }
     }
     ASSERT_EQ(cache.live_entries(), model.live());
-    expect_stats_eq(cache.stats(), model.stats);
+    EXPECT_EQ(cache.stats(), model.stats);
     if (HasFailure()) {
       std::printf("[serve] fuzz failure in sequence %zu\n", s);
       return;

@@ -32,7 +32,6 @@
 #include "atlc/stream/stream_engine.hpp"
 #include "atlc/util/cli.hpp"
 #include "atlc/util/json.hpp"
-#include "atlc/util/recorder.hpp"
 #include "atlc/util/timer.hpp"
 
 namespace {
@@ -81,43 +80,8 @@ core::EngineConfig engine_config(const util::Cli& cli,
   return cfg;
 }
 
-/// What the shared artifacts (trace, --stats-json, summary line) read.
-struct RunRecord {
-  rma::Runtime::Result run;
-  clampi::CacheStats offsets;
-  clampi::CacheStats adj;
-};
-
-/// --stats-json: the run's aggregate CommStats/CacheStats/makespan as one
-/// JSON document, for one-off runs without the bench harness.
-bool write_stats_json(const std::string& path, const std::string& algo,
-                      const RunRecord& rec) {
-  const rma::Runtime::Result& run = rec.run;
-  util::Json doc = util::Json::object();
-  doc["algo"] = algo;
-  doc["ranks"] = run.stats.size();
-  doc["makespan_s"] = run.makespan;
-  doc["wall_seconds"] = run.wall_seconds;
-  doc["comm_total"] = util::to_json(run.total());
-  util::Json per_rank = util::Json::array();
-  for (const auto& s : run.stats) per_rank.push_back(util::to_json(s));
-  doc["comm_per_rank"] = std::move(per_rank);
-  util::Json clocks = util::Json::array();
-  for (const double c : run.clocks) clocks.push_back(c);
-  doc["clocks"] = std::move(clocks);
-  doc["offsets_cache"] = util::to_json(rec.offsets);
-  doc["adj_cache"] = util::to_json(rec.adj);
-  doc["peak_rss_bytes"] = util::peak_rss_bytes();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string text = doc.dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
-void print_run_summary(const RunRecord& rec) {
-  const rma::Runtime::Result& run = rec.run;
+void print_run_summary(const core::EdgeAnalyticStats& s) {
+  const rma::Runtime::Result& run = s.run;
   const auto total = run.total();
   std::fprintf(stderr,
                "# makespan %.4f s (virtual) | wall %.2f s | remote gets "
@@ -125,7 +89,7 @@ void print_run_summary(const RunRecord& rec) {
                run.makespan, run.wall_seconds,
                static_cast<unsigned long long>(total.remote_gets),
                total.comm_seconds, total.compute_seconds,
-               100.0 * rec.adj.hit_rate());
+               100.0 * s.adj_cache_total.hit_rate());
   if (total.hub_local_hits > 0)
     std::fprintf(stderr, "# hub replica served %llu fetches locally\n",
                  static_cast<unsigned long long>(total.hub_local_hits));
@@ -144,11 +108,7 @@ struct Job {
   [[nodiscard]] bool csv() const { return !cli.get_flag("stats-only"); }
 };
 
-RunRecord record(const core::EdgeAnalyticStats& s) {
-  return {s.run, s.offsets_cache_total, s.adj_cache_total};
-}
-
-RunRecord run_lcc(const Job& j) {
+core::EdgeAnalyticStats run_lcc(const Job& j) {
   const auto r =
       core::run_distributed_lcc(j.g, j.ranks, j.cfg, {}, j.partition);
   std::fprintf(stderr, "# global triangles: %llu\n",
@@ -159,15 +119,15 @@ RunRecord run_lcc(const Job& j) {
       std::fprintf(j.out, "%u,%u,%llu,%.6f\n", v, j.g.degree(v),
                    static_cast<unsigned long long>(r.triangles[v]), r.lcc[v]);
   }
-  return record(r);
+  return r;
 }
 
-RunRecord run_tc(const Job& j) {
+core::EdgeAnalyticStats run_tc(const Job& j) {
   const auto r =
       core::run_distributed_tc_result(j.g, j.ranks, j.cfg, {}, j.partition);
   std::fprintf(j.out, "global_triangles\n%llu\n",
                static_cast<unsigned long long>(r.global_triangles));
-  return record(r);
+  return r;
 }
 
 /// The per-edge similarity measures share the slot layout and the stats
@@ -175,7 +135,7 @@ RunRecord run_tc(const Job& j) {
 template <core::SimilarityResult (*Measure)(
     const graph::CSRGraph&, std::uint32_t, const core::EngineConfig&,
     const rma::NetworkModel&, graph::PartitionKind)>
-RunRecord run_similarity(const Job& j) {
+core::EdgeAnalyticStats run_similarity(const Job& j) {
   const auto r = Measure(j.g, j.ranks, j.cfg, {}, j.partition);
   if (j.csv()) {
     std::fprintf(j.out, "u,v,%s\n", j.cli.get_string("algo").c_str());
@@ -184,12 +144,12 @@ RunRecord run_similarity(const Job& j) {
       for (graph::VertexId v : j.g.neighbors(u))
         std::fprintf(j.out, "%u,%u,%.6f\n", u, v, r.score[k++]);
   }
-  return record(r);
+  return r;
 }
 
 /// --stream-batches: generated update batches through the incremental
 /// engine, maintaining TC (--algo tc) or per-vertex LCC.
-RunRecord run_streaming(const Job& j) {
+core::EdgeAnalyticStats run_streaming(const Job& j) {
   stream::WorkloadConfig wl;
   wl.num_batches = static_cast<std::size_t>(j.cli.get_int("stream-batches"));
   wl.batch_size = static_cast<std::size_t>(
@@ -229,11 +189,11 @@ RunRecord run_streaming(const Job& j) {
       std::fprintf(j.out, "%u,%llu,%.6f\n", v,
                    static_cast<unsigned long long>(r.triangles[v]), r.lcc[v]);
   }
-  return record(r);
+  return r;
 }
 
 /// The static analytics by --algo name.
-using Analytic = RunRecord (*)(const Job&);
+using Analytic = core::EdgeAnalyticStats (*)(const Job&);
 constexpr std::pair<std::string_view, Analytic> kAnalytics[] = {
     {"lcc", run_lcc},
     {"tc", run_tc},
@@ -452,7 +412,8 @@ int main(int argc, char** argv) {
     analytic = run_streaming;
   }
 
-  const RunRecord rec = analytic({cli, g, ranks, cfg, partition, out.get()});
+  const core::EdgeAnalyticStats stats =
+      analytic({cli, g, ranks, cfg, partition, out.get()});
   // Shared artifacts of every engine path: the Chrome trace, the
   // --stats-json document and the summary line.
   if (!trace_path.empty()) {
@@ -463,10 +424,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "# trace: %zu events -> %s\n", trace.total_events(),
                  trace_path.c_str());
   }
-  if (!stats_path.empty() && !write_stats_json(stats_path, algo, rec)) {
-    std::fprintf(stderr, "atlc_run: cannot write %s\n", stats_path.c_str());
-    return 1;
+  if (!stats_path.empty()) {
+    util::Json doc = core::stats_json(stats);
+    doc["algo"] = algo;
+    if (!util::write_json_file(stats_path, doc)) {
+      std::fprintf(stderr, "atlc_run: cannot write %s\n", stats_path.c_str());
+      return 1;
+    }
   }
-  print_run_summary(rec);
+  print_run_summary(stats);
   return 0;
 }

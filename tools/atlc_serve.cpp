@@ -31,9 +31,11 @@ namespace {
 
 using namespace atlc;
 
+/// --stats-json: the engine block every engine run emits (DESIGN.md §12),
+/// then the serving keys.
 util::Json stats_json(const serve::ServeResult& res) {
-  util::Json doc = util::Json::object();
   const core::QueryStats& qs = res.stats;
+  util::Json doc = core::stats_json(qs);
   doc["submitted"] = qs.submitted;
   doc["answered"] = qs.answered;
   doc["rejected"] = qs.rejected;
@@ -41,10 +43,6 @@ util::Json stats_json(const serve::ServeResult& res) {
   doc["latency_p99"] = qs.latency_percentile(99);
   doc["build_makespan"] = res.build_makespan;
   doc["serve_makespan"] = res.serve_makespan;
-  doc["makespan"] = qs.run.makespan;
-  doc["edges_processed"] = qs.edges_processed;
-  doc["remote_edges"] = qs.remote_edges;
-  doc["comm"] = util::to_json(qs.run.total());
   doc["hot_cache"] = util::to_json(res.hot_cache_total);
   util::Json epochs = util::Json::array();
   for (const serve::EpochOutcome& e : res.epochs) {
@@ -72,17 +70,7 @@ util::Json stats_json(const serve::ServeResult& res) {
     per_query.push_back(std::move(jq));
   }
   doc["per_query"] = std::move(per_query);
-  doc["peak_rss_bytes"] = util::peak_rss_bytes();
   return doc;
-}
-
-bool write_json(const std::string& path, const util::Json& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = doc.dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -219,7 +207,8 @@ int main(int argc, char** argv) {
                 res.build_makespan, res.serve_makespan);
 
     if (!cli.get_string("stats-json").empty()) {
-      if (!write_json(cli.get_string("stats-json"), stats_json(res))) {
+      if (!util::write_json_file(cli.get_string("stats-json"),
+                                 stats_json(res))) {
         std::fprintf(stderr, "atlc_serve: cannot write %s\n",
                      cli.get_string("stats-json").c_str());
         return 1;

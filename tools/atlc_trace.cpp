@@ -172,22 +172,13 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(n));
   }
 
-  if (!cli.get_string("json").empty()) {
-    const std::string out = reg.to_json().dump(2);
-    if (cli.get_string("json") == "-") {
-      std::printf("%s\n", out.c_str());
-    } else {
-      std::FILE* f = std::fopen(cli.get_string("json").c_str(), "w");
-      bool wrote = f != nullptr &&
-                   std::fwrite(out.data(), 1, out.size(), f) == out.size() &&
-                   std::fputc('\n', f) != EOF;
-      if (f) wrote = (std::fclose(f) == 0) && wrote;
-      if (!wrote) {
-        std::fprintf(stderr, "atlc_trace: cannot write %s\n",
-                     cli.get_string("json").c_str());
-        return 1;
-      }
-    }
+  const std::string& json_path = cli.get_string("json");
+  if (json_path == "-") {
+    std::printf("%s\n", reg.to_json().dump(2).c_str());
+  } else if (!json_path.empty() &&
+             !util::write_json_file(json_path, reg.to_json())) {
+    std::fprintf(stderr, "atlc_trace: cannot write %s\n", json_path.c_str());
+    return 1;
   }
   return 0;
 }

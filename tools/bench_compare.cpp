@@ -28,9 +28,10 @@ void usage() {
       "\n"
       "options:\n"
       "  --tolerance=F    allowed fractional regression on gated metrics\n"
-      "                   (default: 0.25, i.e. fail when >25%% slower)\n"
+      "                   (default: 0.25, i.e. fail when >25%% slower);\n"
+      "                   metrics with direction \"exact\" fail on any change\n"
       "  --min-value=F    noise floor below which metrics never gate\n"
-      "                   (default: 1e-6)\n"
+      "                   (default: 1e-6; exact metrics always gate)\n"
       "  --all-metrics    report un-gated metrics too (they still never\n"
       "                   fail the gate)\n");
 }
