@@ -32,14 +32,18 @@ struct EntryInfo {
 /// CLaMPI-style software cache for RMA gets: variable-size entries in a
 /// bounded memory buffer, hash-table index with bounded linear probing,
 /// score-driven victim selection, and optional adaptive hash resizing
-/// (which flushes, as in CLaMPI). The cache itself is transport-agnostic;
-/// `CachedWindow` (cached_window.hpp) wires it to the RMA runtime.
+/// (which flushes, as in CLaMPI). The cache is metadata only: it makes every
+/// admission, eviction and epoch decision over (key, size, score, tick) and
+/// a buffer layout, but holds no payload bytes — the window is read-only
+/// within an epoch, so a hit is served from the owner's exposed memory.
+/// The cache itself is transport-agnostic; `CachedWindow`
+/// (cached_window.hpp) wires it to the RMA runtime.
 class Cache {
  public:
   explicit Cache(CacheConfig config);
 
-  /// Set the data epoch subsequent lookups/inserts run under (the window
-  /// version the payloads belong to — see rma::WindowBase::epoch()). An
+  /// Set the data epoch subsequent lookups/inserts run under (the version
+  /// of the window being read — see rma::WindowBase::epoch()). An
   /// entry inserted at epoch e is served only while the epoch is still e:
   /// probing it at a later epoch recycles it and reports a miss
   /// (stats().stale_evictions). Static workloads never call this and keep
@@ -47,21 +51,21 @@ class Cache {
   void set_epoch(std::uint64_t epoch) { current_epoch_ = epoch; }
   [[nodiscard]] std::uint64_t epoch() const { return current_epoch_; }
 
-  /// Look up `key`; on hit copy the payload to `dst` (must hold key.bytes)
-  /// and refresh recency. Returns true on hit. A resident entry from an
-  /// older epoch is evicted and reported as a miss.
-  bool lookup(const Key& key, void* dst);
+  /// Look up `key`; on hit refresh recency. Returns true on hit. A resident
+  /// entry from an older epoch is evicted and reported as a miss.
+  bool lookup(const Key& key);
 
-  /// Store a payload after a miss fetch. `user_score` is consulted only
-  /// under VictimPolicy::UserScore (paper Section III-B2: degree centrality
-  /// for C_adj). May evict (possibly several) entries; returns false iff
-  /// the payload exceeds the whole buffer. Inserting a key that is resident
-  /// at the current epoch is a caller error (see contains()); a stale
-  /// resident from an older epoch is recycled and replaced.
-  bool insert(const Key& key, const void* data, double user_score = 0.0);
+  /// Admit `key` after a miss fetch. `user_score` is consulted only under
+  /// VictimPolicy::UserScore (paper Section III-B2: degree centrality for
+  /// C_adj). May evict (possibly several) entries; returns false if the
+  /// entry is not admitted (zero bytes, larger than the whole buffer, or
+  /// rejected by the UserScore gate). Inserting a key that is resident at
+  /// the current epoch is a caller error (see contains()); a stale resident
+  /// from an older epoch is recycled and replaced.
+  bool insert(const Key& key, double user_score = 0.0);
 
-  /// True iff `key` is resident at the current epoch. Unlike lookup(),
-  /// copies no payload and does not refresh recency — the probe callers use
+  /// True iff `key` is resident at the current epoch. Unlike lookup(), does
+  /// not count an access or refresh recency — the probe callers use
   /// to decide whether a completed miss fetch still needs its insert (an
   /// overlapping fetch of the same key may have inserted first; see
   /// CachedWindow::finish). Stale residents read as absent.
@@ -100,9 +104,9 @@ class Cache {
 
   struct Entry {
     Key key;
-    std::uint64_t buf_offset = 0;
+    FreeSpace::Handle block = FreeSpace::kNone;  ///< its buffer block
     std::uint64_t last_tick = 0;
-    std::uint64_t epoch = 0;  ///< window epoch the payload was fetched at
+    std::uint64_t epoch = 0;  ///< window epoch the entry was fetched at
     double user_score = 0.0;
     ScoreIndex::iterator by_score{};  ///< UserScore policy only
     std::uint32_t slot = 0;
@@ -137,7 +141,8 @@ class Cache {
   bool make_room(std::uint64_t bytes, double incoming_score);
   /// Victim restricted to live entries in the probe window of `hash_base`.
   std::int32_t pick_victim_in_probe_window(std::uint64_t hash_base);
-  std::int32_t lru_positional_pick(const std::vector<std::int32_t>& candidates);
+  /// Positional pick among candidates_ (ordered least recent first).
+  std::int32_t lru_positional_pick();
   void classify_miss(const Key& key);
   void note_gone(const Key& key, GoneReason reason);
   void maybe_adapt();
@@ -145,7 +150,6 @@ class Cache {
   CacheConfig config_;
   CacheStats stats_;
   FreeSpace free_;
-  std::vector<std::byte> buffer_;
   std::vector<Entry> pool_;
   std::vector<std::int32_t> pool_free_;
   std::vector<std::int32_t> slots_;
@@ -158,6 +162,9 @@ class Cache {
   std::unordered_map<std::uint64_t, GoneReason> gone_;  // miss classification
   std::uint64_t window_accesses_ = 0;
   std::uint64_t window_conflicts_ = 0;
+  // Scratch reused across calls, so victim selection never allocates.
+  std::vector<std::int32_t> candidates_;  ///< victim pickers' candidates
+  std::vector<std::int32_t> victims_;     ///< make_room phase-2 run
 };
 
 }  // namespace atlc::clampi

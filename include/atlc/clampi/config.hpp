@@ -25,7 +25,9 @@ enum class VictimPolicy : std::uint8_t {
 /// never modified during the computation"), and epoch stamping is the only
 /// invalidation (Cache::set_epoch, DESIGN.md §7).
 struct CacheConfig {
-  /// Capacity of the memory buffer holding cached payloads.
+  /// Capacity of the cache buffer. The cache keeps no payload bytes (hits
+  /// are views of the owner's exposure), but every admission and eviction
+  /// is decided as if entries occupied a buffer of this size.
   std::uint64_t buffer_bytes = 1ull << 20;
   /// Number of hash-table slots. CLaMPI sizing heuristics (paper
   /// Section III-B1): ~ one slot per expected entry; see

@@ -32,29 +32,36 @@ namespace atlc::core {
 /// (static runs never mutate it; the stream engine mutates only inside the
 /// collective apply step, which no fetch overlaps).
 ///
+/// A C_adj hit resolves the same way: begin() returns it as a read-only
+/// view of the owner's exposed adjacency part (zero-copy, no ring slot),
+/// valid until w_adj's next refresh_window — the same contract as a hub
+/// row, since refreshes happen only in collective steps no fetch overlaps.
+///
 /// ## Buffer-ring lifetime contract
 ///
-/// Remote fetches land in a ring of `EngineConfig::pipeline_depth` buffers (doubled under a 2D partition, where each pipeline item issues
-/// up to two segment fetches), so at most `ring_size()` fetches may be live
-/// — in flight or with their finish()ed span still being read — at once. The span returned by
+/// Adjacency transfers (uncached fetches and C_adj misses) land in a ring
+/// of `EngineConfig::pipeline_depth` buffers (doubled under a 2D
+/// partition, where each pipeline item issues up to two segment fetches),
+/// so at most `ring_size()` transfers may be live — in flight or with their
+/// finish()ed span still being read — at once. The span returned by
 /// finish(t) aliases t's ring slot and stays valid **until the slot is
-/// reused**, i.e. for the next `depth - 1` begin()s of remote non-empty
-/// adjacencies; after that the span reads the next fetch's data. Each slot
-/// carries a generation counter stamped into the Token by begin() and
-/// checked by finish() (debug builds, ATLC_DCHECK), so completing a fetch
-/// whose slot was already recycled aborts instead of silently returning
-/// another vertex's adjacency. Local and empty adjacencies resolve without
-/// consuming a slot and are exempt from the contract.
+/// reused**, i.e. for the next `depth - 1` transfers begun; after that the
+/// span reads the next transfer's data. Each slot carries a generation
+/// counter stamped into the Token by begin() and checked by finish() (debug
+/// builds, ATLC_DCHECK), so completing a fetch whose slot was already
+/// recycled aborts instead of silently returning another vertex's
+/// adjacency. Local, hub, cache-hit and empty adjacencies resolve without
+/// consuming a slot and are exempt from the ring contract.
 class AdjacencyFetcher {
  public:
   AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
                    const EngineConfig& config);
 
   /// In-flight adjacency fetch. At most ring_size() may exist concurrently
-  /// (the engine's current + prefetched next k-1); each remote non-empty
-  /// fetch occupies one ring slot until the slot is recycled.
+  /// (the engine's current + prefetched next k-1); each transfer occupies
+  /// one ring slot until the slot is recycled.
   struct Token {
-    bool local = false;
+    bool local = false;  ///< resolved at begin() (no transfer): local_span
     std::span<const VertexId> local_span{};
     std::size_t slot = 0;
     std::uint64_t generation = 0;  ///< slot generation at begin() time
@@ -65,10 +72,10 @@ class AdjacencyFetcher {
     rma::GetHandle handle{};
   };
 
-  /// Start fetching adj(v) (the whole row). Local vertices resolve
-  /// immediately. Claims the least-recently-used ring slot for remote
-  /// vertices, invalidating the span of the fetch issued ring_size() remote
-  /// begins ago. Whole-row fetches only exist on 1D partitions
+  /// Start fetching adj(v) (the whole row). Local, hub and cache-hit rows
+  /// resolve immediately. A transfer claims the least-recently-used ring
+  /// slot, invalidating the span of the transfer begun ring_size() transfers
+  /// ago. Whole-row fetches only exist on 1D partitions
   /// (col_blocks() == 1); debug builds abort otherwise.
   [[nodiscard]] Token begin(VertexId v);
 

@@ -43,6 +43,15 @@ class WindowBase {
   GetHandle get_bytes(std::uint32_t target, std::uint64_t byte_offset,
                       std::uint64_t bytes, void* dst) const;
 
+  /// Read-only view of `bytes` bytes at `byte_offset` of `target`'s exposed
+  /// part, range-checked like get_bytes() but with no transfer: it touches
+  /// no stats and no clock (callers price the access themselves). The view
+  /// aliases the exposed memory, so it is valid until the window's next
+  /// refresh_window.
+  [[nodiscard]] const std::byte* view_bytes(std::uint32_t target,
+                                            std::uint64_t byte_offset,
+                                            std::uint64_t bytes) const;
+
   [[nodiscard]] std::uint64_t part_bytes(std::uint32_t rank) const;
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
 
@@ -71,6 +80,17 @@ class Window : public WindowBase {
   GetHandle get(std::uint32_t target, std::uint64_t offset,
                 std::uint64_t count, T* dst) const {
     return get_bytes(target, offset * sizeof(T), count * sizeof(T), dst);
+  }
+
+  /// `count` elements at element `offset` of `target`'s exposed part, as a
+  /// read-only view (see view_bytes(): no stats, no clock, valid until the
+  /// next refresh_window).
+  [[nodiscard]] std::span<const T> view(std::uint32_t target,
+                                        std::uint64_t offset,
+                                        std::uint64_t count) const {
+    return {reinterpret_cast<const T*>(
+                view_bytes(target, offset * sizeof(T), count * sizeof(T))),
+            count};
   }
 
   [[nodiscard]] std::uint64_t part_size(std::uint32_t rank) const {
@@ -179,7 +199,8 @@ class RankCtx {
   CommStats stats_;
   obs::Tracer tracer_;
   double now_ = 0.0;
-  double sync_wait_ = 0.0;  double nic_free_ = 0.0;       ///< virtual time the injection port frees up
+  double sync_wait_ = 0.0;
+  double nic_free_ = 0.0;  ///< virtual time the injection port frees up
   std::uint64_t window_seq_ = 0;
 };
 

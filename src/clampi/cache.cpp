@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "atlc/util/check.hpp"
 #include "atlc/util/rng.hpp"
@@ -29,7 +28,6 @@ std::uint64_t key_hash(const Key& k) {
 Cache::Cache(CacheConfig config)
     : config_(config),
       free_(config.buffer_bytes),
-      buffer_(config.buffer_bytes),
       slots_(std::max<std::size_t>(1, config.hash_slots), kEmpty) {
   ATLC_CHECK(config_.probe_limit > 0, "probe_limit must be positive");
 }
@@ -74,23 +72,21 @@ void Cache::touch(std::int32_t idx) {
   pool_[idx].last_tick = ++tick_;
 }
 
-bool Cache::lookup(const Key& key, void* dst) {
+bool Cache::lookup(const Key& key) {
   ++window_accesses_;
   maybe_adapt();
   const std::int32_t idx = find(key);
   if (idx >= 0) {
     if (pool_[idx].epoch != current_epoch_) {
-      // The window advanced past the epoch this payload was fetched at: the
-      // bytes may no longer match the target's exposure. Serving them would
-      // violate coherence, so the entry is recycled and the probe reported
-      // as a miss (stale-hit-as-miss, DESIGN.md §7).
+      // The window advanced past the epoch this entry was fetched at: the
+      // target's exposure may have changed. Serving it would violate
+      // coherence, so the entry is recycled and the probe reported as a miss
+      // (stale-hit-as-miss, DESIGN.md §7).
       evict(idx, GoneReason::Stale);
     } else {
-      const Entry& e = pool_[idx];
-      std::memcpy(dst, buffer_.data() + e.buf_offset, e.key.bytes);
       touch(idx);
       ++stats_.hits;
-      stats_.bytes_hit += e.key.bytes;
+      stats_.bytes_hit += key.bytes;
       return true;
     }
   }
@@ -125,7 +121,7 @@ void Cache::evict(std::int32_t idx, GoneReason reason) {
   ATLC_DCHECK(e.live, "evicting a dead entry");
   note_gone(e.key, reason);
   slots_[e.slot] = kTombstone;
-  free_.release(e.buf_offset);
+  free_.release(e.block);
   lru_unlink(idx);
   if (config_.policy == VictimPolicy::UserScore) by_score_.erase(e.by_score);
   e.live = false;
@@ -136,8 +132,7 @@ void Cache::evict(std::int32_t idx, GoneReason reason) {
   if (reason == GoneReason::Stale) ++stats_.stale_evictions;
 }
 
-std::int32_t Cache::lru_positional_pick(
-    const std::vector<std::int32_t>& candidates) {
+std::int32_t Cache::lru_positional_pick() {
   // Paper / CLaMPI: "LRU weighted on a positional score to limit external
   // fragmentation". Candidate i (0 = least recently used) has base weight i;
   // the merge-benefit ratio of its surroundings subtracts up to half the
@@ -145,18 +140,18 @@ std::int32_t Cache::lru_positional_pick(
   // window/2 colder entries.
   std::int32_t best = -1;
   double best_weight = 0.0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Entry& e = pool_[candidates[i]];
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    const Entry& e = pool_[candidates_[i]];
     const double benefit =
         e.key.bytes > 0
-            ? std::min(2.0, static_cast<double>(
-                                free_.adjacent_free(e.buf_offset)) /
+            ? std::min(2.0, static_cast<double>(free_.adjacent_free(e.block)) /
                                 static_cast<double>(e.key.bytes))
             : 0.0;
-    const double weight = static_cast<double>(i) -
-                          benefit * static_cast<double>(candidates.size()) / 4.0;
+    const double weight =
+        static_cast<double>(i) -
+        benefit * static_cast<double>(candidates_.size()) / 4.0;
     if (best == -1 || weight < best_weight) {
-      best = candidates[i];
+      best = candidates_[i];
       best_weight = weight;
     }
   }
@@ -169,24 +164,23 @@ std::int32_t Cache::pick_victim_global() {
     ATLC_DCHECK(!by_score_.empty(), "score index out of sync");
     return by_score_.begin()->second;  // lowest application score
   }
-  std::vector<std::int32_t> candidates;
-  candidates.reserve(config_.lru_window);
+  candidates_.clear();
   for (std::int32_t it = lru_tail_;
-       it != -1 && candidates.size() < config_.lru_window;
+       it != -1 && candidates_.size() < config_.lru_window;
        it = pool_[it].lru_prev)
-    candidates.push_back(it);
-  return lru_positional_pick(candidates);
+    candidates_.push_back(it);
+  return lru_positional_pick();
 }
 
 std::int32_t Cache::pick_victim_in_probe_window(std::uint64_t hash_base) {
-  std::vector<std::int32_t> candidates;
+  candidates_.clear();
   for (std::size_t i = 0; i < config_.probe_limit; ++i) {
     const std::int32_t idx = slots_[(hash_base + i) % slots_.size()];
-    if (idx >= 0) candidates.push_back(idx);
+    if (idx >= 0) candidates_.push_back(idx);
   }
-  if (candidates.empty()) return -1;
+  if (candidates_.empty()) return -1;
   if (config_.policy == VictimPolicy::UserScore) {
-    return *std::min_element(candidates.begin(), candidates.end(),
+    return *std::min_element(candidates_.begin(), candidates_.end(),
                              [&](std::int32_t a, std::int32_t b) {
                                if (pool_[a].user_score != pool_[b].user_score)
                                  return pool_[a].user_score <
@@ -196,11 +190,11 @@ std::int32_t Cache::pick_victim_in_probe_window(std::uint64_t hash_base) {
   }
   // Order candidates oldest-first so positional weighting applies as in the
   // global case.
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(candidates_.begin(), candidates_.end(),
             [&](std::int32_t a, std::int32_t b) {
               return pool_[a].last_tick < pool_[b].last_tick;
             });
-  return lru_positional_pick(candidates);
+  return lru_positional_pick();
 }
 
 bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
@@ -226,45 +220,26 @@ bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
   // buffer full of small entries). Clear the cheapest CONTIGUOUS run —
   // the run-cost is the max entry score inside it, so a run containing a
   // higher-ranked resident is never sacrificed for a lower-ranked newcomer
-  // (this is what keeps hub entries from thrashing each other). Runs start
-  // at the buffer's first block and at every free block, in offset order;
-  // the first cheapest run wins.
-  struct Run {
-    std::vector<std::int32_t> victims;
-    double cost = 0.0;
-  };
-  std::optional<Run> best;
-  const FreeSpace::Layout& layout = free_.layout();
-  for (auto start = layout.begin(); start != layout.end(); ++start) {
-    if (start != layout.begin() && start->second.owner != FreeSpace::kFree)
-      continue;
-    std::uint64_t span = 0;
-    Run run;
-    for (auto it = start; it != layout.end() && span < bytes; ++it) {
-      const auto& [offset, block] = *it;
-      span += block.bytes;
-      if (block.owner == FreeSpace::kFree) continue;
-      const Entry& e = pool_[block.owner];
-      ATLC_CHECK(e.live && e.buf_offset == offset,
-                 "cache buffer layout corrupted");
-      run.victims.push_back(block.owner);
-      run.cost = std::max(run.cost, config_.policy == VictimPolicy::UserScore
-                                        ? e.user_score
-                                        : static_cast<double>(e.last_tick));
-    }
-    if (span >= bytes && (!best || run.cost < best->cost)) best = std::move(run);
-  }
-  if (!best) return false;
-  if (config_.policy == VictimPolicy::UserScore && best->cost >= incoming_score)
-    return false;
-  for (const std::int32_t v : best->victims) evict(v, GoneReason::EvictedSpace);
+  // (this is what keeps hub entries from thrashing each other).
+  const bool by_score = config_.policy == VictimPolicy::UserScore;
+  const std::optional<double> cost = free_.cheapest_run(
+      bytes,
+      [&](std::int32_t owner, FreeSpace::Handle block) {
+        const Entry& e = pool_[owner];
+        ATLC_CHECK(e.live && e.block == block,
+                   "cache buffer layout corrupted");
+        return by_score ? e.user_score : static_cast<double>(e.last_tick);
+      },
+      victims_);
+  if (!cost || (by_score && *cost >= incoming_score)) return false;
+  for (const std::int32_t v : victims_) evict(v, GoneReason::EvictedSpace);
   return free_.largest_free() >= bytes;
 }
 
-bool Cache::insert(const Key& key, const void* data, double user_score) {
+bool Cache::insert(const Key& key, double user_score) {
   if (key.bytes == 0 || key.bytes > config_.buffer_bytes) {
-    // Zero-byte payloads carry no data worth caching (and would corrupt
-    // the buffer-layout tiling); oversized ones cannot fit.
+    // Zero-byte entries carry no data worth caching (and cannot tile the
+    // buffer layout); oversized ones cannot fit.
     ++stats_.insert_failures;
     note_gone(key, GoneReason::NeverStored);
     return false;
@@ -272,7 +247,7 @@ bool Cache::insert(const Key& key, const void* data, double user_score) {
   if (const std::int32_t prev = find(key); prev >= 0) {
     // A stale resident from an older epoch still occupies the key (a deep
     // pipeline can complete a pre-refresh miss after the epoch advanced).
-    // Recycle it; the incoming payload is the current-epoch replacement.
+    // Recycle it; the incoming entry is the current-epoch replacement.
     ATLC_DCHECK(pool_[prev].epoch != current_epoch_,
                 "insert of an already-cached key");
     evict(prev, GoneReason::Stale);
@@ -324,12 +299,12 @@ bool Cache::insert(const Key& key, const void* data, double user_score) {
     idx = static_cast<std::int32_t>(pool_.size());
     pool_.emplace_back();
   }
-  const std::optional<std::uint64_t> buf_off = free_.allocate(key.bytes, idx);
-  ATLC_CHECK(buf_off.has_value(), "make_room must enable the allocation");
-  std::memcpy(buffer_.data() + *buf_off, data, key.bytes);
+  const std::optional<FreeSpace::Handle> block =
+      free_.allocate(key.bytes, idx);
+  ATLC_CHECK(block.has_value(), "make_room must enable the allocation");
   Entry& e = pool_[idx];
   e.key = key;
-  e.buf_offset = *buf_off;
+  e.block = *block;
   e.last_tick = ++tick_;
   e.epoch = current_epoch_;
   e.user_score = user_score;

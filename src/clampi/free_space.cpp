@@ -1,7 +1,5 @@
 #include "atlc/clampi/free_space.hpp"
 
-#include <iterator>
-
 #include "atlc/util/check.hpp"
 
 namespace atlc::clampi {
@@ -10,73 +8,104 @@ FreeSpace::FreeSpace(std::uint64_t capacity) : capacity_(capacity) {
   reset();
 }
 
-void FreeSpace::index_free(Layout::iterator it) {
-  it->second.owner = kFree;
-  it->second.by_size = by_size_.emplace(it->second.bytes, it->first);
+FreeSpace::Handle FreeSpace::new_block() {
+  if (spare_.empty()) {
+    blocks_.emplace_back();
+    return static_cast<Handle>(blocks_.size() - 1);
+  }
+  const Handle h = spare_.back();
+  spare_.pop_back();
+  blocks_[h] = Block{};
+  return h;
 }
 
-std::optional<std::uint64_t> FreeSpace::allocate(std::uint64_t bytes,
-                                                 std::int32_t owner) {
+void FreeSpace::drop_block(Handle h) {
+  Block& b = blocks_[h];
+  if (b.prev != kNone)
+    blocks_[b.prev].next = b.next;
+  else
+    head_ = b.next;
+  if (b.next != kNone) blocks_[b.next].prev = b.prev;
+  b = Block{};
+  spare_.push_back(h);
+}
+
+void FreeSpace::index_free(Handle h) {
+  blocks_[h].owner = kFree;
+  blocks_[h].by_size = by_size_.emplace(blocks_[h].bytes, h);
+}
+
+std::optional<FreeSpace::Handle> FreeSpace::allocate(std::uint64_t bytes,
+                                                     std::int32_t owner) {
   ATLC_CHECK(owner != kFree, "allocation needs an owner");
   // A zero-byte block would share its offset with the block after it.
   if (bytes == 0) return std::nullopt;
   const auto fit = by_size_.lower_bound(bytes);  // smallest block >= bytes
   if (fit == by_size_.end()) return std::nullopt;
-  const auto block = layout_.find(fit->second);
+  const Handle h = fit->second;
   by_size_.erase(fit);
-  if (const std::uint64_t rest = block->second.bytes - bytes; rest > 0)
-    index_free(layout_.emplace_hint(std::next(block), block->first + bytes,
-                                    Block{rest}));
-  block->second = Block{bytes, owner};
+  if (const std::uint64_t rest = blocks_[h].bytes - bytes; rest > 0) {
+    const Handle r = new_block();
+    Block& b = blocks_[h];
+    blocks_[r].offset = b.offset + bytes;
+    blocks_[r].bytes = rest;
+    blocks_[r].prev = h;
+    blocks_[r].next = b.next;
+    if (b.next != kNone) blocks_[b.next].prev = r;
+    b.next = r;
+    index_free(r);
+  }
+  blocks_[h].bytes = bytes;
+  blocks_[h].owner = owner;
   total_free_ -= bytes;
-  return block->first;
+  return h;
 }
 
-void FreeSpace::release(std::uint64_t offset) {
-  auto it = layout_.find(offset);
-  ATLC_CHECK(it != layout_.end() && it->second.owner != kFree,
+void FreeSpace::release(Handle h) {
+  ATLC_CHECK(h < blocks_.size() && blocks_[h].owner != kFree,
              "release of a block that is not allocated");
-  total_free_ += it->second.bytes;
+  total_free_ += blocks_[h].bytes;
   // Coalesce with the following block, then with the preceding one.
-  if (const auto next = std::next(it);
-      next != layout_.end() && next->second.owner == kFree) {
-    it->second.bytes += next->second.bytes;
-    by_size_.erase(next->second.by_size);
-    layout_.erase(next);
+  if (const Handle next = blocks_[h].next;
+      next != kNone && blocks_[next].owner == kFree) {
+    blocks_[h].bytes += blocks_[next].bytes;
+    by_size_.erase(blocks_[next].by_size);
+    drop_block(next);
   }
-  if (it != layout_.begin()) {
-    if (const auto prev = std::prev(it); prev->second.owner == kFree) {
-      prev->second.bytes += it->second.bytes;
-      by_size_.erase(prev->second.by_size);
-      layout_.erase(it);
-      it = prev;
-    }
+  if (const Handle prev = blocks_[h].prev;
+      prev != kNone && blocks_[prev].owner == kFree) {
+    blocks_[prev].bytes += blocks_[h].bytes;
+    by_size_.erase(blocks_[prev].by_size);
+    drop_block(h);
+    h = prev;
   }
-  index_free(it);
+  index_free(h);
 }
 
-std::uint64_t FreeSpace::largest_free() const {
-  return by_size_.empty() ? 0 : by_size_.rbegin()->first;
-}
-
-std::uint64_t FreeSpace::adjacent_free(std::uint64_t offset) const {
-  const auto it = layout_.find(offset);
-  ATLC_DCHECK(it != layout_.end(), "no block at this offset");
+std::uint64_t FreeSpace::adjacent_free(Handle h) const {
+  ATLC_DCHECK(h < blocks_.size() && blocks_[h].owner != kFree,
+              "no occupied block at this handle");
   std::uint64_t adj = 0;
-  if (const auto next = std::next(it);
-      next != layout_.end() && next->second.owner == kFree)
-    adj += next->second.bytes;
-  if (it != layout_.begin())
-    if (const auto prev = std::prev(it); prev->second.owner == kFree)
-      adj += prev->second.bytes;
+  if (const Handle next = blocks_[h].next;
+      next != kNone && blocks_[next].owner == kFree)
+    adj += blocks_[next].bytes;
+  if (const Handle prev = blocks_[h].prev;
+      prev != kNone && blocks_[prev].owner == kFree)
+    adj += blocks_[prev].bytes;
   return adj;
 }
 
 void FreeSpace::reset() {
-  layout_.clear();
+  blocks_.clear();
+  spare_.clear();
   by_size_.clear();
+  head_ = kNone;
   total_free_ = capacity_;
-  if (capacity_ > 0) index_free(layout_.emplace(0, Block{capacity_}).first);
+  if (capacity_ > 0) {
+    head_ = new_block();
+    blocks_[head_].bytes = capacity_;
+    index_free(head_);
+  }
 }
 
 }  // namespace atlc::clampi

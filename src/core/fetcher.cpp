@@ -160,10 +160,19 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
     return t;
   }
 
-  // Step 2 (overlappable): the adjacency list itself. The out-degree just
-  // learned becomes the application-defined eviction score (Section III-B2).
-  // Claiming the slot recycles it: any span still aliasing it is dead, and
-  // the bumped generation makes a late finish() on it abort in debug builds.
+  // Step 2 (overlappable): the adjacency list itself. A hit is served
+  // zero-copy from the owner's exposed part (valid until the window's next
+  // refresh, like a hub row) and claims no ring slot.
+  if (c_adj_) {
+    if (const auto hit = c_adj_->lookup(owner, span[0], t.count)) {
+      t.local = true;
+      t.local_span = *hit;
+      return t;
+    }
+  }
+  // A transfer claims a ring slot. Claiming recycles it: any span still
+  // aliasing it is dead, and the bumped generation makes a late finish() on
+  // it abort in debug builds.
   t.slot = next_slot_;
   next_slot_ = (next_slot_ + 1) % buffers_.size();
   t.generation = ++generations_[t.slot];
@@ -175,9 +184,11 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
   auto& buf = buffers_[t.slot];
   buf.resize(t.count);
   if (c_adj_) {
+    // The out-degree just learned becomes the application-defined eviction
+    // score (Section III-B2).
     t.cached = true;
-    t.pending = c_adj_->begin_get(owner, span[0], t.count, buf.data(),
-                                  static_cast<double>(t.degree));
+    t.pending = c_adj_->fetch(owner, span[0], t.count, buf.data(),
+                              static_cast<double>(t.degree));
   } else {
     t.handle = dg_->w_adj.get(owner, span[0], t.count, buf.data());
   }

@@ -2,10 +2,6 @@
 
 #if !defined(ATLC_NO_OPENMP) && defined(_OPENMP)
 #include <omp.h>
-#else
-namespace {
-inline int omp_get_max_threads() { return 1; }
-}  // namespace
 #endif
 
 #include <algorithm>
@@ -18,6 +14,7 @@ inline int omp_get_max_threads() { return 1; }
 
 namespace atlc::ingest {
 
+#if !defined(ATLC_NO_OPENMP) && defined(_OPENMP)
 namespace {
 
 /// Split [0, n) into `parts` nearly-equal ranges; returns [begin, end) of
@@ -32,6 +29,7 @@ std::pair<std::size_t, std::size_t> chunk(std::size_t n, int parts, int idx) {
 }
 
 }  // namespace
+#endif
 
 void parallel_sort_edges(std::span<Edge> edges, int num_threads) {
 #if !defined(ATLC_NO_OPENMP) && defined(_OPENMP)

@@ -94,18 +94,24 @@ struct SharedState {
 // ---------------------------------------------------------------------------
 // WindowBase
 
+const std::byte* WindowBase::view_bytes(std::uint32_t target,
+                                        std::uint64_t byte_offset,
+                                        std::uint64_t bytes) const {
+  ATLC_DCHECK(state_ != nullptr, "view of an invalid window");
+  ATLC_CHECK(target < state_->parts.size(), "window get: bad target rank");
+  const auto& part = state_->parts[target];
+  ATLC_CHECK(byte_offset <= part.second && bytes <= part.second - byte_offset,
+             "window get: out of exposed range");
+  return part.first + byte_offset;
+}
+
 GetHandle WindowBase::get_bytes(std::uint32_t target,
                                 std::uint64_t byte_offset, std::uint64_t bytes,
                                 void* dst) const {
-  ATLC_DCHECK(state_ != nullptr && ctx_ != nullptr, "get on invalid window");
-  ATLC_CHECK(target < state_->parts.size(), "window get: bad target rank");
-  const auto& part = state_->parts[target];
-  ATLC_CHECK(byte_offset + bytes <= part.second,
-             "window get: out of exposed range");
-
+  ATLC_DCHECK(ctx_ != nullptr, "get on invalid window");
   // The data transfer happens eagerly (shared address space); only the
   // *virtual* completion time reflects the interconnect.
-  std::memcpy(dst, part.first + byte_offset, bytes);
+  std::memcpy(dst, view_bytes(target, byte_offset, bytes), bytes);
 
   auto& ctx = *ctx_;
   if (target == ctx.rank()) {

@@ -3,6 +3,7 @@
 // rank counts, caching modes, partitionings, and pipelines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "atlc/core/dist_graph.hpp"
@@ -68,6 +69,36 @@ TEST(DistGraph, RemoteOffsetProtocolReadsCorrectAdjacency) {
       for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], want[i]) << "vertex " << v << " slot " << i;
     }
+    ctx.barrier();  // windows expose dg's vectors; free collectively
+  });
+}
+
+TEST(AdjacencyFetcher, CacheHitIsAViewOfTheOwnersExposedPart) {
+  const CSRGraph g = rmat_graph(7, 8, 2);
+  const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
+                              3);
+  rma::Runtime::Options o;
+  o.ranks = 3;
+  rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+    const DistGraph dg = build_dist_graph(ctx, g, part);
+    EngineConfig cfg;
+    cfg.use_cache = true;
+    AdjacencyFetcher fetcher(ctx, dg, cfg);
+    // Pass 1 misses and admits every remote row; pass 2 hits them.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const auto owner = part.owner(v);
+        const auto got = fetcher.finish(fetcher.begin(v));
+        ASSERT_TRUE(std::ranges::equal(got, g.neighbors(v))) << "vertex " << v;
+        if (pass == 0 || owner == ctx.rank() || got.empty()) continue;
+        const auto exposed =
+            dg.w_adj.view(owner, 0, dg.w_adj.part_size(owner));
+        EXPECT_GE(got.data(), exposed.data()) << "vertex " << v;
+        EXPECT_LE(got.data() + got.size(), exposed.data() + exposed.size())
+            << "vertex " << v;
+      }
+    }
+    EXPECT_GT(fetcher.adj_cache().stats().hits, 0u);
     ctx.barrier();  // windows expose dg's vectors; free collectively
   });
 }

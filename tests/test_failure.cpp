@@ -178,12 +178,10 @@ TEST(HostileCache, SingleSlotTable) {
   cfg.hash_slots = 1;
   cfg.probe_limit = 1;
   clampi::Cache cache(cfg);
-  const std::vector<std::byte> data(64, std::byte{1});
-  std::vector<std::byte> out(64);
   // Everything maps to the one slot; behaviour must stay correct.
   for (std::uint32_t i = 0; i < 100; ++i) {
     const clampi::Key k{0, i * 64, 64};
-    if (!cache.lookup(k, out.data())) (void)cache.insert(k, data.data());
+    if (!cache.lookup(k)) (void)cache.insert(k);
   }
   EXPECT_LE(cache.num_entries(), 1u);
 }
@@ -193,34 +191,29 @@ TEST(HostileCache, EntryExactlyBufferSize) {
   cfg.buffer_bytes = 256;
   cfg.hash_slots = 8;
   clampi::Cache cache(cfg);
-  const std::vector<std::byte> data(256, std::byte{7});
-  EXPECT_TRUE(cache.insert({0, 0, 256}, data.data()));
-  std::vector<std::byte> out(256);
-  EXPECT_TRUE(cache.lookup({0, 0, 256}, out.data()));
+  EXPECT_TRUE(cache.insert({0, 0, 256}));
+  EXPECT_TRUE(cache.lookup({0, 0, 256}));
   // A second full-buffer entry displaces the first entirely.
-  EXPECT_TRUE(cache.insert({0, 999, 256}, data.data()));
-  EXPECT_FALSE(cache.lookup({0, 0, 256}, out.data()));
+  EXPECT_TRUE(cache.insert({0, 999, 256}));
+  EXPECT_FALSE(cache.lookup({0, 0, 256}));
 }
 
 TEST(HostileCache, ZeroByteEntriesRejected) {
   // Contract: empty payloads are never cached (nothing to save, and a
   // zero-byte allocation would break the buffer-layout tiling).
   clampi::Cache cache({.buffer_bytes = 128, .hash_slots = 8});
-  EXPECT_FALSE(cache.insert({0, 0, 0}, nullptr));
-  std::byte dummy;
-  EXPECT_FALSE(cache.lookup({0, 0, 0}, &dummy));
+  EXPECT_FALSE(cache.insert({0, 0, 0}));
+  EXPECT_FALSE(cache.lookup({0, 0, 0}));
   EXPECT_EQ(cache.num_entries(), 0u);
 }
 
 TEST(HostileCache, ManyFlushCycles) {
   clampi::Cache cache({.buffer_bytes = 1024, .hash_slots = 32});
-  const std::vector<std::byte> data(64, std::byte{3});
-  std::vector<std::byte> out(64);
   for (int round = 0; round < 50; ++round) {
     for (std::uint32_t i = 0; i < 8; ++i)
-      ASSERT_TRUE(cache.insert({0, i * 64, 64}, data.data()));
+      ASSERT_TRUE(cache.insert({0, i * 64, 64}));
     for (std::uint32_t i = 0; i < 8; ++i)
-      ASSERT_TRUE(cache.lookup({0, i * 64, 64}, out.data()));
+      ASSERT_TRUE(cache.lookup({0, i * 64, 64}));
     cache.flush();
     ASSERT_EQ(cache.num_entries(), 0u);
   }

@@ -149,6 +149,40 @@ TEST(Window, LocalGetCountsAsLocal) {
   });
 }
 
+TEST(Window, ViewAliasesExposedPartWithoutStatsOrClock) {
+  Runtime::run(opts(2), [&](RankCtx& ctx) {
+    std::vector<std::uint32_t> local(8);
+    for (std::size_t i = 0; i < 8; ++i)
+      local[i] = ctx.rank() * 100 + static_cast<std::uint32_t>(i);
+    auto win = ctx.create_window<std::uint32_t>(local);
+    const CommStats stats_before = ctx.stats();
+    const double clock_before = ctx.now();
+
+    const std::uint32_t peer = 1 - ctx.rank();
+    const auto v = win.view(peer, 2, 6);
+    ASSERT_EQ(v.size(), 6u);
+    EXPECT_EQ(v[0], peer * 100 + 2);
+    EXPECT_EQ(v[5], peer * 100 + 7);
+    EXPECT_EQ(win.view(ctx.rank(), 0, 8).data(), local.data());
+    EXPECT_EQ(ctx.stats(), stats_before);
+    EXPECT_EQ(ctx.now(), clock_before);
+    ctx.barrier();
+  });
+}
+
+TEST(Window, ViewOutsideExposedPartDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(Runtime::run(opts(2),
+                            [&](RankCtx& ctx) {
+                              std::vector<std::uint32_t> local(8);
+                              auto win =
+                                  ctx.create_window<std::uint32_t>(local);
+                              if (ctx.rank() == 0) (void)win.view(1, 4, 5);
+                              ctx.barrier();
+                            }),
+               "out of exposed range");
+}
+
 TEST(Window, EpochStartsAtZeroAndRefreshBumpsOnce) {
   Runtime::run(opts(4), [&](RankCtx& ctx) {
     std::vector<std::uint32_t> local(8, ctx.rank());
