@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "atlc/core/edge_pipeline.hpp"
@@ -60,6 +62,13 @@ struct SimilarityResult : EdgeAnalyticStats {
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
     graph::PartitionKind partition = graph::PartitionKind::Block1D);
+
+/// The Adamic–Adar weight of one common neighbor: 1 / ln(degree), and 0
+/// for degree < 2. The one formula behind run_distributed_adamic_adar, its
+/// reference, and serve's topk_adamic_adar queries.
+inline double adamic_adar_weight(std::uint64_t degree) {
+  return degree < 2 ? 0.0 : 1.0 / std::log(static_cast<double>(degree));
+}
 
 /// Single-node references for validation (same slot layout and, for
 /// Adamic–Adar, the same ascending summation order, so distributed results

@@ -1,22 +1,134 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "atlc/graph/edge_list.hpp"
 
 namespace atlc::graph {
 
-/// Load a whitespace-separated text edge list (SNAP format): one `u v` pair
-/// per line; lines starting with '#' or '%' are comments. Vertex ids are
-/// compacted to 0..n-1 in first-appearance order. This is the loader that
-/// reads the paper's real datasets (Orkut, LiveJournal, ...) when the SNAP
-/// files are available; the benches fall back to synthetic proxies offline.
+// The edge-file formats live here and nowhere else (DESIGN.md §11): the
+// SNAP text grammar, first-appearance id interning, and the 24-byte prefix
+// of the ATLC binary files (the v1 edge list below and the v2 snapshot of
+// ingest/snapshot.hpp). load_edges, ingest::run_ingest and
+// ingest::SnapshotReader all read through these pieces, so the in-memory
+// and out-of-core paths cannot disagree on what a file contains.
+
+// ---------------------------------------------------------------- files ---
+
+struct FileCloser {
+  void operator()(std::FILE* f) const {
+    if (f) std::fclose(f);
+  }
+};
+/// An owned stdio handle.
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+/// fopen(path, mode), throwing "atlc: cannot open file" on failure.
+[[nodiscard]] File open_or_throw(const std::string& path, const char* mode);
+
+/// Size of the open file `f` in bytes; leaves it rewound. Throws an
+/// "atlc:" error when the size cannot be measured.
+[[nodiscard]] std::uint64_t file_size(std::FILE* f, const std::string& path);
+
+// ------------------------------------------------------------ SNAP text ---
+
+/// One window of whole text lines cut from the input file. `data` always
+/// ends on a line boundary (trailing '\n'), except possibly for the final
+/// chunk of a file whose last line has no newline.
+struct TextChunk {
+  std::uint64_t file_offset = 0;  ///< byte offset of data[0] in the file
+  std::string data;
+};
+
+/// Streams a text file as fixed-size byte windows stitched to line
+/// boundaries: each window is read with one bulk fread of ~chunk_bytes,
+/// then trimmed back to the last newline; the partial tail line is carried
+/// into the next window. Concatenating all chunks reproduces the file
+/// byte-for-byte, so parse_text_chunk yields the same pair stream for
+/// every chunk size: load_text_edges reads 64 KiB windows, run_ingest
+/// sweeps IngestOptions::chunk_bytes, and both see the same pairs.
 ///
-/// The containers are pre-sized from the file size (ids repeat, lines are
-/// short), and inputs whose *distinct* id count exceeds `max_vertices` —
-/// always clamped to the uint32 VertexId space — are rejected with an
-/// "atlc:" error instead of silently wrapping the compacted ids.
+/// A single line longer than `chunk_bytes` is handled by growing that one
+/// window until its newline (or EOF) is found; `chunk_bytes` is a target,
+/// not a hard cap, and no line is ever split.
+class ChunkReader {
+ public:
+  ChunkReader(const std::string& path, std::size_t chunk_bytes);
+
+  /// Fill `out` with the next window of whole lines. Returns false at EOF
+  /// (out is left empty).
+  bool next(TextChunk& out);
+
+  [[nodiscard]] std::uint64_t bytes_read() const { return bytes_read_; }
+  [[nodiscard]] std::uint64_t file_bytes() const { return file_bytes_; }
+
+ private:
+  File f_;
+  std::size_t chunk_bytes_;
+  std::string carry_;            ///< partial last line of the previous window
+  std::uint64_t consumed_ = 0;   ///< file offset of the first byte of carry_
+  std::uint64_t bytes_read_ = 0;
+  std::uint64_t file_bytes_ = 0;
+};
+
+/// One raw id pair as it appears in the file, before compaction.
+struct RawPair {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
+
+/// The SNAP line grammar, the only one: lines starting with '#' or '%' and
+/// empty lines are skipped, and a line contributes a pair iff two base-10
+/// integers parse from its front (strtoull rules: leading whitespace and an
+/// optional sign are accepted, negatives wrap, overflow saturates, trailing
+/// junk of any length is ignored). Malformed lines are skipped. Appends the
+/// pairs of `text` to `out` and returns the number of lines seen (parsed or
+/// skipped). Thread-safe on disjoint chunks, so run_ingest fans it out.
+std::size_t parse_text_chunk(std::string_view text, std::vector<RawPair>& out);
+
+/// First-appearance id compaction: the k-th distinct raw id becomes k, so
+/// the order pairs are interned in decides the ids. The map is pre-sized
+/// from the input size (most ids repeat; capped so a huge file cannot force
+/// a huge speculative allocation). More than `max_vertices` distinct ids —
+/// always clamped to the uint32 VertexId space — throw "atlc: vertex id
+/// space overflow" naming `path`, instead of silently wrapping.
+class IdInterner {
+ public:
+  IdInterner(std::uint64_t input_bytes, std::uint64_t max_vertices,
+             std::string path);
+
+  VertexId operator()(std::uint64_t raw) {
+    const auto [it, inserted] =
+        ids_.try_emplace(raw, static_cast<VertexId>(ids_.size()));
+    if (inserted && ids_.size() > cap_) overflow();
+    return it->second;
+  }
+
+  /// Distinct ids seen so far.
+  [[nodiscard]] VertexId size() const {
+    return static_cast<VertexId>(ids_.size());
+  }
+
+ private:
+  [[noreturn]] void overflow() const;
+
+  std::unordered_map<std::uint64_t, VertexId> ids_;
+  std::uint64_t cap_;
+  std::string path_;
+};
+
+/// Load a SNAP text edge list: ChunkReader windows, parse_text_chunk, one
+/// IdInterner (ids compacted to 0..n-1 in first-appearance order), then
+/// EdgeList::symmetrize for undirected input. This is the loader that reads
+/// the paper's real datasets (Orkut, LiveJournal, ...) when the SNAP files
+/// are available; the benches fall back to synthetic proxies offline.
 [[nodiscard]] EdgeList load_text_edges(
     const std::string& path, Directedness directedness,
     std::uint64_t max_vertices = 0xffffffffull);
@@ -24,22 +136,68 @@ namespace atlc::graph {
 /// Write the text edge-list format.
 void save_text_edges(const EdgeList& edges, const std::string& path);
 
-/// Binary format: magic, version, directedness, n, m, then m (u,v) pairs of
-/// uint32. Roughly 6x faster to load than text; used to snapshot generated
-/// proxies between bench runs (see `atlc_run --convert`).
-///
-/// The loader validates the container before trusting it: magic and
-/// version must match, the declared edge count must agree exactly with the
-/// file size (a truncated copy used to slice the edge array silently), and
-/// every endpoint must be < n. Violations throw std::runtime_error with an
-/// "atlc:"-prefixed message naming the failure and the path.
+// ---------------------------------------------------------- ATLC binary ---
+
+/// The prefix every ATLC binary file starts with: u32 magic "ATLC",
+/// u32 version, u32 directedness (0/1), u32 n, u64 m. Version 1 is the
+/// edge list below; version 2 is ingest/snapshot.hpp's sliced snapshot.
+struct AtlcPrefix {
+  std::uint32_t version = 0;
+  Directedness directedness = Directedness::Undirected;
+  VertexId num_vertices = 0;
+  std::uint64_t num_edges = 0;
+};
+inline constexpr std::uint64_t kAtlcPrefixBytes = 24;
+
+/// The version word of an ATLC binary file (0 when the file ends right
+/// after the magic), or nullopt when `path` does not start with the magic,
+/// i.e. is text. The one dispatch load_edges, run_ingest and
+/// SnapshotReader::sniff share. Throws when the file cannot be opened.
+[[nodiscard]] std::optional<std::uint32_t> sniff_atlc(const std::string& path);
+
+/// Read and validate the prefix from the start of `f`: it must be present
+/// ("truncated header"), carry the magic ("bad magic"), declare `version`
+/// (a v1 file handed to the v2 reader, or the reverse, names the right
+/// reader; other versions are "unsupported binary edge-list version"), and
+/// hold a 0/1 directedness flag. Leaves `f` just past the prefix.
+[[nodiscard]] AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
+                                          const std::string& path);
+
+/// Write the prefix at `f`'s current position.
+void write_atlc_prefix(std::FILE* f, const AtlcPrefix& prefix,
+                       const std::string& path);
+
+/// Streams a v1 binary edge list: the prefix, then m (u, v) pairs of
+/// uint32. The constructor validates the prefix and that the declared edge
+/// count matches the file size exactly ("truncated or corrupt": a short
+/// copy would otherwise slice the edge array silently); next() checks every
+/// endpoint is < n. Violations throw "atlc:" errors naming the path.
+class BinaryEdgeReader {
+ public:
+  explicit BinaryEdgeReader(const std::string& path);
+
+  [[nodiscard]] const AtlcPrefix& prefix() const { return prefix_; }
+
+  /// Replace `out` with the next up-to-`max_edges` edges. Returns false
+  /// (out empty) once the payload is exhausted.
+  bool next(std::vector<Edge>& out, std::uint64_t max_edges);
+
+ private:
+  std::string path_;
+  File f_;
+  AtlcPrefix prefix_;
+  std::uint64_t remaining_ = 0;
+};
+
+/// Load a whole v1 binary edge list through BinaryEdgeReader. Roughly 6x
+/// faster than text; used to snapshot generated proxies between bench runs
+/// (see `atlc_run --convert`).
 [[nodiscard]] EdgeList load_binary_edges(const std::string& path);
 void save_binary_edges(const EdgeList& edges, const std::string& path);
 
-/// Format-sniffing loader: reads the first bytes and dispatches to the
-/// binary loader when the ATLC magic matches, to the text loader otherwise.
-/// `directedness` applies to text input only (the binary header records
-/// its own).
+/// Format-sniffing loader: the binary loader when sniff_atlc finds the
+/// magic, the text loader otherwise. `directedness` applies to text input
+/// only (the binary prefix records its own).
 [[nodiscard]] EdgeList load_edges(const std::string& path,
                                   Directedness directedness);
 

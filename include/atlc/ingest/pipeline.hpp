@@ -21,8 +21,9 @@ namespace atlc::ingest {
 enum class RelabelMode : std::uint8_t { None, Random, DegreeDescending };
 
 struct IngestOptions {
-  /// Target bytes per text read window (see ChunkReader; a target, not a
-  /// cap). The thread/chunk-size sweep in the ingest bench varies this.
+  /// Target bytes per text read window (see graph::ChunkReader; a target,
+  /// not a cap). The thread/chunk-size sweep in the ingest bench varies
+  /// this; the parsed pairs are the same for every value.
   std::size_t chunk_bytes = std::size_t{8} << 20;
   /// OpenMP threads for parse and sort stages; 0 = the OpenMP default
   /// (mirrors intersect::ParallelConfig).
@@ -91,7 +92,8 @@ struct IngestReport {
 };
 
 /// The out-of-core ingest pipeline (DESIGN.md §11): stream `input` (SNAP
-/// text or v1 binary) in chunks, parse in parallel, fused
+/// text or v1 binary, read through graph/io's readers, the same ones
+/// load_edges uses) in chunks, parse in parallel, fused
 /// clean/sort/dedup/relabel via external merge sort, and write a v2
 /// partition-sliced snapshot to `output`. The cleaned graph is bit-identical
 /// to load_edges() + graph::clean() with the matching options, for any

@@ -8,6 +8,7 @@
 
 #include "atlc/core/dist_graph.hpp"
 #include "atlc/graph/edge_list.hpp"
+#include "atlc/graph/io.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/types.hpp"
 
@@ -22,7 +23,8 @@ using graph::PartitionKind;
 using graph::VertexId;
 
 /// Binary snapshot format v2: the out-of-core successor of the v1 binary
-/// edge list (graph/io.hpp). Same magic, version 2; the payload is the
+/// edge list. It starts with the same 24-byte ATLC prefix (graph/io.hpp's
+/// read_atlc_prefix / write_atlc_prefix), version 2; the payload is the
 /// CLEANED graph — deduped, self-loop-free, optionally relabeled, edges
 /// sorted lexicographically by (u, v) — plus a per-PartitionKind slice
 /// index that lets each rank seek-read only its slice (DESIGN.md §11).
@@ -48,11 +50,11 @@ using graph::VertexId;
 /// size trade-off documented in DESIGN.md §11.
 namespace snapshot_v2 {
 
-constexpr std::uint32_t kMagic = 0x41544c43;  // "ATLC", shared with v1
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kKindCount = 4;
 
-// Header field byte offsets (also the corruption-test patch points).
+// Header field byte offsets (also the corruption-test patch points); the
+// first five are the ATLC prefix.
 constexpr std::size_t kMagicOffset = 0;           // u32
 constexpr std::size_t kVersionOffset = 4;         // u32
 constexpr std::size_t kDirectednessOffset = 8;    // u32 (0/1)
@@ -120,7 +122,7 @@ class SnapshotWriter {
   void flush();
 
   std::string path_;
-  std::FILE* f_ = nullptr;
+  graph::File f_;
   VertexId n_;
   Directedness dir_;
   std::vector<Partition> parts_;
@@ -150,8 +152,9 @@ class SnapshotReader final : public core::LocalSliceSource {
  public:
   explicit SnapshotReader(const std::string& path);
 
-  /// True when the file starts with the v2 magic+version (cheap sniff; the
-  /// full validation happens in the constructor).
+  /// True when graph::sniff_atlc finds version 2 (cheap; the full
+  /// validation happens in the constructor). Throws when the file cannot
+  /// be opened.
   [[nodiscard]] static bool sniff(const std::string& path);
 
   [[nodiscard]] VertexId num_vertices() const { return n_; }

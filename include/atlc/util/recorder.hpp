@@ -71,8 +71,8 @@ template <typename S>
 }
 [[nodiscard]] Json to_json(const Summary& s);
 
-/// Peak resident set size of this process in bytes (VmHWM from
-/// /proc/self/status, getrusage fallback); 0 if unavailable. Recorded in
+/// Peak resident set size of this process in bytes (getrusage's
+/// ru_maxrss, the kernel's VmHWM); 0 if unavailable. Recorded in
 /// every bench document's env block — machine-dependent, never gated.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
 

@@ -1,7 +1,6 @@
 #include "atlc/core/similarity.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "atlc/intersect/intersect.hpp"
@@ -21,11 +20,6 @@ double overlap_from_counts(std::uint64_t common, std::size_t deg_u,
                            std::size_t deg_v) {
   const std::size_t mn = std::min(deg_u, deg_v);
   return mn == 0 ? 0.0 : static_cast<double>(common) / static_cast<double>(mn);
-}
-
-/// 1/ln(deg) weight of a common neighbor; 0 for degree < 2 (see header).
-double adamic_adar_weight(VertexId degree) {
-  return degree < 2 ? 0.0 : 1.0 / std::log(static_cast<double>(degree));
 }
 
 /// Replicate the global out-degree vector on this rank by differencing

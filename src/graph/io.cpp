@@ -1,13 +1,8 @@
 #include "atlc/graph/io.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
-#include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 namespace atlc::graph {
 
@@ -16,69 +11,163 @@ namespace {
 constexpr std::uint32_t kMagic = 0x41544c43;  // "ATLC"
 constexpr std::uint32_t kVersion = 1;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
+/// load_text_edges' read window. 64 KiB amortises the fread as well as
+/// 1 MiB does, but 1 MiB windows (and their pair buffers) fragment the
+/// glibc heap of a process that loads repeatedly: +6 MiB peak RSS over ten
+/// loads of an R-MAT S16 text file.
+constexpr std::size_t kTextWindowBytes = std::size_t{1} << 16;
 
-File open_or_throw(const std::string& path, const char* mode) {
-  File f(std::fopen(path.c_str(), mode));
-  if (!f) throw std::runtime_error("cannot open file: " + path);
-  return f;
+/// What each ATLC version is and what reads it, for cross-format errors.
+struct AtlcFormat {
+  const char* what;
+  const char* reader;
+};
+constexpr AtlcFormat kFormats[] = {
+    {nullptr, nullptr},
+    {"a v1 binary edge list",
+     "graph::load_binary_edges (atlc_run --input, or atlc_ingest)"},
+    {"a v2 partition-sliced snapshot",
+     "ingest::SnapshotReader (atlc_run --snapshot)"},
+};
+
+/// strtoull-compatible base-10 parse of [p, end): skips leading whitespace,
+/// accepts an optional sign (negative values wrap, as strtoull defines),
+/// saturates on overflow. Returns false when no digits are found; `p` is
+/// advanced past the consumed prefix on success.
+bool parse_u64(const char*& p, const char* end, std::uint64_t& out) {
+  while (p != end && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+  bool negative = false;
+  if (p != end && (*p == '+' || *p == '-')) {
+    negative = *p == '-';
+    ++p;
+  }
+  if (p == end || *p < '0' || *p > '9') return false;
+  std::uint64_t value = 0;
+  bool overflow = false;
+  for (; p != end && *p >= '0' && *p <= '9'; ++p) {
+    const auto digit = static_cast<std::uint64_t>(*p - '0');
+    if (value > (~std::uint64_t{0} - digit) / 10) overflow = true;
+    if (!overflow) value = value * 10 + digit;
+  }
+  if (overflow) value = ~std::uint64_t{0};
+  out = negative ? std::uint64_t{0} - value : value;
+  return true;
 }
 
 }  // namespace
 
+File open_or_throw(const std::string& path, const char* mode) {
+  File f(std::fopen(path.c_str(), mode));
+  if (!f) throw std::runtime_error("atlc: cannot open file: " + path);
+  return f;
+}
+
+std::uint64_t file_size(std::FILE* f, const std::string& path) {
+  if (std::fseek(f, 0, SEEK_END) != 0)
+    throw std::runtime_error("atlc: cannot seek: " + path);
+  const long size = std::ftell(f);
+  if (size < 0) throw std::runtime_error("atlc: cannot stat: " + path);
+  std::rewind(f);
+  return static_cast<std::uint64_t>(size);
+}
+
+// ---------------------------------------------------------------------------
+// SNAP text
+
+ChunkReader::ChunkReader(const std::string& path, std::size_t chunk_bytes)
+    : f_(open_or_throw(path, "rb")),
+      chunk_bytes_(chunk_bytes > 0 ? chunk_bytes : 1),
+      file_bytes_(file_size(f_.get(), path)) {}
+
+bool ChunkReader::next(TextChunk& out) {
+  out.file_offset = consumed_;
+  out.data.assign(carry_);  // keeps out's buffer: no allocation per window
+  carry_.clear();
+
+  bool eof = false;
+  while (!eof) {
+    const std::size_t old = out.data.size();
+    out.data.resize(old + chunk_bytes_);
+    const std::size_t got = std::fread(out.data.data() + old, 1, chunk_bytes_,
+                                       f_.get());
+    out.data.resize(old + got);
+    bytes_read_ += got;
+    eof = got < chunk_bytes_;
+    if (out.data.size() >= chunk_bytes_ || eof) {
+      if (!eof) {
+        // Trim back to the last line boundary; a window with no newline at
+        // all is one oversized line — loop to grow it until its newline.
+        const std::size_t nl = out.data.rfind('\n');
+        if (nl == std::string::npos) continue;
+        carry_.assign(out.data, nl + 1, std::string::npos);
+        out.data.resize(nl + 1);
+      }
+      break;
+    }
+  }
+  consumed_ += out.data.size();
+  return !out.data.empty();
+}
+
+std::size_t parse_text_chunk(std::string_view text,
+                             std::vector<RawPair>& out) {
+  std::size_t lines = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++lines;
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    const char* p = line.data();
+    const char* const end = line.data() + line.size();
+    RawPair pair;
+    if (!parse_u64(p, end, pair.a) || !parse_u64(p, end, pair.b)) continue;
+    out.push_back(pair);
+  }
+  return lines;
+}
+
+IdInterner::IdInterner(std::uint64_t input_bytes, std::uint64_t max_vertices,
+                       std::string path)
+    : cap_(std::min<std::uint64_t>(max_vertices, 0xffffffffull)),
+      path_(std::move(path)) {
+  // A SNAP line is ~12-24 bytes and most ids repeat; sizing up front avoids
+  // the rehash storms that dominated load time on multi-GB inputs.
+  ids_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(input_bytes / 24 + 16, std::uint64_t{1} << 26)));
+}
+
+void IdInterner::overflow() const {
+  throw std::runtime_error("atlc: vertex id space overflow: more than " +
+                           std::to_string(cap_) + " distinct vertex ids in " +
+                           path_);
+}
+
 EdgeList load_text_edges(const std::string& path, Directedness directedness,
                          std::uint64_t max_vertices) {
-  File f = open_or_throw(path, "r");
-
-  // Size the containers from the file size up front: a SNAP line is ~12-24
-  // bytes and most ids repeat, so these bounds avoid the rehash/realloc
-  // storms that dominated load time on multi-GB inputs (capped so a huge
-  // file cannot force a huge speculative allocation).
-  if (std::fseek(f.get(), 0, SEEK_END) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + path);
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0) throw std::runtime_error("atlc: cannot stat: " + path);
-  std::rewind(f.get());
-  const auto bytes = static_cast<std::uint64_t>(file_size);
-
-  std::unordered_map<std::uint64_t, VertexId> remap;
-  remap.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(bytes / 24 + 16,
-                                                       std::uint64_t{1} << 26)));
   std::vector<Edge> edges;
-  edges.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(bytes / 12 + 16,
-                                                       std::uint64_t{1} << 26)));
-
-  // Compacted ids must fit VertexId (uint32); `max_vertices` tightens the
-  // guard further so tests can exercise it without 4G-vertex inputs.
-  const std::uint64_t id_cap = std::min<std::uint64_t>(max_vertices,
-                                                       0xffffffffull);
-  char line[256];
-  while (std::fgets(line, sizeof(line), f.get())) {
-    if (line[0] == '#' || line[0] == '%' || line[0] == '\n') continue;
-    std::uint64_t a = 0, b = 0;
-    if (std::sscanf(line, "%llu %llu", (unsigned long long*)&a,
-                    (unsigned long long*)&b) != 2)
-      continue;
-    auto intern = [&](std::uint64_t raw) {
-      auto [it, inserted] =
-          remap.try_emplace(raw, static_cast<VertexId>(remap.size()));
-      if (inserted && remap.size() > id_cap)
-        throw std::runtime_error(
-            "atlc: vertex id space overflow: more than " +
-            std::to_string(id_cap) + " distinct vertex ids in " + path);
-      return it->second;
-    };
-    edges.push_back({intern(a), intern(b)});
+  VertexId n = 0;
+  {
+    // Scoped so the window, the pair buffer and the id map are freed
+    // before symmetrize doubles the edge list (the load's peak).
+    ChunkReader reader(path, kTextWindowBytes);
+    IdInterner intern(reader.file_bytes(), max_vertices, path);
+    edges.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        reader.file_bytes() / 12 + 16, std::uint64_t{1} << 26)));
+    TextChunk chunk;
+    std::vector<RawPair> pairs;
+    while (reader.next(chunk)) {
+      pairs.clear();
+      parse_text_chunk(chunk.data, pairs);
+      // Braced init evaluates left to right: a is interned before b.
+      for (const RawPair& p : pairs)
+        edges.push_back({intern(p.a), intern(p.b)});
+    }
+    n = intern.size();
   }
-  EdgeList out(static_cast<VertexId>(remap.size()), std::move(edges),
-               directedness);
+  EdgeList out(n, std::move(edges), directedness);
   if (directedness == Directedness::Undirected) out.symmetrize();
   return out;
 }
@@ -91,94 +180,112 @@ void save_text_edges(const EdgeList& edges, const std::string& path) {
     std::fprintf(f.get(), "%u %u\n", e.u, e.v);
 }
 
-void save_binary_edges(const EdgeList& edges, const std::string& path) {
-  File f = open_or_throw(path, "wb");
-  const std::uint32_t header[4] = {
-      kMagic, kVersion,
-      edges.directedness() == Directedness::Directed ? 1u : 0u,
-      edges.num_vertices()};
-  const auto m = static_cast<std::uint64_t>(edges.num_edges());
-  if (std::fwrite(header, sizeof(header), 1, f.get()) != 1 ||
-      std::fwrite(&m, sizeof(m), 1, f.get()) != 1)
-    throw std::runtime_error("short write: " + path);
-  if (m > 0 &&
-      std::fwrite(edges.edges().data(), sizeof(Edge), m, f.get()) != m)
-    throw std::runtime_error("short write: " + path);
+// ---------------------------------------------------------------------------
+// ATLC binary
+
+std::optional<std::uint32_t> sniff_atlc(const std::string& path) {
+  File f = open_or_throw(path, "rb");
+  std::uint32_t word[2] = {0, 0};
+  if (std::fread(word, sizeof(word[0]), 2, f.get()) == 0 || word[0] != kMagic)
+    return std::nullopt;
+  return word[1];
 }
 
-EdgeList load_binary_edges(const std::string& path) {
-  File f = open_or_throw(path, "rb");
-
-  // Measure before parsing: every downstream check compares the header's
-  // claims against what is actually on disk.
-  if (std::fseek(f.get(), 0, SEEK_END) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + path);
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0) throw std::runtime_error("atlc: cannot stat: " + path);
-  std::rewind(f.get());
-
-  constexpr std::uint64_t kHeaderBytes = 4 * sizeof(std::uint32_t) +
-                                         sizeof(std::uint64_t);
-  std::uint32_t header[4];
+AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
+                            const std::string& path) {
+  std::uint32_t word[4];
   std::uint64_t m = 0;
-  if (static_cast<std::uint64_t>(file_size) < kHeaderBytes ||
-      std::fread(header, sizeof(header), 1, f.get()) != 1 ||
-      std::fread(&m, sizeof(m), 1, f.get()) != 1)
-    throw std::runtime_error("atlc: truncated header (file smaller than the "
-                             "binary edge-list header): " + path);
-  if (header[0] != kMagic)
-    throw std::runtime_error("atlc: bad magic (not an ATLC binary edge "
-                             "list): " + path);
-  if (header[1] != kVersion) {
-    if (header[1] == 2)
-      throw std::runtime_error(
-          "atlc: this is a v2 partition-sliced snapshot, not a v1 binary "
-          "edge list — open it with ingest::SnapshotReader (atlc_run "
-          "--snapshot): " + path);
+  std::rewind(f);
+  if (std::fread(word, sizeof(word), 1, f) != 1 ||
+      std::fread(&m, sizeof(m), 1, f) != 1)
     throw std::runtime_error(
-        "atlc: unsupported binary edge-list version " +
-        std::to_string(header[1]) + " (expected " + std::to_string(kVersion) +
-        "): " + path);
+        "atlc: truncated header (file smaller than the " +
+        std::to_string(kAtlcPrefixBytes) + "-byte ATLC header): " + path);
+  if (word[0] != kMagic)
+    throw std::runtime_error("atlc: bad magic (not an ATLC file): " + path);
+  if (word[1] != version) {
+    if (word[1] == 1 || word[1] == 2)
+      throw std::runtime_error(std::string("atlc: this is ") +
+                               kFormats[word[1]].what + ", not " +
+                               kFormats[version].what + " — open it with " +
+                               kFormats[word[1]].reader + ": " + path);
+    throw std::runtime_error("atlc: unsupported binary edge-list version " +
+                             std::to_string(word[1]) + " (expected " +
+                             std::to_string(version) + "): " + path);
   }
-  if (header[2] > 1)
+  if (word[2] > 1)
     throw std::runtime_error("atlc: corrupt directedness flag: " + path);
+  return {word[1],
+          word[2] ? Directedness::Directed : Directedness::Undirected,
+          word[3], m};
+}
 
-  // The declared count must match the payload EXACTLY: a short file means a
-  // truncated copy (loading it would silently slice the edge array); extra
-  // trailing bytes mean the file is not what the header claims.
-  const std::uint64_t expected = kHeaderBytes + m * sizeof(Edge);
-  if (static_cast<std::uint64_t>(file_size) != expected)
+void write_atlc_prefix(std::FILE* f, const AtlcPrefix& prefix,
+                       const std::string& path) {
+  const std::uint32_t word[4] = {
+      kMagic, prefix.version,
+      prefix.directedness == Directedness::Directed ? 1u : 0u,
+      prefix.num_vertices};
+  if (std::fwrite(word, sizeof(word), 1, f) != 1 ||
+      std::fwrite(&prefix.num_edges, sizeof(prefix.num_edges), 1, f) != 1)
+    throw std::runtime_error("atlc: short write (disk full?): " + path);
+}
+
+BinaryEdgeReader::BinaryEdgeReader(const std::string& path)
+    : path_(path), f_(open_or_throw(path, "rb")) {
+  const std::uint64_t bytes = file_size(f_.get(), path_);
+  prefix_ = read_atlc_prefix(f_.get(), kVersion, path_);
+  // The declared count must match the payload EXACTLY: a short file is a
+  // truncated copy, extra bytes mean the file is not what the prefix
+  // claims. Divide rather than multiply: m * sizeof(Edge) can wrap.
+  const std::uint64_t payload = bytes - kAtlcPrefixBytes;
+  if (payload % sizeof(Edge) != 0 ||
+      prefix_.num_edges != payload / sizeof(Edge))
     throw std::runtime_error(
-        "atlc: declared edge count " + std::to_string(m) + " wants " +
-        std::to_string(expected) + " bytes but file has " +
-        std::to_string(file_size) + " (truncated or corrupt): " + path);
+        "atlc: declared edge count " + std::to_string(prefix_.num_edges) +
+        " does not match the " + std::to_string(payload) +
+        "-byte payload (truncated or corrupt): " + path_);
+  remaining_ = prefix_.num_edges;
+}
 
-  const VertexId n = header[3];
-  std::vector<Edge> edges(m);
-  if (m > 0 && std::fread(edges.data(), sizeof(Edge), m, f.get()) != m)
-    throw std::runtime_error("atlc: short read: " + path);
-  for (const Edge& e : edges)
+bool BinaryEdgeReader::next(std::vector<Edge>& out, std::uint64_t max_edges) {
+  const auto want =
+      static_cast<std::size_t>(std::min(remaining_, max_edges));
+  out.resize(want);
+  if (want == 0) return false;
+  if (std::fread(out.data(), sizeof(Edge), want, f_.get()) != want)
+    throw std::runtime_error("atlc: short read: " + path_);
+  remaining_ -= want;
+  const VertexId n = prefix_.num_vertices;
+  for (const Edge& e : out)
     if (e.u >= n || e.v >= n)
       throw std::runtime_error(
           "atlc: edge endpoint out of range (vertex >= " + std::to_string(n) +
-          "; corrupt payload): " + path);
-  return EdgeList(n, std::move(edges),
-                  header[2] ? Directedness::Directed
-                            : Directedness::Undirected);
+          "; corrupt payload): " + path_);
+  return true;
+}
+
+EdgeList load_binary_edges(const std::string& path) {
+  BinaryEdgeReader reader(path);
+  std::vector<Edge> edges;
+  reader.next(edges, reader.prefix().num_edges);
+  return EdgeList(reader.prefix().num_vertices, std::move(edges),
+                  reader.prefix().directedness);
+}
+
+void save_binary_edges(const EdgeList& edges, const std::string& path) {
+  File f = open_or_throw(path, "wb");
+  const auto m = static_cast<std::uint64_t>(edges.num_edges());
+  write_atlc_prefix(
+      f.get(), {kVersion, edges.directedness(), edges.num_vertices(), m},
+      path);
+  if (m > 0 &&
+      std::fwrite(edges.edges().data(), sizeof(Edge), m, f.get()) != m)
+    throw std::runtime_error("atlc: short write (disk full?): " + path);
 }
 
 EdgeList load_edges(const std::string& path, Directedness directedness) {
-  {
-    File f = open_or_throw(path, "rb");
-    std::uint32_t magic = 0;
-    const bool is_binary =
-        std::fread(&magic, sizeof(magic), 1, f.get()) == 1 && magic == kMagic;
-    if (is_binary) {
-      // Reopen through the validating loader (it re-reads the header).
-      f.reset();
-      return load_binary_edges(path);
-    }
-  }
+  if (sniff_atlc(path)) return load_binary_edges(path);
   return load_text_edges(path, directedness);
 }
 

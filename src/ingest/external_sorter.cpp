@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "atlc/graph/io.hpp"
 #include "atlc/util/check.hpp"
 #include "atlc/util/timer.hpp"
 
@@ -103,12 +104,10 @@ void ExternalEdgeSorter::spill() {
   Run run;
   run.path = tmp_prefix_ + ".run" + std::to_string(runs_.size());
   run.count = buffer_.size();
-  std::FILE* f = std::fopen(run.path.c_str(), "wb");
-  if (!f)
-    throw std::runtime_error("atlc: cannot create spill file: " + run.path);
+  graph::File f = graph::open_or_throw(run.path, "wb");
   const std::size_t wrote =
-      std::fwrite(buffer_.data(), sizeof(Edge), buffer_.size(), f);
-  std::fclose(f);
+      std::fwrite(buffer_.data(), sizeof(Edge), buffer_.size(), f.get());
+  f.reset();
   if (wrote != buffer_.size())
     throw std::runtime_error("atlc: short write to spill file (disk full?): " +
                              run.path);
@@ -139,7 +138,7 @@ void ExternalEdgeSorter::for_each_sorted(
   // min-heap of cursors keyed by their head edge. Equal heads may pop in
   // any order — the stream is a multiset, so ties are interchangeable.
   struct Cursor {
-    std::FILE* f = nullptr;           // null for the in-memory tail
+    graph::File f;                    // null for the in-memory tail
     const Edge* mem = nullptr;        // in-memory tail (served zero-copy)
     std::size_t mem_count = 0;
     std::uint64_t remaining = 0;      // file edges not yet loaded into buf
@@ -158,7 +157,8 @@ void ExternalEdgeSorter::for_each_sorted(
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(remaining, 1u << 15));
         buf.resize(want);
-        const std::size_t got = std::fread(buf.data(), sizeof(Edge), want, f);
+        const std::size_t got =
+            std::fread(buf.data(), sizeof(Edge), want, f.get());
         if (got != want)
           throw std::runtime_error("atlc: short read from spill file");
         remaining -= got;
@@ -171,20 +171,9 @@ void ExternalEdgeSorter::for_each_sorted(
 
   std::vector<Cursor> cursors;
   cursors.reserve(runs_.size() + 1);
-  struct FileGuard {
-    std::vector<std::FILE*> files;
-    ~FileGuard() {
-      for (std::FILE* f : files)
-        if (f) std::fclose(f);
-    }
-  } guard;
-
   for (const Run& run : runs_) {
     Cursor c;
-    c.f = std::fopen(run.path.c_str(), "rb");
-    if (!c.f)
-      throw std::runtime_error("atlc: cannot reopen spill file: " + run.path);
-    guard.files.push_back(c.f);
+    c.f = graph::open_or_throw(run.path, "rb");
     c.remaining = run.count;
     cursors.push_back(std::move(c));
   }

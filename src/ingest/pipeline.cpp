@@ -1,18 +1,16 @@
 #include "atlc/ingest/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "atlc/graph/io.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/relabel.hpp"
-#include "atlc/ingest/chunk_reader.hpp"
 #include "atlc/ingest/external_sorter.hpp"
 #include "atlc/obs/trace.hpp"
 #include "atlc/util/check.hpp"
@@ -48,25 +46,6 @@ std::string tmp_prefix(const std::string& output, const std::string& tmp_dir) {
   return (std::filesystem::path(tmp_dir) / out.filename()).string() + ".tmp";
 }
 
-/// First 8 bytes of a file, to dispatch text vs v1 binary vs v2 snapshot.
-struct Sniff {
-  bool has_magic = false;
-  std::uint32_t version = 0;
-};
-
-Sniff sniff_input(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("atlc: cannot open file: " + path);
-  std::uint32_t magic = 0, version = 0;
-  const bool got = std::fread(&magic, sizeof(magic), 1, f) == 1 &&
-                   std::fread(&version, sizeof(version), 1, f) == 1;
-  std::fclose(f);
-  Sniff s;
-  s.has_magic = got && magic == snapshot_v2::kMagic;
-  s.version = version;
-  return s;
-}
-
 /// Stage-1 text ingest: chunked read, parallel parse, sequential intern in
 /// chunk order (first-appearance compaction must be order-deterministic),
 /// edges pushed into the raw sorter. Undirected input is symmetrized here —
@@ -74,31 +53,12 @@ Sniff sniff_input(const std::string& path) {
 /// after load_text_edges().
 void ingest_text(const std::string& input, const IngestOptions& opt,
                  int threads, ExternalEdgeSorter& sorter, IngestReport& rep) {
-  ChunkReader reader(input, opt.chunk_bytes);
-  std::unordered_map<std::uint64_t, VertexId> remap;
-  // File-size heuristic: a SNAP line is rarely under ~4 bytes/id and most
-  // ids repeat; sizing up front avoids rehash storms on large inputs.
-  remap.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(reader.file_bytes() / 24 + 16, 1u << 26)));
-
+  graph::ChunkReader reader(input, opt.chunk_bytes);
+  graph::IdInterner intern(reader.file_bytes(), opt.max_vertices, input);
   const bool symmetrize = opt.directedness == Directedness::Undirected;
-  // VertexId is 32-bit; the compacted id space can never exceed it, whatever
-  // the caller passes (max_vertices below that is the testability seam).
-  const std::uint64_t id_cap =
-      std::min<std::uint64_t>(opt.max_vertices, 0xffffffffull);
-  const auto intern = [&](std::uint64_t raw) {
-    const auto [it, inserted] =
-        remap.try_emplace(raw, static_cast<VertexId>(remap.size()));
-    if (inserted && remap.size() > id_cap) {
-      throw std::runtime_error("atlc: vertex id space overflow: more than " +
-                               std::to_string(id_cap) +
-                               " distinct vertex ids in " + input);
-    }
-    return it->second;
-  };
 
-  std::vector<TextChunk> chunks(static_cast<std::size_t>(threads));
-  std::vector<std::vector<RawPair>> pairs(chunks.size());
+  std::vector<graph::TextChunk> chunks(static_cast<std::size_t>(threads));
+  std::vector<std::vector<graph::RawPair>> pairs(chunks.size());
   std::vector<std::size_t> chunk_lines(chunks.size());
   std::vector<Edge> batch;
   for (;;) {
@@ -110,15 +70,15 @@ void ingest_text(const std::string& input, const IngestOptions& opt,
 #endif
     for (std::size_t c = 0; c < live; ++c) {
       pairs[c].clear();
-      chunk_lines[c] = parse_text_chunk(chunks[c].data, pairs[c]);
+      chunk_lines[c] = graph::parse_text_chunk(chunks[c].data, pairs[c]);
     }
     batch.clear();
     for (std::size_t c = 0; c < live; ++c) {
       rep.lines += chunk_lines[c];
       rep.pairs_parsed += pairs[c].size();
-      for (const RawPair& p : pairs[c]) {
+      for (const graph::RawPair& p : pairs[c]) {
         // Braced init evaluates left to right: intern(a) before intern(b),
-        // matching the legacy loader's first-appearance order.
+        // load_text_edges' first-appearance order.
         const Edge e{intern(p.a), intern(p.b)};
         batch.push_back(e);
         if (symmetrize && e.u != e.v) batch.push_back({e.v, e.u});
@@ -129,66 +89,24 @@ void ingest_text(const std::string& input, const IngestOptions& opt,
   rep.input_kind = "text";
   rep.bytes_read = reader.bytes_read();
   rep.raw_edges = sorter.total_edges();
-  rep.vertices_in = static_cast<VertexId>(remap.size());
+  rep.vertices_in = intern.size();
 }
 
-/// Stage-1 v1-binary ingest: stream the already-compacted edge payload into
-/// the sorter in blocks. No interning, no symmetrization (matching
-/// load_binary_edges), but the same container validation.
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-
+/// Stage-1 v1-binary ingest: stream the already-compacted, validated edge
+/// payload into the sorter in blocks. No interning, no symmetrization
+/// (matching load_binary_edges).
 Directedness ingest_binary_v1(const std::string& input,
                               ExternalEdgeSorter& sorter, IngestReport& rep) {
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(input.c_str(), "rb"));
-  if (!f) throw std::runtime_error("atlc: cannot open file: " + input);
-
-  std::uint32_t header[4] = {};
-  std::uint64_t m = 0;
-  if (std::fread(header, sizeof(header), 1, f.get()) != 1 ||
-      std::fread(&m, sizeof(m), 1, f.get()) != 1)
-    throw std::runtime_error("atlc: truncated binary header: " + input);
-  if (header[2] > 1)
-    throw std::runtime_error("atlc: corrupt directedness flag: " + input);
-  const auto n = static_cast<VertexId>(header[3]);
-
-  if (std::fseek(f.get(), 0, SEEK_END) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + input);
-  const long size = std::ftell(f.get());
-  const std::uint64_t expect =
-      sizeof(header) + sizeof(m) + m * sizeof(Edge);
-  if (size < 0 || static_cast<std::uint64_t>(size) != expect)
-    throw std::runtime_error(
-        "atlc: binary edge list size mismatch (declared " +
-        std::to_string(m) + " edges; truncated or corrupt): " + input);
-  if (std::fseek(f.get(), sizeof(header) + sizeof(m), SEEK_SET) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + input);
-
+  graph::BinaryEdgeReader reader(input);
   std::vector<Edge> buf;
-  std::uint64_t remaining = m;
-  while (remaining > 0) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, 1u << 16));
-    buf.resize(want);
-    if (std::fread(buf.data(), sizeof(Edge), want, f.get()) != want)
-      throw std::runtime_error("atlc: short read: " + input);
-    for (const Edge& e : buf)
-      if (e.u >= n || e.v >= n)
-        throw std::runtime_error(
-            "atlc: edge endpoint out of range (vertex >= " +
-            std::to_string(n) + "): " + input);
-    sorter.add(buf);
-    remaining -= want;
-  }
+  while (reader.next(buf, std::uint64_t{1} << 16)) sorter.add(buf);
+  const graph::AtlcPrefix& prefix = reader.prefix();
   rep.input_kind = "binary-v1";
-  rep.bytes_read = expect;
-  rep.pairs_parsed = m;
-  rep.raw_edges = m;
-  rep.vertices_in = n;
-  return header[2] ? Directedness::Directed : Directedness::Undirected;
+  rep.bytes_read = graph::kAtlcPrefixBytes + prefix.num_edges * sizeof(Edge);
+  rep.pairs_parsed = prefix.num_edges;
+  rep.raw_edges = prefix.num_edges;
+  rep.vertices_in = prefix.num_vertices;
+  return prefix.directedness;
 }
 
 /// Replay `sorter`'s merged stream with the dedup/self-loop filter applied
@@ -238,14 +156,11 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   util::Timer parse_timer;
   ExternalEdgeSorter raw(prefix + ".raw", opt.mem_budget_bytes, threads);
   Directedness dir = opt.directedness;
-  const Sniff sniff = sniff_input(input);
-  if (sniff.has_magic && sniff.version == snapshot_v2::kVersion)
+  const std::optional<std::uint32_t> version = graph::sniff_atlc(input);
+  if (version == snapshot_v2::kVersion)
     throw std::runtime_error(
         "atlc: input is already a v2 snapshot (nothing to ingest): " + input);
-  if (sniff.has_magic && sniff.version != 1)
-    throw std::runtime_error("atlc: unsupported binary version " +
-                             std::to_string(sniff.version) + ": " + input);
-  if (sniff.has_magic)
+  if (version)
     dir = ingest_binary_v1(input, raw, rep);
   else
     ingest_text(input, opt, threads, raw, rep);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 
 #include "atlc/util/check.hpp"
@@ -14,21 +13,10 @@ namespace {
 using snapshot_v2::Extent;
 using snapshot_v2::kHeaderBytes;
 using snapshot_v2::kKindCount;
-using snapshot_v2::kMagic;
 using snapshot_v2::kVersion;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-File open_or_throw(const std::string& path, const char* mode) {
-  File f(std::fopen(path.c_str(), mode));
-  if (!f) throw std::runtime_error("atlc: cannot open file: " + path);
-  return f;
-}
+using graph::File;
+using graph::open_or_throw;
 
 void write_bytes(std::FILE* f, const void* data, std::size_t bytes,
                  const std::string& path) {
@@ -68,15 +56,6 @@ void seek_or_throw(std::FILE* f, std::uint64_t offset,
     throw std::runtime_error("atlc: cannot seek: " + path);
 }
 
-std::uint64_t file_size_or_throw(std::FILE* f, const std::string& path) {
-  if (std::fseek(f, 0, SEEK_END) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + path);
-  const long size = std::ftell(f);
-  if (size < 0) throw std::runtime_error("atlc: cannot stat: " + path);
-  std::rewind(f);
-  return static_cast<std::uint64_t>(size);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -105,23 +84,23 @@ SnapshotWriter::SnapshotWriter(const std::string& path, VertexId num_vertices,
     extents_[k].assign(parts_[k].num_ranks(), {});
   write_buf_.reserve(std::size_t{1} << 15);
 
-  File f = open_or_throw(path_, "wb");
-  f_ = f.release();
+  f_ = open_or_throw(path_, "wb");
   // Header and degrees are back-patched by finalize() (the edge count and
   // section offsets depend on the stream length); seek straight to the
   // fixed edges_offset and stream the payload.
-  seek_or_throw(f_, kHeaderBytes + std::uint64_t{n_} * sizeof(VertexId),
-                path_);
+  seek_or_throw(f_.get(),
+                kHeaderBytes + std::uint64_t{n_} * sizeof(VertexId), path_);
 }
 
 SnapshotWriter::~SnapshotWriter() {
-  if (f_) std::fclose(f_);
+  f_.reset();
   // A writer destroyed before finalize() leaves no plausible-looking file.
   if (!finalized_) std::remove(path_.c_str());
 }
 
 void SnapshotWriter::flush() {
-  write_bytes(f_, write_buf_.data(), write_buf_.size() * sizeof(Edge), path_);
+  write_bytes(f_.get(), write_buf_.data(), write_buf_.size() * sizeof(Edge),
+              path_);
   write_buf_.clear();
 }
 
@@ -160,6 +139,7 @@ void SnapshotWriter::finalize(std::span<const VertexId> degrees) {
   ATLC_CHECK(degrees.size() == n_,
              "SnapshotWriter: degree array must have one entry per vertex");
   flush();
+  std::FILE* const f = f_.get();
 
   const std::uint64_t degrees_offset = kHeaderBytes;
   const std::uint64_t edges_offset =
@@ -167,49 +147,44 @@ void SnapshotWriter::finalize(std::span<const VertexId> degrees) {
   const std::uint64_t index_offset = edges_offset + m_ * sizeof(Edge);
 
   // Slice index: one section per kind, in the partition order given.
-  seek_or_throw(f_, index_offset, path_);
+  seek_or_throw(f, index_offset, path_);
   for (std::size_t k = 0; k < parts_.size(); ++k) {
     const std::uint32_t ranks = parts_[k].num_ranks();
-    write_u32(f_, static_cast<std::uint32_t>(parts_[k].kind()), path_);
-    write_u32(f_, 0, path_);
-    write_u64(f_, extents_total(k), path_);
+    write_u32(f, static_cast<std::uint32_t>(parts_[k].kind()), path_);
+    write_u32(f, 0, path_);
+    write_u64(f, extents_total(k), path_);
     std::uint64_t prefix = 0;
     for (std::uint32_t r = 0; r <= ranks; ++r) {
-      write_u64(f_, prefix, path_);
+      write_u64(f, prefix, path_);
       if (r < ranks) prefix += extents_[k][r].size();
     }
     for (std::uint32_t r = 0; r < ranks; ++r)
-      write_bytes(f_, extents_[k][r].data(),
+      write_bytes(f, extents_[k][r].data(),
                   extents_[k][r].size() * sizeof(Extent), path_);
   }
-  const long end = std::ftell(f_);
+  const long end = std::ftell(f);
   if (end < 0) throw std::runtime_error("atlc: cannot stat: " + path_);
   const auto file_bytes = static_cast<std::uint64_t>(end);
 
-  seek_or_throw(f_, degrees_offset, path_);
-  write_bytes(f_, degrees.data(), degrees.size() * sizeof(VertexId), path_);
+  seek_or_throw(f, degrees_offset, path_);
+  write_bytes(f, degrees.data(), degrees.size() * sizeof(VertexId), path_);
   degree_checksum_ = snapshot_v2::fnv1a64(
       degrees.data(), degrees.size() * sizeof(VertexId));
 
-  seek_or_throw(f_, 0, path_);
-  write_u32(f_, kMagic, path_);
-  write_u32(f_, kVersion, path_);
-  write_u32(f_, dir_ == Directedness::Directed ? 1u : 0u, path_);
-  write_u32(f_, n_, path_);
-  write_u64(f_, m_, path_);
-  write_u32(f_, parts_.front().num_ranks(), path_);
-  write_u32(f_, kKindCount, path_);
-  write_u64(f_, degrees_offset, path_);
-  write_u64(f_, edges_offset, path_);
-  write_u64(f_, index_offset, path_);
-  write_u64(f_, file_bytes, path_);
-  write_u64(f_, edge_checksum_, path_);
-  write_u64(f_, degree_checksum_, path_);
+  seek_or_throw(f, 0, path_);
+  graph::write_atlc_prefix(f, {kVersion, dir_, n_, m_}, path_);
+  write_u32(f, parts_.front().num_ranks(), path_);
+  write_u32(f, kKindCount, path_);
+  write_u64(f, degrees_offset, path_);
+  write_u64(f, edges_offset, path_);
+  write_u64(f, index_offset, path_);
+  write_u64(f, file_bytes, path_);
+  write_u64(f, edge_checksum_, path_);
+  write_u64(f, degree_checksum_, path_);
 
-  if (std::fflush(f_) != 0)
+  if (std::fflush(f) != 0)
     throw std::runtime_error("atlc: short write (disk full?): " + path_);
-  std::fclose(f_);
-  f_ = nullptr;
+  f_.reset();
   finalized_ = true;
 }
 
@@ -217,43 +192,21 @@ void SnapshotWriter::finalize(std::span<const VertexId> degrees) {
 // SnapshotReader
 
 bool SnapshotReader::sniff(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  std::uint32_t magic = 0, version = 0;
-  if (std::fread(&magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::fread(&version, sizeof(version), 1, f.get()) != 1)
-    return false;
-  return magic == kMagic && version == kVersion;
+  return graph::sniff_atlc(path) == kVersion;
 }
 
 SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
   File f = open_or_throw(path_, "rb");
-  const std::uint64_t actual_bytes = file_size_or_throw(f.get(), path_);
+  const std::uint64_t actual_bytes = graph::file_size(f.get(), path_);
+  const graph::AtlcPrefix prefix =
+      graph::read_atlc_prefix(f.get(), kVersion, path_);
   if (actual_bytes < kHeaderBytes)
     throw std::runtime_error(
         "atlc: truncated snapshot header (file smaller than the v2 "
         "header): " + path_);
-
-  const std::uint32_t magic = read_u32(f.get(), path_);
-  const std::uint32_t version = read_u32(f.get(), path_);
-  if (magic != kMagic)
-    throw std::runtime_error("atlc: bad magic (not an ATLC file): " + path_);
-  if (version != kVersion) {
-    if (version == 1)
-      throw std::runtime_error(
-          "atlc: v1 binary edge list, not a v2 snapshot — load it with "
-          "graph::load_binary_edges (or re-ingest with atlc_ingest): " +
-          path_);
-    throw std::runtime_error("atlc: unsupported snapshot version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(kVersion) + "): " + path_);
-  }
-  const std::uint32_t dir_flag = read_u32(f.get(), path_);
-  if (dir_flag > 1)
-    throw std::runtime_error("atlc: corrupt directedness flag: " + path_);
-  dir_ = dir_flag ? Directedness::Directed : Directedness::Undirected;
-  n_ = read_u32(f.get(), path_);
-  m_ = read_u64(f.get(), path_);
+  dir_ = prefix.directedness;
+  n_ = prefix.num_vertices;
+  m_ = prefix.num_edges;
   ranks_ = read_u32(f.get(), path_);
   const std::uint32_t kind_count = read_u32(f.get(), path_);
   const std::uint64_t degrees_offset = read_u64(f.get(), path_);
@@ -270,7 +223,7 @@ SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
         "atlc: unsupported slice-index kind count " +
         std::to_string(kind_count) + " (expected " +
         std::to_string(kKindCount) + "): " + path_);
-  if (degrees_offset != kHeaderBytes ||
+  if (m_ > actual_bytes / sizeof(Edge) || degrees_offset != kHeaderBytes ||
       edges_offset_ != degrees_offset + std::uint64_t{n_} * sizeof(VertexId) ||
       index_offset != edges_offset_ + m_ * sizeof(Edge))
     throw std::runtime_error(

@@ -1,12 +1,12 @@
 #include "atlc/serve/query_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
 #include "atlc/core/dist_graph.hpp"
 #include "atlc/core/edge_pipeline.hpp"
+#include "atlc/core/similarity.hpp"
 #include "atlc/graph/hub_replica.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/intersect/intersect.hpp"
@@ -22,12 +22,6 @@ namespace {
 // paths accumulate a candidate's contributions in ascending friend order
 // and run the identical top-k selection, so even the Adamic–Adar double
 // sums agree exactly.
-
-/// Adamic–Adar weight of a common neighbor of degree `deg`; degree-0/1
-/// vertices contribute nothing (ln 1 = 0 would divide by zero).
-double aa_weight(std::size_t deg) {
-  return deg >= 2 ? 1.0 / std::log(static_cast<double>(deg)) : 0.0;
-}
 
 /// Fold one friend's adjacency into the candidate scores: every c in
 /// `adj_f` that is neither v itself nor already a neighbor of v gains `w`.
@@ -140,9 +134,9 @@ void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
                     std::span<const VertexId> aj) {
             // aj is the friend's full row (1D partitions), so its size IS
             // the friend's degree — the Adamic–Adar weight needs it.
-            accumulate_candidates(q.v, av, aj,
-                                  adamic ? aa_weight(aj.size()) : 1.0,
-                                  scores);
+            accumulate_candidates(
+                q.v, av, aj,
+                adamic ? core::adamic_adar_weight(aj.size()) : 1.0, scores);
             // The scan is |adj_f| membership probes into the sorted adj_v.
             ctx.charge_compute(
                 cfg.cost.seconds_probes(aj.size(), av.size()));
@@ -373,8 +367,9 @@ QueryAnswer answer_reference(const graph::CSRGraph& g, const Query& q) {
   std::map<VertexId, double> scores;
   for (const VertexId f : adj_v) {
     const std::span<const VertexId> adj_f = g.neighbors(f);
-    accumulate_candidates(q.v, adj_v, adj_f,
-                          adamic ? aa_weight(adj_f.size()) : 1.0, scores);
+    accumulate_candidates(
+        q.v, adj_v, adj_f,
+        adamic ? core::adamic_adar_weight(adj_f.size()) : 1.0, scores);
   }
   a.topk = select_topk(scores, q.k);
   return a;

@@ -3,7 +3,6 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <ctime>
 
 #include "atlc/util/check.hpp"
@@ -13,23 +12,10 @@
 namespace atlc::util {
 
 std::uint64_t peak_rss_bytes() {
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    unsigned long long kb = 0;
-    bool found = false;
-    while (std::fgets(line, sizeof(line), f)) {
-      if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
-        found = true;
-        break;
-      }
-    }
-    std::fclose(f);
-    if (found) return std::uint64_t{kb} * 1024;
-  }
+  // ru_maxrss is the resident high-water mark (VmHWM), in KiB on Linux.
   struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) == 0)
-    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-  return 0;
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
 
 Summary Recorder::run_until_ci(const std::function<void()>& fn) {

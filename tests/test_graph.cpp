@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <span>
@@ -22,6 +23,7 @@
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/graph/relabel.hpp"
+#include "atlc/ingest/pipeline.hpp"
 #include "test_support.hpp"
 
 namespace atlc::graph {
@@ -442,6 +444,24 @@ TEST_F(IoCorruption, OutOfRangeEndpointThrows) {
   bytes[payload + 3] = 0xff;
   write_blob(bytes);
   expect_binary_load_error(path_, "endpoint out of range");
+}
+
+TEST_F(IoCorruption, OverflowingEdgeCountThrows) {
+  // A bare 24-byte prefix declaring m = 2^61: 24 + m * sizeof(Edge) wraps
+  // to 24, so a multiplying size check would accept the file.
+  std::vector<unsigned char> bytes(blob_.begin(), blob_.begin() + 24);
+  const std::uint64_t m = std::uint64_t{1} << 61;
+  std::memcpy(bytes.data() + 16, &m, sizeof(m));
+  write_blob(bytes);
+  expect_binary_load_error(path_, "truncated or corrupt");
+
+  try {
+    (void)atlc::ingest::run_ingest(path_, path_ + ".v2");
+    ADD_FAILURE() << "run_ingest accepted an overflowing edge count";
+  } catch (const std::runtime_error& err) {
+    EXPECT_EQ(std::string(err.what()).rfind("atlc:", 0), 0u)
+        << "message was: " << err.what();
+  }
 }
 
 TEST(Io, LoadEdgesSniffsFormat) {

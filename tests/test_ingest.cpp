@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -19,7 +20,6 @@
 #include "atlc/graph/io.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
-#include "atlc/ingest/chunk_reader.hpp"
 #include "atlc/ingest/external_sorter.hpp"
 #include "atlc/ingest/pipeline.hpp"
 #include "atlc/ingest/snapshot.hpp"
@@ -100,10 +100,10 @@ TEST(ChunkReader, StitchesChunksToLineBoundaries) {
 
   for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                             std::size_t{4096}}) {
-    ingest::ChunkReader reader(path, chunk);
+    graph::ChunkReader reader(path, chunk);
     EXPECT_EQ(reader.file_bytes(), content.size());
     std::string concat;
-    ingest::TextChunk c;
+    graph::TextChunk c;
     while (reader.next(c)) {
       ASSERT_FALSE(c.data.empty());
       EXPECT_EQ(c.file_offset, concat.size());
@@ -122,9 +122,9 @@ TEST(ChunkReader, GrowsWindowForOversizedLines) {
   const std::string path = tmp_path("oversize.txt");
   write_file(path, content);
 
-  ingest::ChunkReader reader(path, 8);
+  graph::ChunkReader reader(path, 8);
   std::string concat;
-  ingest::TextChunk c;
+  graph::TextChunk c;
   while (reader.next(c)) concat += c.data;
   EXPECT_EQ(concat, content);
 }
@@ -134,9 +134,9 @@ TEST(ChunkReader, FinalLineWithoutNewline) {
   const std::string path = tmp_path("nonl.txt");
   write_file(path, content);
 
-  ingest::ChunkReader reader(path, 4);
+  graph::ChunkReader reader(path, 4);
   std::string concat;
-  ingest::TextChunk c;
+  graph::TextChunk c;
   while (reader.next(c)) concat += c.data;
   EXPECT_EQ(concat, content);
 }
@@ -156,8 +156,8 @@ TEST(ParseTextChunk, MirrorsLegacyScanfSemantics) {
       "no numbers\n"
       "8\n"              // only one integer: skipped
       "9 10";            // final line without newline
-  std::vector<ingest::RawPair> pairs;
-  const std::size_t lines = ingest::parse_text_chunk(text, pairs);
+  std::vector<graph::RawPair> pairs;
+  const std::size_t lines = graph::parse_text_chunk(text, pairs);
   EXPECT_EQ(lines, 10u);
   ASSERT_EQ(pairs.size(), 5u);
   EXPECT_EQ(pairs[0].a, 1u);
@@ -228,41 +228,54 @@ TEST(ExternalEdgeSorter, SpillPathMatchesInMemoryAndIsRerunnable) {
 // Full pipeline vs the in-memory load+clean path
 
 TEST(Ingest, TextInputMatchesInMemoryCleanAcrossConfigs) {
-  const auto raw = raw_rmat(9, 8, 7);
-  const std::string text = tmp_path("text_rt.txt");
-  graph::save_text_edges(raw, text);
-  const auto reference = graph::load_text_edges(text, Directedness::Undirected);
+  // Two inputs: a raw R-MAT instance, and lines longer than any fixed-size
+  // line buffer — a comment, and a pair followed by junk, whose tails read
+  // like pairs. Phantom edges 7-8 or 10-11 would each close triangles.
+  const std::string rmat_text = tmp_path("text_rt.txt");
+  graph::save_text_edges(raw_rmat(9, 8, 7), rmat_text);
+  const std::string long_text = tmp_path("long_lines.txt");
+  write_file(long_text, "#" + std::string(300, ' ') + "7 8\n"
+                        "9 10 junk" + std::string(300, ' ') + "10 11\n"
+                        "7 9\n7 10\n8 9\n8 10\n11 7\n11 8\n");
+  EXPECT_EQ(
+      graph::load_text_edges(long_text, Directedness::Undirected).num_edges(),
+      14u);
 
-  // Sweep threads x chunk size x budget: every configuration must produce a
-  // byte-identical snapshot, equal to the in-memory clean.
-  std::string first_bytes;
   int variant = 0;
-  struct Cfg {
-    int threads;
-    std::size_t chunk;
-    std::uint64_t budget;
-  };
-  for (const Cfg& c : {Cfg{1, 1u << 20, 0}, Cfg{4, 333, 0},
-                       Cfg{2, 4096, 16 * 1024}, Cfg{4, 57, 8 * 1024}}) {
-    const std::string snap =
-        tmp_path("text_rt_" + std::to_string(variant++) + ".v2");
-    ingest::IngestOptions opt;
-    opt.num_threads = c.threads;
-    opt.chunk_bytes = c.chunk;
-    opt.mem_budget_bytes = c.budget;
-    opt.ranks = 4;
-    opt.relabel_seed = 11;
-    const auto rep = ingest::run_ingest(text, snap, opt);
-    EXPECT_GT(rep.bytes_read, 0u);
-    EXPECT_GT(rep.lines, 0u);
-    expect_snapshot_equals(snap, reference, 11);
-    const std::string bytes = read_file(snap);
-    if (first_bytes.empty())
-      first_bytes = bytes;
-    else
-      EXPECT_TRUE(bytes == first_bytes)
-          << "snapshot bytes differ for threads=" << c.threads
-          << " chunk=" << c.chunk << " budget=" << c.budget;
+  for (const std::string& text : {rmat_text, long_text}) {
+    const auto reference =
+        graph::load_text_edges(text, Directedness::Undirected);
+
+    // Sweep threads x chunk size x budget: every configuration must produce
+    // a byte-identical snapshot, equal to the in-memory clean.
+    std::string first_bytes;
+    struct Cfg {
+      int threads;
+      std::size_t chunk;
+      std::uint64_t budget;
+    };
+    for (const Cfg& c : {Cfg{1, 1u << 20, 0}, Cfg{4, 333, 0},
+                         Cfg{2, 4096, 16 * 1024}, Cfg{4, 57, 8 * 1024}}) {
+      const std::string snap =
+          tmp_path("text_rt_" + std::to_string(variant++) + ".v2");
+      ingest::IngestOptions opt;
+      opt.num_threads = c.threads;
+      opt.chunk_bytes = c.chunk;
+      opt.mem_budget_bytes = c.budget;
+      opt.ranks = 4;
+      opt.relabel_seed = 11;
+      const auto rep = ingest::run_ingest(text, snap, opt);
+      EXPECT_GT(rep.bytes_read, 0u);
+      EXPECT_GT(rep.lines, 0u);
+      expect_snapshot_equals(snap, reference, 11);
+      const std::string bytes = read_file(snap);
+      if (first_bytes.empty())
+        first_bytes = bytes;
+      else
+        EXPECT_TRUE(bytes == first_bytes)
+            << text << ": snapshot bytes differ for threads=" << c.threads
+            << " chunk=" << c.chunk << " budget=" << c.budget;
+    }
   }
 }
 
@@ -559,6 +572,27 @@ TEST_F(SnapshotCorruption, EdgePayloadCorruptionCaughtByReadAll) {
       static_cast<unsigned char>(bytes_[v2::kEdgeChecksumOffset] ^ 0x1));
   ingest::SnapshotReader reader2(path2);
   EXPECT_THROW((void)reader2.read_all(), std::runtime_error);
+}
+
+TEST_F(SnapshotCorruption, WrappingEdgeCountIsRejected) {
+  // m + 2^61 edges keeps edges_offset + m * sizeof(Edge) unchanged modulo
+  // 2^64, so only a non-wrapping bound on m catches the patched count.
+  namespace v2 = ingest::snapshot_v2;
+  std::string copy = bytes_;
+  std::uint64_t m = 0;
+  std::memcpy(&m, copy.data() + v2::kNumEdgesOffset, sizeof(m));
+  m += std::uint64_t{1} << 61;
+  std::memcpy(copy.data() + v2::kNumEdgesOffset, &m, sizeof(m));
+  const std::string path = tmp_path("wrapping_m.v2");
+  write_file(path, copy);
+  try {
+    ingest::SnapshotReader reader(path);
+    FAIL() << "wrapping edge count accepted";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("corrupt section offsets"),
+              std::string::npos)
+        << ex.what();
+  }
 }
 
 TEST_F(SnapshotCorruption, TruncationIsRejected) {
