@@ -2,14 +2,14 @@
 // for global triangle counting (ROADMAP item 1, DESIGN.md §9).
 //
 // Three arms on the skewed R-MAT proxy and the uniform control:
-//   paper        — undirected stream + upper-triangle floor trick, scalar
-//                  hybrid kernels (the engine's default TC path);
-//   dodg         — graph::orient_dodg preprocessing, scalar kernels: half
+//   paper        — undirected stream + upper-triangle floor trick, Paper
+//                  tier hybrid dispatch (the engine's default TC path);
+//   dodg         — graph::orient_dodg preprocessing, Paper tier: half
 //                  the edge stream, no per-edge suffix trimming, every row
 //                  capped at O(sqrt(m));
-//   dodg+tiered  — the DODG stream served by the Tiered kernel generation
-//                  (row bitmaps on hubs, galloping on skew, branch-reduced
-//                  merge on the tail) under the per-tier cost model.
+//   dodg+tiered  — the DODG stream served by the Tiered dispatch (row
+//                  bitmaps on hubs, galloping on skew, the block merge on
+//                  the tail) under the per-tier cost model.
 //
 // All metrics are deterministic virtual times under the default cost model
 // and are gated. Every arm must report the same triangle count (shape

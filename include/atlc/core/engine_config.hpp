@@ -43,15 +43,16 @@ struct CacheSizing {
 struct EngineConfig {
   intersect::Method method = intersect::Method::Hybrid;
 
-  /// Kernel generation serving local intersections (intersect/tiered.hpp,
-  /// DESIGN.md §9). `Paper` — the default — is the scalar binary/SSI/hybrid
-  /// family selected by `method`, and is what every checked-in virtual-time
-  /// smoke baseline was recorded against; it must stay the default so those
-  /// baselines reproduce bit-identically. `Tiered` dispatches per list
-  /// shape: a dense reusable bitmap for hub rows, galloping search for
-  /// highly skewed pairs, branch-reduced merge for the long tail. Results
-  /// are identical under either tier (all kernels are exact); only the
-  /// charged virtual compute time differs.
+  /// Dispatch and pricing of local intersections (intersect/tiered.hpp,
+  /// DESIGN.md §9). `Paper` — the default — runs count_binary/count_ssi as
+  /// `method` selects, priced as the paper's kernels, and is what every
+  /// checked-in virtual-time smoke baseline was recorded against; it must
+  /// stay the default so those baselines reproduce bit-identically.
+  /// `Tiered` dispatches per list shape: a dense reusable bitmap for hub
+  /// rows, count_binary's galloping search for highly skewed pairs,
+  /// count_ssi's block merge for the long tail. Results are identical under
+  /// either tier (all kernels are exact); only the charged virtual compute
+  /// time differs.
   intersect::Tier intersect_tier = intersect::Tier::Paper;
 
   /// Shape thresholds of the Tiered dispatch (ignored under Paper).

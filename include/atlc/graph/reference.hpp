@@ -23,7 +23,9 @@ struct LccResult {
 };
 
 /// Edge-centric reference via sorted adjacency intersection (the same math
-/// the distributed engine computes, minus distribution). O(sum_e min-degree).
+/// the distributed engine computes, minus distribution), counted through
+/// intersect::for_each_common's scalar walk rather than the count kernels
+/// the engine runs. O(sum over edges (v, j) of deg(v) + deg(j)).
 [[nodiscard]] LccResult reference_lcc(const CSRGraph& g);
 
 /// Independent naive check: for each vertex enumerate neighbor pairs and

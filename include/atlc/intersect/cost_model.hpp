@@ -18,16 +18,22 @@ namespace atlc::intersect {
 /// communication dominating computation at scale — is preserved, and
 /// Section IV-D2 notes computation details have "minor effects on overall
 /// performance" in the distributed regime).
+///
+/// The default constants are fixed prices, not measurements of the current
+/// kernels: they are kept as they are so every checked-in virtual-time
+/// baseline stays bit-identical when the host code gets faster. calibrate()
+/// fits the kernels that run (ROADMAP item 1 tracks the gap).
 struct CostModel {
   double per_call_ns = 12.0;          ///< loop/setup overhead per edge
   double ssi_ns_per_elem = 0.9;       ///< per element of |A| + |B|
   double binary_ns_per_probe = 3.5;   ///< per key * log2(|B|) probe step
 
-  /// Per-tier terms of the Tiered kernel generation (tiered.hpp). These
-  /// enter a rank's virtual clock ONLY when EngineConfig::intersect_tier is
-  /// Tier::Tiered — the Paper tier never reads them, which is what keeps
-  /// every pre-existing virtual-time smoke baseline bit-identical under the
-  /// default configuration (DESIGN.md §9).
+  /// Per-kernel terms of the Tiered dispatch (tiered.hpp). MergeVec and
+  /// Gallop run the same code as SSI and Binary but are priced under their
+  /// own terms. These enter a rank's virtual clock ONLY when
+  /// EngineConfig::intersect_tier is Tier::Tiered — the Paper tier never
+  /// reads them, which is what keeps every pre-existing virtual-time smoke
+  /// baseline bit-identical under the default configuration (DESIGN.md §9).
   double merge_ns_per_elem = 0.45;      ///< MergeVec, per element of |A|+|B|
   double gallop_ns_per_probe = 2.2;     ///< per key * log2(|long|/|short|)
   double bitmap_ns_per_probe = 0.35;    ///< per probed element (word-batched)
@@ -56,8 +62,10 @@ struct CostModel {
   [[nodiscard]] double seconds_bitmap_build(std::size_t row_len) const;
 
   /// Measure the real kernels on this host (one-time, ~10 ms) and return a
-  /// fitted model — the paper pair and the tiered generation. Benches call
-  /// this once; tests/defaults use the static constants above.
+  /// fitted model. count_ssi is timed once and fits both the SSI and the
+  /// MergeVec term, count_binary both the Binary and the Gallop term; the
+  /// row bitmap is timed for its build and probe terms. Benches call this
+  /// once; tests/defaults use the static constants above.
   [[nodiscard]] static CostModel calibrate();
 };
 

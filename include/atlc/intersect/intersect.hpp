@@ -19,11 +19,12 @@ enum class Method : std::uint8_t {
 
 [[nodiscard]] const char* method_name(Method m);
 
-/// Kernel generation serving local intersections. `Paper` is the scalar
-/// binary/SSI/hybrid family above (the default: every virtual-time smoke
-/// baseline is calibrated against it and stays bit-identical); `Tiered`
-/// dispatches per list shape to the bitmap/galloping/branch-reduced-merge
-/// kernels in tiered.hpp (DESIGN.md §9).
+/// Dispatch and pricing of local intersections. `Paper` picks count_binary
+/// or count_ssi by `Method` and prices them with CostModel::seconds (the
+/// default: every virtual-time smoke baseline is calibrated against it and
+/// stays bit-identical); `Tiered` picks per list shape among the same two
+/// kernels and a reusable row bitmap, priced with CostModel::seconds_tiered
+/// (tiered.hpp, DESIGN.md §9). Both tiers run the same counting code.
 enum class Tier : std::uint8_t { Paper, Tiered };
 
 [[nodiscard]] const char* tier_name(Tier t);
@@ -31,8 +32,8 @@ enum class Tier : std::uint8_t { Paper, Tiered };
 /// The concrete kernel the Tiered dispatch picked for one pair — also the
 /// key the cost model prices tiered intersections under.
 enum class TierKernel : std::uint8_t {
-  MergeVec,  ///< branch-reduced quad-skip merge (the long-tail default)
-  Gallop,    ///< galloping binary search (highly skewed pairs)
+  MergeVec,  ///< count_ssi, the block merge (the long-tail default)
+  Gallop,    ///< count_binary, the galloping search (highly skewed pairs)
   Bitmap,    ///< dense row bitmap + word-AND popcount (hub rows)
 };
 
@@ -45,7 +46,7 @@ struct TierPolicy {
   /// pipeline's edge stream (DESIGN.md §9).
   std::size_t bitmap_min_row = 256;
   /// Below the bitmap threshold, pairs with |long|/|short| at or above this
-  /// ratio gallop; the rest take the branch-reduced merge.
+  /// ratio gallop; the rest take the block merge.
   double gallop_ratio = 32.0;
 };
 
@@ -59,11 +60,16 @@ struct TierPolicy {
 /// |a ∩ b| via binary search (paper Algorithm 1). Internally searches the
 /// shorter list's elements in the longer list — "one should always assign
 /// the longer list as the search tree and the shorter one as the array of
-/// keys". Preconditions: both spans sorted ascending, no duplicates.
+/// keys". The keys ascend, so the search gallops from a monotone cursor
+/// instead of spanning the whole list per key: O(|short| log(|long| /
+/// |short|)). Preconditions: both spans sorted ascending, no duplicates.
 [[nodiscard]] std::uint64_t count_binary(std::span<const VertexId> a,
                                          std::span<const VertexId> b);
 
-/// |a ∩ b| via sorted set intersection (paper Algorithm 2).
+/// |a ∩ b| via sorted set intersection (paper Algorithm 2), merged in 4x4
+/// blocks with SSE2 compares where the target has SSE2 (all of x86-64) and
+/// by a branch-reduced two-pointer loop otherwise and for the tail.
+/// Preconditions: both spans sorted ascending, no duplicates.
 [[nodiscard]] std::uint64_t count_ssi(std::span<const VertexId> a,
                                       std::span<const VertexId> b);
 

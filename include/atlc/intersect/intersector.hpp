@@ -11,7 +11,9 @@
 //   - for_each_common: the enumerating SSI walk, priced as SSI under either
 //     tier (it visits every common element, so there is no kernel choice).
 //
-// Counts are exact on every path; only the charged seconds differ.
+// Both tiers count with the same count_ssi and count_binary; Tiered adds
+// the row bitmap and chooses by list shape instead of by Eq. (3). Counts
+// are exact on every path; only the charged seconds differ.
 
 #include <cstdint>
 #include <optional>

@@ -1,23 +1,25 @@
 #pragma once
 
-// The tiered intersection kernels (ROADMAP item 1, DESIGN.md §9): the
-// production-grade alternatives to the paper's scalar binary/SSI family.
-// Three kernels cover the list-shape spectrum the way engineered triangle
-// counters do (Sanders & Uhl; RapidsAtHKUST, PAPERS.md):
+// The Tiered dispatch (ROADMAP item 1, DESIGN.md §9). It runs the same
+// two counting kernels as the Paper tier and adds one of its own, choosing
+// per list shape the way engineered triangle counters do (Sanders & Uhl;
+// RapidsAtHKUST, PAPERS.md):
 //
-//   - count_merge_vec: branch-reduced quad-skip merge for the long tail of
-//     similar-length pairs (conditional-move stepping, 4-wide block skips);
-//   - count_gallop: galloping (exponential + binary) search for highly
+//   - TierKernel::MergeVec: count_ssi, the SSE2 block merge, for the long
+//     tail of similar-length pairs;
+//   - TierKernel::Gallop: count_binary, the galloping search, for highly
 //     skewed pairs, O(|short| log(|long|/|short|));
-//   - RowBitmap: a dense bitmap over the vertex universe built once per hub
-//     row and probed word-at-a-time with popcount for every edge of that
-//     row.
+//   - TierKernel::Bitmap: RowBitmap, a dense bitmap over the vertex universe
+//     built once per hub row and probed word-at-a-time with popcount for
+//     every edge of that row.
 //
-// TieredIntersector packages the per-pair dispatch (select_tier_kernel),
-// the bitmap-reuse lifetime, and the virtual-time pricing behind one call;
-// the engine reaches it through intersect::Intersector (intersector.hpp).
-// All kernels are exact — tests/test_intersect_diff.cpp cross-checks every
-// tier against std::set_intersection over ~10k randomized pairs.
+// So Paper and Tiered differ in dispatch, the row bitmap and pricing, not
+// in the merge or search code. TieredIntersector packages the per-pair
+// dispatch (select_tier_kernel), the bitmap-reuse lifetime, and the
+// virtual-time pricing behind one call; the engine reaches it through
+// intersect::Intersector (intersector.hpp). All kernels are exact —
+// tests/test_intersect_diff.cpp cross-checks every tier against
+// std::set_intersection over ~10k randomized pairs.
 
 #include <cstdint>
 #include <span>
@@ -27,20 +29,6 @@
 #include "atlc/intersect/intersect.hpp"
 
 namespace atlc::intersect {
-
-/// |a ∩ b| via a branch-reduced merge: the two-pointer SSI walk with
-/// conditional-increment stepping (compiles to setcc/cmov, no mispredicted
-/// compare branch) plus a 4-wide block skip when one side's next quad lies
-/// entirely below the other side's cursor. Preconditions: sorted ascending,
-/// no duplicates.
-[[nodiscard]] std::uint64_t count_merge_vec(std::span<const VertexId> a,
-                                            std::span<const VertexId> b);
-
-/// |a ∩ b| via galloping search: each key of the shorter list exponentially
-/// advances a shared cursor in the longer list, then binary-searches the
-/// bracketed window. Wins when one list dwarfs the other (hub vs leaf).
-[[nodiscard]] std::uint64_t count_gallop(std::span<const VertexId> a,
-                                         std::span<const VertexId> b);
 
 /// Dense bitmap over the vertex universe [0, universe). Built from one
 /// sorted adjacency row, then probed by sorted candidate lists: probes are

@@ -23,7 +23,11 @@ LccResult reference_lcc(const CSRGraph& g) {
   for (VertexId v = 0; v < n; ++v) {
     const auto adj_v = g.neighbors(v);
     std::uint64_t t = 0;
-    for (VertexId j : adj_v) t += intersect::count_common(adj_v, g.neighbors(j));
+    // Counted through the scalar visitor walk, which no engine count path
+    // uses, so a bug in the count kernels cannot hide on both sides of an
+    // engine-vs-reference comparison.
+    for (VertexId j : adj_v)
+      intersect::for_each_common(adj_v, g.neighbors(j), [&](VertexId) { ++t; });
     r.triangles[v] = t;
     r.lcc[v] = lcc_score(t, g.degree(v));
   }

@@ -2,8 +2,22 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace atlc::intersect {
+
+#if defined(__SSE2__)
+namespace {
+/// Set bits of a 4-bit lane mask (_mm_movemask_ps); baseline x86-64 has no
+/// popcnt instruction.
+constexpr std::uint8_t kLanePopcount[16] = {0, 1, 1, 2, 1, 2, 2, 3,
+                                            1, 2, 2, 3, 2, 3, 3, 4};
+}  // namespace
+#endif
 
 const char* method_name(Method m) {
   switch (m) {
@@ -42,30 +56,76 @@ TierKernel select_tier_kernel(std::size_t row_len, std::size_t other_len,
 
 std::uint64_t count_binary(std::span<const VertexId> a,
                            std::span<const VertexId> b) {
-  // Keys from the shorter list, search tree over the longer one.
+  // Keys from the shorter list, search tree over the longer one. The keys
+  // ascend, so each search starts where the previous one ended: gallop
+  // (exponential steps) to bracket the key, then binary-search the bracket.
   if (a.size() > b.size()) std::swap(a, b);
-  std::uint64_t counter = 0;
-  for (VertexId x : a)
-    if (std::binary_search(b.begin(), b.end(), x)) ++counter;
-  return counter;
+  std::uint64_t count = 0;
+  std::size_t base = 0;  // b[0, base) is strictly below the current key
+  for (const VertexId x : a) {
+    if (base >= b.size()) break;
+    std::size_t lo = base, hi = base, step = 1;
+    while (hi < b.size() && b[hi] < x) {
+      lo = hi + 1;
+      hi = lo + step;
+      step <<= 1;
+    }
+    hi = std::min(hi, b.size());
+    const auto first = b.begin();
+    const auto it =
+        std::lower_bound(first + static_cast<std::ptrdiff_t>(lo),
+                         first + static_cast<std::ptrdiff_t>(hi), x);
+    base = static_cast<std::size_t>(it - first);
+    if (base < b.size() && b[base] == x) {
+      ++count;
+      ++base;  // keys are strictly ascending; the match can't repeat
+    }
+  }
+  return count;
 }
 
 std::uint64_t count_ssi(std::span<const VertexId> a,
                         std::span<const VertexId> b) {
-  std::uint64_t counter = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++counter;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
+  const std::size_t na = a.size(), nb = b.size();
+  std::uint64_t count = 0;
+  std::size_t i = 0, k = 0;
+#if defined(__SSE2__)
+  // 4x4 block merge. Every id of one block is compared with every id of
+  // the other (b rotated by 0-3 lanes: vb, vb1, vb2, vb3), so a block
+  // pair's matches are all found at once; ids are unique per list, so each
+  // a lane matches at most one b lane and the popcount is the block pair's
+  // count. The side whose block maximum is not larger has no id left to
+  // match and advances. Equality compares need no sign handling, the
+  // advance compares are unsigned scalar ones. Loads are unaligned (spans
+  // start anywhere) and stay inside the spans.
+  while (i + 4 <= na && k + 4 <= nb) {
+    const __m128i va =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.data() + i));
+    const __m128i vb =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.data() + k));
+    const __m128i vb1 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1));
+    const __m128i vb2 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
+    const __m128i vb3 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3));
+    const __m128i eq =
+        _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi32(va, vb),
+                                  _mm_cmpeq_epi32(va, vb1)),
+                     _mm_or_si128(_mm_cmpeq_epi32(va, vb2),
+                                  _mm_cmpeq_epi32(va, vb3)));
+    count += kLanePopcount[_mm_movemask_ps(_mm_castsi128_ps(eq))];
+    const VertexId a_max = a[i + 3], b_max = b[k + 3];
+    i += a_max <= b_max ? 4 : 0;
+    k += b_max <= a_max ? 4 : 0;
   }
-  return counter;
+#endif
+  // Branch-reduced two-pointer merge: the tail after the blocks, and the
+  // whole kernel without SSE2.
+  while (i < na && k < nb) {
+    const VertexId x = a[i], y = b[k];
+    count += (x == y);
+    i += (x <= y);
+    k += (y <= x);
+  }
+  return count;
 }
 
 bool prefer_ssi(std::size_t len_a, std::size_t len_b) {

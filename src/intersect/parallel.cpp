@@ -39,7 +39,7 @@ std::uint64_t count_binary_parallel(std::span<const VertexId> a,
 
   std::uint64_t total = 0;
   // Chunk the shorter (keys) array across threads; each thread searches its
-  // keys in the full longer list.
+  // keys in the full longer list with the serial kernel.
 #if !defined(ATLC_NO_OPENMP) && defined(_OPENMP)
 #pragma omp parallel num_threads(cfg.num_threads > 0 ? cfg.num_threads \
                                                      : omp_get_max_threads()) \
@@ -48,8 +48,7 @@ std::uint64_t count_binary_parallel(std::span<const VertexId> a,
   {
     const auto [begin, end] =
         chunk(a.size(), omp_get_num_threads(), omp_get_thread_num());
-    for (std::size_t i = begin; i < end; ++i)
-      if (std::binary_search(b.begin(), b.end(), a[i])) ++total;
+    total += count_binary(a.subspan(begin, end - begin), b);
   }
   return total;
 }

@@ -1,74 +1,10 @@
 #include "atlc/intersect/tiered.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "atlc/util/check.hpp"
 
 namespace atlc::intersect {
-
-std::uint64_t count_merge_vec(std::span<const VertexId> a,
-                              std::span<const VertexId> b) {
-  const std::size_t na = a.size(), nb = b.size();
-  std::uint64_t count = 0;
-  std::size_t i = 0, k = 0;
-  // Quad-skip main loop: when one side's next four elements all sit below
-  // the other side's cursor, skip them wholesale (one compare per four
-  // elements on disjoint stretches); otherwise take one branch-reduced
-  // step — the equality/advance decisions become flag-setting arithmetic
-  // instead of an unpredictable three-way branch.
-  while (i + 4 <= na && k + 4 <= nb) {
-    if (a[i + 3] < b[k]) {
-      i += 4;
-      continue;
-    }
-    if (b[k + 3] < a[i]) {
-      k += 4;
-      continue;
-    }
-    const VertexId x = a[i], y = b[k];
-    count += (x == y);
-    i += (x <= y);
-    k += (y <= x);
-  }
-  // Branch-reduced tail for the final < 4 elements of either side (the
-  // SIMD-width-straddling lengths the differential harness pins down).
-  while (i < na && k < nb) {
-    const VertexId x = a[i], y = b[k];
-    count += (x == y);
-    i += (x <= y);
-    k += (y <= x);
-  }
-  return count;
-}
-
-std::uint64_t count_gallop(std::span<const VertexId> a,
-                           std::span<const VertexId> b) {
-  // Keys from the shorter list, galloped cursor over the longer one.
-  if (a.size() > b.size()) std::swap(a, b);
-  std::uint64_t count = 0;
-  std::size_t base = 0;  // b[0, base) is strictly below the current key
-  for (const VertexId x : a) {
-    if (base >= b.size()) break;
-    // Exponential advance: grow the window until b[hi] >= x (or the end).
-    std::size_t lo = base, hi = base, step = 1;
-    while (hi < b.size() && b[hi] < x) {
-      lo = hi + 1;
-      hi = lo + step;
-      step <<= 1;
-    }
-    hi = std::min(hi, b.size());
-    const auto it = std::lower_bound(b.begin() + static_cast<std::ptrdiff_t>(lo),
-                                     b.begin() + static_cast<std::ptrdiff_t>(hi),
-                                     x);
-    base = static_cast<std::size_t>(it - b.begin());
-    if (base < b.size() && b[base] == x) {
-      ++count;
-      ++base;  // keys are strictly ascending; the match can't repeat
-    }
-  }
-  return count;
-}
 
 void RowBitmap::build(std::span<const VertexId> row, VertexId universe) {
   const std::size_t want_words = (static_cast<std::size_t>(universe) + 63) / 64;
@@ -137,11 +73,11 @@ TieredIntersector::Outcome TieredIntersector::run(
       ++stats_.bitmap_pairs;
       break;
     case TierKernel::Gallop:
-      out.common = count_gallop(row, other);
+      out.common = count_binary(row, other);
       ++stats_.gallop_pairs;
       break;
     case TierKernel::MergeVec:
-      out.common = count_merge_vec(row, other);
+      out.common = count_ssi(row, other);
       ++stats_.merge_pairs;
       break;
   }

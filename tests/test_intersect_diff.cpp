@@ -1,16 +1,22 @@
-// Randomized differential harness for every intersection kernel tier
-// (ISSUE 6): binary, SSI, hybrid, branch-reduced merge, galloping search,
-// RowBitmap, for_each_common, count_common_above, the TieredIntersector
-// dispatch and the engine-facing Intersector are all cross-checked against a
-// trivial std::set_intersection oracle over >10k seeded pairs. Vectorized/block-skipping kernels break
-// silently on boundary lengths, so the sweep deliberately pins lengths
-// straddling SIMD-width boundaries (7,8,9, 15,16,17, 31,32,33) and the
-// degenerate structures (empty, one-element, disjoint, subset, identical)
-// alongside the random bulk. Runs under ASan/UBSan in the tier-1 CI job.
+// Randomized differential harness for every intersection kernel tier:
+// binary (galloping), SSI (SSE2 block merge), hybrid, RowBitmap,
+// for_each_common, count_common_above, the TieredIntersector dispatch and
+// the engine-facing Intersector are all cross-checked against a trivial
+// std::set_intersection oracle over >10k seeded pairs. Vectorized/block
+// kernels break silently on boundary lengths, so the sweep deliberately
+// pins lengths straddling SIMD-width boundaries (7,8,9, 15,16,17, 31,32,33),
+// every length pair up to three 4-lane blocks with a common id in each lane
+// position, spans that end exactly at their allocation (an overread is an
+// ASan report), ids at and above 2^31 (a signed compare misorders them),
+// and the degenerate structures (empty, one-element, disjoint, subset,
+// identical) alongside the random bulk. Runs under ASan/UBSan in the tier-1
+// CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +31,7 @@ namespace {
 
 using V = std::vector<VertexId>;
 
-V oracle(const V& a, const V& b) {
+V oracle(std::span<const VertexId> a, std::span<const VertexId> b) {
   V out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
@@ -113,6 +119,37 @@ std::uint64_t check_intersector(const V& a, const V& b, VertexId universe,
   return checks;
 }
 
+/// The kernels that need no vertex universe, on spans (which may be views
+/// into larger allocations), in both argument orders: the two counting
+/// kernels, the hybrid rule, the Tiered dispatch without its bitmap, and
+/// the visitor walk. Returns the number of comparisons performed.
+std::uint64_t check_counts(std::span<const VertexId> a,
+                           std::span<const VertexId> b) {
+  const V common = oracle(a, b);
+  const auto expected = static_cast<std::uint64_t>(common.size());
+  std::uint64_t checks = 0;
+  const auto expect = [&](std::uint64_t got, const char* kernel) {
+    ++checks;
+    EXPECT_EQ(got, expected) << kernel << " |a|=" << a.size()
+                             << " |b|=" << b.size();
+  };
+  expect(count_binary(a, b), "binary");
+  expect(count_binary(b, a), "binary/swapped");
+  expect(count_ssi(a, b), "ssi");
+  expect(count_ssi(b, a), "ssi/swapped");
+  expect(count_hybrid(a, b), "hybrid");
+  expect(count_hybrid(b, a), "hybrid/swapped");
+  TieredIntersector tiered(TierPolicy{}, CostModel{}, 0);
+  expect(tiered.intersect_transient(a, b).common, "tiered/transient");
+  expect(tiered.intersect_transient(b, a).common, "tiered/transient/swapped");
+  V visited;
+  for_each_common(a, b, [&](VertexId x) { visited.push_back(x); });
+  ++checks;
+  EXPECT_EQ(visited, common) << "for_each_common |a|=" << a.size()
+                             << " |b|=" << b.size();
+  return checks;
+}
+
 /// Cross-check every kernel tier on one (a, b) pair. All ids must be
 /// < `universe` (RowBitmap precondition). Returns the number of
 /// kernel-vs-oracle comparisons performed, so the suite can assert the
@@ -120,24 +157,12 @@ std::uint64_t check_intersector(const V& a, const V& b, VertexId universe,
 std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
   const V common = oracle(a, b);
   const auto expected = static_cast<std::uint64_t>(common.size());
-  std::uint64_t checks = 0;
+  std::uint64_t checks = check_counts(a, b);
   const auto expect = [&](std::uint64_t got, const char* kernel) {
     ++checks;
     EXPECT_EQ(got, expected) << kernel << " |a|=" << a.size()
                              << " |b|=" << b.size() << " universe=" << universe;
   };
-
-  // Paper tier, both argument orders (all are symmetric in value).
-  expect(count_binary(a, b), "binary");
-  expect(count_binary(b, a), "binary/swapped");
-  expect(count_ssi(a, b), "ssi");
-  expect(count_hybrid(a, b), "hybrid");
-
-  // Tiered kernels, both orders.
-  expect(count_merge_vec(a, b), "merge_vec");
-  expect(count_merge_vec(b, a), "merge_vec/swapped");
-  expect(count_gallop(a, b), "gallop");
-  expect(count_gallop(b, a), "gallop/swapped");
 
   // RowBitmap: membership and the word-batched popcount probe.
   RowBitmap bm;
@@ -149,13 +174,6 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
     ++checks;
     EXPECT_TRUE(bm.test(x)) << "bitmap.test " << x;
   }
-
-  // for_each_common must visit exactly the oracle sequence, in order.
-  V visited;
-  for_each_common(a, b, [&](VertexId x) { visited.push_back(x); });
-  ++checks;
-  EXPECT_EQ(visited, common) << "for_each_common |a|=" << a.size()
-                             << " |b|=" << b.size();
 
   // count_common_above at the boundary floors: below everything, equal to
   // the first/last common element, and above the entire universe.
@@ -243,6 +261,137 @@ TEST(IntersectDiff, StructuredShapes) {
       check_pair(evens, V{evens.back()}, universe);
       check_pair(evens, V{static_cast<VertexId>(universe - 1)},
                  universe);  // one-element, miss above all
+    }
+  }
+}
+
+// ------------------------------------------------------ SIMD boundaries ---
+
+/// Sorted lists of `la` and `lb` ids that interleave (a's ids are 0 mod 4,
+/// b's 2 mod 4) around one shared id 100 at a[p] and b[q]; p == la or
+/// q == lb means no shared id.
+std::pair<V, V> lane_pair(std::size_t la, std::size_t lb, std::size_t p,
+                          std::size_t q) {
+  V a(la), b(lb);
+  for (std::size_t i = 0; i < la; ++i)
+    a[i] = static_cast<VertexId>(100 + 4 * i - 4 * p);
+  for (std::size_t j = 0; j < lb; ++j)
+    b[j] = static_cast<VertexId>(102 + 4 * j - 4 * q);
+  if (p < la && q < lb) b[q] = 100;
+  return {a, b};
+}
+
+// Every length pair up to three 4-lane blocks, with the one common id in
+// every (a lane, b lane) position and in none: a dropped rotation or an
+// off-by-one block advance misses or double-counts some of these.
+TEST(IntersectDiff, OneCommonIdInEveryLanePosition) {
+  std::uint64_t pairs = 0;
+  for (std::size_t la = 0; la <= 12; ++la) {
+    for (std::size_t lb = 0; lb <= 12; ++lb) {
+      for (std::size_t p = 0; p <= la; ++p) {
+        for (std::size_t q = 0; q <= lb; ++q) {
+          const auto [a, b] = lane_pair(la, lb, p, q);
+          ASSERT_TRUE(std::is_sorted(a.begin(), a.end()));
+          ASSERT_TRUE(std::is_sorted(b.begin(), b.end()));
+          ASSERT_EQ(oracle(a, b).size(), p < la && q < lb ? 1u : 0u);
+          check_pair(a, b, 4 * (la + lb) + 200);
+          ++pairs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 91u * 91u);
+}
+
+// Spans starting 1-3 ids into their allocation (unaligned loads) and ending
+// exactly at its end: a 16-byte load past the last id reads outside the
+// allocation, which the ASan build reports.
+TEST(IntersectDiff, SubspansEndingAtTheirAllocation) {
+  for (std::size_t offset = 1; offset <= 3; ++offset) {
+    for (std::size_t len = 0; len <= 33; ++len) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const auto universe = static_cast<VertexId>(3 * len + 8);
+        const V a = random_sorted_unique(offset + len, universe, seed + len);
+        const V b = random_sorted_unique(offset + len + seed, universe,
+                                         seed * 977 + len);
+        const auto a_heap = std::make_unique<VertexId[]>(a.size());
+        const auto b_heap = std::make_unique<VertexId[]>(b.size());
+        std::copy(a.begin(), a.end(), a_heap.get());
+        std::copy(b.begin(), b.end(), b_heap.get());
+        const std::span<const VertexId> sa(a_heap.get(), a.size());
+        const std::span<const VertexId> sb(b_heap.get(), b.size());
+        const std::size_t ao = std::min(offset, a.size());
+        const std::size_t bo = std::min(offset, b.size());
+        check_counts(sa.subspan(ao), sb.subspan(bo));
+        check_counts(sa.subspan(ao), sb);
+        check_counts(sa, sb.subspan(bo));
+      }
+    }
+  }
+}
+
+// Ids at and above 2^31, up to 0xFFFFFFFF, alone and mixed with low ids:
+// a signed 32-bit compare orders these wrongly.
+TEST(IntersectDiff, IdsAboveTwoToThe31) {
+  constexpr VertexId kTop = 0xFFFFFFFFu, kHalf = 0x80000000u;
+  const V edges = {0,        1,         kHalf - 2, kHalf - 1, kHalf,
+                   kHalf + 1, kTop - 4, kTop - 1,  kTop};
+  check_counts(edges, edges);
+  check_counts(edges, V{kTop});
+  check_counts(edges, V{kHalf - 1, kHalf});
+  std::uint64_t checks = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const std::size_t la = rng.next_below(40), lb = rng.next_below(40);
+    // Low random ids lifted to [base, base + range), range small enough
+    // that the lists overlap.
+    const auto lift = [&](V v, VertexId base) {
+      for (auto& x : v) x += base;
+      return v;
+    };
+    const auto range = static_cast<VertexId>(2 * (la + lb) + 4);
+    V a = lift(random_sorted_unique(la, range, seed), kTop - range);
+    V b = lift(random_sorted_unique(lb, range, seed * 7), kTop - range);
+    if (seed % 2 == 0) {
+      a.push_back(kTop);
+      b.push_back(kTop);
+    }
+    checks += check_counts(a, b);
+    // Straddling the sign boundary.
+    a = lift(random_sorted_unique(la, range, seed * 3), kHalf - range / 2);
+    b = lift(random_sorted_unique(lb, range, seed * 5), kHalf - range / 2);
+    checks += check_counts(a, b);
+  }
+  EXPECT_GE(checks, 200u * 2u * 9u);
+}
+
+// count_binary on skewed pairs, keys short-first and long-first: the keys
+// land on the galloping bracket's edges (offsets 2^k - 1, 2^k, 2^k + 1 from
+// the cursor), before the first id, on the first and last ids and beyond.
+TEST(IntersectDiff, SkewedBinaryBothOrders) {
+  for (const std::size_t long_len : {1000u, 1024u, 4097u}) {
+    V tree(long_len);
+    for (std::size_t i = 0; i < long_len; ++i)
+      tree[i] = static_cast<VertexId>(2 * i + 10);
+    const auto last = tree.back();
+    std::vector<V> key_sets = {{0},       {10},      {last},  {last + 1},
+                               {0, 10},   {9, 11},   {last - 1, last},
+                               {10, last}, {0, last + 2}};
+    for (std::size_t k = 1; k < long_len; k <<= 1) {
+      V keys;
+      for (const std::size_t i : {k - 1, k, k + 1})
+        if (i < long_len) keys.push_back(tree[i]);
+      if (k + 2 < long_len) keys.push_back(tree[k + 2] + 1);  // a miss
+      key_sets.push_back(keys);
+    }
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+      key_sets.push_back(random_sorted_unique(1 + seed % 9, 2 * last, seed));
+    for (const V& keys : key_sets) {
+      const auto want = oracle(keys, tree).size();
+      EXPECT_EQ(count_binary(keys, tree), want) << "|keys|=" << keys.size();
+      EXPECT_EQ(count_binary(tree, keys), want) << "|keys|=" << keys.size();
+      EXPECT_EQ(count_hybrid(keys, tree), want);
+      EXPECT_EQ(count_hybrid(tree, keys), want);
     }
   }
 }
