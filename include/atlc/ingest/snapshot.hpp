@@ -140,7 +140,8 @@ class SnapshotWriter {
 /// build_dist_graph can seek-read per-rank slices straight off the file.
 ///
 /// The constructor validates the container (magic, version, section
-/// offsets vs actual file size, index structure: monotone rank prefixes,
+/// offsets vs actual file size, rank and extent counts vs the bytes left
+/// before sizing anything from them, index structure: monotone rank prefixes,
 /// in-range non-overlapping extents covering all m edges per kind) and
 /// the degree-array checksum; read_all() additionally verifies the edge
 /// payload checksum and per-edge invariants. Violations throw

@@ -95,10 +95,12 @@ class QueryEngine {
                                            std::uint32_t ranks,
                                            const ServeOptions& options = {});
 
-/// Single-node from-scratch answer of one query against `g`, sharing the
-/// engine's scoring helpers so floating-point accumulation order is
-/// identical — the parity matrix compares engine answers to this
-/// bit-for-bit at each query's epoch snapshot. No virtual time involved.
+/// Single-node from-scratch answer of one query against `g` — the oracle
+/// the parity matrix compares engine answers to, bit for bit, at each
+/// query's epoch snapshot. It shares only the Adamic–Adar weight, the
+/// ascending friend order and the top-k total order with the engine, not
+/// its accumulator: top-k scores go through a std::map here. No virtual
+/// time involved.
 [[nodiscard]] QueryAnswer answer_reference(const graph::CSRGraph& g,
                                            const Query& q);
 

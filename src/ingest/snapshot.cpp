@@ -237,6 +237,12 @@ SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
   if (index_offset > actual_bytes)
     throw std::runtime_error("atlc: truncated snapshot (slice index starts "
                              "past end of file): " + path_);
+  // Each section stores ranks + 1 prefix entries: bound the count by the
+  // index bytes before sizing anything from it.
+  if (ranks_ >= (actual_bytes - index_offset) / sizeof(std::uint64_t))
+    throw std::runtime_error(
+        "atlc: corrupt rank count (" + std::to_string(ranks_) +
+        " ranks do not fit in the slice index): " + path_);
 
   degrees_.resize(n_);
   seek_or_throw(f.get(), degrees_offset, path_);
@@ -267,6 +273,12 @@ SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
         !std::is_sorted(ki.rank_prefix.begin(), ki.rank_prefix.end()))
       throw std::runtime_error("atlc: corrupt slice index (rank prefix not "
                                "monotone): " + path_);
+    const long pos = std::ftell(f.get());
+    if (pos < 0 || total > (actual_bytes - static_cast<std::uint64_t>(pos)) /
+                               sizeof(Extent))
+      throw std::runtime_error(
+          "atlc: corrupt slice index (" + std::to_string(total) +
+          " extents exceed the bytes left in the file): " + path_);
     ki.extents.resize(total);
     read_bytes(f.get(), ki.extents.data(), total * sizeof(Extent), path_);
     std::uint64_t covered = 0;

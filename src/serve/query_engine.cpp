@@ -17,35 +17,18 @@ namespace atlc::serve {
 
 namespace {
 
-// ---- Scoring helpers shared by the engine kernels and answer_reference.
-// Sharing them is what makes the parity contract a bit-for-bit one: both
-// paths accumulate a candidate's contributions in ascending friend order
-// and run the identical top-k selection, so even the Adamic–Adar double
-// sums agree exactly.
-
-/// Fold one friend's adjacency into the candidate scores: every c in
-/// `adj_f` that is neither v itself nor already a neighbor of v gains `w`.
-/// Zero-weight friends contribute no candidates at all (not 0.0-scored
-/// entries) — both paths must agree on the candidate *set*, not just the
-/// scores, because top-k padding draws from it.
-void accumulate_candidates(VertexId v, std::span<const VertexId> adj_v,
-                           std::span<const VertexId> adj_f, double w,
-                           std::map<VertexId, double>& scores) {
-  if (w == 0.0) return;
-  for (const VertexId c : adj_f) {
-    if (c == v) continue;
-    if (std::binary_search(adj_v.begin(), adj_v.end(), c)) continue;
-    scores[c] += w;
-  }
-}
+// ---- Top-k scoring. The engine and answer_reference share only the
+// weight (core::adamic_adar_weight), the ascending friend order and the
+// top-k total order below; each has its own accumulator. Together those
+// make the parity contract a bit-for-bit one: every candidate's
+// Adamic–Adar contributions are summed in the same order on both paths,
+// and the selection over a candidate set is unique.
 
 /// Ordering contract of query.hpp: score descending, id ascending on ties.
-/// Total order over distinct candidates, so the selection is unique.
-std::vector<Recommendation> select_topk(
-    const std::map<VertexId, double>& scores, std::uint32_t k) {
-  std::vector<Recommendation> all;
-  all.reserve(scores.size());
-  for (const auto& [c, s] : scores) all.push_back({c, s});
+/// Total order over distinct candidates, so the selection is unique and
+/// independent of the order `all` lists them in.
+std::vector<Recommendation> select_topk(std::vector<Recommendation> all,
+                                        std::uint32_t k) {
   const auto kk = std::min<std::size_t>(k, all.size());
   std::partial_sort(all.begin(),
                     all.begin() + static_cast<std::ptrdiff_t>(kk), all.end(),
@@ -56,6 +39,73 @@ std::vector<Recommendation> select_topk(
   all.resize(kk);
   return all;
 }
+
+/// Per-rank sparse accumulator for the engine's top-k queries: a dense
+/// score and state array over all vertex ids plus the list of candidates
+/// the current query touched. Allocated on the rank's first top-k query
+/// and reused; `take_topk` resets exactly the entries the query set, so
+/// a query costs O(candidates + deg v), never O(n).
+class CandidateScores {
+ public:
+  /// Begin a query for v: v and its neighbors can never be candidates.
+  void open(VertexId n, VertexId v, std::span<const VertexId> adj_v) {
+    if (state_.size() != n) {
+      score_.assign(n, 0.0);
+      state_.assign(n, kFree);
+    }
+    v_ = v;
+    adj_v_ = adj_v;
+    state_[v] = kExcluded;
+    for (const VertexId u : adj_v) state_[u] = kExcluded;
+  }
+
+  /// Fold one friend's adjacency: every c in `adj_f` that is not excluded
+  /// gains `w`. Zero-weight friends add no candidates at all (not
+  /// 0.0-scored entries): top-k padding draws from the candidate set, so
+  /// it must match answer_reference's.
+  void fold(std::span<const VertexId> adj_f, double w) {
+    if (w == 0.0) return;
+    for (const VertexId c : adj_f) {
+      std::uint8_t& s = state_[c];
+      if (s == kExcluded) continue;
+      if (s == kFree) {
+        s = kCandidate;
+        score_[c] = 0.0;
+        touched_.push_back(c);
+      }
+      score_[c] += w;
+    }
+  }
+
+  /// Distinct candidates of the open query.
+  [[nodiscard]] std::size_t candidates() const { return touched_.size(); }
+
+  /// Select the open query's top k and reset its touched and excluded
+  /// entries for the next query.
+  std::vector<Recommendation> take_topk(std::uint32_t k) {
+    std::vector<Recommendation> all;
+    all.reserve(touched_.size());
+    for (const VertexId c : touched_) {
+      all.push_back({c, score_[c]});
+      state_[c] = kFree;
+    }
+    touched_.clear();
+    state_[v_] = kFree;
+    for (const VertexId u : adj_v_) state_[u] = kFree;
+    return select_topk(std::move(all), k);
+  }
+
+ private:
+  static constexpr std::uint8_t kFree = 0;
+  static constexpr std::uint8_t kCandidate = 1;
+  static constexpr std::uint8_t kExcluded = 2;
+
+  std::vector<double> score_;  // valid only where state_ is kCandidate
+  std::vector<std::uint8_t> state_;
+  std::vector<VertexId> touched_;  // first-touch order
+  VertexId v_ = 0;
+  std::span<const VertexId> adj_v_;
+};
 
 /// Does a committed batch potentially change v's memoized answers? True
 /// iff v is an endpoint of an effective op, or an op endpoint lies in v's
@@ -81,8 +131,8 @@ bool batch_affects(VertexId v, std::span<const VertexId> touched,
 void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
                 core::EdgePipeline& pipeline, intersect::Intersector& isect,
                 const core::EngineConfig& cfg, HotVertexCache& hot,
-                const Query& q, double epoch_open, QueryAnswer& a,
-                core::QueryCost& qc) {
+                CandidateScores& scores, const Query& q, double epoch_open,
+                QueryAnswer& a, core::QueryCost& qc) {
   obs::Tracer& tr = ctx.tracer();
   a.arrival = epoch_open;
   const double t0 = ctx.now();
@@ -128,23 +178,23 @@ void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
       hot.insert_lcc(q.v, a.lcc);
     } else {
       const bool adamic = q.kind == QueryKind::TopKAdamicAdar;
-      std::map<VertexId, double> scores;
+      scores.open(dg.partition.num_vertices(), q.v, adj_v);
       pipeline.run_over(
           work, [&](VertexId, VertexId, std::span<const VertexId> av,
                     std::span<const VertexId> aj) {
             // aj is the friend's full row (1D partitions), so its size IS
             // the friend's degree — the Adamic–Adar weight needs it.
-            accumulate_candidates(
-                q.v, av, aj,
-                adamic ? core::adamic_adar_weight(aj.size()) : 1.0, scores);
-            // The scan is |adj_f| membership probes into the sorted adj_v.
+            scores.fold(aj,
+                        adamic ? core::adamic_adar_weight(aj.size()) : 1.0);
+            // Priced as |adj_f| membership probes into the sorted adj_v.
             ctx.charge_compute(
                 cfg.cost.seconds_probes(aj.size(), av.size()));
           });
-      a.topk = select_topk(scores, q.k);
+      const std::size_t candidates = scores.candidates();
+      a.topk = scores.take_topk(q.k);
       // Bounded-heap selection over the candidate set.
       ctx.charge_compute(cfg.cost.seconds_probes(
-          scores.size(), std::max<std::size_t>(q.k, 2)));
+          candidates, std::max<std::size_t>(q.k, 2)));
       hot.insert_topk(q.v, q.kind, q.k, a.topk);
     }
   }
@@ -228,6 +278,7 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
 
     stream::BatchApplier applier(ctx, dg, cfg);
     HotVertexCache hot(options_.hot_cache);
+    CandidateScores scores;
 
     std::uint64_t id_base = 0;
     std::uint64_t hot_hits_prev = 0;
@@ -258,8 +309,8 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
         }
         const Query& q = ep.queries[qi];
         if (partition.owner(q.v) != ctx.rank()) continue;
-        answer_one(ctx, dg, pipeline, isect, cfg, hot, q, epoch_open, a,
-                   costs[id_base + qi]);
+        answer_one(ctx, dg, pipeline, isect, cfg, hot, scores, q, epoch_open,
+                   a, costs[id_base + qi]);
       }
       ctx.tracer().end("queries");
       ctx.barrier();  // read phase closed: rows may change after this
@@ -363,15 +414,24 @@ QueryAnswer answer_reference(const graph::CSRGraph& g, const Query& q) {
     a.lcc = graph::lcc_score(tri, static_cast<VertexId>(adj_v.size()));
     return a;
   }
+  // An accumulator of its own, independent of the engine's: a std::map
+  // per query, candidate exclusion by binary search in adj_v.
   const bool adamic = q.kind == QueryKind::TopKAdamicAdar;
   std::map<VertexId, double> scores;
   for (const VertexId f : adj_v) {
     const std::span<const VertexId> adj_f = g.neighbors(f);
-    accumulate_candidates(
-        q.v, adj_v, adj_f,
-        adamic ? core::adamic_adar_weight(adj_f.size()) : 1.0, scores);
+    const double w = adamic ? core::adamic_adar_weight(adj_f.size()) : 1.0;
+    if (w == 0.0) continue;  // no candidates from zero-weight friends
+    for (const VertexId c : adj_f) {
+      if (c == q.v) continue;
+      if (std::binary_search(adj_v.begin(), adj_v.end(), c)) continue;
+      scores[c] += w;
+    }
   }
-  a.topk = select_topk(scores, q.k);
+  std::vector<Recommendation> all;
+  all.reserve(scores.size());
+  for (const auto& [c, s] : scores) all.push_back({c, s});
+  a.topk = select_topk(std::move(all), q.k);
   return a;
 }
 

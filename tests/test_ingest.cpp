@@ -595,6 +595,51 @@ TEST_F(SnapshotCorruption, WrappingEdgeCountIsRejected) {
   }
 }
 
+/// Construct a reader over `path` and expect an `atlc:` runtime_error
+/// that mentions `needle` (not bad_alloc, not a crash).
+void expect_atlc_error(const std::string& path, const std::string& needle) {
+  try {
+    ingest::SnapshotReader reader(path);
+    ADD_FAILURE() << "corrupt snapshot accepted: " << path;
+  } catch (const std::runtime_error& ex) {
+    const std::string what = ex.what();
+    EXPECT_EQ(what.rfind("atlc:", 0), 0u) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST_F(SnapshotCorruption, HugeRankCountIsRejectedBeforeAllocating) {
+  // 2^32 - 1 ranks would size every section's rank prefix at 32 GiB.
+  namespace v2 = ingest::snapshot_v2;
+  std::string copy = bytes_;
+  const std::uint32_t ranks = 0xFFFFFFFFu;
+  std::memcpy(copy.data() + v2::kRanksOffset, &ranks, sizeof(ranks));
+  const std::string path = tmp_path("huge_ranks.v2");
+  write_file(path, copy);
+  expect_atlc_error(path, "corrupt rank count");
+}
+
+TEST_F(SnapshotCorruption, HugeExtentTotalIsRejectedBeforeAllocating) {
+  // The first section's total and its last rank-prefix entry both say
+  // 2^40 extents, so the prefix is still monotone and ends at the total.
+  namespace v2 = ingest::snapshot_v2;
+  std::string copy = bytes_;
+  std::uint64_t index_offset = 0;
+  std::memcpy(&index_offset, copy.data() + v2::kIndexOffsetOffset,
+              sizeof(index_offset));
+  std::uint32_t ranks = 0;
+  std::memcpy(&ranks, copy.data() + v2::kRanksOffset, sizeof(ranks));
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const std::size_t total_at = index_offset + 8;  // after tag + reserved
+  const std::size_t last_prefix_at = total_at + 8 + std::size_t{ranks} * 8;
+  ASSERT_LE(last_prefix_at + 8, copy.size());
+  std::memcpy(copy.data() + total_at, &huge, sizeof(huge));
+  std::memcpy(copy.data() + last_prefix_at, &huge, sizeof(huge));
+  const std::string path = tmp_path("huge_total.v2");
+  write_file(path, copy);
+  expect_atlc_error(path, "extents exceed the bytes left");
+}
+
 TEST_F(SnapshotCorruption, TruncationIsRejected) {
   for (const std::size_t keep :
        {std::size_t{10}, ingest::snapshot_v2::kHeaderBytes,

@@ -5,7 +5,8 @@
 //    sizes, every answer bit-identical to answer_reference() run from
 //    scratch on the graph state AS OF that query's epoch (batches 0..e-1
 //    applied, never partial state). This is the epoch-consistency contract
-//    of DESIGN.md §13 made executable.
+//    of DESIGN.md §13 made executable. The ServeAccumulator cases add the
+//    edge shapes of the engine's top-k accumulator against the same oracle.
 // 2. Randomized HotVertexCache fuzz: >10k seeded op sequences against a
 //    naive map-based reference model, covering frequency-decrement
 //    eviction ties, short top-k memos and stale-entry invalidation.
@@ -239,6 +240,131 @@ TEST(ServeParityMatrix, DeletionsAndVanishingNeighborhoods) {
     opts.hot_cache.entries = 32;
     SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
     expect_parity(g, epochs, ranks, opts);
+  }
+}
+
+// ---------------------------------- engine accumulator edge shapes ------
+//
+// The engine scores top-k queries with a per-rank sparse accumulator that
+// answer_reference does not share (the reference keeps a std::map). These
+// shapes hit the accumulator's edges: empty candidate sets, ids at both
+// ends of its dense arrays, k past the candidate count, and long runs of
+// queries on one rank, whose touched and excluded entries must be reset
+// between queries.
+
+CSRGraph graph_of(
+    graph::VertexId n,
+    std::initializer_list<std::pair<graph::VertexId, graph::VertexId>> es) {
+  EdgeList e(n, {}, graph::Directedness::Undirected);
+  for (const auto& [u, v] : es) e.add_edge(u, v);
+  e.symmetrize();
+  return CSRGraph::from_edges(e);
+}
+
+/// Answer `queries` as one epoch at every rank count, hot cache off so every
+/// query is scored afresh, and return the single-rank answers.
+std::vector<QueryAnswer> expect_matches_reference(
+    const CSRGraph& g, std::vector<Query> queries) {
+  std::vector<ServeEpoch> epochs(1);
+  epochs[0].queries = std::move(queries);
+  ServeResult first;
+  for (const std::uint32_t ranks : kRankCounts) {
+    SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+    ServeResult res;
+    expect_parity(g, epochs, ranks, ServeOptions{}, &res);
+    if (ranks == 1) first = std::move(res);
+  }
+  return first.answers;
+}
+
+TEST(ServeAccumulator, ZeroWeightFriendsGiveEmptyAdamicAdar) {
+  // Star: every friend of the center has degree 1, so every Adamic–Adar
+  // weight is 0 and the center has no candidates.
+  const CSRGraph g = graph_of(6, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}});
+  const auto answers = expect_matches_reference(
+      g, {{QueryKind::TopKAdamicAdar, 0, 4},
+          {QueryKind::TopKAdamicAdar, 1, 4},  // via the center: 4 candidates
+          {QueryKind::TopKAdamicAdar, 0, 4}});
+  EXPECT_TRUE(answers[0].topk.empty());
+  EXPECT_EQ(answers[1].topk.size(), 4u);
+  EXPECT_TRUE(answers[2].topk.empty());
+}
+
+TEST(ServeAccumulator, VertexAdjacentToAllOthersHasNoCandidates) {
+  // 0 is adjacent to every vertex, so everything is excluded; the queries
+  // after it need those exclusions cleared again.
+  const CSRGraph g = graph_of(
+      6, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 2}, {2, 3}, {3, 4},
+          {4, 5}});
+  const auto answers = expect_matches_reference(
+      g, {{QueryKind::TopKCommon, 0, 8},
+          {QueryKind::TopKAdamicAdar, 0, 8},
+          {QueryKind::TopKCommon, 1, 8},
+          {QueryKind::TopKAdamicAdar, 1, 8}});
+  EXPECT_TRUE(answers[0].topk.empty());
+  EXPECT_TRUE(answers[1].topk.empty());
+  EXPECT_EQ(answers[2].topk.size(), 3u);  // 3, 4, 5
+  EXPECT_EQ(answers[3].topk.size(), 3u);
+}
+
+TEST(ServeAccumulator, CandidatesAtBothEndsOfTheIdRange) {
+  // Path 0-1-2-3-4 plus 0-3: v = 2's candidates are 0 (two paths) and 4.
+  const CSRGraph g = graph_of(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 3}});
+  std::vector<Query> queries;
+  for (const QueryKind kind :
+       {QueryKind::TopKCommon, QueryKind::TopKAdamicAdar})
+    for (const std::uint32_t k : {1u, 2u, 10u})  // 10 > candidate count
+      queries.push_back({kind, 2, k});
+  const auto answers = expect_matches_reference(g, queries);
+  const std::vector<Recommendation> want{{0, 2.0}, {4, 1.0}};
+  EXPECT_EQ(answers[0].topk, std::vector<Recommendation>{want[0]});
+  EXPECT_EQ(answers[1].topk, want);
+  EXPECT_EQ(answers[2].topk, want);
+  for (std::size_t i = 3; i < 6; ++i) {
+    ASSERT_FALSE(answers[i].topk.empty());
+    EXPECT_EQ(answers[i].topk.front().v, 0u);
+  }
+  EXPECT_EQ(answers[5].topk.size(), 2u);
+}
+
+TEST(ServeAccumulator, BackToBackQueriesOverOverlappingNeighborhoods) {
+  // A hub and its neighbors: consecutive queries share most of their
+  // candidates and exclusions. 3 epochs x 64 queries, 2 in 3 of them top-k
+  // (128 in all, all on one rank at ranks = 1), with LCC queries between
+  // and an update batch after each epoch.
+  const CSRGraph g = rmat_graph(7, 8, 31 + serve_seed());
+  graph::VertexId hub = 0;
+  for (graph::VertexId u = 1; u < g.num_vertices(); ++u)
+    if (g.degree(u) > g.degree(hub)) hub = u;
+  std::vector<graph::VertexId> pool{hub};
+  for (const graph::VertexId f : g.neighbors(hub)) {
+    if (pool.size() == 12) break;
+    pool.push_back(f);
+  }
+  QueryWorkloadConfig wc;
+  wc.num_epochs = 3;
+  wc.batch_size = 32;
+  wc.seed = serve_seed() + 7;
+  std::vector<ServeEpoch> epochs = generate_query_stream(g, wc);
+  std::size_t topk_queries = 0;
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    std::vector<Query>& queries = epochs[e].queries;
+    queries.clear();
+    for (std::size_t i = 0; i < 64; ++i) {
+      const auto kind = static_cast<QueryKind>(i % 3);
+      const graph::VertexId v = pool[(i * 5 + e) % pool.size()];
+      queries.push_back({kind, v, static_cast<std::uint32_t>(1 + i % 12)});
+      if (kind != QueryKind::Lcc) ++topk_queries;
+    }
+  }
+  ASSERT_GT(topk_queries, 100u);
+  for (const std::uint32_t ranks : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+    ServeResult res;
+    expect_parity(g, epochs, ranks, ServeOptions{}, &res);
+    std::size_t nonempty = 0;
+    for (const QueryAnswer& a : res.answers) nonempty += !a.topk.empty();
+    EXPECT_GT(nonempty, topk_queries / 2);
   }
 }
 
