@@ -59,10 +59,14 @@ struct CacheStats {
   /// were fetched at (dynamic graphs: a refresh_window invalidated them).
   /// A stale probe is served as a miss, never as a hit.
   std::uint64_t stale_evictions = 0;
-  std::uint64_t insert_failures = 0;  ///< entry larger than the whole buffer
-  /// UserScore policy: inserts skipped because the incoming entry scored
-  /// lower than every eviction candidate (paper Section III-B2: "avoid
-  /// storing a high number of low-degree vertices").
+  /// Inserts refused outright: a zero-byte key, or an entry larger than
+  /// the whole buffer.
+  std::uint64_t insert_failures = 0;
+  /// UserScore policy: inserts skipped because the incoming entry scored no
+  /// higher than what it would displace (ties reject) — the conflict victim
+  /// of a full probe window, the lowest-scored resident in make_room's
+  /// phase 1, or the cheapest contiguous run in its phase 2 (paper Section
+  /// III-B2: "avoid storing a high number of low-degree vertices").
   std::uint64_t admission_rejects = 0;
   std::uint64_t flushes = 0;
   std::uint64_t hash_resizes = 0;

@@ -6,6 +6,8 @@
 #include <optional>
 #include <vector>
 
+#include "atlc/util/check.hpp"
+
 namespace atlc::clampi {
 
 /// Layout of the cache's memory buffer.
@@ -22,6 +24,15 @@ namespace atlc::clampi {
 /// order, which fixes which of several equally good blocks best fit picks.
 /// External fragmentation (free space split into unusably small pieces) is
 /// exactly the failure mode the positional eviction score mitigates.
+///
+/// A scored FreeSpace (the UserScore cache's) also records each occupied
+/// block's fixed score and keeps a gate index: a binary min-heap of the free
+/// blocks keyed by their successor's score (+inf for the last block). Free
+/// blocks coalesce, so a free block's successor is occupied, and a run that
+/// starts at a free block F and needs more than F's bytes costs at least
+/// F's key. any_run_below uses that to decide whether any run costs less
+/// than a newcomer by walking only the runs whose first entry does, which
+/// is how the cache rejects most admissions without the full run search.
 class FreeSpace {
  public:
   /// Owner of a free block.
@@ -38,17 +49,29 @@ class FreeSpace {
     std::int32_t owner = kFree;  ///< occupying entry's pool index, or kFree
     Handle prev = kNone;         ///< neighbour at the lower offset
     Handle next = kNone;         ///< neighbour at the higher offset
+    /// Position in the gate index (free blocks of a scored FreeSpace only).
+    /// It sits in what would otherwise be padding.
+    std::uint32_t gate_pos = 0;
     /// Position in the by-size index (free blocks only).
     std::multimap<std::uint64_t, Handle>::iterator by_size{};
   };
+#if defined(__LP64__)
+  // The offsets cache holds tens of thousands of blocks per rank, so every
+  // byte added here shows up in the benchmark's peak_rss_mb.
+  static_assert(sizeof(Block) <= 40, "FreeSpace::Block must stay 40 bytes");
+#endif
 
-  explicit FreeSpace(std::uint64_t capacity);
+  /// `scored`: record each occupied block's score and keep the gate index
+  /// that any_run_below reads.
+  explicit FreeSpace(std::uint64_t capacity, bool scored = false);
 
   /// Best-fit allocation of `bytes` for the entry with pool index `owner`
-  /// (never kFree). Returns the new block's handle, or nullopt if `bytes` is
-  /// 0 or no single free block can hold `bytes` (even if total_free() >=
-  /// bytes — that is external fragmentation).
-  std::optional<Handle> allocate(std::uint64_t bytes, std::int32_t owner);
+  /// (never kFree) and fixed score `score` (kept only if scored). Returns
+  /// the new block's handle, or nullopt if `bytes` is 0 or no single free
+  /// block can hold `bytes` (even if total_free() >= bytes — that is
+  /// external fragmentation).
+  std::optional<Handle> allocate(std::uint64_t bytes, std::int32_t owner,
+                                 double score = 0.0);
 
   /// Free the occupied block `h`, coalescing it with free neighbours. `h` is
   /// dead afterwards.
@@ -85,6 +108,17 @@ class FreeSpace {
   std::optional<double> cheapest_run(std::uint64_t bytes, Cost&& cost,
                                      std::vector<std::int32_t>& victims);
 
+  /// Scored FreeSpace only: whether some run cheapest_run considers costs
+  /// less than `s`, i.e. whether cheapest_run(bytes, cost, ·) would return a
+  /// cost below `s`, given that `cost` returns each occupied block's
+  /// recorded score. Exact, without walking the whole layout: it tries the
+  /// first block if occupied, then only the free blocks keyed below `s`,
+  /// each walked forward until its run spans `bytes` (pass) or reaches an
+  /// entry costing `s` or more (fail). `cost` is called for every occupied
+  /// block a walk visits.
+  template <typename Cost>
+  bool any_run_below(std::uint64_t bytes, double s, Cost&& cost);
+
   /// Drop everything and return to a single free block.
   void reset();
 
@@ -92,6 +126,10 @@ class FreeSpace {
   struct Ranked {
     Handle block;
     double cost;
+  };
+  struct GateNode {
+    double key;  ///< the score of the block after `block`, or +inf
+    Handle block;
   };
 
   /// A fresh pool slot (recycled if one is spare). May reallocate blocks_.
@@ -101,13 +139,31 @@ class FreeSpace {
   /// Mark `h` free and enter it in the by-size index.
   void index_free(Handle h);
 
+  // The gate index (scored only). A free block's key is gate_key(h).
+  [[nodiscard]] double gate_key(Handle h) const;
+  void gate_push(Handle h);
+  void gate_erase(Handle h);
+  /// `to` takes over `from`'s slot and key.
+  void gate_move(Handle from, Handle to);
+  /// Re-read `h`'s key after its successor changed.
+  void gate_rekey(Handle h);
+  void gate_set(std::size_t i, GateNode n);
+  /// Restore the heap order around slot `i`.
+  void gate_fix(std::size_t i);
+  void gate_sift_up(std::size_t i);
+  void gate_sift_down(std::size_t i);
+
   std::uint64_t capacity_;
+  bool scored_;
   std::uint64_t total_free_ = 0;
   std::vector<Block> blocks_;
   std::vector<Handle> spare_;  ///< dead pool slots
   Handle head_ = kNone;
   std::multimap<std::uint64_t, Handle> by_size_;  // size -> free block
   std::vector<Ranked> window_max_;  ///< cheapest_run's deque (scratch)
+  std::vector<double> score_;       ///< occupied block -> score (if scored)
+  std::vector<GateNode> gate_;      ///< gate index: min-heap on key
+  std::vector<std::size_t> gate_dfs_;  ///< any_run_below's stack (scratch)
 };
 
 template <typename Cost>
@@ -163,6 +219,38 @@ std::optional<double> FreeSpace::cheapest_run(
     if (blocks_[h].owner != kFree) victims.push_back(blocks_[h].owner);
   }
   return best;
+}
+
+template <typename Cost>
+bool FreeSpace::any_run_below(std::uint64_t bytes, double s, Cost&& cost) {
+  ATLC_DCHECK(scored_, "any_run_below needs a scored FreeSpace");
+  if (s <= 0.0) return false;  // every run costs at least 0
+  if (largest_free() >= bytes) return true;  // a free block alone costs 0
+  const auto passes = [&](Handle h) {
+    std::uint64_t span = 0;
+    for (; h != kNone; h = blocks_[h].next) {
+      const Block& b = blocks_[h];
+      if (b.owner != kFree && cost(b.owner, h) >= s) return false;
+      if ((span += b.bytes) >= bytes) return true;
+    }
+    return false;
+  };
+  if (head_ != kNone && blocks_[head_].owner != kFree && passes(head_))
+    return true;
+  // Every other run starts at a free block, which is smaller than `bytes`,
+  // so it contains the entry after that block: only starts keyed below `s`
+  // can pass, and a heap node keyed at `s` or more has no such descendant.
+  gate_dfs_.clear();
+  if (!gate_.empty()) gate_dfs_.push_back(0);
+  while (!gate_dfs_.empty()) {
+    const std::size_t i = gate_dfs_.back();
+    gate_dfs_.pop_back();
+    if (gate_[i].key >= s) continue;
+    if (passes(gate_[i].block)) return true;
+    for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < gate_.size(); ++c)
+      gate_dfs_.push_back(c);
+  }
+  return false;
 }
 
 }  // namespace atlc::clampi

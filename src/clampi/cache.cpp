@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "atlc/util/check.hpp"
 #include "atlc/util/rng.hpp"
@@ -27,7 +28,7 @@ std::uint64_t key_hash(const Key& k) {
 
 Cache::Cache(CacheConfig config)
     : config_(config),
-      free_(config.buffer_bytes),
+      free_(config.buffer_bytes, config.policy == VictimPolicy::UserScore),
       slots_(std::max<std::size_t>(1, config.hash_slots), kEmpty) {
   ATLC_CHECK(config_.probe_limit > 0, "probe_limit must be positive");
 }
@@ -222,16 +223,25 @@ bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
   // higher-ranked resident is never sacrificed for a lower-ranked newcomer
   // (this is what keeps hub entries from thrashing each other).
   const bool by_score = config_.policy == VictimPolicy::UserScore;
-  const std::optional<double> cost = free_.cheapest_run(
-      bytes,
-      [&](std::int32_t owner, FreeSpace::Handle block) {
-        const Entry& e = pool_[owner];
-        ATLC_CHECK(e.live && e.block == block,
-                   "cache buffer layout corrupted");
-        return by_score ? e.user_score : static_cast<double>(e.last_tick);
-      },
-      victims_);
-  if (!cost || (by_score && *cost >= incoming_score)) return false;
+  const auto cost = [&](std::int32_t owner, FreeSpace::Handle block) {
+    const Entry& e = pool_[owner];
+    ATLC_CHECK(e.live && e.block == block, "cache buffer layout corrupted");
+    return by_score ? e.user_score : static_cast<double>(e.last_tick);
+  };
+  // Most UserScore calls end in a reject here. The gate index decides
+  // whether any run costs less than the newcomer without the full search
+  // (exact: see FreeSpace); Debug builds check it against that search.
+  const bool gate_open =
+      !by_score || free_.any_run_below(bytes, incoming_score, cost);
+  ATLC_DCHECK(!by_score ||
+                  gate_open ==
+                      (free_.cheapest_run(bytes, cost, victims_)
+                           .value_or(std::numeric_limits<double>::infinity()) <
+                       incoming_score),
+              "phase-2 gate index disagrees with the run search");
+  if (!gate_open) return false;
+  const std::optional<double> run = free_.cheapest_run(bytes, cost, victims_);
+  if (!run || (by_score && *run >= incoming_score)) return false;
   for (const std::int32_t v : victims_) evict(v, GoneReason::EvictedSpace);
   return free_.largest_free() >= bytes;
 }
@@ -300,7 +310,7 @@ bool Cache::insert(const Key& key, double user_score) {
     pool_.emplace_back();
   }
   const std::optional<FreeSpace::Handle> block =
-      free_.allocate(key.bytes, idx);
+      free_.allocate(key.bytes, idx, user_score);
   ATLC_CHECK(block.has_value(), "make_room must enable the allocation");
   Entry& e = pool_[idx];
   e.key = key;

@@ -1,13 +1,16 @@
 // Tests for the CLaMPI-style cache: free-space management (against a map
-// model) and the one-pass run search (against the per-start scan), hash
-// index, victim selection (LRU+positional and user scores), miss
-// classification, epoch invalidation, adaptive resizing, the CachedWindow
-// integration and its zero-copy hits, and a golden digest pinning every
-// admission and eviction decision.
+// model), the one-pass run search (against the per-start scan) and the
+// gate index (against the run search), hash index, victim selection
+// (LRU+positional and user scores), miss classification, epoch
+// invalidation, adaptive resizing, the CachedWindow integration and its
+// zero-copy hits, and a golden digest pinning every admission and eviction
+// decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -393,6 +396,78 @@ TEST(FreeSpace, OnePassRunSearchMatchesPerStartScan) {
     }
   }
   EXPECT_GT(runs_found, 1000);
+}
+
+/// The gate index against the run search it stands in for. Seeded
+/// allocate/release histories through a scored FreeSpace, with scores from
+/// five values including negatives (heavy ties), are queried part-way
+/// through and at the end. At each query point every request size from 1
+/// byte to the capacity meets every newcomer score that can flip the
+/// answer (0 and below, each score present, and just above each), and
+/// any_run_below must equal "cheapest_run costs less than s".
+TEST(FreeSpace, GateQueryMatchesCheapestRun) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Xoshiro256 rng(1719);
+  std::vector<std::int32_t> victims;
+  int head_free = 0, head_occupied = 0, last_free = 0;
+  int walked_passes = 0, walked_fails = 0;
+  for (int layout_no = 0; layout_no < 120; ++layout_no) {
+    const std::uint64_t capacity = 64 + rng.next_below(192);
+    FreeSpace fs(capacity, /*scored=*/true);
+    std::vector<Handle> live;
+    std::vector<double> score;  // owner -> score
+    const int ops = 10 + static_cast<int>(rng.next_below(80));
+    for (int op = 0; op < ops; ++op) {
+      if (live.empty() || rng.next_below(5) < 3) {
+        const auto owner = static_cast<std::int32_t>(score.size());
+        score.push_back(static_cast<double>(rng.next_below(5)) - 1.0);
+        if (const auto h = fs.allocate(1 + rng.next_below(capacity / 6), owner,
+                                       score.back()))
+          live.push_back(*h);
+      } else {
+        const std::size_t i = rng.next_below(live.size());
+        fs.release(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+      if (op + 1 != ops && rng.next_below(6) != 0) continue;
+
+      const std::vector<Triple> layout = blocks(fs);
+      head_free += std::get<2>(layout.front()) == kFree;
+      head_occupied += std::get<2>(layout.front()) != kFree;
+      last_free += std::get<2>(layout.back()) == kFree;
+      std::vector<double> gates = {-1.0, 0.0};
+      for (const auto& [offset, bytes, owner] : layout) {
+        if (owner == kFree) continue;
+        const double sc = score[static_cast<std::size_t>(owner)];
+        gates.push_back(sc);
+        gates.push_back(std::nextafter(sc, kInf));
+      }
+      std::sort(gates.begin(), gates.end());
+      gates.erase(std::unique(gates.begin(), gates.end()), gates.end());
+      const auto cost = [&](std::int32_t owner, Handle h) {
+        EXPECT_EQ(fs.block(h).owner, owner);
+        return score[static_cast<std::size_t>(owner)];
+      };
+      for (std::uint64_t bytes = 1; bytes <= capacity; ++bytes) {
+        const double cheapest =
+            fs.cheapest_run(bytes, cost, victims).value_or(kInf);
+        for (const double s : gates) {
+          const bool want = cheapest < s;
+          ASSERT_EQ(fs.any_run_below(bytes, s, cost), want)
+              << "layout " << layout_no << " op " << op << " bytes " << bytes
+              << " s " << s;
+          if (s > 0.0 && fs.largest_free() < bytes)
+            ++(want ? walked_passes : walked_fails);
+        }
+      }
+    }
+  }
+  EXPECT_GT(head_free, 100);
+  EXPECT_GT(head_occupied, 300);
+  EXPECT_GT(last_free, 300);
+  EXPECT_GT(walked_passes, 50000);
+  EXPECT_GT(walked_fails, 50000);
 }
 
 // ------------------------------------------------------------- Cache core ---
@@ -1005,6 +1080,10 @@ std::uint64_t decision_digest(VictimPolicy policy) {
   EXPECT_GT(s.evictions_conflict, 0u);
   EXPECT_GT(s.stale_evictions, 0u);
   EXPECT_EQ(s.hash_resizes, 1u);
+  // The admission gate, phase 2's included, is part of what it pins.
+  if (policy == VictimPolicy::UserScore) {
+    EXPECT_GT(s.admission_rejects, 0u);
+  }
   return d.state;
 }
 
