@@ -13,8 +13,9 @@
 // and run_segments() are thin adapters over the same loop. LCC, global TC
 // and the similarity measures are kernels over this engine that price
 // their intersections through one per-rank intersect::Intersector
-// (make_intersector); `run_edge_analytic` deduplicates the
-// partition/SPMD-launch/stats-aggregation boilerplate around it.
+// (make_intersector); `run_edge_analytic` is the one launcher around it
+// (partition, SPMD launch, teardown, stats aggregation) for every engine
+// run, the streaming and serving drivers included.
 // DESIGN.md §6 documents the kernel concept, the item source, the ring
 // lifetime rules, and how depth interacts with the NIC-serialisation model.
 
@@ -70,12 +71,12 @@ concept SegmentKernel =
 struct PipelineRankStats {
   std::uint64_t edges_processed = 0;
   std::uint64_t remote_edges = 0;  ///< edges whose neighbor list was remote
-  /// Rank virtual clock when its compute phase ended, BEFORE the teardown
-  /// barrier equalised the clocks (run_edge_analytic fills it). Drivers
-  /// whose phases end in barriers (stream, serve) record the final clock
-  /// less RankCtx::sync_wait(). This is the number load-imbalance metrics
-  /// must use: Runtime::Result::clocks are post-barrier and therefore
-  /// identical across ranks.
+  /// Rank busy time at the end of its body: the virtual clock less the
+  /// time it waited at collectives for slower ranks (RankCtx::sync_wait),
+  /// recorded before the teardown barrier (run_edge_analytic fills it).
+  /// This is the number load-imbalance metrics must use:
+  /// Runtime::Result::clocks are post-barrier and therefore identical
+  /// across ranks.
   double busy_seconds = 0.0;
   clampi::CacheStats offsets_cache;  ///< zeroed when caching is off
   clampi::CacheStats adj_cache;
@@ -98,7 +99,7 @@ struct EdgeAnalyticStats {
   std::vector<clampi::CacheStats> adj_cache_ranks;
   std::uint64_t edges_processed = 0;
   std::uint64_t remote_edges = 0;  ///< edges whose neighbor list was remote
-  std::vector<double> busy_clocks;  ///< per-rank pre-barrier virtual clocks
+  std::vector<double> busy_clocks;  ///< per-rank busy_seconds
   std::vector<std::uint64_t> remote_reads;  ///< per global vertex, optional
   std::vector<clampi::EntryInfo> adj_cache_entries;  ///< all ranks, optional
 
@@ -115,8 +116,8 @@ struct EdgeAnalyticStats {
                : 0.0;
   }
 
-  /// Load imbalance of the compute phase: max over mean of the per-rank
-  /// pre-barrier clocks (1.0 = perfectly balanced; the D7 and `skew`
+  /// Load imbalance of the run: max over mean of the per-rank busy
+  /// clocks (1.0 = perfectly balanced; the D7 and `skew`
   /// scenarios report it). 1.0 when clocks were not recorded.
   [[nodiscard]] double imbalance() const;
 
@@ -300,16 +301,20 @@ class EdgePipeline {
 };
 
 /// A rank body for run_edge_analytic: runs the analytic's kernel(s) through
-/// the pipeline and records this rank's outputs.
+/// the pipeline and records this rank's outputs. The graph is mutable so
+/// dynamic bodies (stream batches, serve updates) can apply edge updates
+/// to the rank's rows between passes.
 template <typename B>
 concept EdgeAnalyticBody =
-    std::invocable<B&, rma::RankCtx&, const DistGraph&, EdgePipeline&>;
+    std::invocable<B&, rma::RankCtx&, DistGraph&, EdgePipeline&>;
 
-/// The one driver every edge analytic shares: partition `g` over `ranks`
+/// The one launcher of every engine run: partition `g` over `ranks`
 /// simulated ranks, launch the SPMD region, build the rank-local graph and
-/// its pipeline, run `body`, and aggregate the per-rank pipeline counters
-/// identically for every analytic (this symmetry is load-bearing: Jaccard
-/// historically dropped offsets-cache stats and remote-read tracking).
+/// its pipeline (span `build_graph`), run `body` (span `pipeline`), record
+/// each rank's busy clock, synchronise once at teardown, and aggregate the
+/// per-rank pipeline counters identically for every analytic (this
+/// symmetry is load-bearing: Jaccard historically dropped offsets-cache
+/// stats and remote-read tracking).
 template <EdgeAnalyticBody Body>
 [[nodiscard]] EdgeAnalyticStats run_edge_analytic(
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config,
@@ -333,7 +338,7 @@ template <EdgeAnalyticBody Body>
   opts.trace = config.trace;
   out.run = rma::Runtime::run(opts, [&](rma::RankCtx& ctx) {
     ctx.tracer().begin("build_graph");
-    const DistGraph dg =
+    DistGraph dg =
         build_dist_graph(ctx, g, partition, &hub_replica, config.slice_source);
     EdgePipeline pipeline(ctx, dg, config);
     ctx.tracer().end("build_graph");
@@ -341,7 +346,7 @@ template <EdgeAnalyticBody Body>
     body(ctx, dg, pipeline);
     ctx.tracer().end("pipeline");
     rank_stats[ctx.rank()] = pipeline.harvest();
-    rank_stats[ctx.rank()].busy_seconds = ctx.now();
+    rank_stats[ctx.rank()].busy_seconds = ctx.now() - ctx.sync_wait();
     ctx.barrier();  // end-of-epoch synchronisation (teardown only)
   });
 

@@ -116,7 +116,7 @@ class RankCtx {
   /// Virtual seconds this rank has waited at collectives for slower ranks
   /// to arrive (the clock alignment, not the collectives' own cost).
   /// now() - sync_wait() is the rank's busy time: the load-imbalance input
-  /// of drivers whose phases end in barriers.
+  /// (core::run_edge_analytic records it per rank).
   [[nodiscard]] double sync_wait() const { return sync_wait_; }
   /// Charge locally-measured computation to the virtual clock.
   void charge_compute(double seconds);

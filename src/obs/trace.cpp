@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "atlc/util/check.hpp"
+#include "atlc/util/json.hpp"
 
 namespace atlc::obs {
 
@@ -165,27 +166,11 @@ double TraceCollector::track_total(std::uint32_t rank, const char* cat) const {
 
 namespace {
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 void append_kv(std::string& out, const char* key, const char* value) {
   out.push_back('"');
   out += key;
   out += "\":\"";
-  append_escaped(out, value);
+  out += util::json_escape(value);
   out.push_back('"');
 }
 
@@ -235,7 +220,7 @@ void append_event(std::string& out, const TraceEvent& e, std::uint32_t tid) {
       if (!first) out += ",";
       first = false;
       out.push_back('"');
-      append_escaped(out, a->key);
+      out += util::json_escape(a->key);
       out += "\":";
       out += std::to_string(a->value);
     }

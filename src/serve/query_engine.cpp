@@ -7,7 +7,6 @@
 #include "atlc/core/dist_graph.hpp"
 #include "atlc/core/edge_pipeline.hpp"
 #include "atlc/core/similarity.hpp"
-#include "atlc/graph/hub_replica.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/intersect/intersect.hpp"
 #include "atlc/stream/batch_applier.hpp"
@@ -226,15 +225,8 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
              "segment ownership is not plumbed through the query kernels");
   const core::EngineConfig& cfg = options_.engine;
 
-  const graph::Partition partition =
-      graph::make_partition(g, options_.partition, ranks);
-  const graph::HubReplica hub_proto =
-      graph::HubReplica::build(g, cfg.hub_fraction);
-
   ServeResult out;
   out.epochs.resize(epochs.size());
-  if (cfg.track_remote_reads)
-    out.stats.remote_reads.assign(g.num_vertices(), 0);
 
   // Identity fields and admission verdicts are a pure function of the
   // input stream — computed once here, identically for every rank count,
@@ -258,22 +250,13 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
     }
   }
 
-  std::vector<core::PipelineRankStats> rank_stats(ranks);
   out.hot_cache_ranks.resize(ranks);
   std::vector<core::QueryCost> costs(total);
 
-  rma::Runtime::Options ropts;
-  ropts.ranks = ranks;
-  ropts.net = options_.net;
-  ropts.trace = cfg.trace;
-  out.stats.run = rma::Runtime::run(ropts, [&](rma::RankCtx& ctx) {
-    ctx.tracer().begin("build_graph");
-    core::DistGraph dg =
-        core::build_dist_graph(ctx, g, partition, &hub_proto,
-                               cfg.slice_source);
-    core::EdgePipeline pipeline(ctx, dg, cfg);
+  const auto body = [&](rma::RankCtx& ctx, core::DistGraph& dg,
+                        core::EdgePipeline& pipeline) {
+    const graph::Partition& partition = dg.partition;
     ctx.barrier();  // align clocks: everything before here is build cost
-    ctx.tracer().end("build_graph");
     if (ctx.rank() == 0) out.build_makespan = ctx.now();
 
     stream::BatchApplier applier(ctx, dg, cfg);
@@ -368,16 +351,12 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
       id_base += ep.queries.size();
     }
 
-    rank_stats[ctx.rank()] = pipeline.harvest();
-    rank_stats[ctx.rank()].busy_seconds = ctx.now() - ctx.sync_wait();
     out.hot_cache_ranks[ctx.rank()] = hot.stats();
     if (ctx.rank() == 0)
       out.serve_makespan = ctx.now() - out.build_makespan;
-    ctx.barrier();  // teardown synchronisation
-  });
-
-  for (core::PipelineRankStats& rs : rank_stats)
-    out.stats.absorb(std::move(rs));
+  };
+  static_cast<core::EdgeAnalyticStats&>(out.stats) = core::run_edge_analytic(
+      g, ranks, cfg, options_.net, options_.partition, body);
   for (const HotCacheStats& h : out.hot_cache_ranks) out.hot_cache_total += h;
 
   out.stats.submitted = total;

@@ -21,11 +21,6 @@ StreamResult run_streaming_lcc(const graph::CSRGraph& g,
              "plumbed through it yet (BatchApplier itself is segment-aware)");
   const core::EngineConfig& cfg = options.engine;
 
-  const graph::Partition partition =
-      graph::make_partition(g, options.partition, ranks);
-  const graph::HubReplica hub_proto =
-      graph::HubReplica::build(g, cfg.hub_fraction);
-
   StreamResult out;
   out.triangles.assign(g.num_vertices(), 0);
   out.lcc.assign(g.num_vertices(), 0.0);
@@ -37,17 +32,10 @@ StreamResult run_streaming_lcc(const graph::CSRGraph& g,
     }
   }
 
-  std::vector<core::PipelineRankStats> rank_stats(ranks);
-
-  rma::Runtime::Options ropts;
-  ropts.ranks = ranks;
-  ropts.net = options.net;
-  ropts.trace = cfg.trace;
-  out.run = rma::Runtime::run(ropts, [&](rma::RankCtx& ctx) {
+  const auto body = [&](rma::RankCtx& ctx, core::DistGraph& dg,
+                        core::EdgePipeline& pipeline) {
+    const graph::Partition& partition = dg.partition;
     ctx.tracer().begin("cold_count");
-    core::DistGraph dg = core::build_dist_graph(ctx, g, partition, &hub_proto);
-    core::EdgePipeline pipeline(ctx, dg, cfg);
-
     // Cold start: the standard static pass seeds per-vertex t(v)/LCC and
     // warms the CLaMPI caches the batches will (epoch-permitting) reuse.
     core::RankResult rr = core::compute_lcc_rank(ctx, dg, cfg, pipeline);
@@ -145,11 +133,9 @@ StreamResult run_streaming_lcc(const graph::CSRGraph& g,
       out.global_triangles = global_triangles;
       out.stream_makespan = mark - out.initial_makespan;
     }
-    rank_stats[ctx.rank()] = pipeline.harvest();
-    rank_stats[ctx.rank()].busy_seconds = ctx.now() - ctx.sync_wait();
-  });
-
-  for (core::PipelineRankStats& rs : rank_stats) out.absorb(std::move(rs));
+  };
+  static_cast<core::EdgeAnalyticStats&>(out) = core::run_edge_analytic(
+      g, ranks, cfg, options.net, options.partition, body);
   return out;
 }
 

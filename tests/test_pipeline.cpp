@@ -550,6 +550,27 @@ TEST(AnalyticStats, PerRankCountersSumToTotalsForEveryAnalytic) {
   EXPECT_GT(grid.run.total().segment_gets, 0u);
 }
 
+TEST(AnalyticStats, LauncherBusyClockExcludesCollectiveWaits) {
+  // Rank r computes (r + 1) ms, waits at a barrier for the slowest rank,
+  // then computes 2 ms more. Its busy clock is the compute alone, so the
+  // ranks differ by exactly their pre-barrier work; the post-barrier
+  // clock would be equal on every rank.
+  constexpr std::uint32_t kRanks = 4;
+  const EdgeAnalyticStats s = run_edge_analytic(
+      paper_example(), kRanks, EngineConfig{}, rma::NetworkModel{},
+      graph::PartitionKind::Block1D,
+      [](rma::RankCtx& ctx, DistGraph&, EdgePipeline&) {
+        ctx.charge_compute(1e-3 * (ctx.rank() + 1));
+        ctx.barrier();
+        ctx.charge_compute(2e-3);
+      });
+  ASSERT_EQ(s.busy_clocks.size(), kRanks);
+  for (std::uint32_t r = 0; r < kRanks; ++r)
+    EXPECT_NEAR(s.busy_clocks[r] - s.busy_clocks[0], 1e-3 * r, 1e-12)
+        << "rank " << r;
+  EXPECT_GT(s.imbalance(), 1.0);
+}
+
 TEST(AnalyticStats, ServeQueryStatsAggregateLikeEdgeAnalytics) {
   // QueryStats derives from EdgeAnalyticStats precisely so the audit above
   // runs on the serving layer unchanged: a counter added to CommStats or

@@ -7,6 +7,7 @@
 // served (stale_evictions observed instead).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -371,6 +372,54 @@ TEST(Stream, ResultsIndependentOfRankCountAndPartition) {
       EXPECT_EQ(r.global_triangles, base.global_triangles);
     }
   }
+}
+
+// ---------------------------------------------------------- slice source ---
+
+/// Slices the in-memory CSR exactly as build_dist_graph does for 1D
+/// partitions, and counts how often the engine asked it to.
+class CountingSliceSource final : public core::LocalSliceSource {
+ public:
+  explicit CountingSliceSource(const CSRGraph& g) : g_(&g) {}
+
+  void read_slice(const graph::Partition& partition, std::uint32_t rank,
+                  std::vector<graph::EdgeIndex>& offsets,
+                  std::vector<VertexId>& adjacencies) const override {
+    ++calls_;
+    offsets.assign(1, 0);
+    adjacencies.clear();
+    for (VertexId lv = 0; lv < partition.part_size(rank); ++lv) {
+      const auto row = g_->neighbors(partition.global_id(rank, lv));
+      adjacencies.insert(adjacencies.end(), row.begin(), row.end());
+      offsets.push_back(adjacencies.size());
+    }
+  }
+
+  [[nodiscard]] int calls() const { return calls_.load(); }
+
+ private:
+  const CSRGraph* g_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST(Stream, HonoursEngineSliceSource) {
+  const CSRGraph g = testsupport::rmat_graph(7, 6, 56);
+  stream::WorkloadConfig wl;
+  wl.num_batches = 3;
+  wl.batch_size = 32;
+  wl.seed = 11;
+  const auto batches = stream::generate_batches(g, wl);
+  constexpr std::uint32_t kRanks = 4;
+  auto opts = make_opts(g, true, graph::PartitionKind::Cyclic1D);
+  const auto base = stream::run_streaming_lcc(g, batches, kRanks, opts);
+
+  const CountingSliceSource slices(g);
+  opts.engine.slice_source = &slices;
+  const auto r = stream::run_streaming_lcc(g, batches, kRanks, opts);
+  EXPECT_EQ(slices.calls(), static_cast<int>(kRanks));
+  EXPECT_EQ(r.triangles, base.triangles);
+  EXPECT_EQ(r.lcc, base.lcc);
+  EXPECT_EQ(r.global_triangles, base.global_triangles);
 }
 
 // ------------------------------------------------------- update utilities ---
