@@ -70,10 +70,10 @@ const graph::CSRGraph& ScenarioContext::graph_or_file(
 }
 
 core::RunResult ScenarioContext::run_lcc_trials(
-    const std::string& metric, bool gate, const graph::CSRGraph& g,
+    const std::string& metric, const graph::CSRGraph& g,
     std::uint32_t ranks, core::EngineConfig cfg,
     graph::PartitionKind partition) const {
-  rec.declare_metric(metric, {.unit = "s", .gate = gate});
+  rec.declare_metric(metric, {.unit = "s"});
   cfg.cost = cost();
   core::RunResult last;
   for (std::size_t trial = 0; trial < std::max<std::size_t>(1, repeats);
@@ -85,7 +85,6 @@ core::RunResult ScenarioContext::run_lcc_trials(
     cfg.trace = phase_breakdown ? &trace : nullptr;
     auto r = core::run_distributed_lcc(g, ranks, cfg, {}, partition);
     util::Json detail = util::Json::object();
-    detail["wall_seconds"] = r.run.wall_seconds;
     detail["global_triangles"] = r.global_triangles;
     detail["remote_edge_fraction"] = r.remote_edge_fraction();
     detail["comm"] = util::to_json(r.run.total());
@@ -105,16 +104,15 @@ core::RunResult ScenarioContext::run_lcc_trials(
 }
 
 tric::TricResult ScenarioContext::run_tric_trials(
-    const std::string& metric, bool gate, const graph::CSRGraph& g,
+    const std::string& metric, const graph::CSRGraph& g,
     std::uint32_t ranks, tric::TricConfig cfg) const {
-  rec.declare_metric(metric, {.unit = "s", .gate = gate});
+  rec.declare_metric(metric, {.unit = "s"});
   cfg.cost = cost();
   tric::TricResult last;
   for (std::size_t trial = 0; trial < std::max<std::size_t>(1, repeats);
        ++trial) {
     auto r = tric::run_tric(g, ranks, cfg);
     util::Json detail = util::Json::object();
-    detail["wall_seconds"] = r.run.wall_seconds;
     detail["comm"] = util::to_json(r.run.total());
     rec.add_trial(metric, r.run.makespan, std::move(detail));
     last = std::move(r);

@@ -33,8 +33,8 @@ void run(bench::ScenarioContext& ctx) {
       core::EngineConfig cfg;
       cfg.method = m;
       const auto r = ctx.run_lcc_trials(
-          std::string("makespan/method/") + intersect::method_name(m),
-          m == intersect::Method::Hybrid, g, ranks, cfg);
+          std::string("makespan/method/") + intersect::method_name(m), g,
+          ranks, cfg);
       t.add_row({intersect::method_name(m),
                  util::Table::fmt(r.run.makespan, 4)});
     }
@@ -48,10 +48,10 @@ void run(bench::ScenarioContext& ctx) {
     core::EngineConfig on, off;  // on: the default depth 2
     off.pipeline_depth = 1;
     const double t_on =
-        ctx.run_lcc_trials("makespan/overlap/on", false, g, ranks, on)
+        ctx.run_lcc_trials("makespan/overlap/on", g, ranks, on)
             .run.makespan;
     const double t_off =
-        ctx.run_lcc_trials("makespan/overlap/off", false, g, ranks, off)
+        ctx.run_lcc_trials("makespan/overlap/off", g, ranks, off)
             .run.makespan;
     t.add_row({"double-buffered (overlap)", util::Table::fmt(t_on, 4)});
     t.add_row({"no overlap", util::Table::fmt(t_off, 4)});
@@ -75,7 +75,7 @@ void run(bench::ScenarioContext& ctx) {
       const bool block = kind == graph::PartitionKind::Block1D;
       const auto r = ctx.run_lcc_trials(
           std::string("makespan/partition/") + (block ? "block1d" : "cyclic1d"),
-          false, g, ranks, {}, kind);
+          g, ranks, {}, kind);
       t.add_row({block ? "Block 1D (paper)" : "Cyclic 1D [26]",
                  util::Table::fmt(r.run.makespan, 4),
                  util::Table::fmt(r.imbalance(), 3)});
@@ -96,8 +96,8 @@ void run(bench::ScenarioContext& ctx) {
           g.num_vertices(), g.csr_bytes() / 4);
       cfg.cache_sizing.adj_slots = 64;
       const auto r = ctx.run_lcc_trials(
-          std::string("makespan/adaptive/") + (adaptive ? "on" : "off"),
-          false, g, ranks, cfg);
+          std::string("makespan/adaptive/") + (adaptive ? "on" : "off"), g,
+          ranks, cfg);
       t.add_row({adaptive ? "adaptive resize (CLaMPI)" : "static hash table",
                  util::Table::fmt(r.run.makespan, 4)});
     }

@@ -71,7 +71,7 @@ void run(bench::ScenarioContext& ctx) {
 
       const std::string metric =
           std::string("makespan/") + gtag + "/" + arm.tag;
-      ctx.rec.declare_metric(metric, {.unit = "s", .gate = true});
+      ctx.rec.declare_metric(metric, {.unit = "s"});
       core::RunResult r;
       for (std::size_t trial = 0; trial < std::max<std::size_t>(1, ctx.repeats);
            ++trial) {
@@ -89,8 +89,7 @@ void run(bench::ScenarioContext& ctx) {
       // deterministic count — gate it alongside the makespan.
       const std::string edges_metric =
           std::string("edges_processed/") + gtag + "/" + arm.tag;
-      ctx.rec.declare_metric(edges_metric,
-                             {.unit = "edges", .gate = true});
+      ctx.rec.declare_metric(edges_metric, {.unit = "edges"});
       ctx.rec.add_trial(edges_metric,
                         static_cast<double>(r.edges_processed));
 

@@ -22,7 +22,7 @@ void run(bench::ScenarioContext& ctx) {
   cfg.cache_sizing = core::CacheSizing::paper_default(
       g.num_vertices(), g.csr_bytes());  // ample cache: keep everything seen
   const auto result =
-      ctx.run_lcc_trials("makespan/cached_ample", true, g, 2, cfg);
+      ctx.run_lcc_trials("makespan/cached_ample", g, 2, cfg);
 
   // Left plot: bucket vertices by degree, report mean remote accesses.
   graph::VertexId max_deg = 0;

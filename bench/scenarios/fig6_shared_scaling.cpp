@@ -92,9 +92,7 @@ void run(bench::ScenarioContext& ctx) {
       const std::string metric =
           std::string("edges_per_us/") + graphs[i].label + "/t" +
           std::to_string(t);
-      ctx.rec.declare_metric(metric, {.unit = "edges/us",
-                                      .direction = "higher",
-                                      .expect_deterministic = false});
+      ctx.rec.declare_metric(metric, {.unit = "edges/us", .wall = true});
       ctx.rec.add_trial(metric, perf);
       char cell[64];
       std::snprintf(cell, sizeof(cell), "%.3f (%.1fx)", perf,

@@ -52,8 +52,7 @@ void run(bench::ScenarioContext& ctx) {
   const std::uint64_t adj_total = g.num_edges() * sizeof(graph::VertexId);
 
   // Baseline without any cache.
-  const auto baseline =
-      ctx.run_lcc_trials("makespan/uncached", true, g, ranks, {});
+  const auto baseline = ctx.run_lcc_trials("makespan/uncached", g, ranks, {});
   const double comm_base = mean_comm(baseline);
   std::printf("non-cached communication time (mean/rank): %.3f s\n\n",
               comm_base);
@@ -76,8 +75,7 @@ void run(bench::ScenarioContext& ctx) {
       char metric[64];
       std::snprintf(metric, sizeof(metric), "makespan/%s/frac=%.2f", window,
                     fraction);
-      // Gate the full-size point of each window's sweep.
-      const auto r = ctx.run_lcc_trials(metric, s == steps, g, ranks, cfg);
+      const auto r = ctx.run_lcc_trials(metric, g, ranks, cfg);
       const auto& cs = sweep_adj ? r.adj_cache_total : r.offsets_cache_total;
       points.push_back(
           {fraction, bytes, cs.miss_rate(),

@@ -39,9 +39,7 @@ Measurement run_once(bench::ScenarioContext& ctx, const graph::CSRGraph& g,
       policy == clampi::VictimPolicy::UserScore ? "degree" : "orig";
   char metric[64];
   std::snprintf(metric, sizeof(metric), "makespan/%s/p%u", label, ranks);
-  const auto r = ctx.run_lcc_trials(
-      metric, policy == clampi::VictimPolicy::UserScore && ranks == 8, g,
-      ranks, cfg);
+  const auto r = ctx.run_lcc_trials(metric, g, ranks, cfg);
   double comm = 0;
   for (const auto& s : r.run.stats) comm += s.comm_seconds;
   const auto& cs = r.adj_cache_total;

@@ -78,7 +78,7 @@ void run(bench::ScenarioContext& ctx) {
       const std::string metric = std::string("makespan/rmat/") + arm.label +
                                  "/r" + std::to_string(ranks);
       const auto r =
-          ctx.run_lcc_trials(metric, true, g, ranks, cfg, arm.kind);
+          ctx.run_lcc_trials(metric, g, ranks, cfg, arm.kind);
 
       const auto total = r.run.total();
       makespans[a].push_back(r.run.makespan);

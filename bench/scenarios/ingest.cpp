@@ -103,12 +103,8 @@ void run(bench::ScenarioContext& ctx) {
   // -------------------------------------------------------------------
   // Determinism arm: a fixed single-thread configuration, re-run per
   // --repeats; every field must come out identical every time, on every
-  // host, so the gate is exact: any change to a count, checksum or
-  // equivalence bit fails bench_compare, whatever the tolerance.
-  const auto det = [](const char* unit) {
-    return util::BenchRecorder::MetricOptions{
-        .unit = unit, .direction = "exact", .gate = true};
-  };
+  // host, so any change to a count, checksum or equivalence bit fails
+  // bench_compare.
   struct DetField {
     const char* name;
     const char* unit;
@@ -139,14 +135,14 @@ void run(bench::ScenarioContext& ctx) {
                       static_cast<double>(rep.extents[2])},
              DetField{"det/extents_grid", "count",
                       static_cast<double>(rep.extents[3])}}) {
-      ctx.rec.declare_metric(name, det(unit));
+      ctx.rec.declare_metric(name, {.unit = unit});
       ctx.rec.add_trial(name, value);
     }
   }
 
   {
     ingest::SnapshotReader reader(base_snapshot);
-    ctx.rec.declare_metric("det/slice_equivalence_ok", det("bool"));
+    ctx.rec.declare_metric("det/slice_equivalence_ok", {.unit = "bool"});
     ctx.rec.add_trial("det/slice_equivalence_ok",
                       slices_match(reader, ranks) ? 1.0 : 0.0);
   }
@@ -166,23 +162,19 @@ void run(bench::ScenarioContext& ctx) {
       b.assign(std::istreambuf_iterator<char>(fb),
                std::istreambuf_iterator<char>());
     }
-    ctx.rec.declare_metric("det/spill_bytes_identical", det("bool"));
+    ctx.rec.declare_metric("det/spill_bytes_identical", {.unit = "bool"});
     ctx.rec.add_trial("det/spill_bytes_identical",
                       (!a.empty() && a == b) ? 1.0 : 0.0);
-    ctx.rec.declare_metric("ingest/spill_runs",
-                           {.unit = "runs", .direction = "lower",
-                            .expect_deterministic = false});
+    ctx.rec.declare_metric("ingest/spill_runs", {.unit = "runs", .wall = true});
     ctx.rec.add_trial("ingest/spill_runs",
                       static_cast<double>(rep.spill_runs));
   }
 
   // -------------------------------------------------------------------
   // Throughput arms (never gated): thread sweep, then chunk-size sweep.
-  const util::BenchRecorder::MetricOptions wall_s{
-      .unit = "s", .direction = "lower", .expect_deterministic = false};
-  const util::BenchRecorder::MetricOptions wall_rate{
-      .unit = "edges/s", .direction = "higher",
-      .expect_deterministic = false};
+  const util::BenchRecorder::MetricOptions wall_s{.unit = "s", .wall = true};
+  const util::BenchRecorder::MetricOptions wall_rate{.unit = "edges/s",
+                                                     .wall = true};
 
   util::Table threads_table(
       {"threads", "parse+sort (s)", "total (s)", "Medges/s", "speedup"});
@@ -207,8 +199,7 @@ void run(bench::ScenarioContext& ctx) {
     ctx.rec.declare_metric("ingest/" + tag + "/edges_per_s", wall_rate);
     ctx.rec.add_trial("ingest/" + tag + "/edges_per_s", rate);
     ctx.rec.declare_metric("speedup/parse_sort_" + tag,
-                           {.unit = "x", .direction = "higher",
-                            .expect_deterministic = false});
+                           {.unit = "x", .wall = true});
     ctx.rec.add_trial("speedup/parse_sort_" + tag, speedup);
     threads_table.add_row({std::to_string(threads),
                            util::Table::fmt(rep.parse_sort_seconds, 3),
@@ -243,8 +234,7 @@ void run(bench::ScenarioContext& ctx) {
   ctx.rec.add_table("ingest: chunk-size sweep", chunk_table);
 
   ctx.rec.declare_metric("ingest/peak_rss_mb",
-                         {.unit = "MiB", .direction = "lower",
-                          .expect_deterministic = false});
+                         {.unit = "MiB", .wall = true});
   ctx.rec.add_trial("ingest/peak_rss_mb",
                     static_cast<double>(util::peak_rss_bytes()) /
                         (1024.0 * 1024.0));

@@ -144,15 +144,11 @@ void run_wall(bench::ScenarioContext& ctx) {
           {"tiered_us", tiered_s * 1e6}}) {
       const std::string metric =
           std::string("wall/") + workload + "/" + leg;
-      ctx.rec.declare_metric(metric, {.unit = "us",
-                                      .direction = "lower",
-                                      .expect_deterministic = false});
+      ctx.rec.declare_metric(metric, {.unit = "us", .wall = true});
       ctx.rec.add_trial(metric, v);
     }
     const std::string metric = std::string("speedup/") + workload;
-    ctx.rec.declare_metric(metric, {.unit = "x",
-                                    .direction = "higher",
-                                    .expect_deterministic = false});
+    ctx.rec.declare_metric(metric, {.unit = "x", .wall = true});
     ctx.rec.add_trial(metric, speedup);
     t.add_row({workload, util::Table::fmt(scalar_s * 1e6, 1),
                util::Table::fmt(tiered_s * 1e6, 1),
@@ -247,9 +243,7 @@ void run(bench::ScenarioContext& ctx) {
             {"binary", binary},
             {"hybrid", hybrid}}) {
         const std::string metric = "elems_per_us/" + key + "/" + label;
-        ctx.rec.declare_metric(metric, {.unit = "elems/us",
-                                        .direction = "higher",
-                                        .expect_deterministic = false});
+        ctx.rec.declare_metric(metric, {.unit = "elems/us", .wall = true});
         ctx.rec.add_trial(metric, perf);
       }
       // Eq. (3) selection quality: hybrid should track the faster kernel.
@@ -284,9 +278,7 @@ void run(bench::ScenarioContext& ctx) {
           });
       const std::string metric =
           "elems_per_us/ssi_parallel/t" + std::to_string(threads);
-      ctx.rec.declare_metric(metric, {.unit = "elems/us",
-                                      .direction = "higher",
-                                      .expect_deterministic = false});
+      ctx.rec.declare_metric(metric, {.unit = "elems/us", .wall = true});
       ctx.rec.add_trial(metric, perf);
       t.add_row({"ssi_parallel", std::to_string(threads),
                  util::Table::fmt(perf, 2)});

@@ -45,7 +45,7 @@ void run(bench::ScenarioContext& ctx) {
       char metric[64];
       std::snprintf(metric, sizeof(metric), "makespan/depth%s/k%zu",
                     cached ? "_cached" : "", k);
-      const auto r = ctx.run_lcc_trials(metric, true, g, ranks, cfg);
+      const auto r = ctx.run_lcc_trials(metric, g, ranks, cfg);
       if (k == 1) t_k1 = r.run.makespan;
       if (k == 1 || r.run.makespan < best) {
         best = r.run.makespan;

@@ -78,10 +78,9 @@ void run(bench::ScenarioContext& ctx) {
         std::snprintf(p50m, sizeof(p50m), "latency_p50/%s", cell);
         std::snprintf(p99m, sizeof(p99m), "latency_p99/%s", cell);
         std::snprintf(hitm, sizeof(hitm), "hot_hits/%s", cell);
-        ctx.rec.declare_metric(p50m, {.unit = "s", .gate = true});
-        ctx.rec.declare_metric(p99m, {.unit = "s", .gate = true});
-        ctx.rec.declare_metric(
-            hitm, {.unit = "count", .direction = "higher", .gate = true});
+        ctx.rec.declare_metric(p50m, {.unit = "s"});
+        ctx.rec.declare_metric(p99m, {.unit = "s"});
+        ctx.rec.declare_metric(hitm, {.unit = "count"});
 
         serve::ServeResult last;
         for (std::size_t trial = 0;

@@ -23,7 +23,7 @@ void run(bench::ScenarioContext& ctx) {
                    util::Table::fmt_int(st.max),
                    util::Table::fmt(st.power_law_alpha, 2),
                    util::Table::fmt(st.gini, 2)});
-    // Inventory metrics: deterministic per seed, ungated (not performance).
+    // Inventory metrics: deterministic per seed, so gated exactly.
     const std::string prefix = "graph/" + spec.name + "/";
     ctx.rec.declare_metric(prefix + "vertices", {.unit = "count"});
     ctx.rec.add_trial(prefix + "vertices", g.num_vertices());

@@ -103,9 +103,7 @@ void run(bench::ScenarioContext& ctx) {
           {"binary", binary}}) {
       const std::string metric =
           std::string("edges_per_us/") + row.label + "/" + label;
-      ctx.rec.declare_metric(metric, {.unit = "edges/us",
-                                      .direction = "higher",
-                                      .expect_deterministic = false});
+      ctx.rec.declare_metric(metric, {.unit = "edges/us", .wall = true});
       ctx.rec.add_trial(metric, perf);
     }
     // Robust part of the paper's claim: hybrid clearly beats pure binary

@@ -190,9 +190,13 @@ class RankCtx {
                                  std::size_t elem_size);
   void refresh_window_bytes(WindowBase& w, const void* data,
                             std::uint64_t bytes);
-  /// Leave a collective: wait for the slowest arrival `latest`, then pay
-  /// `cost`. `why` labels the charge in traces.
-  void align_to(double latest, double cost, const char* why);
+  /// The rendezvous every collective shares: publish this rank's clock and
+  /// wait; `read()` consumes the slots the other ranks published and returns
+  /// the cost of leaving; wait again, then leave at the slowest arrival plus
+  /// that cost. `why` labels the charge in traces. Defined in runtime.cpp,
+  /// its only caller.
+  template <typename Read>
+  void rendezvous(const char* why, Read&& read);
 
   detail::SharedState* shared_;
   std::uint32_t rank_;

@@ -81,25 +81,19 @@ template <typename S>
 /// is captured at construction, scenarios then declare named metrics and
 /// append per-trial records (value + CommStats/CacheStats detail), mirror
 /// their human-readable tables, and `finalize()` folds summary statistics
-/// (median, CI) plus a determinism verdict into the document.
+/// (median, CI) into the document for human readers.
 ///
-/// `tools/bench_compare` consumes these files: metrics declared with
-/// `gate = true` participate in the regression gate.
+/// `tools/bench_compare` consumes these files: every metric not declared
+/// `wall` is gated exactly, trial by trial.
 class BenchRecorder {
  public:
   struct MetricOptions {
     /// Required: "s", "count", "bytes", ... (declare_metric rejects "").
     std::string unit;
-    /// "lower" (times) or "higher" (throughputs) is better; bench_compare
-    /// flips its regression test accordingly. "exact" (deterministic
-    /// counts, checksums, equivalence bits) fails the gate on any change,
-    /// whatever the tolerance.
-    std::string direction = "lower";
-    /// Gated metrics fail bench_compare when they regress beyond tolerance.
-    bool gate = false;
-    /// Virtual-time metrics are bit-deterministic under the default cost
-    /// model; wall-clock metrics are not and must not assert determinism.
-    bool expect_deterministic = true;
+    /// Host wall-clock metrics (timings, throughputs, speedups, RSS) differ
+    /// from run to run; bench_compare reports them and never fails on them.
+    /// Every other metric is deterministic per seed and gated exactly.
+    bool wall = false;
   };
 
   BenchRecorder(std::string scenario, std::string paper_anchor,
@@ -125,8 +119,8 @@ class BenchRecorder {
   /// Mirror a human-readable results table into the document.
   void add_table(const std::string& title, const Table& table);
 
-  /// Compute per-metric summaries and the determinism verdicts, then return
-  /// the completed document. Idempotent.
+  /// Compute per-metric summaries, then return the completed document.
+  /// Idempotent.
   const Json& finalize();
 
   /// finalize() + write to `path` (pretty-printed). False on I/O failure.
@@ -135,7 +129,7 @@ class BenchRecorder {
   [[nodiscard]] const Json& doc() const { return root_; }
 
   /// Current JSON schema version emitted in every document.
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
  private:
   Json root_;

@@ -218,18 +218,15 @@ void RankCtx::refresh_window_bytes(WindowBase& w, const void* data,
   barrier();
 }
 
-void RankCtx::barrier() {
+template <typename Read>
+void RankCtx::rendezvous(const char* why, Read&& read) {
   auto& sh = *shared_;
   sh.clock_slots[rank_] = now_;
   sh.bar.wait();
-  const double mx =
+  const double cost = read();
+  const double latest =
       *std::max_element(sh.clock_slots.begin(), sh.clock_slots.end());
   sh.bar.wait();
-  align_to(mx, net().time_barrier(num_ranks()), "barrier");
-  ++stats_.barriers;
-}
-
-void RankCtx::align_to(double latest, double cost, const char* why) {
   const double wait = (latest - now_) + cost;
   tracer_.charge("comm", why, now_, wait);
   stats_.comm_seconds += wait;
@@ -237,31 +234,30 @@ void RankCtx::align_to(double latest, double cost, const char* why) {
   now_ = latest + cost;
 }
 
+void RankCtx::barrier() {
+  rendezvous("barrier", [&] { return net().time_barrier(num_ranks()); });
+  ++stats_.barriers;
+}
+
 std::uint64_t RankCtx::allreduce_sum(std::uint64_t value) {
   auto& sh = *shared_;
   sh.u64_slots[rank_] = value;
-  sh.clock_slots[rank_] = now_;
-  sh.bar.wait();
   std::uint64_t sum = 0;
-  for (auto v : sh.u64_slots) sum += v;
-  const double mx =
-      *std::max_element(sh.clock_slots.begin(), sh.clock_slots.end());
-  sh.bar.wait();
-  align_to(mx, net().time_barrier(num_ranks()), "allreduce");
+  rendezvous("allreduce", [&] {
+    for (auto v : sh.u64_slots) sum += v;
+    return net().time_barrier(num_ranks());
+  });
   return sum;
 }
 
 double RankCtx::allreduce_max(double value) {
   auto& sh = *shared_;
   sh.dbl_slots[rank_] = value;
-  sh.clock_slots[rank_] = now_;
-  sh.bar.wait();
-  const double result =
-      *std::max_element(sh.dbl_slots.begin(), sh.dbl_slots.end());
-  const double mx =
-      *std::max_element(sh.clock_slots.begin(), sh.clock_slots.end());
-  sh.bar.wait();
-  align_to(mx, net().time_barrier(num_ranks()), "allreduce");
+  double result = 0.0;
+  rendezvous("allreduce", [&] {
+    result = *std::max_element(sh.dbl_slots.begin(), sh.dbl_slots.end());
+    return net().time_barrier(num_ranks());
+  });
   return result;
 }
 
@@ -273,29 +269,23 @@ std::vector<std::vector<std::uint32_t>> RankCtx::all_to_all(
 
   std::uint64_t bytes_out = 0;
   for (const auto& payload : out) bytes_out += payload.size() * 4;
-
   sh.a2a[rank_] = out;
-  sh.clock_slots[rank_] = now_;
-  sh.bar.wait();
 
   std::vector<std::vector<std::uint32_t>> in(p);
-  std::uint64_t bytes_in = 0;
-  for (std::uint32_t src = 0; src < p; ++src) {
-    in[src] = sh.a2a[src][rank_];
-    bytes_in += in[src].size() * 4;
-  }
-  const double mx =
-      *std::max_element(sh.clock_slots.begin(), sh.clock_slots.end());
-  sh.bar.wait();
-
   // Blocking all-to-all cost: synchronise to the slowest rank (this is the
   // synchronisation overhead the paper attributes to TriC), then pay one
   // setup per peer plus the serialised byte volume on the busier direction.
-  const double cost = net().remote_alpha_s * static_cast<double>(p - 1) +
-                      net().remote_byte_s *
-                          static_cast<double>(std::max(bytes_out, bytes_in)) +
-                      net().time_barrier(p);
-  align_to(mx, cost, "a2a");
+  rendezvous("a2a", [&] {
+    std::uint64_t bytes_in = 0;
+    for (std::uint32_t src = 0; src < p; ++src) {
+      in[src] = sh.a2a[src][rank_];
+      bytes_in += in[src].size() * 4;
+    }
+    return net().remote_alpha_s * static_cast<double>(p - 1) +
+           net().remote_byte_s *
+               static_cast<double>(std::max(bytes_out, bytes_in)) +
+           net().time_barrier(p);
+  });
   stats_.messages_sent += p - 1;
   stats_.bytes_sent += bytes_out;
   ++stats_.barriers;

@@ -1,6 +1,8 @@
 #include "atlc/util/bench_compare.hpp"
 
-#include <algorithm>
+#include <stdexcept>
+
+#include "atlc/util/recorder.hpp"
 
 namespace atlc::util {
 
@@ -12,95 +14,118 @@ std::string str_field(const Json& doc, const char* key,
   return v && v->is_string() ? v->as_string() : fallback;
 }
 
-double metric_median(const Json& metric) {
-  if (const Json* m = metric.find("median"); m && m->is_number())
-    return m->as_number();
-  // Fall back to recomputing from trials for hand-written baselines.
-  const Json* trials = metric.find("trials");
-  if (!trials || trials->size() == 0) return 0.0;
-  std::vector<double> values;
-  for (std::size_t i = 0; i < trials->size(); ++i)
-    if (const Json* v = trials->at(i).find("value"); v && v->is_number())
-      values.push_back(v->as_number());
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+/// First difference between two trial records, as "path: first vs
+/// second"; empty when they are equal key for key. A key present on one
+/// side only is a difference. Scalars and arrays compare by their exact
+/// serialisation (doubles print round-trip, %.17g).
+std::string first_difference(const Json& a, const Json& b,
+                             const std::string& path) {
+  const auto at = [&](const std::string& key) {
+    return path.empty() ? key : path + "." + key;
+  };
+  if (!a.is_object() || !b.is_object()) {
+    const std::string x = a.dump(0), y = b.dump(0);
+    return x == y ? std::string{} : path + ": " + x + " vs " + y;
+  }
+  for (const auto& [key, x] : a.items()) {
+    const Json* y = b.find(key);
+    if (!y) return at(key) + ": " + x.dump(0) + " vs <absent>";
+    if (auto d = first_difference(x, *y, at(key)); !d.empty()) return d;
+  }
+  for (const auto& [key, y] : b.items())
+    if (!a.find(key)) return at(key) + ": <absent> vs " + y.dump(0);
+  return {};
+}
+
+/// Every trial of both documents against the first trial seen (the
+/// baseline's first, unless it has none); the first mismatch, or empty.
+std::string trial_difference(const Json& base, const Json& cur) {
+  const Json* first = nullptr;
+  for (const auto& [side, metric] :
+       {std::pair{"baseline", &base}, std::pair{"current", &cur}}) {
+    const Json* trials = metric->find("trials");
+    for (std::size_t i = 0; trials && i < trials->size(); ++i) {
+      if (!first) first = &trials->at(i);
+      if (auto d = first_difference(*first, trials->at(i), ""); !d.empty())
+        return std::string(side) + " trial " + std::to_string(i) +
+               " differs from the first trial at " + d;
+    }
+  }
+  return {};
+}
+
+bool flag(const Json& obj, const char* key) {
+  const Json* v = obj.find(key);
+  return v && v->as_bool();
+}
+
+double median_of(const Json& metric) {
+  const Json* m = metric.find("median");
+  return m ? m->as_number() : 0.0;
+}
+
+void require_comparable(const Json& baseline, const Json& current) {
+  if (str_field(baseline, "scenario") != str_field(current, "scenario"))
+    throw std::runtime_error("atlc: scenario mismatch: baseline is for '" +
+                             str_field(baseline, "scenario") +
+                             "', current is for '" +
+                             str_field(current, "scenario") + "'");
+  for (const auto& [side, doc] :
+       {std::pair{"baseline", &baseline}, std::pair{"current", &current}}) {
+    const std::string what = std::string("atlc: ") + side + " document ";
+    const Json* version = doc->find("schema_version");
+    if (!version || version->as_number() != BenchRecorder::kSchemaVersion)
+      throw std::runtime_error(
+          what + "has schema_version " + (version ? version->dump(0) : "none") +
+          "; bench_compare reads version " +
+          std::to_string(BenchRecorder::kSchemaVersion));
+    const Json* meta = doc->find("meta");
+    if (meta && flag(*meta, "calibrated_cost"))
+      throw std::runtime_error(
+          what +
+          "was priced with a host-calibrated cost model "
+          "(meta.calibrated_cost); its virtual times are not comparable");
+    if (const Json* m = doc->find("metrics"); !m || !m->is_object())
+      throw std::runtime_error(what + "has no metrics object");
+  }
 }
 
 }  // namespace
 
-CompareReport compare_bench_runs(const Json& baseline, const Json& current,
-                                 const CompareOptions& options) {
+CompareReport compare_bench_runs(const Json& baseline, const Json& current) {
+  require_comparable(baseline, current);
   CompareReport report;
-  report.scenario = str_field(current, "scenario", "<unknown>");
+  report.scenario = str_field(current, "scenario");
+  const Json& base_metrics = *baseline.find("metrics");
+  const Json& cur_metrics = *current.find("metrics");
 
-  const std::string base_scenario = str_field(baseline, "scenario");
-  if (base_scenario != report.scenario) {
-    report.notes.push_back("scenario mismatch: baseline is for '" +
-                           base_scenario + "', current is for '" +
-                           report.scenario + "'");
-    report.ok = false;
-    return report;
-  }
-
-  const Json* base_metrics = baseline.find("metrics");
-  const Json* cur_metrics = current.find("metrics");
-  if (!base_metrics || !base_metrics->is_object() || !cur_metrics ||
-      !cur_metrics->is_object()) {
-    report.notes.push_back("missing metrics object in one of the documents");
-    report.ok = false;
-    return report;
-  }
-
-  for (const auto& [name, cur] : cur_metrics->items()) {
-    const bool gated = cur.find("gate") && cur.find("gate")->as_bool();
-    if (options.gated_only && !gated) continue;
-
-    const Json* base = base_metrics->find(name);
-    if (!base) {
-      report.notes.push_back("metric '" + name +
-                             "' missing from baseline (skipped)");
-      continue;
-    }
-
+  for (const auto& [name, base] : base_metrics.items()) {
     MetricComparison c;
     c.name = name;
-    c.unit = str_field(cur, "unit", "?");
-    c.direction = str_field(cur, "direction", "lower");
-    c.gated = gated;
-    c.baseline = metric_median(*base);
-    c.current = metric_median(cur);
-    c.ratio = c.baseline != 0.0 ? c.current / c.baseline : 0.0;
-
-    // Exact metrics (deterministic counts, checksums) fail on any change,
-    // whatever the tolerance or noise floor. Otherwise only a sub-floor
-    // *baseline* exempts a metric: a current value that collapsed toward
-    // zero must still trip the gate on higher-is-better metrics (a
-    // lower-is-better collapse is an improvement either way).
-    if (c.gated && c.direction == "exact") {
-      c.regressed = c.current != c.baseline;
-    } else if (c.baseline < options.min_value) {
-      report.notes.push_back("metric '" + name +
-                             "' baseline below the noise floor (not gated)");
-    } else if (c.gated) {
-      if (c.direction == "higher")
-        c.regressed = c.current < c.baseline * (1.0 - options.tolerance);
-      else
-        c.regressed = c.current > c.baseline * (1.0 + options.tolerance);
+    c.unit = str_field(base, "unit", "?");
+    c.wall = flag(base, "wall");
+    c.baseline = median_of(base);
+    const Json* cur = cur_metrics.find(name);
+    if (cur) c.current = median_of(*cur);
+    std::string why;
+    if (!cur)
+      why = "missing from the current run";
+    else if (!c.wall)
+      why = trial_difference(base, *cur);
+    if (c.wall && !why.empty()) {
+      report.notes.push_back("wall metric '" + name + "' " + why);
+    } else if (!why.empty()) {
+      c.regressed = true;
+      report.ok = false;
+      report.notes.push_back("metric '" + name + "': " + why);
     }
-    report.ok &= !c.regressed;
     report.metrics.push_back(std::move(c));
   }
 
-  for (const auto& kv : base_metrics->items()) {
-    const Json* gate = kv.second.find("gate");
-    const bool gated = gate && gate->as_bool();
-    if ((gated || !options.gated_only) && !cur_metrics->find(kv.first))
+  for (const auto& kv : cur_metrics.items())
+    if (!base_metrics.find(kv.first))
       report.notes.push_back("metric '" + kv.first +
-                             "' disappeared from the current run");
-  }
-
+                             "' is new (not in the baseline)");
   return report;
 }
 

@@ -108,9 +108,7 @@ void BenchRecorder::declare_metric(const std::string& name,
   ATLC_CHECK(!opts.unit.empty(), "bench metric declared without a unit");
   Json& m = metrics[name];
   m["unit"] = opts.unit;
-  m["direction"] = opts.direction;
-  m["gate"] = opts.gate;
-  m["expect_deterministic"] = opts.expect_deterministic;
+  m["wall"] = opts.wall;
   m["trials"] = Json::array();
 }
 
@@ -163,11 +161,6 @@ const Json& BenchRecorder::finalize() {
       values.push_back(trials->at(i).find("value")->as_number());
     m["summary"] = to_json(summarize(values));
     m["median"] = median(values);
-    // Deterministic virtual-time metrics repeat bit-identically; record the
-    // verdict so the harness itself exercises DESIGN.md's determinism claim.
-    bool identical = true;
-    for (double v : values) identical &= (v == values.front());
-    m["deterministic"] = identical;
   }
   finalized_ = true;
   return root_;

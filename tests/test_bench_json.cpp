@@ -1,7 +1,12 @@
 // The bench-harness JSON stack: Json dump/parse round trips, escaping,
-// BenchRecorder document structure (per-trial records, summaries,
-// determinism verdicts), and the bench_compare regression gate.
+// BenchRecorder document structure (per-trial records, summaries), and the
+// bench_compare gate: exact on every metric not declared wall.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "atlc/clampi/config.hpp"
 #include "atlc/rma/comm_stats.hpp"
@@ -14,7 +19,6 @@
 namespace {
 
 using atlc::util::BenchRecorder;
-using atlc::util::CompareOptions;
 using atlc::util::Json;
 using atlc::util::compare_bench_runs;
 
@@ -86,19 +90,19 @@ TEST(Json, LargeIntegersStayIntegral) {
   EXPECT_EQ(j.dump(0), "123456789012");
 }
 
-BenchRecorder make_recorder(double trial1, double trial2, bool gate = true) {
+BenchRecorder make_recorder(double trial1, double trial2) {
   BenchRecorder rec("fig_test", "Fig. T", "unit-test scenario");
   rec.meta()["seed"] = 0;
-  rec.declare_metric("makespan/x", {.unit = "s", .gate = gate});
+  rec.declare_metric("makespan/x", {.unit = "s"});
   Json detail = Json::object();
   detail["comm"] = atlc::util::to_json(atlc::rma::CommStats{});
   detail["adj_cache"] = atlc::util::to_json(atlc::clampi::CacheStats{});
-  rec.add_trial("makespan/x", trial1, std::move(detail));
-  rec.add_trial("makespan/x", trial2);
+  rec.add_trial("makespan/x", trial1, detail);
+  rec.add_trial("makespan/x", trial2, std::move(detail));
   return rec;
 }
 
-TEST(BenchRecorder, EmitsSchemaWithTrialsSummariesAndDeterminism) {
+TEST(BenchRecorder, EmitsSchemaWithTrialsAndSummaries) {
   auto rec = make_recorder(2.0, 2.0);
   atlc::util::Table t({"a", "b"});
   t.add_row({"1", "2"});
@@ -114,7 +118,8 @@ TEST(BenchRecorder, EmitsSchemaWithTrialsSummariesAndDeterminism) {
   EXPECT_EQ(doc->find("scenario")->as_string(), "fig_test");
   const Json* metric = doc->find("metrics")->find("makespan/x");
   ASSERT_NE(metric, nullptr);
-  EXPECT_TRUE(metric->find("gate")->as_bool());
+  EXPECT_EQ(metric->find("unit")->as_string(), "s");
+  EXPECT_FALSE(metric->find("wall")->as_bool());
   ASSERT_EQ(metric->find("trials")->size(), 2u);
   const Json& trial = metric->find("trials")->at(0);
   EXPECT_EQ(trial.find("value")->as_number(), 2.0);
@@ -125,36 +130,15 @@ TEST(BenchRecorder, EmitsSchemaWithTrialsSummariesAndDeterminism) {
   EXPECT_EQ(trial.find("adj_cache")->find("hits")->as_number(), 0.0);
   EXPECT_EQ(metric->find("median")->as_number(), 2.0);
   EXPECT_EQ(metric->find("summary")->find("n")->as_number(), 2.0);
-  EXPECT_TRUE(metric->find("deterministic")->as_bool());
   EXPECT_EQ(doc->find("tables")->at(0).find("title")->as_string(), "demo");
   EXPECT_EQ(doc->find("notes")->at(0).as_string(), "a note");
 }
 
-TEST(BenchRecorder, FlagsNonDeterministicTrials) {
+TEST(BenchRecorder, MedianOfDisagreeingTrials) {
   auto rec = make_recorder(1.0, 1.5);
   const Json& doc = rec.finalize();
   const Json* metric = doc.find("metrics")->find("makespan/x");
-  EXPECT_FALSE(metric->find("deterministic")->as_bool());
   EXPECT_EQ(metric->find("median")->as_number(), 1.25);
-}
-
-TEST(BenchCompare, PassesWithinToleranceAndDetectsRegression) {
-  auto base = make_recorder(1.0, 1.0);
-  auto same = make_recorder(1.1, 1.1);
-  auto worse = make_recorder(1.5, 1.5);
-
-  const auto ok = compare_bench_runs(base.finalize(), same.finalize(),
-                                     {.tolerance = 0.25});
-  EXPECT_TRUE(ok.ok);
-  ASSERT_EQ(ok.metrics.size(), 1u);
-  EXPECT_FALSE(ok.metrics[0].regressed);
-  EXPECT_NEAR(ok.metrics[0].ratio, 1.1, 1e-9);
-
-  const auto bad = compare_bench_runs(base.finalize(), worse.finalize(),
-                                      {.tolerance = 0.25});
-  EXPECT_FALSE(bad.ok);
-  ASSERT_EQ(bad.metrics.size(), 1u);
-  EXPECT_TRUE(bad.metrics[0].regressed);
 }
 
 TEST(Json, RejectsMutationOfScalars) {
@@ -163,104 +147,168 @@ TEST(Json, RejectsMutationOfScalars) {
   EXPECT_THROW(s.push_back(Json(1)), std::logic_error);
 }
 
-TEST(BenchCompare, CollapsedHigherIsBetterMetricStillGates) {
-  BenchRecorder base("s", "a", "t"), cur("s", "a", "t");
-  const BenchRecorder::MetricOptions opts{
-      .unit = "edges/us", .direction = "higher", .gate = true};
-  base.declare_metric("throughput", opts);
-  cur.declare_metric("throughput", opts);
-  base.add_trial("throughput", 100.0);
-  cur.add_trial("throughput", 0.0);  // total collapse must not pass the gate
-  const auto report = compare_bench_runs(base.finalize(), cur.finalize(), {});
-  EXPECT_FALSE(report.ok);
-}
-
-TEST(BenchCompare, HigherIsBetterDirection) {
-  BenchRecorder base("s", "a", "t"), cur("s", "a", "t");
-  base.declare_metric("throughput",
-                      {.unit = "edges/us", .direction = "higher", .gate = true});
-  cur.declare_metric("throughput",
-                     {.unit = "edges/us", .direction = "higher", .gate = true});
-  base.add_trial("throughput", 100.0);
-  cur.add_trial("throughput", 60.0);  // 40% drop on a higher-is-better metric
-  const auto report = compare_bench_runs(base.finalize(), cur.finalize(),
-                                         {.tolerance = 0.25});
-  EXPECT_FALSE(report.ok);
-}
-
-TEST(BenchCompare, ExactMetricFailsOnAnyChangeAtAnyTolerance) {
-  // det/* counts and checksums: a move either way must fail, even at the
-  // CI tolerance of 1.0 (where "higher" could never fail: x < base * 0).
-  const auto doc = [](double value) {
-    BenchRecorder rec("ingest", "a", "t");
-    rec.declare_metric("det/num_edges",
-                       {.unit = "count", .direction = "exact", .gate = true});
-    rec.add_trial("det/num_edges", value);
-    return rec;
-  };
-  auto base = doc(1000.0);
-  for (const double moved : {999.0, 1001.0}) {
-    auto cur = doc(moved);
-    const auto report = compare_bench_runs(base.finalize(), cur.finalize(),
-                                           {.tolerance = 1.0});
-    EXPECT_FALSE(report.ok) << moved;
-    ASSERT_EQ(report.metrics.size(), 1u);
-    EXPECT_TRUE(report.metrics[0].regressed) << moved;
-  }
-  auto same = doc(1000.0);
-  EXPECT_TRUE(
-      compare_bench_runs(base.finalize(), same.finalize(), {.tolerance = 1.0})
-          .ok);
-  // A 0/1 equivalence bit sits below the noise floor when it is 0; exact
-  // metrics gate anyway.
-  auto zero = doc(0.0), one = doc(1.0);
-  EXPECT_FALSE(
-      compare_bench_runs(zero.finalize(), one.finalize(), {.tolerance = 1.0})
-          .ok);
-}
-
 TEST(BenchRecorder, RejectsMetricWithoutUnit) {
   atlc::testsupport::use_threadsafe_death_tests();
   BenchRecorder rec("s", "a", "t");
-  EXPECT_DEATH(rec.declare_metric("makespan/x", {.gate = true}), "unit");
+  EXPECT_DEATH(rec.declare_metric("makespan/x", {}), "unit");
   EXPECT_DEATH(rec.add_trial("undeclared", 1.0), "undeclared");
 }
 
-TEST(BenchCompare, UngatedMetricsNeverFail) {
-  auto base = make_recorder(1.0, 1.0, /*gate=*/false);
-  auto worse = make_recorder(9.0, 9.0, /*gate=*/false);
-  const auto gated_only =
-      compare_bench_runs(base.finalize(), worse.finalize(), {});
-  EXPECT_TRUE(gated_only.ok);
-  EXPECT_TRUE(gated_only.metrics.empty());
+// Gate fixtures: one exact metric whose trials carry a comm and an
+// adj_cache counter block, one wall metric, and optionally one extra exact
+// metric.
+struct Trial {
+  double value = 2.0;
+  std::uint64_t hits = 5;
+  bool drop_hits = false;  ///< omit adj_cache.hits from the record
+};
 
-  const auto all = compare_bench_runs(base.finalize(), worse.finalize(),
-                                      {.gated_only = false});
-  EXPECT_TRUE(all.ok);  // reported but not failing
-  ASSERT_EQ(all.metrics.size(), 1u);
-  EXPECT_FALSE(all.metrics[0].regressed);
+Json gate_doc(const std::vector<Trial>& trials, double wall = 1.0,
+              const char* extra_metric = nullptr) {
+  BenchRecorder rec("fig_test", "Fig. T", "unit-test scenario");
+  rec.declare_metric("makespan/x", {.unit = "s"});
+  for (const Trial& t : trials) {
+    atlc::clampi::CacheStats cs;
+    cs.hits = t.hits;
+    Json adj = atlc::util::to_json(cs);
+    if (t.drop_hits)
+      std::erase_if(adj.items(),
+                    [](const auto& kv) { return kv.first == "hits"; });
+    Json detail = Json::object();
+    detail["comm"] = atlc::util::to_json(atlc::rma::CommStats{});
+    detail["adj_cache"] = std::move(adj);
+    rec.add_trial("makespan/x", t.value, std::move(detail));
+  }
+  rec.declare_metric("wall/parse_s", {.unit = "s", .wall = true});
+  rec.add_trial("wall/parse_s", wall);
+  if (extra_metric) {
+    rec.declare_metric(extra_metric, {.unit = "count"});
+    rec.add_trial(extra_metric, 7.0);
+  }
+  // The gate reads files; take the documents through the same round trip.
+  return *Json::parse(rec.finalize().dump(2));
 }
 
-TEST(BenchCompare, ScenarioMismatchAndMissingMetrics) {
+bool gate_passes(const Json& base, const Json& cur) {
+  return compare_bench_runs(base, cur).ok;
+}
+
+TEST(BenchCompare, IdenticalDocumentsPassWhateverTheTrialCount) {
+  const Json base = gate_doc({{}, {}});
+  const auto report = compare_bench_runs(base, gate_doc({{}, {}}));
+  EXPECT_TRUE(report.ok);
+  ASSERT_EQ(report.metrics.size(), 2u);
+  for (const auto& m : report.metrics) EXPECT_FALSE(m.regressed) << m.name;
+  // Each current trial is held against the baseline's first trial.
+  EXPECT_TRUE(gate_passes(base, gate_doc({{}})));
+  EXPECT_TRUE(gate_passes(base, gate_doc({{}, {}, {}})));
+}
+
+TEST(BenchCompare, OneTrialValueChangeFails) {
+  const Json base = gate_doc({{}, {}});
+  // One ulp, either way, fails.
+  for (const double moved :
+       {std::nextafter(2.0, 3.0), std::nextafter(2.0, 1.0)}) {
+    const auto report =
+        compare_bench_runs(base, gate_doc({{}, {.value = moved}}));
+    EXPECT_FALSE(report.ok) << moved;
+    ASSERT_EQ(report.metrics.size(), 2u);
+    EXPECT_TRUE(report.metrics[0].regressed);
+    EXPECT_FALSE(report.notes.empty());
+  }
+}
+
+TEST(BenchCompare, OneCacheCounterChangeFails) {
+  const Json base = gate_doc({{}, {}});
+  const auto report = compare_bench_runs(base, gate_doc({{}, {.hits = 6}}));
+  EXPECT_FALSE(report.ok);
+  ASSERT_FALSE(report.notes.empty());
+  EXPECT_NE(report.notes[0].find("adj_cache.hits"), std::string::npos)
+      << report.notes[0];
+}
+
+TEST(BenchCompare, CounterKeyOnOneSideOnlyFails) {
+  const Json with = gate_doc({{}, {}});
+  const Json without = gate_doc({{.drop_hits = true}, {.drop_hits = true}});
+  EXPECT_FALSE(gate_passes(with, without));
+  EXPECT_FALSE(gate_passes(without, with));
+}
+
+TEST(BenchCompare, TrialsDisagreeingWithinADocumentFail) {
+  const Json agree = gate_doc({{}, {}});
+  const Json disagree = gate_doc({{}, {.value = 2.5}});
+  EXPECT_FALSE(gate_passes(agree, disagree));
+  EXPECT_FALSE(gate_passes(disagree, agree));
+  EXPECT_FALSE(gate_passes(disagree, disagree));
+}
+
+TEST(BenchCompare, DisappearedMetricFails) {
+  const auto report =
+      compare_bench_runs(gate_doc({{}}, 1.0, "det/extra"), gate_doc({{}}));
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.metrics.size(), 3u);
+  EXPECT_TRUE(report.metrics[2].regressed);
+}
+
+TEST(BenchCompare, ZeroToOneBitFails) {
+  // A 0 baseline gates like any other value.
+  const Json zero = gate_doc({{.value = 0.0}});
+  const Json one = gate_doc({{.value = 1.0}});
+  EXPECT_FALSE(gate_passes(zero, one));
+  EXPECT_FALSE(gate_passes(one, zero));
+}
+
+TEST(BenchCompare, NewMetricIsNotedAndPasses) {
+  const auto report =
+      compare_bench_runs(gate_doc({{}}), gate_doc({{}}, 1.0, "det/extra"));
+  EXPECT_TRUE(report.ok);
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("det/extra"), std::string::npos);
+}
+
+TEST(BenchCompare, WallMetricIsReportedNeverFails) {
+  const auto report =
+      compare_bench_runs(gate_doc({{}}, 1.0), gate_doc({{}}, 10.0));
+  EXPECT_TRUE(report.ok);
+  ASSERT_EQ(report.metrics.size(), 2u);
+  EXPECT_TRUE(report.metrics[1].wall);
+  EXPECT_FALSE(report.metrics[1].regressed);
+  EXPECT_EQ(report.metrics[1].baseline, 1.0);
+  EXPECT_EQ(report.metrics[1].current, 10.0);
+}
+
+void expect_refused(const Json& base, const Json& cur, const char* why) {
+  try {
+    (void)compare_bench_runs(base, cur);
+    ADD_FAILURE() << "compared documents that are not comparable: " << why;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("atlc: ", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(BenchCompare, RefusesSchemaVersionMismatch) {
+  const Json base = gate_doc({{}});
+  Json old = base;
+  old["schema_version"] = BenchRecorder::kSchemaVersion - 1;
+  expect_refused(old, base, "schema_version");
+  expect_refused(base, old, "schema_version");
+}
+
+TEST(BenchCompare, RefusesCalibratedCostDocument) {
+  const Json base = gate_doc({{}});
+  Json calibrated = base;
+  calibrated["meta"]["calibrated_cost"] = true;
+  expect_refused(base, calibrated, "calibrated");
+  expect_refused(calibrated, base, "calibrated");
+  Json fixed = base;
+  fixed["meta"]["calibrated_cost"] = false;
+  EXPECT_TRUE(gate_passes(base, fixed));
+}
+
+TEST(BenchCompare, RefusesScenarioMismatch) {
   BenchRecorder a("fig1", "x", "t"), b("fig2", "x", "t");
-  const auto mismatch = compare_bench_runs(a.finalize(), b.finalize(), {});
-  EXPECT_FALSE(mismatch.ok);
-  EXPECT_FALSE(mismatch.notes.empty());
-
-  // A brand-new gated metric must not fail against an old baseline.
-  BenchRecorder old_doc("s", "x", "t"), new_doc("s", "x", "t");
-  new_doc.declare_metric("makespan/new", {.unit = "s", .gate = true});
-  new_doc.add_trial("makespan/new", 1.0);
-  const auto added =
-      compare_bench_runs(old_doc.finalize(), new_doc.finalize(), {});
-  EXPECT_TRUE(added.ok);
-  EXPECT_FALSE(added.notes.empty());
-
-  // But a gated metric disappearing is noted too.
-  const auto removed =
-      compare_bench_runs(new_doc.finalize(), old_doc.finalize(), {});
-  EXPECT_TRUE(removed.ok);
-  EXPECT_FALSE(removed.notes.empty());
+  expect_refused(a.finalize(), b.finalize(), "scenario");
 }
 
 }  // namespace

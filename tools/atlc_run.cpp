@@ -58,7 +58,6 @@ std::unique_ptr<std::FILE, FileCloser> open_out(const std::string& path) {
 core::EngineConfig engine_config(const util::Cli& cli,
                                  const graph::CSRGraph& g) {
   core::EngineConfig cfg;
-  cfg.cost = intersect::CostModel::calibrate();
   const std::string& method = cli.get_string("method");
   cfg.method = method == "ssi"      ? intersect::Method::SSI
                : method == "binary" ? intersect::Method::Binary
