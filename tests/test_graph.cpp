@@ -9,6 +9,7 @@
 #include <numeric>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "atlc/core/engine_config.hpp"
@@ -24,6 +25,7 @@
 #include "atlc/graph/reference.hpp"
 #include "atlc/graph/relabel.hpp"
 #include "atlc/ingest/pipeline.hpp"
+#include "atlc/util/rng.hpp"
 #include "test_support.hpp"
 
 namespace atlc::graph {
@@ -66,6 +68,88 @@ TEST(EdgeList, SymmetrizeNoOpForDirected) {
   EdgeList e(3, {{0, 1}}, Directedness::Directed);
   e.symmetrize();
   EXPECT_EQ(e.num_edges(), 1u);
+}
+
+// sort_and_dedup and symmetrize bucket by source id; these oracles are the
+// comparison sorts they replaced.
+std::vector<Edge> sorted_unique(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+std::vector<Edge> symmetrized(std::vector<Edge> edges) {
+  const std::size_t m = edges.size();
+  for (std::size_t i = 0; i < m; ++i) edges.push_back({edges[i].v, edges[i].u});
+  return sorted_unique(std::move(edges));
+}
+
+void expect_matches_oracles(const std::vector<Edge>& input) {
+  EdgeList sorted(0, input, Directedness::Directed);
+  sorted.sort_and_dedup();
+  EXPECT_EQ(sorted.edges(), sorted_unique(input));
+  EdgeList sym(0, input, Directedness::Undirected);
+  sym.symmetrize();
+  EXPECT_EQ(sym.edges(), symmetrized(input));
+}
+
+TEST(EdgeList, BucketPassMatchesComparisonSortOnRandomLists) {
+  // Id ranges from a handful (mostly duplicates and self loops) through
+  // dense (one bucket per source) to the full 32-bit range (several
+  // sources per bucket).
+  for (const std::uint64_t ids :
+       {3ull, 50ull, 1000ull, 1ull << 20, 0xFFFFFFFFull}) {
+    for (const std::size_t m : {1u, 2u, 17u, 300u, 5000u}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        util::Xoshiro256 rng(seed * 1000003 + m + ids);
+        std::vector<Edge> input(m);
+        for (Edge& e : input)
+          e = {static_cast<VertexId>(rng() % ids),
+               static_cast<VertexId>(rng() % ids)};
+        SCOPED_TRACE("ids=" + std::to_string(ids) + " m=" + std::to_string(m) +
+                     " seed=" + std::to_string(seed));
+        expect_matches_oracles(input);
+      }
+    }
+  }
+}
+
+TEST(EdgeList, BucketPassEdgeCases) {
+  expect_matches_oracles({});
+  expect_matches_oracles({{4, 2}});
+  expect_matches_oracles({{7, 7}});
+  expect_matches_oracles(std::vector<Edge>(100, Edge{5, 3}));
+  expect_matches_oracles({{2, 2}, {1, 1}, {2, 2}, {0, 0}});
+  expect_matches_oracles({{3, 1}, {1, 3}, {3, 1}, {0, 2}, {2, 0}});
+}
+
+TEST(EdgeList, SortAndDedupLeavesSortedInputUnchanged) {
+  const std::vector<Edge> input{{0, 1}, {0, 4}, {1, 0}, {3, 2}, {3, 3}, {9, 0}};
+  EdgeList e(10, input, Directedness::Directed);
+  e.sort_and_dedup();
+  EXPECT_EQ(e.edges(), input);
+}
+
+TEST(EdgeList, SortAndDedupDropsDuplicatesFromSortedInput) {
+  // Non-decreasing but not strictly increasing: the early exit for sorted
+  // input must not take this list.
+  EdgeList e(4, {{0, 1}, {0, 1}, {1, 2}, {2, 3}, {2, 3}, {2, 3}},
+             Directedness::Directed);
+  e.sort_and_dedup();
+  EXPECT_EQ(e.edges(), (std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}}));
+}
+
+TEST(EdgeList, SparseIdsSortWithoutPerIdAllocation) {
+  // One counter per id up to 0xFFFFFFFE would need 32 GiB; this passes
+  // under `ulimit -v 4000000`.
+  constexpr VertexId kTop = 0xFFFFFFFE;
+  for (const std::vector<Edge>& input :
+       {std::vector<Edge>{{0, kTop}}, std::vector<Edge>{{kTop, 1}},
+        std::vector<Edge>{{kTop, 1}, {0, kTop}, {kTop, 0}, {1, 1}}})
+    expect_matches_oracles(input);
+  EdgeList e(0, {{kTop, 1}, {0, kTop}}, Directedness::Directed);
+  e.sort_and_dedup();
+  EXPECT_EQ(e.edges(), (std::vector<Edge>{{0, kTop}, {kTop, 1}}));
 }
 
 // ------------------------------------------------------------------ CSR ---
