@@ -26,14 +26,10 @@ class EdgeList {
   void set_directedness(Directedness d) { dir_ = d; }
   void add_edge(VertexId u, VertexId v) { edges_.push_back({u, v}); }
 
-  /// Sort edges lexicographically and drop exact duplicates (multi-edges):
-  /// the result equals std::sort + std::unique. A strictly increasing list
-  /// returns at once after one scan, so re-sorting a loader's output is
-  /// free. Otherwise one counting pass buckets the edges by source in
-  /// place, then each bucket is sorted: linear cost plus the short row
-  /// sorts. Buckets are keyed by the source's high bits when ids are
-  /// sparse, so the bucket count never exceeds the edge count and no
-  /// per-id memory is allocated.
+  /// Sort edges lexicographically and drop exact duplicates (multi-edges).
+  /// A strictly increasing list returns at once after one scan, so
+  /// re-sorting a loader's output is free; any other list takes
+  /// std::sort + std::unique, in place.
   void sort_and_dedup();
 
   /// Remove self loops (u == u).
@@ -42,10 +38,11 @@ class EdgeList {
   /// For an undirected graph, ensure both orientations of every edge are
   /// present (idempotent; dedups afterwards). No-op for directed graphs.
   /// The result equals appending every reversed edge, then std::sort +
-  /// std::unique. Both orientations are scattered straight into one
-  /// output array bucketed by source (the same counting pass and row sorts
-  /// as sort_and_dedup, with the same bound on buckets), so the cost is
-  /// linear plus the row sorts and no per-id memory is allocated.
+  /// std::unique. One counting pass buckets both orientations by source
+  /// straight into one 2m output array, then each bucket is sorted: the
+  /// cost is linear plus the short row sorts. Sparse ids are bucketed by
+  /// their high bits, so buckets never outnumber the 2m entries and no
+  /// per-id memory is allocated.
   void symmetrize();
 
   /// True if for every (u,v) the reverse (v,u) is also present.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 #include "atlc/util/check.hpp"
 
@@ -16,72 +17,12 @@ bool strictly_increasing(const std::vector<Edge>& edges) {
                             }) == edges.end();
 }
 
-/// Bucket layout of one counting pass over `entries` edges: an edge goes to
-/// bucket `u >> shift`. The shift is the smallest that keeps the bucket
-/// count at or below the entry count, so sparse ids (up to 2^32 - 2) cost
-/// no per-id memory; dense ids get shift 0, one bucket per source.
-class Buckets {
- public:
-  Buckets(VertexId max_source, std::size_t entries) {
-    while ((std::uint64_t{max_source} >> shift_) + 1 > entries) ++shift_;
-    start_.assign((std::size_t{max_source} >> shift_) + 2, 0);
-  }
-
-  [[nodiscard]] std::size_t of(VertexId u) const { return u >> shift_; }
-  void count(VertexId u) { ++start_[of(u) + 1]; }
-
-  /// Turns the counts into bucket starts: bucket b is
-  /// [start(b), start(b + 1)) of the output. Returns the write cursors.
-  std::vector<std::size_t> prefix_sum() {
-    for (std::size_t b = 1; b < start_.size(); ++b) start_[b] += start_[b - 1];
-    return {start_.begin(), start_.end() - 1};
-  }
-
-  [[nodiscard]] std::size_t size() const { return start_.size() - 1; }
-  [[nodiscard]] std::size_t start(std::size_t b) const { return start_[b]; }
-
- private:
-  unsigned shift_ = 0;
-  std::vector<std::size_t> start_;
-};
-
-/// Sorts every bucket of the scattered `edges`, then drops duplicates.
-/// Buckets partition the sources in increasing order, so sorted buckets
-/// make a sorted list. The packed (u, v) key orders like Edge's operator<
-/// in one compare.
-void sort_rows_and_dedup(std::vector<Edge>& edges, const Buckets& buckets) {
-  for (std::size_t b = 0; b < buckets.size(); ++b)
-    std::sort(edges.begin() + static_cast<std::ptrdiff_t>(buckets.start(b)),
-              edges.begin() + static_cast<std::ptrdiff_t>(buckets.start(b + 1)),
-              [](const Edge& x, const Edge& y) {
-                return (std::uint64_t{x.u} << 32 | x.v) <
-                       (std::uint64_t{y.u} << 32 | y.v);
-              });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-}
-
 }  // namespace
 
 void EdgeList::sort_and_dedup() {
   if (strictly_increasing(edges_)) return;
-
-  VertexId max_source = 0;
-  for (const Edge& e : edges_) max_source = std::max(max_source, e.u);
-  Buckets buckets(max_source, edges_.size());
-  for (const Edge& e : edges_) buckets.count(e.u);
-  std::vector<std::size_t> head = buckets.prefix_sum();
-
-  // In-place scatter (cycle leader): each edge is swapped straight into
-  // the next free slot of its bucket, so no second edge buffer is needed.
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    while (head[b] < buckets.start(b + 1)) {
-      Edge e = edges_[head[b]];
-      for (std::size_t k = buckets.of(e.u); k != b; k = buckets.of(e.u))
-        std::swap(e, edges_[head[k]++]);
-      edges_[head[b]++] = e;
-    }
-  }
-  sort_rows_and_dedup(edges_, buckets);
+  std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   ATLC_DCHECK(strictly_increasing(edges_), "sort_and_dedup output unsorted");
 }
 
@@ -92,24 +33,50 @@ void EdgeList::remove_self_loops() {
 void EdgeList::symmetrize() {
   if (dir_ == Directedness::Directed || edges_.empty()) return;
 
+  // One counting pass keyed by source. An edge goes to bucket u >> shift,
+  // with the smallest shift that keeps the bucket count at or below the
+  // 2m entries, so sparse ids (up to 2^32 - 2) cost no per-id memory;
+  // dense ids get shift 0, one bucket per source.
+  const std::size_t entries = edges_.size() * 2;
   VertexId max_id = 0;
   for (const Edge& e : edges_) max_id = std::max({max_id, e.u, e.v});
-  Buckets buckets(max_id, edges_.size() * 2);
+  unsigned shift = 0;
+  while ((std::uint64_t{max_id} >> shift) + 1 > entries) ++shift;
+  const auto bucket = [shift](VertexId u) -> std::size_t { return u >> shift; };
+
+  // One array serves as counts, then bucket starts, then (after the
+  // scatter has advanced each start) bucket ends: bucket b is
+  // [bucket_end[b - 1], bucket_end[b]), starting at 0.
+  std::vector<std::size_t> bucket_end(bucket(max_id) + 1, 0);
   for (const Edge& e : edges_) {
-    buckets.count(e.u);
-    buckets.count(e.v);
+    ++bucket_end[bucket(e.u)];
+    ++bucket_end[bucket(e.v)];
   }
-  std::vector<std::size_t> cursor = buckets.prefix_sum();
+  std::exclusive_scan(bucket_end.begin(), bucket_end.end(), bucket_end.begin(),
+                      std::size_t{0});
 
   // Both orientations go straight to their source's bucket of the one
   // output array; the input is freed before the rows are sorted.
-  std::vector<Edge> out(edges_.size() * 2);
+  std::vector<Edge> out(entries);
   for (const Edge& e : edges_) {
-    out[cursor[buckets.of(e.u)]++] = e;
-    out[cursor[buckets.of(e.v)]++] = {e.v, e.u};
+    out[bucket_end[bucket(e.u)]++] = e;
+    out[bucket_end[bucket(e.v)]++] = {e.v, e.u};
   }
   edges_ = std::move(out);
-  sort_rows_and_dedup(edges_, buckets);
+
+  // Buckets partition the sources in increasing order, so sorted buckets
+  // make a sorted list. The packed (u, v) key orders like Edge's operator<
+  // in one compare.
+  auto row = edges_.begin();
+  for (const std::size_t b_end : bucket_end) {
+    const auto row_end = edges_.begin() + static_cast<std::ptrdiff_t>(b_end);
+    std::sort(row, row_end, [](const Edge& x, const Edge& y) {
+      return (std::uint64_t{x.u} << 32 | x.v) <
+             (std::uint64_t{y.u} << 32 | y.v);
+    });
+    row = row_end;
+  }
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   ATLC_DCHECK(strictly_increasing(edges_), "symmetrize output unsorted");
 }
 

@@ -70,8 +70,8 @@ TEST(EdgeList, SymmetrizeNoOpForDirected) {
   EXPECT_EQ(e.num_edges(), 1u);
 }
 
-// sort_and_dedup and symmetrize bucket by source id; these oracles are the
-// comparison sorts they replaced.
+// symmetrize buckets by source id and sort_and_dedup skips sorted input;
+// these oracles are the plain comparison sorts.
 std::vector<Edge> sorted_unique(std::vector<Edge> edges) {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
