@@ -72,22 +72,17 @@ class AdjacencyFetcher {
     rma::GetHandle handle{};
   };
 
-  /// Start fetching adj(v) (the whole row). Local, hub and cache-hit rows
-  /// resolve immediately. A transfer claims the least-recently-used ring
-  /// slot, invalidating the span of the transfer begun ring_size() transfers
-  /// ago. Whole-row fetches only exist on 1D partitions
-  /// (col_blocks() == 1); debug builds abort otherwise.
-  [[nodiscard]] Token begin(VertexId v);
-
   /// Start fetching the column-block-b segment of adj(v) — the slice of
   /// v's adjacency row whose neighbor ids fall in
-  /// partition.col_block_range(b). The two-get protocol is unchanged: the
-  /// segment owner's local offsets delimit exactly its stored slice, so
-  /// "fetch the owner's row lv" *is* the segment fetch. CLaMPI entries are
-  /// keyed by (target rank, offset, count) and therefore already
-  /// segment-granular; distinct segments of one row never collide. On 1D
-  /// partitions b must be 0 and this is begin(v) — byte-identical
-  /// behaviour, so 1D virtual-time baselines are unaffected.
+  /// partition.col_block_range(b). On 1D partitions b must be 0 and the
+  /// segment is the whole row. Local, hub and cache-hit rows resolve
+  /// immediately. A transfer claims the least-recently-used ring slot,
+  /// invalidating the span of the transfer begun ring_size() transfers ago.
+  /// The two-get protocol is unchanged: the segment owner's local offsets
+  /// delimit exactly its stored slice, so "fetch the owner's row lv" *is*
+  /// the segment fetch. CLaMPI entries are keyed by (target rank, offset,
+  /// count) and therefore already segment-granular; distinct segments of
+  /// one row never collide.
   [[nodiscard]] Token begin(VertexId v, std::uint32_t col_block);
 
   /// Complete the fetch; see the class comment for the returned span's

@@ -43,26 +43,18 @@ struct RunResult : EdgeAnalyticStats {
     const rma::NetworkModel& net = {},
     graph::PartitionKind partition = graph::PartitionKind::Block1D);
 
-/// Global triangle count via the same machinery. For undirected graphs
-/// returns the number of distinct triangles. Two de-duplication paths:
-/// the paper's upper-triangle floor trick (default), or — with
-/// `orient_dodg` — a degree-ordered orientation pass (graph::orient_dodg)
-/// that enumerates each triangle exactly once with no per-edge trimming
-/// and caps every row at O(sqrt(m)) (DESIGN.md §9). Only TC takes the
-/// orientation: LCC and the similarity measures need full undirected
-/// neighborhoods.
-[[nodiscard]] std::uint64_t run_distributed_tc(
-    const CSRGraph& g, std::uint32_t ranks, EngineConfig config = {},
-    const rma::NetworkModel& net = {},
-    graph::PartitionKind partition = graph::PartitionKind::Block1D,
-    bool orient_dodg = false);
-
-/// Full-record variant of run_distributed_tc: same counting paths, but
-/// returns the whole RunResult (makespan, comm/cache stats, per-vertex
-/// counts) — the `dodg` bench scenario compares the paths on it. Note that
-/// on the DODG path `triangles[v]` is the count of triangles whose
-/// (deg, id)-least edge starts at v, NOT the edge-centric t(v);
-/// `global_triangles` is exact either way.
+/// Global triangle count via the same machinery, in `global_triangles`:
+/// for undirected graphs the number of distinct triangles. Two
+/// de-duplication paths: the paper's upper-triangle floor trick (default),
+/// or — with `orient_dodg` — a degree-ordered orientation pass
+/// (graph::orient_dodg) that enumerates each triangle exactly once with no
+/// per-edge trimming and caps every row at O(sqrt(m)) (DESIGN.md §9). Only
+/// TC takes the orientation: LCC and the similarity measures need full
+/// undirected neighborhoods. The whole RunResult comes back (makespan,
+/// comm/cache stats, per-vertex counts) — the `dodg` bench scenario
+/// compares the paths on it. Note that on the DODG path `triangles[v]` is
+/// the count of triangles whose (deg, id)-least edge starts at v, NOT the
+/// edge-centric t(v); `global_triangles` is exact either way.
 [[nodiscard]] RunResult run_distributed_tc_result(
     const CSRGraph& g, std::uint32_t ranks, EngineConfig config = {},
     const rma::NetworkModel& net = {},

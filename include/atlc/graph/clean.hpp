@@ -4,16 +4,13 @@
 
 namespace atlc::graph {
 
-/// Options for the cleaning pipeline of paper Section II-B.
+/// Options for the cleaning pipeline of paper Section II-B. Self loops and
+/// multi-edges are always removed.
 struct CleanOptions {
-  bool remove_self_loops = true;
-  bool remove_multi_edges = true;
-  /// Remove vertices of degree < 2 (they cannot participate in a triangle).
+  /// Remove vertices of degree < 2 (they cannot participate in a triangle)
+  /// in one pass, as the paper does. Off only to mirror
+  /// `atlc_ingest --keep-low-degree`.
   bool remove_degree_lt2 = true;
-  /// If true, repeat degree<2 removal to a fixed point (removing a vertex
-  /// can drop a neighbor below degree 2). The paper applies a single pass;
-  /// the recursive variant is provided for the pruning ablation.
-  bool recursive_degree_removal = false;
   /// Randomly relabel vertices (paper: applied when the input is
   /// degree-ordered, to avoid assigning all high-degree vertices to the
   /// same 1D partition). 0 disables; any other value seeds the permutation.
@@ -25,7 +22,6 @@ struct CleanReport {
   std::size_t self_loops_removed = 0;
   std::size_t multi_edges_removed = 0;
   VertexId vertices_removed = 0;
-  std::size_t degree_removal_rounds = 0;
 };
 
 /// Run the Section II-B pipeline on `edges` in place. Degree<2 removal

@@ -15,8 +15,8 @@ namespace atlc::graph {
 
 // The edge-file formats live here and nowhere else (DESIGN.md §11): the
 // SNAP text grammar, first-appearance id interning, and the 24-byte prefix
-// of the ATLC binary files (the v1 edge list below and the v2 snapshot of
-// ingest/snapshot.hpp). load_edges, ingest::run_ingest and
+// of the ATLC binary file (the v2 snapshot of ingest/snapshot.hpp, the one
+// binary graph format). load_edges, ingest::run_ingest and
 // ingest::SnapshotReader all read through these pieces, so the in-memory
 // and out-of-core paths cannot disagree on what a file contains.
 
@@ -133,14 +133,21 @@ class IdInterner {
     const std::string& path, Directedness directedness,
     std::uint64_t max_vertices = 0xffffffffull);
 
-/// Write the text edge-list format.
+/// Write the text edge-list format: a '#' comment line, then one "u v"
+/// line per stored edge (both orientations of an undirected list).
+/// load_text_edges reads it back; `atlc_run --convert` writes it.
 void save_text_edges(const EdgeList& edges, const std::string& path);
+
+/// The SNAP text loader for a path a user names: load_text_edges, after
+/// require_text. `directedness` says how to read the text.
+[[nodiscard]] EdgeList load_edges(const std::string& path,
+                                  Directedness directedness);
 
 // ---------------------------------------------------------- ATLC binary ---
 
 /// The prefix every ATLC binary file starts with: u32 magic "ATLC",
-/// u32 version, u32 directedness (0/1), u32 n, u64 m. Version 1 is the
-/// edge list below; version 2 is ingest/snapshot.hpp's sliced snapshot.
+/// u32 version, u32 directedness (0/1), u32 n, u64 m. Version 2, the
+/// ingest/snapshot.hpp sliced snapshot, is the only version read.
 struct AtlcPrefix {
   std::uint32_t version = 0;
   Directedness directedness = Directedness::Undirected;
@@ -151,54 +158,26 @@ inline constexpr std::uint64_t kAtlcPrefixBytes = 24;
 
 /// The version word of an ATLC binary file (0 when the file ends right
 /// after the magic), or nullopt when `path` does not start with the magic,
-/// i.e. is text. The one dispatch load_edges, run_ingest and
-/// SnapshotReader::sniff share. Throws when the file cannot be opened.
+/// i.e. is text. The one dispatch require_text and SnapshotReader::sniff
+/// share. Throws when the file cannot be opened.
 [[nodiscard]] std::optional<std::uint32_t> sniff_atlc(const std::string& path);
+
+/// Throw an "atlc:" error when sniff_atlc finds the magic: the SNAP text
+/// readers (load_edges, ingest::run_ingest) refuse ATLC binary files
+/// instead of parsing their bytes as text. A v2 snapshot's message names
+/// `atlc_run --snapshot`, the way to open it.
+void require_text(const std::string& path);
 
 /// Read and validate the prefix from the start of `f`: it must be present
 /// ("truncated header"), carry the magic ("bad magic"), declare `version`
-/// (a v1 file handed to the v2 reader, or the reverse, names the right
-/// reader; other versions are "unsupported binary edge-list version"), and
-/// hold a 0/1 directedness flag. Leaves `f` just past the prefix.
+/// (any other is "unsupported ATLC binary version"), and hold a 0/1
+/// directedness flag ("corrupt directedness flag"). Leaves `f` just past
+/// the prefix.
 [[nodiscard]] AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
                                           const std::string& path);
 
 /// Write the prefix at `f`'s current position.
 void write_atlc_prefix(std::FILE* f, const AtlcPrefix& prefix,
                        const std::string& path);
-
-/// Streams a v1 binary edge list: the prefix, then m (u, v) pairs of
-/// uint32. The constructor validates the prefix and that the declared edge
-/// count matches the file size exactly ("truncated or corrupt": a short
-/// copy would otherwise slice the edge array silently); next() checks every
-/// endpoint is < n. Violations throw "atlc:" errors naming the path.
-class BinaryEdgeReader {
- public:
-  explicit BinaryEdgeReader(const std::string& path);
-
-  [[nodiscard]] const AtlcPrefix& prefix() const { return prefix_; }
-
-  /// Replace `out` with the next up-to-`max_edges` edges. Returns false
-  /// (out empty) once the payload is exhausted.
-  bool next(std::vector<Edge>& out, std::uint64_t max_edges);
-
- private:
-  std::string path_;
-  File f_;
-  AtlcPrefix prefix_;
-  std::uint64_t remaining_ = 0;
-};
-
-/// Load a whole v1 binary edge list through BinaryEdgeReader. Roughly 6x
-/// faster than text; used to snapshot generated proxies between bench runs
-/// (see `atlc_run --convert`).
-[[nodiscard]] EdgeList load_binary_edges(const std::string& path);
-void save_binary_edges(const EdgeList& edges, const std::string& path);
-
-/// Format-sniffing loader: the binary loader when sniff_atlc finds the
-/// magic, the text loader otherwise. `directedness` applies to text input
-/// only (the binary prefix records its own).
-[[nodiscard]] EdgeList load_edges(const std::string& path,
-                                  Directedness directedness);
 
 }  // namespace atlc::graph

@@ -35,8 +35,8 @@ struct IngestOptions {
   /// Rank count the snapshot's slice index is built for. A snapshot serves
   /// exactly this many ranks; other counts fall back to the in-memory path.
   std::uint32_t ranks = 8;
-  /// Directedness for *text* input (binary v1 input records its own).
-  /// Undirected text input is symmetrized, exactly like load_text_edges.
+  /// How to read the input. Undirected input is symmetrized, exactly like
+  /// load_text_edges.
   graph::Directedness directedness = graph::Directedness::Undirected;
   RelabelMode relabel = RelabelMode::Random;
   std::uint64_t relabel_seed = 1;
@@ -61,9 +61,8 @@ struct IngestOptions {
 /// extent totals) are bit-stable across threads, chunk sizes, and memory
 /// budgets — the property the equivalence tests pin down.
 struct IngestReport {
-  std::string input_kind;               ///< "text" or "binary-v1"
   std::uint64_t bytes_read = 0;         ///< input bytes consumed
-  std::uint64_t lines = 0;              ///< text lines seen (0 for binary)
+  std::uint64_t lines = 0;              ///< text lines seen
   std::uint64_t pairs_parsed = 0;       ///< id pairs parsed from the input
   std::uint64_t raw_edges = 0;          ///< edges entering the sort (incl.
                                         ///< symmetrized copies)
@@ -91,14 +90,15 @@ struct IngestReport {
   std::uint64_t extents[snapshot_v2::kKindCount] = {};
 };
 
-/// The out-of-core ingest pipeline (DESIGN.md §11): stream `input` (SNAP
-/// text or v1 binary, read through graph/io's readers, the same ones
-/// load_edges uses) in chunks, parse in parallel, fused
-/// clean/sort/dedup/relabel via external merge sort, and write a v2
+/// The out-of-core ingest pipeline (DESIGN.md §11): stream the SNAP text
+/// `input` (read through graph/io's ChunkReader, parse_text_chunk and
+/// IdInterner, the pieces load_edges uses) in chunks, parse in parallel,
+/// fused clean/sort/dedup/relabel via external merge sort, and write a v2
 /// partition-sliced snapshot to `output`. The cleaned graph is bit-identical
 /// to load_edges() + graph::clean() with the matching options, for any
 /// thread count, chunk size, or memory budget. Throws std::runtime_error
-/// ("atlc: ..." messages) on malformed input.
+/// ("atlc: ..." messages) on malformed input, and on an ATLC binary input
+/// (graph::require_text).
 IngestReport run_ingest(const std::string& input, const std::string& output,
                         const IngestOptions& options = {});
 

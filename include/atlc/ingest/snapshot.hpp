@@ -22,12 +22,12 @@ using graph::Partition;
 using graph::PartitionKind;
 using graph::VertexId;
 
-/// Binary snapshot format v2: the out-of-core successor of the v1 binary
-/// edge list. It starts with the same 24-byte ATLC prefix (graph/io.hpp's
-/// read_atlc_prefix / write_atlc_prefix), version 2; the payload is the
-/// CLEANED graph — deduped, self-loop-free, optionally relabeled, edges
-/// sorted lexicographically by (u, v) — plus a per-PartitionKind slice
-/// index that lets each rank seek-read only its slice (DESIGN.md §11).
+/// Binary snapshot format v2, the one binary graph format. It starts with
+/// the 24-byte ATLC prefix (graph/io.hpp's read_atlc_prefix /
+/// write_atlc_prefix), version 2; the payload is the CLEANED graph —
+/// deduped, self-loop-free, optionally relabeled, edges sorted
+/// lexicographically by (u, v) — plus a per-PartitionKind slice index that
+/// lets each rank seek-read only its slice (DESIGN.md §11).
 ///
 /// Layout (host-endian, fixed-width fields, no struct padding):
 ///   header            (kHeaderBytes, field offsets below)

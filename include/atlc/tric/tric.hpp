@@ -22,9 +22,13 @@ using graph::VertexId;
 /// query to owner(j). Queries and credit responses travel in BLOCKING
 /// all-to-all rounds — every rank waits for the slowest each round, which
 /// is the synchronisation cost the paper's asynchronous design removes.
+///
+/// Ranks own edge-balanced vertex blocks (balanced_boundaries): the paper
+/// runs TriC with `-b`. Each query entry also pays a fixed two-sided
+/// handling cost (tric.cpp's kTwoSidedEntryNs), once at the sender and
+/// once at the receiver; the async engine's RMA transfers land directly in
+/// the user buffer and pay none (the paper's Section II-E argument).
 struct TricConfig {
-  /// The paper runs TriC with `-b` (edge-balanced vertex partitioning).
-  bool balanced_partition = true;
   /// TriC-Buffered: cap on queued query entries (uint32 words) per
   /// destination rank; a full buffer forces an early exchange round.
   /// 0 = unbuffered (the original TriC). The paper caps buffers at 16 MiB.
@@ -33,15 +37,6 @@ struct TricConfig {
   VertexId batch_vertices = 1024;
   /// Compute-cost model (same as the async engine, for a fair comparison).
   intersect::CostModel cost{};
-  /// Per-query-entry two-sided handling cost (nanoseconds), charged once at
-  /// the sender (packing into per-destination buffers) and once at the
-  /// receiver (unpack + candidate lookup bookkeeping + response packing).
-  /// Real TriC touches cold memory per candidate; 120 ns/entry per side is
-  /// a conservative calibration (a single cold DRAM-resident binary search
-  /// alone costs 100-300 ns). The async engine has no analogous per-entry
-  /// message handling — its transfers land directly in the user buffer via
-  /// RMA, which is precisely the paper's Section II-E argument for RMA.
-  double two_sided_entry_ns = 120.0;
 };
 
 struct TricResult {

@@ -87,13 +87,6 @@ AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
     remote_reads_.assign(dg.partition.num_vertices(), 0);
 }
 
-AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v) {
-  ATLC_DCHECK(dg_->partition.col_blocks() == 1,
-              "whole-row begin(v) on a 2D partition: use "
-              "begin(v, col_block) (segments are the unit of fetch)");
-  return begin(v, 0);
-}
-
 AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
                                                 std::uint32_t col_block) {
   const auto& part = dg_->partition;

@@ -143,14 +143,4 @@ RunResult run_distributed_tc_result(const CSRGraph& g, std::uint32_t ranks,
                     g.directedness() == Directedness::Undirected);
 }
 
-std::uint64_t run_distributed_tc(const CSRGraph& g, std::uint32_t ranks,
-                                 EngineConfig config,
-                                 const rma::NetworkModel& net,
-                                 graph::PartitionKind partition,
-                                 bool orient_dodg) {
-  return run_distributed_tc_result(g, ranks, std::move(config), net, partition,
-                                   orient_dodg)
-      .global_triangles;
-}
-
 }  // namespace atlc::core

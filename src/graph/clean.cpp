@@ -47,26 +47,16 @@ VertexId remove_low_degree_once(EdgeList& edges) {
 CleanReport clean(EdgeList& edges, const CleanOptions& options) {
   CleanReport report;
 
-  if (options.remove_self_loops) {
-    const std::size_t before = edges.num_edges();
-    edges.remove_self_loops();
-    report.self_loops_removed = before - edges.num_edges();
-  }
+  std::size_t before = edges.num_edges();
+  edges.remove_self_loops();
+  report.self_loops_removed = before - edges.num_edges();
 
-  if (options.remove_multi_edges) {
-    const std::size_t before = edges.num_edges();
-    edges.sort_and_dedup();
-    report.multi_edges_removed = before - edges.num_edges();
-  }
+  before = edges.num_edges();
+  edges.sort_and_dedup();
+  report.multi_edges_removed = before - edges.num_edges();
 
-  if (options.remove_degree_lt2) {
-    do {
-      const VertexId removed = remove_low_degree_once(edges);
-      report.vertices_removed += removed;
-      ++report.degree_removal_rounds;
-      if (removed == 0) break;
-    } while (options.recursive_degree_removal);
-  }
+  if (options.remove_degree_lt2)
+    report.vertices_removed = remove_low_degree_once(edges);
 
   if (options.relabel_seed != 0) {
     relabel_random(edges, options.relabel_seed);

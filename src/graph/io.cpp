@@ -9,26 +9,12 @@ namespace atlc::graph {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x41544c43;  // "ATLC"
-constexpr std::uint32_t kVersion = 1;
 
 /// load_text_edges' read window. 64 KiB amortises the fread as well as
 /// 1 MiB does, but 1 MiB windows (and their pair buffers) fragment the
 /// glibc heap of a process that loads repeatedly: +6 MiB peak RSS over ten
 /// loads of an R-MAT S16 text file.
 constexpr std::size_t kTextWindowBytes = std::size_t{1} << 16;
-
-/// What each ATLC version is and what reads it, for cross-format errors.
-struct AtlcFormat {
-  const char* what;
-  const char* reader;
-};
-constexpr AtlcFormat kFormats[] = {
-    {nullptr, nullptr},
-    {"a v1 binary edge list",
-     "graph::load_binary_edges (atlc_run --input, or atlc_ingest)"},
-    {"a v2 partition-sliced snapshot",
-     "ingest::SnapshotReader (atlc_run --snapshot)"},
-};
 
 /// strtoull-compatible base-10 parse of [p, end): skips leading whitespace,
 /// accepts an optional sign (negative values wrap, as strtoull defines),
@@ -180,6 +166,11 @@ void save_text_edges(const EdgeList& edges, const std::string& path) {
     std::fprintf(f.get(), "%u %u\n", e.u, e.v);
 }
 
+EdgeList load_edges(const std::string& path, Directedness directedness) {
+  require_text(path);
+  return load_text_edges(path, directedness);
+}
+
 // ---------------------------------------------------------------------------
 // ATLC binary
 
@@ -189,6 +180,18 @@ std::optional<std::uint32_t> sniff_atlc(const std::string& path) {
   if (std::fread(word, sizeof(word[0]), 2, f.get()) == 0 || word[0] != kMagic)
     return std::nullopt;
   return word[1];
+}
+
+void require_text(const std::string& path) {
+  const std::optional<std::uint32_t> version = sniff_atlc(path);
+  if (!version) return;
+  if (*version == 2)  // ingest::snapshot_v2::kVersion
+    throw std::runtime_error(
+        "atlc: this is a v2 partition-sliced snapshot, not SNAP text — open "
+        "it with atlc_run --snapshot: " + path);
+  throw std::runtime_error("atlc: an ATLC binary file (version " +
+                           std::to_string(*version) +
+                           ") is not SNAP text: " + path);
 }
 
 AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
@@ -203,16 +206,10 @@ AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
         std::to_string(kAtlcPrefixBytes) + "-byte ATLC header): " + path);
   if (word[0] != kMagic)
     throw std::runtime_error("atlc: bad magic (not an ATLC file): " + path);
-  if (word[1] != version) {
-    if (word[1] == 1 || word[1] == 2)
-      throw std::runtime_error(std::string("atlc: this is ") +
-                               kFormats[word[1]].what + ", not " +
-                               kFormats[version].what + " — open it with " +
-                               kFormats[word[1]].reader + ": " + path);
-    throw std::runtime_error("atlc: unsupported binary edge-list version " +
+  if (word[1] != version)
+    throw std::runtime_error("atlc: unsupported ATLC binary version " +
                              std::to_string(word[1]) + " (expected " +
                              std::to_string(version) + "): " + path);
-  }
   if (word[2] > 1)
     throw std::runtime_error("atlc: corrupt directedness flag: " + path);
   return {word[1],
@@ -229,64 +226,6 @@ void write_atlc_prefix(std::FILE* f, const AtlcPrefix& prefix,
   if (std::fwrite(word, sizeof(word), 1, f) != 1 ||
       std::fwrite(&prefix.num_edges, sizeof(prefix.num_edges), 1, f) != 1)
     throw std::runtime_error("atlc: short write (disk full?): " + path);
-}
-
-BinaryEdgeReader::BinaryEdgeReader(const std::string& path)
-    : path_(path), f_(open_or_throw(path, "rb")) {
-  const std::uint64_t bytes = file_size(f_.get(), path_);
-  prefix_ = read_atlc_prefix(f_.get(), kVersion, path_);
-  // The declared count must match the payload EXACTLY: a short file is a
-  // truncated copy, extra bytes mean the file is not what the prefix
-  // claims. Divide rather than multiply: m * sizeof(Edge) can wrap.
-  const std::uint64_t payload = bytes - kAtlcPrefixBytes;
-  if (payload % sizeof(Edge) != 0 ||
-      prefix_.num_edges != payload / sizeof(Edge))
-    throw std::runtime_error(
-        "atlc: declared edge count " + std::to_string(prefix_.num_edges) +
-        " does not match the " + std::to_string(payload) +
-        "-byte payload (truncated or corrupt): " + path_);
-  remaining_ = prefix_.num_edges;
-}
-
-bool BinaryEdgeReader::next(std::vector<Edge>& out, std::uint64_t max_edges) {
-  const auto want =
-      static_cast<std::size_t>(std::min(remaining_, max_edges));
-  out.resize(want);
-  if (want == 0) return false;
-  if (std::fread(out.data(), sizeof(Edge), want, f_.get()) != want)
-    throw std::runtime_error("atlc: short read: " + path_);
-  remaining_ -= want;
-  const VertexId n = prefix_.num_vertices;
-  for (const Edge& e : out)
-    if (e.u >= n || e.v >= n)
-      throw std::runtime_error(
-          "atlc: edge endpoint out of range (vertex >= " + std::to_string(n) +
-          "; corrupt payload): " + path_);
-  return true;
-}
-
-EdgeList load_binary_edges(const std::string& path) {
-  BinaryEdgeReader reader(path);
-  std::vector<Edge> edges;
-  reader.next(edges, reader.prefix().num_edges);
-  return EdgeList(reader.prefix().num_vertices, std::move(edges),
-                  reader.prefix().directedness);
-}
-
-void save_binary_edges(const EdgeList& edges, const std::string& path) {
-  File f = open_or_throw(path, "wb");
-  const auto m = static_cast<std::uint64_t>(edges.num_edges());
-  write_atlc_prefix(
-      f.get(), {kVersion, edges.directedness(), edges.num_vertices(), m},
-      path);
-  if (m > 0 &&
-      std::fwrite(edges.edges().data(), sizeof(Edge), m, f.get()) != m)
-    throw std::runtime_error("atlc: short write (disk full?): " + path);
-}
-
-EdgeList load_edges(const std::string& path, Directedness directedness) {
-  if (sniff_atlc(path)) return load_binary_edges(path);
-  return load_text_edges(path, directedness);
 }
 
 }  // namespace atlc::graph

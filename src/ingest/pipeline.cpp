@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <memory>
 #include <numeric>
-#include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "atlc/graph/io.hpp"
@@ -86,27 +84,9 @@ void ingest_text(const std::string& input, const IngestOptions& opt,
     }
     sorter.add(batch);
   }
-  rep.input_kind = "text";
   rep.bytes_read = reader.bytes_read();
   rep.raw_edges = sorter.total_edges();
   rep.vertices_in = intern.size();
-}
-
-/// Stage-1 v1-binary ingest: stream the already-compacted, validated edge
-/// payload into the sorter in blocks. No interning, no symmetrization
-/// (matching load_binary_edges).
-Directedness ingest_binary_v1(const std::string& input,
-                              ExternalEdgeSorter& sorter, IngestReport& rep) {
-  graph::BinaryEdgeReader reader(input);
-  std::vector<Edge> buf;
-  while (reader.next(buf, std::uint64_t{1} << 16)) sorter.add(buf);
-  const graph::AtlcPrefix& prefix = reader.prefix();
-  rep.input_kind = "binary-v1";
-  rep.bytes_read = graph::kAtlcPrefixBytes + prefix.num_edges * sizeof(Edge);
-  rep.pairs_parsed = prefix.num_edges;
-  rep.raw_edges = prefix.num_edges;
-  rep.vertices_in = prefix.num_vertices;
-  return prefix.directedness;
 }
 
 /// Replay `sorter`'s merged stream with the dedup/self-loop filter applied
@@ -133,6 +113,7 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   IngestReport rep;
   rep.ranks = opt.ranks;
   ATLC_CHECK(opt.ranks > 0, "ingest needs >= 1 rank");
+  graph::require_text(input);
 
   const int threads = resolve_threads(opt.num_threads);
   const std::string prefix = tmp_prefix(output, opt.tmp_dir);
@@ -155,15 +136,7 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   tracer.begin("read_parse");
   util::Timer parse_timer;
   ExternalEdgeSorter raw(prefix + ".raw", opt.mem_budget_bytes, threads);
-  Directedness dir = opt.directedness;
-  const std::optional<std::uint32_t> version = graph::sniff_atlc(input);
-  if (version == snapshot_v2::kVersion)
-    throw std::runtime_error(
-        "atlc: input is already a v2 snapshot (nothing to ingest): " + input);
-  if (version)
-    dir = ingest_binary_v1(input, raw, rep);
-  else
-    ingest_text(input, opt, threads, raw, rep);
+  ingest_text(input, opt, threads, raw, rep);
   raw.finish();
   const double stage1_wall = parse_timer.elapsed_s();
   rep.parse_seconds = stage1_wall - raw.sort_seconds();
@@ -197,7 +170,7 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
       ++m_clean;
       ++deg_filter[e.u];
       ++out_deg[e.u];
-      if (dir == Directedness::Directed) ++deg_filter[e.v];
+      if (opt.directedness == Directedness::Directed) ++deg_filter[e.v];
     });
   }
 
@@ -312,7 +285,7 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   parts.emplace_back(PartitionKind::Grid2D, n1, opt.ranks);
 
   {
-    SnapshotWriter writer(output, n1, dir, std::move(parts));
+    SnapshotWriter writer(output, n1, opt.directedness, std::move(parts));
     replay_final([&](const Edge& e) { writer.append(e); });
     writer.finalize(deg_final);
     rep.num_edges = writer.num_edges();

@@ -26,6 +26,14 @@ std::vector<VertexId> balanced_boundaries(const CSRGraph& g,
 
 namespace {
 
+/// Per-query-entry two-sided handling cost, charged once at the sender
+/// (packing into per-destination buffers) and once at the receiver (unpack
+/// + candidate lookup bookkeeping + response packing). Real TriC touches
+/// cold memory per candidate; 120 ns/entry per side is a conservative
+/// calibration (a single cold DRAM-resident binary search alone costs
+/// 100-300 ns).
+constexpr double kTwoSidedEntryNs = 120.0;
+
 /// Vertex ownership under explicit block boundaries.
 struct BoundaryPartition {
   std::vector<VertexId> bounds;  // size p+1
@@ -53,15 +61,7 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
              "TriC counts triangles on undirected graphs");
   const VertexId n = g.num_vertices();
 
-  BoundaryPartition part;
-  if (config.balanced_partition) {
-    part.bounds = balanced_boundaries(g, ranks);
-  } else {
-    part.bounds.resize(ranks + 1);
-    for (std::uint32_t r = 0; r <= ranks; ++r)
-      part.bounds[r] = static_cast<VertexId>(
-          static_cast<std::uint64_t>(n) * r / ranks);
-  }
+  const BoundaryPartition part{balanced_boundaries(g, ranks)};
 
   TricResult out;
   out.per_vertex.assign(n, 0);
@@ -129,7 +129,7 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
                 q.insert(q.end(), ks.begin(), ks.end());
                 st.query_entries += 3 + ks.size();
                 // Sender-side two-sided handling: packing per entry.
-                ctx.charge_compute(config.two_sided_entry_ns * 1e-9 *
+                ctx.charge_compute(kTwoSidedEntryNs * 1e-9 *
                                    static_cast<double>(3 + ks.size()));
                 if (config.buffer_entries > 0 &&
                     q.size() >= config.buffer_entries)
@@ -175,7 +175,7 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
           // Receiver-side: per-candidate lookup plus two-sided unpack and
           // response bookkeeping per entry.
           ctx.charge_compute(config.cost.seconds_probes(cnt, adj_j.size()) +
-                             config.two_sided_entry_ns * 1e-9 *
+                             kTwoSidedEntryNs * 1e-9 *
                                  static_cast<double>(3 + cnt));
           pos += cnt;
         }

@@ -63,7 +63,7 @@ TEST(DistGraph, RemoteOffsetProtocolReadsCorrectAdjacency) {
     EngineConfig cfg;
     AdjacencyFetcher fetcher(ctx, dg, cfg);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto got = fetcher.finish(fetcher.begin(v));
+      const auto got = fetcher.finish(fetcher.begin(v, 0));
       const auto want = g.neighbors(v);
       ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
       for (std::size_t i = 0; i < got.size(); ++i)
@@ -88,7 +88,7 @@ TEST(AdjacencyFetcher, CacheHitIsAViewOfTheOwnersExposedPart) {
     for (int pass = 0; pass < 2; ++pass) {
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         const auto owner = part.owner(v);
-        const auto got = fetcher.finish(fetcher.begin(v));
+        const auto got = fetcher.finish(fetcher.begin(v, 0));
         ASSERT_TRUE(std::ranges::equal(got, g.neighbors(v))) << "vertex " << v;
         if (pass == 0 || owner == ctx.rank() || got.empty()) continue;
         const auto exposed =
@@ -241,14 +241,17 @@ TEST(Tc, UpperTriangleGlobalCountMatches) {
   for (std::uint64_t seed : {11, 12, 13}) {
     const CSRGraph g = rmat_graph(8, 8, seed);
     const auto ref = graph::reference_lcc(g);
-    EXPECT_EQ(run_distributed_tc(g, 4), ref.global_triangles) << seed;
+    EXPECT_EQ(run_distributed_tc_result(g, 4).global_triangles,
+              ref.global_triangles)
+        << seed;
   }
 }
 
 TEST(Tc, DirectedTransitiveTriads) {
   const CSRGraph g = rmat_graph(7, 8, 14, Directedness::Directed);
   const auto ref = graph::reference_lcc(g);
-  EXPECT_EQ(run_distributed_tc(g, 3), ref.global_triangles);
+  EXPECT_EQ(run_distributed_tc_result(g, 3).global_triangles,
+            ref.global_triangles);
 }
 
 // -------------------------------------------------------- paper behaviour ---

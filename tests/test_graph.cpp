@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <set>
 #include <span>
@@ -24,7 +23,6 @@
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/graph/relabel.hpp"
-#include "atlc/ingest/pipeline.hpp"
 #include "atlc/util/rng.hpp"
 #include "test_support.hpp"
 
@@ -238,23 +236,6 @@ TEST(Clean, RemovesIsolatedAndDegreeOneVertices) {
   EXPECT_EQ(reference_lcc(g).global_triangles, 1u);
 }
 
-TEST(Clean, RecursiveRemovalReachesFixedPoint) {
-  // Chain 0-1-2-3 plus triangle 3-4-5: single-pass removal drops 0
-  // (degree 1), recursive must also drop 1 and 2.
-  EdgeList e(6, {}, Directedness::Undirected);
-  for (auto [u, v] : std::initializer_list<std::pair<int, int>>{
-           {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}})
-    e.add_edge(u, v);
-  e.symmetrize();
-  CleanOptions opts;
-  opts.recursive_degree_removal = true;
-  const CleanReport rep = clean(e, opts);
-  EXPECT_EQ(e.num_vertices(), 3u);
-  EXPECT_GE(rep.degree_removal_rounds, 2u);
-  const CSRGraph g = CSRGraph::from_edges(e);
-  EXPECT_EQ(reference_lcc(g).global_triangles, 1u);
-}
-
 TEST(Clean, CountsSelfLoopsAndMultiEdges) {
   EdgeList e(3, {{0, 0}, {0, 1}, {0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 2},
                  {2, 0}},
@@ -404,153 +385,33 @@ TEST(Io, TextSkipsComments) {
   std::remove(path.c_str());
 }
 
-TEST(Io, BinaryRoundTripExact) {
-  auto e = generate_rmat({.scale = 6, .edge_factor = 4, .seed = 8,
-                          .directedness = Directedness::Directed});
-  const std::string path = ::testing::TempDir() + "atlc_bin_edges.bin";
-  save_binary_edges(e, path);
-  const EdgeList loaded = load_binary_edges(path);
-  EXPECT_EQ(loaded.num_vertices(), e.num_vertices());
-  EXPECT_EQ(loaded.edges(), e.edges());
-  EXPECT_EQ(loaded.directedness(), Directedness::Directed);
-  std::remove(path.c_str());
-}
-
 TEST(Io, MissingFileThrows) {
   EXPECT_THROW((void)load_text_edges("/nonexistent/path.txt",
                                      Directedness::Undirected),
                std::runtime_error);
-  EXPECT_THROW((void)load_binary_edges("/nonexistent/path.bin"),
+  EXPECT_THROW((void)load_edges("/nonexistent/path.txt",
+                                Directedness::Undirected),
                std::runtime_error);
 }
 
-TEST(Io, TextToBinaryRoundTripPreservesTriangles) {
-  // The --convert workflow: text load -> binary snapshot -> binary load
-  // must agree with the text path on everything that matters downstream.
+TEST(Io, TextRoundTripPreservesTriangles) {
+  // The --convert workflow: a generated edge list written as text, before
+  // cleaning, must clean to a graph with the generator's triangles.
   auto e = generate_rmat({.scale = 6, .edge_factor = 6, .seed = 9});
+  const std::string path = ::testing::TempDir() + "atlc_rt.txt";
+  save_text_edges(e, path);
+  EdgeList loaded = load_edges(path, Directedness::Undirected);
   clean(e);
-  const std::string text_path = ::testing::TempDir() + "atlc_rt.txt";
-  const std::string bin_path = ::testing::TempDir() + "atlc_rt.bin";
-  save_text_edges(e, text_path);
-  const EdgeList from_text = load_edges(text_path, Directedness::Undirected);
-  save_binary_edges(from_text, bin_path);
-  const EdgeList from_bin = load_edges(bin_path, Directedness::Undirected);
-  EXPECT_EQ(from_bin.num_vertices(), from_text.num_vertices());
-  EXPECT_EQ(from_bin.edges(), from_text.edges());
-  EXPECT_EQ(reference_lcc(CSRGraph::from_edges(from_bin)).global_triangles,
+  clean(loaded);
+  EXPECT_EQ(loaded.num_vertices(), e.num_vertices());
+  EXPECT_EQ(loaded.num_edges(), e.num_edges());
+  EXPECT_EQ(reference_lcc(CSRGraph::from_edges(loaded)).global_triangles,
             reference_lcc(CSRGraph::from_edges(e)).global_triangles);
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
+  std::remove(path.c_str());
 }
 
-/// Expect load_binary_edges(path) to throw with `needle` in the message.
-void expect_binary_load_error(const std::string& path,
-                              const std::string& needle) {
-  try {
-    (void)load_binary_edges(path);
-    ADD_FAILURE() << "no exception for " << path << " (wanted '" << needle
-                  << "')";
-  } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
-        << "message was: " << err.what();
-  }
-}
-
-class IoCorruption : public ::testing::Test {
- protected:
-  /// A small valid binary edge list to corrupt.
-  void SetUp() override {
-    auto e = generate_rmat({.scale = 5, .edge_factor = 4, .seed = 10});
-    clean(e);
-    path_ = ::testing::TempDir() + "atlc_corrupt.bin";
-    save_binary_edges(e, path_);
-    std::FILE* f = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    blob_.resize(static_cast<std::size_t>(std::ftell(f)));
-    std::rewind(f);
-    ASSERT_EQ(std::fread(blob_.data(), 1, blob_.size(), f), blob_.size());
-    std::fclose(f);
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  void write_blob(const std::vector<unsigned char>& bytes) {
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (!bytes.empty())
-      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-  }
-
-  std::string path_;
-  std::vector<unsigned char> blob_;
-};
-
-TEST_F(IoCorruption, TruncatedHeaderThrows) {
-  write_blob({blob_.begin(), blob_.begin() + 10});
-  expect_binary_load_error(path_, "truncated header");
-}
-
-TEST_F(IoCorruption, TruncatedPayloadThrows) {
-  // Drop the last 6 bytes: the declared count no longer matches the size.
-  write_blob({blob_.begin(), blob_.end() - 6});
-  expect_binary_load_error(path_, "truncated or corrupt");
-}
-
-TEST_F(IoCorruption, TrailingGarbageThrows) {
-  auto bytes = blob_;
-  bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
-  write_blob(bytes);
-  expect_binary_load_error(path_, "truncated or corrupt");
-}
-
-TEST_F(IoCorruption, BadMagicThrows) {
-  auto bytes = blob_;
-  bytes[0] ^= 0xff;
-  write_blob(bytes);
-  expect_binary_load_error(path_, "bad magic");
-}
-
-TEST_F(IoCorruption, UnsupportedVersionThrows) {
-  auto bytes = blob_;
-  bytes[4] = 0x7f;  // version word (little-endian low byte)
-  write_blob(bytes);
-  expect_binary_load_error(path_, "unsupported binary edge-list version");
-}
-
-TEST_F(IoCorruption, OutOfRangeEndpointThrows) {
-  auto bytes = blob_;
-  // First payload word (u of edge 0) -> a vertex far beyond n.
-  const std::size_t payload = 4 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
-  bytes[payload + 0] = 0xff;
-  bytes[payload + 1] = 0xff;
-  bytes[payload + 2] = 0xff;
-  bytes[payload + 3] = 0xff;
-  write_blob(bytes);
-  expect_binary_load_error(path_, "endpoint out of range");
-}
-
-TEST_F(IoCorruption, OverflowingEdgeCountThrows) {
-  // A bare 24-byte prefix declaring m = 2^61: 24 + m * sizeof(Edge) wraps
-  // to 24, so a multiplying size check would accept the file.
-  std::vector<unsigned char> bytes(blob_.begin(), blob_.begin() + 24);
-  const std::uint64_t m = std::uint64_t{1} << 61;
-  std::memcpy(bytes.data() + 16, &m, sizeof(m));
-  write_blob(bytes);
-  expect_binary_load_error(path_, "truncated or corrupt");
-
-  try {
-    (void)atlc::ingest::run_ingest(path_, path_ + ".v2");
-    ADD_FAILURE() << "run_ingest accepted an overflowing edge count";
-  } catch (const std::runtime_error& err) {
-    EXPECT_EQ(std::string(err.what()).rfind("atlc:", 0), 0u)
-        << "message was: " << err.what();
-  }
-}
-
-TEST(Io, LoadEdgesSniffsFormat) {
-  // A text file whose first bytes are digits must go down the text path;
-  // a binary file must go down the validating binary path.
+TEST(Io, LoadEdgesReadsText) {
+  // A text file whose first bytes are digits goes down the text path.
   const std::string text_path = ::testing::TempDir() + "atlc_sniff.txt";
   std::FILE* f = std::fopen(text_path.c_str(), "w");
   std::fprintf(f, "0 1\n1 2\n2 0\n");
@@ -1166,15 +1027,17 @@ TEST(Dodg, TcMatchesUndirectedReferenceAcrossRanks) {
     const auto expected = reference_lcc(g).global_triangles;
     for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
       constexpr auto kBlock = graph::PartitionKind::Block1D;
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, {}, {}, kBlock,
-                                         /*orient_dodg=*/true),
+      EXPECT_EQ(core::run_distributed_tc_result(g, ranks, {}, {}, kBlock,
+                                                /*orient_dodg=*/true)
+                    .global_triangles,
                 expected)
           << "ranks " << ranks;
       // The tiered kernels must agree on the same oriented stream.
       core::EngineConfig tiered_cfg;
       tiered_cfg.intersect_tier = intersect::Tier::Tiered;
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, tiered_cfg, {}, kBlock,
-                                         /*orient_dodg=*/true),
+      EXPECT_EQ(core::run_distributed_tc_result(g, ranks, tiered_cfg, {},
+                                                kBlock, /*orient_dodg=*/true)
+                    .global_triangles,
                 expected)
           << "ranks " << ranks << " (tiered)";
     }

@@ -1,7 +1,8 @@
 // The out-of-core ingest pipeline (DESIGN.md §11): chunked reading, the
 // parallel/external sort, snapshot v2 round-trips against the in-memory
 // load+clean path, partition-slice equivalence, spill-path byte identity,
-// and the corruption/back-compat matrix of the v2 container.
+// the corruption matrix of the v2 container, and the text readers' refusal
+// of ATLC binary files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -279,22 +280,6 @@ TEST(Ingest, TextInputMatchesInMemoryCleanAcrossConfigs) {
   }
 }
 
-TEST(Ingest, BinaryInputMatchesInMemoryClean) {
-  const auto raw = raw_rmat(9, 6, 3);
-  const std::string bin = tmp_path("bin_rt.bin");
-  graph::save_binary_edges(raw, bin);
-  const auto reference = graph::load_binary_edges(bin);
-
-  const std::string snap = tmp_path("bin_rt.v2");
-  ingest::IngestOptions opt;
-  opt.ranks = 8;
-  opt.relabel_seed = 5;
-  const auto rep = ingest::run_ingest(bin, snap, opt);
-  EXPECT_EQ(rep.input_kind, "binary-v1");
-  EXPECT_EQ(rep.pairs_parsed, raw.num_edges());
-  expect_snapshot_equals(snap, reference, 5);
-}
-
 TEST(Ingest, DirectedTextInput) {
   const auto raw = raw_rmat(8, 6, 13, Directedness::Directed);
   const std::string text = tmp_path("directed.txt");
@@ -305,8 +290,7 @@ TEST(Ingest, DirectedTextInput) {
   ingest::IngestOptions opt;
   opt.directedness = Directedness::Directed;
   opt.relabel_seed = 2;
-  const auto rep = ingest::run_ingest(text, snap, opt);
-  EXPECT_EQ(rep.input_kind, "text");
+  (void)ingest::run_ingest(text, snap, opt);
   expect_snapshot_equals(snap, reference, 2);
   ingest::SnapshotReader reader(snap);
   EXPECT_EQ(reader.directedness(), Directedness::Directed);
@@ -314,27 +298,28 @@ TEST(Ingest, DirectedTextInput) {
 
 TEST(Ingest, RelabelNoneMatchesSeedZeroClean) {
   const auto raw = raw_rmat(8, 8, 21);
-  const std::string bin = tmp_path("none.bin");
-  graph::save_binary_edges(raw, bin);
+  const std::string text = tmp_path("none.txt");
+  graph::save_text_edges(raw, text);
 
   const std::string snap = tmp_path("none.v2");
   ingest::IngestOptions opt;
   opt.relabel = ingest::RelabelMode::None;
-  const auto rep = ingest::run_ingest(bin, snap, opt);
-  (void)rep;
-  expect_snapshot_equals(snap, graph::load_binary_edges(bin), /*seed=*/0);
+  (void)ingest::run_ingest(text, snap, opt);
+  expect_snapshot_equals(
+      snap, graph::load_text_edges(text, Directedness::Undirected),
+      /*seed=*/0);
 }
 
 TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
   const auto raw = raw_rmat(8, 8, 31);
-  const std::string bin = tmp_path("degdesc.bin");
-  graph::save_binary_edges(raw, bin);
+  const std::string text = tmp_path("degdesc.txt");
+  graph::save_text_edges(raw, text);
 
   const std::string snap = tmp_path("degdesc.v2");
   ingest::IngestOptions opt;
   opt.relabel = ingest::RelabelMode::DegreeDescending;
   opt.remove_degree_lt2 = false;  // keep degrees == the relabel key
-  (void)ingest::run_ingest(bin, snap, opt);
+  (void)ingest::run_ingest(text, snap, opt);
 
   ingest::SnapshotReader reader(snap);
   const auto g = graph::CSRGraph::from_edges(reader.read_all());
@@ -344,7 +329,7 @@ TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
     EXPECT_LE(g.degree(v), g.degree(v - 1)) << "vertex " << v;
   // ...and a relabel is an isomorphism: the triangle count is unchanged
   // against the un-relabeled clean of the same input.
-  graph::EdgeList ref = graph::load_binary_edges(bin);
+  graph::EdgeList ref = graph::load_text_edges(text, Directedness::Undirected);
   graph::clean(ref, {.remove_degree_lt2 = false, .relabel_seed = 0});
   const auto ref_g = graph::CSRGraph::from_edges(ref);
   EXPECT_EQ(graph::reference_lcc(g).global_triangles,
@@ -356,8 +341,8 @@ TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
 
 TEST(Ingest, SliceEqualsInMemoryBuildForAllKindsAndRanks) {
   const auto raw = raw_rmat(9, 8, 17);
-  const std::string bin = tmp_path("slices.bin");
-  graph::save_binary_edges(raw, bin);
+  const std::string text = tmp_path("slices.txt");
+  graph::save_text_edges(raw, text);
 
   for (std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
     const std::string snap =
@@ -365,7 +350,7 @@ TEST(Ingest, SliceEqualsInMemoryBuildForAllKindsAndRanks) {
     ingest::IngestOptions opt;
     opt.ranks = ranks;
     opt.relabel_seed = 9;
-    (void)ingest::run_ingest(bin, snap, opt);
+    (void)ingest::run_ingest(text, snap, opt);
 
     ingest::SnapshotReader reader(snap);
     ASSERT_EQ(reader.ranks(), ranks);
@@ -406,13 +391,13 @@ TEST(Ingest, SliceEqualsInMemoryBuildForAllKindsAndRanks) {
 
 TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
   const auto raw = raw_rmat(8, 8, 23);
-  const std::string bin = tmp_path("engine.bin");
-  graph::save_binary_edges(raw, bin);
+  const std::string text = tmp_path("engine.txt");
+  graph::save_text_edges(raw, text);
   const std::string snap = tmp_path("engine.v2");
   ingest::IngestOptions opt;
   opt.ranks = 8;
   opt.relabel_seed = 4;
-  (void)ingest::run_ingest(bin, snap, opt);
+  (void)ingest::run_ingest(text, snap, opt);
 
   ingest::SnapshotReader reader(snap);
   const auto g = graph::CSRGraph::from_edges(reader.read_all());
@@ -433,8 +418,11 @@ TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
         << graph::partition_kind_name(kind);
     EXPECT_TRUE(ooc.lcc == mem.lcc) << graph::partition_kind_name(kind);
 
-    EXPECT_EQ(core::run_distributed_tc(g, 8, ooc_cfg, {}, kind),
-              core::run_distributed_tc(g, 8, mem_cfg, {}, kind))
+    EXPECT_EQ(
+        core::run_distributed_tc_result(g, 8, ooc_cfg, {}, kind)
+            .global_triangles,
+        core::run_distributed_tc_result(g, 8, mem_cfg, {}, kind)
+            .global_triangles)
         << graph::partition_kind_name(kind);
   }
 }
@@ -444,13 +432,13 @@ TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
   // the UNORIENTED rows: the DODG path must build from the oriented graph,
   // not the slice source (reading the slices overcounted ~6x).
   const auto raw = raw_rmat(8, 8, 29);
-  const std::string bin = tmp_path("dodg.bin");
-  graph::save_binary_edges(raw, bin);
+  const std::string text = tmp_path("dodg.txt");
+  graph::save_text_edges(raw, text);
   const std::string snap = tmp_path("dodg.v2");
   ingest::IngestOptions opt;
   opt.ranks = 4;
   opt.relabel_seed = 6;
-  (void)ingest::run_ingest(bin, snap, opt);
+  (void)ingest::run_ingest(text, snap, opt);
 
   ingest::SnapshotReader reader(snap);
   const auto g = graph::CSRGraph::from_edges(reader.read_all());
@@ -460,8 +448,9 @@ TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
        {graph::PartitionKind::Block1D, graph::PartitionKind::Grid2D}) {
     core::EngineConfig cfg;
     cfg.slice_source = &reader;
-    EXPECT_EQ(core::run_distributed_tc(g, 4, cfg, {}, kind,
-                                       /*orient_dodg=*/true),
+    EXPECT_EQ(core::run_distributed_tc_result(g, 4, cfg, {}, kind,
+                                              /*orient_dodg=*/true)
+                  .global_triangles,
               want)
         << graph::partition_kind_name(kind);
   }
@@ -502,12 +491,12 @@ class SnapshotCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto raw = raw_rmat(7, 6, 2);
-    bin_ = tmp_path("corrupt_src.bin");
-    graph::save_binary_edges(raw, bin_);
+    text_ = tmp_path("corrupt_src.txt");
+    graph::save_text_edges(raw, text_);
     snap_ = tmp_path("corrupt.v2");
     ingest::IngestOptions opt;
     opt.ranks = 4;
-    (void)ingest::run_ingest(bin_, snap_, opt);
+    (void)ingest::run_ingest(text_, snap_, opt);
     bytes_ = read_file(snap_);
     ASSERT_GT(bytes_.size(), ingest::snapshot_v2::kHeaderBytes);
   }
@@ -523,7 +512,7 @@ class SnapshotCorruption : public ::testing::Test {
     return path;
   }
 
-  std::string bin_;
+  std::string text_;
   std::string snap_;
   std::string bytes_;
 };
@@ -595,17 +584,40 @@ TEST_F(SnapshotCorruption, WrappingEdgeCountIsRejected) {
   }
 }
 
-/// Construct a reader over `path` and expect an `atlc:` runtime_error
-/// that mentions `needle` (not bad_alloc, not a crash).
-void expect_atlc_error(const std::string& path, const std::string& needle) {
+/// Run `read` and expect an `atlc:` runtime_error that mentions `needle`
+/// (not bad_alloc, not a crash, not silent success).
+template <typename Read>
+void expect_atlc_throw(Read&& read, const std::string& needle) {
   try {
-    ingest::SnapshotReader reader(path);
-    ADD_FAILURE() << "corrupt snapshot accepted: " << path;
+    read();
+    ADD_FAILURE() << "no exception (wanted '" << needle << "')";
   } catch (const std::runtime_error& ex) {
     const std::string what = ex.what();
     EXPECT_EQ(what.rfind("atlc:", 0), 0u) << what;
     EXPECT_NE(what.find(needle), std::string::npos) << what;
   }
+}
+
+/// Construct a reader over `path` and expect an `atlc:` error that
+/// mentions `needle`.
+void expect_atlc_error(const std::string& path, const std::string& needle) {
+  expect_atlc_throw([&] { ingest::SnapshotReader reader(path); }, needle);
+}
+
+TEST_F(SnapshotCorruption, PrefixRejectionsNameTheirCause) {
+  // Every read_atlc_prefix rejection, through SnapshotReader (its only
+  // caller).
+  namespace v2 = ingest::snapshot_v2;
+  const std::string short_path = tmp_path("short_prefix.v2");
+  write_file(short_path, bytes_.substr(0, 10));
+  expect_atlc_error(short_path, "truncated header");
+  expect_atlc_error(patched(v2::kMagicOffset, 0x00), "bad magic");
+  // Version 1 is the retired v1 edge list.
+  for (const unsigned char version : {0, 1, 3, 0x7f})
+    expect_atlc_error(patched(v2::kVersionOffset, version),
+                      "unsupported ATLC binary version");
+  expect_atlc_error(patched(v2::kDirectednessOffset, 7),
+                    "corrupt directedness flag");
 }
 
 TEST_F(SnapshotCorruption, HugeRankCountIsRejectedBeforeAllocating) {
@@ -670,39 +682,33 @@ TEST_F(SnapshotCorruption, SliceIndexCorruptionIsRejected) {
   EXPECT_TRUE(threw) << "no tail patch was caught";
 }
 
-TEST_F(SnapshotCorruption, VersionSniffingAndBackCompat) {
-  // sniff: v2 yes; v1 binary and text no.
+TEST_F(SnapshotCorruption, VersionSniffing) {
+  // sniff: v2 yes; another ATLC version and text no.
+  namespace v2 = ingest::snapshot_v2;
   EXPECT_TRUE(ingest::SnapshotReader::sniff(snap_));
-  EXPECT_FALSE(ingest::SnapshotReader::sniff(bin_));
-  const std::string text = tmp_path("sniff.txt");
-  write_file(text, "0 1\n1 2\n");
-  EXPECT_FALSE(ingest::SnapshotReader::sniff(text));
+  EXPECT_FALSE(ingest::SnapshotReader::sniff(patched(v2::kVersionOffset, 1)));
+  EXPECT_FALSE(ingest::SnapshotReader::sniff(text_));
+}
 
-  // A v1 file handed to the v2 reader gets a pointed message.
-  try {
-    ingest::SnapshotReader reader(bin_);
-    FAIL() << "v1 file accepted as v2 snapshot";
-  } catch (const std::runtime_error& ex) {
-    EXPECT_NE(std::string(ex.what()).find("v1"), std::string::npos);
+TEST_F(SnapshotCorruption, TextReadersRejectAtlcFiles) {
+  // load_edges and run_ingest read SNAP text only: a file that starts with
+  // the ATLC magic is refused with an `atlc:` error, never parsed as text.
+  // Version 1 (the retired edge list) is the snapshot with its version
+  // word patched.
+  namespace v2 = ingest::snapshot_v2;
+  const std::string v1 = patched(v2::kVersionOffset, 1);
+  const std::pair<std::string, std::string> cases[] = {
+      {snap_, "atlc_run --snapshot"},
+      {v1, "version 1"},
+  };
+  for (const auto& [path, needle] : cases) {
+    expect_atlc_throw(
+        [&] { (void)graph::load_edges(path, Directedness::Undirected); },
+        needle);
+    expect_atlc_throw(
+        [&] { (void)ingest::run_ingest(path, tmp_path("twice.v2")); },
+        needle);
   }
-
-  // A v2 file handed to the v1 loader points at --snapshot.
-  try {
-    (void)graph::load_binary_edges(snap_);
-    FAIL() << "v2 snapshot accepted as v1 edge list";
-  } catch (const std::runtime_error& ex) {
-    EXPECT_NE(std::string(ex.what()).find("--snapshot"), std::string::npos);
-  }
-
-  // v1 loading still works, with and without format sniffing.
-  EXPECT_GT(graph::load_binary_edges(bin_).num_edges(), 0u);
-  EXPECT_GT(
-      graph::load_edges(bin_, Directedness::Undirected).num_edges(), 0u);
-
-  // Re-ingesting a snapshot is refused.
-  EXPECT_THROW(
-      (void)ingest::run_ingest(snap_, tmp_path("twice.v2"), {}),
-      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -731,12 +737,12 @@ TEST(LoadTextEdges, RejectsIdSpaceOverflow) {
 
 TEST(Ingest, ReportCarriesThroughputAndFormatFields) {
   const auto raw = raw_rmat(8, 8, 55);
-  const std::string bin = tmp_path("report.bin");
-  graph::save_binary_edges(raw, bin);
+  const std::string text = tmp_path("report.txt");
+  graph::save_text_edges(raw, text);
   const std::string snap = tmp_path("report.v2");
   ingest::IngestOptions opt;
   opt.ranks = 4;
-  const auto rep = ingest::run_ingest(bin, snap, opt);
+  const auto rep = ingest::run_ingest(text, snap, opt);
 
   EXPECT_GT(rep.num_edges, 0u);
   EXPECT_GT(rep.num_vertices, 0u);

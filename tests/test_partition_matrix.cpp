@@ -78,7 +78,8 @@ void sweep_graph(const graph::CSRGraph& g, const char* name) {
           expect_matches_reference(g, lcc);
           // TC exercises the upper-triangle trimming (1D) / per-segment
           // suffix trimming (Grid2D) paths the LCC run does not.
-          EXPECT_EQ(core::run_distributed_tc(g, ranks, cfg, {}, kind),
+          EXPECT_EQ(core::run_distributed_tc_result(g, ranks, cfg, {}, kind)
+                        .global_triangles,
                     ref.global_triangles);
         }
       }
@@ -111,8 +112,9 @@ TEST(PartitionMatrix, DodgTcAcrossKinds) {
                    << " ranks=" << ranks);
       const EngineConfig cfg =
           matrix_config(g, /*cached=*/true, /*tiered=*/true);
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, cfg, {}, kind,
-                                         /*orient_dodg=*/true),
+      EXPECT_EQ(core::run_distributed_tc_result(g, ranks, cfg, {}, kind,
+                                                /*orient_dodg=*/true)
+                    .global_triangles,
                 ref.global_triangles);
     }
   }

@@ -99,7 +99,8 @@ TEST_P(PipelineDepth, ZeroOutDegreeVerticesFetchedRemotely) {
 TEST_P(PipelineDepth, TcGlobalCountMatches) {
   const CSRGraph g = rmat_graph(8, 8, 35);
   const auto ref = graph::reference_lcc(g);
-  EXPECT_EQ(run_distributed_tc(g, 4, depth_config(GetParam())),
+  EXPECT_EQ(run_distributed_tc_result(g, 4, depth_config(GetParam()))
+                .global_triangles,
             ref.global_triangles);
 }
 
@@ -138,18 +139,18 @@ double legacy_makespan(const CSRGraph& g, std::uint32_t ranks,
     AdjacencyFetcher::Token current;
     bool have_current = false;
     if (overlap && m_local > 0) {
-      current = fetcher.begin(dg.adjacencies[0]);
+      current = fetcher.begin(dg.adjacencies[0], 0);
       have_current = true;
     }
     VertexId lv = 0;
     std::uint64_t sink = 0;
     for (EdgeIndex ei = 0; ei < m_local; ++ei) {
       while (dg.offsets[lv + 1] <= ei) ++lv;
-      if (!have_current) current = fetcher.begin(dg.adjacencies[ei]);
+      if (!have_current) current = fetcher.begin(dg.adjacencies[ei], 0);
       const auto adj_j = fetcher.finish(current);
       have_current = false;
       if (overlap && ei + 1 < m_local) {
-        current = fetcher.begin(dg.adjacencies[ei + 1]);
+        current = fetcher.begin(dg.adjacencies[ei + 1], 0);
         have_current = true;
       }
       const auto adj_v = dg.local_neighbors(lv);
@@ -333,9 +334,9 @@ TEST(FetcherRing, FinishAfterSlotRecycleAbortsInDebug) {
             if (part.owner(v) != ctx.rank() && g.degree(v) > 0)
               remote.push_back(v);
           ASSERT_EQ(remote.size(), 3u);
-          const auto t0 = fetcher.begin(remote[0]);
-          (void)fetcher.begin(remote[1]);
-          (void)fetcher.begin(remote[2]);  // recycles t0's slot
+          const auto t0 = fetcher.begin(remote[0], 0);
+          (void)fetcher.begin(remote[1], 0);
+          (void)fetcher.begin(remote[2], 0);  // recycles t0's slot
           (void)fetcher.finish(t0);        // must trip the generation check
           ctx.barrier();
         });

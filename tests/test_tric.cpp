@@ -54,14 +54,6 @@ TEST_P(TricAcrossRanks, PaperExample) {
 INSTANTIATE_TEST_SUITE_P(Ranks, TricAcrossRanks,
                          ::testing::Values(1u, 2u, 3u, 4u, 8u));
 
-TEST(Tric, UnbalancedPartitionSameCount) {
-  const CSRGraph g = rmat_graph(8, 8, 3);
-  const auto ref = graph::reference_lcc(g);
-  TricConfig cfg;
-  cfg.balanced_partition = false;
-  EXPECT_EQ(run_tric(g, 4, cfg).global_triangles, ref.global_triangles);
-}
-
 TEST(Tric, SmallBatchesSameCount) {
   const CSRGraph g = rmat_graph(7, 8, 4);
   const auto ref = graph::reference_lcc(g);

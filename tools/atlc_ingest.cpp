@@ -1,12 +1,13 @@
 // atlc_ingest — out-of-core ingest pipeline (DESIGN.md §11): stream a SNAP
-// text or v1 binary edge list through chunked parallel parse, fused
+// text edge list through chunked parallel parse, fused
 // clean/sort/dedup/relabel (spilling sorted runs to disk under
 // --mem-budget), and write a v2 partition-sliced snapshot whose slice index
 // lets `atlc_run --snapshot` seek-read each rank's CSR slice.
 //
 //   atlc_ingest --input orkut.txt --output orkut.v2 --ranks 16
-//   atlc_ingest --input snap.bin --output snap.v2 --mem-budget-mb 64
 //   atlc_run --snapshot orkut.v2 --algo lcc --ranks 16
+//   atlc_run --rmat-scale 16 --convert rmat.txt   # a generated input
+//   atlc_ingest --input rmat.txt --output rmat.v2 --mem-budget-mb 64
 //
 // The snapshot payload is bit-identical to load_edges() + graph::clean()
 // with the matching seed, for any --threads/--chunk-mb/--mem-budget-mb.
@@ -23,11 +24,11 @@ int main(int argc, char** argv) {
   util::Cli cli("atlc_ingest",
                 "out-of-core edge-list ingest -> v2 partition-sliced "
                 "snapshot");
-  cli.add_string("input", "SNAP text or ATLC v1 binary edge list", "");
+  cli.add_string("input", "SNAP text edge list (atlc_run --convert writes "
+                 "one)", "");
   cli.add_string("output", "snapshot path to write", "");
   cli.add_int("ranks", "rank count the slice index is built for", 8);
-  cli.add_flag("directed", "treat text input as directed (binary input "
-               "records its own directedness)", false);
+  cli.add_flag("directed", "treat the input as directed", false);
   cli.add_int("threads", "parse/sort threads (0 = OpenMP default)", 0);
   cli.add_double("chunk-mb", "target text read-window size in MiB", 8.0);
   cli.add_double("mem-budget-mb",
@@ -109,9 +110,8 @@ int main(int argc, char** argv) {
 
   const double mb = 1024.0 * 1024.0;
   std::fprintf(stderr,
-               "# %s input: %.1f MiB, %llu lines, %llu pairs -> %llu raw "
+               "# text input: %.1f MiB, %llu lines, %llu pairs -> %llu raw "
                "edges\n",
-               rep.input_kind.c_str(),
                static_cast<double>(rep.bytes_read) / mb,
                static_cast<unsigned long long>(rep.lines),
                static_cast<unsigned long long>(rep.pairs_parsed),

@@ -9,7 +9,7 @@
 //   atlc_run --rmat-scale 14 --algo tc --ranks 32 --pipeline-depth 4
 //   atlc_run --input graph.txt --algo adamic-adar --cache --scores degree
 //   atlc_run --input graph.txt --stream-batches 8 --batch-size 1024 --cache
-//   atlc_run --input snap.txt --convert snap.bin   # binary snapshot, exit
+//   atlc_run --rmat-scale 14 --convert g.txt       # write SNAP text, exit
 //   atlc_run --snapshot graph.v2 --algo lcc        # atlc_ingest output;
 //     skips clean/relabel and seek-reads each rank's CSR slice out of core
 #include <algorithm>
@@ -250,8 +250,8 @@ int main(int argc, char** argv) {
   cli.add_string("out", "output CSV path ('-' = stdout)", "-");
   cli.add_flag("stats-only", "skip the per-item CSV body", false);
   cli.add_string("convert",
-                 "snapshot the loaded edge list to this binary file and "
-                 "exit (skips the 6x text-parse cost on later runs)",
+                 "write the loaded or generated edge list to this SNAP "
+                 "text file and exit (input for atlc_ingest)",
                  "");
   cli.add_int("stream-batches",
               "apply this many update batches with the incremental "
@@ -278,33 +278,36 @@ int main(int argc, char** argv) {
     if (!cli.get_string("convert").empty()) {
       std::fprintf(stderr,
                    "atlc_run: --convert does not apply to --snapshot input "
-                   "(a snapshot is already binary)\n");
+                   "(a snapshot is already cleaned)\n");
       return 1;
     }
-    try {
+  }
+  try {
+    if (!cli.get_string("snapshot").empty()) {
       snap = std::make_unique<ingest::SnapshotReader>(
           cli.get_string("snapshot"));
       edges = snap->read_all();
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "atlc_run: %s\n", ex.what());
-      return 1;
+      dir = edges.directedness();
+    } else if (!cli.get_string("input").empty()) {
+      // SNAP text; an ATLC binary file is refused with a pointed message.
+      edges = graph::load_edges(cli.get_string("input"), dir);
+    } else {
+      edges = graph::generate_rmat(
+          {.scale = static_cast<unsigned>(cli.get_int("rmat-scale")),
+           .edge_factor = static_cast<unsigned>(cli.get_int("rmat-ef")),
+           .seed = static_cast<std::uint64_t>(cli.get_int("seed")),
+           .directedness = dir});
     }
-    dir = edges.directedness();
-  } else if (!cli.get_string("input").empty()) {
-    // Format-sniffing load: SNAP text or an ATLC binary snapshot.
-    edges = graph::load_edges(cli.get_string("input"), dir);
-  } else {
-    edges = graph::generate_rmat(
-        {.scale = static_cast<unsigned>(cli.get_int("rmat-scale")),
-         .edge_factor = static_cast<unsigned>(cli.get_int("rmat-ef")),
-         .seed = static_cast<std::uint64_t>(cli.get_int("seed")),
-         .directedness = dir});
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "atlc_run: %s\n", ex.what());
+    return 1;
   }
   if (!cli.get_string("convert").empty()) {
-    // Snapshot the edge list as loaded (pre-clean, so the binary is an
-    // exact stand-in for the original input on any later invocation).
-    graph::save_binary_edges(edges, cli.get_string("convert"));
-    std::fprintf(stderr, "# wrote %zu edges to %s (binary, %.1f s total)\n",
+    // Write the edge list as loaded, before cleaning: atlc_ingest, or a
+    // later --input of the file, cleans it.
+    graph::save_text_edges(edges, cli.get_string("convert"));
+    std::fprintf(stderr,
+                 "# wrote %zu edges to %s (SNAP text, %.1f s total)\n",
                  edges.num_edges(), cli.get_string("convert").c_str(),
                  load_timer.elapsed_s());
     return 0;
