@@ -134,9 +134,12 @@ class IdInterner {
     std::uint64_t max_vertices = 0xffffffffull);
 
 /// Write the text edge-list format: a '#' comment line, then one "u v"
-/// line per stored edge (both orientations of an undirected list).
-/// load_text_edges reads it back; `atlc_run --convert` writes it.
-void save_text_edges(const EdgeList& edges, const std::string& path);
+/// line per edge. A sorted, symmetric undirected list (is_symmetric) is
+/// written once per edge (u <= v), since load_text_edges symmetrizes it
+/// back to the same EdgeList; any other list is written edge for edge.
+/// Returns the number of "u v" lines written. `atlc_run --convert`
+/// writes it.
+std::size_t save_text_edges(const EdgeList& edges, const std::string& path);
 
 /// The SNAP text loader for a path a user names: load_text_edges, after
 /// require_text. `directedness` says how to read the text.

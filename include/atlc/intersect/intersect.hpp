@@ -45,17 +45,21 @@ struct TierPolicy {
   /// build cost amortises over the row's contiguous run of edges in the
   /// pipeline's edge stream (DESIGN.md §9).
   std::size_t bitmap_min_row = 256;
-  /// Below the bitmap threshold, pairs with |long|/|short| at or above this
-  /// ratio gallop; the rest take the block merge.
+  /// Pairs that get no bitmap (below the threshold, or on a transient row)
+  /// gallop when |long|/|short| is at or above this ratio; the rest take
+  /// the block merge.
   double gallop_ratio = 32.0;
 };
 
-/// The Tiered selection rule: Bitmap if `row_len` (the reusable side)
-/// reaches `policy.bitmap_min_row`, else Gallop above the skew ratio, else
-/// MergeVec.
+/// The Tiered selection rule: Bitmap if the row is reusable (`stable_row`)
+/// and `row_len` reaches `policy.bitmap_min_row`, else Gallop at or above
+/// the skew ratio, else MergeVec. A transient row (stable_row == false)
+/// never gets a bitmap: with no later edge to reuse it, its build cost
+/// cannot amortise, so the pair is judged by shape alone.
 [[nodiscard]] TierKernel select_tier_kernel(std::size_t row_len,
                                             std::size_t other_len,
-                                            const TierPolicy& policy);
+                                            const TierPolicy& policy,
+                                            bool stable_row);
 
 /// |a ∩ b| via binary search (paper Algorithm 1). Internally searches the
 /// shorter list's elements in the longer list — "one should always assign

@@ -103,9 +103,11 @@ class TieredIntersector {
   /// through the ring from sibling ranks). Span identity is meaningless for
   /// recycled slots — the same pointer holds different contents a few
   /// fetches later — so the bitmap tier (whose amortisation *is* that
-  /// span-identity reuse) is never selected; skewed pairs gallop, the rest
-  /// merge. Never touches the per-row bitmap state, so transient and
-  /// row-reuse calls can interleave safely.
+  /// span-identity reuse) is never selected: select_tier_kernel with
+  /// stable_row == false, so pairs at or above the gallop ratio gallop and
+  /// every other pair merges, whatever the list lengths, and each is priced
+  /// as the kernel that ran. Never touches the per-row bitmap state, so
+  /// transient and row-reuse calls can interleave safely.
   [[nodiscard]] Outcome intersect_transient(std::span<const VertexId> a,
                                             std::span<const VertexId> b);
 

@@ -158,12 +158,24 @@ EdgeList load_text_edges(const std::string& path, Directedness directedness,
   return out;
 }
 
-void save_text_edges(const EdgeList& edges, const std::string& path) {
+std::size_t save_text_edges(const EdgeList& edges, const std::string& path) {
+  // A sorted symmetric undirected list stores every edge in both
+  // orientations; write it once (u <= v) and let the loader's symmetrize
+  // restore the other. In sorted order the first line naming an id is a
+  // u <= v line, so the reload interns ids in the same order.
+  const std::vector<Edge>& list = edges.edges();
+  const bool once = edges.directedness() == Directedness::Undirected &&
+                    std::is_sorted(list.begin(), list.end()) &&
+                    edges.is_symmetric();
+  const auto written = [once](const Edge& e) { return !once || e.u <= e.v; };
+  const auto lines = static_cast<std::size_t>(
+      std::count_if(list.begin(), list.end(), written));
   File f = open_or_throw(path, "w");
   std::fprintf(f.get(), "# atlc edge list: %u vertices, %zu edges\n",
-               edges.num_vertices(), edges.num_edges());
-  for (const Edge& e : edges.edges())
-    std::fprintf(f.get(), "%u %u\n", e.u, e.v);
+               edges.num_vertices(), lines);
+  for (const Edge& e : list)
+    if (written(e)) std::fprintf(f.get(), "%u %u\n", e.u, e.v);
+  return lines;
 }
 
 EdgeList load_edges(const std::string& path, Directedness directedness) {

@@ -46,8 +46,9 @@ const char* tier_kernel_name(TierKernel k) {
 }
 
 TierKernel select_tier_kernel(std::size_t row_len, std::size_t other_len,
-                              const TierPolicy& policy) {
-  if (row_len >= policy.bitmap_min_row) return TierKernel::Bitmap;
+                              const TierPolicy& policy, bool stable_row) {
+  if (stable_row && row_len >= policy.bitmap_min_row)
+    return TierKernel::Bitmap;
   const auto lo = static_cast<double>(std::min(row_len, other_len));
   const auto hi = static_cast<double>(std::max(row_len, other_len));
   if (lo > 0.0 && hi / lo >= policy.gallop_ratio) return TierKernel::Gallop;

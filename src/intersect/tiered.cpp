@@ -45,16 +45,15 @@ std::uint64_t RowBitmap::count_in(std::span<const VertexId> list) const {
 
 TieredIntersector::Outcome TieredIntersector::intersect(
     std::span<const VertexId> row, std::span<const VertexId> other) {
-  return run(select_tier_kernel(row.size(), other.size(), policy_), row,
-             other);
+  return run(select_tier_kernel(row.size(), other.size(), policy_, true),
+             row, other);
 }
 
 TieredIntersector::Outcome TieredIntersector::intersect_transient(
     std::span<const VertexId> a, std::span<const VertexId> b) {
-  // No stable row, no amortised build: gallop is the right kernel for the
-  // bitmap-shaped (highly skewed) pairs.
-  const TierKernel k = select_tier_kernel(a.size(), b.size(), policy_);
-  return run(k == TierKernel::Bitmap ? TierKernel::Gallop : k, a, b);
+  // No stable row, so no bitmap: skewed pairs gallop, the rest merge,
+  // however long either list is.
+  return run(select_tier_kernel(a.size(), b.size(), policy_, false), a, b);
 }
 
 TieredIntersector::Outcome TieredIntersector::run(

@@ -374,6 +374,64 @@ TEST(Io, TextRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Lines of a text edge file that are not '#' comments.
+std::size_t data_lines(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  std::size_t lines = 0;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), f) != nullptr)
+    if (buf[0] != '#') ++lines;
+  std::fclose(f);
+  return lines;
+}
+
+std::size_t self_loops(const EdgeList& e) {
+  return static_cast<std::size_t>(
+      std::count_if(e.edges().begin(), e.edges().end(),
+                    [](const Edge& x) { return x.u == x.v; }));
+}
+
+TEST(Io, SymmetricListWrittenOncePerEdge) {
+  const std::string path = ::testing::TempDir() + "atlc_once.txt";
+  // Ids already in first-appearance order: the reload is the same list.
+  EdgeList example = testsupport::paper_example_edges();
+  example.add_edge(2, 2);
+  example.sort_and_dedup();
+  ASSERT_TRUE(example.is_symmetric());
+  save_text_edges(example, path);
+  EXPECT_EQ(data_lines(path), (example.num_edges() + 1) / 2);
+  const EdgeList example_back = load_text_edges(path, Directedness::Undirected);
+  EXPECT_EQ(example_back.num_vertices(), example.num_vertices());
+  EXPECT_EQ(example_back.edges(), example.edges());
+
+  // Any sorted symmetric list (here an R-MAT with self-loops, which the
+  // loader keeps): the reload equals that of the edge-for-edge dump, so
+  // dropping the u > v lines leaves the id interning order unchanged.
+  auto rmat = generate_rmat({.scale = 7, .edge_factor = 6, .seed = 3});
+  rmat.add_edge(5, 5);
+  rmat.add_edge(9, 9);
+  rmat.symmetrize();
+  ASSERT_GE(self_loops(rmat), 2u);
+  testsupport::save_every_edge(rmat, path);
+  const EdgeList want = load_text_edges(path, Directedness::Undirected);
+  const std::size_t lines = save_text_edges(rmat, path);
+  EXPECT_EQ(lines, (rmat.num_edges() + self_loops(rmat)) / 2);
+  EXPECT_EQ(data_lines(path), lines);
+  const EdgeList got = load_text_edges(path, Directedness::Undirected);
+  EXPECT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(got.edges(), want.edges());
+
+  // A directed list, and an undirected one that is not symmetric, are
+  // written edge for edge.
+  const EdgeList directed(3, {{0, 1}, {1, 0}, {1, 2}}, Directedness::Directed);
+  EXPECT_EQ(save_text_edges(directed, path), 3u);
+  EXPECT_EQ(data_lines(path), 3u);
+  const EdgeList one_way(3, {{0, 1}, {1, 2}}, Directedness::Undirected);
+  save_text_edges(one_way, path);
+  EXPECT_EQ(data_lines(path), 2u);
+  std::remove(path.c_str());
+}
+
 TEST(Io, TextSkipsComments) {
   const std::string path = ::testing::TempDir() + "atlc_comments.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");

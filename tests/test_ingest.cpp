@@ -24,6 +24,7 @@
 #include "atlc/ingest/external_sorter.hpp"
 #include "atlc/ingest/pipeline.hpp"
 #include "atlc/ingest/snapshot.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -233,7 +234,7 @@ TEST(Ingest, TextInputMatchesInMemoryCleanAcrossConfigs) {
   // line buffer — a comment, and a pair followed by junk, whose tails read
   // like pairs. Phantom edges 7-8 or 10-11 would each close triangles.
   const std::string rmat_text = tmp_path("text_rt.txt");
-  graph::save_text_edges(raw_rmat(9, 8, 7), rmat_text);
+  testsupport::save_every_edge(raw_rmat(9, 8, 7), rmat_text);
   const std::string long_text = tmp_path("long_lines.txt");
   write_file(long_text, "#" + std::string(300, ' ') + "7 8\n"
                         "9 10 junk" + std::string(300, ' ') + "10 11\n"
@@ -268,6 +269,7 @@ TEST(Ingest, TextInputMatchesInMemoryCleanAcrossConfigs) {
       const auto rep = ingest::run_ingest(text, snap, opt);
       EXPECT_GT(rep.bytes_read, 0u);
       EXPECT_GT(rep.lines, 0u);
+      if (text == rmat_text) EXPECT_GT(rep.duplicates_removed, 0u);
       expect_snapshot_equals(snap, reference, 11);
       const std::string bytes = read_file(snap);
       if (first_bytes.empty())
@@ -283,7 +285,7 @@ TEST(Ingest, TextInputMatchesInMemoryCleanAcrossConfigs) {
 TEST(Ingest, DirectedTextInput) {
   const auto raw = raw_rmat(8, 6, 13, Directedness::Directed);
   const std::string text = tmp_path("directed.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
   const auto reference = graph::load_text_edges(text, Directedness::Directed);
 
   const std::string snap = tmp_path("directed.v2");
@@ -299,7 +301,7 @@ TEST(Ingest, DirectedTextInput) {
 TEST(Ingest, RelabelNoneMatchesSeedZeroClean) {
   const auto raw = raw_rmat(8, 8, 21);
   const std::string text = tmp_path("none.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
 
   const std::string snap = tmp_path("none.v2");
   ingest::IngestOptions opt;
@@ -313,7 +315,7 @@ TEST(Ingest, RelabelNoneMatchesSeedZeroClean) {
 TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
   const auto raw = raw_rmat(8, 8, 31);
   const std::string text = tmp_path("degdesc.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
 
   const std::string snap = tmp_path("degdesc.v2");
   ingest::IngestOptions opt;
@@ -342,7 +344,7 @@ TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
 TEST(Ingest, SliceEqualsInMemoryBuildForAllKindsAndRanks) {
   const auto raw = raw_rmat(9, 8, 17);
   const std::string text = tmp_path("slices.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
 
   for (std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
     const std::string snap =
@@ -392,7 +394,7 @@ TEST(Ingest, SliceEqualsInMemoryBuildForAllKindsAndRanks) {
 TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
   const auto raw = raw_rmat(8, 8, 23);
   const std::string text = tmp_path("engine.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
   const std::string snap = tmp_path("engine.v2");
   ingest::IngestOptions opt;
   opt.ranks = 8;
@@ -433,7 +435,7 @@ TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
   // not the slice source (reading the slices overcounted ~6x).
   const auto raw = raw_rmat(8, 8, 29);
   const std::string text = tmp_path("dodg.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
   const std::string snap = tmp_path("dodg.v2");
   ingest::IngestOptions opt;
   opt.ranks = 4;
@@ -462,7 +464,7 @@ TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
 TEST(Ingest, SpillPathProducesByteIdenticalSnapshot) {
   const auto raw = raw_rmat(10, 8, 41);
   const std::string text = tmp_path("spill.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
   const auto input_bytes = std::filesystem::file_size(text);
 
   ingest::IngestOptions mem_opt;
@@ -479,6 +481,9 @@ TEST(Ingest, SpillPathProducesByteIdenticalSnapshot) {
   // and the spill path really ran.
   EXPECT_GT(input_bytes, spill_opt.mem_budget_bytes);
   EXPECT_GE(spill_rep.spill_runs, 2u);
+  // Both orientations of every edge reach the sorter, so equal keys meet
+  // across spill runs and the merge has duplicates to drop.
+  EXPECT_GT(spill_rep.duplicates_removed, 0u);
 
   EXPECT_TRUE(read_file(snap_mem) == read_file(snap_spill))
       << "spill path changed the snapshot bytes";
@@ -492,7 +497,7 @@ class SnapshotCorruption : public ::testing::Test {
   void SetUp() override {
     const auto raw = raw_rmat(7, 6, 2);
     text_ = tmp_path("corrupt_src.txt");
-    graph::save_text_edges(raw, text_);
+    testsupport::save_every_edge(raw, text_);
     snap_ = tmp_path("corrupt.v2");
     ingest::IngestOptions opt;
     opt.ranks = 4;
@@ -738,7 +743,7 @@ TEST(LoadTextEdges, RejectsIdSpaceOverflow) {
 TEST(Ingest, ReportCarriesThroughputAndFormatFields) {
   const auto raw = raw_rmat(8, 8, 55);
   const std::string text = tmp_path("report.txt");
-  graph::save_text_edges(raw, text);
+  testsupport::save_every_edge(raw, text);
   const std::string snap = tmp_path("report.v2");
   ingest::IngestOptions opt;
   opt.ranks = 4;

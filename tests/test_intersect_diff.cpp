@@ -462,14 +462,76 @@ TEST(IntersectDiff, BitmapRebuildClearsStaleBits) {
 
 TEST(IntersectDiff, SelectTierKernelRule) {
   const TierPolicy p;  // defaults: bitmap_min_row=256, gallop_ratio=32
-  EXPECT_EQ(select_tier_kernel(256, 8, p), TierKernel::Bitmap);
-  EXPECT_EQ(select_tier_kernel(4096, 4096, p), TierKernel::Bitmap);
-  EXPECT_EQ(select_tier_kernel(255, 8, p), TierKernel::MergeVec);  // 31.9x
-  EXPECT_EQ(select_tier_kernel(4, 128, p), TierKernel::Gallop);    // 32x
-  EXPECT_EQ(select_tier_kernel(128, 4, p), TierKernel::Gallop);    // symmetric
-  EXPECT_EQ(select_tier_kernel(100, 100, p), TierKernel::MergeVec);
-  EXPECT_EQ(select_tier_kernel(0, 100, p), TierKernel::MergeVec);
-  EXPECT_EQ(select_tier_kernel(5, 100, p), TierKernel::MergeVec);  // 20x < 32x
+  for (bool stable : {true, false}) {
+    EXPECT_EQ(select_tier_kernel(256, 8, p, stable),
+              stable ? TierKernel::Bitmap : TierKernel::Gallop);
+    EXPECT_EQ(select_tier_kernel(4096, 4096, p, stable),
+              stable ? TierKernel::Bitmap : TierKernel::MergeVec);
+    EXPECT_EQ(select_tier_kernel(255, 8, p, stable),
+              TierKernel::MergeVec);  // 31.9x
+    EXPECT_EQ(select_tier_kernel(4, 128, p, stable), TierKernel::Gallop);
+    EXPECT_EQ(select_tier_kernel(128, 4, p, stable), TierKernel::Gallop);
+    EXPECT_EQ(select_tier_kernel(100, 100, p, stable), TierKernel::MergeVec);
+    EXPECT_EQ(select_tier_kernel(0, 100, p, stable), TierKernel::MergeVec);
+    EXPECT_EQ(select_tier_kernel(5, 100, p, stable),
+              TierKernel::MergeVec);  // 20x < 32x
+  }
+}
+
+// The 2D segment path has no stable row, so intersect_transient dispatches
+// by shape alone: long balanced pairs merge, only pairs at or above the
+// gallop ratio gallop, no policy ever builds a bitmap, and each pair is
+// priced and labelled as the kernel that ran.
+TEST(IntersectDiff, TransientDispatchesByShape) {
+  const VertexId universe = 1 << 14;
+  const CostModel cost;
+  V evens, thirds, leaf;
+  for (VertexId i = 0; i < 600; ++i) evens.push_back(2 * i);
+  for (VertexId i = 0; i < 400; ++i) thirds.push_back(3 * i);
+  for (VertexId i = 0; i < 16; ++i) leaf.push_back(60 * i);
+  const auto common = [](const V& a, const V& b) {
+    return static_cast<std::uint64_t>(oracle(a, b).size());
+  };
+
+  TieredIntersector ti(TierPolicy{}, cost, universe);
+  Intersector isect(Method::Hybrid, Tier::Tiered, TierPolicy{}, cost,
+                    universe, /*stable_lhs=*/false);
+  // Balanced, both lists past bitmap_min_row (1.5x): the block merge.
+  for (const auto& [a, b] : {std::pair{evens, thirds}, {thirds, evens}}) {
+    const auto out = ti.intersect_transient(a, b);
+    EXPECT_EQ(out.kernel, TierKernel::MergeVec);
+    EXPECT_EQ(out.common, common(a, b));
+    EXPECT_EQ(out.seconds,
+              cost.seconds_tiered(TierKernel::MergeVec, a.size(), b.size()));
+    EXPECT_STREQ(isect.count(a, b).label, "intersect_merge");
+  }
+  // One list past bitmap_min_row, skewed 37.5x: the galloping search.
+  for (const auto& [a, b] : {std::pair{evens, leaf}, {leaf, evens}}) {
+    const auto out = ti.intersect_transient(a, b);
+    EXPECT_EQ(out.kernel, TierKernel::Gallop);
+    EXPECT_EQ(out.common, common(a, b));
+    EXPECT_EQ(out.seconds,
+              cost.seconds_tiered(TierKernel::Gallop, a.size(), b.size()));
+    EXPECT_STREQ(isect.count(a, b).label, "intersect_gallop");
+  }
+  EXPECT_EQ(ti.stats().merge_pairs, 2u);
+  EXPECT_EQ(ti.stats().gallop_pairs, 2u);
+
+  for (const TierPolicy& policy :
+       {TierPolicy{}, force_bitmap(), force_gallop(), force_merge()}) {
+    TieredIntersector forced(policy, cost, universe);
+    for (const V* a : {&evens, &thirds, &leaf}) {
+      for (const V* b : {&evens, &thirds, &leaf}) {
+        const auto out = forced.intersect_transient(*a, *b);
+        EXPECT_NE(out.kernel, TierKernel::Bitmap);
+        EXPECT_EQ(out.common, common(*a, *b));
+      }
+      EXPECT_NE(forced.intersect_transient(*a, V{}).kernel,
+                TierKernel::Bitmap);
+    }
+    EXPECT_EQ(forced.stats().bitmap_builds, 0u);
+    EXPECT_EQ(forced.stats().bitmap_pairs, 0u);
+  }
 }
 
 TEST(IntersectDiff, TierNamesNamed) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
+#include <string>
 #include <utility>
 
 #include "atlc/core/lcc.hpp"
@@ -49,6 +51,19 @@ inline graph::EdgeList complete_edges(graph::VertexId n) {
     for (graph::VertexId v = 0; v < n; ++v)
       if (u != v) e.add_edge(u, v);
   return e;
+}
+
+/// SNAP text with one "u v" line per stored edge, both orientations of an
+/// undirected list included (graph::save_text_edges writes a symmetric
+/// list once per edge). Reloading it drops about half the lines as
+/// duplicates, so loaders and ingest see duplicate edges.
+inline void save_every_edge(const graph::EdgeList& e, const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr) << path;
+  std::fprintf(f, "# atlc edge list: %u vertices, %zu edges\n",
+               e.num_vertices(), e.num_edges());
+  for (const graph::Edge& x : e.edges()) std::fprintf(f, "%u %u\n", x.u, x.v);
+  std::fclose(f);
 }
 
 /// Death tests fork the process; with the multi-threaded rma::Runtime in

@@ -305,10 +305,11 @@ int main(int argc, char** argv) {
   if (!cli.get_string("convert").empty()) {
     // Write the edge list as loaded, before cleaning: atlc_ingest, or a
     // later --input of the file, cleans it.
-    graph::save_text_edges(edges, cli.get_string("convert"));
+    const std::size_t lines =
+        graph::save_text_edges(edges, cli.get_string("convert"));
     std::fprintf(stderr,
                  "# wrote %zu edges to %s (SNAP text, %.1f s total)\n",
-                 edges.num_edges(), cli.get_string("convert").c_str(),
+                 lines, cli.get_string("convert").c_str(),
                  load_timer.elapsed_s());
     return 0;
   }
