@@ -1,13 +1,12 @@
 // Out-of-core ingest pipeline bench (DESIGN.md §11): generate an R-MAT
 // text edge list, sweep the chunked-parse/sort stage over thread counts,
-// chunk sizes, and the spill path, and verify the partition-sliced v2
-// snapshot end to end.
+// chunk sizes, and the spill path, and verify the snapshot end to end.
 //
 // Two metric families:
 //  - determinism fields (gated, bit-deterministic): vertex/edge counts,
-//    FNV checksums, per-kind extent totals, snapshot byte size, spill-path
-//    byte identity, and slice-vs-in-memory equivalence. These must
-//    reproduce exactly on any host.
+//    FNV checksums, snapshot byte size, spill-path byte identity, and
+//    slice-vs-in-memory equivalence. These must reproduce exactly on any
+//    host.
 //  - throughput fields (never gated): parse+sort wall seconds, edges/sec,
 //    thread-scaling speedups, and peak RSS. Host-dependent by nature; on a
 //    single-core CI runner the speedup columns are ~1x and reported as-is.
@@ -35,7 +34,6 @@ void add_flags(util::Cli& cli) {
               "R-MAT scale of the generated text input (0 = scenario "
               "default: 9 smoke / 13 full)",
               0);
-  cli.add_int("ingest-ranks", "rank count the slice index is built for", 8);
 }
 
 std::string work_path(const std::string& name) {
@@ -44,31 +42,34 @@ std::string work_path(const std::string& name) {
       .string();
 }
 
-/// read_slice for every (kind, rank) against the in-memory slicing of the
-/// global CSR — the same reference build_dist_graph computes.
-bool slices_match(const ingest::SnapshotReader& reader, std::uint32_t ranks) {
+/// read_slice for every (kind, rank count, rank) against the in-memory
+/// slicing of the global CSR — the same reference build_dist_graph
+/// computes. One snapshot serves every rank count.
+bool slices_match(const ingest::SnapshotReader& reader) {
   const auto g = graph::CSRGraph::from_edges(reader.read_all());
-  for (const auto kind :
-       {graph::PartitionKind::Block1D, graph::PartitionKind::Cyclic1D,
-        graph::PartitionKind::DegreeBalanced1D,
-        graph::PartitionKind::Grid2D}) {
-    const auto part = graph::make_partition(g, kind, ranks);
-    for (std::uint32_t rank = 0; rank < ranks; ++rank) {
-      const auto [lo, hi] = part.col_block_range(
-          part.col_blocks() > 1 ? part.grid_col(rank) : 0);
-      std::vector<graph::EdgeIndex> want_off{0};
-      std::vector<graph::VertexId> want_adj;
-      for (graph::VertexId lv = 0; lv < part.part_size(rank); ++lv) {
-        const auto nbrs = g.neighbors(part.global_id(rank, lv));
-        const auto s = std::lower_bound(nbrs.begin(), nbrs.end(), lo);
-        const auto e = std::lower_bound(s, nbrs.end(), hi);
-        want_adj.insert(want_adj.end(), s, e);
-        want_off.push_back(want_adj.size());
+  for (const std::uint32_t ranks : {1u, 3u, 6u, 8u}) {
+    for (const auto kind :
+         {graph::PartitionKind::Block1D, graph::PartitionKind::Cyclic1D,
+          graph::PartitionKind::DegreeBalanced1D,
+          graph::PartitionKind::Grid2D}) {
+      const auto part = graph::make_partition(g, kind, ranks);
+      for (std::uint32_t rank = 0; rank < ranks; ++rank) {
+        const auto [lo, hi] = part.col_block_range(
+            part.col_blocks() > 1 ? part.grid_col(rank) : 0);
+        std::vector<graph::EdgeIndex> want_off{0};
+        std::vector<graph::VertexId> want_adj;
+        for (graph::VertexId lv = 0; lv < part.part_size(rank); ++lv) {
+          const auto nbrs = g.neighbors(part.global_id(rank, lv));
+          const auto s = std::lower_bound(nbrs.begin(), nbrs.end(), lo);
+          const auto e = std::lower_bound(s, nbrs.end(), hi);
+          want_adj.insert(want_adj.end(), s, e);
+          want_off.push_back(want_adj.size());
+        }
+        std::vector<graph::EdgeIndex> got_off;
+        std::vector<graph::VertexId> got_adj;
+        reader.read_slice(part, rank, got_off, got_adj);
+        if (got_off != want_off || got_adj != want_adj) return false;
       }
-      std::vector<graph::EdgeIndex> got_off;
-      std::vector<graph::VertexId> got_adj;
-      reader.read_slice(part, rank, got_off, got_adj);
-      if (got_off != want_off || got_adj != want_adj) return false;
     }
   }
   return true;
@@ -78,10 +79,7 @@ void run(bench::ScenarioContext& ctx) {
   const int flag_scale = static_cast<int>(ctx.cli.get_int("ingest-scale"));
   const unsigned scale = flag_scale > 0 ? static_cast<unsigned>(flag_scale)
                                         : (ctx.smoke ? 9u : 13u);
-  const auto ranks =
-      static_cast<std::uint32_t>(ctx.cli.get_int("ingest-ranks"));
   ctx.rec.meta()["ingest_scale"] = static_cast<double>(scale);
-  ctx.rec.meta()["ingest_ranks"] = static_cast<double>(ranks);
 
   const auto raw = graph::generate_rmat(
       {.scale = scale, .edge_factor = 8, .seed = 42 + ctx.seed});
@@ -92,8 +90,7 @@ void run(bench::ScenarioContext& ctx) {
   std::vector<std::string> cleanup{text};
   const auto ingest_to = [&](const std::string& name,
                              ingest::IngestOptions opt) {
-    const std::string snap = work_path(name + ".v2");
-    opt.ranks = ranks;
+    const std::string snap = work_path(name + ".snap");
     opt.relabel_seed = 1 + ctx.seed;
     const auto rep = ingest::run_ingest(text, snap, opt);
     cleanup.push_back(snap);
@@ -126,15 +123,7 @@ void run(bench::ScenarioContext& ctx) {
              DetField{"det/degree_checksum_lo32", "checksum",
                       static_cast<double>(rep.degree_checksum & 0xffffffffu)},
              DetField{"det/snapshot_bytes", "bytes",
-                      static_cast<double>(rep.snapshot_bytes)},
-             DetField{"det/extents_block", "count",
-                      static_cast<double>(rep.extents[0])},
-             DetField{"det/extents_cyclic", "count",
-                      static_cast<double>(rep.extents[1])},
-             DetField{"det/extents_degree", "count",
-                      static_cast<double>(rep.extents[2])},
-             DetField{"det/extents_grid", "count",
-                      static_cast<double>(rep.extents[3])}}) {
+                      static_cast<double>(rep.snapshot_bytes)}}) {
       ctx.rec.declare_metric(name, {.unit = unit});
       ctx.rec.add_trial(name, value);
     }
@@ -144,7 +133,7 @@ void run(bench::ScenarioContext& ctx) {
     ingest::SnapshotReader reader(base_snapshot);
     ctx.rec.declare_metric("det/slice_equivalence_ok", {.unit = "bool"});
     ctx.rec.add_trial("det/slice_equivalence_ok",
-                      slices_match(reader, ranks) ? 1.0 : 0.0);
+                      slices_match(reader) ? 1.0 : 0.0);
   }
 
   // Spill arm: a budget far below the edge stream must exercise the
@@ -250,6 +239,6 @@ void run(bench::ScenarioContext& ctx) {
 
 ATLC_REGISTER_SCENARIO(ingest, "ingest", "Section IV-A (datasets)",
                        "out-of-core ingest: chunked parallel parse + "
-                       "external sort + v2 snapshot (thread/chunk/spill "
+                       "external sort + snapshot (thread/chunk/spill "
                        "sweeps; determinism fields gated)",
                        add_flags, run)

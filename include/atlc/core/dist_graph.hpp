@@ -61,11 +61,11 @@ struct DistGraph {
 /// Out-of-core seam: an object that can materialise a rank's local CSR
 /// slice directly — offsets over local row slots plus global-id adjacency
 /// entries, exactly the layout build_dist_graph derives from the global
-/// CSR. ingest::SnapshotReader implements it by seek-reading the rank's
-/// extent list out of a partition-sliced snapshot (DESIGN.md §11), which
-/// is the paper's Fig. 3 step 1 done literally: each rank reads only its
-/// chunk from disk. Implementations must be safe to call concurrently
-/// from all rank threads.
+/// CSR. ingest::SnapshotReader implements it by reading the rank's rows
+/// out of an atlc_ingest snapshot (DESIGN.md §11), which is the paper's
+/// Fig. 3 step 1 done literally: each rank reads only its rows from disk.
+/// Implementations must be safe to call concurrently from all rank
+/// threads.
 class LocalSliceSource {
  public:
   virtual ~LocalSliceSource() = default;
@@ -81,9 +81,9 @@ class LocalSliceSource {
 /// (paper Fig. 3, step 1); in this shared-address-space simulation the
 /// "read" is a slice-copy out of the shared CSR, preserving the property
 /// that a rank's accessible state is its own partition + the windows.
-/// When `slice` is non-null the rank's slice comes from it instead —
-/// seek-reads against a snapshot's per-rank extent index — and the global
-/// CSR is only consulted for hub rows. Either path must produce identical
+/// When `slice` is non-null the rank's slice comes from it instead (e.g.
+/// read from a snapshot), and the global CSR is only consulted for hub
+/// rows. Either path must produce identical
 /// vectors; build_dist_graph cross-checks the row count.
 ///
 /// When `hubs` is non-null and non-empty, the prototype replica is copied

@@ -103,9 +103,9 @@ struct EngineConfig {
   double hub_fraction = 0.0;
 
   /// Out-of-core graph build: when non-null, run_edge_analytic passes this
-  /// to build_dist_graph and each rank's local CSR slice is seek-read from
-  /// it (ingest::SnapshotReader over a v2 partition-sliced snapshot,
-  /// DESIGN.md §11) instead of sliced out of the in-memory global CSR.
+  /// to build_dist_graph and each rank's local CSR slice is read from it
+  /// (ingest::SnapshotReader over an atlc_ingest snapshot, DESIGN.md §11)
+  /// instead of sliced out of the in-memory global CSR.
   /// Results are bit-identical either way — the snapshot stores exactly
   /// the rows the in-memory build derives. Not owned; must outlive the
   /// run, and must be safe to call from all rank threads.

@@ -149,10 +149,10 @@ std::size_t save_text_edges(const EdgeList& edges, const std::string& path);
 // ---------------------------------------------------------- ATLC binary ---
 
 /// The prefix every ATLC binary file starts with: u32 magic "ATLC",
-/// u32 version, u32 directedness (0/1), u32 n, u64 m. Version 2, the
-/// ingest/snapshot.hpp sliced snapshot, is the only version read.
+/// u32 version, u32 directedness (0/1), u32 n, u64 m. kSnapshotVersion,
+/// the ingest/snapshot.hpp snapshot, is the only version read or written.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 struct AtlcPrefix {
-  std::uint32_t version = 0;
   Directedness directedness = Directedness::Undirected;
   VertexId num_vertices = 0;
   std::uint64_t num_edges = 0;
@@ -167,19 +167,20 @@ inline constexpr std::uint64_t kAtlcPrefixBytes = 24;
 
 /// Throw an "atlc:" error when sniff_atlc finds the magic: the SNAP text
 /// readers (load_edges, ingest::run_ingest) refuse ATLC binary files
-/// instead of parsing their bytes as text. A v2 snapshot's message names
+/// instead of parsing their bytes as text. A snapshot's message names
 /// `atlc_run --snapshot`, the way to open it.
 void require_text(const std::string& path);
 
 /// Read and validate the prefix from the start of `f`: it must be present
-/// ("truncated header"), carry the magic ("bad magic"), declare `version`
-/// (any other is "unsupported ATLC binary version"), and hold a 0/1
+/// ("truncated header"), carry the magic ("bad magic"), declare
+/// kSnapshotVersion (any other is "unsupported ATLC binary version", with
+/// a pointer to atlc_ingest, which rebuilds a snapshot), and hold a 0/1
 /// directedness flag ("corrupt directedness flag"). Leaves `f` just past
 /// the prefix.
-[[nodiscard]] AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
+[[nodiscard]] AtlcPrefix read_atlc_prefix(std::FILE* f,
                                           const std::string& path);
 
-/// Write the prefix at `f`'s current position.
+/// Write the prefix, version kSnapshotVersion, at `f`'s current position.
 void write_atlc_prefix(std::FILE* f, const AtlcPrefix& prefix,
                        const std::string& path);
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "atlc/graph/types.hpp"
-#include "atlc/ingest/snapshot.hpp"
 
 namespace atlc::obs {
 class TraceCollector;
@@ -32,8 +31,8 @@ struct IngestOptions {
   /// pipeline runs two sorter stages (raw and relabeled), so transient peak
   /// memory is ~2x this during the re-sort (DESIGN.md §11).
   std::uint64_t mem_budget_bytes = 0;
-  /// Rank count the snapshot's slice index is built for. A snapshot serves
-  /// exactly this many ranks; other counts fall back to the in-memory path.
+  /// Ignored: a snapshot serves every rank count (DESIGN.md §11). Kept
+  /// only until the benchmark driver stops setting it.
   std::uint32_t ranks = 8;
   /// How to read the input. Undirected input is symmetrized, exactly like
   /// load_text_edges.
@@ -58,7 +57,7 @@ struct IngestOptions {
 
 /// Everything the CLI prints and the ingest bench records. Wall-clock
 /// fields are machine-dependent; the determinism fields (counts, checksums,
-/// extent totals) are bit-stable across threads, chunk sizes, and memory
+/// snapshot size) are bit-stable across threads, chunk sizes, and memory
 /// budgets — the property the equivalence tests pin down.
 struct IngestReport {
   std::uint64_t bytes_read = 0;         ///< input bytes consumed
@@ -73,7 +72,6 @@ struct IngestReport {
   graph::VertexId num_vertices = 0;     ///< final |V|
   std::uint64_t num_edges = 0;          ///< final |E| (directed slots)
   std::size_t spill_runs = 0;           ///< run files across both stages
-  std::uint32_t ranks = 0;
   double parse_seconds = 0.0;  ///< read + parse + intern (minus spill sorts)
   double sort_seconds = 0.0;   ///< in-add spills, finish() sorts, both stages
   double merge_seconds = 0.0;  ///< merge replays: degree count + remap
@@ -86,19 +84,17 @@ struct IngestReport {
   std::uint64_t snapshot_bytes = 0;
   std::uint64_t edge_checksum = 0;
   std::uint64_t degree_checksum = 0;
-  /// Slice-index extent totals, indexed by PartitionKind value.
-  std::uint64_t extents[snapshot_v2::kKindCount] = {};
 };
 
 /// The out-of-core ingest pipeline (DESIGN.md §11): stream the SNAP text
 /// `input` (read through graph/io's ChunkReader, parse_text_chunk and
 /// IdInterner, the pieces load_edges uses) in chunks, parse in parallel,
-/// fused clean/sort/dedup/relabel via external merge sort, and write a v2
-/// partition-sliced snapshot to `output`. The cleaned graph is bit-identical
-/// to load_edges() + graph::clean() with the matching options, for any
-/// thread count, chunk size, or memory budget. Throws std::runtime_error
-/// ("atlc: ..." messages) on malformed input, and on an ATLC binary input
-/// (graph::require_text).
+/// fused clean/sort/dedup/relabel via external merge sort, and write the
+/// snapshot (ingest/snapshot.hpp) to `output`. The cleaned graph is
+/// bit-identical to load_edges() + graph::clean() with the matching
+/// options, for any thread count, chunk size, or memory budget. Throws
+/// std::runtime_error ("atlc: ..." messages) on malformed input, and on an
+/// ATLC binary input (graph::require_text).
 IngestReport run_ingest(const std::string& input, const std::string& output,
                         const IngestOptions& options = {});
 

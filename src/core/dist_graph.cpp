@@ -19,8 +19,8 @@ DistGraph build_dist_graph(rma::RankCtx& ctx, const CSRGraph& global,
 
   const VertexId n_local = partition.part_size(ctx.rank());
   if (slice != nullptr) {
-    // Out-of-core path: the slice source seek-reads this rank's rows (e.g.
-    // from a snapshot's extent index) instead of slicing the global CSR.
+    // Out-of-core path: the slice source reads this rank's rows (e.g. from
+    // a snapshot) instead of slicing the global CSR.
     slice->read_slice(partition, ctx.rank(), dg.offsets, dg.adjacencies);
     ATLC_CHECK(dg.offsets.size() == static_cast<std::size_t>(n_local) + 1,
                "slice source row count must match the partition");

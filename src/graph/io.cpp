@@ -197,17 +197,16 @@ std::optional<std::uint32_t> sniff_atlc(const std::string& path) {
 void require_text(const std::string& path) {
   const std::optional<std::uint32_t> version = sniff_atlc(path);
   if (!version) return;
-  if (*version == 2)  // ingest::snapshot_v2::kVersion
+  if (*version == kSnapshotVersion)
     throw std::runtime_error(
-        "atlc: this is a v2 partition-sliced snapshot, not SNAP text — open "
-        "it with atlc_run --snapshot: " + path);
+        "atlc: this is an ATLC snapshot, not SNAP text — open it with "
+        "atlc_run --snapshot: " + path);
   throw std::runtime_error("atlc: an ATLC binary file (version " +
                            std::to_string(*version) +
                            ") is not SNAP text: " + path);
 }
 
-AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
-                            const std::string& path) {
+AtlcPrefix read_atlc_prefix(std::FILE* f, const std::string& path) {
   std::uint32_t word[4];
   std::uint64_t m = 0;
   std::rewind(f);
@@ -218,21 +217,21 @@ AtlcPrefix read_atlc_prefix(std::FILE* f, std::uint32_t version,
         std::to_string(kAtlcPrefixBytes) + "-byte ATLC header): " + path);
   if (word[0] != kMagic)
     throw std::runtime_error("atlc: bad magic (not an ATLC file): " + path);
-  if (word[1] != version)
-    throw std::runtime_error("atlc: unsupported ATLC binary version " +
-                             std::to_string(word[1]) + " (expected " +
-                             std::to_string(version) + "): " + path);
+  if (word[1] != kSnapshotVersion)
+    throw std::runtime_error(
+        "atlc: unsupported ATLC binary version " + std::to_string(word[1]) +
+        " (expected " + std::to_string(kSnapshotVersion) +
+        "; re-run atlc_ingest on the SNAP text to rebuild it): " + path);
   if (word[2] > 1)
     throw std::runtime_error("atlc: corrupt directedness flag: " + path);
-  return {word[1],
-          word[2] ? Directedness::Directed : Directedness::Undirected,
+  return {word[2] ? Directedness::Directed : Directedness::Undirected,
           word[3], m};
 }
 
 void write_atlc_prefix(std::FILE* f, const AtlcPrefix& prefix,
                        const std::string& path) {
   const std::uint32_t word[4] = {
-      kMagic, prefix.version,
+      kMagic, kSnapshotVersion,
       prefix.directedness == Directedness::Directed ? 1u : 0u,
       prefix.num_vertices};
   if (std::fwrite(word, sizeof(word), 1, f) != 1 ||

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "atlc/graph/io.hpp"
-#include "atlc/graph/partition.hpp"
 #include "atlc/graph/relabel.hpp"
 #include "atlc/ingest/external_sorter.hpp"
+#include "atlc/ingest/snapshot.hpp"
 #include "atlc/obs/trace.hpp"
 #include "atlc/util/check.hpp"
 #include "atlc/util/recorder.hpp"
@@ -25,8 +25,6 @@ namespace atlc::ingest {
 namespace {
 
 using graph::Directedness;
-using graph::Partition;
-using graph::PartitionKind;
 
 constexpr VertexId kRemoved = static_cast<VertexId>(-1);
 
@@ -111,8 +109,6 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
                         const IngestOptions& opt) {
   util::Timer total;
   IngestReport rep;
-  rep.ranks = opt.ranks;
-  ATLC_CHECK(opt.ranks > 0, "ingest needs >= 1 rank");
   graph::require_text(input);
 
   const int threads = resolve_threads(opt.num_threads);
@@ -146,12 +142,10 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
 
   // ---- Pass A: merged replay -> dedup stats + degree counts. ------------
   // deg_filter replicates remove_low_degree_once's count (u always, v only
-  // when directed); out_deg is the final CSR out-degree, reusable directly
-  // when the remap and relabel below turn out to be identities.
+  // when directed).
   tracer.begin("merge_degree");
   util::Timer merge_timer;
   std::vector<VertexId> deg_filter(n0, 0);
-  std::vector<VertexId> out_deg(n0, 0);
   std::uint64_t m_clean = 0;
   {
     Edge prev{0, 0};
@@ -169,7 +163,6 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
       first = false;
       ++m_clean;
       ++deg_filter[e.u];
-      ++out_deg[e.u];
       if (opt.directedness == Directedness::Directed) ++deg_filter[e.v];
     });
   }
@@ -226,13 +219,9 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   // relabel scrambles lexicographic order).
   const bool identity = rep.vertices_removed == 0 && perm.empty();
   std::unique_ptr<ExternalEdgeSorter> mapped;
-  std::vector<VertexId> deg_final;
-  if (identity) {
-    deg_final = std::move(out_deg);
-  } else {
+  if (!identity) {
     mapped = std::make_unique<ExternalEdgeSorter>(
         prefix + ".mapped", opt.mem_budget_bytes, threads);
-    deg_final.assign(n1, 0);
     std::vector<Edge> batch;
     batch.reserve(std::size_t{1} << 15);
     for_each_clean(raw, [&](const Edge& e) {
@@ -240,7 +229,6 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
       const VertexId cv = remap[e.v];
       if (cu == kRemoved || cv == kRemoved) return;
       const Edge fe = perm.empty() ? Edge{cu, cv} : Edge{perm[cu], perm[cv]};
-      ++deg_final[fe.u];
       batch.push_back(fe);
       if (batch.size() == batch.capacity()) {
         mapped->add(batch);
@@ -255,44 +243,24 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
     raw.clear();
     mapped->finish();
   }
-  const ExternalEdgeSorter& final_stream = identity ? raw : *mapped;
-  const auto replay_final = [&](const std::function<void(const Edge&)>& v) {
-    if (identity)
-      for_each_clean(raw, v);
-    else
-      final_stream.for_each_sorted(v);
-  };
-
-  // DegreeBalanced1D weights, exactly as make_partition derives them from
-  // the final CSR: each out-edge (u, v) contributes deg(u) + deg(v) to u.
-  std::vector<std::uint64_t> weights(n1, 0);
-  replay_final([&](const Edge& e) {
-    weights[e.u] += std::uint64_t{deg_final[e.u]} + deg_final[e.v];
-  });
   rep.merge_seconds = merge_timer.elapsed_s() -
                       (identity ? 0.0 : mapped->sort_seconds());
   tracer.end("map_relabel");
 
-  // ---- Stage 3: emit the partition-sliced snapshot. ---------------------
+  // ---- Stage 3: emit the snapshot. --------------------------------------
   tracer.begin("write_snapshot");
   util::Timer write_timer;
-  std::vector<Partition> parts;
-  parts.reserve(snapshot_v2::kKindCount);
-  parts.emplace_back(PartitionKind::Block1D, n1, opt.ranks);
-  parts.emplace_back(PartitionKind::Cyclic1D, n1, opt.ranks);
-  parts.push_back(Partition::degree_balanced(
-      std::span<const std::uint64_t>(weights), opt.ranks));
-  parts.emplace_back(PartitionKind::Grid2D, n1, opt.ranks);
-
   {
-    SnapshotWriter writer(output, n1, opt.directedness, std::move(parts));
-    replay_final([&](const Edge& e) { writer.append(e); });
-    writer.finalize(deg_final);
+    SnapshotWriter writer(output, n1, opt.directedness);
+    const auto append = [&](const Edge& e) { writer.append(e); };
+    if (identity)
+      for_each_clean(raw, append);
+    else
+      mapped->for_each_sorted(append);
+    writer.finalize();
     rep.num_edges = writer.num_edges();
     rep.edge_checksum = writer.edge_checksum();
     rep.degree_checksum = writer.degree_checksum();
-    for (std::size_t k = 0; k < snapshot_v2::kKindCount; ++k)
-      rep.extents[k] = writer.extents_total(k);
   }
   rep.write_seconds = write_timer.elapsed_s();
   tracer.end("write_snapshot");

@@ -1,8 +1,9 @@
 // The out-of-core ingest pipeline (DESIGN.md §11): chunked reading, the
-// parallel/external sort, snapshot v2 round-trips against the in-memory
-// load+clean path, partition-slice equivalence, spill-path byte identity,
-// the corruption matrix of the v2 container, and the text readers' refusal
-// of ATLC binary files.
+// parallel/external sort, snapshot round-trips against the in-memory
+// load+clean path, partition-slice equivalence at every rank count,
+// spill-path byte identity, the corruption matrix of the snapshot (with a
+// seeded byte-mutation loop), and the text readers' refusal of ATLC binary
+// files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -32,6 +34,7 @@ using namespace atlc;
 using graph::Directedness;
 using graph::Edge;
 using graph::VertexId;
+namespace layout = ingest::snapshot_layout;
 
 std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + "atlc_ingest_" + name;
@@ -88,8 +91,41 @@ void expect_snapshot_equals(const std::string& snap_path,
 
   std::vector<VertexId> deg(ref_n, 0);
   for (const Edge& e : ref_edges) ++deg[e.u];
-  EXPECT_TRUE(reader.degrees() == deg) << "stored degrees differ";
+  for (VertexId v = 0; v < ref_n; ++v)
+    ASSERT_EQ(reader.degree(v), deg[v]) << "stored degree of " << v;
 }
+
+/// The in-memory reference slice of `rank`: the column-restricted rows
+/// build_dist_graph derives from the global CSR.
+struct Slice {
+  std::vector<graph::EdgeIndex> offsets{0};
+  std::vector<VertexId> adjacencies;
+};
+Slice in_memory_slice(const graph::CSRGraph& g, const graph::Partition& part,
+                      std::uint32_t rank) {
+  const auto [lo, hi] =
+      part.col_block_range(part.col_blocks() > 1 ? part.grid_col(rank) : 0);
+  Slice want;
+  for (VertexId lv = 0; lv < part.part_size(rank); ++lv) {
+    const auto nbrs = g.neighbors(part.global_id(rank, lv));
+    const auto s = std::lower_bound(nbrs.begin(), nbrs.end(), lo);
+    const auto e = std::lower_bound(s, nbrs.end(), hi);
+    want.adjacencies.insert(want.adjacencies.end(), s, e);
+    want.offsets.push_back(want.adjacencies.size());
+  }
+  return want;
+}
+
+Slice read_slice(const ingest::SnapshotReader& reader,
+                 const graph::Partition& part, std::uint32_t rank) {
+  Slice got;
+  reader.read_slice(part, rank, got.offsets, got.adjacencies);
+  return got;
+}
+
+constexpr graph::PartitionKind kAllKinds[] = {
+    graph::PartitionKind::Block1D, graph::PartitionKind::Cyclic1D,
+    graph::PartitionKind::DegreeBalanced1D, graph::PartitionKind::Grid2D};
 
 // ---------------------------------------------------------------------------
 // ChunkReader
@@ -259,12 +295,11 @@ TEST(Ingest, TextInputMatchesInMemoryCleanAcrossConfigs) {
     for (const Cfg& c : {Cfg{1, 1u << 20, 0}, Cfg{4, 333, 0},
                          Cfg{2, 4096, 16 * 1024}, Cfg{4, 57, 8 * 1024}}) {
       const std::string snap =
-          tmp_path("text_rt_" + std::to_string(variant++) + ".v2");
+          tmp_path("text_rt_" + std::to_string(variant++) + ".snap");
       ingest::IngestOptions opt;
       opt.num_threads = c.threads;
       opt.chunk_bytes = c.chunk;
       opt.mem_budget_bytes = c.budget;
-      opt.ranks = 4;
       opt.relabel_seed = 11;
       const auto rep = ingest::run_ingest(text, snap, opt);
       EXPECT_GT(rep.bytes_read, 0u);
@@ -288,7 +323,7 @@ TEST(Ingest, DirectedTextInput) {
   testsupport::save_every_edge(raw, text);
   const auto reference = graph::load_text_edges(text, Directedness::Directed);
 
-  const std::string snap = tmp_path("directed.v2");
+  const std::string snap = tmp_path("directed.snap");
   ingest::IngestOptions opt;
   opt.directedness = Directedness::Directed;
   opt.relabel_seed = 2;
@@ -303,7 +338,7 @@ TEST(Ingest, RelabelNoneMatchesSeedZeroClean) {
   const std::string text = tmp_path("none.txt");
   testsupport::save_every_edge(raw, text);
 
-  const std::string snap = tmp_path("none.v2");
+  const std::string snap = tmp_path("none.snap");
   ingest::IngestOptions opt;
   opt.relabel = ingest::RelabelMode::None;
   (void)ingest::run_ingest(text, snap, opt);
@@ -317,7 +352,7 @@ TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
   const std::string text = tmp_path("degdesc.txt");
   testsupport::save_every_edge(raw, text);
 
-  const std::string snap = tmp_path("degdesc.v2");
+  const std::string snap = tmp_path("degdesc.snap");
   ingest::IngestOptions opt;
   opt.relabel = ingest::RelabelMode::DegreeDescending;
   opt.remove_degree_lt2 = false;  // keep degrees == the relabel key
@@ -342,48 +377,33 @@ TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
 // Partition-sliced reads
 
 TEST(Ingest, SliceEqualsInMemoryBuildForAllKindsAndRanks) {
+  // One snapshot, ingested once, serves every rank count and kind —
+  // including the 1x3 and 2x3 grids.
   const auto raw = raw_rmat(9, 8, 17);
   const std::string text = tmp_path("slices.txt");
   testsupport::save_every_edge(raw, text);
+  const std::string snap = tmp_path("slices.snap");
+  ingest::IngestOptions opt;
+  opt.relabel_seed = 9;
+  const auto rep = ingest::run_ingest(text, snap, opt);
+  // The file is the header, the degrees and the edges, and nothing else.
+  EXPECT_EQ(rep.snapshot_bytes,
+            ingest::snapshot_layout::kHeaderBytes +
+                std::uint64_t{rep.num_vertices} * sizeof(VertexId) +
+                rep.num_edges * sizeof(Edge));
 
-  for (std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
-    const std::string snap =
-        tmp_path("slices_r" + std::to_string(ranks) + ".v2");
-    ingest::IngestOptions opt;
-    opt.ranks = ranks;
-    opt.relabel_seed = 9;
-    (void)ingest::run_ingest(text, snap, opt);
-
-    ingest::SnapshotReader reader(snap);
-    ASSERT_EQ(reader.ranks(), ranks);
-    const auto g = graph::CSRGraph::from_edges(reader.read_all());
-    for (const auto kind :
-         {graph::PartitionKind::Block1D, graph::PartitionKind::Cyclic1D,
-          graph::PartitionKind::DegreeBalanced1D,
-          graph::PartitionKind::Grid2D}) {
+  ingest::SnapshotReader reader(snap);
+  const auto g = graph::CSRGraph::from_edges(reader.read_all());
+  for (std::uint32_t ranks : {1u, 2u, 3u, 4u, 6u, 8u}) {
+    for (const auto kind : kAllKinds) {
       const auto part = graph::make_partition(g, kind, ranks);
       for (std::uint32_t rank = 0; rank < ranks; ++rank) {
-        // The in-memory reference: the column-restricted row slices
-        // build_dist_graph derives from the global CSR.
-        const auto [lo, hi] = part.col_block_range(
-            part.col_blocks() > 1 ? part.grid_col(rank) : 0);
-        std::vector<graph::EdgeIndex> want_off{0};
-        std::vector<VertexId> want_adj;
-        for (VertexId lv = 0; lv < part.part_size(rank); ++lv) {
-          const auto nbrs = g.neighbors(part.global_id(rank, lv));
-          const auto s = std::lower_bound(nbrs.begin(), nbrs.end(), lo);
-          const auto e = std::lower_bound(s, nbrs.end(), hi);
-          want_adj.insert(want_adj.end(), s, e);
-          want_off.push_back(want_adj.size());
-        }
-
-        std::vector<graph::EdgeIndex> got_off;
-        std::vector<VertexId> got_adj;
-        reader.read_slice(part, rank, got_off, got_adj);
-        EXPECT_TRUE(got_off == want_off)
+        const Slice want = in_memory_slice(g, part, rank);
+        const Slice got = read_slice(reader, part, rank);
+        EXPECT_TRUE(got.offsets == want.offsets)
             << graph::partition_kind_name(kind) << " rank " << rank << "/"
             << ranks << ": offsets differ";
-        EXPECT_TRUE(got_adj == want_adj)
+        EXPECT_TRUE(got.adjacencies == want.adjacencies)
             << graph::partition_kind_name(kind) << " rank " << rank << "/"
             << ranks << ": adjacencies differ";
       }
@@ -395,18 +415,14 @@ TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
   const auto raw = raw_rmat(8, 8, 23);
   const std::string text = tmp_path("engine.txt");
   testsupport::save_every_edge(raw, text);
-  const std::string snap = tmp_path("engine.v2");
+  const std::string snap = tmp_path("engine.snap");
   ingest::IngestOptions opt;
-  opt.ranks = 8;
   opt.relabel_seed = 4;
   (void)ingest::run_ingest(text, snap, opt);
 
   ingest::SnapshotReader reader(snap);
   const auto g = graph::CSRGraph::from_edges(reader.read_all());
-  for (const auto kind :
-       {graph::PartitionKind::Block1D, graph::PartitionKind::Cyclic1D,
-        graph::PartitionKind::DegreeBalanced1D,
-        graph::PartitionKind::Grid2D}) {
+  for (const auto kind : kAllKinds) {
     core::EngineConfig mem_cfg;
     const auto mem = core::run_distributed_lcc(g, 8, mem_cfg, {}, kind);
 
@@ -436,9 +452,8 @@ TEST(Ingest, DodgTcViaSliceSourceMatchesReference) {
   const auto raw = raw_rmat(8, 8, 29);
   const std::string text = tmp_path("dodg.txt");
   testsupport::save_every_edge(raw, text);
-  const std::string snap = tmp_path("dodg.v2");
+  const std::string snap = tmp_path("dodg.snap");
   ingest::IngestOptions opt;
-  opt.ranks = 4;
   opt.relabel_seed = 6;
   (void)ingest::run_ingest(text, snap, opt);
 
@@ -468,14 +483,13 @@ TEST(Ingest, SpillPathProducesByteIdenticalSnapshot) {
   const auto input_bytes = std::filesystem::file_size(text);
 
   ingest::IngestOptions mem_opt;
-  mem_opt.ranks = 4;
-  const std::string snap_mem = tmp_path("spill_mem.v2");
+  const std::string snap_mem = tmp_path("spill_mem.snap");
   const auto mem_rep = ingest::run_ingest(text, snap_mem, mem_opt);
   EXPECT_EQ(mem_rep.spill_runs, 0u);
 
   ingest::IngestOptions spill_opt = mem_opt;
   spill_opt.mem_budget_bytes = 64 * 1024;  // far below the edge stream
-  const std::string snap_spill = tmp_path("spill_disk.v2");
+  const std::string snap_spill = tmp_path("spill_disk.snap");
   const auto spill_rep = ingest::run_ingest(text, snap_spill, spill_opt);
   // The input (and the edge stream) genuinely exceed the memory budget,
   // and the spill path really ran.
@@ -498,12 +512,10 @@ class SnapshotCorruption : public ::testing::Test {
     const auto raw = raw_rmat(7, 6, 2);
     text_ = tmp_path("corrupt_src.txt");
     testsupport::save_every_edge(raw, text_);
-    snap_ = tmp_path("corrupt.v2");
-    ingest::IngestOptions opt;
-    opt.ranks = 4;
-    (void)ingest::run_ingest(text_, snap_, opt);
+    snap_ = tmp_path("corrupt.snap");
+    (void)ingest::run_ingest(text_, snap_);
     bytes_ = read_file(snap_);
-    ASSERT_GT(bytes_.size(), ingest::snapshot_v2::kHeaderBytes);
+    ASSERT_GT(bytes_.size(), layout::kHeaderBytes);
   }
 
   /// Write `bytes` patched at `offset` and return the temp path.
@@ -512,7 +524,7 @@ class SnapshotCorruption : public ::testing::Test {
     copy[offset] = static_cast<char>(value);
     const std::string path =
         tmp_path("patched_" + std::to_string(offset) + "_" +
-                 std::to_string(value) + ".v2");
+                 std::to_string(value) + ".snap");
     write_file(path, copy);
     return path;
   }
@@ -522,23 +534,42 @@ class SnapshotCorruption : public ::testing::Test {
   std::string bytes_;
 };
 
+template <typename T>
+T load_at(const std::string& bytes, std::size_t offset) {
+  T v{};
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void store_at(std::string& bytes, std::size_t offset, T v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof(v));
+}
+
+/// Recompute both payload checksums of snapshot `bytes`, taking the section
+/// sizes from n and m (the original graph's, so a patched header cannot
+/// move them), so only the reader's structural checks can catch a patch.
+void restamp(std::string& bytes, VertexId n, std::uint64_t m) {
+  const std::size_t degrees_at = layout::kHeaderBytes;
+  const std::size_t edges_at = degrees_at + std::size_t{n} * sizeof(VertexId);
+  ASSERT_EQ(bytes.size(), edges_at + m * sizeof(Edge));
+  store_at(bytes, layout::kDegreeChecksumOffset,
+           layout::fnv1a64(bytes.data() + degrees_at, edges_at - degrees_at));
+  store_at(bytes, layout::kEdgeChecksumOffset,
+           layout::fnv1a64(bytes.data() + edges_at, bytes.size() - edges_at));
+}
+
 TEST_F(SnapshotCorruption, HeaderFieldPatchesAreRejected) {
-  namespace v2 = ingest::snapshot_v2;
   // Each patch flips one header field; the reader must refuse them all.
   const std::pair<std::size_t, unsigned char> patches[] = {
-      {v2::kMagicOffset, 0x00},        // bad magic
-      {v2::kVersionOffset, 3},         // unknown version
-      {v2::kDirectednessOffset, 7},    // corrupt flag
-      {v2::kNumVerticesOffset, 0xee},  // section offsets no longer line up
-      {v2::kNumEdgesOffset, 0xee},     // ditto
-      {v2::kRanksOffset, 0},           // zero ranks
-      {v2::kKindCountOffset, 5},       // wrong kind count
-      {v2::kEdgesOffsetOffset, 0xee},  // inconsistent layout
-      {v2::kIndexOffsetOffset, 0xee},
-      {v2::kFileBytesOffset, 0xee},    // declared size != actual
-      {v2::kDegreeChecksumOffset,
+      {layout::kMagicOffset, 0x00},        // bad magic
+      {layout::kVersionOffset, 2},         // the retired version
+      {layout::kDirectednessOffset, 7},    // corrupt flag
+      {layout::kNumVerticesOffset, 0xee},  // sections no longer line up
+      {layout::kNumEdgesOffset, 0xee},     // ditto
+      {layout::kDegreeChecksumOffset,
        static_cast<unsigned char>(
-           bytes_[v2::kDegreeChecksumOffset] ^ 0x1)},  // degree corruption
+           bytes_[layout::kDegreeChecksumOffset] ^ 0x1)},  // degree corruption
   };
   for (const auto& [offset, value] : patches) {
     EXPECT_THROW(ingest::SnapshotReader reader(patched(offset, value)),
@@ -548,12 +579,11 @@ TEST_F(SnapshotCorruption, HeaderFieldPatchesAreRejected) {
 }
 
 TEST_F(SnapshotCorruption, EdgePayloadCorruptionCaughtByReadAll) {
-  namespace v2 = ingest::snapshot_v2;
   // A flipped edge byte passes the container checks (the edge checksum is
   // only verified against the payload on read)...
   ingest::SnapshotReader clean_reader(snap_);
   const std::size_t edge_byte =
-      v2::kHeaderBytes +
+      layout::kHeaderBytes +
       clean_reader.num_vertices() * sizeof(VertexId) /*degrees*/ + 1;
   const std::string path = patched(
       edge_byte, static_cast<unsigned char>(bytes_[edge_byte] ^ 0x4));
@@ -562,22 +592,20 @@ TEST_F(SnapshotCorruption, EdgePayloadCorruptionCaughtByReadAll) {
 
   // ...and a patched stored checksum is caught the same way.
   const std::string path2 = patched(
-      v2::kEdgeChecksumOffset,
-      static_cast<unsigned char>(bytes_[v2::kEdgeChecksumOffset] ^ 0x1));
+      layout::kEdgeChecksumOffset,
+      static_cast<unsigned char>(bytes_[layout::kEdgeChecksumOffset] ^ 0x1));
   ingest::SnapshotReader reader2(path2);
   EXPECT_THROW((void)reader2.read_all(), std::runtime_error);
 }
 
 TEST_F(SnapshotCorruption, WrappingEdgeCountIsRejected) {
-  // m + 2^61 edges keeps edges_offset + m * sizeof(Edge) unchanged modulo
+  // m + 2^61 edges keeps header + 4n + m * sizeof(Edge) unchanged modulo
   // 2^64, so only a non-wrapping bound on m catches the patched count.
-  namespace v2 = ingest::snapshot_v2;
   std::string copy = bytes_;
-  std::uint64_t m = 0;
-  std::memcpy(&m, copy.data() + v2::kNumEdgesOffset, sizeof(m));
-  m += std::uint64_t{1} << 61;
-  std::memcpy(copy.data() + v2::kNumEdgesOffset, &m, sizeof(m));
-  const std::string path = tmp_path("wrapping_m.v2");
+  store_at(copy, layout::kNumEdgesOffset,
+           load_at<std::uint64_t>(copy, layout::kNumEdgesOffset) +
+               (std::uint64_t{1} << 61));
+  const std::string path = tmp_path("wrapping_m.snap");
   write_file(path, copy);
   try {
     ingest::SnapshotReader reader(path);
@@ -612,86 +640,187 @@ void expect_atlc_error(const std::string& path, const std::string& needle) {
 TEST_F(SnapshotCorruption, PrefixRejectionsNameTheirCause) {
   // Every read_atlc_prefix rejection, through SnapshotReader (its only
   // caller).
-  namespace v2 = ingest::snapshot_v2;
-  const std::string short_path = tmp_path("short_prefix.v2");
+  const std::string short_path = tmp_path("short_prefix.snap");
   write_file(short_path, bytes_.substr(0, 10));
   expect_atlc_error(short_path, "truncated header");
-  expect_atlc_error(patched(v2::kMagicOffset, 0x00), "bad magic");
-  // Version 1 is the retired v1 edge list.
-  for (const unsigned char version : {0, 1, 3, 0x7f})
-    expect_atlc_error(patched(v2::kVersionOffset, version),
+  expect_atlc_error(patched(layout::kMagicOffset, 0x00), "bad magic");
+  // Version 1 is the retired v1 edge list, version 2 the retired snapshot
+  // with a slice index; the message says how to rebuild the file.
+  for (const unsigned char version : {0, 1, 2, 4, 0x7f}) {
+    expect_atlc_error(patched(layout::kVersionOffset, version),
                       "unsupported ATLC binary version");
-  expect_atlc_error(patched(v2::kDirectednessOffset, 7),
+    expect_atlc_error(patched(layout::kVersionOffset, version),
+                      "re-run atlc_ingest");
+  }
+  expect_atlc_error(patched(layout::kDirectednessOffset, 7),
                     "corrupt directedness flag");
-}
-
-TEST_F(SnapshotCorruption, HugeRankCountIsRejectedBeforeAllocating) {
-  // 2^32 - 1 ranks would size every section's rank prefix at 32 GiB.
-  namespace v2 = ingest::snapshot_v2;
-  std::string copy = bytes_;
-  const std::uint32_t ranks = 0xFFFFFFFFu;
-  std::memcpy(copy.data() + v2::kRanksOffset, &ranks, sizeof(ranks));
-  const std::string path = tmp_path("huge_ranks.v2");
-  write_file(path, copy);
-  expect_atlc_error(path, "corrupt rank count");
-}
-
-TEST_F(SnapshotCorruption, HugeExtentTotalIsRejectedBeforeAllocating) {
-  // The first section's total and its last rank-prefix entry both say
-  // 2^40 extents, so the prefix is still monotone and ends at the total.
-  namespace v2 = ingest::snapshot_v2;
-  std::string copy = bytes_;
-  std::uint64_t index_offset = 0;
-  std::memcpy(&index_offset, copy.data() + v2::kIndexOffsetOffset,
-              sizeof(index_offset));
-  std::uint32_t ranks = 0;
-  std::memcpy(&ranks, copy.data() + v2::kRanksOffset, sizeof(ranks));
-  const std::uint64_t huge = std::uint64_t{1} << 40;
-  const std::size_t total_at = index_offset + 8;  // after tag + reserved
-  const std::size_t last_prefix_at = total_at + 8 + std::size_t{ranks} * 8;
-  ASSERT_LE(last_prefix_at + 8, copy.size());
-  std::memcpy(copy.data() + total_at, &huge, sizeof(huge));
-  std::memcpy(copy.data() + last_prefix_at, &huge, sizeof(huge));
-  const std::string path = tmp_path("huge_total.v2");
-  write_file(path, copy);
-  expect_atlc_error(path, "extents exceed the bytes left");
 }
 
 TEST_F(SnapshotCorruption, TruncationIsRejected) {
   for (const std::size_t keep :
-       {std::size_t{10}, ingest::snapshot_v2::kHeaderBytes,
-        bytes_.size() / 2, bytes_.size() - 1}) {
+       {std::size_t{10}, layout::kHeaderBytes, bytes_.size() / 2,
+        bytes_.size() - 1}) {
     const std::string path =
-        tmp_path("trunc_" + std::to_string(keep) + ".v2");
+        tmp_path("trunc_" + std::to_string(keep) + ".snap");
     write_file(path, bytes_.substr(0, keep));
     EXPECT_THROW(ingest::SnapshotReader reader(path), std::runtime_error)
         << "kept " << keep << " of " << bytes_.size() << " bytes";
   }
 }
 
-TEST_F(SnapshotCorruption, SliceIndexCorruptionIsRejected) {
-  // The slice index sits at the end of the file; stomp a byte in its
-  // extent region (past the section tag) and the structural validation
-  // must catch it (coverage, monotonicity, or range).
-  bool threw = false;
-  for (std::size_t back = 1; back <= 16 && !threw; ++back) {
-    const std::size_t offset = bytes_.size() - back;
-    const std::string path = patched(
-        offset, static_cast<unsigned char>(bytes_[offset] ^ 0xff));
-    try {
+TEST_F(SnapshotCorruption, DegreeSumMismatchIsRejected) {
+  // One degree raised by one, both checksums re-stamped: the degrees no
+  // longer sum to m, and the constructor says so before any slice read.
+  ingest::SnapshotReader clean_reader(snap_);
+  const VertexId n = clean_reader.num_vertices();
+  const std::uint64_t m = clean_reader.num_edges();
+  std::string copy = bytes_;
+  const std::size_t at = layout::kHeaderBytes + 3 * sizeof(VertexId);
+  store_at(copy, at, load_at<VertexId>(copy, at) + 1);
+  restamp(copy, n, m);
+  const std::string path = tmp_path("degree_sum.snap");
+  write_file(path, copy);
+  expect_atlc_error(path, "degree array sums to");
+}
+
+TEST_F(SnapshotCorruption, DegreeMovedToNeighbourNeverYieldsAWrongSlice) {
+  // One degree moved between adjacent vertices v and v + 1, both checksums
+  // re-stamped: the sum still matches m, so only the per-edge checks can
+  // tell. For every such pair, in both directions, every read that covers
+  // row v or v + 1 ends in an `atlc:` error and every other read returns
+  // the true slice — never a wrong one.
+  ingest::SnapshotReader clean_reader(snap_);
+  const VertexId n = clean_reader.num_vertices();
+  const std::uint64_t m = clean_reader.num_edges();
+  const auto g = graph::CSRGraph::from_edges(clean_reader.read_all());
+  std::vector<graph::Partition> parts;
+  for (std::uint32_t ranks : {1u, 2u, 3u, 4u, 6u})
+    for (const auto kind : kAllKinds)
+      parts.push_back(graph::make_partition(g, kind, ranks));
+
+  const std::string path = tmp_path("degree_moved.snap");
+  std::size_t cases = 0;
+  for (VertexId v = 0; v + 1 < n; ++v) {
+    for (const auto& [from, to] : {std::pair{v, v + 1}, std::pair{v + 1, v}}) {
+      if (clean_reader.degree(from) == 0) continue;
+      ++cases;
+      std::string copy = bytes_;
+      const std::size_t at_from =
+          layout::kHeaderBytes + from * sizeof(VertexId);
+      const std::size_t at_to = layout::kHeaderBytes + to * sizeof(VertexId);
+      store_at(copy, at_from, load_at<VertexId>(copy, at_from) - 1);
+      store_at(copy, at_to, load_at<VertexId>(copy, at_to) + 1);
+      restamp(copy, n, m);
+      write_file(path, copy);
       ingest::SnapshotReader reader(path);
-    } catch (const std::runtime_error&) {
-      threw = true;
+      expect_atlc_throw([&] { (void)reader.read_all(); }, "degree range");
+      for (const graph::Partition& part : parts) {
+        for (std::uint32_t rank = 0; rank < part.num_ranks(); ++rank) {
+          bool covers = false;
+          for (VertexId l = 0; l < part.part_size(rank); ++l) {
+            const VertexId row = part.global_id(rank, l);
+            covers = covers || row == v || row == v + 1;
+          }
+          SCOPED_TRACE(std::string(graph::partition_kind_name(part.kind())) +
+                       " rank " + std::to_string(rank) + "/" +
+                       std::to_string(part.num_ranks()) + ", degree moved " +
+                       std::to_string(from) + " -> " + std::to_string(to));
+          if (covers) {
+            expect_atlc_throw([&] { (void)read_slice(reader, part, rank); },
+                              "corrupt edge section");
+          } else {
+            const Slice got = read_slice(reader, part, rank);
+            const Slice want = in_memory_slice(g, part, rank);
+            ASSERT_TRUE(got.offsets == want.offsets &&
+                        got.adjacencies == want.adjacencies);
+          }
+        }
+      }
     }
   }
-  EXPECT_TRUE(threw) << "no tail patch was caught";
+  EXPECT_GT(cases, n);
+}
+
+TEST(SnapshotMutation, SeededByteMutationsFailCleanlyOrReadTrueSlices) {
+  // Bounded seeded fuzz of the reader: flip one random byte of a small
+  // snapshot (half the cases inside the header and degrees), re-stamp both
+  // checksums so only the structural checks stand between the mutation and
+  // a slice, and demand: construction, read_all and read_slice either
+  // succeed or throw an `atlc:` runtime_error, and whenever read_all
+  // succeeds every slice equals the in-memory slicing of the graph it read.
+  const std::string text = tmp_path("mutation_src.txt");
+  testsupport::save_every_edge(raw_rmat(5, 4, 3), text);
+  const std::string snap = tmp_path("mutation.snap");
+  (void)ingest::run_ingest(text, snap);
+  const std::string bytes = read_file(snap);
+  const VertexId n = load_at<VertexId>(bytes, layout::kNumVerticesOffset);
+  const auto m = load_at<std::uint64_t>(bytes, layout::kNumEdgesOffset);
+  const std::size_t front = layout::kHeaderBytes + n * sizeof(VertexId);
+  ASSERT_GT(m, 0u);
+
+  const auto expect_atlc = [](const std::runtime_error& ex) {
+    EXPECT_EQ(std::string(ex.what()).rfind("atlc:", 0), 0u) << ex.what();
+  };
+  std::mt19937_64 rng(2026);
+  const std::string path = tmp_path("mutated.snap");
+  std::size_t rejected = 0, read_ok = 0;
+  constexpr int kCases = 3000;
+  for (int c = 0; c < kCases; ++c) {
+    std::string copy = bytes;
+    const std::size_t at = c % 2 == 0 ? rng() % front : rng() % copy.size();
+    copy[at] = static_cast<char>(copy[at] ^ (1 + rng() % 255));
+    restamp(copy, n, m);
+    write_file(path, copy);
+    const std::uint32_t ranks = 1 + static_cast<std::uint32_t>(rng() % 6);
+    SCOPED_TRACE("case " + std::to_string(c) + ": byte " +
+                 std::to_string(at) + ", " + std::to_string(ranks) +
+                 " ranks");
+    try {
+      ingest::SnapshotReader reader(path);
+      std::optional<graph::CSRGraph> g;
+      try {
+        g = graph::CSRGraph::from_edges(reader.read_all());
+        ++read_ok;
+      } catch (const std::runtime_error& ex) {
+        expect_atlc(ex);
+      }
+      for (const auto kind : kAllKinds) {
+        // Without a trusted graph only the closed-form kinds can be built.
+        if (!g && kind == graph::PartitionKind::DegreeBalanced1D) continue;
+        const auto part =
+            g ? graph::make_partition(*g, kind, ranks)
+              : graph::Partition(kind, reader.num_vertices(), ranks);
+        for (std::uint32_t rank = 0; rank < ranks; ++rank) {
+          try {
+            const Slice got = read_slice(reader, part, rank);
+            if (g) {
+              const Slice want = in_memory_slice(*g, part, rank);
+              ASSERT_TRUE(got.offsets == want.offsets &&
+                          got.adjacencies == want.adjacencies)
+                  << graph::partition_kind_name(kind) << " rank " << rank;
+            }
+          } catch (const std::runtime_error& ex) {
+            expect_atlc(ex);
+          }
+        }
+      }
+    } catch (const std::runtime_error& ex) {
+      expect_atlc(ex);
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: the loop exercises rejection and real reads.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(read_ok, 0u);
 }
 
 TEST_F(SnapshotCorruption, VersionSniffing) {
-  // sniff: v2 yes; another ATLC version and text no.
-  namespace v2 = ingest::snapshot_v2;
+  // sniff: this version yes; another ATLC version and text no.
   EXPECT_TRUE(ingest::SnapshotReader::sniff(snap_));
-  EXPECT_FALSE(ingest::SnapshotReader::sniff(patched(v2::kVersionOffset, 1)));
+  EXPECT_FALSE(
+      ingest::SnapshotReader::sniff(patched(layout::kVersionOffset, 1)));
+  EXPECT_FALSE(
+      ingest::SnapshotReader::sniff(patched(layout::kVersionOffset, 2)));
   EXPECT_FALSE(ingest::SnapshotReader::sniff(text_));
 }
 
@@ -700,8 +829,7 @@ TEST_F(SnapshotCorruption, TextReadersRejectAtlcFiles) {
   // the ATLC magic is refused with an `atlc:` error, never parsed as text.
   // Version 1 (the retired edge list) is the snapshot with its version
   // word patched.
-  namespace v2 = ingest::snapshot_v2;
-  const std::string v1 = patched(v2::kVersionOffset, 1);
+  const std::string v1 = patched(layout::kVersionOffset, 1);
   const std::pair<std::string, std::string> cases[] = {
       {snap_, "atlc_run --snapshot"},
       {v1, "version 1"},
@@ -711,7 +839,7 @@ TEST_F(SnapshotCorruption, TextReadersRejectAtlcFiles) {
         [&] { (void)graph::load_edges(path, Directedness::Undirected); },
         needle);
     expect_atlc_throw(
-        [&] { (void)ingest::run_ingest(path, tmp_path("twice.v2")); },
+        [&] { (void)ingest::run_ingest(path, tmp_path("twice.snap")); },
         needle);
   }
 }
@@ -733,7 +861,7 @@ TEST(LoadTextEdges, RejectsIdSpaceOverflow) {
   ingest::IngestOptions opt;
   opt.max_vertices = 4;
   EXPECT_THROW(
-      (void)ingest::run_ingest(path, tmp_path("overflow.v2"), opt),
+      (void)ingest::run_ingest(path, tmp_path("overflow.snap"), opt),
       std::runtime_error);
 }
 
@@ -744,10 +872,8 @@ TEST(Ingest, ReportCarriesThroughputAndFormatFields) {
   const auto raw = raw_rmat(8, 8, 55);
   const std::string text = tmp_path("report.txt");
   testsupport::save_every_edge(raw, text);
-  const std::string snap = tmp_path("report.v2");
-  ingest::IngestOptions opt;
-  opt.ranks = 4;
-  const auto rep = ingest::run_ingest(text, snap, opt);
+  const std::string snap = tmp_path("report.snap");
+  const auto rep = ingest::run_ingest(text, snap);
 
   EXPECT_GT(rep.num_edges, 0u);
   EXPECT_GT(rep.num_vertices, 0u);
@@ -758,16 +884,6 @@ TEST(Ingest, ReportCarriesThroughputAndFormatFields) {
   ingest::SnapshotReader reader(snap);
   EXPECT_EQ(rep.edge_checksum, reader.edge_checksum());
   EXPECT_EQ(rep.num_edges, reader.num_edges());
-  namespace v2 = ingest::snapshot_v2;
-  using graph::PartitionKind;
-  // Extent totals surface per kind, and sorted-by-(u,v) edges give the
-  // contiguous 1D kinds at most one extent per (rank, vertex-run).
-  EXPECT_EQ(rep.extents[static_cast<int>(PartitionKind::Block1D)],
-            reader.extents_total(PartitionKind::Block1D));
-  EXPECT_LE(rep.extents[static_cast<int>(PartitionKind::Block1D)], 4u);
-  EXPECT_GE(rep.extents[static_cast<int>(PartitionKind::Grid2D)],
-            rep.extents[static_cast<int>(PartitionKind::Block1D)]);
-  (void)v2::kKindCount;
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
 // atlc_ingest — out-of-core ingest pipeline (DESIGN.md §11): stream a SNAP
 // text edge list through chunked parallel parse, fused
 // clean/sort/dedup/relabel (spilling sorted runs to disk under
-// --mem-budget), and write a v2 partition-sliced snapshot whose slice index
-// lets `atlc_run --snapshot` seek-read each rank's CSR slice.
+// --mem-budget), and write a snapshot (degrees + sorted edges) from which
+// `atlc_run --snapshot` reads each rank's CSR slice, for any --ranks and
+// --partition.
 //
-//   atlc_ingest --input orkut.txt --output orkut.v2 --ranks 16
-//   atlc_run --snapshot orkut.v2 --algo lcc --ranks 16
+//   atlc_ingest --input orkut.txt --output orkut.snap
+//   atlc_run --snapshot orkut.snap --algo lcc --ranks 16
 //   atlc_run --rmat-scale 16 --convert rmat.txt   # a generated input
-//   atlc_ingest --input rmat.txt --output rmat.v2 --mem-budget-mb 64
+//   atlc_ingest --input rmat.txt --output rmat.snap --mem-budget-mb 64
 //
 // The snapshot payload is bit-identical to load_edges() + graph::clean()
 // with the matching seed, for any --threads/--chunk-mb/--mem-budget-mb.
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <utility>
 
 #include "atlc/ingest/pipeline.hpp"
 #include "atlc/obs/trace.hpp"
@@ -22,12 +24,10 @@
 int main(int argc, char** argv) {
   using namespace atlc;
   util::Cli cli("atlc_ingest",
-                "out-of-core edge-list ingest -> v2 partition-sliced "
-                "snapshot");
+                "out-of-core edge-list ingest -> graph snapshot");
   cli.add_string("input", "SNAP text edge list (atlc_run --convert writes "
                  "one)", "");
   cli.add_string("output", "snapshot path to write", "");
-  cli.add_int("ranks", "rank count the slice index is built for", 8);
   cli.add_flag("directed", "treat the input as directed", false);
   cli.add_int("threads", "parse/sort threads (0 = OpenMP default)", 0);
   cli.add_double("chunk-mb", "target text read-window size in MiB", 8.0);
@@ -53,14 +53,27 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Sizes are checked before the double -> unsigned conversion, which is
+  // undefined for a negative or out-of-range value (2^43 MiB = 2^63 bytes;
+  // the negated test also refuses NaN).
+  const double chunk_mb = cli.get_double("chunk-mb");
+  const double budget_mb = cli.get_double("mem-budget-mb");
+  for (const auto& [flag, mb] :
+       {std::pair{"chunk-mb", chunk_mb}, std::pair{"mem-budget-mb", budget_mb}})
+    if (!(mb >= 0.0 && mb < 0x1p43)) {
+      std::fprintf(stderr,
+                   "atlc_ingest: --%s must be a non-negative size in MiB "
+                   "(got %g)\n",
+                   flag, mb);
+      return 1;
+    }
+
   ingest::IngestOptions opt;
-  opt.chunk_bytes = static_cast<std::size_t>(
-      cli.get_double("chunk-mb") * 1024.0 * 1024.0);
+  opt.chunk_bytes = static_cast<std::size_t>(chunk_mb * 1024.0 * 1024.0);
   if (opt.chunk_bytes == 0) opt.chunk_bytes = 1;
   opt.num_threads = static_cast<int>(cli.get_int("threads"));
-  opt.mem_budget_bytes = static_cast<std::uint64_t>(
-      cli.get_double("mem-budget-mb") * 1024.0 * 1024.0);
-  opt.ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
+  opt.mem_budget_bytes =
+      static_cast<std::uint64_t>(budget_mb * 1024.0 * 1024.0);
   opt.directedness = cli.get_flag("directed")
                          ? graph::Directedness::Directed
                          : graph::Directedness::Undirected;
@@ -123,14 +136,8 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(rep.self_loops_removed),
                rep.vertices_removed, rep.num_vertices,
                static_cast<unsigned long long>(rep.num_edges));
-  std::fprintf(stderr,
-               "# snapshot: %.1f MiB, %u-rank slice index, extents "
-               "block=%llu cyclic=%llu degree=%llu grid=%llu\n",
-               static_cast<double>(rep.snapshot_bytes) / mb, rep.ranks,
-               static_cast<unsigned long long>(rep.extents[0]),
-               static_cast<unsigned long long>(rep.extents[1]),
-               static_cast<unsigned long long>(rep.extents[2]),
-               static_cast<unsigned long long>(rep.extents[3]));
+  std::fprintf(stderr, "# snapshot: %.1f MiB\n",
+               static_cast<double>(rep.snapshot_bytes) / mb);
   std::fprintf(stderr,
                "# time: parse %.2f s + sort %.2f s + merge %.2f s + write "
                "%.2f s = %.2f s total (%zu spill runs) | %.2f Medges/s | "

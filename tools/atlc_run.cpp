@@ -10,9 +10,11 @@
 //   atlc_run --input graph.txt --algo adamic-adar --cache --scores degree
 //   atlc_run --input graph.txt --stream-batches 8 --batch-size 1024 --cache
 //   atlc_run --rmat-scale 14 --convert g.txt       # write SNAP text, exit
-//   atlc_run --snapshot graph.v2 --algo lcc        # atlc_ingest output;
-//     skips clean/relabel and seek-reads each rank's CSR slice out of core
+//   atlc_run --snapshot graph.snap --algo lcc      # atlc_ingest output;
+//     skips clean/relabel and reads each rank's CSR slice out of core, at
+//     any --ranks and --partition
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -209,10 +211,9 @@ int main(int argc, char** argv) {
                 "list or R-MAT");
   cli.add_string("input", "SNAP-format edge list ('' = generate R-MAT)", "");
   cli.add_string("snapshot",
-                 "v2 partition-sliced snapshot (atlc_ingest output): the "
-                 "payload is already cleaned/relabeled, so --seed cleaning "
-                 "is skipped and each rank's CSR slice is seek-read from "
-                 "the file",
+                 "graph snapshot (atlc_ingest output): the payload is "
+                 "already cleaned/relabeled, so --seed cleaning is skipped "
+                 "and each rank's CSR slice is read from the file",
                  "");
   cli.add_flag("directed", "treat the input as directed", false);
   cli.add_int("rmat-scale", "R-MAT scale when generating", 13);
@@ -261,6 +262,26 @@ int main(int argc, char** argv) {
   cli.add_double("stream-insert-frac",
                  "fraction of streamed updates that are insertions", 0.7);
   if (!cli.parse(argc, argv)) return 1;
+
+  // Range checks before the unsigned conversions: a wrapped --ranks would
+  // ask the runtime for billions of rank threads, and a negative
+  // --cache-frac makes the budget's double -> uint64 cast undefined (the
+  // negated test also refuses NaN).
+  const std::int64_t ranks_arg = cli.get_int("ranks");
+  if (ranks_arg < 1 || ranks_arg > std::int64_t{UINT32_MAX}) {
+    std::fprintf(stderr,
+                 "atlc_run: --ranks must be between 1 and %u (got %lld)\n",
+                 UINT32_MAX, static_cast<long long>(ranks_arg));
+    return 1;
+  }
+  const double cache_frac = cli.get_double("cache-frac");
+  if (!(cache_frac >= 0.0 && cache_frac <= 1e6)) {
+    std::fprintf(stderr,
+                 "atlc_run: --cache-frac must be between 0 and 1e6 (got "
+                 "%g)\n",
+                 cache_frac);
+    return 1;
+  }
 
   // --- load or generate the graph, then clean it (paper Sec. II-B).
   util::Timer load_timer;
@@ -327,7 +348,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(g.num_edges()), deg.max,
                deg.gini, load_timer.elapsed_s());
 
-  const auto ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
+  const auto ranks = static_cast<std::uint32_t>(ranks_arg);
   const std::string& part_name = cli.get_string("partition");
   graph::PartitionKind partition;
   if (part_name == "block" || part_name == "block1d") {
@@ -356,19 +377,13 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) cfg.trace = &trace;
   const bool streaming = cli.get_int("stream-batches") > 0;
   if (snap) {
-    // Out-of-core build: the static engine seek-reads each rank's slice
-    // from the snapshot's extent index. The streaming engine rebuilds rows
-    // in memory as updates land, so its graph builds stay in-memory; a
-    // rank-count mismatch falls back too (the slice index is per-rank).
+    // Out-of-core build: the static engine reads each rank's slice from
+    // the snapshot. The streaming engine rebuilds rows in memory as updates
+    // land, so its graph builds stay in-memory.
     if (streaming) {
       std::fprintf(stderr,
                    "# snapshot slices unused by the streaming engine "
                    "(updates rebuild rows in memory)\n");
-    } else if (snap->ranks() != ranks) {
-      std::fprintf(stderr,
-                   "# snapshot slice index was built for %u ranks, run uses "
-                   "%u: falling back to in-memory slicing\n",
-                   snap->ranks(), ranks);
     } else {
       cfg.slice_source = snap.get();
     }
