@@ -8,8 +8,8 @@
 // `--wall` adds the engineered-vs-paper wall-clock section (DESIGN.md §9):
 // the paper's textbook loops (a three-way-branch merge and a full-range
 // binary search per key, kept file-local below as the `scalar` leg) vs the
-// kernels the library runs (row bitmap, count_binary's galloping search,
-// count_ssi's SSE2 block merge) on hub-shaped workloads, emitting both raw
+// kernels the library runs (row bitmap, count_binary's block-galloping
+// search, count_ssi's block merge) on hub-shaped workloads, emitting both raw
 // timings and `speedup/...` ratios in the JSON record. CI's bench-wall-smoke
 // step runs it and asserts the speedup fields exist without gating their
 // values.
@@ -183,7 +183,7 @@ void run_wall(bench::ScenarioContext& ctx) {
   });
   report("skew_gallop_vs_binary", "gallop", skew_scalar, skew_tiered);
 
-  // Balanced long tail: SSE2 block merge vs the textbook merge.
+  // Balanced long tail: block merge vs the textbook merge.
   const V bal_a = sorted_unique(hub_len, universe, 5 + ctx.seed);
   const double bal_scalar = median_seconds(ctx, [&] {
     return textbook_ssi(bal_a, hub);

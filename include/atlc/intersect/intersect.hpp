@@ -64,18 +64,61 @@ struct TierPolicy {
 /// |a ∩ b| via binary search (paper Algorithm 1). Internally searches the
 /// shorter list's elements in the longer list — "one should always assign
 /// the longer list as the search tree and the shorter one as the array of
-/// keys". The keys ascend, so the search gallops from a monotone cursor
-/// instead of spanning the whole list per key: O(|short| log(|long| /
-/// |short|)). Preconditions: both spans sorted ascending, no duplicates.
+/// keys". The keys ascend, so each search starts from a monotone cursor
+/// instead of spanning the whole list per key, and it works in windows of
+/// eight ids: a few windows are stepped through from the cursor, a key
+/// still further on gallops window by window and bisects down to one
+/// window, and that window is resolved with SSE2 compares (unsigned,
+/// so ids at and above 2^31 order correctly). O(|short| log(|long| /
+/// |short|)). A longer list under eight ids takes a plain gallop and
+/// binary search. Preconditions: both spans sorted ascending, no
+/// duplicates.
 [[nodiscard]] std::uint64_t count_binary(std::span<const VertexId> a,
                                          std::span<const VertexId> b);
 
-/// |a ∩ b| via sorted set intersection (paper Algorithm 2), merged in 4x4
-/// blocks with SSE2 compares where the target has SSE2 (all of x86-64) and
-/// by a branch-reduced two-pointer loop otherwise and for the tail.
+/// |a ∩ b| via sorted set intersection (paper Algorithm 2), merged in
+/// blocks: 8x8 with AVX2 compares where the host has AVX2 (chosen once per
+/// process, GCC/Clang on x86-64 only), else 4x4 with SSE2 compares (all of
+/// x86-64), and by a branch-reduced two-pointer loop for the tail and where
+/// there is no SSE2. intersect_isa() names the merge this process runs.
 /// Preconditions: both spans sorted ascending, no duplicates.
 [[nodiscard]] std::uint64_t count_ssi(std::span<const VertexId> a,
                                       std::span<const VertexId> b);
+
+/// The block merge count_ssi runs in this process: "avx2", "sse2", or
+/// "scalar" on a target without SSE2. Bench documents record it
+/// (meta.intersect_isa), so a wall time can be traced to its kernel.
+[[nodiscard]] const char* intersect_isa();
+
+// count_ssi's one dispatch point is compiled only where the compiler can
+// target AVX2 per function and ask the CPU for it at run time.
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+#define ATLC_INTERSECT_AVX2 1
+#else
+#define ATLC_INTERSECT_AVX2 0
+#endif
+
+namespace detail {
+/// count_binary's search unit: a key is resolved inside one window of this
+/// many ids of the long list.
+inline constexpr std::size_t kBinaryWindow = 8;
+/// Windows count_binary steps through one by one from the cursor before it
+/// gallops: consecutive keys of a pair the Eq. (3) rule sends to binary
+/// search usually lie a few windows apart, so most keys never gallop.
+inline constexpr std::size_t kBinaryLinearWindows = 4;
+
+/// count_ssi's bodies, reachable so tests can check each on any host that
+/// runs it: the 4x4 SSE2 merge (the fallback, and the whole kernel without
+/// the AVX2 path) and the 8x8 AVX2 merge (call only if avx2_supported()).
+[[nodiscard]] std::uint64_t count_ssi_sse2(std::span<const VertexId> a,
+                                           std::span<const VertexId> b);
+#if ATLC_INTERSECT_AVX2
+[[nodiscard]] std::uint64_t count_ssi_avx2(std::span<const VertexId> a,
+                                           std::span<const VertexId> b);
+/// Whether this CPU runs AVX2, asked once per process.
+[[nodiscard]] bool avx2_supported();
+#endif
+}  // namespace detail
 
 /// Eq. (3): SSI is predicted faster than binary search iff
 /// |B|/|A| <= log2(|B|) - 1, with |A| <= |B|.

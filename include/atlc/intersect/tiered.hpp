@@ -5,10 +5,11 @@
 // per list shape the way engineered triangle counters do (Sanders & Uhl;
 // RapidsAtHKUST, PAPERS.md):
 //
-//   - TierKernel::MergeVec: count_ssi, the SSE2 block merge, for the long
-//     tail of similar-length pairs;
-//   - TierKernel::Gallop: count_binary, the galloping search, for highly
-//     skewed pairs, O(|short| log(|long|/|short|));
+//   - TierKernel::MergeVec: count_ssi, the block merge (8x8 AVX2 where the
+//     CPU has it, else 4x4 SSE2), for the long tail of similar-length
+//     pairs;
+//   - TierKernel::Gallop: count_binary, the block-galloping search, for
+//     highly skewed pairs, O(|short| log(|long|/|short|));
 //   - TierKernel::Bitmap: RowBitmap, a dense bitmap over the vertex universe
 //     built once per hub row and probed word-at-a-time with popcount for
 //     every edge of that row.

@@ -5,6 +5,7 @@
 
 #include <ctime>
 
+#include "atlc/intersect/intersect.hpp"
 #include "atlc/util/check.hpp"
 #include "atlc/util/table.hpp"
 #include "atlc/util/timer.hpp"
@@ -91,6 +92,8 @@ BenchRecorder::BenchRecorder(std::string scenario, std::string paper_anchor,
 #if defined(__VERSION__)
   meta["compiler"] = __VERSION__;
 #endif
+  // The block merge count_ssi runs here: wall times depend on it.
+  meta["intersect_isa"] = intersect::intersect_isa();
 #if defined(NDEBUG)
   meta["assertions"] = false;
 #else

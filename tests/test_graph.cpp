@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -477,6 +479,71 @@ TEST(Io, LoadEdgesReadsText) {
   const EdgeList t = load_edges(text_path, Directedness::Undirected);
   EXPECT_EQ(reference_lcc(CSRGraph::from_edges(t)).global_triangles, 1u);
   std::remove(text_path.c_str());
+}
+
+/// Write `bytes` to `path` verbatim.
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(Io, SeededTextMutationsFailCleanlyOrCleanToValidRows) {
+  // Bounded seeded fuzz of the text loader: flip, insert or delete one
+  // random byte of a small SNAP file and demand that load_text_edges either
+  // throws an `atlc:` runtime_error or returns a list that clean() and
+  // CSRGraph::from_edges turn into in-range, sorted, duplicate-free rows.
+  // Every fourth case caps the id space at the source's own id count, so a
+  // mutation that adds an id must take the overflow error.
+  std::string bytes = "# fuzz source\n% a comment\n\n3\t7\r\n7 3 junk\n";
+  const EdgeList source = paper_example();
+  for (const Edge& e : source.edges())
+    if (e.u < e.v)
+      bytes += std::to_string(e.u) + " " + std::to_string(e.v) + "\n";
+  bytes += "12 13\n13 14\n14 12\n4000000000 12\n";
+  const std::string path = ::testing::TempDir() + "atlc_text_fuzz.txt";
+  write_bytes(path, bytes);
+  const VertexId source_ids =
+      load_text_edges(path, Directedness::Undirected).num_vertices();
+
+  util::Xoshiro256 rng(2026);
+  std::size_t rejected = 0, loaded = 0;
+  constexpr int kCases = 3000;
+  for (int c = 0; c < kCases; ++c) {
+    std::string copy = bytes;
+    const std::size_t at = rng.next_below(copy.size());
+    const auto byte = static_cast<char>(rng.next_below(256));
+    switch (c % 3) {
+      case 0: copy[at] = static_cast<char>(copy[at] ^ (byte | 1)); break;
+      case 1: copy.insert(at, 1, byte); break;
+      default: copy.erase(at, 1); break;
+    }
+    write_bytes(path, copy);
+    const std::uint64_t cap = c % 4 == 0 ? source_ids : 0xffffffffull;
+    SCOPED_TRACE("case " + std::to_string(c) + ": byte " + std::to_string(at));
+    try {
+      EdgeList list = load_text_edges(path, Directedness::Undirected, cap);
+      ++loaded;
+      clean(list);
+      const CSRGraph g = CSRGraph::from_edges(list);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const auto row = g.neighbors(v);
+        ASSERT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                       std::greater_equal<>()) == row.end())
+            << "row " << v << " not strictly ascending";
+        ASSERT_TRUE(row.empty() || row.back() < g.num_vertices())
+            << "row " << v;
+      }
+    } catch (const std::runtime_error& ex) {
+      EXPECT_EQ(std::string(ex.what()).rfind("atlc:", 0), 0u) << ex.what();
+      ++rejected;
+    }
+  }
+  std::remove(path.c_str());
+  // Both outcomes occur: the loop exercises rejection and real loads.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 // ------------------------------------------------------------ partition ---

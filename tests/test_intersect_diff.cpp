@@ -1,13 +1,14 @@
 // Randomized differential harness for every intersection kernel tier:
-// binary (galloping), SSI (SSE2 block merge), hybrid, RowBitmap,
+// binary (block gallop), SSI (both block merges: 4x4 SSE2 and, where the
+// host has it, 8x8 AVX2), hybrid, RowBitmap,
 // for_each_common, count_common_above, the TieredIntersector dispatch and
 // the engine-facing Intersector are all cross-checked against a trivial
 // std::set_intersection oracle over >10k seeded pairs. Vectorized/block
 // kernels break silently on boundary lengths, so the sweep deliberately
-// pins lengths straddling SIMD-width boundaries (7,8,9, 15,16,17, 31,32,33),
-// every length pair up to three 4-lane blocks with a common id in each lane
-// position, spans that end exactly at their allocation (an overread is an
-// ASan report), ids at and above 2^31 (a signed compare misorders them),
+// pins every length up to 17 and those straddling 32, every length pair up
+// to two 8-lane blocks and a tail with a common id in each lane position,
+// spans that end exactly at their allocation (an overread is an ASan
+// report), ids at and above 2^31 (a signed compare misorders them),
 // and the degenerate structures (empty, one-element, disjoint, subset,
 // identical) alongside the random bulk. Runs under ASan/UBSan in the tier-1
 // CI job.
@@ -119,12 +120,18 @@ std::uint64_t check_intersector(const V& a, const V& b, VertexId universe,
   return checks;
 }
 
+/// One of count_ssi's bodies (intersect.hpp, detail::).
+using SsiBody = std::uint64_t (*)(std::span<const VertexId>,
+                                  std::span<const VertexId>);
+
 /// The kernels that need no vertex universe, on spans (which may be views
 /// into larger allocations), in both argument orders: the two counting
-/// kernels, the hybrid rule, the Tiered dispatch without its bitmap, and
-/// the visitor walk. Returns the number of comparisons performed.
+/// kernels, the count_ssi body `ssi_body` on its own, the hybrid rule, the
+/// Tiered dispatch without its bitmap, and the visitor walk. Returns the
+/// number of comparisons performed.
 std::uint64_t check_counts(std::span<const VertexId> a,
-                           std::span<const VertexId> b) {
+                           std::span<const VertexId> b,
+                           SsiBody ssi_body = &detail::count_ssi_sse2) {
   const V common = oracle(a, b);
   const auto expected = static_cast<std::uint64_t>(common.size());
   std::uint64_t checks = 0;
@@ -137,6 +144,8 @@ std::uint64_t check_counts(std::span<const VertexId> a,
   expect(count_binary(b, a), "binary/swapped");
   expect(count_ssi(a, b), "ssi");
   expect(count_ssi(b, a), "ssi/swapped");
+  expect(ssi_body(a, b), "ssi body");
+  expect(ssi_body(b, a), "ssi body/swapped");
   expect(count_hybrid(a, b), "hybrid");
   expect(count_hybrid(b, a), "hybrid/swapped");
   TieredIntersector tiered(TierPolicy{}, CostModel{}, 0);
@@ -154,10 +163,11 @@ std::uint64_t check_counts(std::span<const VertexId> a,
 /// < `universe` (RowBitmap precondition). Returns the number of
 /// kernel-vs-oracle comparisons performed, so the suite can assert the
 /// sweep actually reached the promised scale.
-std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
+std::uint64_t check_pair(const V& a, const V& b, VertexId universe,
+                         SsiBody ssi_body = &detail::count_ssi_sse2) {
   const V common = oracle(a, b);
   const auto expected = static_cast<std::uint64_t>(common.size());
-  std::uint64_t checks = check_counts(a, b);
+  std::uint64_t checks = check_counts(a, b, ssi_body);
   const auto expect = [&](std::uint64_t got, const char* kernel) {
     ++checks;
     EXPECT_EQ(got, expected) << kernel << " |a|=" << a.size()
@@ -217,13 +227,50 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
   return checks + check_intersector(a, b, universe, expected);
 }
 
+// ------------------------------------------------ both count_ssi bodies ---
+
+enum class SsiPath { Sse2, Avx2 };
+
+/// The exactness cases that run once per count_ssi body (the dispatched
+/// count_ssi is checked in both runs too). The AVX2 run is skipped where
+/// its body cannot run.
+class SsiPaths : public ::testing::TestWithParam<SsiPath> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == SsiPath::Sse2) {
+      body_ = &detail::count_ssi_sse2;
+      return;
+    }
+#if ATLC_INTERSECT_AVX2
+    if (detail::avx2_supported()) {
+      body_ = &detail::count_ssi_avx2;
+      return;
+    }
+    GTEST_SKIP() << "this CPU has no AVX2, so the 8x8 merge cannot run";
+#else
+    GTEST_SKIP() << "built without the AVX2 merge (GCC/Clang on x86-64 only)";
+#endif
+  }
+
+  SsiBody body_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(IntersectDiff, SsiPaths,
+                         ::testing::Values(SsiPath::Sse2, SsiPath::Avx2),
+                         [](const ::testing::TestParamInfo<SsiPath>& info) {
+                           return info.param == SsiPath::Sse2 ? "sse2"
+                                                              : "avx2";
+                         });
+
 // --------------------------------------------------- boundary-length grid ---
 
-// Lengths straddling 8/16/32-lane SIMD boundaries plus the degenerate ends.
-constexpr std::size_t kBoundaryLens[] = {0,  1,  2,  7,  8,  9, 15,
+// Every length up to two 8-lane blocks and a tail, lengths straddling 32,
+// and the degenerate ends.
+constexpr std::size_t kBoundaryLens[] = {0,  1,  2,  3,  4,  5,  6,  7,
+                                         8,  9,  10, 11, 12, 13, 14, 15,
                                          16, 17, 31, 32, 33, 64};
 
-TEST(IntersectDiff, BoundaryLengthGrid) {
+TEST_P(SsiPaths, BoundaryLengthGrid) {
   std::uint64_t pairs = 0;
   for (std::size_t la : kBoundaryLens) {
     for (std::size_t lb : kBoundaryLens) {
@@ -232,12 +279,12 @@ TEST(IntersectDiff, BoundaryLengthGrid) {
             static_cast<VertexId>(3 * (la + lb) + 5 + seed % 3);
         const V a = random_sorted_unique(la, universe, seed * 7919 + la);
         const V b = random_sorted_unique(lb, universe, seed * 104729 + lb);
-        check_pair(a, b, universe);
+        check_pair(a, b, universe, body_);
         ++pairs;
       }
     }
   }
-  EXPECT_GE(pairs, 600u);
+  EXPECT_EQ(pairs, 22u * 22u * 4u);
 }
 
 // ----------------------------------------------------- structured shapes ---
@@ -281,32 +328,33 @@ std::pair<V, V> lane_pair(std::size_t la, std::size_t lb, std::size_t p,
   return {a, b};
 }
 
-// Every length pair up to three 4-lane blocks, with the one common id in
-// every (a lane, b lane) position and in none: a dropped rotation or an
-// off-by-one block advance misses or double-counts some of these.
-TEST(IntersectDiff, OneCommonIdInEveryLanePosition) {
+// Every length pair up to two 8-lane blocks and a tail, with the one
+// common id in every (a lane, b lane) position and in none: a dropped
+// rotation, a dropped half swap or an off-by-one block advance misses or
+// double-counts some of these.
+TEST_P(SsiPaths, OneCommonIdInEveryLanePosition) {
   std::uint64_t pairs = 0;
-  for (std::size_t la = 0; la <= 12; ++la) {
-    for (std::size_t lb = 0; lb <= 12; ++lb) {
+  for (std::size_t la = 0; la <= 17; ++la) {
+    for (std::size_t lb = 0; lb <= 17; ++lb) {
       for (std::size_t p = 0; p <= la; ++p) {
         for (std::size_t q = 0; q <= lb; ++q) {
           const auto [a, b] = lane_pair(la, lb, p, q);
           ASSERT_TRUE(std::is_sorted(a.begin(), a.end()));
           ASSERT_TRUE(std::is_sorted(b.begin(), b.end()));
           ASSERT_EQ(oracle(a, b).size(), p < la && q < lb ? 1u : 0u);
-          check_pair(a, b, 4 * (la + lb) + 200);
+          check_pair(a, b, 4 * (la + lb) + 200, body_);
           ++pairs;
         }
       }
     }
   }
-  EXPECT_EQ(pairs, 91u * 91u);
+  EXPECT_EQ(pairs, 171u * 171u);
 }
 
 // Spans starting 1-3 ids into their allocation (unaligned loads) and ending
-// exactly at its end: a 16-byte load past the last id reads outside the
-// allocation, which the ASan build reports.
-TEST(IntersectDiff, SubspansEndingAtTheirAllocation) {
+// exactly at its end: a 16- or 32-byte load past the last id reads outside
+// the allocation, which the ASan build reports.
+TEST_P(SsiPaths, SubspansEndingAtTheirAllocation) {
   for (std::size_t offset = 1; offset <= 3; ++offset) {
     for (std::size_t len = 0; len <= 33; ++len) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -322,9 +370,9 @@ TEST(IntersectDiff, SubspansEndingAtTheirAllocation) {
         const std::span<const VertexId> sb(b_heap.get(), b.size());
         const std::size_t ao = std::min(offset, a.size());
         const std::size_t bo = std::min(offset, b.size());
-        check_counts(sa.subspan(ao), sb.subspan(bo));
-        check_counts(sa.subspan(ao), sb);
-        check_counts(sa, sb.subspan(bo));
+        check_counts(sa.subspan(ao), sb.subspan(bo), body_);
+        check_counts(sa.subspan(ao), sb, body_);
+        check_counts(sa, sb.subspan(bo), body_);
       }
     }
   }
@@ -332,13 +380,13 @@ TEST(IntersectDiff, SubspansEndingAtTheirAllocation) {
 
 // Ids at and above 2^31, up to 0xFFFFFFFF, alone and mixed with low ids:
 // a signed 32-bit compare orders these wrongly.
-TEST(IntersectDiff, IdsAboveTwoToThe31) {
+TEST_P(SsiPaths, IdsAboveTwoToThe31) {
   constexpr VertexId kTop = 0xFFFFFFFFu, kHalf = 0x80000000u;
   const V edges = {0,        1,         kHalf - 2, kHalf - 1, kHalf,
                    kHalf + 1, kTop - 4, kTop - 1,  kTop};
-  check_counts(edges, edges);
-  check_counts(edges, V{kTop});
-  check_counts(edges, V{kHalf - 1, kHalf});
+  check_counts(edges, edges, body_);
+  check_counts(edges, V{kTop}, body_);
+  check_counts(edges, V{kHalf - 1, kHalf}, body_);
   std::uint64_t checks = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     util::Xoshiro256 rng(seed);
@@ -356,24 +404,34 @@ TEST(IntersectDiff, IdsAboveTwoToThe31) {
       a.push_back(kTop);
       b.push_back(kTop);
     }
-    checks += check_counts(a, b);
+    checks += check_counts(a, b, body_);
     // Straddling the sign boundary.
     a = lift(random_sorted_unique(la, range, seed * 3), kHalf - range / 2);
     b = lift(random_sorted_unique(lb, range, seed * 5), kHalf - range / 2);
-    checks += check_counts(a, b);
+    checks += check_counts(a, b, body_);
   }
   EXPECT_GE(checks, 200u * 2u * 9u);
 }
 
-// count_binary on skewed pairs, keys short-first and long-first: the keys
-// land on the galloping bracket's edges (offsets 2^k - 1, 2^k, 2^k + 1 from
-// the cursor), before the first id, on the first and last ids and beyond.
+// count_binary on skewed pairs, keys short-first and long-first. The long
+// list is a prefix of a longer allocation whose ids continue past it, so a
+// window loaded past its end would find ids that are not in the list (a
+// miscount, with or without a sanitizer). Keys land before the first id,
+// on the first and last ids and beyond; on the bracket edges of a gallop
+// (offsets 2^k - 1, 2^k, 2^k + 1 from the cursor); 0 to the linear limit
+// + 3 windows ahead of the cursor, at a window's first, second and last
+// lane; inside the clamped last window; and above the last id. Long lists
+// of 8, 9 and 15 ids are one window, one window and an id, and all but
+// one id of two windows.
 TEST(IntersectDiff, SkewedBinaryBothOrders) {
-  for (const std::size_t long_len : {1000u, 1024u, 4097u}) {
-    V tree(long_len);
-    for (std::size_t i = 0; i < long_len; ++i)
-      tree[i] = static_cast<VertexId>(2 * i + 10);
-    const auto last = tree.back();
+  constexpr std::size_t kWindow = detail::kBinaryWindow;
+  for (const std::size_t long_len : {8u, 9u, 15u, 1000u, 1024u, 4097u}) {
+    V backing(long_len + 2 * kWindow);
+    for (std::size_t i = 0; i < backing.size(); ++i)
+      backing[i] = static_cast<VertexId>(2 * i + 10);
+    const std::span<const VertexId> tree(backing.data(), long_len);
+    const VertexId last = tree.back();
+    const auto beyond = static_cast<VertexId>(last + 2 * kWindow);
     std::vector<V> key_sets = {{0},       {10},      {last},  {last + 1},
                                {0, 10},   {9, 11},   {last - 1, last},
                                {10, last}, {0, last + 2}};
@@ -384,12 +442,38 @@ TEST(IntersectDiff, SkewedBinaryBothOrders) {
       if (k + 2 < long_len) keys.push_back(tree[k + 2] + 1);  // a miss
       key_sets.push_back(keys);
     }
+    for (std::size_t ahead = 0; ahead <= detail::kBinaryLinearWindows + 3;
+         ++ahead) {
+      for (const std::size_t lane : {std::size_t{0}, std::size_t{1},
+                                     kWindow - 1}) {
+        V keys;  // each hit followed by a miss just past it
+        for (std::size_t at = ahead * kWindow + lane; at < long_len;
+             at += 1 + ahead * kWindow + lane) {
+          keys.push_back(tree[at]);
+          keys.push_back(tree[at] + 1);
+        }
+        key_sets.push_back(keys);
+      }
+    }
+    for (std::size_t back = 1; back <= std::min(long_len, kWindow + 1);
+         ++back) {
+      const VertexId id = tree[long_len - back];
+      key_sets.push_back({id});
+      key_sets.push_back({id - 1, id + 1});
+      key_sets.push_back({tree[0], id, last + 2});
+      key_sets.push_back({id, last + 2, beyond});
+    }
+    key_sets.push_back({last + 2, last + 4, beyond});
     for (std::uint64_t seed = 1; seed <= 20; ++seed)
       key_sets.push_back(random_sorted_unique(1 + seed % 9, 2 * last, seed));
-    for (const V& keys : key_sets) {
+    for (V& keys : key_sets) {
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
       const auto want = oracle(keys, tree).size();
-      EXPECT_EQ(count_binary(keys, tree), want) << "|keys|=" << keys.size();
-      EXPECT_EQ(count_binary(tree, keys), want) << "|keys|=" << keys.size();
+      EXPECT_EQ(count_binary(keys, tree), want)
+          << "|tree|=" << long_len << " |keys|=" << keys.size();
+      EXPECT_EQ(count_binary(tree, keys), want)
+          << "|tree|=" << long_len << " |keys|=" << keys.size();
       EXPECT_EQ(count_hybrid(keys, tree), want);
       EXPECT_EQ(count_hybrid(tree, keys), want);
     }
