@@ -7,9 +7,10 @@
 //   dodg         — graph::orient_dodg preprocessing, Paper tier: half
 //                  the edge stream, no per-edge suffix trimming, every row
 //                  capped at O(sqrt(m));
-//   dodg+tiered  — the DODG stream served by the Tiered dispatch (row
-//                  bitmaps on hubs, galloping on skew, the block merge on
-//                  the tail) under the per-tier cost model.
+//   dodg+tiered  — the DODG stream served by the Tiered dispatch, which
+//                  picks by list shape only (galloping on skewed pairs,
+//                  the block merge on the rest) under the per-tier cost
+//                  model.
 //
 // All metrics are deterministic virtual times under the default cost model
 // and are gated. Every arm must report the same triangle count (shape

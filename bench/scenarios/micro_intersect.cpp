@@ -8,8 +8,8 @@
 // `--wall` adds the engineered-vs-paper wall-clock section (DESIGN.md §9):
 // the paper's textbook loops (a three-way-branch merge and a full-range
 // binary search per key, kept file-local below as the `scalar` leg) vs the
-// kernels the library runs (row bitmap, count_binary's block-galloping
-// search, count_ssi's block merge) on hub-shaped workloads, emitting both raw
+// kernels the library runs (count_binary's block-galloping search,
+// count_ssi's block merge) on hub-shaped workloads, emitting both raw
 // timings and `speedup/...` ratios in the JSON record. CI's bench-wall-smoke
 // step runs it and asserts the speedup fields exist without gating their
 // values.
@@ -20,7 +20,6 @@
 
 #include "atlc/intersect/intersect.hpp"
 #include "atlc/intersect/parallel.hpp"
-#include "atlc/intersect/tiered.hpp"
 #include "atlc/util/rng.hpp"
 #include "scenario.hpp"
 
@@ -119,20 +118,13 @@ double median_seconds(bench::ScenarioContext& ctx, Fn&& fn) {
 }
 
 /// The --wall section: the paper's textbook loops vs the engineered kernels
-/// on the shapes each Tiered kernel serves. The hub case models one
-/// pipeline window of a hub row's edges: the row bitmap is built once and
-/// probed by every neighbor list, exactly the reuse the engine gets
-/// (DESIGN.md §9).
+/// on the shapes each Tiered kernel serves (DESIGN.md §9).
 void run_wall(bench::ScenarioContext& ctx) {
   const std::size_t hub_len = ctx.smoke ? 4096 : 16384;
   const std::size_t probe_len = ctx.smoke ? 256 : 512;
-  const std::size_t probes = ctx.smoke ? 16 : 64;
   const std::uint32_t universe = 1u << 22;
 
   const V hub = sorted_unique(hub_len, universe, 11 + ctx.seed);
-  std::vector<V> lists;
-  for (std::size_t i = 0; i < probes; ++i)
-    lists.push_back(sorted_unique(probe_len, universe, 100 + i + ctx.seed));
 
   util::Table t({"Workload", "paper (us)", "engineered (us)", "speedup",
                  "kernel"});
@@ -153,24 +145,7 @@ void run_wall(bench::ScenarioContext& ctx) {
     t.add_row({workload, util::Table::fmt(scalar_s * 1e6, 1),
                util::Table::fmt(tiered_s * 1e6, 1),
                util::Table::fmt(speedup, 2), kernel});
-    return speedup;
   };
-
-  // Hub rows: one bitmap build amortised over the window's probe lists.
-  const double hub_scalar = median_seconds(ctx, [&] {
-    std::uint64_t total = 0;
-    for (const V& b : lists) total += textbook_ssi(hub, b);
-    return total;
-  });
-  const double hub_tiered = median_seconds(ctx, [&] {
-    intersect::RowBitmap bm;
-    bm.build(hub, universe);
-    std::uint64_t total = 0;
-    for (const V& b : lists) total += bm.count_in(b);
-    return total;
-  });
-  const double hub_speedup =
-      report("hub_bitmap_vs_ssi", "bitmap", hub_scalar, hub_tiered);
 
   // Skewed pairs: galloping vs the textbook binary search the hybrid rule
   // would pick at this ratio.
@@ -195,14 +170,6 @@ void run_wall(bench::ScenarioContext& ctx) {
 
   t.print("wall: paper vs engineered kernels (host hardware, never gated)");
   ctx.rec.add_table("wall: paper vs engineered kernels", t);
-
-  char note[160];
-  std::snprintf(note, sizeof(note),
-                "wall check: bitmap vs textbook SSI on hub-sized rows = "
-                "%.2fx (target >= 2x, reported not gated)",
-                hub_speedup);
-  std::printf("%s\n", note);
-  ctx.rec.add_note(note);
 }
 
 void run(bench::ScenarioContext& ctx) {

@@ -60,12 +60,10 @@ concept SegmentKernel =
     std::invocable<K&, VertexId, VertexId, std::uint32_t,
                    std::span<const VertexId>, std::span<const VertexId>>;
 
-/// This rank's Intersector for `config` over `partition`. A local row is a
-/// stable lhs exactly when the partition is 1D (col_blocks() == 1): then
-/// seg_v is the rank's own row. Under 2D seg_v may be a fetched segment,
-/// so the Tiered path must not key its bitmap on it.
+/// This rank's Intersector for `config`: the same on every partition kind,
+/// because no tier keeps either span beyond the call.
 [[nodiscard]] intersect::Intersector make_intersector(
-    const EngineConfig& config, const Partition& partition);
+    const EngineConfig& config);
 
 /// Per-rank counters harvested from a pipeline after run().
 struct PipelineRankStats {

@@ -48,14 +48,13 @@ struct EngineConfig {
   /// `method` selects, priced as the paper's kernels, and is what every
   /// checked-in virtual-time smoke baseline was recorded against; it must
   /// stay the default so those baselines reproduce bit-identically.
-  /// `Tiered` dispatches per list shape: a dense reusable bitmap for hub
-  /// rows, count_binary's galloping search for highly skewed pairs,
-  /// count_ssi's block merge for the long tail. Results are identical under
-  /// either tier (all kernels are exact); only the charged virtual compute
-  /// time differs.
+  /// `Tiered` dispatches per list shape: count_binary's galloping search
+  /// for highly skewed pairs, count_ssi's block merge for the rest. Results
+  /// are identical under either tier (both kernels are exact); only the
+  /// charged virtual compute time differs.
   intersect::Tier intersect_tier = intersect::Tier::Paper;
 
-  /// Shape thresholds of the Tiered dispatch (ignored under Paper).
+  /// Shape threshold of the Tiered dispatch (ignored under Paper).
   intersect::TierPolicy tier_policy{};
 
   /// Compute-cost model for virtual-time charging (see

@@ -36,8 +36,6 @@ struct CostModel {
   /// baseline bit-identical under the default configuration (DESIGN.md §9).
   double merge_ns_per_elem = 0.45;      ///< MergeVec, per element of |A|+|B|
   double gallop_ns_per_probe = 2.2;     ///< per key * log2(|long|/|short|)
-  double bitmap_ns_per_probe = 0.35;    ///< per probed element (word-batched)
-  double bitmap_build_ns_per_elem = 1.1;  ///< per row element, once per build
 
   /// Predicted seconds for one |a ∩ b| with the given method. `Hybrid`
   /// prices whichever kernel the Eq. (3) rule would pick.
@@ -51,21 +49,15 @@ struct CostModel {
   [[nodiscard]] double seconds_probes(std::size_t keys,
                                       std::size_t tree) const;
 
-  /// Predicted seconds for one tiered intersection of a `row_len` row with
-  /// an `other_len` list using kernel `k` (excludes the bitmap build, which
-  /// amortises across a row's edges — price it via seconds_bitmap_build
-  /// once per rebuild).
-  [[nodiscard]] double seconds_tiered(TierKernel k, std::size_t row_len,
-                                      std::size_t other_len) const;
-
-  /// Predicted seconds to (re)build a RowBitmap from a `row_len` row.
-  [[nodiscard]] double seconds_bitmap_build(std::size_t row_len) const;
+  /// Predicted seconds for one tiered intersection of a `len_a` list with
+  /// a `len_b` list using kernel `k`.
+  [[nodiscard]] double seconds_tiered(TierKernel k, std::size_t len_a,
+                                      std::size_t len_b) const;
 
   /// Measure the real kernels on this host (one-time, ~10 ms) and return a
   /// fitted model. count_ssi is timed once and fits both the SSI and the
-  /// MergeVec term, count_binary both the Binary and the Gallop term; the
-  /// row bitmap is timed for its build and probe terms. Benches call this
-  /// once; tests/defaults use the static constants above.
+  /// MergeVec term, count_binary both the Binary and the Gallop term.
+  /// Benches call this once; tests/defaults use the static constants above.
   [[nodiscard]] static CostModel calibrate();
 };
 

@@ -22,9 +22,9 @@ enum class Method : std::uint8_t {
 /// Dispatch and pricing of local intersections. `Paper` picks count_binary
 /// or count_ssi by `Method` and prices them with CostModel::seconds (the
 /// default: every virtual-time smoke baseline is calibrated against it and
-/// stays bit-identical); `Tiered` picks per list shape among the same two
-/// kernels and a reusable row bitmap, priced with CostModel::seconds_tiered
-/// (tiered.hpp, DESIGN.md §9). Both tiers run the same counting code.
+/// stays bit-identical); `Tiered` picks between the same two kernels by
+/// list shape, priced with CostModel::seconds_tiered (tiered.hpp,
+/// DESIGN.md §9). Both tiers run the same counting code.
 enum class Tier : std::uint8_t { Paper, Tiered };
 
 [[nodiscard]] const char* tier_name(Tier t);
@@ -34,32 +34,23 @@ enum class Tier : std::uint8_t { Paper, Tiered };
 enum class TierKernel : std::uint8_t {
   MergeVec,  ///< count_ssi, the block merge (the long-tail default)
   Gallop,    ///< count_binary, the galloping search (highly skewed pairs)
-  Bitmap,    ///< dense row bitmap + word-AND popcount (hub rows)
 };
 
 [[nodiscard]] const char* tier_kernel_name(TierKernel k);
 
-/// Shape thresholds of the Tiered dispatch (EngineConfig::tier_policy).
+/// Shape threshold of the Tiered dispatch (EngineConfig::tier_policy).
 struct TierPolicy {
-  /// Rows at least this long get a reusable dense bitmap ("hub rows"); the
-  /// build cost amortises over the row's contiguous run of edges in the
-  /// pipeline's edge stream (DESIGN.md §9).
-  std::size_t bitmap_min_row = 256;
-  /// Pairs that get no bitmap (below the threshold, or on a transient row)
-  /// gallop when |long|/|short| is at or above this ratio; the rest take
-  /// the block merge.
+  /// Pairs gallop when |long|/|short| is at or above this ratio; the rest
+  /// take the block merge.
   double gallop_ratio = 32.0;
 };
 
-/// The Tiered selection rule: Bitmap if the row is reusable (`stable_row`)
-/// and `row_len` reaches `policy.bitmap_min_row`, else Gallop at or above
-/// the skew ratio, else MergeVec. A transient row (stable_row == false)
-/// never gets a bitmap: with no later edge to reuse it, its build cost
-/// cannot amortise, so the pair is judged by shape alone.
-[[nodiscard]] TierKernel select_tier_kernel(std::size_t row_len,
-                                            std::size_t other_len,
-                                            const TierPolicy& policy,
-                                            bool stable_row);
+/// The Tiered selection rule: Gallop at or above the skew ratio, else
+/// MergeVec. It reads the list lengths only, so it is the same on every
+/// partition kind.
+[[nodiscard]] TierKernel select_tier_kernel(std::size_t len_a,
+                                            std::size_t len_b,
+                                            const TierPolicy& policy);
 
 /// |a ∩ b| via binary search (paper Algorithm 1). Internally searches the
 /// shorter list's elements in the longer list — "one should always assign

@@ -6,14 +6,14 @@
 // per-rank Intersector, so each pricing rule exists exactly once:
 //
 //   - Tier::Paper: count_common(method), priced CostModel::seconds(method);
-//   - Tier::Tiered: TieredIntersector::intersect when the lhs is a stable
-//     row, TieredIntersector::intersect_transient otherwise;
+//   - Tier::Tiered: TieredIntersector::intersect_transient, on every
+//     partition kind;
 //   - for_each_common: the enumerating SSI walk, priced as SSI under either
 //     tier (it visits every common element, so there is no kernel choice).
 //
-// Both tiers count with the same count_ssi and count_binary; Tiered adds
-// the row bitmap and chooses by list shape instead of by Eq. (3). Counts
-// are exact on every path; only the charged seconds differ.
+// Both tiers count with the same count_ssi and count_binary; Tiered
+// chooses by list shape instead of by Eq. (3). Counts are exact on every
+// path; only the charged seconds differ.
 
 #include <cstdint>
 #include <optional>
@@ -25,13 +25,8 @@ namespace atlc::intersect {
 
 class Intersector {
  public:
-  /// `universe` bounds every vertex id (the global vertex count).
-  /// `stable_lhs` says the lhs span of every count() outlives the pass that
-  /// reads it — the rank's local row on a 1D partition — so the Tiered
-  /// bitmap may be keyed on its span identity. It is false when the lhs may
-  /// alias a recycled fetch-ring slot (2D segments).
   Intersector(Method method, Tier tier, const TierPolicy& policy,
-              const CostModel& cost, VertexId universe, bool stable_lhs);
+              const CostModel& cost);
 
   struct Outcome {
     std::uint64_t common = 0;
@@ -41,7 +36,7 @@ class Intersector {
 
   /// |lhs ∩ rhs| with the configured tier and method.
   [[nodiscard]] Outcome count(std::span<const VertexId> lhs,
-                              std::span<const VertexId> rhs);
+                              std::span<const VertexId> rhs) const;
 
   /// Visit every element of a ∩ b in ascending order (the SSI walk) and
   /// price the walk as one SSI intersection.
@@ -61,7 +56,6 @@ class Intersector {
  private:
   Method method_;
   CostModel cost_;
-  bool stable_lhs_;
   std::optional<TieredIntersector> tiered_;  ///< engaged under Tier::Tiered
 };
 

@@ -46,7 +46,7 @@ class IncrementalCounter {
       : ctx_(&ctx),
         dg_(&dg),
         pipeline_(&pipeline),
-        isect_(core::make_intersector(config, dg.partition)) {}
+        isect_(core::make_intersector(config)) {}
 
   /// Count the triangles destroyed by `eff`'s deletions against the
   /// CURRENT graph state — must run BEFORE the batch is applied, while

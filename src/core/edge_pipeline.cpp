@@ -21,11 +21,9 @@ CacheSizing CacheSizing::paper_default(VertexId num_vertices,
   return s;
 }
 
-intersect::Intersector make_intersector(const EngineConfig& config,
-                                        const Partition& partition) {
-  return {config.method,      config.intersect_tier,
-          config.tier_policy, config.cost,
-          partition.num_vertices(), partition.col_blocks() == 1};
+intersect::Intersector make_intersector(const EngineConfig& config) {
+  return {config.method, config.intersect_tier, config.tier_policy,
+          config.cost};
 }
 
 PipelineRankStats EdgePipeline::harvest() {

@@ -27,7 +27,7 @@ std::vector<std::uint64_t> count_rank(rma::RankCtx& ctx, const DistGraph& dg,
                                       EdgePipeline& pipeline,
                                       bool upper_triangle) {
   std::vector<std::uint64_t> triangles(dg.num_local(), 0);
-  intersect::Intersector isect = make_intersector(config, dg.partition);
+  intersect::Intersector isect = make_intersector(config);
   pipeline.run_segments([&](VertexId lv, VertexId j, std::uint32_t /*block*/,
                             std::span<const VertexId> seg_v,
                             std::span<const VertexId> seg_j) {

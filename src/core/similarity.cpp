@@ -76,7 +76,7 @@ SimilarityResult run_measure(const CSRGraph& g, std::uint32_t ranks,
       g, ranks, config, net, partition_kind,
       [&](rma::RankCtx& ctx, const DistGraph& dg, EdgePipeline& pipeline) {
         auto state = setup(ctx, dg);
-        intersect::Intersector isect = make_intersector(config, dg.partition);
+        intersect::Intersector isect = make_intersector(config);
         // Global slot of each local edge: adjacency slots are laid out per
         // owning vertex, so local slot ei of local vertex lv maps to
         // offsets(global v) + (ei - local offsets(lv)).

@@ -1,7 +1,5 @@
 #include "atlc/intersect/cost_model.hpp"
 
-#include "atlc/intersect/tiered.hpp"
-
 #include <algorithm>
 #include <bit>
 #include <numeric>
@@ -35,32 +33,25 @@ double CostModel::seconds_probes(std::size_t keys, std::size_t tree) const {
          1e-9;
 }
 
-double CostModel::seconds_tiered(TierKernel k, std::size_t row_len,
-                                 std::size_t other_len) const {
+double CostModel::seconds_tiered(TierKernel k, std::size_t len_a,
+                                 std::size_t len_b) const {
   double work_ns = 0.0;
   switch (k) {
     case TierKernel::MergeVec:
-      work_ns = merge_ns_per_elem * static_cast<double>(row_len + other_len);
+      work_ns = merge_ns_per_elem * static_cast<double>(len_a + len_b);
       break;
     case TierKernel::Gallop: {
       // Each of the |short| keys gallops ~log2(|long|/|short|) + O(1) steps.
-      const std::size_t keys = std::min(row_len, other_len);
-      const std::size_t tree = std::max(row_len, other_len);
+      const std::size_t keys = std::min(len_a, len_b);
+      const std::size_t tree = std::max(len_a, len_b);
       const std::size_t ratio = keys > 0 ? tree / keys : tree;
       const double log_r =
           ratio > 1 ? static_cast<double>(std::bit_width(ratio)) : 1.0;
       work_ns = gallop_ns_per_probe * static_cast<double>(keys) * (log_r + 1.0);
       break;
     }
-    case TierKernel::Bitmap:
-      work_ns = bitmap_ns_per_probe * static_cast<double>(other_len);
-      break;
   }
   return (per_call_ns + work_ns) * 1e-9;
-}
-
-double CostModel::seconds_bitmap_build(std::size_t row_len) const {
-  return bitmap_build_ns_per_elem * static_cast<double>(row_len) * 1e-9;
 }
 
 CostModel CostModel::calibrate() {
@@ -93,24 +84,6 @@ CostModel CostModel::calibrate() {
       static_cast<double>(std::bit_width(kB / kA)) + 1.0;
   m.gallop_ns_per_probe = std::max(
       0.05, bin_s * 1e9 / (kReps * static_cast<double>(kA) * log_ratio));
-
-  RowBitmap bm;
-  const VertexId universe = 2 * kB + 3;  // covers both generators above
-  t.reset();
-  for (std::size_t r = 0; r < kReps; ++r) {
-    bm.build(b, universe);
-    sink = sink + bm.row_size();
-  }
-  const double build_s = t.elapsed_s();
-  m.bitmap_build_ns_per_elem =
-      std::max(0.05, build_s * 1e9 / (kReps * static_cast<double>(kB)));
-
-  bm.build(b, universe);
-  t.reset();
-  for (std::size_t r = 0; r < kReps; ++r) sink = sink + bm.count_in(a);
-  const double probe_s = t.elapsed_s();
-  m.bitmap_ns_per_probe =
-      std::max(0.05, probe_s * 1e9 / (kReps * static_cast<double>(kA)));
 
   (void)sink;
   return m;

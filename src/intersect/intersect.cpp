@@ -126,17 +126,14 @@ const char* tier_kernel_name(TierKernel k) {
   switch (k) {
     case TierKernel::MergeVec: return "merge_vec";
     case TierKernel::Gallop: return "gallop";
-    case TierKernel::Bitmap: return "bitmap";
   }
   return "?";
 }
 
-TierKernel select_tier_kernel(std::size_t row_len, std::size_t other_len,
-                              const TierPolicy& policy, bool stable_row) {
-  if (stable_row && row_len >= policy.bitmap_min_row)
-    return TierKernel::Bitmap;
-  const auto lo = static_cast<double>(std::min(row_len, other_len));
-  const auto hi = static_cast<double>(std::max(row_len, other_len));
+TierKernel select_tier_kernel(std::size_t len_a, std::size_t len_b,
+                              const TierPolicy& policy) {
+  const auto lo = static_cast<double>(std::min(len_a, len_b));
+  const auto hi = static_cast<double>(std::max(len_a, len_b));
   if (lo > 0.0 && hi / lo >= policy.gallop_ratio) return TierKernel::Gallop;
   return TierKernel::MergeVec;
 }

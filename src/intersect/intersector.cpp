@@ -8,7 +8,6 @@ namespace {
 /// sizes per kernel from these instants).
 const char* tier_event_name(TierKernel k) {
   switch (k) {
-    case TierKernel::Bitmap: return "intersect_bitmap";
     case TierKernel::Gallop: return "intersect_gallop";
     case TierKernel::MergeVec: return "intersect_merge";
   }
@@ -18,20 +17,17 @@ const char* tier_event_name(TierKernel k) {
 }  // namespace
 
 Intersector::Intersector(Method method, Tier tier, const TierPolicy& policy,
-                         const CostModel& cost, VertexId universe,
-                         bool stable_lhs)
-    : method_(method), cost_(cost), stable_lhs_(stable_lhs) {
-  if (tier == Tier::Tiered) tiered_.emplace(policy, cost, universe);
+                         const CostModel& cost)
+    : method_(method), cost_(cost) {
+  if (tier == Tier::Tiered) tiered_.emplace(policy, cost);
 }
 
 Intersector::Outcome Intersector::count(std::span<const VertexId> lhs,
-                                        std::span<const VertexId> rhs) {
+                                        std::span<const VertexId> rhs) const {
   if (!tiered_)
     return {count_common(lhs, rhs, method_),
             cost_.seconds(method_, lhs.size(), rhs.size())};
-  const TieredIntersector::Outcome t =
-      stable_lhs_ ? tiered_->intersect(lhs, rhs)
-                  : tiered_->intersect_transient(lhs, rhs);
+  const TieredIntersector::Outcome t = tiered_->intersect_transient(lhs, rhs);
   return {t.common, t.seconds, tier_event_name(t.kernel)};
 }
 

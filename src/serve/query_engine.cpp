@@ -128,7 +128,8 @@ bool batch_affects(VertexId v, std::span<const VertexId> touched,
 /// miss drive the (lv, neighbor) work list through the pipeline's prefetch
 /// ring, memoize, and diff the pipeline counters into the QueryCost.
 void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
-                core::EdgePipeline& pipeline, intersect::Intersector& isect,
+                core::EdgePipeline& pipeline,
+                const intersect::Intersector& isect,
                 const core::EngineConfig& cfg, HotVertexCache& hot,
                 CandidateScores& scores, const Query& q, double epoch_open,
                 QueryAnswer& a, core::QueryCost& qc) {
@@ -262,6 +263,7 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
     stream::BatchApplier applier(ctx, dg, cfg);
     HotVertexCache hot(options_.hot_cache);
     CandidateScores scores;
+    const intersect::Intersector isect = core::make_intersector(cfg);
 
     std::uint64_t id_base = 0;
     std::uint64_t hot_hits_prev = 0;
@@ -277,9 +279,6 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
       const std::size_t accepted =
           std::min<std::size_t>(ep.queries.size(),
                                 options_.admission_capacity);
-      // Rows change in the update phase, so a stable-row Intersector (whose
-      // Tiered bitmap keys on row spans) lives for one query phase.
-      intersect::Intersector isect = core::make_intersector(cfg, partition);
       for (std::size_t qi = 0; qi < ep.queries.size(); ++qi) {
         QueryAnswer& a = out.answers[id_base + qi];
         if (qi >= accepted) {

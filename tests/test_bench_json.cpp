@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "atlc/util/bench_compare.hpp"
 #include "atlc/util/json.hpp"
 #include "atlc/util/recorder.hpp"
+#include "atlc/util/rng.hpp"
 #include "atlc/util/table.hpp"
 #include "test_support.hpp"
 
@@ -139,6 +142,49 @@ TEST(BenchRecorder, MedianOfDisagreeingTrials) {
   const Json& doc = rec.finalize();
   const Json* metric = doc.find("metrics")->find("makespan/x");
   EXPECT_EQ(metric->find("median")->as_number(), 1.25);
+}
+
+TEST(Json, SeededMutationsOfABaselineFailCleanlyOrRoundTrip) {
+  // Bounded seeded fuzz of the strict parser bench_compare reads every
+  // baseline with: flip, insert or delete one random byte of a checked-in
+  // baseline and demand that parse either refuses it with a message or
+  // returns a document whose dump() parses back to the same dump().
+  std::ifstream in(ATLC_BASELINE_DIR "/BENCH_fig6.json", std::ios::binary);
+  ASSERT_TRUE(in) << "missing " ATLC_BASELINE_DIR "/BENCH_fig6.json";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string bytes = ss.str();
+  ASSERT_TRUE(Json::parse(bytes).has_value());
+
+  atlc::util::Xoshiro256 rng(2026);
+  std::size_t rejected = 0, parsed = 0;
+  constexpr int kCases = 3000;
+  for (int c = 0; c < kCases; ++c) {
+    std::string copy = bytes;
+    const std::size_t at = rng.next_below(copy.size());
+    const auto byte = static_cast<char>(rng.next_below(256));
+    switch (c % 3) {
+      case 0: copy[at] = static_cast<char>(copy[at] ^ (byte | 1)); break;
+      case 1: copy.insert(at, 1, byte); break;
+      default: copy.erase(at, 1); break;
+    }
+    SCOPED_TRACE("case " + std::to_string(c) + ": byte " + std::to_string(at));
+    std::string error;
+    const auto doc = Json::parse(copy, &error);
+    if (!doc) {
+      EXPECT_FALSE(error.empty());
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const std::string once = doc->dump();
+    const auto again = Json::parse(once, &error);
+    ASSERT_TRUE(again.has_value()) << error;
+    EXPECT_EQ(again->dump(), once);
+  }
+  // Both outcomes occur: the loop exercises rejection and real parses.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST(Json, RejectsMutationOfScalars) {

@@ -1,6 +1,6 @@
 // Randomized differential harness for every intersection kernel tier:
 // binary (block gallop), SSI (both block merges: 4x4 SSE2 and, where the
-// host has it, 8x8 AVX2), hybrid, RowBitmap,
+// host has it, 8x8 AVX2), hybrid,
 // for_each_common, count_common_above, the TieredIntersector dispatch and
 // the engine-facing Intersector are all cross-checked against a trivial
 // std::set_intersection oracle over >10k seeded pairs. Vectorized/block
@@ -50,65 +50,49 @@ V random_sorted_unique(std::size_t len, VertexId universe, std::uint64_t seed) {
   return v;
 }
 
-/// Policies that pin the TieredIntersector to one kernel each, so the
-/// dispatcher's bookkeeping (bitmap builds/reuse, cost charging) is
-/// exercised on every pair regardless of shape.
-TierPolicy force_bitmap() { return {.bitmap_min_row = 0, .gallop_ratio = 1.0}; }
-TierPolicy force_gallop() {
-  return {.bitmap_min_row = static_cast<std::size_t>(-1), .gallop_ratio = 0.0};
-}
-TierPolicy force_merge() {
-  return {.bitmap_min_row = static_cast<std::size_t>(-1),
-          .gallop_ratio = 1e300};
+/// Policies that pin the TieredIntersector to one kernel each, so both
+/// kernels' counting and cost charging are exercised on every pair
+/// regardless of shape.
+TierPolicy force_gallop() { return {.gallop_ratio = 0.0}; }
+TierPolicy force_merge() { return {.gallop_ratio = 1e300}; }
+
+/// The trace label Intersector::count gives a Tiered pair run by `k`.
+std::string tiered_label(TierKernel k) {
+  return std::string("intersect_") +
+         (k == TierKernel::MergeVec ? "merge" : tier_kernel_name(k));
 }
 
 /// The Intersector against the formulas the engine priced with before it
 /// existed: count_common + CostModel::seconds per Paper method,
-/// TieredIntersector::intersect (stable lhs) / intersect_transient, and the
-/// SSI-priced for_each_common walk. Counts AND seconds must match exactly —
-/// this is what keeps every virtual-time baseline bit-identical. Each
-/// Tiered pair is asked twice, so bitmap reuse is priced too.
-std::uint64_t check_intersector(const V& a, const V& b, VertexId universe,
+/// TieredIntersector::intersect_transient, and the SSI-priced
+/// for_each_common walk. Counts AND seconds must match exactly — this is
+/// what keeps every virtual-time baseline bit-identical.
+std::uint64_t check_intersector(const V& a, const V& b,
                                 std::uint64_t expected) {
   const CostModel cost;
   std::uint64_t checks = 0;
   for (auto m : {Method::Binary, Method::SSI, Method::Hybrid}) {
-    for (bool stable : {true, false}) {
-      Intersector isect(m, Tier::Paper, TierPolicy{}, cost, universe, stable);
-      const auto out = isect.count(a, b);
-      checks += 3;
-      EXPECT_EQ(out.common, count_common(a, b, m)) << method_name(m);
-      EXPECT_EQ(out.seconds, cost.seconds(m, a.size(), b.size()))
-          << method_name(m);
-      EXPECT_STREQ(out.label, "intersect");
-    }
+    const Intersector isect(m, Tier::Paper, TierPolicy{}, cost);
+    const auto out = isect.count(a, b);
+    checks += 3;
+    EXPECT_EQ(out.common, count_common(a, b, m)) << method_name(m);
+    EXPECT_EQ(out.seconds, cost.seconds(m, a.size(), b.size()))
+        << method_name(m);
+    EXPECT_STREQ(out.label, "intersect");
   }
   for (const TierPolicy& policy :
-       {TierPolicy{}, force_bitmap(), force_gallop(), force_merge()}) {
-    for (bool stable : {true, false}) {
-      Intersector isect(Method::Hybrid, Tier::Tiered, policy, cost, universe,
-                        stable);
-      TieredIntersector ref(policy, cost, universe);
-      for (int round = 0; round < 2; ++round) {
-        const auto want =
-            stable ? ref.intersect(a, b) : ref.intersect_transient(a, b);
-        const auto got = isect.count(a, b);
-        checks += 4;
-        EXPECT_EQ(got.common, expected) << "stable=" << stable;
-        EXPECT_EQ(got.common, want.common);
-        EXPECT_EQ(got.seconds, want.seconds)
-            << "stable=" << stable << " round " << round;
-        EXPECT_EQ(std::string(got.label),
-                  std::string("intersect_") +
-                      (want.kernel == TierKernel::MergeVec
-                           ? "merge"
-                           : tier_kernel_name(want.kernel)));
-      }
-    }
+       {TierPolicy{}, force_gallop(), force_merge()}) {
+    const Intersector isect(Method::Hybrid, Tier::Tiered, policy, cost);
+    const auto want = TieredIntersector(policy, cost).intersect_transient(a, b);
+    const auto got = isect.count(a, b);
+    checks += 4;
+    EXPECT_EQ(got.common, expected);
+    EXPECT_EQ(got.common, want.common);
+    EXPECT_EQ(got.seconds, want.seconds);
+    EXPECT_EQ(std::string(got.label), tiered_label(want.kernel));
   }
   for (auto tier : {Tier::Paper, Tier::Tiered}) {
-    const Intersector isect(Method::Binary, tier, TierPolicy{}, cost,
-                            universe, true);
+    const Intersector isect(Method::Binary, tier, TierPolicy{}, cost);
     V visited;
     const auto walk =
         isect.for_each_common(a, b, [&](VertexId x) { visited.push_back(x); });
@@ -127,8 +111,8 @@ using SsiBody = std::uint64_t (*)(std::span<const VertexId>,
 /// The kernels that need no vertex universe, on spans (which may be views
 /// into larger allocations), in both argument orders: the two counting
 /// kernels, the count_ssi body `ssi_body` on its own, the hybrid rule, the
-/// Tiered dispatch without its bitmap, and the visitor walk. Returns the
-/// number of comparisons performed.
+/// Tiered dispatch, and the visitor walk. Returns the number of comparisons
+/// performed.
 std::uint64_t check_counts(std::span<const VertexId> a,
                            std::span<const VertexId> b,
                            SsiBody ssi_body = &detail::count_ssi_sse2) {
@@ -148,7 +132,7 @@ std::uint64_t check_counts(std::span<const VertexId> a,
   expect(ssi_body(b, a), "ssi body/swapped");
   expect(count_hybrid(a, b), "hybrid");
   expect(count_hybrid(b, a), "hybrid/swapped");
-  TieredIntersector tiered(TierPolicy{}, CostModel{}, 0);
+  const TieredIntersector tiered(TierPolicy{}, CostModel{});
   expect(tiered.intersect_transient(a, b).common, "tiered/transient");
   expect(tiered.intersect_transient(b, a).common, "tiered/transient/swapped");
   V visited;
@@ -160,7 +144,7 @@ std::uint64_t check_counts(std::span<const VertexId> a,
 }
 
 /// Cross-check every kernel tier on one (a, b) pair. All ids must be
-/// < `universe` (RowBitmap precondition). Returns the number of
+/// < `universe`, the floor above everything. Returns the number of
 /// kernel-vs-oracle comparisons performed, so the suite can assert the
 /// sweep actually reached the promised scale.
 std::uint64_t check_pair(const V& a, const V& b, VertexId universe,
@@ -173,17 +157,6 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe,
     EXPECT_EQ(got, expected) << kernel << " |a|=" << a.size()
                              << " |b|=" << b.size() << " universe=" << universe;
   };
-
-  // RowBitmap: membership and the word-batched popcount probe.
-  RowBitmap bm;
-  bm.build(a, universe);
-  expect(bm.count_in(b), "bitmap.count_in");
-  ++checks;
-  EXPECT_TRUE(bm.built_for(a));
-  for (VertexId x : common) {
-    ++checks;
-    EXPECT_TRUE(bm.test(x)) << "bitmap.test " << x;
-  }
 
   // count_common_above at the boundary floors: below everything, equal to
   // the first/last common element, and above the entire universe.
@@ -209,12 +182,11 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe,
   const struct {
     TierPolicy policy;
     TierKernel want;
-  } forced[] = {{force_bitmap(), TierKernel::Bitmap},
-                {force_gallop(), TierKernel::Gallop},
+  } forced[] = {{force_gallop(), TierKernel::Gallop},
                 {force_merge(), TierKernel::MergeVec}};
   for (const auto& f : forced) {
-    TieredIntersector ti(f.policy, cost, universe);
-    const auto out = ti.intersect(a, b);
+    const TieredIntersector ti(f.policy, cost);
+    const auto out = ti.intersect_transient(a, b);
     expect(out.common, tier_kernel_name(f.want));
     ++checks;
     // An empty short side legitimately falls through Gallop to MergeVec.
@@ -224,7 +196,7 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe,
     ++checks;
     EXPECT_GE(out.seconds, 0.0);
   }
-  return checks + check_intersector(a, b, universe, expected);
+  return checks + check_intersector(a, b, expected);
 }
 
 // ------------------------------------------------ both count_ssi bodies ---
@@ -483,7 +455,7 @@ TEST(IntersectDiff, SkewedBinaryBothOrders) {
 // --------------------------------------------------------- random sweeps ---
 
 // The bulk of the 10k-pair budget: random lengths and densities, including
-// hub-vs-leaf skew so Gallop and Bitmap see realistic shapes.
+// hub-vs-leaf skew so Gallop sees realistic shapes.
 TEST(IntersectDiff, RandomSweep10k) {
   std::uint64_t pairs = 0, checks = 0;
   util::Xoshiro256 shape_rng(2026);
@@ -499,7 +471,7 @@ TEST(IntersectDiff, RandomSweep10k) {
     checks += check_pair(a, b, universe);
     ++pairs;
   }
-  // A smaller number of large skewed pairs: hub rows worth a bitmap and
+  // A smaller number of large pairs: long balanced hub rows and
   // gallop-friendly 100:1 ratios.
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const VertexId universe = 1 << 14;
@@ -514,108 +486,53 @@ TEST(IntersectDiff, RandomSweep10k) {
   EXPECT_GE(checks, 100000u);
 }
 
-// -------------------------------------------- dispatcher state machinery ---
-
-TEST(IntersectDiff, BitmapReusedAcrossSameRow) {
-  const VertexId universe = 4096;
-  const V row = random_sorted_unique(1024, universe, 11);
-  TieredIntersector ti(force_bitmap(), CostModel{}, universe);
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const V other = random_sorted_unique(64, universe, seed * 131);
-    const auto out = ti.intersect(row, other);
-    EXPECT_EQ(out.common, oracle(row, other).size());
-  }
-  // One build serves the whole run of edges on the same row span.
-  EXPECT_EQ(ti.stats().bitmap_builds, 1u);
-  EXPECT_EQ(ti.stats().bitmap_pairs, 8u);
-}
-
-TEST(IntersectDiff, BitmapRebuildClearsStaleBits) {
-  const VertexId universe = 1024;
-  const V first = random_sorted_unique(300, universe, 21);
-  const V second = random_sorted_unique(40, universe, 22);
-  RowBitmap bm;
-  bm.build(first, universe);
-  bm.build(second, universe);  // must clear all of `first`'s bits
-  for (VertexId v = 0; v < universe; ++v) {
-    const bool in_second = std::binary_search(second.begin(), second.end(), v);
-    EXPECT_EQ(bm.test(v), in_second) << "vertex " << v;
-  }
-  EXPECT_EQ(bm.count_in(first), oracle(first, second).size());
-}
+// ------------------------------------------------------ Tiered dispatch ---
 
 TEST(IntersectDiff, SelectTierKernelRule) {
-  const TierPolicy p;  // defaults: bitmap_min_row=256, gallop_ratio=32
-  for (bool stable : {true, false}) {
-    EXPECT_EQ(select_tier_kernel(256, 8, p, stable),
-              stable ? TierKernel::Bitmap : TierKernel::Gallop);
-    EXPECT_EQ(select_tier_kernel(4096, 4096, p, stable),
-              stable ? TierKernel::Bitmap : TierKernel::MergeVec);
-    EXPECT_EQ(select_tier_kernel(255, 8, p, stable),
-              TierKernel::MergeVec);  // 31.9x
-    EXPECT_EQ(select_tier_kernel(4, 128, p, stable), TierKernel::Gallop);
-    EXPECT_EQ(select_tier_kernel(128, 4, p, stable), TierKernel::Gallop);
-    EXPECT_EQ(select_tier_kernel(100, 100, p, stable), TierKernel::MergeVec);
-    EXPECT_EQ(select_tier_kernel(0, 100, p, stable), TierKernel::MergeVec);
-    EXPECT_EQ(select_tier_kernel(5, 100, p, stable),
-              TierKernel::MergeVec);  // 20x < 32x
-  }
+  const TierPolicy p;  // default gallop_ratio = 32
+  EXPECT_EQ(select_tier_kernel(256, 8, p), TierKernel::Gallop);  // 32x
+  EXPECT_EQ(select_tier_kernel(255, 8, p), TierKernel::MergeVec);  // 31.9x
+  EXPECT_EQ(select_tier_kernel(4, 128, p), TierKernel::Gallop);
+  EXPECT_EQ(select_tier_kernel(128, 4, p), TierKernel::Gallop);
+  EXPECT_EQ(select_tier_kernel(4096, 4096, p), TierKernel::MergeVec);
+  EXPECT_EQ(select_tier_kernel(100, 100, p), TierKernel::MergeVec);
+  EXPECT_EQ(select_tier_kernel(0, 100, p), TierKernel::MergeVec);
+  EXPECT_EQ(select_tier_kernel(5, 100, p), TierKernel::MergeVec);  // 20x
 }
 
-// The 2D segment path has no stable row, so intersect_transient dispatches
-// by shape alone: long balanced pairs merge, only pairs at or above the
-// gallop ratio gallop, no policy ever builds a bitmap, and each pair is
-// priced and labelled as the kernel that ran.
-TEST(IntersectDiff, TransientDispatchesByShape) {
-  const VertexId universe = 1 << 14;
+// Tiered dispatch reads list shapes only: long balanced pairs merge, only
+// pairs at or above the gallop ratio gallop, and each pair is priced and
+// labelled as the kernel that ran. The Intersector every partition kind
+// builds, 1D included, gives each pair (lists of 400 and 600 ids among
+// them, in both orders) exactly what intersect_transient gives it: no
+// kernel depends on which side is the rank's own row.
+TEST(IntersectDiff, TieredDispatchesByShape) {
   const CostModel cost;
   V evens, thirds, leaf;
   for (VertexId i = 0; i < 600; ++i) evens.push_back(2 * i);
   for (VertexId i = 0; i < 400; ++i) thirds.push_back(3 * i);
   for (VertexId i = 0; i < 16; ++i) leaf.push_back(60 * i);
-  const auto common = [](const V& a, const V& b) {
-    return static_cast<std::uint64_t>(oracle(a, b).size());
+
+  const TieredIntersector ti(TierPolicy{}, cost);
+  const Intersector isect(Method::Hybrid, Tier::Tiered, TierPolicy{}, cost);
+  const auto expect_shape = [&](const V& a, const V& b, TierKernel want) {
+    SCOPED_TRACE("|a|=" + std::to_string(a.size()) +
+                 " |b|=" + std::to_string(b.size()));
+    const auto out = ti.intersect_transient(a, b);
+    EXPECT_EQ(out.kernel, want);
+    EXPECT_EQ(out.common, oracle(a, b).size());
+    EXPECT_EQ(out.seconds, cost.seconds_tiered(want, a.size(), b.size()));
+    const auto got = isect.count(a, b);
+    EXPECT_EQ(got.common, out.common);
+    EXPECT_EQ(got.seconds, out.seconds);
+    EXPECT_EQ(std::string(got.label), tiered_label(want));
   };
-
-  TieredIntersector ti(TierPolicy{}, cost, universe);
-  Intersector isect(Method::Hybrid, Tier::Tiered, TierPolicy{}, cost,
-                    universe, /*stable_lhs=*/false);
-  // Balanced, both lists past bitmap_min_row (1.5x): the block merge.
-  for (const auto& [a, b] : {std::pair{evens, thirds}, {thirds, evens}}) {
-    const auto out = ti.intersect_transient(a, b);
-    EXPECT_EQ(out.kernel, TierKernel::MergeVec);
-    EXPECT_EQ(out.common, common(a, b));
-    EXPECT_EQ(out.seconds,
-              cost.seconds_tiered(TierKernel::MergeVec, a.size(), b.size()));
-    EXPECT_STREQ(isect.count(a, b).label, "intersect_merge");
-  }
-  // One list past bitmap_min_row, skewed 37.5x: the galloping search.
-  for (const auto& [a, b] : {std::pair{evens, leaf}, {leaf, evens}}) {
-    const auto out = ti.intersect_transient(a, b);
-    EXPECT_EQ(out.kernel, TierKernel::Gallop);
-    EXPECT_EQ(out.common, common(a, b));
-    EXPECT_EQ(out.seconds,
-              cost.seconds_tiered(TierKernel::Gallop, a.size(), b.size()));
-    EXPECT_STREQ(isect.count(a, b).label, "intersect_gallop");
-  }
-  EXPECT_EQ(ti.stats().merge_pairs, 2u);
-  EXPECT_EQ(ti.stats().gallop_pairs, 2u);
-
-  for (const TierPolicy& policy :
-       {TierPolicy{}, force_bitmap(), force_gallop(), force_merge()}) {
-    TieredIntersector forced(policy, cost, universe);
-    for (const V* a : {&evens, &thirds, &leaf}) {
-      for (const V* b : {&evens, &thirds, &leaf}) {
-        const auto out = forced.intersect_transient(*a, *b);
-        EXPECT_NE(out.kernel, TierKernel::Bitmap);
-        EXPECT_EQ(out.common, common(*a, *b));
-      }
-      EXPECT_NE(forced.intersect_transient(*a, V{}).kernel,
-                TierKernel::Bitmap);
-    }
-    EXPECT_EQ(forced.stats().bitmap_builds, 0u);
-    EXPECT_EQ(forced.stats().bitmap_pairs, 0u);
-  }
+  // Balanced, both lists long (1.5x): the block merge.
+  expect_shape(evens, thirds, TierKernel::MergeVec);
+  expect_shape(thirds, evens, TierKernel::MergeVec);
+  // One long list, skewed 37.5x: the galloping search.
+  expect_shape(evens, leaf, TierKernel::Gallop);
+  expect_shape(leaf, evens, TierKernel::Gallop);
 }
 
 TEST(IntersectDiff, TierNamesNamed) {
@@ -623,7 +540,6 @@ TEST(IntersectDiff, TierNamesNamed) {
   EXPECT_STREQ(tier_name(Tier::Tiered), "tiered");
   EXPECT_STREQ(tier_kernel_name(TierKernel::MergeVec), "merge_vec");
   EXPECT_STREQ(tier_kernel_name(TierKernel::Gallop), "gallop");
-  EXPECT_STREQ(tier_kernel_name(TierKernel::Bitmap), "bitmap");
 }
 
 }  // namespace

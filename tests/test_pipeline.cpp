@@ -397,12 +397,10 @@ TEST_P(SimilarityRanks, AdamicAdarMatchesReferenceCachedAndDeep) {
 
 TEST_P(SimilarityRanks, MeasuresHonourTieredIntersection) {
   // The measures price through the rank's Intersector, so Tier::Tiered
-  // changes their charged compute — never their scores. A low bitmap
-  // threshold drives every tiered kernel.
+  // changes their charged compute — never their scores.
   const CSRGraph g = rmat_graph(8, 8, 63);
   EngineConfig tiered;
   tiered.intersect_tier = intersect::Tier::Tiered;
-  tiered.tier_policy.bitmap_min_row = 8;
   const auto jac = run_distributed_jaccard(g, GetParam(), tiered);
   const auto ovl = run_distributed_overlap(g, GetParam(), tiered);
   const auto aa = run_distributed_adamic_adar(g, GetParam(), tiered);
