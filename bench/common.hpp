@@ -16,13 +16,20 @@
 #include <string>
 #include <vector>
 
+#if !defined(ATLC_NO_OPENMP)
+#include <omp.h>
+#endif
+
 #include "atlc/graph/clean.hpp"
 #include "atlc/graph/csr.hpp"
 #include "atlc/graph/degree_stats.hpp"
 #include "atlc/graph/generators.hpp"
 #include "atlc/graph/io.hpp"
 #include "atlc/intersect/cost_model.hpp"
+#include "atlc/intersect/parallel.hpp"
+#include "atlc/rma/runtime.hpp"
 #include "atlc/util/cli.hpp"
+#include "atlc/util/recorder.hpp"
 #include "atlc/util/table.hpp"
 
 namespace atlc::bench {
@@ -143,6 +150,49 @@ inline void add_common_flags(util::Cli& cli) {
 inline const intersect::CostModel& calibrated_cost() {
   static const intersect::CostModel m = intersect::CostModel::calibrate();
   return m;
+}
+
+/// Processors OpenMP can use on this host (1 without OpenMP).
+inline int num_procs() {
+#if defined(ATLC_NO_OPENMP)
+  return 1;
+#else
+  return omp_get_num_procs();
+#endif
+}
+
+/// One full edge-centric LCC pass over `g` with OpenMP-parallel
+/// intersections of method `m` on `threads` threads, repeated as `reps`
+/// asks; returns edges/us of the median pass. This is the paper's
+/// shared-memory measurement (Fig. 6, Table III): the whole counting loop,
+/// not a micro-kernel.
+inline double edges_per_us(const CSRGraph& g, intersect::Method m,
+                           int threads, const util::Recorder::Options& reps) {
+  const intersect::ParallelConfig par{.num_threads = threads, .cutoff = 4096};
+  util::Recorder rec(reps);
+  volatile std::uint64_t sink = 0;
+  const auto summary = rec.run_until_ci([&] {
+    std::uint64_t total = 0;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      const auto adj_v = g.neighbors(v);
+      for (graph::VertexId j : adj_v)
+        total += intersect::count_common_parallel(adj_v, g.neighbors(j), m, par);
+    }
+    sink = sink + total;
+  });
+  (void)sink;
+  return static_cast<double>(g.num_edges()) / (summary.median * 1e6);
+}
+
+/// Share of the ranks' summed busy time spent communicating (paper
+/// Section IV-D2's "communication share").
+inline double comm_share(const rma::Runtime::Result& r) {
+  double comm = 0, total = 0;
+  for (const auto& s : r.stats) {
+    comm += s.comm_seconds;
+    total += s.comm_seconds + s.compute_seconds;
+  }
+  return total > 0 ? comm / total : 0.0;
 }
 
 /// One-line graph description for bench headers.

@@ -1,10 +1,10 @@
 // Ablations for the design decisions called out in DESIGN.md §4:
 //   D5: hybrid vs pure SSI vs pure binary inside the distributed engine;
-//   D6: double buffering (pipeline depth 2) vs no overlap (depth 1) — the
-//       paper notes comm dominance limits the benefit (Section IV-D2);
 //   D7: Block1D vs Cyclic1D partitioning (paper cites [26] as the
 //       balance-improving alternative/future work);
 //   plus: CLaMPI adaptive hash resizing on vs off.
+// D6 (double buffering vs no overlap) is the k=2 vs k=1 pair of the
+// pipeline_depth scenario.
 #include <cstdio>
 
 #include "scenario.hpp"
@@ -40,31 +40,6 @@ void run(bench::ScenarioContext& ctx) {
     }
     t.print("D5: intersection method (distributed engine)");
     ctx.rec.add_table("D5: intersection method", t);
-  }
-
-  // D6: double buffering.
-  {
-    util::Table t({"Pipeline", "makespan (s)"});
-    core::EngineConfig on, off;  // on: the default depth 2
-    off.pipeline_depth = 1;
-    const double t_on =
-        ctx.run_lcc_trials("makespan/overlap/on", g, ranks, on)
-            .run.makespan;
-    const double t_off =
-        ctx.run_lcc_trials("makespan/overlap/off", g, ranks, off)
-            .run.makespan;
-    t.add_row({"double-buffered (overlap)", util::Table::fmt(t_on, 4)});
-    t.add_row({"no overlap", util::Table::fmt(t_off, 4)});
-    t.print("D6: double buffering");
-    ctx.rec.add_table("D6: double buffering", t);
-    std::printf("overlap saves %.1f%% — paper Section IV-D2 predicts a "
-                "small gain because communication dominates.\n",
-                100.0 * (1.0 - t_on / t_off));
-    char note[96];
-    std::snprintf(note, sizeof(note),
-                  "D6: overlap saves %.1f%% (paper predicts a small gain)",
-                  100.0 * (1.0 - t_on / t_off));
-    ctx.rec.add_note(note);
   }
 
   // D7: partitioning.
@@ -109,5 +84,5 @@ void run(bench::ScenarioContext& ctx) {
 }  // namespace
 
 ATLC_REGISTER_SCENARIO(ablation, "ablation", "DESIGN.md §4",
-                       "design-decision ablations (D5/D6/D7, adaptivity)",
+                       "design-decision ablations (D5/D7, adaptivity)",
                        add_flags, run)

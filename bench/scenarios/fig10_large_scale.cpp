@@ -73,18 +73,13 @@ void run(bench::ScenarioContext& ctx) {
 
       if (p == nodes.front()) first_plain = plain.run.makespan;
       last_plain = plain.run.makespan;
-      double comm = 0, total = 0;
-      for (const auto& s : plain.run.stats) {
-        comm += s.comm_seconds;
-        total += s.comm_seconds + s.compute_seconds;
-      }
       table.add_row(
           {util::Table::fmt_int(p), util::Table::fmt(plain.run.makespan, 3),
            util::Table::fmt(cached.run.makespan, 3), tric_s,
            util::Table::fmt_percent(1.0 -
                                     cached.run.makespan / plain.run.makespan),
            util::Table::fmt_percent(plain.remote_edge_fraction()),
-           util::Table::fmt_percent(total > 0 ? comm / total : 0.0)});
+           util::Table::fmt_percent(bench::comm_share(plain.run))});
     }
     table.print("Fig. 10 strong scaling: " + name);
     ctx.rec.add_table("Fig. 10 strong scaling: " + name, table);

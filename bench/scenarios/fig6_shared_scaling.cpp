@@ -8,48 +8,11 @@
 // kernels, so the metrics are host-dependent and never gated.
 #include <cstdio>
 
-#if !defined(ATLC_NO_OPENMP)
-#include <omp.h>
-#endif
-
-#include "atlc/intersect/parallel.hpp"
 #include "scenario.hpp"
 
 namespace {
 
 using namespace atlc;
-
-int num_procs() {
-#if defined(ATLC_NO_OPENMP)
-  return 1;
-#else
-  return omp_get_num_procs();
-#endif
-}
-
-double edges_per_us(const graph::CSRGraph& g, int threads, bool smoke) {
-  const intersect::ParallelConfig par{.num_threads = threads, .cutoff = 4096};
-  util::Recorder rec(smoke
-                         ? util::Recorder::Options{.min_reps = 2,
-                                                   .max_reps = 3,
-                                                   .ci_fraction = 0.25}
-                         : util::Recorder::Options{.min_reps = 3,
-                                                   .max_reps = 8,
-                                                   .ci_fraction = 0.10});
-  volatile std::uint64_t sink = 0;
-  const auto summary = rec.run_until_ci([&] {
-    std::uint64_t total = 0;
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto adj_v = g.neighbors(v);
-      for (graph::VertexId j : adj_v)
-        total += intersect::count_common_parallel(
-            adj_v, g.neighbors(j), intersect::Method::Hybrid, par);
-    }
-    sink = sink + total;
-  });
-  (void)sink;
-  return static_cast<double>(g.num_edges()) / (summary.median * 1e6);
-}
 
 void add_flags(util::Cli& cli) {
   cli.add_int("max-threads", "largest thread count in the sweep", 16);
@@ -58,6 +21,12 @@ void add_flags(util::Cli& cli) {
 void run(bench::ScenarioContext& ctx) {
   const int max_threads =
       ctx.smoke ? 2 : static_cast<int>(ctx.cli.get_int("max-threads"));
+  const util::Recorder::Options reps =
+      ctx.smoke
+          ? util::Recorder::Options{.min_reps = 2, .max_reps = 3,
+                                    .ci_fraction = 0.25}
+          : util::Recorder::Options{.min_reps = 3, .max_reps = 8,
+                                    .ci_fraction = 0.10};
 
   struct Row {
     const char* label;
@@ -76,7 +45,7 @@ void run(bench::ScenarioContext& ctx) {
 
   std::printf("physical cores: %d — speedups flatten beyond that "
               "(paper host had 16 cores)\n",
-              num_procs());
+              bench::num_procs());
 
   std::vector<std::string> header = {"Threads"};
   for (const auto& gr : graphs) header.push_back(gr.label);
@@ -87,7 +56,8 @@ void run(bench::ScenarioContext& ctx) {
     std::vector<std::string> row = {std::to_string(t)};
     for (std::size_t i = 0; i < graphs.size(); ++i) {
       const auto& g = ctx.graph(graphs[i].spec);
-      const double perf = edges_per_us(g, t, ctx.smoke);
+      const double perf =
+          bench::edges_per_us(g, intersect::Method::Hybrid, t, reps);
       if (t == 1) base[i] = perf;
       const std::string metric =
           std::string("edges_per_us/") + graphs[i].label + "/t" +

@@ -17,15 +17,6 @@ namespace {
 
 using namespace atlc;
 
-double comm_share(const rma::Runtime::Result& r) {
-  double comm = 0, total = 0;
-  for (const auto& s : r.stats) {
-    comm += s.comm_seconds;
-    total += s.comm_seconds + s.compute_seconds;
-  }
-  return total > 0 ? comm / total : 0.0;
-}
-
 void add_flags(util::Cli& cli) {
   cli.add_flag("skip-tric", "skip the TriC baselines (they dominate runtime "
                "by design — that is the paper's point)", false);
@@ -99,7 +90,7 @@ void run(bench::ScenarioContext& ctx) {
            util::Table::fmt(cached.run.makespan, 3), tric_s, tric_buf_s,
            util::Table::fmt_percent(saving),
            util::Table::fmt_percent(plain.remote_edge_fraction()),
-           util::Table::fmt_percent(comm_share(plain.run))});
+           util::Table::fmt_percent(bench::comm_share(plain.run))});
     }
     table.print("Fig. 9 strong scaling: " + name);
     ctx.rec.add_table("Fig. 9 strong scaling: " + name, table);

@@ -54,15 +54,12 @@ bool slices_match(const ingest::SnapshotReader& reader) {
           graph::PartitionKind::Grid2D}) {
       const auto part = graph::make_partition(g, kind, ranks);
       for (std::uint32_t rank = 0; rank < ranks; ++rank) {
-        const auto [lo, hi] = part.col_block_range(
-            part.col_blocks() > 1 ? part.grid_col(rank) : 0);
         std::vector<graph::EdgeIndex> want_off{0};
         std::vector<graph::VertexId> want_adj;
         for (graph::VertexId lv = 0; lv < part.part_size(rank); ++lv) {
-          const auto nbrs = g.neighbors(part.global_id(rank, lv));
-          const auto s = std::lower_bound(nbrs.begin(), nbrs.end(), lo);
-          const auto e = std::lower_bound(s, nbrs.end(), hi);
-          want_adj.insert(want_adj.end(), s, e);
+          const auto seg = part.row_segment(
+              g.neighbors(part.global_id(rank, lv)), part.grid_col(rank));
+          want_adj.insert(want_adj.end(), seg.begin(), seg.end());
           want_off.push_back(want_adj.size());
         }
         std::vector<graph::EdgeIndex> got_off;

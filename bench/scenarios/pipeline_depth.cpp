@@ -5,10 +5,11 @@
 // §2), consecutive gets issued by one rank pipeline their latencies but
 // serialise their byte times, so added depth hides latency only until the
 // injection port is busy end-to-end. The paper's double buffering (Section
-// III-A) is the k=2 point of this sweep; k=1 is the no-overlap ablation
-// arm. Expect most of the win at k=2 and diminishing returns after —
-// communication dominates computation at scale (Section IV-D2), so there
-// is little compute left to hide deeper transfers under.
+// III-A) is the k=2 point of this sweep and k=1 is no overlap: the uncached
+// k=2 vs k=1 pair is design ablation D6 (DESIGN.md §4). Expect most of the
+// win at k=2 and diminishing returns after — communication dominates
+// computation at scale (Section IV-D2), so there is little compute left to
+// hide deeper transfers under.
 #include <cstdio>
 
 #include "scenario.hpp"

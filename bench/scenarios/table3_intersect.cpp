@@ -7,51 +7,11 @@
 // Wall-clock metrics: host-dependent, never gated.
 #include <cstdio>
 
-#if !defined(ATLC_NO_OPENMP)
-#include <omp.h>
-#endif
-
-#include "atlc/intersect/parallel.hpp"
 #include "scenario.hpp"
 
 namespace {
 
 using namespace atlc;
-
-int num_procs() {
-#if defined(ATLC_NO_OPENMP)
-  return 1;
-#else
-  return omp_get_num_procs();
-#endif
-}
-
-/// One full edge-centric LCC pass over the graph with the given kernel;
-/// returns edges/us. This is the paper's shared-memory measurement: the
-/// whole counting loop, not a micro-kernel.
-double edges_per_us(const graph::CSRGraph& g, intersect::Method m,
-                    int threads, bool smoke) {
-  const intersect::ParallelConfig par{.num_threads = threads, .cutoff = 4096};
-  util::Recorder rec(smoke
-                         ? util::Recorder::Options{.min_reps = 1,
-                                                   .max_reps = 2,
-                                                   .ci_fraction = 0.5}
-                         : util::Recorder::Options{.min_reps = 2,
-                                                   .max_reps = 5,
-                                                   .ci_fraction = 0.15});
-  volatile std::uint64_t sink = 0;
-  const auto summary = rec.run_until_ci([&] {
-    std::uint64_t total = 0;
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto adj_v = g.neighbors(v);
-      for (graph::VertexId j : adj_v)
-        total += intersect::count_common_parallel(adj_v, g.neighbors(j), m, par);
-    }
-    sink = sink + total;
-  });
-  (void)sink;
-  return static_cast<double>(g.num_edges()) / (summary.median * 1e6);
-}
 
 void add_flags(util::Cli& cli) {
   cli.add_int("threads", "OpenMP threads (paper uses 16)", 16);
@@ -60,6 +20,12 @@ void add_flags(util::Cli& cli) {
 void run(bench::ScenarioContext& ctx) {
   const int threads =
       ctx.smoke ? 2 : static_cast<int>(ctx.cli.get_int("threads"));
+  const util::Recorder::Options reps =
+      ctx.smoke
+          ? util::Recorder::Options{.min_reps = 1, .max_reps = 2,
+                                    .ci_fraction = 0.5}
+          : util::Recorder::Options{.min_reps = 2, .max_reps = 5,
+                                    .ci_fraction = 0.15};
 
   // Paper Table III graphs: R-MAT S20 EF8/16/32 + LiveJournal + Orkut.
   // EF sweep shows the density effect; proxies stand in for the SNAP sets.
@@ -84,19 +50,19 @@ void run(bench::ScenarioContext& ctx) {
 
   std::printf("threads: %d (host has %d cores — above that the sweep "
               "oversubscribes)\n",
-              threads, num_procs());
+              threads, bench::num_procs());
 
   util::Table table(
       {"Name", "Hybrid", "SSI", "Binary search", "hybrid competitive?"});
   bool shape_holds = true;
   for (const auto& row : rows) {
     const auto& g = ctx.graph(row.spec);
-    const double hybrid =
-        edges_per_us(g, intersect::Method::Hybrid, threads, ctx.smoke);
-    const double ssi =
-        edges_per_us(g, intersect::Method::SSI, threads, ctx.smoke);
-    const double binary =
-        edges_per_us(g, intersect::Method::Binary, threads, ctx.smoke);
+    const auto measure = [&](intersect::Method m) {
+      return bench::edges_per_us(g, m, threads, reps);
+    };
+    const double hybrid = measure(intersect::Method::Hybrid);
+    const double ssi = measure(intersect::Method::SSI);
+    const double binary = measure(intersect::Method::Binary);
     for (const auto& [label, perf] :
          {std::pair<const char*, double>{"hybrid", hybrid},
           {"ssi", ssi},

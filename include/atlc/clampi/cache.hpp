@@ -82,9 +82,6 @@ class Cache {
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
   [[nodiscard]] std::size_t num_entries() const { return live_entries_; }
-  [[nodiscard]] std::uint64_t used_bytes() const {
-    return free_.capacity() - free_.total_free();
-  }
   [[nodiscard]] std::vector<EntryInfo> entries() const;
 
   /// Paper Section III-B1 sizing heuristics for the two LCC caches.

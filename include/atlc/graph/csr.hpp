@@ -51,10 +51,6 @@ class CSRGraph {
   /// True iff the edge u->v exists (binary search over sorted adjacency).
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
 
-  /// In-degrees of all vertices (paper: deg-). O(n + m) scan; directed only
-  /// differs from out-degree for directed graphs.
-  [[nodiscard]] std::vector<VertexId> in_degrees() const;
-
   [[nodiscard]] std::span<const EdgeIndex> offsets() const { return offsets_; }
   [[nodiscard]] std::span<const VertexId> adjacencies() const {
     return adjacencies_;

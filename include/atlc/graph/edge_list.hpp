@@ -23,7 +23,6 @@ class EdgeList {
   [[nodiscard]] std::vector<Edge>& edges() { return edges_; }
 
   void set_num_vertices(VertexId n) { n_ = n; }
-  void set_directedness(Directedness d) { dir_ = d; }
   void add_edge(VertexId u, VertexId v) { edges_.push_back({u, v}); }
 
   /// Sort edges lexicographically and drop exact duplicates (multi-edges).

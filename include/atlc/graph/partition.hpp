@@ -38,7 +38,7 @@ enum class PartitionKind : std::uint8_t {
   /// range instead of whole adjacency rows. Rank (r, c) — linearised as
   /// r*pc + c — stores, for every vertex in row block r, only the segment
   /// of its adjacency row whose neighbor ids fall in column block c. Both
-  /// axes are cut with the Block1D closed form (front-loaded remainder).
+  /// axes get Block1D's even cuts (front-loaded remainder).
   /// pr is the largest divisor of p with pr <= floor(sqrt(p)), pc = p/pr,
   /// so p = 8 -> 2x4, p = 12 -> 3x4, and prime p degrades to 1xp. The
   /// *home* rank of a vertex (owner()) is the diagonal-ish rank
@@ -48,31 +48,23 @@ enum class PartitionKind : std::uint8_t {
   Grid2D,
 };
 
-/// Maps global vertex ids to (rank, local index) and back. All methods are
-/// branch-cheap inline functions: the distributed inner loop calls owner()
-/// per edge endpoint. (DegreeBalanced1D pays one O(log p) binary search
-/// over the p+1 cut points instead of closed-form arithmetic.)
+/// Maps global vertex ids to (rank, local index) and back. Every
+/// contiguous kind is one cut table per axis: the row cuts split [0, n)
+/// into row blocks (p of them on a 1D kind, pr on Grid2D) and the column
+/// cuts into column blocks (pc on Grid2D, the single block {0, n} on a 1D
+/// kind). Rank r holds row block r / pc and column block r % pc. The kinds
+/// differ only in how they cut: even cuts for Block1D and both Grid2D
+/// axes, the degree-prefix greedy for DegreeBalanced1D, given cuts for
+/// from_cuts(). Every lookup is the same O(log p) search over one table
+/// (the distributed inner loop calls segment_slot() per edge endpoint).
+/// Cyclic1D, the one kind that is not contiguous, keeps its modular
+/// arithmetic and has no row cuts.
 class Partition {
  public:
-  /// Closed-form kinds only; DegreeBalanced1D needs the degree sequence —
-  /// construct it with degree_balanced() or make_partition().
-  Partition(PartitionKind kind, VertexId num_vertices, std::uint32_t ranks)
-      : kind_(kind), n_(num_vertices), p_(ranks) {
-    ATLC_CHECK(ranks > 0, "partition needs >= 1 rank");
-    ATLC_CHECK(kind != PartitionKind::DegreeBalanced1D,
-               "DegreeBalanced1D needs degrees: use Partition::"
-               "degree_balanced() or graph::make_partition()");
-    base_ = n_ / p_;
-    extra_ = n_ % p_;  // first `extra_` ranks own base_+1 vertices
-    if (kind == PartitionKind::Grid2D) {
-      // Largest divisor of p not exceeding floor(sqrt(p)) keeps the grid as
-      // square as p allows while using every rank (prime p -> 1 x p).
-      grid_rows_ = 1;
-      for (std::uint32_t d = 1; d * d <= p_; ++d)
-        if (p_ % d == 0) grid_rows_ = d;
-      grid_cols_ = p_ / grid_rows_;
-    }
-  }
+  /// Block1D, Cyclic1D and Grid2D, whose cuts follow from n and p alone.
+  /// DegreeBalanced1D needs the degree sequence: construct it with
+  /// degree_balanced() or make_partition().
+  Partition(PartitionKind kind, VertexId num_vertices, std::uint32_t ranks);
 
   /// DegreeBalanced1D factory: cut [0, n) into `ranks` contiguous ranges by
   /// greedy prefix sum over per-vertex weights — rank k takes vertices
@@ -88,6 +80,13 @@ class Partition {
   [[nodiscard]] static Partition degree_balanced(
       std::span<const VertexId> degrees, std::uint32_t ranks);
 
+  /// A 1D partition from explicit cuts: rank r owns [cuts[r], cuts[r+1]),
+  /// so p = cuts.size() - 1 and n = cuts.back(). The cuts must start at 0
+  /// and never decrease (equal cuts leave a rank empty). Its kind is
+  /// DegreeBalanced1D, the kind of every uneven 1D split; degree_balanced()
+  /// ends here, and so do TriC's edge-balanced blocks.
+  [[nodiscard]] static Partition from_cuts(std::vector<VertexId> cuts);
+
   [[nodiscard]] PartitionKind kind() const { return kind_; }
   [[nodiscard]] VertexId num_vertices() const { return n_; }
   [[nodiscard]] std::uint32_t num_ranks() const { return p_; }
@@ -95,7 +94,8 @@ class Partition {
   /// Grid shape (1x1 for every 1D kind, pr x pc for Grid2D).
   [[nodiscard]] std::uint32_t grid_rows() const { return grid_rows_; }
   [[nodiscard]] std::uint32_t grid_cols() const { return grid_cols_; }
-  /// Grid coordinates of a linearised rank id (rank = row * pc + col).
+  /// Grid coordinates of a linearised rank id (rank = row * pc + col). On
+  /// a 1D kind grid_col is 0 and grid_row is the rank itself.
   [[nodiscard]] std::uint32_t grid_row(std::uint32_t rank) const {
     return rank / grid_cols_;
   }
@@ -106,39 +106,51 @@ class Partition {
   /// Number of column blocks each adjacency row is split into. 1 for every
   /// 1D kind — the seam callers use to treat a whole row as the single
   /// segment and keep the 1D fast paths bit-identical.
-  [[nodiscard]] std::uint32_t col_blocks() const {
-    return kind_ == PartitionKind::Grid2D ? grid_cols_ : 1;
-  }
+  [[nodiscard]] std::uint32_t col_blocks() const { return grid_cols_; }
 
   /// Column block containing global vertex id v (always 0 for 1D kinds).
   [[nodiscard]] std::uint32_t col_block_of(VertexId v) const {
     ATLC_DCHECK(v < n_, "vertex out of range");
-    if (kind_ != PartitionKind::Grid2D) return 0;
-    return axis_block(n_, grid_cols_, v);
+    return cut_index(col_cuts_, v);
   }
 
   /// Half-open global-id range [first, last) of column block b. For 1D
   /// kinds block 0 covers the whole vertex range.
   [[nodiscard]] std::pair<VertexId, VertexId> col_block_range(
       std::uint32_t b) const {
-    if (kind_ != PartitionKind::Grid2D) {
-      ATLC_DCHECK(b == 0, "1D partitions have a single column block");
-      return {0, n_};
-    }
     ATLC_DCHECK(b < grid_cols_, "column block out of range");
-    return {axis_begin(n_, grid_cols_, b), axis_begin(n_, grid_cols_, b + 1)};
+    return {col_cuts_[b], col_cuts_[b + 1]};
+  }
+
+  /// The part of a sorted adjacency row whose ids fall in column block b
+  /// (the whole row on a 1D kind): the segment the rank in column b
+  /// stores.
+  [[nodiscard]] std::span<const VertexId> row_segment(
+      std::span<const VertexId> row, std::uint32_t b) const {
+    const auto [lo, hi] = col_block_range(b);
+    const auto first = std::lower_bound(row.begin(), row.end(), lo);
+    return {first, std::lower_bound(first, row.end(), hi)};
+  }
+
+  /// Where the column-block-b segment of v's adjacency row lives: its
+  /// rank and v's row slot there. One row-block search serves both, so a
+  /// fetch (which needs both) pays one.
+  struct Slot {
+    std::uint32_t rank;
+    VertexId local;
+  };
+  [[nodiscard]] Slot segment_slot(VertexId v, std::uint32_t b) const {
+    ATLC_DCHECK(v < n_ && b < grid_cols_, "segment out of range");
+    if (kind_ == PartitionKind::Cyclic1D) return {v % p_, v / p_};
+    const std::uint32_t r = cut_index(row_cuts_, v);
+    return {r * grid_cols_ + b, v - row_cuts_[r]};
   }
 
   /// Rank storing the column-block-b segment of v's adjacency row. For 1D
   /// kinds (b == 0) this is owner(v): whole rows live on the vertex owner.
   [[nodiscard]] std::uint32_t segment_owner(VertexId v,
                                             std::uint32_t b) const {
-    if (kind_ != PartitionKind::Grid2D) {
-      ATLC_DCHECK(b == 0, "1D partitions have a single column block");
-      return owner(v);
-    }
-    ATLC_DCHECK(v < n_ && b < grid_cols_, "segment out of range");
-    return axis_block(n_, grid_rows_, v) * grid_cols_ + b;
+    return segment_slot(v, b).rank;
   }
 
   /// Rank storing the segment of u's row that would contain neighbor v,
@@ -153,98 +165,79 @@ class Partition {
   /// with per-vertex bookkeeping (adjudication, hub skip pricing); note
   /// the home rank's stored segment is just one slice of v's row.
   [[nodiscard]] std::uint32_t owner(VertexId v) const {
-    ATLC_DCHECK(v < n_, "vertex out of range");
-    if (kind_ == PartitionKind::Cyclic1D) return v % p_;
-    if (kind_ == PartitionKind::DegreeBalanced1D) {
-      // First rank whose end cut exceeds v; empty ranges (cuts_[r] ==
-      // cuts_[r+1]) are skipped by upper_bound automatically.
-      const auto it = std::upper_bound(cuts_.begin() + 1, cuts_.end(), v);
-      return static_cast<std::uint32_t>(it - (cuts_.begin() + 1));
-    }
-    if (kind_ == PartitionKind::Grid2D)
-      return axis_block(n_, grid_rows_, v) * grid_cols_ +
-             axis_block(n_, grid_cols_, v);
-    // Block: the first `extra_` ranks own (base_+1) vertices each.
-    const VertexId cutoff = (base_ + 1) * extra_;
-    if (v < cutoff) return v / (base_ + 1);
-    return extra_ + (v - cutoff) / base_;
+    return edge_owner(v, v);
   }
 
-  /// Number of local row slots on `rank`. For both 1D closed-form kinds the
-  /// counts coincide: the first n%p ranks own one extra vertex (Block1D
-  /// front-loads them as blocks, Cyclic1D interleaves them). Under Grid2D
-  /// every rank of grid row r holds a (segment) slot for each vertex of row
-  /// block r, so the pc ranks of a grid row report the same size.
+  /// Number of local row slots on `rank`: the size of its row block.
+  /// Under Grid2D every rank of grid row r holds a (segment) slot for each
+  /// vertex of row block r, so the pc ranks of a grid row report the same
+  /// size. Cyclic1D gives the first n%p ranks one extra vertex, as the
+  /// even cuts of Block1D do.
   [[nodiscard]] VertexId part_size(std::uint32_t rank) const {
     ATLC_DCHECK(rank < p_, "rank out of range");
-    if (kind_ == PartitionKind::DegreeBalanced1D)
-      return cuts_[rank + 1] - cuts_[rank];
-    if (kind_ == PartitionKind::Grid2D) {
-      const std::uint32_t r = grid_row(rank);
-      return axis_begin(n_, grid_rows_, r + 1) - axis_begin(n_, grid_rows_, r);
-    }
-    return base_ + (rank < extra_ ? 1 : 0);
+    if (kind_ == PartitionKind::Cyclic1D)
+      return n_ / p_ + (rank < n_ % p_ ? 1 : 0);
+    const std::uint32_t r = grid_row(rank);
+    return row_cuts_[r + 1] - row_cuts_[r];
   }
 
   /// First global vertex owned by `rank` (contiguous kinds only; under
   /// Grid2D: first vertex of the rank's row block).
   [[nodiscard]] VertexId block_begin(std::uint32_t rank) const {
-    ATLC_DCHECK(kind_ != PartitionKind::Cyclic1D,
-                "block_begin: contiguous kinds only");
-    if (kind_ == PartitionKind::DegreeBalanced1D) return cuts_[rank];
-    if (kind_ == PartitionKind::Grid2D)
-      return axis_begin(n_, grid_rows_, grid_row(rank));
-    return rank < extra_ ? (base_ + 1) * rank
-                         : (base_ + 1) * extra_ + base_ * (rank - extra_);
+    ATLC_CHECK(kind_ != PartitionKind::Cyclic1D,
+               "block_begin: contiguous kinds only");
+    ATLC_DCHECK(rank < p_, "rank out of range");
+    return row_cuts_[grid_row(rank)];
   }
 
-  /// Local index of global vertex v on its owner rank.
+  /// Local index of global vertex v on its owner rank (the same row slot
+  /// on every rank of its grid row).
   [[nodiscard]] VertexId local_index(VertexId v) const {
-    if (kind_ == PartitionKind::Cyclic1D) return v / p_;
-    return v - block_begin(owner(v));
+    return segment_slot(v, 0).local;
   }
 
   /// Global id of local index `l` on `rank`.
   [[nodiscard]] VertexId global_id(std::uint32_t rank, VertexId l) const {
+    ATLC_DCHECK(rank < p_, "rank out of range");
     if (kind_ == PartitionKind::Cyclic1D) return l * p_ + rank;
-    return block_begin(rank) + l;
+    return row_cuts_[grid_row(rank)] + l;
   }
 
  private:
-  /// Closed-form Block1D arithmetic over one grid axis: split [0, n) into
-  /// `parts` contiguous ranges, the first n % parts ranges one longer
-  /// (exactly the Block1D remainder rule, reused for both grid axes).
-  [[nodiscard]] static VertexId axis_begin(VertexId n, std::uint32_t parts,
-                                           std::uint32_t r) {
-    const VertexId base = n / parts;
-    const VertexId extra = n % parts;
-    return r < extra ? (base + 1) * r : (base + 1) * extra + base * (r - extra);
+  /// Index of the block of `cuts` that holds v: the number of cuts after
+  /// the first that are <= v (std::upper_bound's answer). Equal cuts
+  /// (empty blocks) are skipped, so a vertex on a cut belongs to the block
+  /// that starts there. The halving step is a conditional move, not a
+  /// branch: the ids a fetch looks up are close to random, and
+  /// std::upper_bound's mispredicted branches made it 2-4x slower than
+  /// this loop (x86-64, GCC 12, -O2).
+  [[nodiscard]] static std::uint32_t cut_index(
+      const std::vector<VertexId>& cuts, VertexId v) {
+    const VertexId* const first = cuts.data() + 1;
+    const VertexId* base = first;
+    for (std::size_t len = cuts.size() - 1; len > 1;) {
+      const std::size_t half = len / 2;
+      base = base[half] <= v ? base + half : base;
+      len -= half;
+    }
+    return static_cast<std::uint32_t>(base - first) + (*base <= v ? 1 : 0);
   }
-  [[nodiscard]] static std::uint32_t axis_block(VertexId n,
-                                                std::uint32_t parts,
-                                                VertexId v) {
-    const VertexId base = n / parts;
-    const VertexId extra = n % parts;
-    const VertexId cutoff = (base + 1) * extra;
-    // base == 0 (n < parts) falls into the first branch: every v < cutoff.
-    if (v < cutoff) return static_cast<std::uint32_t>(v / (base + 1));
-    return static_cast<std::uint32_t>(extra + (v - cutoff) / base);
-  }
-
   PartitionKind kind_;
   VertexId n_;
   std::uint32_t p_;
-  VertexId base_;
-  VertexId extra_;
   std::uint32_t grid_rows_ = 1;  ///< pr (Grid2D; 1 for 1D kinds)
   std::uint32_t grid_cols_ = 1;  ///< pc (Grid2D; 1 for 1D kinds)
-  std::vector<VertexId> cuts_;  ///< p+1 range boundaries (DegreeBalanced1D)
+  /// Row-block boundaries: p+1 on a contiguous 1D kind, pr+1 on Grid2D,
+  /// empty on Cyclic1D.
+  std::vector<VertexId> row_cuts_;
+  /// Column-block boundaries: pc+1 on Grid2D, {0, n} on every 1D kind.
+  std::vector<VertexId> col_cuts_;
 };
 
-/// Build a partition of `g` for `ranks`: closed-form for Block1D/Cyclic1D,
-/// degree-prefix-sum cuts (fed from g's degree sequence) for
-/// DegreeBalanced1D. The one entry point drivers should use when the kind
-/// is runtime-selected.
+/// Build a partition of `g` for `ranks`: even cuts for Block1D and Grid2D,
+/// modular for Cyclic1D, degree-prefix-sum cuts (fed from g's degree
+/// sequence) for DegreeBalanced1D. The one entry point for a kind chosen
+/// at run time.
 [[nodiscard]] Partition make_partition(const CSRGraph& g, PartitionKind kind,
                                        std::uint32_t ranks);
 

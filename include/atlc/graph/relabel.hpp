@@ -8,7 +8,8 @@
 namespace atlc::graph {
 
 /// Deterministic pseudo-random permutation of 0..n-1 (Fisher–Yates driven by
-/// Xoshiro). Shared by `relabel_random` and the tests that must invert it.
+/// Xoshiro). Shared by `relabel_random`, `serve::ZipfSampler` and the tests
+/// that must invert it.
 [[nodiscard]] std::vector<VertexId> random_permutation(VertexId n,
                                                        std::uint64_t seed);
 

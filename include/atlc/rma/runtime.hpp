@@ -162,15 +162,12 @@ class RankCtx {
 
   /// Complete one pending get: advance the clock to its completion.
   void flush(GetHandle h);
-  /// Complete all pending gets issued by this rank (MPI_Win_flush_all).
-  void flush_all();
 
   /// Synchronising barrier: aligns all virtual clocks to the max + barrier
   /// cost. Used at setup/teardown only — the compute loop is barrier-free.
   void barrier();
 
   std::uint64_t allreduce_sum(std::uint64_t value);
-  double allreduce_max(double value);
 
   /// Blocking all-to-all of uint32 payloads (the TriC substrate). Entry i of
   /// the argument is sent to rank i; entry i of the result was sent by rank

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace atlc::util {
 
@@ -16,23 +15,12 @@ class Timer {
 
   Timer() : start_(Clock::now()) {}
 
-  /// Restart the timer; subsequent `elapsed_*` calls measure from here.
+  /// Restart the timer; subsequent `elapsed_s()` calls measure from here.
   void reset() { start_ = Clock::now(); }
 
   /// Seconds since construction or the last `reset()`.
   [[nodiscard]] double elapsed_s() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  /// Microseconds since construction or the last `reset()`.
-  [[nodiscard]] double elapsed_us() const { return elapsed_s() * 1e6; }
-
-  /// Nanoseconds since construction or the last `reset()`.
-  [[nodiscard]] std::uint64_t elapsed_ns() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start_)
-            .count());
   }
 
  private:

@@ -1,7 +1,5 @@
 #include "atlc/core/dist_graph.hpp"
 
-#include <algorithm>
-
 #include "atlc/util/check.hpp"
 
 namespace atlc::core {
@@ -27,21 +25,15 @@ DistGraph build_dist_graph(rma::RankCtx& ctx, const CSRGraph& global,
   } else {
     // Under Grid2D the rank's local CSR *is* the segment store: each row
     // slot keeps only the slice of the adjacency row whose neighbor ids
-    // fall in the rank's column block. 1D kinds take the whole row (the
-    // whole-range slice), so the build below is shared.
-    const auto [col_lo, col_hi] =
-        partition.col_block_range(partition.col_blocks() > 1
-                                      ? partition.grid_col(ctx.rank())
-                                      : 0);
+    // fall in the rank's column block. 1D kinds take the whole row (their
+    // one column block), so the build below is shared.
+    const std::uint32_t col = partition.grid_col(ctx.rank());
     dg.offsets.reserve(static_cast<std::size_t>(n_local) + 1);
     dg.offsets.push_back(0);
     for (VertexId lv = 0; lv < n_local; ++lv) {
-      const VertexId v = partition.global_id(ctx.rank(), lv);
-      const auto nbrs = global.neighbors(v);
-      // Rows are sorted, so the column-block restriction is a subrange.
-      const auto seg_lo = std::lower_bound(nbrs.begin(), nbrs.end(), col_lo);
-      const auto seg_hi = std::lower_bound(seg_lo, nbrs.end(), col_hi);
-      dg.adjacencies.insert(dg.adjacencies.end(), seg_lo, seg_hi);
+      const auto seg = partition.row_segment(
+          global.neighbors(partition.global_id(ctx.rank(), lv)), col);
+      dg.adjacencies.insert(dg.adjacencies.end(), seg.begin(), seg.end());
       dg.offsets.push_back(dg.adjacencies.size());
     }
   }

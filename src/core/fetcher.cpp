@@ -67,7 +67,7 @@ namespace {
 // (edge, block) item may be remote.
 std::size_t ring_slots(const EngineConfig& config, const DistGraph& dg) {
   ATLC_CHECK(config.pipeline_depth >= 1, "pipeline_depth must be at least 1");
-  return config.pipeline_depth * (dg.partition.col_blocks() > 1 ? 2 : 1);
+  return config.pipeline_depth * (dg.partition.col_blocks() == 1 ? 1 : 2);
 }
 
 }  // namespace
@@ -91,8 +91,7 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
                                                 std::uint32_t col_block) {
   const auto& part = dg_->partition;
   const bool segmented = part.col_blocks() > 1;
-  const auto owner = part.segment_owner(v, col_block);
-  const VertexId lv = part.local_index(v);
+  const auto [owner, lv] = part.segment_slot(v, col_block);
 
   Token t;
   if (owner == ctx_->rank()) {
@@ -111,16 +110,8 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
     if (const std::size_t slot = dg_->hubs.find(v);
         slot != graph::HubReplica::npos) {
       t.local = true;
-      auto row = dg_->hubs.neighbors_at(slot);
-      if (segmented) {
-        const auto [lo, hi] = part.col_block_range(col_block);
-        const auto* seg_lo = std::lower_bound(row.data(),
-                                              row.data() + row.size(), lo);
-        const auto* seg_hi =
-            std::lower_bound(seg_lo, row.data() + row.size(), hi);
-        row = {seg_lo, seg_hi};
-      }
-      t.local_span = row;
+      const auto row = dg_->hubs.neighbors_at(slot);
+      t.local_span = segmented ? part.row_segment(row, col_block) : row;
       t.degree = static_cast<VertexId>(t.local_span.size());
       ++ctx_->stats().hub_local_hits;
       ctx_->tracer().instant("hub_hit", {"v", v});

@@ -61,12 +61,6 @@ bool CSRGraph::has_edge(VertexId u, VertexId v) const {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-std::vector<VertexId> CSRGraph::in_degrees() const {
-  std::vector<VertexId> in(num_vertices(), 0);
-  for (VertexId v : adjacencies_) ++in[v];
-  return in;
-}
-
 bool CSRGraph::adjacency_sorted_unique() const {
   for (VertexId v = 0; v < num_vertices(); ++v) {
     const auto nbrs = neighbors(v);

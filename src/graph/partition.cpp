@@ -1,24 +1,71 @@
 #include "atlc/graph/partition.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "atlc/graph/csr.hpp"
+#include "atlc/util/even_split.hpp"
 
 namespace atlc::graph {
+
+namespace {
+
+/// The parts+1 even cuts of [0, n) (util::even_split).
+std::vector<VertexId> even_cuts(VertexId n, std::uint32_t parts) {
+  std::vector<VertexId> cuts(static_cast<std::size_t>(parts) + 1);
+  for (std::uint32_t i = 0; i <= parts; ++i)
+    cuts[i] = static_cast<VertexId>(util::even_split(n, parts, i).first);
+  return cuts;
+}
+
+}  // namespace
+
+Partition::Partition(PartitionKind kind, VertexId num_vertices,
+                     std::uint32_t ranks)
+    : kind_(kind), n_(num_vertices), p_(ranks) {
+  ATLC_CHECK(ranks > 0, "partition needs >= 1 rank");
+  ATLC_CHECK(kind != PartitionKind::DegreeBalanced1D,
+             "DegreeBalanced1D needs degrees: use Partition::"
+             "degree_balanced() or graph::make_partition()");
+  if (kind == PartitionKind::Grid2D) {
+    // Largest divisor of p not exceeding floor(sqrt(p)) keeps the grid as
+    // square as p allows while using every rank (prime p -> 1 x p).
+    for (std::uint32_t d = 1; d * d <= p_; ++d)
+      if (p_ % d == 0) grid_rows_ = d;
+    grid_cols_ = p_ / grid_rows_;
+  }
+  // A 1D kind has p row blocks (grid_cols_ == 1), Grid2D has pr.
+  if (kind != PartitionKind::Cyclic1D)
+    row_cuts_ = even_cuts(n_, p_ / grid_cols_);
+  col_cuts_ = even_cuts(n_, grid_cols_);
+}
+
+Partition Partition::from_cuts(std::vector<VertexId> cuts) {
+  ATLC_CHECK(cuts.size() >= 2 && cuts.front() == 0,
+             "partition cuts must start at 0 and bound >= 1 rank");
+  ATLC_CHECK(std::is_sorted(cuts.begin(), cuts.end()),
+             "partition cuts must not decrease");
+  // The Block1D constructor sets n, p, the 1x1 shape and the {0, n} column
+  // cuts; only the row cuts and the kind differ.
+  Partition p(PartitionKind::Block1D, cuts.back(),
+              static_cast<std::uint32_t>(cuts.size() - 1));
+  p.kind_ = PartitionKind::DegreeBalanced1D;
+  p.row_cuts_ = std::move(cuts);
+  return p;
+}
 
 Partition Partition::degree_balanced(std::span<const std::uint64_t> weights,
                                      std::uint32_t ranks) {
   const auto n = static_cast<VertexId>(weights.size());
-  Partition p(PartitionKind::Block1D, n, ranks);
-  p.kind_ = PartitionKind::DegreeBalanced1D;
-  p.cuts_.assign(static_cast<std::size_t>(ranks) + 1, n);
+  std::vector<VertexId> cuts(static_cast<std::size_t>(ranks) + 1, n);
 
   std::uint64_t remaining = 0;
   for (const std::uint64_t w : weights) remaining += w;
 
   VertexId i = 0;
   for (std::uint32_t r = 0; r < ranks; ++r) {
-    p.cuts_[r] = i;
+    cuts[r] = i;
     const std::uint32_t ranks_left = ranks - r;
     if (remaining == 0) {
       // Zero-weight tail (or an all-zero sequence): nothing left to
@@ -38,8 +85,7 @@ Partition Partition::degree_balanced(std::span<const std::uint64_t> weights,
     }
     remaining -= owned;
   }
-  p.cuts_[ranks] = n;
-  return p;
+  return from_cuts(std::move(cuts));
 }
 
 Partition Partition::degree_balanced(std::span<const VertexId> degrees,

@@ -11,26 +11,10 @@
 
 #include "atlc/graph/io.hpp"
 #include "atlc/util/check.hpp"
+#include "atlc/util/even_split.hpp"
 #include "atlc/util/timer.hpp"
 
 namespace atlc::ingest {
-
-#if !defined(ATLC_NO_OPENMP) && defined(_OPENMP)
-namespace {
-
-/// Split [0, n) into `parts` nearly-equal ranges; returns [begin, end) of
-/// range `idx` (same arithmetic as intersect/parallel.cpp's chunk()).
-std::pair<std::size_t, std::size_t> chunk(std::size_t n, int parts, int idx) {
-  const std::size_t base = n / static_cast<std::size_t>(parts);
-  const std::size_t extra = n % static_cast<std::size_t>(parts);
-  const auto i = static_cast<std::size_t>(idx);
-  const std::size_t begin = i * base + std::min(i, extra);
-  const std::size_t end = begin + base + (i < extra ? 1 : 0);
-  return {begin, end};
-}
-
-}  // namespace
-#endif
 
 void parallel_sort_edges(std::span<Edge> edges, int num_threads) {
 #if !defined(ATLC_NO_OPENMP) && defined(_OPENMP)
@@ -41,27 +25,26 @@ void parallel_sort_edges(std::span<Edge> edges, int num_threads) {
     std::sort(edges.begin(), edges.end());
     return;
   }
+  // Run k of an even split starts at run_begin(k); run_begin(threads) is
+  // the end.
+  const auto run_begin = [&](int k) {
+    const std::size_t at =
+        util::even_split(edges.size(), static_cast<std::size_t>(threads),
+                         static_cast<std::size_t>(k))
+            .first;
+    return edges.begin() + static_cast<std::ptrdiff_t>(at);
+  };
   // Per-thread sorted runs...
 #pragma omp parallel for num_threads(threads) schedule(static)
-  for (int t = 0; t < threads; ++t) {
-    const auto [begin, end] = chunk(edges.size(), threads, t);
-    std::sort(edges.begin() + static_cast<std::ptrdiff_t>(begin),
-              edges.begin() + static_cast<std::ptrdiff_t>(end));
-  }
+  for (int t = 0; t < threads; ++t) std::sort(run_begin(t), run_begin(t + 1));
   // ...merged pairwise: level `width` merges runs [i, i+width) with
   // [i+width, i+2*width), each pair disjoint, so the level parallelises.
   for (int width = 1; width < threads; width *= 2) {
 #pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
     for (int i = 0; i < threads; i += 2 * width) {
       if (i + width >= threads) continue;
-      const std::size_t lo = chunk(edges.size(), threads, i).first;
-      const std::size_t mid = chunk(edges.size(), threads, i + width).first;
-      const std::size_t hi =
-          chunk(edges.size(), threads, std::min(i + 2 * width, threads) - 1)
-              .second;
-      std::inplace_merge(edges.begin() + static_cast<std::ptrdiff_t>(lo),
-                         edges.begin() + static_cast<std::ptrdiff_t>(mid),
-                         edges.begin() + static_cast<std::ptrdiff_t>(hi));
+      std::inplace_merge(run_begin(i), run_begin(i + width),
+                         run_begin(std::min(i + 2 * width, threads)));
     }
   }
 #else

@@ -203,8 +203,7 @@ void SnapshotReader::read_slice(const Partition& partition, std::uint32_t rank,
 
   // Grid2D keeps only the neighbours in the rank's column block; every 1D
   // kind has one column block covering [0, n).
-  const auto [lo, hi] = partition.col_block_range(
-      partition.col_blocks() > 1 ? partition.grid_col(rank) : 0);
+  const auto [lo, hi] = partition.col_block_range(partition.grid_col(rank));
   const VertexId rows = partition.part_size(rank);
   std::uint64_t slots = 0;
   for (VertexId l = 0; l < rows; ++l)

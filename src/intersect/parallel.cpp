@@ -14,22 +14,9 @@ inline int omp_get_thread_num() { return 0; }
 
 #include <algorithm>
 
+#include "atlc/util/even_split.hpp"
+
 namespace atlc::intersect {
-
-namespace {
-
-/// Split [0, n) into `parts` nearly-equal chunks; returns [begin, end) of
-/// chunk `idx`.
-std::pair<std::size_t, std::size_t> chunk(std::size_t n, int parts, int idx) {
-  const std::size_t base = n / static_cast<std::size_t>(parts);
-  const std::size_t extra = n % static_cast<std::size_t>(parts);
-  const auto i = static_cast<std::size_t>(idx);
-  const std::size_t begin = i * base + std::min(i, extra);
-  const std::size_t end = begin + base + (i < extra ? 1 : 0);
-  return {begin, end};
-}
-
-}  // namespace
 
 std::uint64_t count_binary_parallel(std::span<const VertexId> a,
                                     std::span<const VertexId> b,
@@ -46,8 +33,9 @@ std::uint64_t count_binary_parallel(std::span<const VertexId> a,
     reduction(+ : total)
 #endif
   {
-    const auto [begin, end] =
-        chunk(a.size(), omp_get_num_threads(), omp_get_thread_num());
+    const auto [begin, end] = util::even_split(
+        a.size(), static_cast<std::size_t>(omp_get_num_threads()),
+        static_cast<std::size_t>(omp_get_thread_num()));
     total += count_binary(a.subspan(begin, end - begin), b);
   }
   return total;
@@ -69,8 +57,9 @@ std::uint64_t count_ssi_parallel(std::span<const VertexId> a,
     reduction(+ : total)
 #endif
   {
-    const auto [begin, end] =
-        chunk(b.size(), omp_get_num_threads(), omp_get_thread_num());
+    const auto [begin, end] = util::even_split(
+        b.size(), static_cast<std::size_t>(omp_get_num_threads()),
+        static_cast<std::size_t>(omp_get_thread_num()));
     if (begin < end) {
       const auto b_chunk = b.subspan(begin, end - begin);
       const auto lo = std::lower_bound(a.begin(), a.end(), b_chunk.front());

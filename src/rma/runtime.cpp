@@ -71,7 +71,6 @@ struct SharedState {
         bar(opts.ranks),
         clock_slots(opts.ranks, 0.0),
         u64_slots(opts.ranks, 0),
-        dbl_slots(opts.ranks, 0.0),
         a2a(opts.ranks) {}
 
   Runtime::Options opts;
@@ -82,7 +81,6 @@ struct SharedState {
 
   std::vector<double> clock_slots;
   std::vector<std::uint64_t> u64_slots;
-  std::vector<double> dbl_slots;
   std::vector<std::vector<std::vector<std::uint32_t>>> a2a;  // [src][dst]
 
   std::mutex error_mu;
@@ -169,8 +167,6 @@ void RankCtx::flush(GetHandle h) {
   if (h.complete_at > now_) charge_comm(h.complete_at - now_, "flush_wait");
 }
 
-void RankCtx::flush_all() { flush(GetHandle{nic_free_}); }
-
 WindowBase RankCtx::create_window_bytes(const void* data, std::uint64_t bytes,
                                         std::size_t elem_size) {
   auto& sh = *shared_;
@@ -248,17 +244,6 @@ std::uint64_t RankCtx::allreduce_sum(std::uint64_t value) {
     return net().time_barrier(num_ranks());
   });
   return sum;
-}
-
-double RankCtx::allreduce_max(double value) {
-  auto& sh = *shared_;
-  sh.dbl_slots[rank_] = value;
-  double result = 0.0;
-  rendezvous("allreduce", [&] {
-    result = *std::max_element(sh.dbl_slots.begin(), sh.dbl_slots.end());
-    return net().time_barrier(num_ranks());
-  });
-  return result;
 }
 
 std::vector<std::vector<std::uint32_t>> RankCtx::all_to_all(

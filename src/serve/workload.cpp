@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "atlc/graph/relabel.hpp"
 #include "atlc/stream/update.hpp"
 #include "atlc/util/check.hpp"
 
@@ -19,16 +20,10 @@ ZipfSampler::ZipfSampler(VertexId n, double skew, std::uint64_t seed) {
   const double total = cdf_.back();
   for (double& c : cdf_) c /= total;
 
-  // Seeded Fisher–Yates rank-to-vertex permutation: traffic skew must not
-  // accidentally coincide with degree skew (vertex ids correlate with
-  // degree in R-MAT output).
-  vertex_of_rank_.resize(n);
-  for (VertexId i = 0; i < n; ++i) vertex_of_rank_[i] = i;
-  util::Xoshiro256 rng(util::mix64(seed, 0x5a1fu));
-  for (VertexId i = n; i > 1; --i) {
-    const auto j = static_cast<VertexId>(rng.next_below(i));
-    std::swap(vertex_of_rank_[i - 1], vertex_of_rank_[j]);
-  }
+  // Seeded rank-to-vertex permutation: traffic skew must not accidentally
+  // coincide with degree skew (vertex ids correlate with degree in R-MAT
+  // output).
+  vertex_of_rank_ = graph::random_permutation(n, util::mix64(seed, 0x5a1fu));
 }
 
 VertexId ZipfSampler::sample(util::Xoshiro256& rng) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/intersect/intersect.hpp"
 #include "atlc/util/check.hpp"
@@ -34,18 +35,6 @@ namespace {
 /// 100-300 ns).
 constexpr double kTwoSidedEntryNs = 120.0;
 
-/// Vertex ownership under explicit block boundaries.
-struct BoundaryPartition {
-  std::vector<VertexId> bounds;  // size p+1
-
-  [[nodiscard]] std::uint32_t owner(VertexId v) const {
-    const auto it = std::upper_bound(bounds.begin() + 1, bounds.end(), v);
-    return static_cast<std::uint32_t>(it - bounds.begin() - 1);
-  }
-  [[nodiscard]] VertexId begin(std::uint32_t r) const { return bounds[r]; }
-  [[nodiscard]] VertexId end(std::uint32_t r) const { return bounds[r + 1]; }
-};
-
 struct RankState {
   std::uint64_t triangles = 0;
   std::vector<std::uint64_t> per_vertex;  // local vertices
@@ -61,7 +50,7 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
              "TriC counts triangles on undirected graphs");
   const VertexId n = g.num_vertices();
 
-  const BoundaryPartition part{balanced_boundaries(g, ranks)};
+  const auto part = graph::Partition::from_cuts(balanced_boundaries(g, ranks));
 
   TricResult out;
   out.per_vertex.assign(n, 0);
@@ -74,7 +63,8 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
   out.run = rma::Runtime::run(opts, [&](rma::RankCtx& ctx) {
     const std::uint32_t me = ctx.rank();
     const std::uint32_t p = ctx.num_ranks();
-    const VertexId lo = part.begin(me), hi = part.end(me);
+    const VertexId lo = part.block_begin(me);
+    const VertexId hi = lo + part.part_size(me);
 
     RankState st;
     st.per_vertex.assign(hi - lo, 0);
@@ -203,9 +193,8 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
 
   out.global_triangles = states.empty() ? 0 : states[0].triangles;
   for (std::uint32_t r = 0; r < ranks; ++r) {
-    const VertexId lo = part.begin(r);
     for (VertexId lv = 0; lv < states[r].per_vertex.size(); ++lv) {
-      const VertexId v = lo + lv;
+      const VertexId v = part.global_id(r, lv);
       out.per_vertex[v] = states[r].per_vertex[lv];
       // Distinct triangles -> undirected LCC (Eq. 2): 2*tri / d(d-1).
       out.lcc[v] = graph::lcc_score(2 * out.per_vertex[v], g.degree(v));

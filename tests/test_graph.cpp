@@ -188,13 +188,6 @@ TEST(Csr, HasEdge) {
   EXPECT_FALSE(g.has_edge(0, 5));
 }
 
-TEST(Csr, InDegreesMatchOutForUndirected) {
-  const CSRGraph g = CSRGraph::from_edges(paper_example());
-  const auto in = g.in_degrees();
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(in[v], g.degree(v)) << "vertex " << v;
-}
-
 TEST(Csr, CsrBytesAccountsBothArrays) {
   const CSRGraph g = CSRGraph::from_edges(paper_example());
   EXPECT_EQ(g.csr_bytes(), (g.num_vertices() + 1) * sizeof(EdgeIndex) +
@@ -595,10 +588,56 @@ TEST(Partition, CyclicSpreadsConsecutiveVertices) {
   EXPECT_EQ(part.owner(4), 0u);
 }
 
+TEST(Partition, EvenCutsFollowTheBlockRule) {
+  // Block1D's blocks and both Grid2D axes start part r of [0, n) at
+  // r*(n/parts) + min(r, n%parts), n < parts included: a rewrite of the
+  // cut tables must not move one boundary.
+  const auto start = [](VertexId n, std::uint32_t parts, std::uint32_t r) {
+    return r * (n / parts) + std::min<VertexId>(r, n % parts);
+  };
+  for (const VertexId n : {0u, 1u, 3u, 7u, 100u, 1023u})
+    for (const std::uint32_t p : {1u, 2u, 3u, 4u, 7u, 8u, 12u, 16u}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p);
+      const Partition block(PartitionKind::Block1D, n, p);
+      for (std::uint32_t r = 0; r < p; ++r)
+        ASSERT_EQ(block.block_begin(r), start(n, p, r)) << "rank " << r;
+      const Partition grid(PartitionKind::Grid2D, n, p);
+      const std::uint32_t pr = grid.grid_rows();
+      const std::uint32_t pc = grid.grid_cols();
+      for (std::uint32_t r = 0; r < pr; ++r)
+        for (std::uint32_t c = 0; c < pc; ++c)
+          ASSERT_EQ(grid.block_begin(r * pc + c), start(n, pr, r))
+              << "grid row " << r;
+      for (std::uint32_t b = 0; b < pc; ++b) {
+        const auto [lo, hi] = grid.col_block_range(b);
+        ASSERT_EQ(lo, start(n, pc, b)) << "column block " << b;
+        ASSERT_EQ(hi, start(n, pc, b + 1)) << "column block " << b;
+      }
+    }
+}
+
+TEST(Partition, BlockBeginRefusesCyclic) {
+  testsupport::use_threadsafe_death_tests();
+  const Partition part(PartitionKind::Cyclic1D, 100, 4);
+  EXPECT_DEATH((void)part.block_begin(1), "contiguous kinds only");
+}
+
+TEST(Partition, FromCutsOwnsEachRange) {
+  const Partition part = Partition::from_cuts({0, 4, 4, 9, 10});
+  EXPECT_EQ(part.kind(), PartitionKind::DegreeBalanced1D);
+  EXPECT_EQ(part.num_vertices(), 10u);
+  EXPECT_EQ(part.num_ranks(), 4u);
+  EXPECT_EQ(part.part_size(1), 0u);
+  EXPECT_EQ(part.owner(4), 2u);  // on a cut: the range that starts there
+  testsupport::use_threadsafe_death_tests();
+  EXPECT_DEATH((void)Partition::from_cuts({0, 5, 3}), "must not decrease");
+  EXPECT_DEATH((void)Partition::from_cuts({1, 5}), "start at 0");
+}
+
 // ------------------------------------------------- degree-balanced cuts ---
 
 /// Owner/local/global round trip + disjoint coverage, the same property
-/// PartitionProperty asserts for the closed-form kinds.
+/// PartitionProperty asserts for Block1D and Cyclic1D.
 void expect_partition_consistent(const Partition& part) {
   const VertexId n = part.num_vertices();
   std::vector<int> owner_count(n, 0);

@@ -785,7 +785,7 @@ TEST(SnapshotMutation, SeededByteMutationsFailCleanlyOrReadTrueSlices) {
         expect_atlc(ex);
       }
       for (const auto kind : kAllKinds) {
-        // Without a trusted graph only the closed-form kinds can be built.
+        // Without a trusted graph only the kinds cut from n and p can be built.
         if (!g && kind == graph::PartitionKind::DegreeBalanced1D) continue;
         const auto part =
             g ? graph::make_partition(*g, kind, ranks)

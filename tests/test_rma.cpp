@@ -310,22 +310,6 @@ TEST(VirtualTime, NicSerialisesConsecutiveGets) {
   });
 }
 
-TEST(VirtualTime, FlushAllCompletesEverything) {
-  Runtime::run(opts(2), [&](RankCtx& ctx) {
-    std::vector<std::uint32_t> local(4096, 1);
-    auto win = ctx.create_window<std::uint32_t>(local);
-    std::vector<std::uint32_t> buf(64);
-    for (int i = 0; i < 10; ++i)
-      (void)win.get(1 - ctx.rank(), i * 64, 64, buf.data());
-    ctx.flush_all();
-    const double after = ctx.now();
-    ctx.flush_all();  // idempotent: nothing pending
-    EXPECT_DOUBLE_EQ(ctx.now(), after);
-    EXPECT_EQ(ctx.stats().remote_gets, 10u);
-    ctx.barrier();
-  });
-}
-
 TEST(VirtualTime, DeterministicAcrossRuns) {
   auto run_once = [] {
     return Runtime::run(opts(4), [&](RankCtx& ctx) {
@@ -361,24 +345,16 @@ TEST(Collectives, AllreduceSum) {
   });
 }
 
-TEST(Collectives, AllreduceMax) {
-  Runtime::run(opts(4), [&](RankCtx& ctx) {
-    const double mx = ctx.allreduce_max(0.25 * ctx.rank());
-    EXPECT_DOUBLE_EQ(mx, 0.75);
-  });
-}
-
 TEST(Collectives, RepeatedBarriersStaySynchronised) {
-  Runtime::run(opts(3), [&](RankCtx& ctx) {
+  const auto r = Runtime::run(opts(3), [&](RankCtx& ctx) {
     for (int i = 0; i < 10; ++i) {
       ctx.charge_compute(ctx.rank() == 0 ? 1e-3 : 0.0);
       ctx.barrier();
     }
-    // All ranks end with identical clocks (max-sync each round).
-    const double before = ctx.now();
-    const double mx = ctx.allreduce_max(before);
-    EXPECT_DOUBLE_EQ(mx, before);
   });
+  // All ranks end with identical clocks (max-sync each round).
+  ASSERT_EQ(r.clocks.size(), 3u);
+  for (const double c : r.clocks) EXPECT_DOUBLE_EQ(c, r.clocks[0]);
 }
 
 // -------------------------------------------------------------- all_to_all ---

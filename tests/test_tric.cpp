@@ -6,6 +6,7 @@
 #include "atlc/core/lcc.hpp"
 #include "atlc/graph/clean.hpp"
 #include "atlc/graph/generators.hpp"
+#include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/tric/tric.hpp"
 #include "test_support.hpp"
@@ -110,6 +111,28 @@ TEST(BalancedBoundaries, EqualiseEdges) {
         max_part, offsets[bounds[r + 1]] - offsets[bounds[r]]);
   // No rank should own more than ~1.5x the average edge volume.
   EXPECT_LT(max_part, 1.5 * static_cast<double>(g.num_edges()) / 4.0);
+}
+
+TEST(BalancedBoundaries, PartitionOwnsExactlyEachBlock) {
+  // TriC's ownership is the Partition made from these cuts: rank r owns v
+  // iff bounds[r] <= v < bounds[r+1], also across empty blocks.
+  EdgeList star(9, {}, Directedness::Undirected);
+  for (VertexId leaf = 1; leaf < 9; ++leaf) star.add_edge(0, leaf);
+  star.symmetrize();
+  const std::pair<CSRGraph, std::uint32_t> cases[] = {
+      {rmat_graph(9, 8, 7), 1}, {rmat_graph(9, 8, 7), 3},
+      {rmat_graph(9, 8, 7), 16}, {CSRGraph::from_edges(star), 4}};
+  for (const auto& [g, ranks] : cases) {
+    SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+    const auto bounds = balanced_boundaries(g, ranks);
+    const auto part = graph::Partition::from_cuts(bounds);
+    ASSERT_EQ(part.num_ranks(), ranks);
+    ASSERT_EQ(part.num_vertices(), g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      for (std::uint32_t r = 0; r < ranks; ++r)
+        ASSERT_EQ(part.owner(v) == r, bounds[r] <= v && v < bounds[r + 1])
+            << "vertex " << v << " rank " << r;
+  }
 }
 
 // --------------------------------------------- paper comparison behaviour ---

@@ -495,8 +495,7 @@ TEST(Timer, MeasuresSomethingPositive) {
   Timer t;
   volatile double x = 0;
   for (int i = 0; i < 10000; ++i) x = x + i;
-  EXPECT_GT(t.elapsed_ns(), 0u);
-  EXPECT_GE(t.elapsed_us(), 0.0);
+  EXPECT_GT(t.elapsed_s(), 0.0);
 }
 
 }  // namespace
