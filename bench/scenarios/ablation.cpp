@@ -1,7 +1,8 @@
 // Ablations for the design decisions called out in DESIGN.md §4:
 //   D5: hybrid vs pure SSI vs pure binary inside the distributed engine;
 //   D7: Block1D vs Cyclic1D partitioning (paper cites [26] as the
-//       balance-improving alternative/future work);
+//       balance-improving alternative/future work; the Block1D row is
+//       D5's hybrid run);
 //   plus: CLaMPI adaptive hash resizing on vs off.
 // D6 (double buffering vs no overlap) is the k=2 vs k=1 pair of the
 // pipeline_depth scenario.
@@ -25,7 +26,9 @@ void run(bench::ScenarioContext& ctx) {
   const auto& g = ctx.graph("R-MAT-S21-EF16");
   std::printf("graph: %s, ranks=%u\n", bench::describe(g).c_str(), ranks);
 
-  // D5: intersection method inside the distributed engine.
+  // D5: intersection method inside the distributed engine. The hybrid arm
+  // is the default configuration on Block1D, so it is D7's Block 1D row too.
+  core::RunResult hybrid;
   {
     util::Table t({"Method", "makespan (s)"});
     for (auto m : {intersect::Method::Hybrid, intersect::Method::SSI,
@@ -35,6 +38,7 @@ void run(bench::ScenarioContext& ctx) {
       const auto r = ctx.run_lcc_trials(
           std::string("makespan/method/") + intersect::method_name(m), g,
           ranks, cfg);
+      if (m == intersect::Method::Hybrid) hybrid = r;
       t.add_row({intersect::method_name(m),
                  util::Table::fmt(r.run.makespan, 4)});
     }
@@ -48,9 +52,10 @@ void run(bench::ScenarioContext& ctx) {
     for (auto kind :
          {graph::PartitionKind::Block1D, graph::PartitionKind::Cyclic1D}) {
       const bool block = kind == graph::PartitionKind::Block1D;
-      const auto r = ctx.run_lcc_trials(
-          std::string("makespan/partition/") + (block ? "block1d" : "cyclic1d"),
-          g, ranks, {}, kind);
+      const core::RunResult r =
+          block ? hybrid
+                : ctx.run_lcc_trials("makespan/partition/cyclic1d", g, ranks,
+                                     {}, kind);
       t.add_row({block ? "Block 1D (paper)" : "Cyclic 1D [26]",
                  util::Table::fmt(r.run.makespan, 4),
                  util::Table::fmt(r.imbalance(), 3)});

@@ -122,8 +122,8 @@ void run(bench::ScenarioContext& ctx) {
     ctx.rec.add_table(title, t);
   }
   ctx.rec.add_note(
-      "HotVertexCache memoizes finished answers keyed (vertex, kind) with "
-      "epoch stamps; every update batch invalidates the touched "
+      "HotVertexCache memoizes finished answers keyed (vertex, kind); "
+      "every update batch invalidates the touched "
       "neighborhoods (stale misses), so the hit rate tracks traffic skew, "
       "cache budget, and update rate together");
 }

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "atlc/graph/edge_list.hpp"
 
 namespace atlc::graph {
@@ -24,10 +27,23 @@ struct CleanReport {
   VertexId vertices_removed = 0;
 };
 
-/// Run the Section II-B pipeline on `edges` in place. Degree<2 removal
-/// compacts the vertex id space (survivors are renumbered 0..n'-1).
-/// For undirected inputs, "degree" is the symmetric degree; for directed
-/// inputs a vertex is kept if deg+(v) + deg-(v) >= 2.
+/// clean_ids' id for a vertex the degree<2 pass removes.
+inline constexpr VertexId kRemovedVertex = static_cast<VertexId>(-1);
+
+/// The vertex half of the Section II-B policy, the one decision behind
+/// both clean() and the out-of-core ingest (ingest/pipeline.hpp).
+/// `degree[v]` is v's degree over the deduplicated, loop-free edges:
+/// out-degree on an undirected list (it stores both orientations), in + out
+/// on a directed one. Returns every vertex's final id, or kRemovedVertex:
+/// the one degree<2 pass numbers the n' survivors 0..n'-1 in id order, then
+/// a nonzero `relabel_seed` maps them through random_permutation(n', seed).
+[[nodiscard]] std::vector<VertexId> clean_ids(
+    std::span<const VertexId> degree, const CleanOptions& options);
+
+/// Run the Section II-B pipeline on `edges` in place: drop self loops and
+/// duplicates, then map every edge through clean_ids (dropping those with
+/// a removed endpoint). Edges keep their sorted pre-relabel order; the id
+/// space is compacted to the n' survivors.
 CleanReport clean(EdgeList& edges, const CleanOptions& options = {});
 
 }  // namespace atlc::graph

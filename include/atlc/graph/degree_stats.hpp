@@ -34,9 +34,4 @@ struct DegreeStats {
                                       const std::vector<std::uint64_t>& weights,
                                       double fraction);
 
-/// Reciprocity of a directed graph: fraction of edges whose reverse exists.
-/// (Paper Section III-B1 cites high reciprocity to argue Observation 3.2
-/// carries over to directed graphs.) Returns 1.0 for undirected graphs.
-[[nodiscard]] double reciprocity(const CSRGraph& g);
-
 }  // namespace atlc::graph

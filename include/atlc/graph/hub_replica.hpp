@@ -44,24 +44,18 @@ class HubReplica {
   [[nodiscard]] static HubReplica build(const CSRGraph& g, double fraction);
 
   [[nodiscard]] bool empty() const { return ids_.empty(); }
-  [[nodiscard]] std::size_t num_hubs() const { return ids_.size(); }
 
   /// Hub vertex ids, sorted ascending.
   [[nodiscard]] std::span<const VertexId> hub_ids() const { return ids_; }
 
-  /// Index of `v` among the hubs, or npos. O(log num_hubs).
+  /// Index of `v` among the hubs, or npos. O(log hubs).
   [[nodiscard]] std::size_t find(VertexId v) const;
-  [[nodiscard]] bool contains(VertexId v) const { return find(v) != npos; }
 
   /// Replicated adjacency row by hub slot (from find()). The span stays
   /// valid until the row is next mutated by apply().
   [[nodiscard]] std::span<const VertexId> neighbors_at(std::size_t slot) const {
     return rows_[slot];
   }
-
-  /// Payload size of the replica (the bytes a replication broadcast moves;
-  /// ids + rows).
-  [[nodiscard]] std::uint64_t replica_bytes() const;
 
   /// Streaming maintenance: merge one effective op into v's replica row.
   /// No-op (returns 0) when v is not a hub; otherwise returns the row

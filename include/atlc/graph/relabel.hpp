@@ -8,15 +8,10 @@
 namespace atlc::graph {
 
 /// Deterministic pseudo-random permutation of 0..n-1 (Fisher–Yates driven by
-/// Xoshiro). Shared by `relabel_random`, `serve::ZipfSampler` and the tests
-/// that must invert it.
+/// Xoshiro). Shared by `clean_ids` (the Section II-B relabel),
+/// `serve::ZipfSampler` and the tests that must invert it.
 [[nodiscard]] std::vector<VertexId> random_permutation(VertexId n,
                                                        std::uint64_t seed);
-
-/// Randomly relabel all vertex ids in `edges` (paper Section II-B: applied
-/// to degree-ordered inputs so 1D partitioning does not assign all the
-/// highest-degree vertices to one process).
-void relabel_random(EdgeList& edges, std::uint64_t seed);
 
 /// Apply an explicit permutation: new id of v is `perm[v]`.
 void relabel(EdgeList& edges, const std::vector<VertexId>& perm);

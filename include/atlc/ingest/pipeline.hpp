@@ -12,11 +12,12 @@ class TraceCollector;
 
 namespace atlc::ingest {
 
-/// Vertex-id relabeling applied after low-degree removal, mirroring
-/// graph::clean(): `Random` is relabel_random(seed) (paper Section II-B,
-/// what atlc_run applies by default), `DegreeDescending` assigns ids by
-/// descending degree (useful as a DODG-friendly ordering), `None` keeps the
-/// compacted first-appearance ids.
+/// Vertex-id relabeling applied after low-degree removal: `Random` is
+/// graph::clean_ids' seeded relabel (paper Section II-B, what atlc_run
+/// applies by default; seed 0 relabels nothing, as in graph::clean),
+/// `DegreeDescending` re-ranks clean_ids' survivors by descending
+/// pre-filter degree, ties by id (useful as a DODG-friendly ordering),
+/// `None` keeps the compacted first-appearance ids.
 enum class RelabelMode : std::uint8_t { None, Random, DegreeDescending };
 
 struct IngestOptions {

@@ -14,13 +14,14 @@
 // out, which is exactly the behaviour that protects Zipf-head vertices.
 //
 // Consistency reuses the CLaMPI stale-hit-as-miss discipline from the
-// rma/clampi windows: entries are epoch-stamped, the engine marks entries
-// whose memo a committed batch may have changed (endpoint-or-neighbor
-// predicate, DESIGN.md §13), and a probe that lands on a stale entry
-// counts a stale miss and erases it. The cache never returns data from a
-// previous epoch, so hot-cache on/off is answer-invariant — the parity
-// matrix in tests/test_serve.cpp enforces that, and the fuzz test in the
-// same file drives this class against a map-based reference model.
+// rma/clampi windows: entries carry no epoch stamp, only a stale flag. The
+// engine marks entries whose memo a committed batch may have changed
+// (endpoint-or-neighbor predicate, DESIGN.md §13), and a probe that lands
+// on a stale entry counts a stale miss and erases it. The cache never
+// returns data from a previous epoch, so hot-cache on/off is
+// answer-invariant — the parity matrix in tests/test_serve.cpp enforces
+// that, and the fuzz test in the same file drives this class against a
+// map-based reference model.
 //
 // Distinct from the two resident tiers below it: HubReplica (PR 5) is
 // degree-skew keyed and replicates raw rows at build time; the CLaMPI
@@ -107,10 +108,6 @@ class HotVertexCache {
   void insert_topk(VertexId v, QueryKind kind, std::uint32_t k,
                    std::vector<Recommendation> topk);
 
-  /// Stamp subsequently inserted entries with `epoch` (after a batch
-  /// commit). Entries from earlier epochs stay valid unless invalidated.
-  void begin_epoch(std::uint32_t epoch) { epoch_ = epoch; }
-
   /// Mark every live entry whose vertex satisfies `stale_pred` as stale.
   /// Called between batch adjudication and row application so the
   /// predicate can consult pre-batch neighborhoods (DESIGN.md §13). The
@@ -128,9 +125,6 @@ class HotVertexCache {
     }
   }
 
-  /// Convenience form over a sorted, deduplicated vertex list.
-  void invalidate(std::span<const VertexId> sorted_vertices);
-
   [[nodiscard]] const HotCacheStats& stats() const { return stats_; }
   [[nodiscard]] const HotCacheConfig& config() const { return config_; }
   [[nodiscard]] std::size_t live_entries() const;
@@ -139,8 +133,7 @@ class HotVertexCache {
   struct Entry {
     VertexId v = 0;
     QueryKind kind = QueryKind::Lcc;
-    std::uint32_t k = 0;      ///< memo depth for TopK kinds
-    std::uint32_t epoch = 0;  ///< stamp at insert time
+    std::uint32_t k = 0;  ///< memo depth for TopK kinds
     std::int32_t freq = 0;
     bool used = false;
     bool stale = false;
@@ -156,7 +149,6 @@ class HotVertexCache {
   std::size_t num_buckets_ = 0;
   std::vector<Entry> slots_;
   HotCacheStats stats_;
-  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace atlc::serve

@@ -1,48 +1,26 @@
 #include "atlc/graph/clean.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <vector>
 
 #include "atlc/graph/relabel.hpp"
 
 namespace atlc::graph {
 
-namespace {
-
-/// One pass of degree<2 removal. Returns the number of removed vertices and
-/// compacts ids. Degree counts both orientations so that directed inputs
-/// keep vertices involved in any triangle-capable pattern.
-VertexId remove_low_degree_once(EdgeList& edges) {
-  const VertexId n = edges.num_vertices();
-  std::vector<VertexId> degree(n, 0);
-  for (const Edge& e : edges.edges()) {
-    ++degree[e.u];
-    if (edges.directedness() == Directedness::Directed) ++degree[e.v];
-  }
-  // Undirected edge lists store both orientations, so out-degree alone is
-  // already the symmetric degree.
-
-  std::vector<VertexId> remap(n, 0);
+std::vector<VertexId> clean_ids(std::span<const VertexId> degree,
+                                const CleanOptions& options) {
+  std::vector<VertexId> ids(degree.size());
   VertexId next = 0;
-  for (VertexId v = 0; v < n; ++v)
-    remap[v] = degree[v] >= 2 ? next++ : static_cast<VertexId>(-1);
-  const VertexId removed = n - next;
-  if (removed == 0) return 0;
-
-  std::erase_if(edges.edges(), [&](const Edge& e) {
-    return remap[e.u] == static_cast<VertexId>(-1) ||
-           remap[e.v] == static_cast<VertexId>(-1);
-  });
-  for (Edge& e : edges.edges()) {
-    e.u = remap[e.u];
-    e.v = remap[e.v];
+  for (std::size_t v = 0; v < degree.size(); ++v)
+    ids[v] = !options.remove_degree_lt2 || degree[v] >= 2 ? next++
+                                                          : kRemovedVertex;
+  if (options.relabel_seed != 0) {
+    const std::vector<VertexId> perm =
+        random_permutation(next, options.relabel_seed);
+    for (VertexId& id : ids)
+      if (id != kRemovedVertex) id = perm[id];
   }
-  edges.set_num_vertices(next);
-  return removed;
+  return ids;
 }
-
-}  // namespace
 
 CleanReport clean(EdgeList& edges, const CleanOptions& options) {
   CleanReport report;
@@ -55,13 +33,25 @@ CleanReport clean(EdgeList& edges, const CleanOptions& options) {
   edges.sort_and_dedup();
   report.multi_edges_removed = before - edges.num_edges();
 
-  if (options.remove_degree_lt2)
-    report.vertices_removed = remove_low_degree_once(edges);
-
-  if (options.relabel_seed != 0) {
-    relabel_random(edges, options.relabel_seed);
+  const bool directed = edges.directedness() == Directedness::Directed;
+  std::vector<VertexId> degree(edges.num_vertices(), 0);
+  for (const Edge& e : edges.edges()) {
+    ++degree[e.u];
+    if (directed) ++degree[e.v];
   }
+  const std::vector<VertexId> ids = clean_ids(degree, options);
 
+  std::vector<Edge>& list = edges.edges();
+  std::size_t kept = 0;
+  for (const Edge& e : list) {
+    const Edge mapped{ids[e.u], ids[e.v]};
+    if (mapped.u != kRemovedVertex && mapped.v != kRemovedVertex)
+      list[kept++] = mapped;
+  }
+  list.resize(kept);
+  report.vertices_removed = static_cast<VertexId>(
+      std::count(ids.begin(), ids.end(), kRemovedVertex));
+  edges.set_num_vertices(edges.num_vertices() - report.vertices_removed);
   return report;
 }
 

@@ -69,15 +69,4 @@ double top_degree_share(const CSRGraph& g,
   return static_cast<double>(top_sum) / static_cast<double>(total);
 }
 
-double reciprocity(const CSRGraph& g) {
-  if (g.directedness() == Directedness::Undirected) return 1.0;
-  if (g.num_edges() == 0) return 0.0;
-  std::uint64_t reciprocated = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u)
-    for (VertexId v : g.neighbors(u))
-      if (g.has_edge(v, u)) ++reciprocated;
-  return static_cast<double>(reciprocated) /
-         static_cast<double>(g.num_edges());
-}
-
 }  // namespace atlc::graph

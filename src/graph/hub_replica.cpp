@@ -35,12 +35,6 @@ std::size_t HubReplica::find(VertexId v) const {
   return static_cast<std::size_t>(it - ids_.begin());
 }
 
-std::uint64_t HubReplica::replica_bytes() const {
-  std::uint64_t bytes = ids_.size() * sizeof(VertexId);
-  for (const auto& row : rows_) bytes += row.size() * sizeof(VertexId);
-  return bytes;
-}
-
 std::uint64_t HubReplica::apply(VertexId v, VertexId nbr, bool insert) {
   const std::size_t slot = find(v);
   if (slot == npos) return 0;

@@ -27,8 +27,4 @@ void relabel(EdgeList& edges, const std::vector<VertexId>& perm) {
   }
 }
 
-void relabel_random(EdgeList& edges, std::uint64_t seed) {
-  relabel(edges, random_permutation(edges.num_vertices(), seed));
-}
-
 }  // namespace atlc::graph

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <memory>
-#include <numeric>
 #include <vector>
 
+#include "atlc/graph/clean.hpp"
 #include "atlc/graph/io.hpp"
-#include "atlc/graph/relabel.hpp"
 #include "atlc/ingest/external_sorter.hpp"
 #include "atlc/ingest/snapshot.hpp"
 #include "atlc/obs/trace.hpp"
@@ -25,8 +23,6 @@ namespace atlc::ingest {
 namespace {
 
 using graph::Directedness;
-
-constexpr VertexId kRemoved = static_cast<VertexId>(-1);
 
 int resolve_threads(int requested) {
 #ifdef ATLC_INGEST_OMP
@@ -87,20 +83,34 @@ void ingest_text(const std::string& input, const IngestOptions& opt,
   rep.vertices_in = intern.size();
 }
 
+/// What for_each_clean's filter dropped.
+struct Dropped {
+  std::uint64_t self_loops = 0;
+  std::uint64_t duplicates = 0;
+};
+
 /// Replay `sorter`'s merged stream with the dedup/self-loop filter applied
-/// (the fused sort_and_dedup + remove_self_loops), visiting surviving edges
-/// in strictly increasing order.
+/// (the fused remove_self_loops + sort_and_dedup of graph::clean),
+/// visiting surviving edges in strictly increasing order.
 template <typename Visit>
-void for_each_clean(const ExternalEdgeSorter& sorter, Visit&& visit) {
+Dropped for_each_clean(const ExternalEdgeSorter& sorter, Visit&& visit) {
+  Dropped dropped;
   Edge prev{0, 0};
   bool first = true;
   sorter.for_each_sorted([&](const Edge& e) {
-    if (e.u == e.v) return;
-    if (!first && e == prev) return;
+    if (e.u == e.v) {
+      ++dropped.self_loops;
+      return;
+    }
+    if (!first && e == prev) {
+      ++dropped.duplicates;
+      return;
+    }
     prev = e;
     first = false;
     visit(e);
   });
+  return dropped;
 }
 
 }  // namespace
@@ -141,110 +151,73 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   const VertexId n0 = rep.vertices_in;
 
   // ---- Pass A: merged replay -> dedup stats + degree counts. ------------
-  // deg_filter replicates remove_low_degree_once's count (u always, v only
-  // when directed).
+  // The degrees graph::clean_ids takes: out-degree on the symmetrized
+  // undirected stream, in + out on a directed one.
   tracer.begin("merge_degree");
   util::Timer merge_timer;
-  std::vector<VertexId> deg_filter(n0, 0);
+  std::vector<VertexId> degree(n0, 0);
   std::uint64_t m_clean = 0;
-  {
-    Edge prev{0, 0};
-    bool first = true;
-    raw.for_each_sorted([&](const Edge& e) {
-      if (e.u == e.v) {
-        ++rep.self_loops_removed;
-        return;
-      }
-      if (!first && e == prev) {
-        ++rep.duplicates_removed;
-        return;
-      }
-      prev = e;
-      first = false;
-      ++m_clean;
-      ++deg_filter[e.u];
-      if (opt.directedness == Directedness::Directed) ++deg_filter[e.v];
-    });
-  }
-
-  // Low-degree removal (one pass, matching CleanOptions defaults):
-  // survivors renumbered in id order — remove_low_degree_once's `next++`.
-  std::vector<VertexId> remap(n0, kRemoved);
-  std::vector<VertexId> orig_of(n0);
-  VertexId n1 = 0;
-  for (VertexId v = 0; v < n0; ++v) {
-    const bool keep = !opt.remove_degree_lt2 || deg_filter[v] >= 2;
-    if (keep) {
-      orig_of[n1] = v;
-      remap[v] = n1++;
-    }
-  }
-  orig_of.resize(n1);
-  rep.vertices_removed = n0 - n1;
-  rep.num_vertices = n1;
+  const Dropped dropped = for_each_clean(raw, [&](const Edge& e) {
+    ++m_clean;
+    ++degree[e.u];
+    if (opt.directedness == Directedness::Directed) ++degree[e.v];
+  });
+  rep.self_loops_removed = dropped.self_loops;
+  rep.duplicates_removed = dropped.duplicates;
   tracer.end("merge_degree");
   tracer.begin("map_relabel");
 
-  // Relabel permutation over the compacted survivor ids.
-  std::vector<VertexId> perm;
-  switch (opt.relabel) {
-    case RelabelMode::None:
-      break;
-    case RelabelMode::Random:
-      perm = graph::random_permutation(n1, opt.relabel_seed);
-      break;
-    case RelabelMode::DegreeDescending: {
-      // Keyed on pre-filter degrees (the post-filter ones depend on which
-      // edges survive, which depends on this very relabel for nothing —
-      // ids never change degrees — but pre-filter is the stable choice and
-      // is what a DODG orientation wants). Compact ids preserve original
-      // id order, so comparing them breaks ties by first appearance.
-      std::vector<VertexId> order(n1);
-      std::iota(order.begin(), order.end(), VertexId{0});
-      std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-        const VertexId da = deg_filter[orig_of[a]];
-        const VertexId db = deg_filter[orig_of[b]];
-        return da != db ? da > db : a < b;
-      });
-      perm.resize(n1);
-      for (VertexId i = 0; i < n1; ++i) perm[order[i]] = i;
-      break;
-    }
+  // Section II-B's vertex policy, shared with graph::clean: one degree<2
+  // pass, then the seeded relabel (RelabelMode::Random; seed 0 = none).
+  std::vector<VertexId> ids = graph::clean_ids(
+      degree, {.remove_degree_lt2 = opt.remove_degree_lt2,
+               .relabel_seed = opt.relabel == RelabelMode::Random
+                                   ? opt.relabel_seed
+                                   : 0});
+  const auto n1 = static_cast<VertexId>(
+      n0 - std::count(ids.begin(), ids.end(), graph::kRemovedVertex));
+  rep.vertices_removed = n0 - n1;
+  rep.num_vertices = n1;
+  if (opt.relabel == RelabelMode::DegreeDescending) {
+    // Re-rank the survivors by descending pre-filter degree (the stable
+    // choice, and what a DODG orientation wants), ties by id, i.e. by
+    // first appearance.
+    std::vector<VertexId> order;
+    order.reserve(n1);
+    for (VertexId v = 0; v < n0; ++v)
+      if (ids[v] != graph::kRemovedVertex) order.push_back(v);
+    std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+      return degree[a] != degree[b] ? degree[a] > degree[b] : a < b;
+    });
+    for (VertexId i = 0; i < n1; ++i) ids[order[i]] = i;
   }
 
-  // ---- Pass B: build the final sorted stream. ---------------------------
-  // Identity fast path: nothing removed and no relabel means the clean
-  // stream from pass A *is* the final stream — replay it instead of paying
-  // a second sort. Otherwise map every surviving edge and re-sort (the
-  // relabel scrambles lexicographic order).
-  const bool identity = rep.vertices_removed == 0 && perm.empty();
-  std::unique_ptr<ExternalEdgeSorter> mapped;
-  if (!identity) {
-    mapped = std::make_unique<ExternalEdgeSorter>(
-        prefix + ".mapped", opt.mem_budget_bytes, threads);
+  // ---- Pass B: map every surviving edge through `ids` and re-sort (the
+  // relabel scrambles lexicographic order). ------------------------------
+  ExternalEdgeSorter mapped(prefix + ".mapped", opt.mem_budget_bytes,
+                            threads);
+  {
     std::vector<Edge> batch;
     batch.reserve(std::size_t{1} << 15);
     for_each_clean(raw, [&](const Edge& e) {
-      const VertexId cu = remap[e.u];
-      const VertexId cv = remap[e.v];
-      if (cu == kRemoved || cv == kRemoved) return;
-      const Edge fe = perm.empty() ? Edge{cu, cv} : Edge{perm[cu], perm[cv]};
+      const Edge fe{ids[e.u], ids[e.v]};
+      if (fe.u == graph::kRemovedVertex || fe.v == graph::kRemovedVertex)
+        return;
       batch.push_back(fe);
       if (batch.size() == batch.capacity()) {
-        mapped->add(batch);
+        mapped.add(batch);
         batch.clear();
       }
     });
-    mapped->add(batch);
-    // Drop stage-A storage before stage B's spill replays peak; capture the
-    // stats first (clear() resets the run list).
-    rep.spill_runs = raw.spill_runs();
-    rep.sort_seconds = raw.sort_seconds();
-    raw.clear();
-    mapped->finish();
+    mapped.add(batch);
   }
-  rep.merge_seconds = merge_timer.elapsed_s() -
-                      (identity ? 0.0 : mapped->sort_seconds());
+  // Drop stage-A storage before stage B's spill replays peak; capture the
+  // stats first (clear() resets the run list).
+  rep.spill_runs = raw.spill_runs();
+  rep.sort_seconds = raw.sort_seconds();
+  raw.clear();
+  mapped.finish();
+  rep.merge_seconds = merge_timer.elapsed_s() - mapped.sort_seconds();
   tracer.end("map_relabel");
 
   // ---- Stage 3: emit the snapshot. --------------------------------------
@@ -252,11 +225,7 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   util::Timer write_timer;
   {
     SnapshotWriter writer(output, n1, opt.directedness);
-    const auto append = [&](const Edge& e) { writer.append(e); };
-    if (identity)
-      for_each_clean(raw, append);
-    else
-      mapped->for_each_sorted(append);
+    mapped.for_each_sorted([&](const Edge& e) { writer.append(e); });
     writer.finalize();
     rep.num_edges = writer.num_edges();
     rep.edge_checksum = writer.edge_checksum();
@@ -265,16 +234,11 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   rep.write_seconds = write_timer.elapsed_s();
   tracer.end("write_snapshot");
   tracer.unbind();
-  ATLC_CHECK(!identity || rep.num_edges == m_clean,
-             "identity path must emit every cleaned edge");
+  ATLC_CHECK(rep.vertices_removed != 0 || rep.num_edges == m_clean,
+             "with no vertex removed, every cleaned edge must be emitted");
 
-  if (identity) {
-    rep.spill_runs = raw.spill_runs();
-    rep.sort_seconds = raw.sort_seconds();
-  } else {
-    rep.spill_runs += mapped->spill_runs();
-    rep.sort_seconds += mapped->sort_seconds();
-  }
+  rep.spill_runs += mapped.spill_runs();
+  rep.sort_seconds += mapped.sort_seconds();
   rep.parse_sort_seconds = rep.parse_seconds + rep.sort_seconds;
   rep.snapshot_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(output));

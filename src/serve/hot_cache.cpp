@@ -80,7 +80,6 @@ void HotVertexCache::insert_entry(VertexId v, QueryKind kind, std::uint32_t k,
     Entry& e = slots_[base + w];
     if (e.used && e.v == v && e.kind == kind) {
       e.k = k;
-      e.epoch = epoch_;
       e.stale = false;
       e.lcc = lcc;
       e.topk = std::move(topk);
@@ -90,46 +89,37 @@ void HotVertexCache::insert_entry(VertexId v, QueryKind kind, std::uint32_t k,
     }
   }
 
-  // Empty (or stale — reclaim eagerly) slot: lowest index wins.
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    Entry& e = slots_[base + w];
-    if (e.used && !e.stale) continue;
-    e = Entry{};
-    e.used = true;
-    e.v = v;
-    e.kind = kind;
-    e.k = k;
-    e.epoch = epoch_;
-    e.freq = 1;
-    e.lcc = lcc;
-    e.topk = std::move(topk);
-    ++stats_.inserts;
-    return;
+  // Empty (or stale — reclaim eagerly) slot: lowest index wins. Otherwise
+  // the full bucket runs IdxCache frequency-decrement: the deterministic
+  // victim is the minimum-frequency entry, lowest slot index on ties, and
+  // only a victim already at frequency zero is replaced.
+  std::size_t slot = 0;
+  while (slot < config_.ways && slots_[base + slot].used &&
+         !slots_[base + slot].stale)
+    ++slot;
+  if (slot == config_.ways) {
+    slot = 0;
+    for (std::size_t w = 1; w < config_.ways; ++w) {
+      if (slots_[base + w].freq < slots_[base + slot].freq) slot = w;
+    }
+    Entry& ve = slots_[base + slot];
+    if (ve.freq > 0) {
+      --ve.freq;
+      ++stats_.decrements;
+      ++stats_.rejects;  // incoming entry turned away this time
+      return;
+    }
+    ++stats_.evictions;
   }
-
-  // Full bucket: IdxCache frequency-decrement. Deterministic victim = the
-  // minimum-frequency entry, lowest slot index on ties.
-  std::size_t victim = 0;
-  for (std::size_t w = 1; w < config_.ways; ++w) {
-    if (slots_[base + w].freq < slots_[base + victim].freq) victim = w;
-  }
-  Entry& ve = slots_[base + victim];
-  if (ve.freq > 0) {
-    --ve.freq;
-    ++stats_.decrements;
-    ++stats_.rejects;  // incoming entry turned away this time
-    return;
-  }
-  ve = Entry{};
-  ve.used = true;
-  ve.v = v;
-  ve.kind = kind;
-  ve.k = k;
-  ve.epoch = epoch_;
-  ve.freq = 1;
-  ve.lcc = lcc;
-  ve.topk = std::move(topk);
-  ++stats_.evictions;
+  Entry& e = slots_[base + slot];
+  e = Entry{};
+  e.used = true;
+  e.v = v;
+  e.kind = kind;
+  e.k = k;
+  e.freq = 1;
+  e.lcc = lcc;
+  e.topk = std::move(topk);
   ++stats_.inserts;
 }
 
@@ -141,13 +131,6 @@ void HotVertexCache::insert_topk(VertexId v, QueryKind kind, std::uint32_t k,
                                  std::vector<Recommendation> topk) {
   ATLC_CHECK(kind != QueryKind::Lcc, "insert_topk: kind must be a TopK kind");
   insert_entry(v, kind, k, 0.0, std::move(topk));
-}
-
-void HotVertexCache::invalidate(std::span<const VertexId> sorted_vertices) {
-  invalidate_if([&](VertexId v) {
-    return std::binary_search(sorted_vertices.begin(), sorted_vertices.end(),
-                              v);
-  });
 }
 
 std::size_t HotVertexCache::live_entries() const {

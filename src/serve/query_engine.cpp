@@ -25,18 +25,17 @@ namespace {
 
 /// Ordering contract of query.hpp: score descending, id ascending on ties.
 /// Total order over distinct candidates, so the selection is unique and
-/// independent of the order `all` lists them in.
-std::vector<Recommendation> select_topk(std::vector<Recommendation> all,
+/// independent of the order `all` lists them in. The answer is exactly k
+/// (or |all|) long in capacity too: answers outlive their queries.
+std::vector<Recommendation> select_topk(std::span<const Recommendation> all,
                                         std::uint32_t k) {
-  const auto kk = std::min<std::size_t>(k, all.size());
-  std::partial_sort(all.begin(),
-                    all.begin() + static_cast<std::ptrdiff_t>(kk), all.end(),
-                    [](const Recommendation& a, const Recommendation& b) {
-                      return a.score > b.score ||
-                             (a.score == b.score && a.v < b.v);
-                    });
-  all.resize(kk);
-  return all;
+  std::vector<Recommendation> top(std::min<std::size_t>(k, all.size()));
+  std::partial_sort_copy(all.begin(), all.end(), top.begin(), top.end(),
+                         [](const Recommendation& a, const Recommendation& b) {
+                           return a.score > b.score ||
+                                  (a.score == b.score && a.v < b.v);
+                         });
+  return top;
 }
 
 /// Per-rank sparse accumulator for the engine's top-k queries: a dense
@@ -91,7 +90,7 @@ class CandidateScores {
     touched_.clear();
     state_[v_] = kFree;
     for (const VertexId u : adj_v_) state_[u] = kFree;
-    return select_topk(std::move(all), k);
+    return select_topk(all, k);
   }
 
  private:
@@ -320,7 +319,6 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
             std::max<std::size_t>(touched.size(), 2)));
         local_rows = applier.apply_to_rows(eff);  // refreshes both windows
       }
-      hot.begin_epoch(static_cast<std::uint32_t>(e) + 1);
       const std::uint64_t rows_total =
           eff.empty() ? 0 : ctx.allreduce_sum(local_rows);
       ctx.tracer().end("update");
@@ -409,7 +407,7 @@ QueryAnswer answer_reference(const graph::CSRGraph& g, const Query& q) {
   std::vector<Recommendation> all;
   all.reserve(scores.size());
   for (const auto& [c, s] : scores) all.push_back({c, s});
-  a.topk = select_topk(std::move(all), q.k);
+  a.topk = select_topk(all, q.k);
   return a;
 }
 

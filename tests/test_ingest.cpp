@@ -347,6 +347,23 @@ TEST(Ingest, RelabelNoneMatchesSeedZeroClean) {
       /*seed=*/0);
 }
 
+TEST(Ingest, RandomSeedZeroMatchesSeedZeroClean) {
+  // graph::clean_ids is the one seed rule: seed 0 relabels nothing, also
+  // under RelabelMode::Random.
+  const auto raw = raw_rmat(8, 8, 27);
+  const std::string text = tmp_path("seed0.txt");
+  testsupport::save_every_edge(raw, text);
+
+  const std::string snap = tmp_path("seed0.snap");
+  ingest::IngestOptions opt;
+  opt.relabel = ingest::RelabelMode::Random;
+  opt.relabel_seed = 0;
+  (void)ingest::run_ingest(text, snap, opt);
+  expect_snapshot_equals(
+      snap, graph::load_text_edges(text, Directedness::Undirected),
+      /*seed=*/0);
+}
+
 TEST(Ingest, DegreeDescendingRelabelIsAnIsomorphism) {
   const auto raw = raw_rmat(8, 8, 31);
   const std::string text = tmp_path("degdesc.txt");

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                  "stage (0 = fully in memory)",
                  0.0);
   cli.add_string("relabel", "random | degree | none", "random");
-  cli.add_int("seed", "relabeling seed (random mode)", 1);
+  cli.add_int("seed", "relabeling seed (random mode; 0 = no relabel)", 1);
   cli.add_flag("keep-low-degree",
                "keep degree<2 vertices (skip the clean() low-degree pass)",
                false);
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   opt.relabel_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  if (opt.relabel == ingest::RelabelMode::Random && opt.relabel_seed == 0)
-    opt.relabel = ingest::RelabelMode::None;  // clean()'s seed-0 convention
   opt.remove_degree_lt2 = !cli.get_flag("keep-low-degree");
   opt.tmp_dir = cli.get_string("tmp-dir");
   // Ingest spans carry wall timestamps (no virtual clock here), so the

@@ -2,8 +2,9 @@
 # (spill path forced by a tiny memory budget) -> atlc_run --snapshot, and
 # the resulting LCC/TC CSVs must be byte-identical to the in-memory
 # load+clean path on the same input and seed, across partition kinds and
-# rank counts (the snapshot stores no rank count). Out-of-range numeric
-# flags must exit 1 with a message naming the tool.
+# rank counts (the snapshot stores no rank count), and at --seed 0 (no
+# relabel on either path). Out-of-range numeric flags must exit 1 with a
+# message naming the tool.
 #
 # Driven as: cmake -DATLC_RUN=... -DATLC_INGEST=... -DWORK_DIR=...
 #                  -P ingest_smoke.cmake
@@ -74,6 +75,22 @@ foreach(combo "lcc;block;8" "lcc;grid2d;8" "tc;cyclic;8" "lcc;block;3"
             "between the in-memory and snapshot paths")
   endif()
 endforeach()
+
+# Seed 0 means "no relabel" on both paths (graph::clean_ids' one rule).
+run_checked(${ATLC_INGEST} --input ${WORK_DIR}/g.txt
+            --output ${WORK_DIR}/g0.snap --seed 0)
+run_checked(${ATLC_RUN} --input ${WORK_DIR}/g.txt --seed 0
+            --out ${WORK_DIR}/mem_seed0.csv)
+run_checked(${ATLC_RUN} --snapshot ${WORK_DIR}/g0.snap
+            --out ${WORK_DIR}/ooc_seed0.csv)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK_DIR}/mem_seed0.csv ${WORK_DIR}/ooc_seed0.csv
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+          "ingest_smoke: --seed 0: CSVs differ between atlc_ingest and "
+          "atlc_run --input")
+endif()
 
 # Out-of-range numeric flags are refused before any unsigned conversion.
 # (--ranks -1 is left out on purpose: a build without the check would ask
