@@ -37,11 +37,12 @@ class EdgeList {
   /// For an undirected graph, ensure both orientations of every edge are
   /// present (idempotent; dedups afterwards). No-op for directed graphs.
   /// The result equals appending every reversed edge, then std::sort +
-  /// std::unique. One counting pass buckets both orientations by source
-  /// straight into one 2m output array, then each bucket is sorted: the
-  /// cost is linear plus the short row sorts. Sparse ids are bucketed by
-  /// their high bits, so buckets never outnumber the 2m entries and no
-  /// per-id memory is allocated.
+  /// std::unique. Dense ids (largest id + 1 at most the 2m entries, as in
+  /// every list load_text_edges returns) take two stable counting passes,
+  /// by target and then by source, which leave every row sorted: linear
+  /// time, no comparison sort, and a peak of the larger of 8m + 8m and
+  /// 8m + 16m bytes plus two n-entry offset arrays. Sparse ids take the
+  /// reference definition itself, so no per-id array outgrows the entries.
   void symmetrize();
 
   /// True if for every (u,v) the reverse (v,u) is also present.

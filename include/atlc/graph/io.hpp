@@ -6,10 +6,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "atlc/graph/edge_list.hpp"
+#include "atlc/util/rng.hpp"
 
 namespace atlc::graph {
 
@@ -94,32 +94,49 @@ struct RawPair {
 std::size_t parse_text_chunk(std::string_view text, std::vector<RawPair>& out);
 
 /// First-appearance id compaction: the k-th distinct raw id becomes k, so
-/// the order pairs are interned in decides the ids. The map is pre-sized
-/// from the input size (most ids repeat; capped so a huge file cannot force
-/// a huge speculative allocation). More than `max_vertices` distinct ids —
-/// always clamped to the uint32 VertexId space — throw "atlc: vertex id
-/// space overflow" naming `path`, instead of silently wrapping.
+/// the order pairs are interned in decides the ids. The table is a flat
+/// power-of-two array of (raw id, compact id) slots with linear probing; it
+/// doubles whenever an insert would take it past half full, so a lookup
+/// allocates nothing. It starts at a size taken from the input size (8
+/// bytes per hinted id, the hint being ~one id per 24 input bytes, capped
+/// so a huge file cannot force a huge speculative allocation). More than
+/// `max_vertices` distinct ids — always clamped to the uint32 VertexId
+/// space — throw "atlc: vertex id space overflow" naming `path`, instead
+/// of silently wrapping.
 class IdInterner {
  public:
   IdInterner(std::uint64_t input_bytes, std::uint64_t max_vertices,
              std::string path);
 
   VertexId operator()(std::uint64_t raw) {
-    const auto [it, inserted] =
-        ids_.try_emplace(raw, static_cast<VertexId>(ids_.size()));
-    if (inserted && ids_.size() > cap_) overflow();
-    return it->second;
+    for (std::size_t i = slot_of(raw);; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id == kEmpty) return insert(raw, i);
+      if (s.raw == raw) return s.id;
+    }
   }
 
   /// Distinct ids seen so far.
-  [[nodiscard]] VertexId size() const {
-    return static_cast<VertexId>(ids_.size());
-  }
+  [[nodiscard]] VertexId size() const { return size_; }
 
  private:
+  /// No compact id reaches 2^32 - 1: at most 2^32 - 1 ids are numbered.
+  static constexpr VertexId kEmpty = 0xffffffffu;
+  struct Slot {
+    std::uint64_t raw = 0;
+    VertexId id = kEmpty;
+  };
+
+  [[nodiscard]] std::size_t slot_of(std::uint64_t raw) const {
+    return static_cast<std::size_t>(util::mix64(raw)) & mask_;
+  }
+  /// Number `raw` (absent; `slot` is the empty slot its probe reached).
+  VertexId insert(std::uint64_t raw, std::size_t slot);
   [[noreturn]] void overflow() const;
 
-  std::unordered_map<std::uint64_t, VertexId> ids_;
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  VertexId size_ = 0;
   std::uint64_t cap_;
   std::string path_;
 };

@@ -33,49 +33,54 @@ void EdgeList::remove_self_loops() {
 void EdgeList::symmetrize() {
   if (dir_ == Directedness::Directed || edges_.empty()) return;
 
-  // One counting pass keyed by source. An edge goes to bucket u >> shift,
-  // with the smallest shift that keeps the bucket count at or below the
-  // 2m entries, so sparse ids (up to 2^32 - 2) cost no per-id memory;
-  // dense ids get shift 0, one bucket per source.
   const std::size_t entries = edges_.size() * 2;
   VertexId max_id = 0;
   for (const Edge& e : edges_) max_id = std::max({max_id, e.u, e.v});
-  unsigned shift = 0;
-  while ((std::uint64_t{max_id} >> shift) + 1 > entries) ++shift;
-  const auto bucket = [shift](VertexId u) -> std::size_t { return u >> shift; };
 
-  // One array serves as counts, then bucket starts, then (after the
-  // scatter has advanced each start) bucket ends: bucket b is
-  // [bucket_end[b - 1], bucket_end[b]), starting at 0.
-  std::vector<std::size_t> bucket_end(bucket(max_id) + 1, 0);
-  for (const Edge& e : edges_) {
-    ++bucket_end[bucket(e.u)];
-    ++bucket_end[bucket(e.v)];
+  // Sparse ids (more ids than entries) take the reference definition, so
+  // no per-id array ever outgrows the 2m entries.
+  if (std::uint64_t{max_id} + 1 > entries) {
+    const std::size_t m = edges_.size();
+    edges_.reserve(entries);
+    for (std::size_t i = 0; i < m; ++i)
+      edges_.push_back({edges_[i].v, edges_[i].u});
+    std::sort(edges_.begin(), edges_.end());
+    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+    return;
   }
-  std::exclusive_scan(bucket_end.begin(), bucket_end.end(), bucket_end.begin(),
+
+  // Dense ids: an LSD radix sort of both orientations, by target, then by
+  // source. The entries form a symmetric multiset, so vertex x has as many
+  // entries with source x as with target x: one count gives both passes
+  // their bucket starts, and target bucket x spans the range row x will.
+  const std::size_t n = std::size_t{max_id} + 1;
+  std::vector<std::size_t> row_start(n, 0);
+  for (const Edge& e : edges_) {
+    ++row_start[e.u];
+    ++row_start[e.v];
+  }
+  std::exclusive_scan(row_start.begin(), row_start.end(), row_start.begin(),
                       std::size_t{0});
 
-  // Both orientations go straight to their source's bucket of the one
-  // output array; the input is freed before the rows are sorted.
-  std::vector<Edge> out(entries);
+  // Pass 1: each entry's source goes to its target's bucket; the cursors
+  // end as the bucket ends.
+  std::vector<std::size_t> bucket_end = row_start;
+  std::vector<VertexId> source(entries);
   for (const Edge& e : edges_) {
-    out[bucket_end[bucket(e.u)]++] = e;
-    out[bucket_end[bucket(e.v)]++] = {e.v, e.u};
+    source[bucket_end[e.v]++] = e.u;
+    source[bucket_end[e.u]++] = e.v;
   }
-  edges_ = std::move(out);
+  edges_ = std::vector<Edge>();  // freed before the output is allocated
 
-  // Buckets partition the sources in increasing order, so sorted buckets
-  // make a sorted list. The packed (u, v) key orders like Edge's operator<
-  // in one compare.
-  auto row = edges_.begin();
-  for (const std::size_t b_end : bucket_end) {
-    const auto row_end = edges_.begin() + static_cast<std::ptrdiff_t>(b_end);
-    std::sort(row, row_end, [](const Edge& x, const Edge& y) {
-      return (std::uint64_t{x.u} << 32 | x.v) <
-             (std::uint64_t{y.u} << 32 | y.v);
-    });
-    row = row_end;
-  }
+  // Pass 2: walking the targets in increasing order appends each row's
+  // targets in increasing order, so every row comes out sorted.
+  edges_.resize(entries);
+  std::size_t i = 0;
+  for (std::size_t t = 0; t < n; ++t)
+    for (; i < bucket_end[t]; ++i) {
+      const VertexId s = source[i];
+      edges_[row_start[s]++] = {s, static_cast<VertexId>(t)};
+    }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   ATLC_DCHECK(strictly_increasing(edges_), "symmetrize output unsorted");
 }

@@ -1,6 +1,7 @@
 #include "atlc/graph/io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -120,9 +121,32 @@ IdInterner::IdInterner(std::uint64_t input_bytes, std::uint64_t max_vertices,
     : cap_(std::min<std::uint64_t>(max_vertices, 0xffffffffull)),
       path_(std::move(path)) {
   // A SNAP line is ~12-24 bytes and most ids repeat; sizing up front avoids
-  // the rehash storms that dominated load time on multi-GB inputs.
-  ids_.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(input_bytes / 24 + 16, std::uint64_t{1} << 26)));
+  // most of the doublings on large inputs. A 16-byte slot per two hinted
+  // ids keeps the table at 8 bytes per hinted id.
+  static_assert(sizeof(Slot) == 16);
+  const std::uint64_t hint =
+      std::min<std::uint64_t>(input_bytes / 24 + 16, std::uint64_t{1} << 26);
+  slots_.resize(static_cast<std::size_t>(std::bit_floor(hint / 2)));
+  mask_ = slots_.size() - 1;
+}
+
+VertexId IdInterner::insert(std::uint64_t raw, std::size_t slot) {
+  if (size_ >= cap_) overflow();
+  if (std::size_t{size_} + 1 > slots_.size() / 2) {
+    const auto empty_slot = [this](std::uint64_t r) {
+      std::size_t i = slot_of(r);
+      while (slots_[i].id != kEmpty) i = (i + 1) & mask_;
+      return i;
+    };
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old)
+      if (s.id != kEmpty) slots_[empty_slot(s.raw)] = s;
+    slot = empty_slot(raw);
+  }
+  slots_[slot] = {raw, size_};
+  return size_++;
 }
 
 void IdInterner::overflow() const {
@@ -136,7 +160,7 @@ EdgeList load_text_edges(const std::string& path, Directedness directedness,
   std::vector<Edge> edges;
   VertexId n = 0;
   {
-    // Scoped so the window, the pair buffer and the id map are freed
+    // Scoped so the window, the pair buffer and the id table are freed
     // before symmetrize doubles the edge list (the load's peak).
     ChunkReader reader(path, kTextWindowBytes);
     IdInterner intern(reader.file_bytes(), max_vertices, path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ranges>
 #include <utility>
 
 #include "atlc/core/dist_graph.hpp"
@@ -25,16 +26,18 @@ namespace {
 
 /// Ordering contract of query.hpp: score descending, id ascending on ties.
 /// Total order over distinct candidates, so the selection is unique and
-/// independent of the order `all` lists them in. The answer is exactly k
-/// (or |all|) long in capacity too: answers outlive their queries.
-std::vector<Recommendation> select_topk(std::span<const Recommendation> all,
-                                        std::uint32_t k) {
-  std::vector<Recommendation> top(std::min<std::size_t>(k, all.size()));
-  std::partial_sort_copy(all.begin(), all.end(), top.begin(), top.end(),
-                         [](const Recommendation& a, const Recommendation& b) {
-                           return a.score > b.score ||
-                                  (a.score == b.score && a.v < b.v);
-                         });
+/// independent of the order `all` lists them in. `all` is walked in one
+/// pass, so a view that scores candidates on the fly needs no buffer. The
+/// answer is exactly k (or |all|) long in capacity too: answers outlive
+/// their queries.
+template <std::ranges::sized_range Candidates>
+std::vector<Recommendation> select_topk(Candidates&& all, std::uint32_t k) {
+  std::vector<Recommendation> top(
+      std::min<std::size_t>(k, std::ranges::size(all)));
+  std::ranges::partial_sort_copy(
+      all, top, [](const Recommendation& a, const Recommendation& b) {
+        return a.score > b.score || (a.score == b.score && a.v < b.v);
+      });
   return top;
 }
 
@@ -78,19 +81,20 @@ class CandidateScores {
   /// Distinct candidates of the open query.
   [[nodiscard]] std::size_t candidates() const { return touched_.size(); }
 
-  /// Select the open query's top k and reset its touched and excluded
-  /// entries for the next query.
+  /// Select the open query's top k straight from the touched candidates
+  /// (no candidate copy) and reset its touched and excluded entries for
+  /// the next query.
   std::vector<Recommendation> take_topk(std::uint32_t k) {
-    std::vector<Recommendation> all;
-    all.reserve(touched_.size());
-    for (const VertexId c : touched_) {
-      all.push_back({c, score_[c]});
-      state_[c] = kFree;
-    }
+    std::vector<Recommendation> top = select_topk(
+        touched_ | std::views::transform([this](VertexId c) {
+          return Recommendation{c, score_[c]};
+        }),
+        k);
+    for (const VertexId c : touched_) state_[c] = kFree;
     touched_.clear();
     state_[v_] = kFree;
     for (const VertexId u : adj_v_) state_[u] = kFree;
-    return select_topk(all, k);
+    return top;
   }
 
  private:

@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "atlc/core/engine_config.hpp"
@@ -121,6 +122,33 @@ TEST(EdgeList, BucketPassEdgeCases) {
   expect_matches_oracles(std::vector<Edge>(100, Edge{5, 3}));
   expect_matches_oracles({{2, 2}, {1, 1}, {2, 2}, {0, 0}});
   expect_matches_oracles({{3, 1}, {1, 3}, {3, 1}, {0, 2}, {2, 0}});
+}
+
+TEST(EdgeList, SymmetrizeAtTheDenseSparseBoundary) {
+  // m = 6 edges, 2m = 12 entries, with a self loop and a duplicate: largest
+  // id 11 (id space = 2m) takes the counting passes, largest id 12 (2m + 1)
+  // the reference sort. Both must equal the oracle.
+  for (const VertexId top : {VertexId{11}, VertexId{12}}) {
+    SCOPED_TRACE("largest id " + std::to_string(top));
+    expect_matches_oracles(
+        {{top, 0}, {3, 3}, {5, 1}, {top, 0}, {0, top}, {1, 5}});
+  }
+  // The same boundary on seeded lists big enough for long rows.
+  for (const std::size_t m : {50u, 2000u}) {
+    for (const std::uint64_t extra : {0ull, 1ull}) {
+      util::Xoshiro256 rng(m + extra);
+      const auto top = static_cast<VertexId>(2 * m - 1 + extra);
+      std::vector<Edge> input(m);
+      for (Edge& e : input)
+        e = {static_cast<VertexId>(rng.next_below(top / 8 + 1)),
+             static_cast<VertexId>(rng.next_below(top / 8 + 1))};
+      input[0] = {top, top};         // self loop on the largest id
+      input[1] = {0, top};
+      input[2] = input[3] = {2, 1};  // duplicate
+      SCOPED_TRACE("m=" + std::to_string(m) + " top=" + std::to_string(top));
+      expect_matches_oracles(input);
+    }
+  }
 }
 
 TEST(EdgeList, SortAndDedupLeavesSortedInputUnchanged) {
@@ -411,6 +439,54 @@ TEST(Circles, ProducesClusteredSkewedGraph) {
 
 // ------------------------------------------------------------------- IO ---
 
+TEST(IdInterner, MatchesFirstAppearanceMapOnSeededStreams) {
+  // A 1-byte input hint starts the table at its smallest size, so every
+  // stream grows it several times. Streams mix repeats with 0, 2^64 - 1
+  // and ids that share their low 40 bits.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Xoshiro256 rng(seed * 7919);
+    IdInterner intern(1, 0xffffffffull, "stream");
+    std::unordered_map<std::uint64_t, VertexId> first_seen;
+    std::vector<std::uint64_t> seen;
+    for (int i = 0; i < 20000; ++i) {
+      std::uint64_t raw = 0;
+      switch (rng.next_below(5)) {
+        case 0: raw = rng.next_below(2) == 0 ? 0 : ~std::uint64_t{0}; break;
+        case 1: raw = rng.next_below(4096) << 40; break;
+        case 2: raw = rng(); break;
+        default:
+          raw = seen.empty() ? 7 : seen[rng.next_below(seen.size())];
+          break;
+      }
+      const auto [it, fresh] = first_seen.try_emplace(
+          raw, static_cast<VertexId>(first_seen.size()));
+      if (fresh) seen.push_back(raw);
+      ASSERT_EQ(intern(raw), it->second) << "seed " << seed << " step " << i;
+    }
+    EXPECT_EQ(intern.size(), first_seen.size());
+  }
+}
+
+TEST(IdInterner, OverflowsAtExactlyCapPlusOneDistinctIds) {
+  for (const std::uint64_t cap : {0ull, 1ull, 5ull, 300ull}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    IdInterner intern(1, cap, "capped.txt");
+    for (std::uint64_t i = 0; i < cap; ++i)
+      EXPECT_EQ(intern(i << 33), static_cast<VertexId>(i));
+    if (cap > 0) EXPECT_EQ(intern(0), 0u);  // a repeat is not a new id
+    EXPECT_EQ(intern.size(), static_cast<VertexId>(cap));
+    try {
+      (void)intern(~std::uint64_t{0});
+      ADD_FAILURE() << "id " << cap + 1 << " did not throw";
+    } catch (const std::runtime_error& ex) {
+      EXPECT_EQ(std::string(ex.what()).rfind("atlc: vertex id space overflow",
+                                             0),
+                0u)
+          << ex.what();
+    }
+  }
+}
+
 TEST(Io, TextRoundTrip) {
   auto e = generate_rmat({.scale = 6, .edge_factor = 4, .seed = 7});
   clean(e);
@@ -536,28 +612,28 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   std::fclose(f);
 }
 
-TEST(Io, SeededTextMutationsFailCleanlyOrCleanToValidRows) {
-  // Bounded seeded fuzz of the text loader: flip, insert or delete one
-  // random byte of a small SNAP file and demand that load_text_edges either
-  // throws an `atlc:` runtime_error or returns a list that clean() and
-  // CSRGraph::from_edges turn into in-range, sorted, duplicate-free rows.
-  // Every fourth case caps the id space at the source's own id count, so a
-  // mutation that adds an id must take the overflow error.
+/// Bounded seeded fuzz of the text loader: `cases` times, flip, insert or
+/// delete one random byte of a small SNAP file and demand that
+/// load_text_edges either throws an `atlc:` runtime_error or returns a list
+/// that clean() and CSRGraph::from_edges turn into in-range, sorted,
+/// duplicate-free rows. Every fourth case caps the id space at the source's
+/// own id count, so a mutation that adds an id must take the overflow error.
+void expect_text_mutations_fail_cleanly(int cases, std::uint64_t seed) {
   std::string bytes = "# fuzz source\n% a comment\n\n3\t7\r\n7 3 junk\n";
   const EdgeList source = paper_example();
   for (const Edge& e : source.edges())
     if (e.u < e.v)
       bytes += std::to_string(e.u) + " " + std::to_string(e.v) + "\n";
   bytes += "12 13\n13 14\n14 12\n4000000000 12\n";
-  const std::string path = ::testing::TempDir() + "atlc_text_fuzz.txt";
+  const std::string path = ::testing::TempDir() + "atlc_text_fuzz_" +
+                           std::to_string(seed) + ".txt";
   write_bytes(path, bytes);
   const VertexId source_ids =
       load_text_edges(path, Directedness::Undirected).num_vertices();
 
-  util::Xoshiro256 rng(2026);
+  util::Xoshiro256 rng(seed);
   std::size_t rejected = 0, loaded = 0;
-  constexpr int kCases = 3000;
-  for (int c = 0; c < kCases; ++c) {
+  for (int c = 0; c < cases; ++c) {
     std::string copy = bytes;
     const std::size_t at = rng.next_below(copy.size());
     const auto byte = static_cast<char>(rng.next_below(256));
@@ -591,6 +667,17 @@ TEST(Io, SeededTextMutationsFailCleanlyOrCleanToValidRows) {
   // Both outcomes occur: the loop exercises rejection and real loads.
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(loaded, 0u);
+}
+
+TEST(Io, SeededTextMutationsFailCleanlyOrCleanToValidRows) {
+  expect_text_mutations_fail_cleanly(3000, 2026);
+}
+
+// The 12k-case run: ctest's test_graph_text_fuzz entry (label `fuzz`)
+// selects it with --gtest_also_run_disabled_tests; CI runs it under
+// ASan/UBSan.
+TEST(Io, DISABLED_SeededTextMutationsFuzz12k) {
+  expect_text_mutations_fail_cleanly(12000, 20261019);
 }
 
 // ------------------------------------------------------------ partition ---
