@@ -5,8 +5,10 @@
 // cache enabled, comparing block1d (the paper default), degree1d + 1% hub
 // replication (the PR-5 skew toolkit), and grid2d (2D edge blocks with
 // segment-granular fetching). Expectation: at low rank counts the 1D
-// strategies win — grid2d pays two segment fetches per (edge, block) item
-// and its per-item payloads are smaller, so fixed get latency dominates.
+// strategies win — grid2d pays one segment fetch per (edge, block) item,
+// pc per edge where a 1D arm pays one whole row (plus one v-side fetch per
+// (row, block), DESIGN.md §10), and its per-item payloads are smaller, so
+// fixed get latency dominates.
 // As p grows, 1D remote rows are fetched whole by every consumer while
 // grid2d moves only the O(row/√p)-sized slices a rank actually intersects,
 // and the pc-way column split caps any one rank's share of a hub row — so
@@ -106,7 +108,7 @@ void run(bench::ScenarioContext& ctx) {
       break;
     }
   }
-  char note[200];
+  char note[256];
   if (crossover != 0)
     std::snprintf(note, sizeof(note),
                   "crossover: grid2d first beats the best 1D arm at %u ranks",
@@ -114,9 +116,9 @@ void run(bench::ScenarioContext& ctx) {
   else
     std::snprintf(note, sizeof(note),
                   "crossover: none up to %u ranks — 1D arms hold on makespan "
-                  "(fixed per-get latency dominates grid2d's doubled fetch "
-                  "count at this proxy scale; grid2d still wins imbalance "
-                  "growth and bytes moved)",
+                  "(fixed per-get latency dominates grid2d's per-block "
+                  "fetch count at this proxy scale; grid2d still wins "
+                  "imbalance growth and bytes moved)",
                   rank_counts.back());
   std::printf("%s\n", note);
   ctx.rec.add_note(note);

@@ -20,6 +20,7 @@
 // lifetime rules, and how depth interacts with the NIC-serialisation model.
 
 #include <concepts>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -52,9 +53,10 @@ concept EdgeKernel =
 /// intersection over all blocks reproduces the whole-row count:
 /// |adj(v) ∩ adj(j)| = Σ_b |seg(v,b) ∩ seg(j,b)|, because the blocks
 /// partition the neighbor id range. On a 1D partition there is one block
-/// and the call sequence is exactly an EdgeKernel's. Under 2D BOTH spans
-/// may alias fetch-ring slots (v's segments for other column blocks live
-/// on sibling ranks), so neither is valid beyond the call.
+/// and the call sequence is exactly an EdgeKernel's. Under 2D `seg_v` may
+/// alias a row-ring buffer (v's segments for other column blocks live on
+/// sibling ranks) and `seg_j` a fetch-ring slot, so neither is valid
+/// beyond the call.
 template <typename K>
 concept SegmentKernel =
     std::invocable<K&, VertexId, VertexId, std::uint32_t,
@@ -103,10 +105,11 @@ struct EdgeAnalyticStats {
 
   /// Fraction of processed edges requiring a remote adjacency fetch
   /// (paper Section IV-D2: 66% -> 98% for R-MAT S21 EF16, p=4 -> 64).
-  /// Under Grid2D, remote_edges counts remote *segment* fetches (up to 2
-  /// per (edge, block) item) while edges_processed still counts each local
-  /// edge once, so the "fraction" can exceed 1 — it is then the average
-  /// number of remote segment fetches per edge.
+  /// Under Grid2D, remote_edges counts remote *segment* fetches (the j
+  /// side of each (edge, block) item plus the v side of each (row, block))
+  /// while edges_processed still counts each local edge once, so the
+  /// "fraction" can exceed 1 — it is then the average number of remote
+  /// segment fetches per edge.
   [[nodiscard]] double remote_edge_fraction() const {
     return edges_processed
                ? static_cast<double>(remote_edges) /
@@ -138,6 +141,15 @@ struct EdgeAnalyticStats {
 /// ride under each intersection in virtual time. k=2 reproduces the
 /// paper's double buffering exactly (same begin/finish/compute order, hence
 /// bit-identical virtual makespans); k=1 is the fully synchronous loop.
+///
+/// Each item fetches its j side through the fetcher's transfer ring. The v
+/// side is fetched once per row visit, not once per item: when the issue
+/// cursor enters a row, every segment of it is begun into a row ring of k
+/// entries (indexed by visit ordinal mod k), and every item of the row
+/// reads its seg_v there. Under 1D the row is the rank's own and costs
+/// nothing; under 2D each non-own column block is one fetch per row from
+/// a sibling rank. k entries suffice: the k items from the one retiring
+/// to the last one issued span at most k row visits.
 class EdgePipeline {
  public:
   EdgePipeline(rma::RankCtx& ctx, const DistGraph& dg,
@@ -146,7 +158,8 @@ class EdgePipeline {
         config_(&config),
         rank_(ctx.rank()),
         depth_(config.pipeline_depth),
-        fetcher_(ctx, dg, config) {}
+        fetcher_(ctx, dg, config),
+        rows_(depth_, RowSlot(dg.partition.col_blocks())) {}
 
   [[nodiscard]] std::size_t depth() const { return depth_; }
   [[nodiscard]] AdjacencyFetcher& fetcher() { return fetcher_; }
@@ -174,12 +187,11 @@ class EdgePipeline {
   /// rank's local CSR is its segment store (each row slot holds only the
   /// rank's column-block slice), so the item space is the local edge stream
   /// × col_blocks(): item t = (edge t / B, block t % B). Under 2D each item
-  /// issues up to TWO segment fetches — seg(v, b) lives on a sibling rank
-  /// of this grid row unless b is this rank's own column block — which is
-  /// why the fetcher doubles its ring there (2·depth live tokens at
-  /// lookahead). On a 1D partition this is run() exactly. edges_processed
-  /// counts each local edge once (at its block-0 item); remote segment
-  /// fetches land in remote_edges via the fetcher.
+  /// fetches seg(j, b), and each local row with items fetches its B - 1
+  /// non-own segments seg(v, b) once, from the sibling ranks of this grid
+  /// row, into the row ring. On a 1D partition this is run() exactly.
+  /// edges_processed counts each local edge once (at its block-0 item);
+  /// remote segment fetches land in remote_edges via the fetcher.
   template <SegmentKernel K>
   void run_segments(K&& kernel) {
     ring(LocalItems{dg_, dg_->partition.col_blocks()}, kernel);
@@ -231,9 +243,27 @@ class EdgePipeline {
     }
   };
 
-  /// The fetches one item needs: seg(v, b) and seg(j, b).
+  /// The fetch one item issues, seg(j, b), and the row visit that holds
+  /// its seg(v, b).
   struct Fetch {
-    AdjacencyFetcher::Token v, j;
+    AdjacencyFetcher::Token j;
+    std::uint64_t visit = 0;
+  };
+
+  /// One row visit's v side: seg(v, b) for every column block b, begun when
+  /// the issue cursor enters the row and finished when its first item
+  /// retires. The own block resolves from the local CSR; the others land
+  /// in their `buffer` (2D only).
+  struct RowSlot {
+    struct Segment {
+      AdjacencyFetcher::Token token;
+      std::span<const VertexId> span;  ///< valid once the slot is finished
+      std::vector<VertexId> buffer;
+    };
+    explicit RowSlot(std::uint32_t blocks) : segments(blocks) {}
+    std::uint64_t visit = 0;  ///< the visit holding the slot (debug check)
+    bool finished = false;
+    std::vector<Segment> segments;  ///< indexed by column block
   };
 
   /// A whole-row pass: an EdgeKernel is the one-block SegmentKernel it
@@ -251,18 +281,47 @@ class EdgePipeline {
     });
   }
 
-  /// Issue the fetches of `it`. On a 1D partition the v side is the rank's
-  /// own row and resolves from local memory without a fetcher call.
-  Fetch begin(const Item& it) {
-    Fetch f;
-    if (dg_->partition.col_blocks() == 1) {
-      f.v.local = true;
-      f.v.local_span = dg_->local_neighbors(it.lv);
-    } else {
-      f.v = fetcher_.begin(dg_->partition.global_id(rank_, it.lv), it.block);
+  /// Claim the next row-ring slot for local row `lv` and begin its
+  /// segments: the own column block from the local CSR (the whole row on
+  /// a 1D partition, with no fetcher call), every other one from its
+  /// sibling rank through the fetcher.
+  void enter_row(VertexId lv) {
+    RowSlot& row = rows_[++visits_ % depth_];
+    row.visit = visits_;
+    row.finished = false;
+    const std::uint32_t own = dg_->partition.grid_col(rank_);
+    for (std::uint32_t b = 0; b < row.segments.size(); ++b) {
+      auto& seg = row.segments[b];
+      if (b == own) {
+        seg.token = {};
+        seg.token.local = true;
+        seg.token.local_span = dg_->local_neighbors(lv);
+      } else {
+        seg.token = fetcher_.begin_into(dg_->partition.global_id(rank_, lv),
+                                        b, seg.buffer);
+      }
     }
-    f.j = fetcher_.begin(it.j, it.block);
-    return f;
+  }
+
+  /// Issue the fetches of `it`, entering its row first when the issue
+  /// cursor (`issue_lv`: the row of the previous item issued) moves.
+  Fetch begin(const Item& it, VertexId& issue_lv) {
+    if (it.lv != issue_lv) {
+      issue_lv = it.lv;
+      enter_row(it.lv);
+    }
+    return {fetcher_.begin(it.j, it.block), visits_};
+  }
+
+  /// seg(v, b) of a retiring item: its row visit's slot, finished by the
+  /// visit's first item.
+  std::span<const VertexId> row_segment(const Fetch& f, std::uint32_t b) {
+    RowSlot& row = rows_[f.visit % depth_];
+    if (!row.finished) {
+      for (auto& seg : row.segments) seg.span = fetcher_.finish(seg.token);
+      row.finished = true;
+    }
+    return row.segments[b].span;
   }
 
   /// The one prefetch loop. Fetches are issued and retired strictly FIFO,
@@ -274,21 +333,31 @@ class EdgePipeline {
     const std::uint64_t total = retire.size();
     const auto lookahead = static_cast<std::uint64_t>(depth_) - 1;
     Source issue = retire;
+    VertexId issue_lv = kNoRow;
     std::vector<Fetch> slots(std::max<std::uint64_t>(lookahead, 1));
     for (std::uint64_t p = 0; p < std::min(lookahead, total); ++p)
-      slots[p] = begin(issue.next());
+      slots[p] = begin(issue.next(), issue_lv);
 
     for (std::uint64_t t = 0; t < total; ++t) {
       const Item it = retire.next();
-      const Fetch cur = lookahead > 0 ? slots[t % lookahead] : begin(it);
-      const std::span<const VertexId> seg_v = fetcher_.finish(cur.v);
+      const Fetch cur =
+          lookahead > 0 ? slots[t % lookahead] : begin(it, issue_lv);
+      const std::span<const VertexId> seg_v = row_segment(cur, it.block);
       const std::span<const VertexId> seg_j = fetcher_.finish(cur.j);
       if (lookahead > 0 && t + lookahead < total)
-        slots[t % lookahead] = begin(issue.next());
+        slots[t % lookahead] = begin(issue.next(), issue_lv);
+      // seg_v must outlive the issue above: the row ring slot still holds
+      // this item's row visit (the slot-generation check of the row ring).
+      ATLC_DCHECK(rows_[cur.visit % depth_].visit == cur.visit,
+                  "row ring slot reused before the row's last item retired: "
+                  "more than pipeline_depth row visits in flight");
       kernel(it.lv, it.j, it.block, seg_v, seg_j);
       if (it.block == 0) ++edges_run_;
     }
   }
+
+  /// No row: the issue cursor's position before a pass's first item.
+  static constexpr VertexId kNoRow = std::numeric_limits<VertexId>::max();
 
   const DistGraph* dg_;
   const EngineConfig* config_;
@@ -296,6 +365,8 @@ class EdgePipeline {
   std::size_t depth_;
   std::uint64_t edges_run_ = 0;  ///< edges visited across all passes
   AdjacencyFetcher fetcher_;
+  std::vector<RowSlot> rows_;    ///< the row ring: depth_ row visits
+  std::uint64_t visits_ = 0;     ///< row visits entered across all passes
 };
 
 /// A rank body for run_edge_analytic: runs the analytic's kernel(s) through

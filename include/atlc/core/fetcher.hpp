@@ -39,19 +39,21 @@ namespace atlc::core {
 ///
 /// ## Buffer-ring lifetime contract
 ///
-/// Adjacency transfers (uncached fetches and C_adj misses) land in a ring
-/// of `EngineConfig::pipeline_depth` buffers (doubled under a 2D
-/// partition, where each pipeline item issues up to two segment fetches),
-/// so at most `ring_size()` transfers may be live — in flight or with their
-/// finish()ed span still being read — at once. The span returned by
-/// finish(t) aliases t's ring slot and stays valid **until the slot is
-/// reused**, i.e. for the next `depth - 1` transfers begun; after that the
-/// span reads the next transfer's data. Each slot carries a generation
-/// counter stamped into the Token by begin() and checked by finish() (debug
-/// builds, ATLC_DCHECK), so completing a fetch whose slot was already
-/// recycled aborts instead of silently returning another vertex's
-/// adjacency. Local, hub, cache-hit and empty adjacencies resolve without
-/// consuming a slot and are exempt from the ring contract.
+/// Adjacency transfers (uncached fetches and C_adj misses) begun with
+/// begin() land in a ring of `EngineConfig::pipeline_depth` buffers on
+/// every partition kind (the pipeline begins one such fetch per item: the
+/// j side), so at most `ring_size()` transfers may be live — in flight or
+/// with their finish()ed span still being read — at once. The span
+/// returned by finish(t) aliases t's ring slot and stays valid **until the
+/// slot is reused**, i.e. for the next `depth - 1` transfers begun; after
+/// that the span reads the next transfer's data. Each slot carries a
+/// generation counter stamped into the Token by begin() and checked by
+/// finish() (debug builds, ATLC_DCHECK), so completing a fetch whose slot
+/// was already recycled aborts instead of silently returning another
+/// vertex's adjacency. Local, hub, cache-hit and empty adjacencies resolve
+/// without consuming a slot and are exempt from the ring contract, and so
+/// are begin_into() transfers, which land in the caller's buffer (the
+/// pipeline's per-row v-side segments under 2D).
 class AdjacencyFetcher {
  public:
   AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
@@ -68,6 +70,8 @@ class AdjacencyFetcher {
     std::uint64_t count = 0;
     VertexId degree = 0;
     bool cached = false;
+    /// Where the transfer lands: a ring slot's buffer, or begin_into()'s.
+    std::vector<VertexId>* dest = nullptr;
     clampi::CachedWindow<VertexId>::Pending pending{};
     rma::GetHandle handle{};
   };
@@ -83,13 +87,23 @@ class AdjacencyFetcher {
   /// the segment fetch. CLaMPI entries are keyed by (target rank, offset,
   /// count) and therefore already segment-granular; distinct segments of
   /// one row never collide.
-  [[nodiscard]] Token begin(VertexId v, std::uint32_t col_block);
+  [[nodiscard]] Token begin(VertexId v, std::uint32_t col_block) {
+    return start(v, col_block, nullptr);
+  }
+
+  /// begin(), except that a transfer lands in `dest` instead of a ring
+  /// slot; the finish()ed span stays valid until `dest` is next written.
+  /// Local, hub, cache-hit and empty segments resolve as in begin().
+  [[nodiscard]] Token begin_into(VertexId v, std::uint32_t col_block,
+                                 std::vector<VertexId>& dest) {
+    return start(v, col_block, &dest);
+  }
 
   /// Complete the fetch; see the class comment for the returned span's
   /// lifetime. Debug builds abort if t's slot was already recycled.
   [[nodiscard]] std::span<const VertexId> finish(const Token& t);
 
-  /// Number of fetch buffers (the pipeline depth, doubled under 2D).
+  /// Number of fetch buffers (the pipeline depth).
   [[nodiscard]] std::size_t ring_size() const { return buffers_.size(); }
 
   [[nodiscard]] bool has_offsets_cache() const {
@@ -109,6 +123,10 @@ class AdjacencyFetcher {
   }
 
  private:
+  /// begin() and begin_into(): a null `dest` claims a ring slot.
+  Token start(VertexId v, std::uint32_t col_block,
+              std::vector<VertexId>* dest);
+
   rma::RankCtx* ctx_;
   const DistGraph* dg_;
   const EngineConfig* config_;

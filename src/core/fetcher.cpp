@@ -62,12 +62,12 @@ clampi::CacheConfig adj_cache_config(const EngineConfig& cfg,
 
 namespace {
 
-// One in-flight fetch per pipeline item on 1D partitions (the local side
-// is a plain span); two on 2D partitions, where both segment sides of an
-// (edge, block) item may be remote.
-std::size_t ring_slots(const EngineConfig& config, const DistGraph& dg) {
+// One ring transfer per pipeline item, the j side, on every partition
+// kind: the v side is the rank's own row, or under 2D a per-row segment
+// the pipeline lands with begin_into().
+std::size_t ring_slots(const EngineConfig& config) {
   ATLC_CHECK(config.pipeline_depth >= 1, "pipeline_depth must be at least 1");
-  return config.pipeline_depth * (dg.partition.col_blocks() == 1 ? 1 : 2);
+  return config.pipeline_depth;
 }
 
 }  // namespace
@@ -77,8 +77,8 @@ AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
     : ctx_(&ctx),
       dg_(&dg),
       config_(&config),
-      buffers_(ring_slots(config, dg)),
-      generations_(ring_slots(config, dg), 0) {
+      buffers_(ring_slots(config)),
+      generations_(ring_slots(config), 0) {
   if (config.use_cache && config.cache_offsets)
     c_offsets_.emplace(ctx, dg.w_offsets, offsets_cache_config(config));
   if (config.use_cache && config.cache_adj)
@@ -87,8 +87,9 @@ AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
     remote_reads_.assign(dg.partition.num_vertices(), 0);
 }
 
-AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
-                                                std::uint32_t col_block) {
+AdjacencyFetcher::Token AdjacencyFetcher::start(VertexId v,
+                                                std::uint32_t col_block,
+                                                std::vector<VertexId>* dest) {
   const auto& part = dg_->partition;
   const bool segmented = part.col_blocks() > 1;
   const auto [owner, lv] = part.segment_slot(v, col_block);
@@ -154,18 +155,23 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
       return t;
     }
   }
-  // A transfer claims a ring slot. Claiming recycles it: any span still
-  // aliasing it is dead, and the bumped generation makes a late finish() on
-  // it abort in debug builds.
-  t.slot = next_slot_;
-  next_slot_ = (next_slot_ + 1) % buffers_.size();
-  t.generation = ++generations_[t.slot];
-  // Ring occupancy series: transfers currently claimed but not finish()ed.
-  // Sustained occupancy at ring_size() means the prefetch depth (not the
-  // kernel) is the bottleneck.
-  if (ctx_->tracer().enabled())
-    ctx_->tracer().counter("ring", "in_flight", ++in_flight_);
-  auto& buf = buffers_[t.slot];
+  // Without a caller's buffer a transfer claims a ring slot. Claiming
+  // recycles it: any span still aliasing it is dead, and the bumped
+  // generation makes a late finish() on it abort in debug builds.
+  if (dest) {
+    t.dest = dest;
+  } else {
+    t.slot = next_slot_;
+    next_slot_ = (next_slot_ + 1) % buffers_.size();
+    t.generation = ++generations_[t.slot];
+    t.dest = &buffers_[t.slot];
+    // Ring occupancy series: transfers currently claimed but not
+    // finish()ed. Sustained occupancy at ring_size() means the prefetch
+    // depth (not the kernel) is the bottleneck.
+    if (ctx_->tracer().enabled())
+      ctx_->tracer().counter("ring", "in_flight", ++in_flight_);
+  }
+  auto& buf = *t.dest;
   buf.resize(t.count);
   if (c_adj_) {
     // The out-degree just learned becomes the application-defined eviction
@@ -181,7 +187,8 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
 
 std::span<const VertexId> AdjacencyFetcher::finish(const Token& t) {
   if (t.local) return t.local_span;
-  ATLC_DCHECK(generations_[t.slot] == t.generation,
+  const bool in_ring = t.dest == &buffers_[t.slot];
+  ATLC_DCHECK(!in_ring || generations_[t.slot] == t.generation,
               "fetch ring slot recycled before finish(): more than "
               "pipeline_depth fetches in flight (see the span-lifetime "
               "contract in fetcher.hpp)");
@@ -190,9 +197,9 @@ std::span<const VertexId> AdjacencyFetcher::finish(const Token& t) {
   } else {
     ctx_->flush(t.handle);
   }
-  if (ctx_->tracer().enabled() && in_flight_ > 0)
+  if (in_ring && ctx_->tracer().enabled() && in_flight_ > 0)
     ctx_->tracer().counter("ring", "in_flight", --in_flight_);
-  return {buffers_[t.slot].data(), t.count};
+  return {t.dest->data(), t.count};
 }
 
 }  // namespace atlc::core

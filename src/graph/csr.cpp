@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "atlc/util/check.hpp"
 
@@ -27,6 +28,19 @@ CSRGraph CSRGraph::from_edges(const EdgeList& edges) {
   g.adjacencies_.resize(g.offsets_.back());
   std::vector<EdgeIndex> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (const Edge& e : edges.edges()) g.adjacencies_[cursor[e.u]++] = e.v;
+
+  // The scatter keeps each row in input order, so a list already sorted by
+  // target within each source (clean()'s output without relabelling, a
+  // snapshot's edges) leaves every row sorted: one O(m) scan then skips
+  // the sort and its parallel region.
+  const auto row = [&g](VertexId v) {
+    return std::span<const VertexId>(g.adjacencies_)
+        .subspan(g.offsets_[v], g.offsets_[v + 1] - g.offsets_[v]);
+  };
+  bool rows_sorted = true;
+  for (VertexId v = 0; v < n && rows_sorted; ++v)
+    rows_sorted = std::ranges::is_sorted(row(v));
+  if (rows_sorted) return g;
 
   // Rows are independent, so the per-row sort parallelises trivially; the
   // result is identical to the serial loop (each row is sorted in place).

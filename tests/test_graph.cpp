@@ -409,6 +409,28 @@ TEST(Rmat, LargeCsrAdjacencySortedUnique) {
   EXPECT_EQ(g.num_edges(), e.num_edges());
 }
 
+TEST(Csr, SortedAndShuffledInputsBuildIdenticalCsrs) {
+  // clean() without relabelling emits (u, v) order, so from_edges finds
+  // every row sorted and skips its sort; a shuffled copy of the same edges
+  // takes the (parallel) sort. Both must build the same CSR.
+  auto e = generate_rmat({.scale = 12, .edge_factor = 8, .seed = 7});
+  clean(e);
+  ASSERT_TRUE(std::ranges::is_sorted(e.edges(), [](Edge a, Edge b) {
+    return std::pair(a.u, a.v) < std::pair(b.u, b.v);
+  }));
+  EdgeList shuffled = e;
+  util::Xoshiro256 rng(8);
+  std::ranges::shuffle(shuffled.edges(), rng);
+  ASSERT_NE(shuffled.edges(), e.edges());
+
+  const CSRGraph sorted_csr = CSRGraph::from_edges(e);
+  const CSRGraph shuffled_csr = CSRGraph::from_edges(shuffled);
+  EXPECT_TRUE(sorted_csr.adjacency_sorted_unique());
+  EXPECT_TRUE(std::ranges::equal(sorted_csr.offsets(), shuffled_csr.offsets()));
+  EXPECT_TRUE(std::ranges::equal(sorted_csr.adjacencies(),
+                                 shuffled_csr.adjacencies()));
+}
+
 TEST(Uniform, EdgeCountAndRange) {
   const auto e = generate_uniform({.num_vertices = 100,
                                    .num_edges = 500,

@@ -1,7 +1,8 @@
 // Tests for the generic depth-k edge-pipeline engine (core::EdgePipeline):
 // correctness at every depth, equivalence with the pre-refactor
 // double-buffer loop in virtual time, the fetcher ring's span-lifetime
-// contract, and the similarity analytics built as kernels on the engine.
+// contract, the row ring's one v-side fetch per 2D row, and the
+// similarity analytics built as kernels on the engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -344,6 +345,63 @@ TEST(FetcherRing, FinishAfterSlotRecycleAbortsInDebug) {
       "recycled");
 }
 #endif
+
+// ------------------------------------------ row ring: v side once per row ---
+
+/// Remote segment fetches one Grid2D pass over every item must make,
+/// counted from the partition and the CSR alone (uncached, no hub
+/// replica): for each rank's local row with at least one stored entry,
+/// one v-side fetch per other column block; for each stored entry (v, j)
+/// and column block b, one j-side fetch unless the rank holds seg(j, b).
+std::uint64_t expected_segment_gets(const CSRGraph& g,
+                                    const graph::Partition& part) {
+  const std::uint32_t blocks = part.col_blocks();
+  std::uint64_t gets = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (std::uint32_t c = 0; c < blocks; ++c) {
+      const auto stored = part.row_segment(g.neighbors(v), c);
+      if (stored.empty()) continue;
+      const std::uint32_t rank = part.segment_owner(v, c);
+      gets += blocks - 1;
+      for (const VertexId j : stored)
+        for (std::uint32_t b = 0; b < blocks; ++b)
+          gets += part.segment_owner(j, b) != rank ? 1 : 0;
+    }
+  }
+  return gets;
+}
+
+TEST(RowRing, Grid2DFetchesEachRowSegmentOncePerRow) {
+  const CSRGraph g = rmat_graph(8, 8, 64);
+  const auto ref = graph::reference_lcc(g);
+  constexpr auto kGrid = graph::PartitionKind::Grid2D;
+  for (const std::uint32_t ranks : {4u, 6u}) {  // 2x2 and 2x3 grids
+    const graph::Partition part = graph::make_partition(g, kGrid, ranks);
+    ASSERT_EQ(part.grid_rows(), 2u);
+    const std::uint64_t expected = expected_segment_gets(g, part);
+    for (const std::size_t k : {1u, 2u, 4u}) {
+      SCOPED_TRACE("ranks " + std::to_string(ranks) + " depth " +
+                   std::to_string(k));
+      EngineConfig cfg = depth_config(k);  // uncached
+      cfg.hub_fraction = 0.0;
+
+      const RunResult lcc = run_distributed_lcc(g, ranks, cfg, {}, kGrid);
+      expect_matches_reference(g, lcc);
+      EXPECT_EQ(lcc.run.total().segment_gets, expected);
+      EXPECT_EQ(lcc.remote_edges, expected);
+
+      const RunResult tc = run_distributed_tc_result(g, ranks, cfg, {}, kGrid);
+      EXPECT_EQ(tc.global_triangles, ref.global_triangles);
+      EXPECT_EQ(tc.run.total().segment_gets, expected);
+
+      (void)run_edge_analytic(
+          g, ranks, cfg, rma::NetworkModel{}, kGrid,
+          [k](rma::RankCtx&, DistGraph&, EdgePipeline& pipeline) {
+            EXPECT_EQ(pipeline.fetcher().ring_size(), k);
+          });
+    }
+  }
+}
 
 // ------------------------------------------------- similarity analytics ---
 
