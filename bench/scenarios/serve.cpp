@@ -85,7 +85,7 @@ void run(bench::ScenarioContext& ctx) {
         serve::ServeResult last;
         for (std::size_t trial = 0;
              trial < std::max<std::size_t>(1, ctx.repeats); ++trial) {
-          auto r = serve::run_query_stream(g, epochs, ranks, opts);
+          auto r = serve::QueryEngine(g, opts).run(epochs, ranks);
 
           util::Json detail = util::Json::object();
           detail["serve_makespan"] = r.serve_makespan;

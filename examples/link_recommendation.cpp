@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
 
   serve::ServeOptions opts;
   opts.hot_cache.entries = 256;
-  const serve::ServeResult res = serve::run_query_stream(
-      g, epochs, static_cast<std::uint32_t>(cli.get_int("ranks")), opts);
+  const serve::ServeResult res = serve::QueryEngine(g, opts).run(
+      epochs, static_cast<std::uint32_t>(cli.get_int("ranks")));
 
   const auto ref = graph::reference_lcc(g);
   const auto print_topk = [&](const serve::QueryAnswer& a,

@@ -7,16 +7,16 @@
 // double buffering). EdgePipeline factors that loop out of the individual
 // analytics: one prefetch ring walks an item source — the rank's local edge
 // stream times its column blocks, or an explicit edge list — keeps up to k-1
-// items' fetches in flight over a ring of k fetch buffers
-// (EngineConfig::pipeline_depth), and hands each item to an arbitrary
-// kernel. A 1D partition is the one-column-block case, so run(), run_over()
-// and run_segments() are thin adapters over the same loop. LCC, global TC
+// items' fetches in flight (EngineConfig::pipeline_depth), landing them in
+// buffers the pipeline owns, and hands each item to an arbitrary kernel. A
+// 1D partition is the one-column-block case, so run(), run_over() and
+// run_segments() are thin adapters over the same loop. LCC, global TC
 // and the similarity measures are kernels over this engine that price
 // their intersections through one per-rank intersect::Intersector
 // (make_intersector); `run_edge_analytic` is the one launcher around it
 // (partition, SPMD launch, teardown, stats aggregation) for every engine
 // run, the streaming and serving drivers included.
-// DESIGN.md §6 documents the kernel concept, the item source, the ring
+// DESIGN.md §6 documents the kernel concept, the item source, the buffer
 // lifetime rules, and how depth interacts with the NIC-serialisation model.
 
 #include <concepts>
@@ -39,7 +39,7 @@ namespace atlc::core {
 /// kernel(lv, j, adj_v, adj_j) where `lv` is the local index of the owning
 /// vertex v, `j` the (global) neighbor, `adj_v` v's local adjacency and
 /// `adj_j` the (possibly remotely fetched) adjacency of j. `adj_j` is only
-/// valid during the call — the engine reuses its ring slot k fetches later.
+/// valid during the call — the engine reuses its item's buffer k items later.
 /// Kernels charge their own compute time (ctx.charge_compute) so the
 /// engine stays analytic-agnostic about cost.
 template <typename K>
@@ -53,9 +53,9 @@ concept EdgeKernel =
 /// intersection over all blocks reproduces the whole-row count:
 /// |adj(v) ∩ adj(j)| = Σ_b |seg(v,b) ∩ seg(j,b)|, because the blocks
 /// partition the neighbor id range. On a 1D partition there is one block
-/// and the call sequence is exactly an EdgeKernel's. Under 2D `seg_v` may
-/// alias a row-ring buffer (v's segments for other column blocks live on
-/// sibling ranks) and `seg_j` a fetch-ring slot, so neither is valid
+/// and the call sequence is exactly an EdgeKernel's. `seg_j` may alias an
+/// item-ring buffer and, under 2D, `seg_v` a row-ring buffer (v's segments
+/// for other column blocks live on sibling ranks), so neither is valid
 /// beyond the call.
 template <typename K>
 concept SegmentKernel =
@@ -142,8 +142,11 @@ struct EdgeAnalyticStats {
 /// paper's double buffering exactly (same begin/finish/compute order, hence
 /// bit-identical virtual makespans); k=1 is the fully synchronous loop.
 ///
-/// Each item fetches its j side through the fetcher's transfer ring. The v
-/// side is fetched once per row visit, not once per item: when the issue
+/// The pipeline owns every buffer a transfer lands in; the fetcher owns
+/// none. Item t lives in entry t mod k of an item ring, which holds the
+/// item, its seg(j, b) token and the buffer that segment lands in. Issuing
+/// item t+k-1 claims the entry of item t-1, which has already retired. The
+/// v side is fetched once per row visit, not once per item: when the issue
 /// cursor enters a row, every segment of it is begun into a row ring of k
 /// entries (indexed by visit ordinal mod k), and every item of the row
 /// reads its seg_v there. Under 1D the row is the rank's own and costs
@@ -157,12 +160,11 @@ class EdgePipeline {
       : dg_(&dg),
         config_(&config),
         rank_(ctx.rank()),
-        depth_(config.pipeline_depth),
         fetcher_(ctx, dg, config),
-        rows_(depth_, RowSlot(dg.partition.col_blocks())) {}
-
-  [[nodiscard]] std::size_t depth() const { return depth_; }
-  [[nodiscard]] AdjacencyFetcher& fetcher() { return fetcher_; }
+        items_(config.pipeline_depth),
+        rows_(config.pipeline_depth, RowSlot(dg.partition.col_blocks())) {
+    ATLC_CHECK(config.pipeline_depth >= 1, "pipeline_depth must be at least 1");
+  }
 
   /// Drive `kernel` over every local edge with depth-k prefetching (1D
   /// partitions: a whole-row kernel has no column block to name).
@@ -243,11 +245,14 @@ class EdgePipeline {
     }
   };
 
-  /// The fetch one item issues, seg(j, b), and the row visit that holds
-  /// its seg(v, b).
-  struct Fetch {
-    AdjacencyFetcher::Token j;
+  /// One issued item: the item, its seg(j, b) fetch and the buffer that
+  /// fetch lands in, and the row visit that holds its seg(v, b).
+  struct ItemSlot {
+    Item item{};
+    std::uint64_t number = 0;  ///< the item holding the slot (debug check)
     std::uint64_t visit = 0;
+    AdjacencyFetcher::Token token;
+    std::vector<VertexId> buffer;
   };
 
   /// One row visit's v side: seg(v, b) for every column block b, begun when
@@ -257,7 +262,6 @@ class EdgePipeline {
   struct RowSlot {
     struct Segment {
       AdjacencyFetcher::Token token;
-      std::span<const VertexId> span;  ///< valid once the slot is finished
       std::vector<VertexId> buffer;
     };
     explicit RowSlot(std::uint32_t blocks) : segments(blocks) {}
@@ -282,73 +286,69 @@ class EdgePipeline {
   }
 
   /// Claim the next row-ring slot for local row `lv` and begin its
-  /// segments: the own column block from the local CSR (the whole row on
-  /// a 1D partition, with no fetcher call), every other one from its
-  /// sibling rank through the fetcher.
+  /// segments through the fetcher: the own column block (the whole row on
+  /// a 1D partition) resolves from the local CSR, every other one is
+  /// fetched from its sibling rank.
   void enter_row(VertexId lv) {
-    RowSlot& row = rows_[++visits_ % depth_];
+    RowSlot& row = rows_[++visits_ % rows_.size()];
     row.visit = visits_;
     row.finished = false;
-    const std::uint32_t own = dg_->partition.grid_col(rank_);
-    for (std::uint32_t b = 0; b < row.segments.size(); ++b) {
-      auto& seg = row.segments[b];
-      if (b == own) {
-        seg.token = {};
-        seg.token.local = true;
-        seg.token.local_span = dg_->local_neighbors(lv);
-      } else {
-        seg.token = fetcher_.begin_into(dg_->partition.global_id(rank_, lv),
-                                        b, seg.buffer);
-      }
-    }
+    const VertexId v = dg_->partition.global_id(rank_, lv);
+    for (std::uint32_t b = 0; b < row.segments.size(); ++b)
+      row.segments[b].token = fetcher_.begin(v, b, row.segments[b].buffer);
   }
 
-  /// Issue the fetches of `it`, entering its row first when the issue
-  /// cursor (`issue_lv`: the row of the previous item issued) moves.
-  Fetch begin(const Item& it, VertexId& issue_lv) {
+  /// Issue item number `n`, `it`, into its item-ring slot, entering its
+  /// row first when the issue cursor (`issue_lv`: the row of the previous
+  /// item issued) moves.
+  void issue(const Item& it, std::uint64_t n, VertexId& issue_lv) {
     if (it.lv != issue_lv) {
       issue_lv = it.lv;
       enter_row(it.lv);
     }
-    return {fetcher_.begin(it.j, it.block), visits_};
+    ItemSlot& slot = items_[n % items_.size()];
+    slot.item = it;
+    slot.number = n;
+    slot.visit = visits_;
+    slot.token = fetcher_.begin(it.j, it.block, slot.buffer);
   }
 
   /// seg(v, b) of a retiring item: its row visit's slot, finished by the
   /// visit's first item.
-  std::span<const VertexId> row_segment(const Fetch& f, std::uint32_t b) {
-    RowSlot& row = rows_[f.visit % depth_];
+  std::span<const VertexId> row_segment(std::uint64_t visit, std::uint32_t b) {
+    RowSlot& row = rows_[visit % rows_.size()];
     if (!row.finished) {
-      for (auto& seg : row.segments) seg.span = fetcher_.finish(seg.token);
+      for (auto& seg : row.segments) (void)fetcher_.finish(seg.token);
       row.finished = true;
     }
-    return row.segments[b].span;
+    return row.segments[b].token.span;
   }
 
-  /// The one prefetch loop. Fetches are issued and retired strictly FIFO,
-  /// so two monotone cursors over the same source suffice: `retire` walks
-  /// the items the kernel consumes, `issue` runs `lookahead` items ahead of
-  /// it, and the in-flight window lives in a ring indexed by item number.
+  /// The one prefetch loop. Fetches are issued and retired strictly FIFO:
+  /// one cursor over the source issues items `lookahead` ahead of the one
+  /// the kernel consumes, and each issued item waits in its item-ring slot.
   template <typename Source, typename K>
-  void ring(Source retire, K&& kernel) {
-    const std::uint64_t total = retire.size();
-    const auto lookahead = static_cast<std::uint64_t>(depth_) - 1;
-    Source issue = retire;
+  void ring(Source items, K&& kernel) {
+    const std::uint64_t total = items.size();
+    const std::uint64_t lookahead = config_->pipeline_depth - 1;
     VertexId issue_lv = kNoRow;
-    std::vector<Fetch> slots(std::max<std::uint64_t>(lookahead, 1));
-    for (std::uint64_t p = 0; p < std::min(lookahead, total); ++p)
-      slots[p] = begin(issue.next(), issue_lv);
+    std::uint64_t issued = 0;
+    const auto issue_next = [&] { issue(items.next(), issued++, issue_lv); };
+    while (issued < std::min(lookahead, total)) issue_next();
 
     for (std::uint64_t t = 0; t < total; ++t) {
-      const Item it = retire.next();
-      const Fetch cur =
-          lookahead > 0 ? slots[t % lookahead] : begin(it, issue_lv);
-      const std::span<const VertexId> seg_v = row_segment(cur, it.block);
-      const std::span<const VertexId> seg_j = fetcher_.finish(cur.j);
-      if (lookahead > 0 && t + lookahead < total)
-        slots[t % lookahead] = begin(issue.next(), issue_lv);
-      // seg_v must outlive the issue above: the row ring slot still holds
-      // this item's row visit (the slot-generation check of the row ring).
-      ATLC_DCHECK(rows_[cur.visit % depth_].visit == cur.visit,
+      if (lookahead == 0) issue_next();  // depth 1: no fetch runs ahead
+      const ItemSlot& cur = items_[t % items_.size()];
+      const Item it = cur.item;
+      const std::span<const VertexId> seg_v = row_segment(cur.visit, it.block);
+      const std::span<const VertexId> seg_j = fetcher_.finish(cur.token);
+      if (lookahead > 0 && issued < total) issue_next();
+      // Both spans must outlive the issue above: the item's slot and its
+      // row visit's slot are still its own.
+      ATLC_DCHECK(cur.number == t,
+                  "item ring slot reused before the item retired: more "
+                  "than pipeline_depth items in flight");
+      ATLC_DCHECK(rows_[cur.visit % rows_.size()].visit == cur.visit,
                   "row ring slot reused before the row's last item retired: "
                   "more than pipeline_depth row visits in flight");
       kernel(it.lv, it.j, it.block, seg_v, seg_j);
@@ -362,10 +362,10 @@ class EdgePipeline {
   const DistGraph* dg_;
   const EngineConfig* config_;
   std::uint32_t rank_;  ///< this rank's id (global_id needs it)
-  std::size_t depth_;
   std::uint64_t edges_run_ = 0;  ///< edges visited across all passes
   AdjacencyFetcher fetcher_;
-  std::vector<RowSlot> rows_;    ///< the row ring: depth_ row visits
+  std::vector<ItemSlot> items_;  ///< the item ring: pipeline_depth items
+  std::vector<RowSlot> rows_;    ///< the row ring: pipeline_depth row visits
   std::uint64_t visits_ = 0;     ///< row visits entered across all passes
 };
 

@@ -74,8 +74,9 @@ struct EngineConfig {
   bool cache_adaptive = false;
 
   /// Prefetch-pipeline depth k >= 1 of the edge stream: the engine keeps up
-  /// to k-1 adjacency transfers in flight under the current intersection,
-  /// over a ring of k fetch buffers. k=2 is the paper's double buffering
+  /// to k-1 items' adjacency transfers in flight under the current
+  /// intersection, each landing in its own entry of the pipeline's k-entry
+  /// item ring (EdgePipeline). k=2 is the paper's double buffering
   /// (Section III-A); k=1 is the no-overlap engine; larger k hides more
   /// latency until the initiator's NIC serialisation saturates (DESIGN.md
   /// §2, `pipeline_depth` scenario).
@@ -86,8 +87,8 @@ struct EngineConfig {
   /// NIC injection port for the remaining misses — which is why the cached
   /// columns of the `pipeline_depth` scenario keep improving past the depth
   /// where the uncached run saturates (DESIGN.md §6). Note the in-flight
-  /// window also bounds span lifetime: a finish()ed span dies after the
-  /// next k-1 remote begins, cached or not (see fetcher.hpp).
+  /// window also bounds span lifetime: a kernel's spans are valid only
+  /// during its call, since its item's entry is reused k items later.
   std::size_t pipeline_depth = 2;
 
   /// Fraction δ of the highest-degree vertices whose adjacency rows are

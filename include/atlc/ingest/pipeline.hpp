@@ -14,11 +14,11 @@ namespace atlc::ingest {
 
 /// Vertex-id relabeling applied after low-degree removal: `Random` is
 /// graph::clean_ids' seeded relabel (paper Section II-B, what atlc_run
-/// applies by default; seed 0 relabels nothing, as in graph::clean),
-/// `DegreeDescending` re-ranks clean_ids' survivors by descending
-/// pre-filter degree, ties by id (useful as a DODG-friendly ordering),
-/// `None` keeps the compacted first-appearance ids.
-enum class RelabelMode : std::uint8_t { None, Random, DegreeDescending };
+/// applies by default; seed 0 relabels nothing, as in graph::clean, and
+/// keeps the compacted first-appearance ids), `DegreeDescending` re-ranks
+/// clean_ids' survivors by descending pre-filter degree, ties by id
+/// (useful as a DODG-friendly ordering).
+enum class RelabelMode : std::uint8_t { Random, DegreeDescending };
 
 struct IngestOptions {
   /// Target bytes per text read window (see graph::ChunkReader; a target,

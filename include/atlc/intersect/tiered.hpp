@@ -29,7 +29,7 @@ namespace atlc::intersect {
 /// Stateless dispatcher for the Tiered kernel generation: picks a kernel
 /// per pair via select_tier_kernel and reports the modeled virtual-time
 /// cost of the work performed. Neither span is kept beyond the call, so
-/// either may alias a fetch-ring slot.
+/// either may alias a pipeline buffer.
 class TieredIntersector {
  public:
   /// `universe` is ignored: no kernel needs the vertex count.

@@ -89,12 +89,6 @@ class QueryEngine {
   ServeOptions options_;
 };
 
-/// Convenience wrapper: QueryEngine(g, options).run(epochs, ranks).
-[[nodiscard]] ServeResult run_query_stream(const graph::CSRGraph& g,
-                                           std::span<const ServeEpoch> epochs,
-                                           std::uint32_t ranks,
-                                           const ServeOptions& options = {});
-
 /// Single-node from-scratch answer of one query against `g` — the oracle
 /// the parity matrix compares engine answers to, bit for bit, at each
 /// query's epoch snapshot. It shares only the Adamic–Adar weight, the

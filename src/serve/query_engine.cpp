@@ -373,13 +373,6 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
   return out;
 }
 
-ServeResult run_query_stream(const graph::CSRGraph& g,
-                             std::span<const ServeEpoch> epochs,
-                             std::uint32_t ranks,
-                             const ServeOptions& options) {
-  return QueryEngine(g, options).run(epochs, ranks);
-}
-
 QueryAnswer answer_reference(const graph::CSRGraph& g, const Query& q) {
   QueryAnswer a;
   a.kind = q.kind;

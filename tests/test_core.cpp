@@ -62,8 +62,9 @@ TEST(DistGraph, RemoteOffsetProtocolReadsCorrectAdjacency) {
     // with the shared global CSR.
     EngineConfig cfg;
     AdjacencyFetcher fetcher(ctx, dg, cfg);
+    std::vector<VertexId> buffer;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto got = fetcher.finish(fetcher.begin(v, 0));
+      const auto got = fetcher.finish(fetcher.begin(v, 0, buffer));
       const auto want = g.neighbors(v);
       ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
       for (std::size_t i = 0; i < got.size(); ++i)
@@ -84,11 +85,12 @@ TEST(AdjacencyFetcher, CacheHitIsAViewOfTheOwnersExposedPart) {
     EngineConfig cfg;
     cfg.use_cache = true;
     AdjacencyFetcher fetcher(ctx, dg, cfg);
+    std::vector<VertexId> buffer;
     // Pass 1 misses and admits every remote row; pass 2 hits them.
     for (int pass = 0; pass < 2; ++pass) {
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         const auto owner = part.owner(v);
-        const auto got = fetcher.finish(fetcher.begin(v, 0));
+        const auto got = fetcher.finish(fetcher.begin(v, 0, buffer));
         ASSERT_TRUE(std::ranges::equal(got, g.neighbors(v))) << "vertex " << v;
         if (pass == 0 || owner == ctx.rank() || got.empty()) continue;
         const auto exposed =

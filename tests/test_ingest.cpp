@@ -333,23 +333,9 @@ TEST(Ingest, DirectedTextInput) {
   EXPECT_EQ(reader.directedness(), Directedness::Directed);
 }
 
-TEST(Ingest, RelabelNoneMatchesSeedZeroClean) {
-  const auto raw = raw_rmat(8, 8, 21);
-  const std::string text = tmp_path("none.txt");
-  testsupport::save_every_edge(raw, text);
-
-  const std::string snap = tmp_path("none.snap");
-  ingest::IngestOptions opt;
-  opt.relabel = ingest::RelabelMode::None;
-  (void)ingest::run_ingest(text, snap, opt);
-  expect_snapshot_equals(
-      snap, graph::load_text_edges(text, Directedness::Undirected),
-      /*seed=*/0);
-}
-
 TEST(Ingest, RandomSeedZeroMatchesSeedZeroClean) {
   // graph::clean_ids is the one seed rule: seed 0 relabels nothing, also
-  // under RelabelMode::Random.
+  // under RelabelMode::Random (`atlc_ingest --relabel none`).
   const auto raw = raw_rmat(8, 8, 27);
   const std::string text = tmp_path("seed0.txt");
   testsupport::save_every_edge(raw, text);

@@ -1,11 +1,14 @@
 // Tests for the generic depth-k edge-pipeline engine (core::EdgePipeline):
 // correctness at every depth, equivalence with the pre-refactor
-// double-buffer loop in virtual time, the fetcher ring's span-lifetime
-// contract, the row ring's one v-side fetch per 2D row, and the
-// similarity analytics built as kernels on the engine.
+// double-buffer loop in virtual time, the fetcher's caller-owned buffers,
+// the item ring's transfers in flight, the row ring's one v-side fetch per
+// 2D row, and the similarity analytics built as kernels on the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,7 +20,9 @@
 #include "atlc/core/fetcher.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
+#include "atlc/graph/hub_replica.hpp"
 #include "atlc/graph/reference.hpp"
+#include "atlc/obs/trace.hpp"
 #include "atlc/serve/query_engine.hpp"
 #include "atlc/serve/workload.hpp"
 #include "atlc/stream/stream_engine.hpp"
@@ -42,7 +47,7 @@ EngineConfig depth_config(std::size_t k) {
 
 /// Directed graph with zero-OUT-degree vertices that other ranks must
 /// fetch remotely: the two-get protocol's empty-adjacency path (the fetch
-/// resolves after step 1 without consuming a ring slot).
+/// resolves after step 1 without a transfer).
 CSRGraph directed_with_sinks() {
   EdgeList e(8, {}, Directedness::Directed);
   // 3 and 7 are sinks (out-degree 0, in-degree > 0); triangles 0->1->2->0
@@ -137,21 +142,24 @@ double legacy_makespan(const CSRGraph& g, std::uint32_t ranks,
     AdjacencyFetcher fetcher(ctx, dg, config);
     const EdgeIndex m_local = dg.adjacencies.size();
 
+    std::vector<VertexId> buffers[2];  // edge ei lands in buffers[ei % 2]
     AdjacencyFetcher::Token current;
     bool have_current = false;
     if (overlap && m_local > 0) {
-      current = fetcher.begin(dg.adjacencies[0], 0);
+      current = fetcher.begin(dg.adjacencies[0], 0, buffers[0]);
       have_current = true;
     }
     VertexId lv = 0;
     std::uint64_t sink = 0;
     for (EdgeIndex ei = 0; ei < m_local; ++ei) {
       while (dg.offsets[lv + 1] <= ei) ++lv;
-      if (!have_current) current = fetcher.begin(dg.adjacencies[ei], 0);
+      if (!have_current)
+        current = fetcher.begin(dg.adjacencies[ei], 0, buffers[ei % 2]);
       const auto adj_j = fetcher.finish(current);
       have_current = false;
       if (overlap && ei + 1 < m_local) {
-        current = fetcher.begin(dg.adjacencies[ei + 1], 0);
+        current = fetcher.begin(dg.adjacencies[ei + 1], 0,
+                                buffers[(ei + 1) % 2]);
         have_current = true;
       }
       const auto adj_v = dg.local_neighbors(lv);
@@ -295,56 +303,88 @@ TEST(PipelineEquivalence, RunSegmentsIsRunOnEvery1DPartition) {
   }
 }
 
-// ------------------------------------------------- fetcher ring contract ---
+// ------------------------------------ fetcher: buffers are the caller's ---
 
-TEST(FetcherRing, RingSizeFollowsPipelineDepth) {
-  const CSRGraph g = rmat_graph(7, 8, 42);
+TEST(AdjacencyFetcher, OnlyTransfersWriteTheCallersBuffer) {
+  // A transfer (uncached fetch or C_adj miss) lands in `dest`; local, hub,
+  // C_adj-hit and empty rows resolve at begin() and leave `dest` as it was.
+  const std::vector<VertexId> before{7, 7, 7};
+  const CSRGraph g = rmat_graph(7, 8, 43, Directedness::Directed);
   const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
                               2);
-  rma::Runtime::Options o;
-  o.ranks = 2;
-  rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
-    const DistGraph dg = build_dist_graph(ctx, g, part);
-    for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      const EngineConfig cfg = depth_config(k);
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    EngineConfig cfg;
+    cfg.use_cache = cached;
+    cfg.hub_fraction = 0.05;
+    const auto hubs = graph::HubReplica::build(g, cfg.hub_fraction);
+    std::atomic<std::uint64_t> transfers{0}, hub_rows{0}, hits{0}, empty{0};
+    rma::Runtime::Options o;
+    o.ranks = 2;
+    rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+      const DistGraph dg = build_dist_graph(ctx, g, part, &hubs);
       AdjacencyFetcher fetcher(ctx, dg, cfg);
-      EXPECT_EQ(fetcher.ring_size(), k);
-    }
-    ctx.barrier();
-  });
+      // Pass 1 admits the rows pass 2 hits (cached only).
+      for (int pass = 0; pass < 2; ++pass) {
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          const std::uint64_t hits_before =
+              cached ? fetcher.adj_cache().stats().hits : 0;
+          std::vector<VertexId> dest = before;
+          const auto got = fetcher.finish(fetcher.begin(v, 0, dest));
+          ASSERT_TRUE(std::ranges::equal(got, g.neighbors(v))) << v;
+          const bool local = part.owner(v) == ctx.rank();
+          const bool hub = !local && dg.hubs.find(v) != graph::HubReplica::npos;
+          const bool hit =
+              cached && fetcher.adj_cache().stats().hits > hits_before;
+          const bool remote_empty = !local && !hub && got.empty();
+          hub_rows += hub;
+          hits += hit;
+          empty += remote_empty;
+          if (local || hub || hit || remote_empty) {
+            EXPECT_EQ(dest, before) << "vertex " << v;
+          } else {
+            EXPECT_EQ(got.data(), dest.data()) << "vertex " << v;
+            ++transfers;
+          }
+        }
+      }
+      ctx.barrier();  // windows expose dg's vectors; free collectively
+    });
+    EXPECT_GT(transfers.load(), 0u);
+    EXPECT_GT(hub_rows.load(), 0u);
+    EXPECT_GT(empty.load(), 0u);
+    EXPECT_EQ(hits.load() > 0, cached);
+  }
 }
 
-#ifndef NDEBUG
-TEST(FetcherRing, FinishAfterSlotRecycleAbortsInDebug) {
-  testsupport::use_threadsafe_death_tests();
-  const CSRGraph g = rmat_graph(7, 8, 43);
-  const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
-                              2);
-  EXPECT_DEATH(
-      {
-        rma::Runtime::Options o;
-        o.ranks = 2;
-        rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
-          const DistGraph dg = build_dist_graph(ctx, g, part);
-          const EngineConfig cfg = depth_config(2);  // ring of 2 slots
-          AdjacencyFetcher fetcher(ctx, dg, cfg);
-          // Find three remote, non-empty vertices and overfill the ring.
-          std::vector<VertexId> remote;
-          for (VertexId v = 0;
-               v < g.num_vertices() && remote.size() < 3; ++v)
-            if (part.owner(v) != ctx.rank() && g.degree(v) > 0)
-              remote.push_back(v);
-          ASSERT_EQ(remote.size(), 3u);
-          const auto t0 = fetcher.begin(remote[0], 0);
-          (void)fetcher.begin(remote[1], 0);
-          (void)fetcher.begin(remote[2], 0);  // recycles t0's slot
-          (void)fetcher.finish(t0);        // must trip the generation check
-          ctx.barrier();
-        });
-      },
-      "recycled");
+// --------------------------------------- item ring: transfers in flight ---
+
+TEST(ItemRing, TransfersInFlightPeakAtTheLookahead) {
+  // Block1D, uncached: every transfer is an item's j side, so the fetcher's
+  // ring/in_flight counter (begun, unfinished transfers) peaks at the
+  // lookahead k-1 (1 at depth 1, whose one transfer is begun and finished
+  // per item) and drains to 0 on every rank.
+  const CSRGraph g = rmat_graph(8, 8, 65);
+  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+    obs::TraceCollector trace;
+    EngineConfig cfg = depth_config(k);
+    cfg.trace = &trace;
+    expect_matches_reference(g, run_distributed_lcc(g, 4, cfg));
+    std::uint64_t peak = 0;
+    for (std::uint32_t r = 0; r < trace.ranks(); ++r) {
+      std::uint64_t last = 0;
+      for (const obs::TraceEvent& e : trace.events(r)) {
+        if (e.phase != obs::EventPhase::Counter ||
+            std::string_view(e.name) != "ring")
+          continue;
+        peak = std::max(peak, e.arg0.value);
+        last = e.arg0.value;
+      }
+      EXPECT_EQ(last, 0u) << "depth " << k << " rank " << r;
+    }
+    EXPECT_EQ(peak, std::max<std::uint64_t>(k - 1, 1)) << "depth " << k;
+  }
 }
-#endif
 
 // ------------------------------------------ row ring: v side once per row ---
 
@@ -393,12 +433,6 @@ TEST(RowRing, Grid2DFetchesEachRowSegmentOncePerRow) {
       const RunResult tc = run_distributed_tc_result(g, ranks, cfg, {}, kGrid);
       EXPECT_EQ(tc.global_triangles, ref.global_triangles);
       EXPECT_EQ(tc.run.total().segment_gets, expected);
-
-      (void)run_edge_analytic(
-          g, ranks, cfg, rma::NetworkModel{}, kGrid,
-          [k](rma::RankCtx&, DistGraph&, EdgePipeline& pipeline) {
-            EXPECT_EQ(pipeline.fetcher().ring_size(), k);
-          });
     }
   }
 }
@@ -644,7 +678,7 @@ TEST(AnalyticStats, ServeQueryStatsAggregateLikeEdgeAnalytics) {
   opts.engine.use_cache = true;
   opts.engine.cache_sizing = CacheSizing::paper_default(g.num_vertices(),
                                                         1 << 18);
-  const serve::ServeResult res = serve::run_query_stream(g, epochs, 4, opts);
+  const serve::ServeResult res = serve::QueryEngine(g, opts).run(epochs, 4);
   expect_aggregation_consistent(res.stats, "serve");
   ASSERT_EQ(res.stats.busy_clocks.size(), 4u);
   EXPECT_GT(res.stats.imbalance(), 1.0);  // waits at epoch barriers excluded
@@ -674,7 +708,7 @@ TEST(AnalyticStats, ServeQueryStatsAggregateLikeEdgeAnalytics) {
   serve::ServeOptions hot = opts;
   hot.hot_cache.entries = 64;
   const serve::ServeResult hres =
-      serve::run_query_stream(g, epochs, 4, hot);
+      serve::QueryEngine(g, hot).run(epochs, 4);
   EXPECT_GT(hres.hot_cache_total.probes, 0u);
   expect_sums_to_total(hres.hot_cache_total, hres.hot_cache_ranks,
                        "hot_cache");

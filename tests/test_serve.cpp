@@ -93,7 +93,7 @@ void expect_answer_matches(const QueryAnswer& got, const QueryAnswer& ref) {
 void expect_parity(const CSRGraph& g, const std::vector<ServeEpoch>& epochs,
                    std::uint32_t ranks, const ServeOptions& opts,
                    ServeResult* out = nullptr) {
-  const ServeResult res = run_query_stream(g, epochs, ranks, opts);
+  const ServeResult res = QueryEngine(g, opts).run(epochs, ranks);
 
   std::size_t total = 0;
   for (const ServeEpoch& e : epochs) total += e.queries.size();
@@ -261,7 +261,7 @@ TEST(ServeTopK, AnswersHoldOnlyKRecommendations) {
   for (const bool hot : {false, true}) {
     ServeOptions opts;
     if (hot) opts.hot_cache.entries = 32;
-    const ServeResult res = run_query_stream(g, epochs, 2, opts);
+    const ServeResult res = QueryEngine(g, opts).run(epochs, 2);
     ASSERT_EQ(res.answers.size(), 2 * wc.queries_per_epoch);
     std::size_t short_lists = 0;
     for (const QueryAnswer& a : res.answers) {
@@ -663,7 +663,7 @@ TEST(ServeAdmission, ByteIdenticalVerdictsAtEveryRankCount) {
   std::string first;
   for (const std::uint32_t ranks : kRankCounts) {
     SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
-    const ServeResult res = run_query_stream(g, epochs, ranks, opts);
+    const ServeResult res = QueryEngine(g, opts).run(epochs, ranks);
     EXPECT_EQ(res.stats.submitted, 3u * 48u);
     EXPECT_EQ(res.stats.rejected, 3u * 28u);
     EXPECT_EQ(res.stats.answered, 3u * 20u);
@@ -680,8 +680,8 @@ TEST(ServeAdmission, ByteIdenticalVerdictsAtEveryRankCount) {
 
   // Same seed, same rank count, run twice: the whole result (virtual
   // latencies included) must reproduce exactly.
-  const ServeResult a = run_query_stream(g, epochs, 4, opts);
-  const ServeResult b = run_query_stream(g, epochs, 4, opts);
+  const ServeResult a = QueryEngine(g, opts).run(epochs, 4);
+  const ServeResult b = QueryEngine(g, opts).run(epochs, 4);
   ASSERT_EQ(a.stats.latencies.size(), b.stats.latencies.size());
   for (std::size_t i = 0; i < a.stats.latencies.size(); ++i)
     expect_bits_eq(a.stats.latencies[i], b.stats.latencies[i], "latency");
@@ -700,8 +700,8 @@ TEST(ServeAdmission, ZeroCapacityRejectsQueriesButAppliesUpdates) {
   ServeOptions open;
   ServeOptions closed;
   closed.admission_capacity = 0;
-  const ServeResult ref = run_query_stream(g, epochs, 2, open);
-  const ServeResult res = run_query_stream(g, epochs, 2, closed);
+  const ServeResult ref = QueryEngine(g, open).run(epochs, 2);
+  const ServeResult res = QueryEngine(g, closed).run(epochs, 2);
 
   EXPECT_EQ(res.stats.answered, 0u);
   EXPECT_EQ(res.stats.rejected, res.stats.submitted);
@@ -731,7 +731,7 @@ TEST(ServeAdmission, CapacityAtLeastStreamNeverRejects) {
   const auto epochs = generate_query_stream(g, wc);
   ServeOptions opts;
   opts.admission_capacity = 16;  // exactly the epoch arrival count
-  const ServeResult res = run_query_stream(g, epochs, 2, opts);
+  const ServeResult res = QueryEngine(g, opts).run(epochs, 2);
   EXPECT_EQ(res.stats.rejected, 0u);
   EXPECT_EQ(res.stats.answered, res.stats.submitted);
 }

@@ -77,21 +77,19 @@ int main(int argc, char** argv) {
   opt.directedness = cli.get_flag("directed")
                          ? graph::Directedness::Directed
                          : graph::Directedness::Undirected;
+  opt.relabel_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string& relabel = cli.get_string("relabel");
-  if (relabel == "random") {
-    opt.relabel = ingest::RelabelMode::Random;
+  if (relabel == "none") {
+    opt.relabel_seed = 0;  // `random` with seed 0 relabels nothing
   } else if (relabel == "degree") {
     opt.relabel = ingest::RelabelMode::DegreeDescending;
-  } else if (relabel == "none") {
-    opt.relabel = ingest::RelabelMode::None;
-  } else {
+  } else if (relabel != "random") {
     std::fprintf(stderr,
                  "atlc_ingest: unknown --relabel '%s' (random | degree | "
                  "none)\n",
                  relabel.c_str());
     return 1;
   }
-  opt.relabel_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opt.remove_degree_lt2 = !cli.get_flag("keep-low-degree");
   opt.tmp_dir = cli.get_string("tmp-dir");
   // Ingest spans carry wall timestamps (no virtual clock here), so the

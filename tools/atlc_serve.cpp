@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
 
     const auto ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
     const serve::ServeResult res =
-        serve::run_query_stream(g, epochs, ranks, opts);
+        serve::QueryEngine(g, opts).run(epochs, ranks);
 
     util::Table t({"epoch", "submitted", "accepted", "rejected", "hot hits",
                    "rows rebuilt", "query (s)", "update (s)"});
