@@ -2,8 +2,7 @@
 //   D5: hybrid vs pure SSI vs pure binary inside the distributed engine;
 //   D7: Block1D vs Cyclic1D partitioning (paper cites [26] as the
 //       balance-improving alternative/future work; the Block1D row is
-//       D5's hybrid run);
-//   plus: CLaMPI adaptive hash resizing on vs off.
+//       D5's hybrid run).
 // D6 (double buffering vs no overlap) is the k=2 vs k=1 pair of the
 // pipeline_depth scenario.
 #include <cstdio>
@@ -63,31 +62,10 @@ void run(bench::ScenarioContext& ctx) {
     t.print("D7: 1D partitioning scheme");
     ctx.rec.add_table("D7: 1D partitioning scheme", t);
   }
-
-  // Adaptive cache resizing.
-  {
-    util::Table t({"Cache tuning", "makespan (s)"});
-    for (bool adaptive : {false, true}) {
-      core::EngineConfig cfg;
-      cfg.use_cache = true;
-      cfg.cache_adaptive = adaptive;
-      // Deliberately undersized hash table: adaptivity has something to fix.
-      cfg.cache_sizing = core::CacheSizing::paper_default(
-          g.num_vertices(), g.csr_bytes() / 4);
-      cfg.cache_sizing.adj_slots = 64;
-      const auto r = ctx.run_lcc_trials(
-          std::string("makespan/adaptive/") + (adaptive ? "on" : "off"), g,
-          ranks, cfg);
-      t.add_row({adaptive ? "adaptive resize (CLaMPI)" : "static hash table",
-                 util::Table::fmt(r.run.makespan, 4)});
-    }
-    t.print("CLaMPI adaptive hash resizing (undersized initial table)");
-    ctx.rec.add_table("CLaMPI adaptive hash resizing", t);
-  }
 }
 
 }  // namespace
 
 ATLC_REGISTER_SCENARIO(ablation, "ablation", "DESIGN.md §4",
-                       "design-decision ablations (D5/D7, adaptivity)",
+                       "design-decision ablations (D5/D7)",
                        add_flags, run)

@@ -1,11 +1,10 @@
 // Full-system walkthrough: how the pieces of the paper's design compose,
 // and how to tune the CLaMPI-style cache for a workload.
 //
-// Runs the same LCC computation four ways across a rank sweep:
+// Runs the same LCC computation three ways across a rank sweep:
 //   1. non-cached                 (baseline asynchronous RMA engine)
 //   2. cached, CLaMPI scores      (LRU + positional anti-fragmentation)
 //   3. cached, degree scores      (the paper's Section III-B2 extension)
-//   4. cached, degree + adaptive  (CLaMPI's hash auto-tuning on top)
 // and prints runtime, hit rates and miss classes so the trade-offs are
 // visible — including when caching stops paying (over-partitioning).
 #include <cstdio>
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sizing.offsets_bytes),
               static_cast<unsigned long long>(sizing.adj_bytes));
 
-  std::vector<Variant> variants(4);
+  std::vector<Variant> variants(3);
   variants[0].name = "non-cached";
   variants[1].name = "cached (CLaMPI scores)";
   variants[1].config.use_cache = true;
@@ -60,13 +59,10 @@ int main(int argc, char** argv) {
   variants[2].config.use_cache = true;
   variants[2].config.cache_sizing = sizing;
   variants[2].config.victim_policy = clampi::VictimPolicy::UserScore;
-  variants[3].name = "cached (degree + adaptive)";
-  variants[3].config = variants[2].config;
-  variants[3].config.cache_adaptive = true;
 
   for (std::uint32_t ranks : {4u, 16u, 64u}) {
     util::Table table({"variant", "makespan (s)", "adj hit rate",
-                       "compulsory", "capacity", "evictions", "resizes"});
+                       "compulsory", "capacity", "evictions"});
     std::uint64_t reference_triangles = 0;
     for (const auto& v : variants) {
       const auto r = core::run_distributed_lcc(g, ranks, v.config);
@@ -85,8 +81,7 @@ int main(int argc, char** argv) {
                static_cast<double>(cs.compulsory_misses) / denom),
            util::Table::fmt_percent(
                static_cast<double>(cs.capacity_misses) / denom),
-           util::Table::fmt_int(cs.evictions_space + cs.evictions_conflict),
-           util::Table::fmt_int(cs.hash_resizes)});
+           util::Table::fmt_int(cs.evictions_space + cs.evictions_conflict)});
     }
     table.print("LCC on " + std::to_string(ranks) + " ranks (triangles: " +
                 std::to_string(reference_triangles) + ")");

@@ -30,11 +30,11 @@ struct EntryInfo {
 };
 
 /// CLaMPI-style software cache for RMA gets: variable-size entries in a
-/// bounded memory buffer, hash-table index with bounded linear probing,
-/// score-driven victim selection, and optional adaptive hash resizing
-/// (which flushes, as in CLaMPI). The cache is metadata only: it makes every
-/// admission, eviction and epoch decision over (key, size, score, tick) and
-/// a buffer layout, but holds no payload bytes — the window is read-only
+/// bounded memory buffer, a hash-table index with bounded linear probing
+/// whose slot count is fixed at construction, and score-driven victim
+/// selection. The cache is metadata only: it makes every admission,
+/// eviction and epoch decision over (key, size, score, tick) and a buffer
+/// layout, but holds no payload bytes — the window is read-only
 /// within an epoch, so a hit is served from the owner's exposed memory.
 /// The cache itself is transport-agnostic; `CachedWindow`
 /// (cached_window.hpp) wires it to the RMA runtime.
@@ -74,10 +74,6 @@ class Cache {
     return idx >= 0 && pool_[idx].epoch == current_epoch_;
   }
 
-  /// Drop every entry (stats retained). Adaptive hash resizing flushes
-  /// through this; epoch bumps never do (they recycle entries one by one).
-  void flush();
-
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
@@ -115,7 +111,6 @@ class Cache {
   enum class GoneReason : std::uint8_t {
     EvictedSpace,
     EvictedConflict,
-    Flushed,
     Stale,  ///< epoch invalidation (refresh_window advanced the window)
     NeverStored,
   };
@@ -142,7 +137,6 @@ class Cache {
   std::int32_t lru_positional_pick();
   void classify_miss(const Key& key);
   void note_gone(const Key& key, GoneReason reason);
-  void maybe_adapt();
 
   CacheConfig config_;
   CacheStats stats_;
@@ -157,8 +151,6 @@ class Cache {
   std::uint64_t current_epoch_ = 0;
   ScoreIndex by_score_;
   std::unordered_map<std::uint64_t, GoneReason> gone_;  // miss classification
-  std::uint64_t window_accesses_ = 0;
-  std::uint64_t window_conflicts_ = 0;
   // Scratch reused across calls, so victim selection never allocates.
   std::vector<std::int32_t> candidates_;  ///< victim pickers' candidates
   std::vector<std::int32_t> victims_;     ///< make_room phase-2 run

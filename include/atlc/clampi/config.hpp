@@ -20,17 +20,20 @@ enum class VictimPolicy : std::uint8_t {
   UserScore,
 };
 
-/// Cache shape and policy. There is no consistency-mode switch: the cached
-/// windows are read-only within a window epoch (the paper's "the graph is
-/// never modified during the computation"), and epoch stamping is the only
-/// invalidation (Cache::set_epoch, DESIGN.md §7).
+/// Cache shape and policy, fixed for the cache's lifetime. There is no
+/// consistency-mode switch: the cached windows are read-only within a
+/// window epoch (the paper's "the graph is never modified during the
+/// computation"), and epoch stamping is the only invalidation
+/// (Cache::set_epoch, DESIGN.md §7). Nor is the hash table ever resized:
+/// CLaMPI flushes the whole cache on every resize, which is why the paper
+/// sizes the table up front (Section III-B1), and so does every caller here.
 struct CacheConfig {
   /// Capacity of the cache buffer. The cache keeps no payload bytes (hits
   /// are views of the owner's exposure), but every admission and eviction
   /// is decided as if entries occupied a buffer of this size.
   std::uint64_t buffer_bytes = 1ull << 20;
-  /// Number of hash-table slots. CLaMPI sizing heuristics (paper
-  /// Section III-B1): ~ one slot per expected entry; see
+  /// Number of hash-table slots, never resized. CLaMPI sizing heuristics
+  /// (paper Section III-B1): ~ one slot per expected entry; see
   /// `suggest_hash_slots_*` helpers in cache.hpp.
   std::size_t hash_slots = 4096;
   /// Linear-probing window; a full window is a hash *conflict*.
@@ -38,11 +41,6 @@ struct CacheConfig {
   VictimPolicy policy = VictimPolicy::LruPositional;
   /// LruPositional: how many LRU-tail candidates compete on positional score.
   std::size_t lru_window = 16;
-  /// Adaptive tuning (CLaMPI): double the hash table when more than 5% of
-  /// the accesses since the last check hit a full probe window (up to
-  /// 2^22 slots). Each adjustment FLUSHES the cache (paper Section III-B1).
-  bool adaptive = false;
-  std::size_t adaptive_interval = 4096;  ///< accesses between checks
 };
 
 /// Cache observability counters (drive paper Figs. 7 and 8).
@@ -52,7 +50,9 @@ struct CacheStats {
   std::uint64_t compulsory_misses = 0;  ///< key never seen before
   std::uint64_t capacity_misses = 0;    ///< key evicted earlier for space
   std::uint64_t conflict_misses = 0;    ///< key evicted earlier by hash conflict
-  std::uint64_t flush_misses = 0;  ///< key dropped by a flush or epoch bump
+  /// Key recycled by an epoch bump (the entry went stale, see
+  /// stale_evictions) and probed again.
+  std::uint64_t flush_misses = 0;
   std::uint64_t evictions_space = 0;
   std::uint64_t evictions_conflict = 0;
   /// Entries recycled because the window epoch advanced past the epoch they
@@ -68,8 +68,6 @@ struct CacheStats {
   /// phase 1, or the cheapest contiguous run in its phase 2 (paper Section
   /// III-B2: "avoid storing a high number of low-degree vertices").
   std::uint64_t admission_rejects = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t hash_resizes = 0;
   std::uint64_t bytes_hit = 0;
   std::uint64_t bytes_missed = 0;
 
@@ -88,8 +86,6 @@ struct CacheStats {
         util::Counter{"stale_evictions", &S::stale_evictions},
         util::Counter{"insert_failures", &S::insert_failures},
         util::Counter{"admission_rejects", &S::admission_rejects},
-        util::Counter{"flushes", &S::flushes},
-        util::Counter{"hash_resizes", &S::hash_resizes},
         util::Counter{"bytes_hit", &S::bytes_hit},
         util::Counter{"bytes_missed", &S::bytes_missed}};
   }

@@ -25,9 +25,6 @@ using graph::VertexId;
 struct CacheSizing {
   std::uint64_t offsets_bytes = 1u << 20;
   std::uint64_t adj_bytes = 8u << 20;
-  /// C_adj hash slots; 0 = derive via paper heuristics. C_offsets always
-  /// gets one slot per (start,end) pair that fits.
-  std::size_t adj_slots = 0;
 
   /// The paper's allocation rule for a given graph size and budget.
   static CacheSizing paper_default(VertexId num_vertices,
@@ -71,7 +68,6 @@ struct EngineConfig {
   /// Victim selection: LruPositional = CLaMPI default scores;
   /// UserScore = this paper's degree-centrality extension (Fig. 8).
   clampi::VictimPolicy victim_policy = clampi::VictimPolicy::LruPositional;
-  bool cache_adaptive = false;
 
   /// Prefetch-pipeline depth k >= 1 of the edge stream: the engine keeps up
   /// to k-1 items' adjacency transfers in flight under the current

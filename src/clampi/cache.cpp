@@ -9,16 +9,6 @@
 
 namespace atlc::clampi {
 
-namespace {
-
-/// Adaptive tuning: grow when more than this share of the accesses since
-/// the last check found a full probe window...
-constexpr double kAdaptiveConflictThreshold = 0.05;
-/// ...and never past this many hash slots.
-constexpr std::size_t kMaxHashSlots = 1u << 22;
-
-}  // namespace
-
 std::uint64_t key_hash(const Key& k) {
   std::uint64_t h = util::mix64(k.target, 0x9E3779B9u);
   h = util::mix64(h ^ k.offset, 0x85EBCA6Bu);
@@ -74,8 +64,6 @@ void Cache::touch(std::int32_t idx) {
 }
 
 bool Cache::lookup(const Key& key) {
-  ++window_accesses_;
-  maybe_adapt();
   const std::int32_t idx = find(key);
   if (idx >= 0) {
     if (pool_[idx].epoch != current_epoch_) {
@@ -106,7 +94,6 @@ void Cache::classify_miss(const Key& key) {
   switch (it->second) {
     case GoneReason::EvictedSpace: ++stats_.capacity_misses; break;
     case GoneReason::EvictedConflict: ++stats_.conflict_misses; break;
-    case GoneReason::Flushed: ++stats_.flush_misses; break;
     // Epoch invalidation is a targeted flush of one entry.
     case GoneReason::Stale: ++stats_.flush_misses; break;
     case GoneReason::NeverStored: ++stats_.capacity_misses; break;
@@ -274,7 +261,6 @@ bool Cache::insert(const Key& key, double user_score) {
     }
   }
   if (slot == -1) {
-    ++window_conflicts_;
     const std::int32_t victim = pick_victim_in_probe_window(base);
     ATLC_DCHECK(victim >= 0, "full probe window with no live entry");
     // Admission gate (paper Section III-B2): under application scores, a
@@ -327,36 +313,6 @@ bool Cache::insert(const Key& key, double user_score) {
   ++live_entries_;
   gone_.erase(key_hash(key));
   return true;
-}
-
-void Cache::flush() {
-  for (std::int32_t it = lru_head_; it != -1; it = pool_[it].lru_next)
-    note_gone(pool_[it].key, GoneReason::Flushed);
-  pool_.clear();
-  pool_free_.clear();
-  std::fill(slots_.begin(), slots_.end(), kEmpty);
-  by_score_.clear();
-  free_.reset();
-  live_entries_ = 0;
-  lru_head_ = lru_tail_ = -1;
-  ++stats_.flushes;
-}
-
-void Cache::maybe_adapt() {
-  if (!config_.adaptive || window_accesses_ < config_.adaptive_interval)
-    return;
-  const double conflict_rate = static_cast<double>(window_conflicts_) /
-                               static_cast<double>(window_accesses_);
-  window_accesses_ = 0;
-  window_conflicts_ = 0;
-  if (conflict_rate > kAdaptiveConflictThreshold &&
-      slots_.size() * 2 <= kMaxHashSlots) {
-    // CLaMPI's adaptive strategy: resize the hash table and FLUSH (paper
-    // Section III-B1 — this is why good initial sizes matter).
-    flush();
-    slots_.assign(slots_.size() * 2, kEmpty);
-    ++stats_.hash_resizes;
-  }
 }
 
 std::vector<EntryInfo> Cache::entries() const {

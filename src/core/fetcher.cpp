@@ -11,11 +11,11 @@ namespace {
 clampi::CacheConfig offsets_cache_config(const EngineConfig& cfg) {
   clampi::CacheConfig c;
   c.buffer_bytes = cfg.cache_sizing.offsets_bytes;
-  // C_offsets entries are fixed-size (start,end) pairs (paper Obs. 3.2).
+  // C_offsets entries are fixed-size (start,end) pairs (paper Obs. 3.2):
+  // one slot per pair that fits.
   c.hash_slots = clampi::Cache::suggest_hash_slots_fixed(
       c.buffer_bytes, 2 * sizeof(EdgeIndex));
   c.policy = clampi::VictimPolicy::LruPositional;
-  c.adaptive = cfg.cache_adaptive;
   return c;
 }
 
@@ -23,38 +23,34 @@ clampi::CacheConfig adj_cache_config(const EngineConfig& cfg,
                                      const DistGraph& dg) {
   clampi::CacheConfig c;
   c.buffer_bytes = cfg.cache_sizing.adj_bytes;
-  if (cfg.cache_sizing.adj_slots) {
-    c.hash_slots = cfg.cache_sizing.adj_slots;
-  } else {
-    // Paper Section III-B1: under a power-law degree distribution, a cache
-    // holding fraction f of the graph holds ~ n * f^2 entries. Estimate the
-    // total adjacency volume from this rank's slice (1D parts are
-    // approximately equal in vertices, roughly so in edges).
-    const double total_adj_bytes =
-        static_cast<double>(dg.adjacencies.size()) * sizeof(VertexId) *
-        static_cast<double>(dg.partition.num_ranks());
-    const double fraction =
-        total_adj_bytes > 0
-            ? static_cast<double>(c.buffer_bytes) / total_adj_bytes
-            : 1.0;
-    const std::size_t heuristic = clampi::Cache::suggest_hash_slots_power_law(
-        dg.partition.num_vertices(), fraction);
-    // Floor at 4x the buffer's entry capacity (slots cost 4 bytes each;
-    // conflict evictions cost residency). This is what CLaMPI's adaptive
-    // resizing converges to — starting there skips its flush-on-resize.
-    const double avg_entry_bytes =
-        dg.num_local() > 0
-            ? std::max(8.0, static_cast<double>(dg.adjacencies.size()) *
-                                sizeof(VertexId) /
-                                static_cast<double>(dg.num_local()))
-            : 64.0;
-    const auto capacity_entries = static_cast<std::size_t>(
-        static_cast<double>(c.buffer_bytes) / avg_entry_bytes);
-    c.hash_slots = std::max(heuristic, 4 * std::max<std::size_t>(
-                                               16, capacity_entries));
-  }
+  // Paper Section III-B1: under a power-law degree distribution, a cache
+  // holding fraction f of the graph holds ~ n * f^2 entries. Estimate the
+  // total adjacency volume from this rank's slice (1D parts are
+  // approximately equal in vertices, roughly so in edges).
+  const double total_adj_bytes =
+      static_cast<double>(dg.adjacencies.size()) * sizeof(VertexId) *
+      static_cast<double>(dg.partition.num_ranks());
+  const double fraction =
+      total_adj_bytes > 0
+          ? static_cast<double>(c.buffer_bytes) / total_adj_bytes
+          : 1.0;
+  const std::size_t heuristic = clampi::Cache::suggest_hash_slots_power_law(
+      dg.partition.num_vertices(), fraction);
+  // Floor at 4x the buffer's entry capacity (slots cost 4 bytes each;
+  // conflict evictions cost residency). The table is never resized, so
+  // this floor is what keeps an undersized heuristic from turning most
+  // misses into conflict evictions.
+  const double avg_entry_bytes =
+      dg.num_local() > 0
+          ? std::max(8.0, static_cast<double>(dg.adjacencies.size()) *
+                              sizeof(VertexId) /
+                              static_cast<double>(dg.num_local()))
+          : 64.0;
+  const auto capacity_entries = static_cast<std::size_t>(
+      static_cast<double>(c.buffer_bytes) / avg_entry_bytes);
+  c.hash_slots =
+      std::max(heuristic, 4 * std::max<std::size_t>(16, capacity_entries));
   c.policy = cfg.victim_policy;
-  c.adaptive = cfg.cache_adaptive;
   return c;
 }
 

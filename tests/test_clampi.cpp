@@ -2,7 +2,7 @@
 // model), the one-pass run search (against the per-start scan) and the
 // gate index (against the run search), hash index, victim selection
 // (LRU+positional and user scores), miss classification, epoch
-// invalidation, adaptive resizing, the CachedWindow integration and its
+// invalidation, the CachedWindow integration and its
 // zero-copy hits, and a golden digest pinning every admission and eviction
 // decision.
 #include <gtest/gtest.h>
@@ -583,30 +583,23 @@ TEST(Cache, ConflictEvictionWhenProbeWindowFull) {
   EXPECT_LE(cache.num_entries(), 4u);
 }
 
-TEST(Cache, FlushDropsEverythingAndCountsFlushMisses) {
+TEST(Cache, EpochBumpRecyclesEntryAndCountsFlushMisses) {
   Cache cache(small_config());
-  ASSERT_TRUE(cache.insert(key_of(0, 0, 64)));
-  cache.flush();
+  const Key k = key_of(0, 0, 64);
+  ASSERT_TRUE(cache.insert(k));
+  cache.set_epoch(1);
+  // The probe that finds the entry stale recycles it: one stale eviction,
+  // and the miss is classified against the epoch bump.
+  EXPECT_FALSE(cache.lookup(k));
   EXPECT_EQ(cache.num_entries(), 0u);
-  EXPECT_FALSE(cache.lookup(key_of(0, 0, 64)));
+  EXPECT_EQ(cache.stats().stale_evictions, 1u);
   EXPECT_EQ(cache.stats().flush_misses, 1u);
-}
-
-TEST(Cache, AdaptiveResizeFlushesAndGrows) {
-  CacheConfig cfg;
-  cfg.buffer_bytes = 1 << 20;
-  cfg.hash_slots = 4;
-  cfg.probe_limit = 2;
-  cfg.adaptive = true;
-  cfg.adaptive_interval = 64;
-  Cache cache(cfg);
-  // Hammer with distinct keys: conflicts mount, adaptivity must kick in.
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    if (!cache.lookup(key_of(0, i * 16, 16)))
-      (void)cache.insert(key_of(0, i * 16, 16));
-  }
-  EXPECT_GT(cache.stats().hash_resizes, 0u);
-  EXPECT_GT(cache.stats().flushes, 0u);
+  // The next probe of the same key finds nothing and counts one more
+  // flush miss; nothing is left to evict.
+  EXPECT_FALSE(cache.lookup(k));
+  EXPECT_EQ(cache.stats().stale_evictions, 1u);
+  EXPECT_EQ(cache.stats().flush_misses, 2u);
+  EXPECT_EQ(cache.stats().compulsory_misses, 0u);
 }
 
 TEST(Cache, EntriesSnapshotMatchesContents) {
@@ -1017,7 +1010,7 @@ struct Digest {
 
 /// A seeded run of lookup/contains/insert calls over a buffer small enough
 /// to force phase-1, phase-2 (contiguous run) and hash-conflict evictions,
-/// with heavily tied scores, epoch bumps and one adaptive resize. Every
+/// with heavily tied scores and epoch bumps. Every
 /// return value, every CacheStats counter and the final entries() are
 /// folded into one digest: any change to an admission or eviction decision
 /// — including which of several equal-score entries or equal-size free
@@ -1028,8 +1021,6 @@ std::uint64_t decision_digest(VictimPolicy policy) {
   cfg.hash_slots = 64;
   cfg.probe_limit = 3;
   cfg.policy = policy;
-  cfg.adaptive = true;
-  cfg.adaptive_interval = 20000;  // one adaptivity check in the run
   Cache cache(cfg);
   util::Xoshiro256 rng(2022);
   Digest d;
@@ -1063,8 +1054,7 @@ std::uint64_t decision_digest(VictimPolicy policy) {
        {s.hits, s.misses, s.compulsory_misses, s.capacity_misses,
         s.conflict_misses, s.flush_misses, s.evictions_space,
         s.evictions_conflict, s.stale_evictions, s.insert_failures,
-        s.admission_rejects, s.flushes, s.hash_resizes, s.bytes_hit,
-        s.bytes_missed})
+        s.admission_rejects, s.bytes_hit, s.bytes_missed})
     d.fold(v);
   for (const EntryInfo& e : cache.entries()) {
     d.fold(e.key.target);
@@ -1079,7 +1069,6 @@ std::uint64_t decision_digest(VictimPolicy policy) {
   EXPECT_GT(s.evictions_space, 0u);
   EXPECT_GT(s.evictions_conflict, 0u);
   EXPECT_GT(s.stale_evictions, 0u);
-  EXPECT_EQ(s.hash_resizes, 1u);
   // The admission gate, phase 2's included, is part of what it pins.
   if (policy == VictimPolicy::UserScore) {
     EXPECT_GT(s.admission_rejects, 0u);
@@ -1089,11 +1078,11 @@ std::uint64_t decision_digest(VictimPolicy policy) {
 
 TEST(CacheGolden, LruPositionalDecisionDigest) {
   EXPECT_EQ(decision_digest(VictimPolicy::LruPositional),
-            0x945aad541c026949ull);
+            0x998d17d3ca19bdcfull);
 }
 
 TEST(CacheGolden, UserScoreDecisionDigest) {
-  EXPECT_EQ(decision_digest(VictimPolicy::UserScore), 0x2ba5ebd6b0e8c3b9ull);
+  EXPECT_EQ(decision_digest(VictimPolicy::UserScore), 0xf365f10dd22ab67cull);
 }
 
 TEST(CachedWindow, OverlappedMissInsertsOnFinish) {

@@ -105,6 +105,51 @@ TEST(AdjacencyFetcher, CacheHitIsAViewOfTheOwnersExposedPart) {
   });
 }
 
+TEST(AdjacencyFetcher, CacheTablesKeepTheSlotRuleTheyAreBuiltWith) {
+  // Nothing resizes a CLaMPI hash table at run time, so the slot counts the
+  // fetcher derives are the ones a whole run keeps. C_adj: the paper's
+  // n * f^2 power-law estimate (Section III-B1), floored at 4x the entries
+  // its buffer holds at this rank's mean row size. C_offsets: one slot per
+  // 16-byte (start,end) pair that fits.
+  const CSRGraph g = rmat_graph(8, 8, 1);
+  constexpr std::uint32_t kRanks = 4;
+  const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
+                              kRanks);
+  for (const std::uint64_t budget : {g.csr_bytes() / 8, g.csr_bytes() / 2}) {
+    for (const auto policy : {clampi::VictimPolicy::LruPositional,
+                              clampi::VictimPolicy::UserScore}) {
+      EngineConfig cfg;
+      cfg.use_cache = true;
+      cfg.cache_sizing = CacheSizing::paper_default(g.num_vertices(), budget);
+      cfg.victim_policy = policy;
+      rma::Runtime::Options o;
+      o.ranks = kRanks;
+      rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+        const DistGraph dg = build_dist_graph(ctx, g, part);
+        AdjacencyFetcher fetcher(ctx, dg, cfg);
+        const double adj_bytes =
+            static_cast<double>(dg.adjacencies.size()) * sizeof(VertexId);
+        const double f = static_cast<double>(cfg.cache_sizing.adj_bytes) /
+                         (adj_bytes * kRanks);
+        const double mean_row_bytes =
+            std::max(8.0, adj_bytes / static_cast<double>(dg.num_local()));
+        const auto capacity = static_cast<std::size_t>(
+            static_cast<double>(cfg.cache_sizing.adj_bytes) / mean_row_bytes);
+        const clampi::CacheConfig& adj = fetcher.adj_cache().config();
+        EXPECT_EQ(adj.hash_slots,
+                  std::max(clampi::Cache::suggest_hash_slots_power_law(
+                               g.num_vertices(), f),
+                           4 * std::max<std::size_t>(16, capacity)));
+        EXPECT_EQ(adj.policy, policy);
+        EXPECT_EQ(fetcher.offsets_cache().config().hash_slots,
+                  clampi::Cache::suggest_hash_slots_fixed(
+                      cfg.cache_sizing.offsets_bytes, 16));
+        ctx.barrier();  // windows expose dg's vectors; free collectively
+      });
+    }
+  }
+}
+
 // ----------------------------------------------------------- correctness ---
 
 class LccAcrossRanks : public ::testing::TestWithParam<std::uint32_t> {};

@@ -207,19 +207,6 @@ TEST(HostileCache, ZeroByteEntriesRejected) {
   EXPECT_EQ(cache.num_entries(), 0u);
 }
 
-TEST(HostileCache, ManyFlushCycles) {
-  clampi::Cache cache({.buffer_bytes = 1024, .hash_slots = 32});
-  for (int round = 0; round < 50; ++round) {
-    for (std::uint32_t i = 0; i < 8; ++i)
-      ASSERT_TRUE(cache.insert({0, i * 64, 64}));
-    for (std::uint32_t i = 0; i < 8; ++i)
-      ASSERT_TRUE(cache.lookup({0, i * 64, 64}));
-    cache.flush();
-    ASSERT_EQ(cache.num_entries(), 0u);
-  }
-  EXPECT_EQ(cache.stats().flushes, 50u);
-}
-
 TEST(HostileCache, TricWithOneEntryBuffers) {
   // Buffered TriC with absurdly small buffers must still be correct,
   // just with many rounds.

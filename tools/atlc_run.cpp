@@ -13,7 +13,6 @@
 //   atlc_run --snapshot graph.snap --algo lcc      # atlc_ingest output;
 //     skips clean/relabel and reads each rank's CSR slice out of core, at
 //     any --ranks and --partition
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -40,6 +39,14 @@ namespace {
 
 using namespace atlc;
 
+/// Largest --pipeline-depth accepted. Every rank allocates that many
+/// item-ring and row-ring entries; the pipeline_depth scenario sweeps
+/// k <= 8, so this bound only catches typos.
+constexpr std::int64_t kMaxPipelineDepth = 65536;
+/// Largest --batch-size accepted: every batch is generated up front, at
+/// 12 bytes per update.
+constexpr std::int64_t kMaxBatchSize = std::int64_t{1} << 24;
+
 struct FileCloser {
   void operator()(std::FILE* f) const {
     if (f && f != stdout) std::fclose(f);
@@ -64,8 +71,7 @@ core::EngineConfig engine_config(const util::Cli& cli,
   cfg.method = method == "ssi"      ? intersect::Method::SSI
                : method == "binary" ? intersect::Method::Binary
                                     : intersect::Method::Hybrid;
-  cfg.pipeline_depth = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("pipeline-depth")));
+  cfg.pipeline_depth = static_cast<std::size_t>(cli.get_int("pipeline-depth"));
   cfg.hub_fraction = cli.get_double("hub-frac");
   if (cli.get_flag("cache")) {
     cfg.use_cache = true;
@@ -76,7 +82,6 @@ core::EngineConfig engine_config(const util::Cli& cli,
     cfg.victim_policy = cli.get_string("scores") == "degree"
                             ? clampi::VictimPolicy::UserScore
                             : clampi::VictimPolicy::LruPositional;
-    cfg.cache_adaptive = cli.get_flag("adaptive");
   }
   return cfg;
 }
@@ -153,8 +158,7 @@ core::EdgeAnalyticStats run_similarity(const Job& j) {
 core::EdgeAnalyticStats run_streaming(const Job& j) {
   stream::WorkloadConfig wl;
   wl.num_batches = static_cast<std::size_t>(j.cli.get_int("stream-batches"));
-  wl.batch_size = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, j.cli.get_int("batch-size")));
+  wl.batch_size = static_cast<std::size_t>(j.cli.get_int("batch-size"));
   wl.insert_fraction = j.cli.get_double("stream-insert-frac");
   wl.seed = static_cast<std::uint64_t>(j.cli.get_int("seed"));
   const auto batches = stream::generate_batches(j.g, wl);
@@ -235,7 +239,6 @@ int main(int argc, char** argv) {
   cli.add_double("cache-frac", "cache budget as fraction of CSR bytes", 0.5);
   cli.add_string("scores", "clampi | degree (victim-selection scores)",
                  "degree");
-  cli.add_flag("adaptive", "enable adaptive hash resizing", false);
   cli.add_string("trace",
                  "write a Chrome trace-event JSON (Perfetto-loadable) of "
                  "the run's virtual-time spans to this path",
@@ -264,16 +267,22 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   // Range checks before the unsigned conversions: a wrapped --ranks would
-  // ask the runtime for billions of rank threads, and a negative
-  // --cache-frac makes the budget's double -> uint64 cast undefined (the
-  // negated test also refuses NaN).
-  const std::int64_t ranks_arg = cli.get_int("ranks");
-  if (ranks_arg < 1 || ranks_arg > std::int64_t{UINT32_MAX}) {
+  // ask the runtime for billions of rank threads, every rank allocates
+  // --pipeline-depth ring entries, and a negative --cache-frac makes the
+  // budget's double -> uint64 cast undefined (the negated test also
+  // refuses NaN).
+  const auto refuse_outside = [&](const char* flag, std::int64_t hi) {
+    const std::int64_t v = cli.get_int(flag);
+    if (v >= 1 && v <= hi) return false;
     std::fprintf(stderr,
-                 "atlc_run: --ranks must be between 1 and %u (got %lld)\n",
-                 UINT32_MAX, static_cast<long long>(ranks_arg));
+                 "atlc_run: --%s must be between 1 and %lld (got %lld)\n",
+                 flag, static_cast<long long>(hi), static_cast<long long>(v));
+    return true;
+  };
+  if (refuse_outside("ranks", std::int64_t{UINT32_MAX}) ||
+      refuse_outside("pipeline-depth", kMaxPipelineDepth) ||
+      refuse_outside("batch-size", kMaxBatchSize))
     return 1;
-  }
   const double cache_frac = cli.get_double("cache-frac");
   if (!(cache_frac >= 0.0 && cache_frac <= 1e6)) {
     std::fprintf(stderr,
@@ -348,7 +357,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(g.num_edges()), deg.max,
                deg.gini, load_timer.elapsed_s());
 
-  const auto ranks = static_cast<std::uint32_t>(ranks_arg);
+  const auto ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
   const std::string& part_name = cli.get_string("partition");
   graph::PartitionKind partition;
   if (part_name == "block" || part_name == "block1d") {

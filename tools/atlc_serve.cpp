@@ -11,6 +11,7 @@
 // Every number is virtual-time deterministic for a fixed seed: two runs
 // with the same flags print byte-identical reports (the serve bench
 // scenario and tests/test_serve.cpp pin that property down).
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -108,6 +109,23 @@ int main(int argc, char** argv) {
   cli.add_string("trace", "write a Chrome trace-event JSON of the serving "
                  "epochs ('' = off)", "");
   if (!cli.parse(argc, argv)) return 1;
+
+  // Range checks before the unsigned casts below: a wrapped --ranks would
+  // ask the runtime for 2^32 - 1 rank threads, and a wrapped count would
+  // size a workload, a queue or a cache by it.
+  const auto refuse_outside = [&](const char* flag, std::int64_t lo) {
+    const std::int64_t v = cli.get_int(flag);
+    if (v >= lo && v <= std::int64_t{UINT32_MAX}) return false;
+    std::fprintf(stderr,
+                 "atlc_serve: --%s must be between %lld and %u (got %lld)\n",
+                 flag, static_cast<long long>(lo), UINT32_MAX,
+                 static_cast<long long>(v));
+    return true;
+  };
+  if (refuse_outside("ranks", 1)) return 1;
+  for (const char* flag : {"epochs", "queries-per-epoch", "capacity",
+                           "hot-entries", "hot-ways", "batch-size", "topk"})
+    if (refuse_outside(flag, 0)) return 1;
 
   try {
     graph::EdgeList edges =

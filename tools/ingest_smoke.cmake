@@ -3,13 +3,13 @@
 # the resulting LCC/TC CSVs must be byte-identical to the in-memory
 # load+clean path on the same input and seed, across partition kinds and
 # rank counts (the snapshot stores no rank count), and at --seed 0 (no
-# relabel on either path). Out-of-range numeric flags must exit 1 with a
-# message naming the tool.
+# relabel on either path). Out-of-range numeric flags of atlc_run,
+# atlc_ingest and atlc_serve must exit 1 with a message naming the tool.
 #
-# Driven as: cmake -DATLC_RUN=... -DATLC_INGEST=... -DWORK_DIR=...
-#                  -P ingest_smoke.cmake
+# Driven as: cmake -DATLC_RUN=... -DATLC_INGEST=... -DATLC_SERVE=...
+#                  -DWORK_DIR=... -P ingest_smoke.cmake
 
-foreach(var ATLC_RUN ATLC_INGEST WORK_DIR)
+foreach(var ATLC_RUN ATLC_INGEST ATLC_SERVE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "ingest_smoke: -D${var}=... is required")
   endif()
@@ -97,6 +97,10 @@ endif()
 # for 2^32 - 1 rank threads.)
 foreach(cmd "${ATLC_RUN};--ranks;0;--rmat-scale;4"
         "${ATLC_RUN};--cache-frac;-0.5;--rmat-scale;4"
+        "${ATLC_RUN};--pipeline-depth;0;--rmat-scale;4"
+        "${ATLC_RUN};--batch-size;0;--rmat-scale;4"
+        "${ATLC_SERVE};--ranks;0;--scale;4"
+        "${ATLC_SERVE};--hot-entries;-1;--scale;4"
         "${ATLC_INGEST};--input;${WORK_DIR}/g.txt;--output;${WORK_DIR}/x.snap;--chunk-mb;-1"
         "${ATLC_INGEST};--input;${WORK_DIR}/g.txt;--output;${WORK_DIR}/x.snap;--mem-budget-mb;-1")
   list(GET cmd 0 tool)
