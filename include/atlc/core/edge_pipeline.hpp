@@ -147,12 +147,13 @@ struct EdgeAnalyticStats {
 /// item, its seg(j, b) token and the buffer that segment lands in. Issuing
 /// item t+k-1 claims the entry of item t-1, which has already retired. The
 /// v side is fetched once per row visit, not once per item: when the issue
-/// cursor enters a row, every segment of it is begun into a row ring of k
-/// entries (indexed by visit ordinal mod k), and every item of the row
-/// reads its seg_v there. Under 1D the row is the rank's own and costs
-/// nothing; under 2D each non-own column block is one fetch per row from
-/// a sibling rank. k entries suffice: the k items from the one retiring
-/// to the last one issued span at most k row visits.
+/// cursor enters a row, every segment of it the pass visits is begun into
+/// a row ring of k entries (indexed by visit ordinal mod k), and every
+/// item of the row reads its seg_v there. Under 1D the row is the rank's
+/// own and costs nothing; under 2D each visited non-own column block is
+/// one fetch per row from a sibling rank. k entries suffice: the k items
+/// from the one retiring to the last one issued span at most k row
+/// visits.
 class EdgePipeline {
  public:
   EdgePipeline(rma::RankCtx& ctx, const DistGraph& dg,
@@ -170,7 +171,7 @@ class EdgePipeline {
   /// partitions: a whole-row kernel has no column block to name).
   template <EdgeKernel K>
   void run(K&& kernel) {
-    run_rows(LocalItems{dg_, 1}, kernel);
+    run_rows(LocalItems{.dg = dg_, .blocks = 1}, kernel);
   }
 
   /// Drive `kernel` over an explicit edge list instead of the full local
@@ -188,15 +189,25 @@ class EdgePipeline {
   /// Drive a SegmentKernel over every (local edge, column block) item. The
   /// rank's local CSR is its segment store (each row slot holds only the
   /// rank's column-block slice), so the item space is the local edge stream
-  /// × col_blocks(): item t = (edge t / B, block t % B). Under 2D each item
-  /// fetches seg(j, b), and each local row with items fetches its B - 1
-  /// non-own segments seg(v, b) once, from the sibling ranks of this grid
-  /// row, into the row ring. On a 1D partition this is run() exactly.
-  /// edges_processed counts each local edge once (at its block-0 item);
-  /// remote segment fetches land in remote_edges via the fetcher.
+  /// × the column blocks [first_block, B): each edge's items visit those
+  /// blocks in order. Under 2D each item fetches seg(j, b), and each local
+  /// row with items fetches its non-own segments seg(v, b), b >= first_block,
+  /// once, from the sibling ranks of this grid row, into the row ring.
+  /// Blocks below first_block are neither fetched nor visited: upper-
+  /// triangle TC passes the rank's own column, below which every id lies
+  /// under the j it trims at. On a 1D partition (first_block 0) this is
+  /// run() exactly. edges_processed counts each local edge once (at its
+  /// first_block item); remote segment fetches land in remote_edges via
+  /// the fetcher.
   template <SegmentKernel K>
-  void run_segments(K&& kernel) {
-    ring(LocalItems{dg_, dg_->partition.col_blocks()}, kernel);
+  void run_segments(K&& kernel, std::uint32_t first_block = 0) {
+    ATLC_CHECK(first_block < dg_->partition.col_blocks(),
+               "run_segments: first_block out of range");
+    ring(LocalItems{.dg = dg_,
+                    .blocks = dg_->partition.col_blocks(),
+                    .first = first_block,
+                    .block = first_block},
+         kernel);
   }
 
   /// Snapshot this rank's pipeline counters (callable any time; counters
@@ -211,23 +222,26 @@ class EdgePipeline {
     std::uint32_t block;
   };
 
-  /// Item source over the local edge stream × `blocks` column blocks. A
-  /// forward cursor: next() yields the items in order and tracks the owning
-  /// local vertex incrementally, so a pass costs O(m·B + n).
+  /// Item source over the local edge stream × the column blocks
+  /// [first, blocks). A forward cursor: next() yields the items in order
+  /// and tracks the owning local vertex incrementally, so a pass costs
+  /// O(m·B + n).
   struct LocalItems {
     const DistGraph* dg;
     std::uint32_t blocks;
+    std::uint32_t first = 0;
     EdgeIndex ei = 0;
     VertexId lv = 0;
-    std::uint32_t block = 0;
+    std::uint32_t block = 0;  ///< starts at `first`
     [[nodiscard]] std::uint64_t size() const {
-      return static_cast<std::uint64_t>(dg->adjacencies.size()) * blocks;
+      return static_cast<std::uint64_t>(dg->adjacencies.size()) *
+             (blocks - first);
     }
     Item next() {
       while (dg->offsets[lv + 1] <= ei) ++lv;
       const Item it{lv, dg->adjacencies[ei], block};
       if (++block == blocks) {
-        block = 0;
+        block = first;
         ++ei;
       }
       return it;
@@ -236,6 +250,7 @@ class EdgePipeline {
 
   /// Item source over an explicit (lv, j) list, all in block 0.
   struct ListItems {
+    static constexpr std::uint32_t first = 0;
     std::span<const std::pair<VertexId, VertexId>> edges;
     std::size_t i = 0;
     [[nodiscard]] std::uint64_t size() const { return edges.size(); }
@@ -286,25 +301,30 @@ class EdgePipeline {
   }
 
   /// Claim the next row-ring slot for local row `lv` and begin its
-  /// segments through the fetcher: the own column block (the whole row on
-  /// a 1D partition) resolves from the local CSR, every other one is
-  /// fetched from its sibling rank.
-  void enter_row(VertexId lv) {
+  /// segments from `first_block` on through the fetcher: the own column
+  /// block (the whole row on a 1D partition) resolves from the local CSR,
+  /// every other one is fetched from its sibling rank. The blocks below
+  /// `first_block` keep an empty default token.
+  void enter_row(VertexId lv, std::uint32_t first_block) {
     RowSlot& row = rows_[++visits_ % rows_.size()];
     row.visit = visits_;
     row.finished = false;
     const VertexId v = dg_->partition.global_id(rank_, lv);
-    for (std::uint32_t b = 0; b < row.segments.size(); ++b)
-      row.segments[b].token = fetcher_.begin(v, b, row.segments[b].buffer);
+    for (std::uint32_t b = 0; b < row.segments.size(); ++b) {
+      row.segments[b].token =
+          b < first_block ? AdjacencyFetcher::Token{}
+                          : fetcher_.begin(v, b, row.segments[b].buffer);
+    }
   }
 
   /// Issue item number `n`, `it`, into its item-ring slot, entering its
   /// row first when the issue cursor (`issue_lv`: the row of the previous
   /// item issued) moves.
-  void issue(const Item& it, std::uint64_t n, VertexId& issue_lv) {
+  void issue(const Item& it, std::uint64_t n, VertexId& issue_lv,
+             std::uint32_t first_block) {
     if (it.lv != issue_lv) {
       issue_lv = it.lv;
-      enter_row(it.lv);
+      enter_row(it.lv, first_block);
     }
     ItemSlot& slot = items_[n % items_.size()];
     slot.item = it;
@@ -333,7 +353,9 @@ class EdgePipeline {
     const std::uint64_t lookahead = config_->pipeline_depth - 1;
     VertexId issue_lv = kNoRow;
     std::uint64_t issued = 0;
-    const auto issue_next = [&] { issue(items.next(), issued++, issue_lv); };
+    const auto issue_next = [&] {
+      issue(items.next(), issued++, issue_lv, items.first);
+    };
     while (issued < std::min(lookahead, total)) issue_next();
 
     for (std::uint64_t t = 0; t < total; ++t) {
@@ -352,7 +374,7 @@ class EdgePipeline {
                   "row ring slot reused before the row's last item retired: "
                   "more than pipeline_depth row visits in flight");
       kernel(it.lv, it.j, it.block, seg_v, seg_j);
-      if (it.block == 0) ++edges_run_;
+      if (it.block == items.first) ++edges_run_;
     }
   }
 
@@ -377,8 +399,10 @@ template <typename B>
 concept EdgeAnalyticBody =
     std::invocable<B&, rma::RankCtx&, DistGraph&, EdgePipeline&>;
 
-/// The one launcher of every engine run: partition `g` over `ranks`
-/// simulated ranks, launch the SPMD region, build the rank-local graph and
+/// The one launcher of every engine run: distribute `g` by the caller's
+/// `partition` over its num_ranks() simulated ranks (the caller keeps the
+/// partition to map its rank-local outputs back to global ids), launch
+/// the SPMD region, build the rank-local graph and
 /// its pipeline (span `build_graph`), run `body` (span `pipeline`), record
 /// each rank's busy clock, synchronise once at teardown, and aggregate the
 /// per-rank pipeline counters identically for every analytic (this
@@ -386,10 +410,9 @@ concept EdgeAnalyticBody =
 /// stats and remote-read tracking).
 template <EdgeAnalyticBody Body>
 [[nodiscard]] EdgeAnalyticStats run_edge_analytic(
-    const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config,
-    const rma::NetworkModel& net, graph::PartitionKind partition_kind,
-    Body&& body) {
-  const Partition partition = graph::make_partition(g, partition_kind, ranks);
+    const CSRGraph& g, const Partition& partition, const EngineConfig& config,
+    const rma::NetworkModel& net, Body&& body) {
+  const std::uint32_t ranks = partition.num_ranks();
   // One prototype, copied per rank by build_dist_graph (which also prices
   // the replication). Empty — and free — at the default hub_fraction = 0.
   const graph::HubReplica hub_replica =

@@ -37,8 +37,10 @@ enum class PartitionKind : std::uint8_t {
   /// Algorithm"): ranks own *edge blocks* of a pr×pc grid over the vertex
   /// range instead of whole adjacency rows. Rank (r, c) — linearised as
   /// r*pc + c — stores, for every vertex in row block r, only the segment
-  /// of its adjacency row whose neighbor ids fall in column block c. Both
-  /// axes get Block1D's even cuts (front-loaded remainder).
+  /// of its adjacency row whose neighbor ids fall in column block c. The
+  /// row axis gets Block1D's even cuts (front-loaded remainder), and so
+  /// does the column axis, except under upper-triangle TC, where
+  /// make_partition() cuts the columns by trimmed intersection work.
   /// pr is the largest divisor of p with pr <= floor(sqrt(p)), pc = p/pr,
   /// so p = 8 -> 2x4, p = 12 -> 3x4, and prime p degrades to 1xp. The
   /// *home* rank of a vertex (owner()) is the diagonal-ish rank
@@ -54,8 +56,9 @@ enum class PartitionKind : std::uint8_t {
 /// cuts into column blocks (pc on Grid2D, the single block {0, n} on a 1D
 /// kind). Rank r holds row block r / pc and column block r % pc. The kinds
 /// differ only in how they cut: even cuts for Block1D and both Grid2D
-/// axes, the degree-prefix greedy for DegreeBalanced1D, given cuts for
-/// from_cuts(). Every lookup is the same O(log p) search over one table
+/// axes, the degree-prefix greedy for DegreeBalanced1D and for the column
+/// axis of an upper-triangle TC grid, given cuts for from_cuts(). Every
+/// lookup is the same O(log p) search over one table
 /// (the distributed inner loop calls segment_slot() per edge endpoint).
 /// Cyclic1D, the one kind that is not contiguous, keeps its modular
 /// arithmetic and has no row cuts.
@@ -80,12 +83,17 @@ class Partition {
   [[nodiscard]] static Partition degree_balanced(
       std::span<const VertexId> degrees, std::uint32_t ranks);
 
-  /// A 1D partition from explicit cuts: rank r owns [cuts[r], cuts[r+1]),
-  /// so p = cuts.size() - 1 and n = cuts.back(). The cuts must start at 0
-  /// and never decrease (equal cuts leave a rank empty). Its kind is
-  /// DegreeBalanced1D, the kind of every uneven 1D split; degree_balanced()
-  /// ends here, and so do TriC's edge-balanced blocks.
-  [[nodiscard]] static Partition from_cuts(std::vector<VertexId> cuts);
+  /// A partition from explicit cuts. With only row cuts it is 1D: rank r
+  /// owns [cuts[r], cuts[r+1]), so p = cuts.size() - 1 and n = cuts.back(),
+  /// and its kind is DegreeBalanced1D, the kind of every uneven 1D split;
+  /// degree_balanced() ends here, and so do TriC's edge-balanced blocks.
+  /// With column cuts too it is a Grid2D of pr = cuts.size() - 1 rows and
+  /// pc = col_cuts.size() - 1 columns (p = pr * pc), the grid that
+  /// make_partition() cuts for upper-triangle TC. Every table must start
+  /// at 0 and never decrease (equal cuts leave a block empty), and both
+  /// must end at the same n.
+  [[nodiscard]] static Partition from_cuts(std::vector<VertexId> cuts,
+                                           std::vector<VertexId> col_cuts = {});
 
   [[nodiscard]] PartitionKind kind() const { return kind_; }
   [[nodiscard]] VertexId num_vertices() const { return n_; }
@@ -238,8 +246,18 @@ class Partition {
 /// modular for Cyclic1D, degree-prefix-sum cuts (fed from g's degree
 /// sequence) for DegreeBalanced1D. The one entry point for a kind chosen
 /// at run time.
+///
+/// `upper_triangle` tells a Grid2D build that the run counts only common
+/// neighbors above each edge's j (paper Section II-C). Rank (r, c) then
+/// works only in column blocks b >= c, and column 0 would carry most of
+/// the work under even cuts, so the column axis is cut by the same greedy
+/// as DegreeBalanced1D over each column vertex j's trimmed work
+///   w(j) = sum_{v : j in adj(v)} |adj(v) ∩ (j, n)| + deg(j) * |adj(j) ∩ (j, n)|,
+/// the two suffix_above lengths of every edge (v, j). The row axis keeps
+/// its even cuts, and every other kind ignores the flag. DESIGN.md §10.
 [[nodiscard]] Partition make_partition(const CSRGraph& g, PartitionKind kind,
-                                       std::uint32_t ranks);
+                                       std::uint32_t ranks,
+                                       bool upper_triangle = false);
 
 /// Human-readable kind name ("block1d" / "cyclic1d" / "degree1d" /
 /// "grid2d"), the spelling the CLI and the bench JSON use.

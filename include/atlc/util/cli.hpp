@@ -46,7 +46,6 @@ class Cli {
   };
 
   const Entry& find(std::string_view name, Kind kind) const;
-  bool set(const std::string& name, const std::string& value);
 
   std::string program_;
   std::string description_;

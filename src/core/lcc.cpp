@@ -21,28 +21,32 @@ namespace {
 /// needs the full count. Summed over blocks this is the whole-row count
 /// (the blocks partition the neighbor id range, and suffix_above
 /// distributes over that partition); on a 1D partition there is one block
-/// and seg_v is adj(v).
+/// and seg_v is adj(v). Trimmed, the blocks below the rank's own column
+/// count nothing (each of their ids lies below the j of every local edge),
+/// so the pipeline starts at grid_col(rank): it neither fetches nor visits
+/// them. grid_col is 0 on every 1D kind.
 std::vector<std::uint64_t> count_rank(rma::RankCtx& ctx, const DistGraph& dg,
                                       const EngineConfig& config,
                                       EdgePipeline& pipeline,
                                       bool upper_triangle) {
   std::vector<std::uint64_t> triangles(dg.num_local(), 0);
   intersect::Intersector isect = make_intersector(config);
-  pipeline.run_segments([&](VertexId lv, VertexId j, std::uint32_t /*block*/,
-                            std::span<const VertexId> seg_v,
-                            std::span<const VertexId> seg_j) {
-    auto lhs = seg_v;
-    auto rhs = seg_j;
-    if (upper_triangle) {
-      lhs = intersect::suffix_above(lhs, j);
-      rhs = intersect::suffix_above(rhs, j);
-    }
-    const intersect::Intersector::Outcome out = isect.count(lhs, rhs);
-    if (ctx.tracer().enabled())
-      ctx.tracer().instant(out.label, {"size", lhs.size() + rhs.size()});
-    ctx.charge_compute(out.seconds);
-    triangles[lv] += out.common;
-  });
+  pipeline.run_segments(
+      [&](VertexId lv, VertexId j, std::uint32_t /*block*/,
+          std::span<const VertexId> seg_v, std::span<const VertexId> seg_j) {
+        auto lhs = seg_v;
+        auto rhs = seg_j;
+        if (upper_triangle) {
+          lhs = intersect::suffix_above(lhs, j);
+          rhs = intersect::suffix_above(rhs, j);
+        }
+        const intersect::Intersector::Outcome out = isect.count(lhs, rhs);
+        if (ctx.tracer().enabled())
+          ctx.tracer().instant(out.label, {"size", lhs.size() + rhs.size()});
+        ctx.charge_compute(out.seconds);
+        triangles[lv] += out.common;
+      },
+      upper_triangle ? dg.partition.grid_col(ctx.rank()) : 0);
   return triangles;
 }
 
@@ -74,19 +78,20 @@ RunResult run_engine(const CSRGraph& g, std::uint32_t ranks,
   out.lcc.assign(g.num_vertices(), 0.0);
 
   // Every rank accumulates partial t(v) for its local vertices; the driver
-  // reduces them after the SPMD region. Under 1D the partials are disjoint
-  // and the reduction is a scatter; under Grid2D the pc ranks of a grid row
-  // hold block partials for the SAME vertices, and their sum is the
-  // whole-row count.
+  // reduces them after the SPMD region, through the one partition the run
+  // used. Under 1D the partials are disjoint and the reduction is a
+  // scatter; under Grid2D the pc ranks of a grid row hold block partials
+  // for the SAME vertices, and their sum is the whole-row count.
+  const Partition part =
+      graph::make_partition(g, partition_kind, ranks, upper_triangle);
   std::vector<std::vector<std::uint64_t>> partials(ranks);
   static_cast<EdgeAnalyticStats&>(out) = run_edge_analytic(
-      g, ranks, config, net, partition_kind,
+      g, part, config, net,
       [&](rma::RankCtx& ctx, const DistGraph& dg, EdgePipeline& pipeline) {
         partials[ctx.rank()] =
             count_rank(ctx, dg, config, pipeline, upper_triangle);
       });
 
-  const Partition part = graph::make_partition(g, partition_kind, ranks);
   for (std::uint32_t r = 0; r < ranks; ++r)
     for (VertexId lv = 0; lv < static_cast<VertexId>(partials[r].size()); ++lv)
       out.triangles[part.global_id(r, lv)] += partials[r][lv];

@@ -73,7 +73,7 @@ SimilarityResult run_measure(const CSRGraph& g, std::uint32_t ranks,
   SimilarityResult out;
   out.score.assign(g.num_edges(), 0.0);
   static_cast<EdgeAnalyticStats&>(out) = run_edge_analytic(
-      g, ranks, config, net, partition_kind,
+      g, graph::make_partition(g, partition_kind, ranks), config, net,
       [&](rma::RankCtx& ctx, const DistGraph& dg, EdgePipeline& pipeline) {
         auto state = setup(ctx, dg);
         intersect::Intersector isect = make_intersector(config);

@@ -357,7 +357,8 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
       out.serve_makespan = ctx.now() - out.build_makespan;
   };
   static_cast<core::EdgeAnalyticStats&>(out.stats) = core::run_edge_analytic(
-      g, ranks, cfg, options_.net, options_.partition, body);
+      g, graph::make_partition(g, options_.partition, ranks), cfg,
+      options_.net, body);
   for (const HotCacheStats& h : out.hot_cache_ranks) out.hot_cache_total += h;
 
   out.stats.submitted = total;

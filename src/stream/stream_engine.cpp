@@ -135,7 +135,8 @@ StreamResult run_streaming_lcc(const graph::CSRGraph& g,
     }
   };
   static_cast<core::EdgeAnalyticStats&>(out) = core::run_edge_analytic(
-      g, ranks, cfg, options.net, options.partition, body);
+      g, graph::make_partition(g, options.partition, ranks), cfg, options.net,
+      body);
   return out;
 }
 

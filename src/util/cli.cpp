@@ -28,17 +28,6 @@ void Cli::add_string(std::string name, std::string help,
       Entry{Kind::String, std::move(help), std::move(default_value)};
 }
 
-bool Cli::set(const std::string& name, const std::string& value) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(),
-                 name.c_str());
-    return false;
-  }
-  it->second.value = value;
-  return true;
-}
-
 bool Cli::parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -53,30 +42,32 @@ bool Cli::parse(int argc, char** argv) {
       return false;
     }
     arg.remove_prefix(2);
-    std::string name, value;
-    if (auto eq = arg.find('='); eq != std::string_view::npos) {
-      name = std::string(arg.substr(0, eq));
-      value = std::string(arg.substr(eq + 1));
-    } else {
-      name = std::string(arg);
-      auto it = entries_.find(name);
-      const bool is_flag = it != entries_.end() && it->second.kind == Kind::Flag;
-      if (is_flag) {
-        // push_back, not `= "1"`: GCC 12 at -O3 misreports the inlined
-        // literal assign as an overlapping memcpy (-Werror=restrict).
-        value.push_back('1');
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::fprintf(stderr, "%s: flag --%s expects a value\n",
-                     program_.c_str(), name.c_str());
-        return false;
-      }
-    }
-    if (!set(name, value)) {
+    // The name is looked up before anything else: an unregistered flag is
+    // reported as unknown wherever it stands, with or without a value.
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    const auto it = entries_.find(name);
+    if (it == entries_.end()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(),
+                   name.c_str());
       print_usage();
       return false;
     }
+    std::string value;
+    if (eq != std::string_view::npos) {
+      value = std::string(arg.substr(eq + 1));
+    } else if (it->second.kind == Kind::Flag) {
+      // push_back, not `= "1"`: GCC 12 at -O3 misreports the inlined
+      // literal assign as an overlapping memcpy (-Werror=restrict).
+      value.push_back('1');
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "%s: flag --%s expects a value\n",
+                   program_.c_str(), name.c_str());
+      return false;
+    }
+    it->second.value = std::move(value);
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -144,11 +145,12 @@ TEST(BenchRecorder, MedianOfDisagreeingTrials) {
   EXPECT_EQ(metric->find("median")->as_number(), 1.25);
 }
 
-TEST(Json, SeededMutationsOfABaselineFailCleanlyOrRoundTrip) {
-  // Bounded seeded fuzz of the strict parser bench_compare reads every
-  // baseline with: flip, insert or delete one random byte of a checked-in
-  // baseline and demand that parse either refuses it with a message or
-  // returns a document whose dump() parses back to the same dump().
+/// Bounded seeded fuzz of the strict parser bench_compare reads every
+/// baseline with: `cases` times, flip, insert or delete one random byte of
+/// a checked-in baseline and demand that parse either refuses it with a
+/// message or returns a document whose dump() parses back to the same
+/// dump().
+void expect_json_mutations_fail_cleanly(int cases, std::uint64_t seed) {
   std::ifstream in(ATLC_BASELINE_DIR "/BENCH_fig6.json", std::ios::binary);
   ASSERT_TRUE(in) << "missing " ATLC_BASELINE_DIR "/BENCH_fig6.json";
   std::ostringstream ss;
@@ -156,10 +158,9 @@ TEST(Json, SeededMutationsOfABaselineFailCleanlyOrRoundTrip) {
   const std::string bytes = ss.str();
   ASSERT_TRUE(Json::parse(bytes).has_value());
 
-  atlc::util::Xoshiro256 rng(2026);
+  atlc::util::Xoshiro256 rng(seed);
   std::size_t rejected = 0, parsed = 0;
-  constexpr int kCases = 3000;
-  for (int c = 0; c < kCases; ++c) {
+  for (int c = 0; c < cases; ++c) {
     std::string copy = bytes;
     const std::size_t at = rng.next_below(copy.size());
     const auto byte = static_cast<char>(rng.next_below(256));
@@ -185,6 +186,17 @@ TEST(Json, SeededMutationsOfABaselineFailCleanlyOrRoundTrip) {
   // Both outcomes occur: the loop exercises rejection and real parses.
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(parsed, 0u);
+}
+
+TEST(Json, SeededMutationsOfABaselineFailCleanlyOrRoundTrip) {
+  expect_json_mutations_fail_cleanly(3000, 2026);
+}
+
+// The 12k-case run: ctest's test_bench_json_fuzz entry (label `fuzz`)
+// selects it with --gtest_also_run_disabled_tests; CI runs it under
+// ASan/UBSan.
+TEST(Json, DISABLED_SeededMutationsOfABaselineFuzz12k) {
+  expect_json_mutations_fail_cleanly(12000, 20261019);
 }
 
 TEST(Json, RejectsMutationOfScalars) {

@@ -26,6 +26,7 @@
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/graph/relabel.hpp"
+#include "atlc/intersect/intersect.hpp"
 #include "atlc/util/rng.hpp"
 #include "test_support.hpp"
 
@@ -1066,6 +1067,102 @@ TEST(Grid2D, EdgeOwnersTileTheAdjacencyMatrix) {
       EXPECT_EQ(part.grid_row(r), part.grid_row(part.owner(u)));
       EXPECT_EQ(part.grid_col(r), part.col_block_of(v));
     }
+}
+
+TEST(Grid2D, FromCutsBuildsTheGivenGrid) {
+  // Two row blocks and three column blocks, the middle one empty.
+  const Partition part = Partition::from_cuts({0, 4, 10}, {0, 3, 3, 10});
+  EXPECT_EQ(part.kind(), PartitionKind::Grid2D);
+  EXPECT_EQ(part.num_ranks(), 6u);
+  EXPECT_EQ(part.grid_rows(), 2u);
+  EXPECT_EQ(part.grid_cols(), 3u);
+  EXPECT_EQ(part.col_block_of(3), 2u);  // on a cut: the block that starts there
+  EXPECT_EQ(part.part_size(4), 6u);
+  EXPECT_EQ(part.segment_owner(5, 2), 5u);
+  expect_grid_consistent(part);
+  testsupport::use_threadsafe_death_tests();
+  EXPECT_DEATH((void)Partition::from_cuts({0, 10}, {0, 9}), "same n");
+  EXPECT_DEATH((void)Partition::from_cuts({0, 10}, {0, 6, 4, 10}),
+               "must not decrease");
+}
+
+/// Brute-force column cuts of an upper-triangle TC grid: every edge (v, j)
+/// adds the lengths of both rows' suffixes above j to column vertex j,
+/// and the degree-balanced greedy cuts those weights into `cols` blocks.
+std::vector<VertexId> trimmed_col_cuts(const CSRGraph& g, std::uint32_t cols) {
+  std::vector<std::uint64_t> w(g.num_vertices(), 0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (const VertexId j : g.neighbors(v))
+      w[j] += intersect::suffix_above(g.neighbors(v), j).size() +
+              intersect::suffix_above(g.neighbors(j), j).size();
+  const Partition greedy = Partition::degree_balanced(w, cols);
+  std::vector<VertexId> cuts;
+  for (std::uint32_t b = 0; b < cols; ++b) cuts.push_back(greedy.block_begin(b));
+  cuts.push_back(g.num_vertices());
+  return cuts;
+}
+
+TEST(Grid2D, UpperTriangleCutsColumnsByTrimmedWork) {
+  std::vector<CSRGraph> graphs;
+  for (const std::uint64_t seed : {3u, 17u}) {
+    auto e = generate_rmat({.scale = 8, .edge_factor = 8, .seed = seed});
+    clean(e);
+    graphs.push_back(CSRGraph::from_edges(e));
+  }
+  graphs.push_back(CSRGraph::from_edges(testsupport::complete_edges(8)));
+  graphs.push_back(CSRGraph::from_edges(EdgeList(3, {}, Directedness::Undirected)));
+  graphs.push_back(CSRGraph::from_edges(EdgeList(0, {}, Directedness::Undirected)));
+  for (const CSRGraph& g : graphs) {
+    const VertexId n = g.num_vertices();
+    for (const std::uint32_t p : {1u, 2u, 4u, 6u, 7u, 8u, 9u, 12u}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p);
+      const Partition even(PartitionKind::Grid2D, n, p);
+      const Partition trimmed = make_partition(g, PartitionKind::Grid2D, p, true);
+      ASSERT_EQ(trimmed.kind(), PartitionKind::Grid2D);
+      ASSERT_EQ(trimmed.grid_rows(), even.grid_rows());
+      ASSERT_EQ(trimmed.grid_cols(), even.grid_cols());
+      expect_grid_consistent(trimmed);
+      // Column cuts: the brute-force reference, from 0 to n, never falling.
+      const std::vector<VertexId> want = trimmed_col_cuts(g, even.grid_cols());
+      VertexId last = 0;
+      for (std::uint32_t b = 0; b < trimmed.grid_cols(); ++b) {
+        const auto [lo, hi] = trimmed.col_block_range(b);
+        ASSERT_EQ(lo, want[b]) << "column block " << b;
+        ASSERT_EQ(hi, want[b + 1]) << "column block " << b;
+        ASSERT_GE(lo, last);
+        last = hi;
+      }
+      ASSERT_EQ(trimmed.col_block_range(0).first, 0u);
+      ASSERT_EQ(last, n);
+      // Row cuts stay even.
+      for (std::uint32_t r = 0; r < p; ++r)
+        ASSERT_EQ(trimmed.block_begin(r), even.block_begin(r)) << "rank " << r;
+      // Without the flag Grid2D keeps its even column cuts.
+      const Partition plain = make_partition(g, PartitionKind::Grid2D, p);
+      for (std::uint32_t b = 0; b < plain.grid_cols(); ++b)
+        ASSERT_EQ(plain.col_block_range(b), even.col_block_range(b));
+      // Every 1D kind ignores the flag.
+      for (const PartitionKind kind :
+           {PartitionKind::Block1D, PartitionKind::DegreeBalanced1D}) {
+        const Partition with = make_partition(g, kind, p, true);
+        const Partition without = make_partition(g, kind, p);
+        for (std::uint32_t r = 0; r < p; ++r)
+          ASSERT_EQ(with.block_begin(r), without.block_begin(r));
+      }
+    }
+  }
+}
+
+TEST(Grid2D, UpperTriangleMovesTheColumnCutOffEven) {
+  // Trimmed work falls with j: a low j keeps most of every row above it.
+  // So column 0 holds most of the work under even cuts, and the trimmed
+  // cut lands below the even one.
+  auto e = generate_rmat({.scale = 10, .edge_factor = 8, .seed = 5});
+  clean(e);
+  const CSRGraph g = CSRGraph::from_edges(e);
+  const Partition even(PartitionKind::Grid2D, g.num_vertices(), 4);
+  const Partition trimmed = make_partition(g, PartitionKind::Grid2D, 4, true);
+  EXPECT_LT(trimmed.col_block_range(1).first, even.col_block_range(1).first);
 }
 
 // ------------------------------------------------ degenerate shapes (all) ---

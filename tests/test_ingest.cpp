@@ -744,16 +744,18 @@ TEST_F(SnapshotCorruption, DegreeMovedToNeighbourNeverYieldsAWrongSlice) {
   EXPECT_GT(cases, n);
 }
 
-TEST(SnapshotMutation, SeededByteMutationsFailCleanlyOrReadTrueSlices) {
-  // Bounded seeded fuzz of the reader: flip one random byte of a small
-  // snapshot (half the cases inside the header and degrees), re-stamp both
-  // checksums so only the structural checks stand between the mutation and
-  // a slice, and demand: construction, read_all and read_slice either
-  // succeed or throw an `atlc:` runtime_error, and whenever read_all
-  // succeeds every slice equals the in-memory slicing of the graph it read.
-  const std::string text = tmp_path("mutation_src.txt");
+/// Bounded seeded fuzz of the reader: `cases` times, flip one random byte
+/// of a small snapshot (half the cases inside the header and degrees),
+/// re-stamp both checksums so only the structural checks stand between the
+/// mutation and a slice, and demand: construction, read_all and read_slice
+/// either succeed or throw an `atlc:` runtime_error, and whenever read_all
+/// succeeds every slice equals the in-memory slicing of the graph it read.
+void expect_snapshot_mutations_fail_cleanly(int cases, std::uint64_t seed) {
+  // Per-seed file names: the tier-1 loop and the fuzz entry may run at once.
+  const std::string tag = "mutation_" + std::to_string(seed);
+  const std::string text = tmp_path(tag + "_src.txt");
   testsupport::save_every_edge(raw_rmat(5, 4, 3), text);
-  const std::string snap = tmp_path("mutation.snap");
+  const std::string snap = tmp_path(tag + ".snap");
   (void)ingest::run_ingest(text, snap);
   const std::string bytes = read_file(snap);
   const VertexId n = load_at<VertexId>(bytes, layout::kNumVerticesOffset);
@@ -764,11 +766,10 @@ TEST(SnapshotMutation, SeededByteMutationsFailCleanlyOrReadTrueSlices) {
   const auto expect_atlc = [](const std::runtime_error& ex) {
     EXPECT_EQ(std::string(ex.what()).rfind("atlc:", 0), 0u) << ex.what();
   };
-  std::mt19937_64 rng(2026);
-  const std::string path = tmp_path("mutated.snap");
+  std::mt19937_64 rng(seed);
+  const std::string path = tmp_path(tag + "_mutated.snap");
   std::size_t rejected = 0, read_ok = 0;
-  constexpr int kCases = 3000;
-  for (int c = 0; c < kCases; ++c) {
+  for (int c = 0; c < cases; ++c) {
     std::string copy = bytes;
     const std::size_t at = c % 2 == 0 ? rng() % front : rng() % copy.size();
     copy[at] = static_cast<char>(copy[at] ^ (1 + rng() % 255));
@@ -815,6 +816,17 @@ TEST(SnapshotMutation, SeededByteMutationsFailCleanlyOrReadTrueSlices) {
   // Both outcomes occur: the loop exercises rejection and real reads.
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(read_ok, 0u);
+}
+
+TEST(SnapshotMutation, SeededByteMutationsFailCleanlyOrReadTrueSlices) {
+  expect_snapshot_mutations_fail_cleanly(3000, 2026);
+}
+
+// The 12k-case run: ctest's test_ingest_snapshot_fuzz entry (label `fuzz`)
+// selects it with --gtest_also_run_disabled_tests; CI runs it under
+// ASan/UBSan.
+TEST(SnapshotMutation, DISABLED_SeededByteMutationsFuzz12k) {
+  expect_snapshot_mutations_fail_cleanly(12000, 20261019);
 }
 
 TEST_F(SnapshotCorruption, VersionSniffing) {

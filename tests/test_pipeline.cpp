@@ -388,13 +388,16 @@ TEST(ItemRing, TransfersInFlightPeakAtTheLookahead) {
 
 // ------------------------------------------ row ring: v side once per row ---
 
-/// Remote segment fetches one Grid2D pass over every item must make,
-/// counted from the partition and the CSR alone (uncached, no hub
-/// replica): for each rank's local row with at least one stored entry,
-/// one v-side fetch per other column block; for each stored entry (v, j)
-/// and column block b, one j-side fetch unless the rank holds seg(j, b).
+/// Remote segment fetches one Grid2D pass must make, counted from the
+/// partition and the CSR alone (uncached, no hub replica). A rank in
+/// column c visits the blocks [first, B): first is 0, or c when
+/// `skip_below_own` (upper-triangle TC). For each rank's local row with at
+/// least one stored entry, one v-side fetch per visited block other than
+/// c; for each stored entry (v, j) and visited block b, one j-side fetch
+/// unless the rank holds seg(j, b).
 std::uint64_t expected_segment_gets(const CSRGraph& g,
-                                    const graph::Partition& part) {
+                                    const graph::Partition& part,
+                                    bool skip_below_own) {
   const std::uint32_t blocks = part.col_blocks();
   std::uint64_t gets = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -402,9 +405,10 @@ std::uint64_t expected_segment_gets(const CSRGraph& g,
       const auto stored = part.row_segment(g.neighbors(v), c);
       if (stored.empty()) continue;
       const std::uint32_t rank = part.segment_owner(v, c);
-      gets += blocks - 1;
+      const std::uint32_t first = skip_below_own ? c : 0;
+      gets += blocks - first - 1;
       for (const VertexId j : stored)
-        for (std::uint32_t b = 0; b < blocks; ++b)
+        for (std::uint32_t b = first; b < blocks; ++b)
           gets += part.segment_owner(j, b) != rank ? 1 : 0;
     }
   }
@@ -412,13 +416,19 @@ std::uint64_t expected_segment_gets(const CSRGraph& g,
 }
 
 TEST(RowRing, Grid2DFetchesEachRowSegmentOncePerRow) {
+  // LCC runs on the even grid and visits every block; upper-triangle TC
+  // runs on the trimmed-work grid and visits only the blocks from its own
+  // column on, on both the v side and the j side.
   const CSRGraph g = rmat_graph(8, 8, 64);
   const auto ref = graph::reference_lcc(g);
   constexpr auto kGrid = graph::PartitionKind::Grid2D;
   for (const std::uint32_t ranks : {4u, 6u}) {  // 2x2 and 2x3 grids
-    const graph::Partition part = graph::make_partition(g, kGrid, ranks);
-    ASSERT_EQ(part.grid_rows(), 2u);
-    const std::uint64_t expected = expected_segment_gets(g, part);
+    const graph::Partition lcc_part = graph::make_partition(g, kGrid, ranks);
+    const graph::Partition tc_part =
+        graph::make_partition(g, kGrid, ranks, true);
+    ASSERT_EQ(lcc_part.grid_rows(), 2u);
+    const std::uint64_t lcc_gets = expected_segment_gets(g, lcc_part, false);
+    const std::uint64_t tc_gets = expected_segment_gets(g, tc_part, true);
     for (const std::size_t k : {1u, 2u, 4u}) {
       SCOPED_TRACE("ranks " + std::to_string(ranks) + " depth " +
                    std::to_string(k));
@@ -427,12 +437,69 @@ TEST(RowRing, Grid2DFetchesEachRowSegmentOncePerRow) {
 
       const RunResult lcc = run_distributed_lcc(g, ranks, cfg, {}, kGrid);
       expect_matches_reference(g, lcc);
-      EXPECT_EQ(lcc.run.total().segment_gets, expected);
-      EXPECT_EQ(lcc.remote_edges, expected);
+      EXPECT_EQ(lcc.run.total().segment_gets, lcc_gets);
+      EXPECT_EQ(lcc.remote_edges, lcc_gets);
 
       const RunResult tc = run_distributed_tc_result(g, ranks, cfg, {}, kGrid);
       EXPECT_EQ(tc.global_triangles, ref.global_triangles);
-      EXPECT_EQ(tc.run.total().segment_gets, expected);
+      EXPECT_EQ(tc.run.total().segment_gets, tc_gets);
+      EXPECT_EQ(tc.remote_edges, tc_gets);
+      EXPECT_EQ(tc.edges_processed, g.num_edges());
+    }
+  }
+}
+
+TEST(SegmentItems, FirstBlockSkipsTheBlocksBelowIt) {
+  // A recording kernel on the upper-triangle TC grid, started at the
+  // rank's own column as count_rank starts it, never sees a block below
+  // grid_col(rank); started at 0, as LCC starts it, it sees every block.
+  // Either way each local edge's items are its visited blocks in order,
+  // with the segments of the global rows, and the edge counts once.
+  const CSRGraph g = rmat_graph(8, 8, 66);
+  const EngineConfig cfg = depth_config(3);
+  for (const std::uint32_t ranks : {4u, 6u}) {
+    const graph::Partition part =
+        graph::make_partition(g, graph::PartitionKind::Grid2D, ranks, true);
+    for (const bool tc : {true, false}) {
+      SCOPED_TRACE(std::string(tc ? "tc" : "lcc") + " ranks " +
+                   std::to_string(ranks));
+      std::vector<std::uint64_t> edges(ranks, 0);
+      std::atomic<std::uint64_t> wrong{0}, calls{0};
+      rma::Runtime::Options o;
+      o.ranks = ranks;
+      rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+        const DistGraph dg = build_dist_graph(ctx, g, part);
+        EdgePipeline pipeline(ctx, dg, cfg);
+        const std::uint32_t first = tc ? part.grid_col(ctx.rank()) : 0;
+        // The (edge, block) items the rank must see, in order.
+        std::vector<std::pair<VertexId, std::uint32_t>> want, got;
+        for (VertexId lv = 0; lv < dg.num_local(); ++lv)
+          for (const VertexId j : dg.local_neighbors(lv))
+            for (std::uint32_t b = first; b < part.col_blocks(); ++b)
+              want.emplace_back(j, b);
+        pipeline.run_segments(
+            [&](VertexId lv, VertexId j, std::uint32_t b,
+                std::span<const VertexId> seg_v,
+                std::span<const VertexId> seg_j) {
+              got.emplace_back(j, b);
+              const VertexId v = part.global_id(ctx.rank(), lv);
+              wrong += !std::ranges::equal(
+                  seg_v, part.row_segment(g.neighbors(v), b));
+              wrong += !std::ranges::equal(
+                  seg_j, part.row_segment(g.neighbors(j), b));
+              ++calls;
+            },
+            first);
+        wrong += got != want;
+        edges[ctx.rank()] = pipeline.harvest().edges_processed;
+        EXPECT_EQ(edges[ctx.rank()], dg.adjacencies.size());
+        ctx.barrier();
+      });
+      EXPECT_EQ(wrong.load(), 0u);
+      EXPECT_GT(calls.load(), 0u);
+      std::uint64_t total = 0;
+      for (const std::uint64_t e : edges) total += e;
+      EXPECT_EQ(total, g.num_edges());
     }
   }
 }
@@ -647,9 +714,11 @@ TEST(AnalyticStats, LauncherBusyClockExcludesCollectiveWaits) {
   // ranks differ by exactly their pre-barrier work; the post-barrier
   // clock would be equal on every rank.
   constexpr std::uint32_t kRanks = 4;
+  const CSRGraph g = paper_example();
   const EdgeAnalyticStats s = run_edge_analytic(
-      paper_example(), kRanks, EngineConfig{}, rma::NetworkModel{},
-      graph::PartitionKind::Block1D,
+      g, graph::Partition(graph::PartitionKind::Block1D, g.num_vertices(),
+                          kRanks),
+      EngineConfig{}, rma::NetworkModel{},
       [](rma::RankCtx& ctx, DistGraph&, EdgePipeline&) {
         ctx.charge_compute(1e-3 * (ctx.rank() + 1));
         ctx.barrier();

@@ -345,6 +345,22 @@ TEST(Cli, RejectsUnknownFlag) {
   EXPECT_FALSE(cli.parse(2, argv));
 }
 
+TEST(Cli, UnknownFlagLastWithoutValueIsReportedUnknown) {
+  // The name is looked up first, so an unregistered flag given last with
+  // no value is unknown (with the usage), not a flag missing its value.
+  Cli cli("prog", "test");
+  cli.add_int("n", "count", 0);
+  char a0[] = "prog", a1[] = "--bogus";
+  char* argv[] = {a0, a1};
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(cli.parse(2, argv));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("prog: unknown flag --bogus\n"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("--n"), std::string::npos) << "no usage: " << err;
+  EXPECT_EQ(err.find("expects a value"), std::string::npos) << err;
+}
+
 TEST(Cli, HelpReturnsFalse) {
   Cli cli("prog", "test");
   char a0[] = "prog", a1[] = "--help";
