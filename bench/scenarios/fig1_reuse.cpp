@@ -1,11 +1,13 @@
 // Paper Fig. 1 (right): LCC data reuse on a social-circles graph
 // partitioned over two compute nodes — how many remote reads (RMA gets) are
 // repeated y times. The heavy tail of repetitions is what makes RMA caching
-// profitable (Section III-B).
+// profitable (Section III-B). Which vertex is read, and how often, follows
+// from the graph and the 1D partition alone (graph::remote_reads).
 #include <algorithm>
 #include <cstdio>
 #include <map>
 
+#include "atlc/graph/degree_stats.hpp"
 #include "scenario.hpp"
 
 namespace {
@@ -20,16 +22,15 @@ void run(bench::ScenarioContext& ctx) {
   const auto& g = ctx.graph_or_file("Facebook-circles");
   std::printf("graph: %s\n", bench::describe(g).c_str());
 
-  core::EngineConfig cfg;
-  cfg.track_remote_reads = true;
-  const auto result = ctx.run_lcc_trials(
-      "makespan/plain", g,
-      static_cast<std::uint32_t>(ctx.cli.get_int("ranks")), cfg);
+  const auto ranks = static_cast<std::uint32_t>(ctx.cli.get_int("ranks"));
+  ctx.run_lcc_trials("makespan/plain", g, ranks, {});
+  const auto reads = graph::remote_reads(
+      g, graph::make_partition(g, graph::PartitionKind::Block1D, ranks));
 
   // Bucket repetition counts like the paper's y-axis: 1, 4, 16, 64, 256.
   std::map<std::uint64_t, std::uint64_t> buckets;  // repetitions -> #targets
   std::uint64_t repeated_reads = 0, total_reads = 0, targets = 0;
-  for (auto reps : result.remote_reads) {
+  for (auto reps : reads) {
     if (reps == 0) continue;
     ++targets;
     total_reads += reps;

@@ -1,7 +1,8 @@
 // Paper Fig. 4: how the highest-degree vertices concentrate the remote
 // reads issued under 1D partitioning with 8 processes. The paper highlights
 // the share of remote reads targeting the top 10% of vertices: ~11.7% for a
-// uniform graph vs 42-92% for power-law graphs.
+// uniform graph vs 42-92% for power-law graphs. The reads per vertex come
+// from graph::remote_reads over the partition the engine ran.
 #include <cstdio>
 
 #include "atlc/graph/degree_stats.hpp"
@@ -28,14 +29,13 @@ void run(bench::ScenarioContext& ctx) {
   double uniform_top10 = 0, rmat_top10 = 0;
   for (const auto& name : graphs) {
     const auto& g = ctx.graph(name);
-    core::EngineConfig cfg;
-    cfg.track_remote_reads = true;
-    const auto result =
-        ctx.run_lcc_trials("makespan/" + name, g, ranks, cfg);
+    ctx.run_lcc_trials("makespan/" + name, g, ranks, {});
+    const auto reads = graph::remote_reads(
+        g, graph::make_partition(g, graph::PartitionKind::Block1D, ranks));
 
     std::vector<std::string> row = {name};
     for (double f : fractions) {
-      const double share = graph::top_degree_share(g, result.remote_reads, f);
+      const double share = graph::top_degree_share(g, reads, f);
       row.push_back(util::Table::fmt_percent(share));
       if (f == 0.10 && name == "Uniform") uniform_top10 = share;
       if (f == 0.10 && name == "R-MAT-S21-EF16") rmat_top10 = share;

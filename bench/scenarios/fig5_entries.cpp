@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "atlc/graph/degree_stats.hpp"
 #include "scenario.hpp"
 
 namespace {
@@ -15,14 +16,16 @@ void run(bench::ScenarioContext& ctx) {
   const auto& g = ctx.graph_or_file("Facebook-circles");
   std::printf("graph: %s\n", bench::describe(g).c_str());
 
+  constexpr std::uint32_t kRanks = 2;
   core::EngineConfig cfg;
   cfg.use_cache = true;
-  cfg.track_remote_reads = true;
   cfg.dump_cache_entries = true;
   cfg.cache_sizing = core::CacheSizing::paper_default(
       g.num_vertices(), g.csr_bytes());  // ample cache: keep everything seen
   const auto result =
-      ctx.run_lcc_trials("makespan/cached_ample", g, 2, cfg);
+      ctx.run_lcc_trials("makespan/cached_ample", g, kRanks, cfg);
+  const auto reads = graph::remote_reads(
+      g, graph::make_partition(g, graph::PartitionKind::Block1D, kRanks));
 
   // Left plot: bucket vertices by degree, report mean remote accesses.
   graph::VertexId max_deg = 0;
@@ -39,7 +42,7 @@ void run(bench::ScenarioContext& ctx) {
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
     auto& b = buckets[std::min<std::size_t>(8, g.degree(v) / bucket_width)];
     ++b.vertices;
-    b.reads += result.remote_reads[v];
+    b.reads += reads[v];
   }
   util::Table left({"Vertex degree range", "vertices",
                     "mean remote accesses"});

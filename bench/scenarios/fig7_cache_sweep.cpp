@@ -1,12 +1,19 @@
 // Paper Fig. 7: cache behaviour as a function of cache size, for each
-// window in isolation (caching enabled only on C_offsets or only on C_adj,
-// the other window issuing uncached reads). R-MAT graph on 2 nodes.
+// window in isolation (the other window's budget is zero, so it issues
+// uncached reads). R-MAT graph on 2 nodes.
 //
-// Expected shape (paper):
-//  - C_adj: miss rate falls steeply (power-law) with size; most of the
-//    communication time reduction comes from this cache (51.6% in paper).
-//  - C_offsets: miss rate falls ~linearly with size; small time savings.
-//  - Both floored by compulsory misses (grey area in the paper's plot).
+// Paper shape: C_adj's miss rate falls steeply (power-law) with size and
+// gives most of the communication-time saving (51.6% alone); C_offsets'
+// falls ~linearly and saves little; compulsory misses floor both.
+//
+// Measured here, this DEVIATES: C_offsets saves more than C_adj. The smoke
+// baseline saves 46.8% with C_offsets only and 41.6% with C_adj only. The
+// cause is not measured yet; three hypotheses are open:
+//  - under NetworkModel's defaults (alpha 2 us, 0.3 ns/B) a proxy row of a
+//    few hundred bytes costs barely more than the 16-byte offsets get;
+//  - the offsets get is synchronous, while C_adj misses overlap the
+//    depth-2 pipeline;
+//  - each C_adj miss also pays cache_miss_overhead_s (1 us).
 #include <cstdio>
 
 #include "scenario.hpp"
@@ -57,6 +64,7 @@ void run(bench::ScenarioContext& ctx) {
   std::printf("non-cached communication time (mean/rank): %.3f s\n\n",
               comm_base);
 
+  double max_save[2] = {0, 0};  // C_offsets only, C_adj only
   for (const bool sweep_adj : {false, true}) {
     const char* window = sweep_adj ? "adj" : "offsets";
     const std::uint64_t footprint = sweep_adj ? adj_total : offsets_total;
@@ -65,13 +73,12 @@ void run(bench::ScenarioContext& ctx) {
       const double fraction = static_cast<double>(s) / steps;
       core::EngineConfig cfg;
       cfg.use_cache = true;
-      cfg.cache_offsets = !sweep_adj;
-      cfg.cache_adj = sweep_adj;
       const auto bytes = std::max<std::uint64_t>(
           1024, static_cast<std::uint64_t>(fraction *
                                            static_cast<double>(footprint)));
-      cfg.cache_sizing.offsets_bytes = bytes;
-      cfg.cache_sizing.adj_bytes = bytes;
+      // A zero budget leaves the other window uncached.
+      cfg.cache_sizing.offsets_bytes = sweep_adj ? 0 : bytes;
+      cfg.cache_sizing.adj_bytes = sweep_adj ? bytes : 0;
       char metric[64];
       std::snprintf(metric, sizeof(metric), "makespan/%s/frac=%.2f", window,
                     fraction);
@@ -102,6 +109,7 @@ void run(bench::ScenarioContext& ctx) {
     ctx.rec.add_table(title, table);
 
     const double save = 1.0 - points.back().comm_seconds / comm_base;
+    max_save[sweep_adj ? 1 : 0] = save;
     std::printf("\nmax communication-time saving with %s only: %.1f%% "
                 "(paper: C_adj alone saved 51.6%%)\n\n",
                 sweep_adj ? "C_adj" : "C_offsets", 100 * save);
@@ -114,9 +122,10 @@ void run(bench::ScenarioContext& ctx) {
   }
 
   std::printf(
-      "paper shape check: C_adj miss rate falls steeply and saves most of "
-      "the time; C_offsets falls ~linearly and saves little; compulsory "
-      "misses floor both curves.\n");
+      "paper shape check (C_adj saves most, 51.6%% alone): C_offsets only "
+      "saves %.1f%%, C_adj only %.1f%% -> %s\n",
+      100 * max_save[0], 100 * max_save[1],
+      max_save[1] > max_save[0] ? "HOLDS" : "DEVIATES");
 }
 
 }  // namespace

@@ -39,8 +39,6 @@ struct CacheConfig {
   /// Linear-probing window; a full window is a hash *conflict*.
   std::size_t probe_limit = 8;
   VictimPolicy policy = VictimPolicy::LruPositional;
-  /// LruPositional: how many LRU-tail candidates compete on positional score.
-  std::size_t lru_window = 16;
 };
 
 /// Cache observability counters (drive paper Figs. 7 and 8).

@@ -80,7 +80,6 @@ struct PipelineRankStats {
   double busy_seconds = 0.0;
   clampi::CacheStats offsets_cache;  ///< zeroed when caching is off
   clampi::CacheStats adj_cache;
-  std::vector<std::uint64_t> remote_reads;  ///< per global vertex, optional
   std::vector<clampi::EntryInfo> adj_cache_entries;  ///< optional snapshot
 };
 
@@ -100,7 +99,6 @@ struct EdgeAnalyticStats {
   std::uint64_t edges_processed = 0;
   std::uint64_t remote_edges = 0;  ///< edges whose neighbor list was remote
   std::vector<double> busy_clocks;  ///< per-rank busy_seconds
-  std::vector<std::uint64_t> remote_reads;  ///< per global vertex, optional
   std::vector<clampi::EntryInfo> adj_cache_entries;  ///< all ranks, optional
 
   /// Fraction of processed edges requiring a remote adjacency fetch
@@ -407,7 +405,7 @@ concept EdgeAnalyticBody =
 /// each rank's busy clock, synchronise once at teardown, and aggregate the
 /// per-rank pipeline counters identically for every analytic (this
 /// symmetry is load-bearing: Jaccard historically dropped offsets-cache
-/// stats and remote-read tracking).
+/// stats).
 template <EdgeAnalyticBody Body>
 [[nodiscard]] EdgeAnalyticStats run_edge_analytic(
     const CSRGraph& g, const Partition& partition, const EngineConfig& config,
@@ -419,9 +417,6 @@ template <EdgeAnalyticBody Body>
       graph::HubReplica::build(g, config.hub_fraction);
 
   EdgeAnalyticStats out;
-  if (config.track_remote_reads)
-    out.remote_reads.assign(g.num_vertices(), 0);
-
   std::vector<PipelineRankStats> rank_stats(ranks);
 
   rma::Runtime::Options opts;

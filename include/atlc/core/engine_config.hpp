@@ -58,12 +58,11 @@ struct EngineConfig {
   /// intersect/cost_model.hpp). Benches calibrate this once on startup.
   intersect::CostModel cost{};
 
-  /// Enable CLaMPI caching (paper Section III-B). `cache_offsets` /
-  /// `cache_adj` select which of the two windows is cached — paper Fig. 7
-  /// studies each window's cache in isolation.
+  /// Enable CLaMPI caching (paper Section III-B). A window is cached iff
+  /// this is set and its `cache_sizing` budget is non-zero: a zero budget
+  /// leaves that window uncached, which is how paper Fig. 7 studies each
+  /// window's cache in isolation.
   bool use_cache = false;
-  bool cache_offsets = true;
-  bool cache_adj = true;
   CacheSizing cache_sizing{};
   /// Victim selection: LruPositional = CLaMPI default scores;
   /// UserScore = this paper's degree-centrality extension (Fig. 8).
@@ -106,10 +105,6 @@ struct EngineConfig {
   /// the rows the in-memory build derives. Not owned; must outlive the
   /// run, and must be safe to call from all rank threads.
   const LocalSliceSource* slice_source = nullptr;
-
-  /// Record, per target global vertex, how many remote reads it received
-  /// (drives paper Figs. 1, 4, 5). Costs one counter array per rank.
-  bool track_remote_reads = false;
 
   /// Snapshot the C_adj cache contents at the end of the compute phase
   /// (drives paper Fig. 5 right: entry sizes vs reuse).

@@ -86,14 +86,9 @@ class AdjacencyFetcher {
   [[nodiscard]] clampi::Cache& offsets_cache() { return c_offsets_->cache(); }
   [[nodiscard]] clampi::Cache& adj_cache() { return c_adj_->cache(); }
 
-  /// Remote adjacency fetches performed (== remote edges processed).
+  /// Remote adjacency fetches performed (== remote edges processed; per
+  /// target vertex, graph::remote_reads under 1D with no hub replica).
   [[nodiscard]] std::uint64_t remote_fetches() const { return remote_fetches_; }
-
-  /// Per-global-vertex remote read counts (empty unless
-  /// EngineConfig::track_remote_reads).
-  [[nodiscard]] const std::vector<std::uint64_t>& remote_reads() const {
-    return remote_reads_;
-  }
 
  private:
   rma::RankCtx* ctx_;
@@ -102,7 +97,6 @@ class AdjacencyFetcher {
   std::optional<clampi::CachedWindow<VertexId>> c_adj_;
   std::uint64_t remote_fetches_ = 0;
   std::uint64_t in_flight_ = 0;  ///< begun, unfinished transfers (trace only)
-  std::vector<std::uint64_t> remote_reads_;
 };
 
 }  // namespace atlc::core

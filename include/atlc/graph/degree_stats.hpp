@@ -4,11 +4,12 @@
 #include <vector>
 
 #include "atlc/graph/csr.hpp"
+#include "atlc/graph/partition.hpp"
 
 namespace atlc::graph {
 
-/// Degree-distribution statistics used by Table II, Figure 4 and the cache
-/// sizing heuristic of Section III-B1.
+/// Degree-distribution statistics used by Table II, Figures 1, 4 and 5 and
+/// the cache sizing heuristic of Section III-B1.
 struct DegreeStats {
   VertexId min = 0;
   VertexId max = 0;
@@ -33,5 +34,11 @@ struct DegreeStats {
 [[nodiscard]] double top_degree_share(const CSRGraph& g,
                                       const std::vector<std::uint64_t>& weights,
                                       double fraction);
+
+/// Remote reads per target vertex under a 1D `partition` (Figs. 1, 4, 5):
+/// each edge (v, j) with owner(j) != owner(v) is one read of j, exactly
+/// the engine's fetches at hub_fraction = 0, cached or not.
+[[nodiscard]] std::vector<std::uint64_t> remote_reads(
+    const CSRGraph& g, const Partition& partition);
 
 }  // namespace atlc::graph

@@ -6,8 +6,8 @@
 // partition's windows (collective refresh_window → epoch bump → CLaMPI
 // epoch invalidation). DESIGN.md §7 documents the protocol.
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "atlc/core/dist_graph.hpp"
@@ -18,16 +18,17 @@ namespace atlc::stream {
 
 /// The presence-adjudicated ops of one batch, identical on every rank
 /// after the exchange. `ops` is sorted by canonical key and contains each
-/// edge at most once; `inserted`/`deleted` index the same ops for the O(1)
-/// membership probes the intra-batch triangle attribution performs.
+/// edge at most once, so one binary search answers whether an edge is in
+/// the batch (the intra-batch triangle attribution's probe).
 struct EffectiveBatch {
   std::vector<CanonicalUpdate> ops;
-  std::unordered_set<std::uint64_t> inserted;
-  std::unordered_set<std::uint64_t> deleted;
 
   [[nodiscard]] bool empty() const { return ops.empty(); }
-  [[nodiscard]] std::uint64_t insertions() const { return inserted.size(); }
-  [[nodiscard]] std::uint64_t deletions() const { return deleted.size(); }
+  [[nodiscard]] std::uint64_t insertions() const { return count(Op::Insert); }
+  [[nodiscard]] std::uint64_t deletions() const { return count(Op::Delete); }
+  [[nodiscard]] std::uint64_t count(Op op) const {
+    return std::ranges::count(ops, op, &CanonicalUpdate::op);
+  }
 };
 
 /// The sorted, deduplicated set of vertices whose CSR rows an effective

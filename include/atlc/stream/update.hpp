@@ -6,6 +6,7 @@
 // collapses it to its net per-edge effect so the distributed appliers and
 // the single-node reference agree on sequential semantics. See DESIGN.md §7.
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -33,20 +34,19 @@ struct EdgeUpdate {
 using Batch = std::vector<EdgeUpdate>;
 
 /// A batch entry after normalization: canonical endpoints (a < b) and the
-/// NET operation for that edge within the batch.
+/// NET operation for that edge within the batch. Ordered by (a, b, op): on
+/// a list holding each edge once that is canonical_key order.
 struct CanonicalUpdate {
   VertexId a = 0;
   VertexId b = 0;
   Op op = Op::Insert;
 
-  friend bool operator==(const CanonicalUpdate&,
-                         const CanonicalUpdate&) = default;
+  friend auto operator<=>(const CanonicalUpdate&,
+                          const CanonicalUpdate&) = default;
 };
 
 /// Canonical-edge hash key: both endpoints packed into one word. Valid for
-/// a < b (canonical form), which also keeps uint64 ordering equal to
-/// lexicographic (a, b) ordering — the property the intra-batch
-/// min-new-edge triangle attribution relies on.
+/// a < b (canonical form).
 [[nodiscard]] constexpr std::uint64_t canonical_key(VertexId a, VertexId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }

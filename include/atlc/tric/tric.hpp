@@ -33,8 +33,6 @@ struct TricConfig {
   /// destination rank; a full buffer forces an early exchange round.
   /// 0 = unbuffered (the original TriC). The paper caps buffers at 16 MiB.
   std::uint64_t buffer_entries = 0;
-  /// Apex vertices enumerated per communication round.
-  VertexId batch_vertices = 1024;
   /// Compute-cost model (same as the async engine, for a fair comparison).
   intersect::CostModel cost{};
 };

@@ -9,6 +9,9 @@
 
 namespace atlc::clampi {
 
+/// LruPositional: how many LRU-tail candidates compete on positional score.
+constexpr std::size_t kLruWindow = 16;
+
 std::uint64_t key_hash(const Key& k) {
   std::uint64_t h = util::mix64(k.target, 0x9E3779B9u);
   h = util::mix64(h ^ k.offset, 0x85EBCA6Bu);
@@ -154,7 +157,7 @@ std::int32_t Cache::pick_victim_global() {
   }
   candidates_.clear();
   for (std::int32_t it = lru_tail_;
-       it != -1 && candidates_.size() < config_.lru_window;
+       it != -1 && candidates_.size() < kLruWindow;
        it = pool_[it].lru_prev)
     candidates_.push_back(it);
   return lru_positional_pick();

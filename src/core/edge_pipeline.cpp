@@ -37,7 +37,6 @@ PipelineRankStats EdgePipeline::harvest() {
     if (config_->dump_cache_entries)
       ps.adj_cache_entries = fetcher_.adj_cache().entries();
   }
-  if (config_->track_remote_reads) ps.remote_reads = fetcher_.remote_reads();
   return ps;
 }
 
@@ -60,12 +59,6 @@ void EdgeAnalyticStats::absorb(PipelineRankStats&& rank) {
   adj_cache_total += rank.adj_cache;
   offsets_cache_ranks.push_back(rank.offsets_cache);
   adj_cache_ranks.push_back(rank.adj_cache);
-  if (!rank.remote_reads.empty()) {
-    if (remote_reads.size() < rank.remote_reads.size())
-      remote_reads.resize(rank.remote_reads.size(), 0);
-    for (std::size_t v = 0; v < rank.remote_reads.size(); ++v)
-      remote_reads[v] += rank.remote_reads[v];
-  }
   adj_cache_entries.insert(adj_cache_entries.end(),
                            std::make_move_iterator(rank.adj_cache_entries.begin()),
                            std::make_move_iterator(rank.adj_cache_entries.end()));

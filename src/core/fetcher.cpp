@@ -59,12 +59,10 @@ clampi::CacheConfig adj_cache_config(const EngineConfig& cfg,
 AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
                                    const EngineConfig& config)
     : ctx_(&ctx), dg_(&dg) {
-  if (config.use_cache && config.cache_offsets)
+  if (config.use_cache && config.cache_sizing.offsets_bytes > 0)
     c_offsets_.emplace(ctx, dg.w_offsets, offsets_cache_config(config));
-  if (config.use_cache && config.cache_adj)
+  if (config.use_cache && config.cache_sizing.adj_bytes > 0)
     c_adj_.emplace(ctx, dg.w_adj, adj_cache_config(config, dg));
-  if (config.track_remote_reads)
-    remote_reads_.assign(dg.partition.num_vertices(), 0);
 }
 
 AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
@@ -98,7 +96,6 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
 
   ++remote_fetches_;
   if (segmented) ++ctx_->stats().segment_gets;
-  if (!remote_reads_.empty()) ++remote_reads_[v];
 
   // Step 1 (synchronous): (start, end) of the adjacency list. "The first
   // MPI_Get reads the offset of the adjacency list" (paper Fig. 3 step 4).

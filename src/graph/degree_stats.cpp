@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "atlc/util/check.hpp"
+
 namespace atlc::graph {
 
 DegreeStats degree_stats(const CSRGraph& g, VertexId xmin) {
@@ -67,6 +69,19 @@ double top_degree_share(const CSRGraph& g,
   for (std::size_t i = 0; i < top && i < order.size(); ++i)
     top_sum += weights[order[i]];
   return static_cast<double>(top_sum) / static_cast<double>(total);
+}
+
+std::vector<std::uint64_t> remote_reads(const CSRGraph& g,
+                                        const Partition& partition) {
+  ATLC_CHECK(partition.col_blocks() == 1,
+             "remote_reads: needs a 1D partition (whole rows per owner)");
+  std::vector<std::uint64_t> reads(g.num_vertices(), 0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const std::uint32_t home = partition.owner(v);
+    for (const VertexId j : g.neighbors(v))
+      if (partition.owner(j) != home) ++reads[j];
+  }
+  return reads;
 }
 
 }  // namespace atlc::graph

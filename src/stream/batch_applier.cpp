@@ -75,14 +75,7 @@ EffectiveBatch BatchApplier::adjudicate(const Batch& batch) {
   }
   // Each canonical edge was adjudicated by exactly one rank, so the merged
   // list has no duplicates; sorting makes every rank's view identical.
-  std::sort(eff.ops.begin(), eff.ops.end(),
-            [](const CanonicalUpdate& x, const CanonicalUpdate& y) {
-              return canonical_key(x.a, x.b) < canonical_key(y.a, y.b);
-            });
-  for (const CanonicalUpdate& op : eff.ops) {
-    auto& set = op.op == Op::Insert ? eff.inserted : eff.deleted;
-    set.insert(canonical_key(op.a, op.b));
-  }
+  std::sort(eff.ops.begin(), eff.ops.end());
   return eff;
 }
 

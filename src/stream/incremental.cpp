@@ -9,7 +9,6 @@ namespace atlc::stream {
 void IncrementalCounter::count(const EffectiveBatch& eff, Op which,
                                DeltaSet& out) {
   const auto& part = dg_->partition;
-  const auto& members = which == Op::Insert ? eff.inserted : eff.deleted;
   const std::int64_t sign = which == Op::Insert ? 1 : -1;
 
   // This rank enumerates the update edges whose canonical first endpoint
@@ -25,21 +24,19 @@ void IncrementalCounter::count(const EffectiveBatch& eff, Op which,
       work, [&](VertexId lv, VertexId b, std::span<const VertexId> adj_a,
                 std::span<const VertexId> adj_b) {
         const VertexId a = part.global_id(ctx_->rank(), lv);
-        const std::uint64_t e_ab = canonical_key(a, b);  // a < b (canonical)
+        const CanonicalUpdate ab{a, b, which};  // a < b (canonical)
         const auto walk =
             isect_.for_each_common(adj_a, adj_b, [&](VertexId w) {
               // Triangle {a, b, w}. Intra-batch attribution: among the
               // triangle's edges that are in this batch's effective set, only
               // the lexicographically smallest one counts the triangle —
               // otherwise a triangle closed by two or three in-batch edges
-              // would be counted once per such edge. canonical_key preserves
-              // (a, b) lexicographic order, so the uint64 compare suffices.
-              const std::uint64_t e_aw =
-                  canonical_key(std::min(a, w), std::max(a, w));
-              const std::uint64_t e_bw =
-                  canonical_key(std::min(b, w), std::max(b, w));
-              if (members.contains(e_aw) && e_aw < e_ab) return;
-              if (members.contains(e_bw) && e_bw < e_ab) return;
+              // would be counted once per such edge. eff.ops is sorted and
+              // holds each edge once, so one binary search finds an edge.
+              const CanonicalUpdate aw{std::min(a, w), std::max(a, w), which};
+              const CanonicalUpdate bw{std::min(b, w), std::max(b, w), which};
+              if (aw < ab && std::ranges::binary_search(eff.ops, aw)) return;
+              if (bw < ab && std::ranges::binary_search(eff.ops, bw)) return;
               out.per_vertex[a] += 2 * sign;
               out.per_vertex[b] += 2 * sign;
               out.per_vertex[w] += 2 * sign;

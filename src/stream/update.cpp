@@ -25,10 +25,7 @@ std::vector<CanonicalUpdate> normalize(const Batch& batch) {
   for (const auto& [key, op] : net)
     out.push_back({static_cast<VertexId>(key >> 32),
                    static_cast<VertexId>(key & 0xffffffffULL), op});
-  std::sort(out.begin(), out.end(), [](const CanonicalUpdate& x,
-                                       const CanonicalUpdate& y) {
-    return canonical_key(x.a, x.b) < canonical_key(y.a, y.b);
-  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -35,6 +35,9 @@ namespace {
 /// 100-300 ns).
 constexpr double kTwoSidedEntryNs = 120.0;
 
+/// Apex vertices enumerated per communication round.
+constexpr VertexId kBatchVertices = 1024;
+
 struct RankState {
   std::uint64_t triangles = 0;
   std::vector<std::uint64_t> per_vertex;  // local vertices
@@ -84,7 +87,7 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
     VertexId i = lo;
     std::size_t j_idx = 0;
     bool enumeration_done = (lo >= hi);
-    VertexId batch_left = config.batch_vertices;
+    VertexId batch_left = kBatchVertices;
 
     while (true) {
       // --- Phase 1: enumerate apexes until the batch or a buffer fills.
@@ -179,7 +182,7 @@ TricResult run_tric(const CSRGraph& g, std::uint32_t ranks,
         for (VertexId v : payload) credit_local(v);
 
       ++st.rounds;
-      batch_left = config.batch_vertices;
+      batch_left = kBatchVertices;
 
       // --- Termination: everyone idle and nothing in flight.
       const std::uint64_t active =

@@ -517,9 +517,9 @@ TEST(Cache, CapacityEvictionMakesRoom) {
 }
 
 TEST(Cache, LruEvictsColdestEntry) {
-  CacheConfig cfg = small_config();
-  cfg.lru_window = 1;  // pure LRU (no positional rescue)
-  Cache cache(cfg);
+  // The entries tile the buffer, so no candidate borders free space and
+  // the positional pick is pure LRU.
+  Cache cache(small_config());
   for (std::uint32_t i = 0; i < 4; ++i)
     ASSERT_TRUE(cache.insert(key_of(0, i * 256, 256)));
   // Touch entry 0 so entry 1 becomes the coldest.
@@ -530,9 +530,7 @@ TEST(Cache, LruEvictsColdestEntry) {
 }
 
 TEST(Cache, CapacityMissClassification) {
-  CacheConfig cfg = small_config();
-  cfg.lru_window = 1;
-  Cache cache(cfg);
+  Cache cache(small_config());
   ASSERT_TRUE(cache.insert(key_of(0, 0, 512)));
   ASSERT_TRUE(cache.insert(key_of(0, 512, 512)));
   ASSERT_TRUE(cache.insert(key_of(0, 1024, 512)));  // evicts first

@@ -10,6 +10,7 @@
 #include "atlc/core/fetcher.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/graph/clean.hpp"
+#include "atlc/graph/degree_stats.hpp"
 #include "atlc/graph/generators.hpp"
 #include "atlc/graph/reference.hpp"
 #include "test_support.hpp"
@@ -146,6 +147,35 @@ TEST(AdjacencyFetcher, CacheTablesKeepTheSlotRuleTheyAreBuiltWith) {
                       cfg.cache_sizing.offsets_bytes, 16));
         ctx.barrier();  // windows expose dg's vectors; free collectively
       });
+    }
+  }
+}
+
+TEST(AdjacencyFetcher, WindowIsCachedIffCachingIsOnAndItsBudgetIsNonZero) {
+  // No per-window switch: a zero CacheSizing budget leaves that window
+  // uncached (paper Fig. 7 caches one window at a time this way).
+  const CSRGraph g = rmat_graph(7, 8, 1);
+  const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
+                              2);
+  constexpr std::uint64_t kBudgets[] = {0, 4096};
+  for (const bool use_cache : {false, true}) {
+    for (const std::uint64_t offsets_bytes : kBudgets) {
+      for (const std::uint64_t adj_bytes : kBudgets) {
+        EngineConfig cfg;
+        cfg.use_cache = use_cache;
+        cfg.cache_sizing = {.offsets_bytes = offsets_bytes,
+                            .adj_bytes = adj_bytes};
+        rma::Runtime::Options o;
+        o.ranks = 2;
+        rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+          const DistGraph dg = build_dist_graph(ctx, g, part);
+          const AdjacencyFetcher fetcher(ctx, dg, cfg);
+          EXPECT_EQ(fetcher.has_offsets_cache(),
+                    use_cache && offsets_bytes > 0);
+          EXPECT_EQ(fetcher.has_adj_cache(), use_cache && adj_bytes > 0);
+          ctx.barrier();  // windows expose dg's vectors; free collectively
+        });
+      }
     }
   }
 }
@@ -341,13 +371,17 @@ TEST(Behaviour, CacheHitsReduceRemoteGets) {
             plain.run.total().remote_gets);
 }
 
-TEST(Behaviour, TrackedRemoteReadsSumToRemoteEdges) {
+TEST(Behaviour, RemoteReadsSumToRemoteEdges) {
   const CSRGraph g = rmat_graph(8, 8, 18);
+  obs::TraceCollector trace;
   EngineConfig cfg;
-  cfg.track_remote_reads = true;
+  cfg.trace = &trace;
   const auto r = run_distributed_lcc(g, 4, cfg);
+  const auto reads = graph::remote_reads(
+      g, graph::Partition(graph::PartitionKind::Block1D, g.num_vertices(), 4));
+  EXPECT_EQ(reads, testsupport::traced_remote_reads(trace, g.num_vertices()));
   std::uint64_t sum = 0;
-  for (auto c : r.remote_reads) sum += c;
+  for (auto c : reads) sum += c;
   EXPECT_EQ(sum, r.remote_edges);
   EXPECT_GT(sum, 0u);
 }

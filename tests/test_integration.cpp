@@ -16,6 +16,7 @@
 #include "atlc/graph/reference.hpp"
 #include "atlc/stream/stream_engine.hpp"
 #include "atlc/tric/tric.hpp"
+#include "test_support.hpp"
 
 namespace atlc {
 namespace {
@@ -23,7 +24,6 @@ namespace {
 using graph::CSRGraph;
 using graph::Directedness;
 using graph::EdgeList;
-using graph::VertexId;
 
 enum class Family { Rmat, RmatDense, Uniform, Circles, RmatDirected };
 
@@ -102,9 +102,10 @@ TEST_P(EngineMatrix, MatchesReference) {
 TEST_P(EngineMatrix, AccountingInvariants) {
   const auto& c = GetParam();
   const CSRGraph& g = graph_for(c.family);
+  obs::TraceCollector trace;
   core::EngineConfig cfg;
   cfg.use_cache = c.cache;
-  cfg.track_remote_reads = true;
+  cfg.trace = &trace;
   if (c.cache)
     cfg.cache_sizing =
         core::CacheSizing::paper_default(g.num_vertices(), g.csr_bytes() / 3);
@@ -114,16 +115,16 @@ TEST_P(EngineMatrix, AccountingInvariants) {
   EXPECT_EQ(r.edges_processed, g.num_edges());
   // Remote + local fetches partition the edge set.
   EXPECT_LE(r.remote_edges, r.edges_processed);
-  // Tracked remote reads sum to the remote edge count.
+  // The remote reads the trace saw are the ones the partition implies, and
+  // they sum to the remote edge count.
+  const auto traced = testsupport::traced_remote_reads(trace, g.num_vertices());
   std::uint64_t reads = 0;
-  for (auto x : r.remote_reads) reads += x;
+  for (auto x : traced) reads += x;
   EXPECT_EQ(reads, r.remote_edges);
-  // A vertex is never remotely read by its own partition: every read
-  // target must have nonzero in-degree from other partitions.
   const graph::Partition part(c.partition, g.num_vertices(), c.ranks);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (r.remote_reads[v] > 0 && c.ranks == 1)
-      ADD_FAILURE() << "remote read with a single rank";
+  EXPECT_EQ(traced, graph::remote_reads(g, part));
+  // A vertex is never remotely read by its own partition.
+  if (c.ranks == 1) EXPECT_EQ(reads, 0u) << "remote read with a single rank";
   // Virtual clocks: makespan is the max, and nonnegative components.
   double mx = 0;
   for (double clk : r.run.clocks) mx = std::max(mx, clk);

@@ -20,6 +20,7 @@
 #include "atlc/core/fetcher.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
+#include "atlc/graph/degree_stats.hpp"
 #include "atlc/graph/hub_replica.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/obs/trace.hpp"
@@ -596,15 +597,16 @@ TEST(Similarity, OverlapDominatesJaccard) {
 
 TEST(AnalyticStats, JaccardAggregatesSameCountersAsLcc) {
   // The unified driver must fill the full EdgeAnalyticStats block for every
-  // analytic: historically Jaccard dropped offsets-cache stats and ignored
-  // track_remote_reads.
+  // analytic: historically Jaccard dropped offsets-cache stats.
   const CSRGraph g = rmat_graph(9, 8, 48);
   EngineConfig cfg;
   cfg.use_cache = true;
   cfg.cache_sizing = CacheSizing::paper_default(g.num_vertices(), 1 << 19);
-  cfg.track_remote_reads = true;
 
+  obs::TraceCollector lcc_trace, jac_trace;
+  cfg.trace = &lcc_trace;
   const auto lcc = run_distributed_lcc(g, 4, cfg);
+  cfg.trace = &jac_trace;
   const auto jac = run_distributed_jaccard(g, 4, cfg);
 
   // Identical access pattern => identical comm/cache/remote-read counters.
@@ -613,13 +615,68 @@ TEST(AnalyticStats, JaccardAggregatesSameCountersAsLcc) {
   EXPECT_EQ(jac.offsets_cache_total.hits, lcc.offsets_cache_total.hits);
   EXPECT_GT(jac.offsets_cache_total.accesses(), 0u);
   EXPECT_EQ(jac.adj_cache_total.hits, lcc.adj_cache_total.hits);
-  ASSERT_EQ(jac.remote_reads.size(), lcc.remote_reads.size());
+  const auto lcc_reads =
+      testsupport::traced_remote_reads(lcc_trace, g.num_vertices());
+  const auto jac_reads =
+      testsupport::traced_remote_reads(jac_trace, g.num_vertices());
   std::uint64_t sum = 0;
-  for (std::size_t v = 0; v < jac.remote_reads.size(); ++v) {
-    EXPECT_EQ(jac.remote_reads[v], lcc.remote_reads[v]) << "vertex " << v;
-    sum += jac.remote_reads[v];
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(jac_reads[v], lcc_reads[v]) << "vertex " << v;
+    sum += jac_reads[v];
   }
   EXPECT_EQ(sum, jac.remote_edges);
+}
+
+TEST(AnalyticStats, RemoteReadsFollowFromThePartition) {
+  // graph::remote_reads derives the per-vertex reads of paper Figs. 1, 4
+  // and 5 from the graph and a 1D partition; the trace's per-row fetch
+  // tally is what the engine actually fetched. They agree vertex for
+  // vertex, cached or not (a read is counted before any cache probe), for
+  // LCC and Jaccard alike, and both sum to remote_edges.
+  const CSRGraph g = rmat_graph(8, 8, 47);
+  constexpr std::uint32_t kRanks = 4;
+  EngineConfig cached;
+  cached.use_cache = true;
+  cached.cache_sizing = CacheSizing::paper_default(g.num_vertices(), 1 << 17);
+  for (const auto kind : {graph::PartitionKind::Block1D,
+                          graph::PartitionKind::Cyclic1D,
+                          graph::PartitionKind::DegreeBalanced1D}) {
+    const auto expected =
+        graph::remote_reads(g, graph::make_partition(g, kind, kRanks));
+    std::uint64_t sum = 0;
+    for (const auto c : expected) sum += c;
+    EXPECT_GT(sum, 0u);
+    for (EngineConfig cfg : {EngineConfig{}, cached}) {
+      for (const bool jaccard : {false, true}) {
+        SCOPED_TRACE(std::string(graph::partition_kind_name(kind)) +
+                     (cfg.use_cache ? " cached" : " uncached") +
+                     (jaccard ? " jaccard" : " lcc"));
+        obs::TraceCollector trace;
+        cfg.trace = &trace;
+        const std::uint64_t remote_edges =
+            jaccard ? run_distributed_jaccard(g, kRanks, cfg, {}, kind)
+                          .remote_edges
+                    : run_distributed_lcc(g, kRanks, cfg, {}, kind)
+                          .remote_edges;
+        EXPECT_EQ(testsupport::traced_remote_reads(trace, g.num_vertices()),
+                  expected);
+        EXPECT_EQ(sum, remote_edges);
+      }
+    }
+  }
+
+  // Grid2D fetches row segments, which have no per-vertex closed form;
+  // the trace tally still sums to remote_edges.
+  obs::TraceCollector trace;
+  cached.trace = &trace;
+  const auto grid = run_distributed_lcc(g, kRanks, cached, {},
+                                        graph::PartitionKind::Grid2D);
+  std::uint64_t traced = 0;
+  for (const auto c :
+       testsupport::traced_remote_reads(trace, g.num_vertices()))
+    traced += c;
+  EXPECT_EQ(traced, grid.remote_edges);
+  EXPECT_GT(traced, 0u);
 }
 
 TEST(AnalyticStats, SimilarityReportsRemoteEdgeFraction) {

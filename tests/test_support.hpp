@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "atlc/core/lcc.hpp"
 #include "atlc/graph/clean.hpp"
@@ -16,6 +17,8 @@
 #include "atlc/graph/edge_list.hpp"
 #include "atlc/graph/generators.hpp"
 #include "atlc/graph/reference.hpp"
+#include "atlc/obs/metrics.hpp"
+#include "atlc/obs/trace.hpp"
 
 namespace atlc::testsupport {
 
@@ -42,6 +45,18 @@ inline graph::CSRGraph rmat_graph(
       {.scale = scale, .edge_factor = ef, .seed = seed, .directedness = dir});
   graph::clean(e);
   return graph::CSRGraph::from_edges(e);
+}
+
+/// Remote reads per target vertex as a traced run saw them: the obs
+/// layer's per-row `fetch_remote` tally (MetricsRegistry::top_rows), the
+/// independent witness of graph::remote_reads.
+inline std::vector<std::uint64_t> traced_remote_reads(
+    const obs::TraceCollector& trace, graph::VertexId n) {
+  obs::MetricsRegistry reg;
+  reg.ingest(trace);
+  std::vector<std::uint64_t> reads(n, 0);
+  for (const auto& [v, fetches] : reg.top_rows(n)) reads[v] = fetches;
+  return reads;
 }
 
 /// Complete graph K_n (both edge directions stored).

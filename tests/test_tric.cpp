@@ -55,12 +55,12 @@ TEST_P(TricAcrossRanks, PaperExample) {
 INSTANTIATE_TEST_SUITE_P(Ranks, TricAcrossRanks,
                          ::testing::Values(1u, 2u, 3u, 4u, 8u));
 
-TEST(Tric, SmallBatchesSameCount) {
-  const CSRGraph g = rmat_graph(7, 8, 4);
+TEST(Tric, ManyRoundsSameCount) {
+  // More apex vertices per rank than one round enumerates (1024), so the
+  // enumeration resumes across rounds.
+  const CSRGraph g = rmat_graph(14, 4, 4);
   const auto ref = graph::reference_lcc(g);
-  TricConfig cfg;
-  cfg.batch_vertices = 8;  // many rounds
-  const auto result = run_tric(g, 4, cfg);
+  const auto result = run_tric(g, 2);
   EXPECT_EQ(result.global_triangles, ref.global_triangles);
   EXPECT_GT(result.rounds, 4u);
 }
@@ -144,9 +144,7 @@ TEST(Comparison, TricPaysMoreSynchronisationThanAsync) {
   // engine's Sum(deg) intersections — the gap that explodes on scale-free
   // graphs. Needs hubs big enough for deg^2 to dominate the per-get alphas.
   const CSRGraph g = rmat_graph(12, 32, 9);
-  TricConfig tcfg;
-  tcfg.batch_vertices = 64;  // realistic multi-round execution
-  const auto tric_run = run_tric(g, 8, tcfg);
+  const auto tric_run = run_tric(g, 8);
   const auto async_run = core::run_distributed_lcc(g, 8);
   EXPECT_GT(tric_run.run.makespan, async_run.run.makespan);
   // TriC executed multiple synchronising rounds; the async engine's only

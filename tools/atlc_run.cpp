@@ -236,7 +236,10 @@ int main(int argc, char** argv) {
               "1 = no transfer/compute overlap)",
               2);
   cli.add_flag("cache", "enable CLaMPI-style RMA caching", false);
-  cli.add_double("cache-frac", "cache budget as fraction of CSR bytes", 0.5);
+  cli.add_double("cache-frac",
+                 "cache budget as fraction of CSR bytes (a window whose "
+                 "share is 0 stays uncached: at 0, C_offsets)",
+                 0.5);
   cli.add_string("scores", "clampi | degree (victim-selection scores)",
                  "degree");
   cli.add_string("trace",
