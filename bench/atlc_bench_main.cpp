@@ -10,6 +10,7 @@
 // anchor to its copy-pasteable invocation.
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -96,7 +97,13 @@ int run_scenario(const bench::Scenario& s, int argc, char** argv) {
 
   std::printf("=== %s (%s): %s%s ===\n", s.name.c_str(), s.anchor.c_str(),
               s.summary.c_str(), ctx.smoke ? " [smoke]" : "");
-  s.run(ctx);
+  try {
+    s.run(ctx);
+  } catch (const std::exception& e) {
+    // A refused input (e.g. --graph-file naming a snapshot) ends the run.
+    std::fprintf(stderr, "atlc_bench: %s\n", e.what());
+    return 1;
+  }
 
   std::string out = cli.get_string("json");
   const std::string& dir = cli.get_string("json-dir");

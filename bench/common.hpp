@@ -10,6 +10,7 @@
 // when one is available offline.
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -195,17 +196,29 @@ inline double comm_share(const rma::Runtime::Result& r) {
   return total > 0 ? comm / total : 0.0;
 }
 
+/// printf into a std::string: claims, notes and metric names.
+[[gnu::format(printf, 1, 2)]] inline std::string strprintf(const char* fmt,
+                                                           ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  std::string out(static_cast<std::size_t>(std::max(n, 0)), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  va_end(again);
+  return out;
+}
+
 /// One-line graph description for bench headers.
 inline std::string describe(const CSRGraph& g) {
   const auto st = graph::degree_stats(g);
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "|V|=%u |E|=%llu CSR=%s max_deg=%u gini=%.2f",
-                g.num_vertices(),
-                static_cast<unsigned long long>(g.num_edges()),
-                util::Table::fmt_bytes(g.csr_bytes()).c_str(), st.max,
-                st.gini);
-  return buf;
+  return strprintf("|V|=%u |E|=%llu CSR=%s max_deg=%u gini=%.2f",
+                   g.num_vertices(),
+                   static_cast<unsigned long long>(g.num_edges()),
+                   util::Table::fmt_bytes(g.csr_bytes()).c_str(), st.max,
+                   st.gini);
 }
 
 }  // namespace atlc::bench

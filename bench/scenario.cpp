@@ -1,6 +1,7 @@
 #include "scenario.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "atlc/obs/metrics.hpp"
 
@@ -32,6 +33,18 @@ const Scenario* find_scenario(std::string_view name) {
 int ScenarioContext::boost() const {
   return static_cast<int>(cli.get_int("scale-boost")) +
          (smoke ? kSmokeBoost : 0);
+}
+
+void ScenarioContext::note(const std::string& text) const {
+  std::printf("%s\n", text.c_str());
+  rec.add_note(text);
+}
+
+void ScenarioContext::verdict(const std::string& name,
+                              const std::string& claim, bool holds,
+                              bool wall) const {
+  std::printf("\npaper shape check: %s\n",
+              rec.add_verdict(name, claim, holds, wall).c_str());
 }
 
 const intersect::CostModel& ScenarioContext::cost() const {

@@ -62,6 +62,14 @@ struct ScenarioContext {
   [[nodiscard]] const graph::CSRGraph& graph_or_file(
       const std::string& proxy_name) const;
 
+  /// Record `text` as a note and print it.
+  void note(const std::string& text) const;
+
+  /// State a paper-shape check (BenchRecorder::add_verdict) and print its
+  /// note. `wall` only when `holds` was computed from wall-clock numbers.
+  void verdict(const std::string& name, const std::string& claim, bool holds,
+               bool wall = false) const;
+
   /// Run the distributed LCC engine `repeats` times and record one trial
   /// per run under `metric` (virtual seconds): makespan as the value, plus
   /// aggregated CommStats, per-window CacheStats (when caching), triangle

@@ -114,16 +114,14 @@ void run(bench::ScenarioContext& ctx) {
     ctx.rec.add_table(title, t);
   }
 
-  char note[200];
-  std::snprintf(note, sizeof(note),
-                "shape check: counts agree across arms: %s; R-MAT makespan "
-                "dodg %.4f vs paper %.4f: %s",
-                counts_agree ? "YES" : "NO", rmat_dodg_makespan,
-                rmat_paper_makespan,
-                rmat_dodg_makespan < rmat_paper_makespan ? "HOLDS"
-                                                         : "DOES NOT HOLD");
-  std::printf("%s\n", note);
-  ctx.rec.add_note(note);
+  ctx.verdict("counts_agree",
+              "every TC arm counts the same triangles on both graphs",
+              counts_agree);
+  ctx.verdict("dodg_faster",
+              bench::strprintf("on R-MAT, dodg's makespan beats the paper "
+                               "path's (%.4f vs %.4f s)",
+                               rmat_dodg_makespan, rmat_paper_makespan),
+              rmat_dodg_makespan < rmat_paper_makespan);
 }
 
 }  // namespace

@@ -58,12 +58,9 @@ void run(bench::ScenarioContext& ctx) {
       static_cast<unsigned long long>(total_reads),
       static_cast<unsigned long long>(targets),
       static_cast<unsigned long long>(repeated_reads), 100.0 * avoidable);
-  ctx.rec.add_note(
+  ctx.note(
       "paper shape check: most targets are read once, a heavy tail of hubs "
       "is read tens-to-hundreds of times");
-  std::printf(
-      "paper shape check: most targets are read once, a heavy tail of hubs "
-      "is read tens-to-hundreds of times.\n");
 }
 
 }  // namespace

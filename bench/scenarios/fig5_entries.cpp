@@ -48,11 +48,11 @@ void run(bench::ScenarioContext& ctx) {
                     "mean remote accesses"});
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i].vertices == 0) continue;
-    char range[48];
-    std::snprintf(range, sizeof(range), "[%u, %u)",
-                  static_cast<unsigned>(i * bucket_width),
-                  static_cast<unsigned>((i + 1) * bucket_width));
-    left.add_row({range, util::Table::fmt_int(buckets[i].vertices),
+    left.add_row({bench::strprintf("[%u, %u)",
+                                   static_cast<unsigned>(i * bucket_width),
+                                   static_cast<unsigned>((i + 1) *
+                                                         bucket_width)),
+                  util::Table::fmt_int(buckets[i].vertices),
                   util::Table::fmt(static_cast<double>(buckets[i].reads) /
                                        static_cast<double>(buckets[i].vertices),
                                    2)});
@@ -81,24 +81,23 @@ void run(bench::ScenarioContext& ctx) {
     right.add_row({"mean entry size",
                    util::Table::fmt_bytes(sum_b / entries.size())});
   }
-  right.add_row({"entry size == 4 x degree (Obs. 3.1)",
-                 sizes_track_scores ? "HOLDS" : "VIOLATED"});
   right.print("Fig. 5 (right): C_adj cache entry sizes");
   ctx.rec.add_table("Fig. 5 (right): C_adj cache entry sizes", right);
-  ctx.rec.add_note(std::string("Obs. 3.1 (entry size == 4 x degree): ") +
-                   (sizes_track_scores ? "HOLDS" : "VIOLATED"));
+  ctx.verdict("entry_size_is_degree",
+              "Obs. 3.1: every C_adj entry is 4 bytes x the vertex degree "
+              "scored at insertion",
+              sizes_track_scores);
 
-  // Shape check: reads per vertex grow with degree.
   double low = 0, high = 0;
   if (buckets[0].vertices && buckets[8].vertices) {
     low = static_cast<double>(buckets[0].reads) / buckets[0].vertices;
     high = static_cast<double>(buckets[8].reads) / buckets[8].vertices;
   }
-  std::printf("\npaper shape check (reuse correlates with degree): "
-              "low-degree mean %.2f vs top-degree mean %.2f -> %s\n",
-              low, high, high > 2 * low ? "HOLDS" : "check manually");
-  ctx.rec.add_note(std::string("reuse correlates with degree: ") +
-                   (high > 2 * low ? "HOLDS" : "check manually"));
+  ctx.verdict("reuse_follows_degree",
+              bench::strprintf("mean remote reads of the top-degree bucket > "
+                               "2x the lowest bucket's (%.2f vs %.2f)",
+                               high, low),
+              high > 2 * low);
 }
 
 }  // namespace

@@ -79,10 +79,9 @@ void run(bench::ScenarioContext& ctx) {
       // A zero budget leaves the other window uncached.
       cfg.cache_sizing.offsets_bytes = sweep_adj ? 0 : bytes;
       cfg.cache_sizing.adj_bytes = sweep_adj ? bytes : 0;
-      char metric[64];
-      std::snprintf(metric, sizeof(metric), "makespan/%s/frac=%.2f", window,
-                    fraction);
-      const auto r = ctx.run_lcc_trials(metric, g, ranks, cfg);
+      const auto r = ctx.run_lcc_trials(
+          bench::strprintf("makespan/%s/frac=%.2f", window, fraction), g,
+          ranks, cfg);
       const auto& cs = sweep_adj ? r.adj_cache_total : r.offsets_cache_total;
       points.push_back(
           {fraction, bytes, cs.miss_rate(),
@@ -110,22 +109,17 @@ void run(bench::ScenarioContext& ctx) {
 
     const double save = 1.0 - points.back().comm_seconds / comm_base;
     max_save[sweep_adj ? 1 : 0] = save;
-    std::printf("\nmax communication-time saving with %s only: %.1f%% "
-                "(paper: C_adj alone saved 51.6%%)\n\n",
-                sweep_adj ? "C_adj" : "C_offsets", 100 * save);
-    char note[128];
-    std::snprintf(note, sizeof(note),
-                  "max comm-time saving with %s only: %.1f%% (paper: C_adj "
-                  "alone saved 51.6%%)",
-                  sweep_adj ? "C_adj" : "C_offsets", 100 * save);
-    ctx.rec.add_note(note);
+    ctx.note(bench::strprintf("max comm-time saving with %s only: %.1f%% "
+                              "(paper: C_adj alone saved 51.6%%)",
+                              sweep_adj ? "C_adj" : "C_offsets", 100 * save));
   }
 
-  std::printf(
-      "paper shape check (C_adj saves most, 51.6%% alone): C_offsets only "
-      "saves %.1f%%, C_adj only %.1f%% -> %s\n",
-      100 * max_save[0], 100 * max_save[1],
-      max_save[1] > max_save[0] ? "HOLDS" : "DEVIATES");
+  ctx.verdict("adj_saves_most",
+              bench::strprintf("C_adj alone saves more comm time than "
+                               "C_offsets alone (C_offsets only %.1f%%, C_adj "
+                               "only %.1f%%)",
+                               100 * max_save[0], 100 * max_save[1]),
+              max_save[1] > max_save[0]);
 }
 
 }  // namespace

@@ -108,20 +108,19 @@ void run(bench::ScenarioContext& ctx) {
       break;
     }
   }
-  char note[256];
-  if (crossover != 0)
-    std::snprintf(note, sizeof(note),
-                  "crossover: grid2d first beats the best 1D arm at %u ranks",
-                  crossover);
-  else
-    std::snprintf(note, sizeof(note),
-                  "crossover: none up to %u ranks — 1D arms hold on makespan "
-                  "(fixed per-get latency dominates grid2d's per-block "
-                  "fetch count at this proxy scale; grid2d still wins "
-                  "imbalance growth and bytes moved)",
-                  rank_counts.back());
-  std::printf("%s\n", note);
-  ctx.rec.add_note(note);
+  ctx.verdict("crossover",
+              bench::strprintf("grid2d beats the best 1D arm on makespan at "
+                               "some rank count up to %u",
+                               rank_counts.back()),
+              crossover != 0);
+  ctx.note(crossover != 0
+               ? bench::strprintf("crossover: grid2d first beats the best 1D "
+                                  "arm at %u ranks",
+                                  crossover)
+               : std::string("crossover: none — fixed per-get latency "
+                             "dominates grid2d's per-block fetch count at "
+                             "this proxy scale; grid2d still wins imbalance "
+                             "growth and bytes moved"));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Paper Table II: the graph inventory with |V|, |E| and the CSR size after
 // one-degree removal, for every proxy dataset used by the other scenarios
 // (plus structure metrics justifying each proxy).
-#include <cstdio>
 
 #include "atlc/graph/degree_stats.hpp"
 #include "scenario.hpp"
@@ -34,10 +33,7 @@ void run(bench::ScenarioContext& ctx) {
   }
   table.print("Table II: graphs used in this paper (scaled proxies)");
   ctx.rec.add_table("Table II: graphs used in this reproduction", table);
-  std::printf(
-      "\nNote: proxies are scaled to container size; --scale-boost=N grows "
-      "them toward the paper's sizes (see DESIGN.md section 1).\n");
-  ctx.rec.add_note(
+  ctx.note(
       "proxies are scaled to container size; --scale-boost grows them "
       "toward the paper's sizes (DESIGN.md §1)");
 }

@@ -16,7 +16,7 @@ namespace atlc::graph {
 // The edge-file formats live here and nowhere else (DESIGN.md §11): the
 // SNAP text grammar, first-appearance id interning, and the 24-byte prefix
 // of the ATLC binary file (the v2 snapshot of ingest/snapshot.hpp, the one
-// binary graph format). load_edges, ingest::run_ingest and
+// binary graph format). load_text_edges, ingest::run_ingest and
 // ingest::SnapshotReader all read through these pieces, so the in-memory
 // and out-of-core paths cannot disagree on what a file contains.
 
@@ -141,8 +141,9 @@ class IdInterner {
   std::string path_;
 };
 
-/// Load a SNAP text edge list: ChunkReader windows, parse_text_chunk, one
-/// IdInterner (ids compacted to 0..n-1 in first-appearance order), then
+/// Load a SNAP text edge list: require_text (an ATLC binary file is
+/// refused, never parsed as text), ChunkReader windows, parse_text_chunk,
+/// one IdInterner (ids compacted to 0..n-1 in first-appearance order), then
 /// EdgeList::symmetrize for undirected input. This is the loader that reads
 /// the paper's real datasets (Orkut, LiveJournal, ...) when the SNAP files
 /// are available; the benches fall back to synthetic proxies offline.
@@ -157,11 +158,6 @@ class IdInterner {
 /// Returns the number of "u v" lines written. `atlc_run --convert`
 /// writes it.
 std::size_t save_text_edges(const EdgeList& edges, const std::string& path);
-
-/// The SNAP text loader for a path a user names: load_text_edges, after
-/// require_text. `directedness` says how to read the text.
-[[nodiscard]] EdgeList load_edges(const std::string& path,
-                                  Directedness directedness);
 
 // ---------------------------------------------------------- ATLC binary ---
 
@@ -183,7 +179,7 @@ inline constexpr std::uint64_t kAtlcPrefixBytes = 24;
 [[nodiscard]] std::optional<std::uint32_t> sniff_atlc(const std::string& path);
 
 /// Throw an "atlc:" error when sniff_atlc finds the magic: the SNAP text
-/// readers (load_edges, ingest::run_ingest) refuse ATLC binary files
+/// readers (load_text_edges, ingest::run_ingest) refuse ATLC binary files
 /// instead of parsing their bytes as text. A snapshot's message names
 /// `atlc_run --snapshot`, the way to open it.
 void require_text(const std::string& path);

@@ -89,10 +89,10 @@ struct IngestReport {
 
 /// The out-of-core ingest pipeline (DESIGN.md §11): stream the SNAP text
 /// `input` (read through graph/io's ChunkReader, parse_text_chunk and
-/// IdInterner, the pieces load_edges uses) in chunks, parse in parallel,
+/// IdInterner, the pieces load_text_edges uses) in chunks, parse in parallel,
 /// fused clean/sort/dedup/relabel via external merge sort, and write the
 /// snapshot (ingest/snapshot.hpp) to `output`. The cleaned graph is
-/// bit-identical to load_edges() + graph::clean() with the matching
+/// bit-identical to load_text_edges() + graph::clean() with the matching
 /// options, for any thread count, chunk size, or memory budget. Throws
 /// std::runtime_error ("atlc: ..." messages) on malformed input, and on an
 /// ATLC binary input (graph::require_text).

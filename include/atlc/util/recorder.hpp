@@ -113,8 +113,16 @@ class BenchRecorder {
   void add_trial(const std::string& metric, double value,
                  Json detail = Json());
 
-  /// Free-form commentary ("paper shape check HOLDS", deviations, ...).
+  /// Free-form commentary: deviations, scale remarks, ... Paper-shape
+  /// checks go through add_verdict.
   void add_note(std::string note);
+
+  /// State a paper-shape check: record `verdict/<name>` as a 1/0 metric
+  /// (unit "bool"; `wall` when the check reads wall-clock numbers, so only
+  /// then is it ungated) and the note "<claim>: HOLDS" or
+  /// "<claim>: DEVIATES". Returns that note.
+  std::string add_verdict(const std::string& name, const std::string& claim,
+                          bool holds, bool wall = false);
 
   /// Mirror a human-readable results table into the document.
   void add_table(const std::string& title, const Table& table);

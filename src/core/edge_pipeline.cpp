@@ -17,7 +17,7 @@ CacheSizing CacheSizing::paper_default(VertexId num_vertices,
   s.offsets_bytes = offsets_entries * 2 * sizeof(graph::EdgeIndex);
   if (s.offsets_bytes > total_budget_bytes / 2)
     s.offsets_bytes = total_budget_bytes / 2;
-  s.adj_bytes = std::max<std::uint64_t>(1024, total_budget_bytes - s.offsets_bytes);
+  s.adj_bytes = total_budget_bytes - s.offsets_bytes;
   return s;
 }
 

@@ -157,6 +157,7 @@ void IdInterner::overflow() const {
 
 EdgeList load_text_edges(const std::string& path, Directedness directedness,
                          std::uint64_t max_vertices) {
+  require_text(path);
   std::vector<Edge> edges;
   VertexId n = 0;
   {
@@ -200,11 +201,6 @@ std::size_t save_text_edges(const EdgeList& edges, const std::string& path) {
   for (const Edge& e : list)
     if (written(e)) std::fprintf(f.get(), "%u %u\n", e.u, e.v);
   return lines;
-}
-
-EdgeList load_edges(const std::string& path, Directedness directedness) {
-  require_text(path);
-  return load_text_edges(path, directedness);
 }
 
 // ---------------------------------------------------------------------------

@@ -131,6 +131,17 @@ void BenchRecorder::add_note(std::string note) {
   root_["notes"].push_back(std::move(note));
 }
 
+std::string BenchRecorder::add_verdict(const std::string& name,
+                                       const std::string& claim, bool holds,
+                                       bool wall) {
+  const std::string metric = "verdict/" + name;
+  declare_metric(metric, {.unit = "bool", .wall = wall});
+  add_trial(metric, holds ? 1.0 : 0.0);
+  std::string note = claim + (holds ? ": HOLDS" : ": DEVIATES");
+  add_note(note);
+  return note;
+}
+
 void BenchRecorder::add_table(const std::string& title, const Table& table) {
   Json t = Json::object();
   t["title"] = title;

@@ -205,6 +205,29 @@ TEST(Json, RejectsMutationOfScalars) {
   EXPECT_THROW(s.push_back(Json(1)), std::logic_error);
 }
 
+TEST(BenchRecorder, VerdictRecordsAGatedBitAndItsNote) {
+  BenchRecorder rec("fig_test", "Fig. T", "unit-test scenario");
+  EXPECT_EQ(rec.add_verdict("shape", "hubs dominate", true),
+            "hubs dominate: HOLDS");
+  EXPECT_EQ(rec.add_verdict("order", "hybrid is best", false, /*wall=*/true),
+            "hybrid is best: DEVIATES");
+
+  const Json doc = *Json::parse(rec.finalize().dump(2));
+  const Json* shape = doc.find("metrics")->find("verdict/shape");
+  ASSERT_NE(shape, nullptr);
+  EXPECT_EQ(shape->find("unit")->as_string(), "bool");
+  EXPECT_FALSE(shape->find("wall")->as_bool());
+  ASSERT_EQ(shape->find("trials")->size(), 1u);
+  EXPECT_EQ(shape->find("trials")->at(0).find("value")->as_number(), 1.0);
+  const Json* order = doc.find("metrics")->find("verdict/order");
+  ASSERT_NE(order, nullptr);
+  EXPECT_TRUE(order->find("wall")->as_bool());
+  EXPECT_EQ(order->find("trials")->at(0).find("value")->as_number(), 0.0);
+  ASSERT_EQ(doc.find("notes")->size(), 2u);
+  EXPECT_EQ(doc.find("notes")->at(0).as_string(), "hubs dominate: HOLDS");
+  EXPECT_EQ(doc.find("notes")->at(1).as_string(), "hybrid is best: DEVIATES");
+}
+
 TEST(BenchRecorder, RejectsMetricWithoutUnit) {
   atlc::testsupport::use_threadsafe_death_tests();
   BenchRecorder rec("s", "a", "t");
@@ -333,6 +356,35 @@ TEST(BenchCompare, WallMetricIsReportedNeverFails) {
   EXPECT_FALSE(report.metrics[1].regressed);
   EXPECT_EQ(report.metrics[1].baseline, 1.0);
   EXPECT_EQ(report.metrics[1].current, 10.0);
+}
+
+Json verdict_doc(bool holds, bool wall) {
+  BenchRecorder rec("fig_test", "Fig. T", "unit-test scenario");
+  (void)rec.add_verdict("shape", "claim", holds, wall);
+  return *Json::parse(rec.finalize().dump(2));
+}
+
+TEST(BenchCompare, FlippedVerdictFails) {
+  for (const bool holds : {true, false}) {
+    const auto report = compare_bench_runs(verdict_doc(holds, false),
+                                           verdict_doc(!holds, false));
+    EXPECT_FALSE(report.ok) << holds;
+    ASSERT_EQ(report.metrics.size(), 1u);
+    EXPECT_TRUE(report.metrics[0].regressed);
+  }
+  EXPECT_TRUE(
+      gate_passes(verdict_doc(false, false), verdict_doc(false, false)));
+}
+
+TEST(BenchCompare, FlippedWallVerdictIsReportedNeverFails) {
+  const auto report =
+      compare_bench_runs(verdict_doc(true, true), verdict_doc(false, true));
+  EXPECT_TRUE(report.ok);
+  ASSERT_EQ(report.metrics.size(), 1u);
+  EXPECT_TRUE(report.metrics[0].wall);
+  EXPECT_FALSE(report.metrics[0].regressed);
+  EXPECT_EQ(report.metrics[0].baseline, 1.0);
+  EXPECT_EQ(report.metrics[0].current, 0.0);
 }
 
 void expect_refused(const Json& base, const Json& cur, const char* why) {

@@ -409,7 +409,12 @@ TEST(Behaviour, CacheSizingPaperRule) {
   EXPECT_EQ(s.adj_bytes, (1u << 20) - 400u * 16u);
   // Budget smaller than the offsets demand: split the budget instead.
   const auto tight = CacheSizing::paper_default(1u << 20, 1 << 10);
-  EXPECT_LE(tight.offsets_bytes + tight.adj_bytes, (1u << 10) + 1024u);
+  EXPECT_EQ(tight.offsets_bytes, 512u);
+  EXPECT_EQ(tight.offsets_bytes + tight.adj_bytes, 1u << 10);
+  // A zero budget leaves both windows uncached.
+  const auto none = CacheSizing::paper_default(1000, 0);
+  EXPECT_EQ(none.offsets_bytes, 0u);
+  EXPECT_EQ(none.adj_bytes, 0u);
 }
 
 }  // namespace

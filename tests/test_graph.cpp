@@ -595,9 +595,6 @@ TEST(Io, MissingFileThrows) {
   EXPECT_THROW((void)load_text_edges("/nonexistent/path.txt",
                                      Directedness::Undirected),
                std::runtime_error);
-  EXPECT_THROW((void)load_edges("/nonexistent/path.txt",
-                                Directedness::Undirected),
-               std::runtime_error);
 }
 
 TEST(Io, TextRoundTripPreservesTriangles) {
@@ -606,7 +603,7 @@ TEST(Io, TextRoundTripPreservesTriangles) {
   auto e = generate_rmat({.scale = 6, .edge_factor = 6, .seed = 9});
   const std::string path = ::testing::TempDir() + "atlc_rt.txt";
   save_text_edges(e, path);
-  EdgeList loaded = load_edges(path, Directedness::Undirected);
+  EdgeList loaded = load_text_edges(path, Directedness::Undirected);
   clean(e);
   clean(loaded);
   EXPECT_EQ(loaded.num_vertices(), e.num_vertices());
@@ -616,13 +613,13 @@ TEST(Io, TextRoundTripPreservesTriangles) {
   std::remove(path.c_str());
 }
 
-TEST(Io, LoadEdgesReadsText) {
+TEST(Io, LoadTextEdgesReadsText) {
   // A text file whose first bytes are digits goes down the text path.
   const std::string text_path = ::testing::TempDir() + "atlc_sniff.txt";
   std::FILE* f = std::fopen(text_path.c_str(), "w");
   std::fprintf(f, "0 1\n1 2\n2 0\n");
   std::fclose(f);
-  const EdgeList t = load_edges(text_path, Directedness::Undirected);
+  const EdgeList t = load_text_edges(text_path, Directedness::Undirected);
   EXPECT_EQ(reference_lcc(CSRGraph::from_edges(t)).global_triangles, 1u);
   std::remove(text_path.c_str());
 }

@@ -840,7 +840,7 @@ TEST_F(SnapshotCorruption, VersionSniffing) {
 }
 
 TEST_F(SnapshotCorruption, TextReadersRejectAtlcFiles) {
-  // load_edges and run_ingest read SNAP text only: a file that starts with
+  // load_text_edges and run_ingest read SNAP text only: a file that starts with
   // the ATLC magic is refused with an `atlc:` error, never parsed as text.
   // Version 1 (the retired edge list) is the snapshot with its version
   // word patched.
@@ -851,7 +851,7 @@ TEST_F(SnapshotCorruption, TextReadersRejectAtlcFiles) {
   };
   for (const auto& [path, needle] : cases) {
     expect_atlc_throw(
-        [&] { (void)graph::load_edges(path, Directedness::Undirected); },
+        [&] { (void)graph::load_text_edges(path, Directedness::Undirected); },
         needle);
     expect_atlc_throw(
         [&] { (void)ingest::run_ingest(path, tmp_path("twice.snap")); },

@@ -10,7 +10,7 @@
 //   atlc_run --rmat-scale 16 --convert rmat.txt   # a generated input
 //   atlc_ingest --input rmat.txt --output rmat.snap --mem-budget-mb 64
 //
-// The snapshot payload is bit-identical to load_edges() + graph::clean()
+// The snapshot payload is bit-identical to load_text_edges() + graph::clean()
 // with the matching seed, for any --threads/--chunk-mb/--mem-budget-mb.
 #include <cstdio>
 #include <exception>

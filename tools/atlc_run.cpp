@@ -237,8 +237,8 @@ int main(int argc, char** argv) {
               2);
   cli.add_flag("cache", "enable CLaMPI-style RMA caching", false);
   cli.add_double("cache-frac",
-                 "cache budget as fraction of CSR bytes (a window whose "
-                 "share is 0 stays uncached: at 0, C_offsets)",
+                 "cache budget as fraction of CSR bytes (at 0 both "
+                 "windows stay uncached)",
                  0.5);
   cli.add_string("scores", "clampi | degree (victim-selection scores)",
                  "degree");
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
       dir = edges.directedness();
     } else if (!cli.get_string("input").empty()) {
       // SNAP text; an ATLC binary file is refused with a pointed message.
-      edges = graph::load_edges(cli.get_string("input"), dir);
+      edges = graph::load_text_edges(cli.get_string("input"), dir);
     } else {
       edges = graph::generate_rmat(
           {.scale = static_cast<unsigned>(cli.get_int("rmat-scale")),

@@ -137,8 +137,8 @@ int main(int argc, char** argv) {
                    .seed = static_cast<std::uint64_t>(
                        cli.get_int("graph-seed")),
                    .directedness = graph::Directedness::Undirected})
-            : graph::load_edges(cli.get_string("input"),
-                                graph::Directedness::Undirected);
+            : graph::load_text_edges(cli.get_string("input"),
+                                     graph::Directedness::Undirected);
     graph::clean(edges);
     const graph::CSRGraph g = graph::CSRGraph::from_edges(edges);
     std::printf("graph: %u vertices, %zu directed edges\n", g.num_vertices(),
