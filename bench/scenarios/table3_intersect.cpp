@@ -20,12 +20,12 @@ void add_flags(util::Cli& cli) {
 void run(bench::ScenarioContext& ctx) {
   const int threads =
       ctx.smoke ? 2 : static_cast<int>(ctx.cli.get_int("threads"));
+  // Smoke runs take the recorder's default stopping rule: with fewer
+  // samples a single noisy repetition can flip the verdict below.
   const util::Recorder::Options reps =
-      ctx.smoke
-          ? util::Recorder::Options{.min_reps = 1, .max_reps = 2,
-                                    .ci_fraction = 0.5}
-          : util::Recorder::Options{.min_reps = 2, .max_reps = 5,
-                                    .ci_fraction = 0.15};
+      ctx.smoke ? util::Recorder::Options{}
+                : util::Recorder::Options{.min_reps = 2, .max_reps = 5,
+                                          .ci_fraction = 0.15};
 
   // Paper Table III graphs: R-MAT S20 EF8/16/32 + LiveJournal + Orkut.
   // EF sweep shows the density effect; proxies stand in for the SNAP sets.

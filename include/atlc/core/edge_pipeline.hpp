@@ -124,8 +124,8 @@ struct EdgeAnalyticStats {
   void absorb(PipelineRankStats&& rank);
 };
 
-/// The engine block of every `--stats-json` document (atlc_run and
-/// atlc_serve; DESIGN.md §12): ranks, makespan_s, wall_seconds,
+/// The engine block of every `atlc_run --stats-json` document, static,
+/// streaming or serving (DESIGN.md §12): ranks, makespan_s, wall_seconds,
 /// comm_total, comm_per_rank, clocks, offsets_cache, adj_cache,
 /// edges_processed, remote_edges, peak_rss_bytes. Callers append their
 /// own keys after it.

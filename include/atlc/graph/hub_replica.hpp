@@ -40,7 +40,8 @@ class HubReplica {
   /// Select the ⌈fraction * |V|⌉ highest-degree vertices of `g` (ties
   /// broken by ascending id, so the pick is deterministic) and copy their
   /// adjacency rows. fraction <= 0 (or an empty graph) yields an empty
-  /// replica with zero overhead anywhere.
+  /// replica with zero overhead anywhere; a fraction above 1 or NaN
+  /// aborts.
   [[nodiscard]] static HubReplica build(const CSRGraph& g, double fraction);
 
   [[nodiscard]] bool empty() const { return ids_.empty(); }

@@ -12,6 +12,9 @@ namespace atlc::graph {
 HubReplica HubReplica::build(const CSRGraph& g, double fraction) {
   HubReplica h;
   if (fraction <= 0.0 || g.num_vertices() == 0) return h;
+  // Also refuses NaN: it, or a fraction far above 1, would make the
+  // size_t cast below undefined.
+  ATLC_CHECK(fraction <= 1.0, "hub fraction must be in [0, 1]");
   const auto n = static_cast<std::size_t>(g.num_vertices());
   // Ceil so any positive δ replicates at least one hub even on tiny graphs.
   const auto count = std::min(

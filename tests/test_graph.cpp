@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <span>
@@ -1240,6 +1241,15 @@ TEST(HubReplica, TinyGraphPositiveFractionReplicatesAtLeastOne) {
   const CSRGraph g = CSRGraph::from_edges(paper_example());
   const HubReplica h = HubReplica::build(g, 0.001);  // ceil(0.001 * 6) = 1
   EXPECT_EQ(h.hub_ids().size(), 1u);
+}
+
+TEST(HubReplica, FractionAboveOneOrNanAborts) {
+  testsupport::use_threadsafe_death_tests();
+  const CSRGraph g = CSRGraph::from_edges(paper_example());
+  EXPECT_DEATH((void)HubReplica::build(
+                   g, std::numeric_limits<double>::quiet_NaN()),
+               "hub fraction");
+  EXPECT_DEATH((void)HubReplica::build(g, 2.0), "hub fraction");
 }
 
 TEST(HubReplica, ApplyMaintainsSortedRows) {

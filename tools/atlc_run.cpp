@@ -4,15 +4,20 @@
 // the complete engine flag surface, and emit results as CSV for downstream
 // analysis. `--stream-batches` switches to the dynamic engine (atlc::stream):
 // apply generated update batches and maintain TC/LCC incrementally.
+// `--serve-epochs` drives the resident query engine (atlc::serve, DESIGN.md
+// §13): a Zipf-skewed point-query stream interleaved with update batches,
+// one CSV row per epoch.
 //
 //   atlc_run --input graph.txt --algo lcc --ranks 16 --cache --out lcc.csv
 //   atlc_run --rmat-scale 14 --algo tc --ranks 32 --pipeline-depth 4
 //   atlc_run --input graph.txt --algo adamic-adar --cache --scores degree
 //   atlc_run --input graph.txt --stream-batches 8 --batch-size 1024 --cache
+//   atlc_run --rmat-scale 12 --serve-epochs 8 --zipf 1.2 --hot-entries 4096
 //   atlc_run --rmat-scale 14 --convert g.txt       # write SNAP text, exit
 //   atlc_run --snapshot graph.snap --algo lcc      # atlc_ingest output;
 //     skips clean/relabel and reads each rank's CSR slice out of core, at
 //     any --ranks and --partition
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -30,9 +35,12 @@
 #include "atlc/graph/io.hpp"
 #include "atlc/ingest/snapshot.hpp"
 #include "atlc/obs/trace.hpp"
+#include "atlc/serve/query_engine.hpp"
+#include "atlc/serve/workload.hpp"
 #include "atlc/stream/stream_engine.hpp"
 #include "atlc/util/cli.hpp"
 #include "atlc/util/json.hpp"
+#include "atlc/util/recorder.hpp"
 #include "atlc/util/timer.hpp"
 
 namespace {
@@ -101,8 +109,9 @@ void print_run_summary(const core::EdgeAnalyticStats& s) {
                  static_cast<unsigned long long>(total.hub_local_hits));
 }
 
-/// One engine run as main() drives it: the inputs, plus where the CSV
-/// body goes (unless --stats-only).
+/// One engine run as main() drives it: the inputs, where the CSV body goes
+/// (unless --stats-only), and the mode's own --stats-json keys, which
+/// follow the engine block.
 struct Job {
   const util::Cli& cli;
   const graph::CSRGraph& g;
@@ -110,8 +119,12 @@ struct Job {
   const core::EngineConfig& cfg;
   graph::PartitionKind partition;
   std::FILE* out;
+  util::Json* stats_tail;
 
   [[nodiscard]] bool csv() const { return !cli.get_flag("stats-only"); }
+  [[nodiscard]] std::size_t count(const char* flag) const {
+    return static_cast<std::size_t>(cli.get_int(flag));
+  }
 };
 
 core::EdgeAnalyticStats run_lcc(const Job& j) {
@@ -157,8 +170,8 @@ core::EdgeAnalyticStats run_similarity(const Job& j) {
 /// engine, maintaining TC (--algo tc) or per-vertex LCC.
 core::EdgeAnalyticStats run_streaming(const Job& j) {
   stream::WorkloadConfig wl;
-  wl.num_batches = static_cast<std::size_t>(j.cli.get_int("stream-batches"));
-  wl.batch_size = static_cast<std::size_t>(j.cli.get_int("batch-size"));
+  wl.num_batches = j.count("stream-batches");
+  wl.batch_size = j.count("batch-size");
   wl.insert_fraction = j.cli.get_double("stream-insert-frac");
   wl.seed = static_cast<std::uint64_t>(j.cli.get_int("seed"));
   const auto batches = stream::generate_batches(j.g, wl);
@@ -197,6 +210,108 @@ core::EdgeAnalyticStats run_streaming(const Job& j) {
   return r;
 }
 
+/// The serving keys of --stats-json: query counters, per-epoch outcomes
+/// and per-query costs.
+util::Json serve_stats_json(const serve::ServeResult& res) {
+  const core::QueryStats& qs = res.stats;
+  util::Json doc = util::Json::object();
+  doc["submitted"] = qs.submitted;
+  doc["answered"] = qs.answered;
+  doc["rejected"] = qs.rejected;
+  doc["latency_p50"] = qs.latency_percentile(50);
+  doc["latency_p99"] = qs.latency_percentile(99);
+  doc["build_makespan"] = res.build_makespan;
+  doc["serve_makespan"] = res.serve_makespan;
+  doc["hot_cache"] = util::to_json(res.hot_cache_total);
+  util::Json epochs = util::Json::array();
+  for (const serve::EpochOutcome& e : res.epochs) {
+    util::Json je = util::Json::object();
+    je["submitted"] = e.submitted;
+    je["accepted"] = e.accepted;
+    je["rejected"] = e.rejected;
+    je["hot_hits"] = e.hot_hits;
+    je["effective_insertions"] = e.effective_insertions;
+    je["effective_deletions"] = e.effective_deletions;
+    je["rows_rebuilt"] = e.rows_rebuilt;
+    je["query_makespan"] = e.query_makespan;
+    je["update_makespan"] = e.update_makespan;
+    epochs.push_back(std::move(je));
+  }
+  doc["epochs"] = std::move(epochs);
+  util::Json per_query = util::Json::array();
+  for (const core::QueryCost& qc : qs.per_query) {
+    util::Json jq = util::Json::object();
+    jq["id"] = qc.id;
+    jq["epoch"] = static_cast<std::uint64_t>(qc.epoch);
+    jq["edges"] = qc.edges_processed;
+    jq["remote_edges"] = qc.remote_edges;
+    jq["seconds"] = qc.seconds;
+    per_query.push_back(std::move(jq));
+  }
+  doc["per_query"] = std::move(per_query);
+  return doc;
+}
+
+/// --serve-epochs: a Zipf point-query stream interleaved with update
+/// batches through the resident query engine, one CSV row per epoch.
+core::EdgeAnalyticStats run_serving(const Job& j) {
+  serve::QueryWorkloadConfig wc;
+  wc.num_epochs = j.count("serve-epochs");
+  wc.queries_per_epoch = j.count("queries-per-epoch");
+  wc.zipf_skew = j.cli.get_double("zipf");
+  wc.topk = static_cast<std::uint32_t>(j.cli.get_int("topk"));
+  wc.lcc_fraction = j.cli.get_double("lcc-frac");
+  wc.common_fraction = j.cli.get_double("common-frac");
+  wc.batch_size = j.count("batch-size");
+  wc.insert_fraction = j.cli.get_double("stream-insert-frac");
+  wc.seed = static_cast<std::uint64_t>(j.cli.get_int("seed"));
+  const auto epochs = serve::generate_query_stream(j.g, wc);
+
+  serve::ServeOptions opts;
+  opts.engine = j.cfg;
+  opts.partition = j.partition;
+  opts.admission_capacity = j.count("capacity");
+  opts.hot_cache.entries = j.count("hot-entries");
+  const serve::ServeResult res =
+      serve::QueryEngine(j.g, opts).run(epochs, j.ranks);
+
+  if (j.csv()) {
+    std::fprintf(j.out,
+                 "epoch,submitted,accepted,rejected,hot_hits,rows_rebuilt,"
+                 "query_s,update_s\n");
+    for (std::size_t e = 0; e < res.epochs.size(); ++e) {
+      const serve::EpochOutcome& eo = res.epochs[e];
+      std::fprintf(j.out, "%zu,%llu,%llu,%llu,%llu,%llu,%.6e,%.6e\n", e,
+                   static_cast<unsigned long long>(eo.submitted),
+                   static_cast<unsigned long long>(eo.accepted),
+                   static_cast<unsigned long long>(eo.rejected),
+                   static_cast<unsigned long long>(eo.hot_hits),
+                   static_cast<unsigned long long>(eo.rows_rebuilt),
+                   eo.query_makespan, eo.update_makespan);
+    }
+  }
+  const core::QueryStats& qs = res.stats;
+  std::fprintf(stderr,
+               "# answered %llu/%llu (%llu rejected) | virtual latency p50 "
+               "%.3e s, p99 %.3e s\n",
+               static_cast<unsigned long long>(qs.answered),
+               static_cast<unsigned long long>(qs.submitted),
+               static_cast<unsigned long long>(qs.rejected),
+               qs.latency_percentile(50), qs.latency_percentile(99));
+  std::fprintf(stderr,
+               "# hot cache: %.1f%% hit rate (%llu hits, %llu stale, %llu "
+               "evictions) | pipeline: %llu edges, %.0f%% remote\n",
+               100.0 * res.hot_cache_total.hit_rate(),
+               static_cast<unsigned long long>(res.hot_cache_total.hits),
+               static_cast<unsigned long long>(
+                   res.hot_cache_total.stale_misses),
+               static_cast<unsigned long long>(res.hot_cache_total.evictions),
+               static_cast<unsigned long long>(qs.edges_processed),
+               100.0 * qs.remote_edge_fraction());
+  *j.stats_tail = serve_stats_json(res);
+  return qs;
+}
+
 /// The static analytics by --algo name.
 using Analytic = core::EdgeAnalyticStats (*)(const Job&);
 constexpr std::pair<std::string_view, Analytic> kAnalytics[] = {
@@ -222,7 +337,8 @@ int main(int argc, char** argv) {
   cli.add_flag("directed", "treat the input as directed", false);
   cli.add_int("rmat-scale", "R-MAT scale when generating", 13);
   cli.add_int("rmat-ef", "R-MAT edge factor when generating", 16);
-  cli.add_int("seed", "generator / relabeling seed", 1);
+  cli.add_int("seed", "generator, relabeling and update/query workload seed",
+              1);
   cli.add_string("algo", "lcc | tc | jaccard | overlap | adamic-adar", "lcc");
   cli.add_int("ranks", "simulated compute nodes", 8);
   cli.add_string("partition", "block | cyclic | degree1d | grid2d", "block");
@@ -264,34 +380,79 @@ int main(int argc, char** argv) {
               "apply this many update batches with the incremental "
               "streaming engine (0 = static run)",
               0);
-  cli.add_int("batch-size", "updates per streaming batch", 256);
+  cli.add_int("batch-size",
+              "updates per streaming batch or serving epoch (0 = "
+              "queries-only epochs, --serve-epochs only)",
+              256);
   cli.add_double("stream-insert-frac",
-                 "fraction of streamed updates that are insertions", 0.7);
+                 "fraction of streamed or served updates that are "
+                 "insertions",
+                 0.7);
+  cli.add_int("serve-epochs",
+              "serve this many epochs of point queries, each followed by "
+              "an update batch, with the resident query engine (0 = off)",
+              0);
+  cli.add_int("queries-per-epoch", "point queries arriving per epoch", 1024);
+  cli.add_double("zipf", "query traffic skew (0 = uniform)", 1.0);
+  cli.add_int("topk", "k for the recommendation queries", 8);
+  cli.add_double("lcc-frac", "fraction of queries that are lcc(v)", 0.5);
+  cli.add_double("common-frac", "fraction that are topk_common(v, k)", 0.3);
+  cli.add_int("capacity", "admission queue bound per epoch", 1024);
+  cli.add_int("hot-entries", "HotVertexCache slots (0 = off)", 1024);
   if (!cli.parse(argc, argv)) return 1;
 
-  // Range checks before the unsigned conversions: a wrapped --ranks would
-  // ask the runtime for billions of rank threads, every rank allocates
-  // --pipeline-depth ring entries, and a negative --cache-frac makes the
-  // budget's double -> uint64 cast undefined (the negated test also
-  // refuses NaN).
-  const auto refuse_outside = [&](const char* flag, std::int64_t hi) {
+  // Range checks before the unsigned and floating-point conversions: a
+  // wrapped --ranks would ask the runtime for billions of rank threads,
+  // every rank allocates --pipeline-depth ring entries, a wrapped count
+  // would size a workload, a queue or a cache by it, and an out-of-range
+  // fraction makes a double -> size_t cast undefined (the negated tests
+  // also refuse NaN).
+  const bool serving = cli.get_int("serve-epochs") > 0;
+  const auto refuse_outside = [&](const char* flag, std::int64_t lo,
+                                  std::int64_t hi) {
     const std::int64_t v = cli.get_int(flag);
-    if (v >= 1 && v <= hi) return false;
+    if (v >= lo && v <= hi) return false;
     std::fprintf(stderr,
-                 "atlc_run: --%s must be between 1 and %lld (got %lld)\n",
-                 flag, static_cast<long long>(hi), static_cast<long long>(v));
+                 "atlc_run: --%s must be between %lld and %lld (got %lld)\n",
+                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
+                 static_cast<long long>(v));
     return true;
   };
-  if (refuse_outside("ranks", std::int64_t{UINT32_MAX}) ||
-      refuse_outside("pipeline-depth", kMaxPipelineDepth) ||
-      refuse_outside("batch-size", kMaxBatchSize))
-    return 1;
-  const double cache_frac = cli.get_double("cache-frac");
-  if (!(cache_frac >= 0.0 && cache_frac <= 1e6)) {
+  const auto refuse_outside_real = [&](const char* flag, double lo,
+                                       double hi) {
+    const double v = cli.get_double(flag);
+    if (v >= lo && v <= hi) return false;
     std::fprintf(stderr,
-                 "atlc_run: --cache-frac must be between 0 and 1e6 (got "
-                 "%g)\n",
-                 cache_frac);
+                 "atlc_run: --%s must be between %g and %g (got %g)\n", flag,
+                 lo, hi, v);
+    return true;
+  };
+  constexpr std::int64_t kMaxCount = UINT32_MAX;
+  if (refuse_outside("ranks", 1, kMaxCount) ||
+      refuse_outside("rmat-scale", 1, 31) ||
+      refuse_outside("rmat-ef", 1, kMaxCount) ||
+      refuse_outside("pipeline-depth", 1, kMaxPipelineDepth) ||
+      refuse_outside("batch-size", serving ? 0 : 1, kMaxBatchSize) ||
+      refuse_outside_real("cache-frac", 0.0, 1e6) ||
+      refuse_outside_real("hub-frac", 0.0, 1.0) ||
+      refuse_outside_real("stream-insert-frac", 0.0, 1.0) ||
+      refuse_outside_real("lcc-frac", 0.0, 1.0) ||
+      refuse_outside_real("common-frac", 0.0, 1.0))
+    return 1;
+  for (const char* flag : {"serve-epochs", "queries-per-epoch", "topk",
+                           "capacity", "hot-entries"})
+    if (refuse_outside(flag, 0, kMaxCount)) return 1;
+  if (cli.get_double("lcc-frac") + cli.get_double("common-frac") > 1.0) {
+    std::fprintf(stderr,
+                 "atlc_run: --lcc-frac plus --common-frac must be at most 1 "
+                 "(the rest are top-k Adamic-Adar queries)\n");
+    return 1;
+  }
+  const double zipf = cli.get_double("zipf");
+  if (!(std::isfinite(zipf) && zipf >= 0.0)) {
+    std::fprintf(stderr,
+                 "atlc_run: --zipf must be finite and at least 0 (got %g)\n",
+                 zipf);
     return 1;
   }
 
@@ -390,12 +551,13 @@ int main(int argc, char** argv) {
   const bool streaming = cli.get_int("stream-batches") > 0;
   if (snap) {
     // Out-of-core build: the static engine reads each rank's slice from
-    // the snapshot. The streaming engine rebuilds rows in memory as updates
-    // land, so its graph builds stay in-memory.
-    if (streaming) {
+    // the snapshot. The streaming and serving engines rebuild rows in
+    // memory as updates land, so their graph builds stay in-memory.
+    if (streaming || serving) {
       std::fprintf(stderr,
-                   "# snapshot slices unused by the streaming engine "
-                   "(updates rebuild rows in memory)\n");
+                   "# snapshot slices unused by the %s engine (updates "
+                   "rebuild rows in memory)\n",
+                   streaming ? "streaming" : "serving");
     } else {
       cfg.slice_source = snap.get();
     }
@@ -441,9 +603,26 @@ int main(int argc, char** argv) {
     }
     analytic = run_streaming;
   }
+  if (serving) {
+    // Point queries need whole undirected adjacency rows, and one run
+    // drives one engine mode.
+    const char* clash =
+        streaming ? "--stream-batches"
+        : partition == graph::PartitionKind::Grid2D ? "--partition grid2d"
+        : dir == graph::Directedness::Directed      ? "--directed"
+        : algo != "lcc" ? "an --algo other than lcc"
+                        : nullptr;
+    if (clash != nullptr) {
+      std::fprintf(stderr, "atlc_run: --serve-epochs does not support %s\n",
+                   clash);
+      return 1;
+    }
+    analytic = run_serving;
+  }
 
+  util::Json stats_tail = util::Json::object();
   const core::EdgeAnalyticStats stats =
-      analytic({cli, g, ranks, cfg, partition, out.get()});
+      analytic({cli, g, ranks, cfg, partition, out.get(), &stats_tail});
   // Shared artifacts of every engine path: the Chrome trace, the
   // --stats-json document and the summary line.
   if (!trace_path.empty()) {
@@ -456,7 +635,8 @@ int main(int argc, char** argv) {
   }
   if (!stats_path.empty()) {
     util::Json doc = core::stats_json(stats);
-    doc["algo"] = algo;
+    for (auto& [key, value] : stats_tail.items()) doc[key] = std::move(value);
+    doc["algo"] = serving ? "serve" : algo;
     if (!util::write_json_file(stats_path, doc)) {
       std::fprintf(stderr, "atlc_run: cannot write %s\n", stats_path.c_str());
       return 1;

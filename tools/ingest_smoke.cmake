@@ -3,13 +3,14 @@
 # the resulting LCC/TC CSVs must be byte-identical to the in-memory
 # load+clean path on the same input and seed, across partition kinds and
 # rank counts (the snapshot stores no rank count), and at --seed 0 (no
-# relabel on either path). Out-of-range numeric flags of atlc_run,
-# atlc_ingest and atlc_serve must exit 1 with a message naming the tool.
+# relabel on either path). One small serving run must write its stats
+# document. Out-of-range numeric flags of atlc_run and atlc_ingest must exit
+# 1 with a message naming the tool.
 #
-# Driven as: cmake -DATLC_RUN=... -DATLC_INGEST=... -DATLC_SERVE=...
-#                  -DWORK_DIR=... -P ingest_smoke.cmake
+# Driven as: cmake -DATLC_RUN=... -DATLC_INGEST=... -DWORK_DIR=...
+#                  -P ingest_smoke.cmake
 
-foreach(var ATLC_RUN ATLC_INGEST ATLC_SERVE WORK_DIR)
+foreach(var ATLC_RUN ATLC_INGEST WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "ingest_smoke: -D${var}=... is required")
   endif()
@@ -92,15 +93,30 @@ if(NOT rc EQUAL 0)
           "atlc_run --input")
 endif()
 
-# Out-of-range numeric flags are refused before any unsigned conversion.
-# (--ranks -1 is left out on purpose: a build without the check would ask
-# for 2^32 - 1 rank threads.)
+# The serving mode: a small query/update run writes its stats document.
+run_checked(${ATLC_RUN} --serve-epochs 2 --rmat-scale 8 --stats-only
+            --stats-json ${WORK_DIR}/serve.json)
+if(NOT EXISTS ${WORK_DIR}/serve.json)
+  message(FATAL_ERROR "ingest_smoke: --serve-epochs wrote no --stats-json")
+endif()
+
+# Out-of-range numeric flags are refused before any unsigned or
+# floating-point conversion. (--ranks -1 is left out on purpose: a build
+# without the check would ask for 2^32 - 1 rank threads.)
 foreach(cmd "${ATLC_RUN};--ranks;0;--rmat-scale;4"
         "${ATLC_RUN};--cache-frac;-0.5;--rmat-scale;4"
         "${ATLC_RUN};--pipeline-depth;0;--rmat-scale;4"
         "${ATLC_RUN};--batch-size;0;--rmat-scale;4"
-        "${ATLC_SERVE};--ranks;0;--scale;4"
-        "${ATLC_SERVE};--hot-entries;-1;--scale;4"
+        "${ATLC_RUN};--rmat-scale;40"
+        "${ATLC_RUN};--rmat-ef;0;--rmat-scale;4"
+        "${ATLC_RUN};--hub-frac;nan;--rmat-scale;4"
+        "${ATLC_RUN};--stream-insert-frac;5;--rmat-scale;4"
+        "${ATLC_RUN};--lcc-frac;3;--rmat-scale;4"
+        "${ATLC_RUN};--common-frac;-0.1;--rmat-scale;4"
+        "${ATLC_RUN};--lcc-frac;0.8;--common-frac;0.3;--rmat-scale;4"
+        "${ATLC_RUN};--zipf;nan;--rmat-scale;4"
+        "${ATLC_RUN};--serve-epochs;2;--ranks;0;--rmat-scale;4"
+        "${ATLC_RUN};--serve-epochs;2;--hot-entries;-1;--rmat-scale;4"
         "${ATLC_INGEST};--input;${WORK_DIR}/g.txt;--output;${WORK_DIR}/x.snap;--chunk-mb;-1"
         "${ATLC_INGEST};--input;${WORK_DIR}/g.txt;--output;${WORK_DIR}/x.snap;--mem-budget-mb;-1")
   list(GET cmd 0 tool)
@@ -111,6 +127,18 @@ foreach(cmd "${ATLC_RUN};--ranks;0;--rmat-scale;4"
     message(FATAL_ERROR
             "ingest_smoke: expected exit 1 and a '${tool_name}: --' "
             "message from: ${cmd} (got ${rc}: ${err})")
+  endif()
+endforeach()
+
+# The serving mode refuses the options it cannot honour, after the load.
+foreach(clash "--stream-batches;2" "--partition;grid2d" "--directed"
+        "--algo;tc")
+  execute_process(COMMAND ${ATLC_RUN} --serve-epochs 2 --rmat-scale 4 ${clash}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "atlc_run: --serve-epochs does not")
+    message(FATAL_ERROR
+            "ingest_smoke: expected --serve-epochs to refuse ${clash} "
+            "(got ${rc}: ${err})")
   endif()
 endforeach()
 
