@@ -17,11 +17,12 @@
 //   atlc_run --snapshot graph.snap --algo lcc      # atlc_ingest output;
 //     skips clean/relabel and reads each rank's CSR slice out of core, at
 //     any --ranks and --partition
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -109,9 +110,8 @@ void print_run_summary(const core::EdgeAnalyticStats& s) {
                  static_cast<unsigned long long>(total.hub_local_hits));
 }
 
-/// One engine run as main() drives it: the inputs, where the CSV body goes
-/// (unless --stats-only), and the mode's own --stats-json keys, which
-/// follow the engine block.
+/// One engine run as main() drives it: the inputs and where the CSV body
+/// goes (unless --stats-only).
 struct Job {
   const util::Cli& cli;
   const graph::CSRGraph& g;
@@ -119,7 +119,6 @@ struct Job {
   const core::EngineConfig& cfg;
   graph::PartitionKind partition;
   std::FILE* out;
-  util::Json* stats_tail;
 
   [[nodiscard]] bool csv() const { return !cli.get_flag("stats-only"); }
   [[nodiscard]] std::size_t count(const char* flag) const {
@@ -210,11 +209,10 @@ core::EdgeAnalyticStats run_streaming(const Job& j) {
   return r;
 }
 
-/// The serving keys of --stats-json: query counters, per-epoch outcomes
-/// and per-query costs.
-util::Json serve_stats_json(const serve::ServeResult& res) {
+/// Appends the serving keys of --stats-json to `doc`, after the engine
+/// block: query counters, per-epoch outcomes and per-query costs.
+void append_serve_stats(util::Json& doc, const serve::ServeResult& res) {
   const core::QueryStats& qs = res.stats;
-  util::Json doc = util::Json::object();
   doc["submitted"] = qs.submitted;
   doc["answered"] = qs.answered;
   doc["rejected"] = qs.rejected;
@@ -249,19 +247,16 @@ util::Json serve_stats_json(const serve::ServeResult& res) {
     per_query.push_back(std::move(jq));
   }
   doc["per_query"] = std::move(per_query);
-  return doc;
 }
 
 /// --serve-epochs: a Zipf point-query stream interleaved with update
-/// batches through the resident query engine, one CSV row per epoch.
-core::EdgeAnalyticStats run_serving(const Job& j) {
+/// batches through the resident query engine, one CSV row per epoch. The
+/// query mix, top-k depth and admission bound keep the library defaults.
+serve::ServeResult run_serving(const Job& j) {
   serve::QueryWorkloadConfig wc;
   wc.num_epochs = j.count("serve-epochs");
   wc.queries_per_epoch = j.count("queries-per-epoch");
   wc.zipf_skew = j.cli.get_double("zipf");
-  wc.topk = static_cast<std::uint32_t>(j.cli.get_int("topk"));
-  wc.lcc_fraction = j.cli.get_double("lcc-frac");
-  wc.common_fraction = j.cli.get_double("common-frac");
   wc.batch_size = j.count("batch-size");
   wc.insert_fraction = j.cli.get_double("stream-insert-frac");
   wc.seed = static_cast<std::uint64_t>(j.cli.get_int("seed"));
@@ -270,10 +265,8 @@ core::EdgeAnalyticStats run_serving(const Job& j) {
   serve::ServeOptions opts;
   opts.engine = j.cfg;
   opts.partition = j.partition;
-  opts.admission_capacity = j.count("capacity");
   opts.hot_cache.entries = j.count("hot-entries");
-  const serve::ServeResult res =
-      serve::QueryEngine(j.g, opts).run(epochs, j.ranks);
+  serve::ServeResult res = serve::QueryEngine(j.g, opts).run(epochs, j.ranks);
 
   if (j.csv()) {
     std::fprintf(j.out,
@@ -308,8 +301,7 @@ core::EdgeAnalyticStats run_serving(const Job& j) {
                static_cast<unsigned long long>(res.hot_cache_total.evictions),
                static_cast<unsigned long long>(qs.edges_processed),
                100.0 * qs.remote_edge_fraction());
-  *j.stats_tail = serve_stats_json(res);
-  return qs;
+  return res;
 }
 
 /// The static analytics by --algo name.
@@ -394,17 +386,13 @@ int main(int argc, char** argv) {
               0);
   cli.add_int("queries-per-epoch", "point queries arriving per epoch", 1024);
   cli.add_double("zipf", "query traffic skew (0 = uniform)", 1.0);
-  cli.add_int("topk", "k for the recommendation queries", 8);
-  cli.add_double("lcc-frac", "fraction of queries that are lcc(v)", 0.5);
-  cli.add_double("common-frac", "fraction that are topk_common(v, k)", 0.3);
-  cli.add_int("capacity", "admission queue bound per epoch", 1024);
   cli.add_int("hot-entries", "HotVertexCache slots (0 = off)", 1024);
   if (!cli.parse(argc, argv)) return 1;
 
   // Range checks before the unsigned and floating-point conversions: a
   // wrapped --ranks would ask the runtime for billions of rank threads,
   // every rank allocates --pipeline-depth ring entries, a wrapped count
-  // would size a workload, a queue or a cache by it, and an out-of-range
+  // would size a workload or a cache by it, and an out-of-range
   // fraction makes a double -> size_t cast undefined (the negated tests
   // also refuse NaN).
   const bool serving = cli.get_int("serve-epochs") > 0;
@@ -436,25 +424,10 @@ int main(int argc, char** argv) {
       refuse_outside_real("cache-frac", 0.0, 1e6) ||
       refuse_outside_real("hub-frac", 0.0, 1.0) ||
       refuse_outside_real("stream-insert-frac", 0.0, 1.0) ||
-      refuse_outside_real("lcc-frac", 0.0, 1.0) ||
-      refuse_outside_real("common-frac", 0.0, 1.0))
+      refuse_outside_real("zipf", 0.0, std::numeric_limits<double>::max()))
     return 1;
-  for (const char* flag : {"serve-epochs", "queries-per-epoch", "topk",
-                           "capacity", "hot-entries"})
+  for (const char* flag : {"serve-epochs", "queries-per-epoch", "hot-entries"})
     if (refuse_outside(flag, 0, kMaxCount)) return 1;
-  if (cli.get_double("lcc-frac") + cli.get_double("common-frac") > 1.0) {
-    std::fprintf(stderr,
-                 "atlc_run: --lcc-frac plus --common-frac must be at most 1 "
-                 "(the rest are top-k Adamic-Adar queries)\n");
-    return 1;
-  }
-  const double zipf = cli.get_double("zipf");
-  if (!(std::isfinite(zipf) && zipf >= 0.0)) {
-    std::fprintf(stderr,
-                 "atlc_run: --zipf must be finite and at least 0 (got %g)\n",
-                 zipf);
-    return 1;
-  }
 
   // --- load or generate the graph, then clean it (paper Sec. II-B).
   util::Timer load_timer;
@@ -617,12 +590,13 @@ int main(int argc, char** argv) {
                    clash);
       return 1;
     }
-    analytic = run_serving;
   }
 
-  util::Json stats_tail = util::Json::object();
-  const core::EdgeAnalyticStats stats =
-      analytic({cli, g, ranks, cfg, partition, out.get(), &stats_tail});
+  const Job job{cli, g, ranks, cfg, partition, out.get()};
+  // Serving keeps its whole result: its keys follow the engine block.
+  std::optional<serve::ServeResult> served;
+  if (serving) served = run_serving(job);
+  const core::EdgeAnalyticStats stats = served ? served->stats : analytic(job);
   // Shared artifacts of every engine path: the Chrome trace, the
   // --stats-json document and the summary line.
   if (!trace_path.empty()) {
@@ -635,8 +609,8 @@ int main(int argc, char** argv) {
   }
   if (!stats_path.empty()) {
     util::Json doc = core::stats_json(stats);
-    for (auto& [key, value] : stats_tail.items()) doc[key] = std::move(value);
-    doc["algo"] = serving ? "serve" : algo;
+    if (served) append_serve_stats(doc, *served);
+    doc["algo"] = served ? "serve" : algo;
     if (!util::write_json_file(stats_path, doc)) {
       std::fprintf(stderr, "atlc_run: cannot write %s\n", stats_path.c_str());
       return 1;

@@ -111,9 +111,6 @@ foreach(cmd "${ATLC_RUN};--ranks;0;--rmat-scale;4"
         "${ATLC_RUN};--rmat-ef;0;--rmat-scale;4"
         "${ATLC_RUN};--hub-frac;nan;--rmat-scale;4"
         "${ATLC_RUN};--stream-insert-frac;5;--rmat-scale;4"
-        "${ATLC_RUN};--lcc-frac;3;--rmat-scale;4"
-        "${ATLC_RUN};--common-frac;-0.1;--rmat-scale;4"
-        "${ATLC_RUN};--lcc-frac;0.8;--common-frac;0.3;--rmat-scale;4"
         "${ATLC_RUN};--zipf;nan;--rmat-scale;4"
         "${ATLC_RUN};--serve-epochs;2;--ranks;0;--rmat-scale;4"
         "${ATLC_RUN};--serve-epochs;2;--hot-entries;-1;--rmat-scale;4"
