@@ -67,11 +67,11 @@ void run(bench::ScenarioContext& ctx) {
   std::uint64_t min_b = ~0ull, max_b = 0, sum_b = 0;
   bool sizes_track_scores = true;
   for (const auto& e : entries) {
-    min_b = std::min(min_b, e.key.bytes);
-    max_b = std::max(max_b, e.key.bytes);
-    sum_b += e.key.bytes;
+    min_b = std::min(min_b, e.bytes);
+    max_b = std::max(max_b, e.bytes);
+    sum_b += e.bytes;
     // Observation 3.1: entry size == 4 * degree == 4 * insertion score.
-    if (e.key.bytes != 4 * static_cast<std::uint64_t>(e.user_score))
+    if (e.bytes != 4 * static_cast<std::uint64_t>(e.user_score))
       sizes_track_scores = false;
   }
   right.add_row({"C_adj entries cached", util::Table::fmt_int(entries.size())});

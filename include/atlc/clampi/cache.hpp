@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "atlc/clampi/config.hpp"
@@ -10,21 +9,27 @@
 
 namespace atlc::clampi {
 
-/// Cache key: CLaMPI indexes cached entries by (window, node, offset, size)
-/// — see paper Fig. 3. The window is implicit (one Cache per window).
+/// Cache key. CLaMPI indexes cached entries by (window, node, offset, size)
+/// — see paper Fig. 3. Here the window is implicit (one Cache per window)
+/// and the (offset, size) pair is replaced by the remote row it spans: both
+/// LCC windows are read one row at a time, and within an epoch a row maps
+/// 1:1 to its (offset, size). Unlike a byte offset, a row keeps its key when
+/// a refresh_window moves where the row starts, so epoch invalidation finds
+/// and recycles the old entry (DESIGN.md §7). The entry's size travels next
+/// to the key (lookup/insert) and is stored with the entry.
 struct Key {
   std::uint32_t target = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t bytes = 0;
+  std::uint32_t row = 0;
 
   friend bool operator==(const Key&, const Key&) = default;
 };
 
-[[nodiscard]] std::uint64_t key_hash(const Key& k);
+[[nodiscard]] std::uint64_t key_hash(Key k);
 
 /// Introspection record (drives paper Fig. 5 right: entry sizes vs reuse).
 struct EntryInfo {
   Key key;
+  std::uint64_t bytes = 0;
   double user_score = 0.0;
   std::uint64_t last_tick = 0;
 };
@@ -51,25 +56,28 @@ class Cache {
   void set_epoch(std::uint64_t epoch) { current_epoch_ = epoch; }
   [[nodiscard]] std::uint64_t epoch() const { return current_epoch_; }
 
-  /// Look up `key`; on hit refresh recency. Returns true on hit. A resident
-  /// entry from an older epoch is evicted and reported as a miss.
-  bool lookup(const Key& key);
+  /// Look up `key`, whose entry spans `bytes`; on hit refresh recency.
+  /// Returns true on hit. A resident entry from an older epoch is evicted
+  /// and reported as a miss. A row's size is fixed within an epoch, so a
+  /// hit's `bytes` must equal the resident entry's (checked in Debug).
+  bool lookup(Key key, std::uint64_t bytes);
 
-  /// Admit `key` after a miss fetch. `user_score` is consulted only under
-  /// VictimPolicy::UserScore (paper Section III-B2: degree centrality for
-  /// C_adj). May evict (possibly several) entries; returns false if the
-  /// entry is not admitted (zero bytes, larger than the whole buffer, or
-  /// rejected by the UserScore gate). Inserting a key that is resident at
-  /// the current epoch is a caller error (see contains()); a stale resident
-  /// from an older epoch is recycled and replaced.
-  bool insert(const Key& key, double user_score = 0.0);
+  /// Admit `key` with an entry of `bytes` after a miss fetch. `user_score`
+  /// is consulted only under VictimPolicy::UserScore (paper Section
+  /// III-B2: degree centrality for C_adj). May evict (possibly several)
+  /// entries; returns false if the entry is not admitted (zero bytes,
+  /// larger than the whole buffer, or rejected by the UserScore gate).
+  /// Inserting a key that is resident at the current epoch is a caller
+  /// error (see contains()); a stale resident from an older epoch, of any
+  /// size, is recycled and replaced.
+  bool insert(Key key, std::uint64_t bytes, double user_score = 0.0);
 
   /// True iff `key` is resident at the current epoch. Unlike lookup(), does
   /// not count an access or refresh recency — the probe callers use
   /// to decide whether a completed miss fetch still needs its insert (an
   /// overlapping fetch of the same key may have inserted first; see
   /// CachedWindow::finish). Stale residents read as absent.
-  [[nodiscard]] bool contains(const Key& key) const {
+  [[nodiscard]] bool contains(Key key) const {
     const std::int32_t idx = find(key);
     return idx >= 0 && pool_[idx].epoch == current_epoch_;
   }
@@ -97,6 +105,7 @@ class Cache {
 
   struct Entry {
     Key key;
+    std::uint64_t bytes = 0;
     FreeSpace::Handle block = FreeSpace::kNone;  ///< its buffer block
     std::uint64_t last_tick = 0;
     std::uint64_t epoch = 0;  ///< window epoch the entry was fetched at
@@ -108,7 +117,9 @@ class Cache {
     bool live = false;
   };
 
+  /// Why a key is not resident: the miss log's one byte per (target, row).
   enum class GoneReason : std::uint8_t {
+    Never,  ///< never evicted nor refused: a compulsory miss
     EvictedSpace,
     EvictedConflict,
     Stale,  ///< epoch invalidation (refresh_window advanced the window)
@@ -119,7 +130,7 @@ class Cache {
   static constexpr std::int32_t kTombstone = -2;
 
   /// Returns pool index of the entry holding `key`, or -1.
-  std::int32_t find(const Key& key) const;
+  std::int32_t find(Key key) const;
   void touch(std::int32_t idx);
   void lru_unlink(std::int32_t idx);
   void lru_push_front(std::int32_t idx);
@@ -135,8 +146,8 @@ class Cache {
   std::int32_t pick_victim_in_probe_window(std::uint64_t hash_base);
   /// Positional pick among candidates_ (ordered least recent first).
   std::int32_t lru_positional_pick();
-  void classify_miss(const Key& key);
-  void note_gone(const Key& key, GoneReason reason);
+  void classify_miss(Key key);
+  void note_gone(Key key, GoneReason reason);
 
   CacheConfig config_;
   CacheStats stats_;
@@ -150,7 +161,9 @@ class Cache {
   std::uint64_t tick_ = 0;
   std::uint64_t current_epoch_ = 0;
   ScoreIndex by_score_;
-  std::unordered_map<std::uint64_t, GoneReason> gone_;  // miss classification
+  /// Miss classification: gone_[target][row], grown on first write; a row
+  /// past the end reads as GoneReason::Never.
+  std::vector<std::vector<GoneReason>> gone_;
   // Scratch reused across calls, so victim selection never allocates.
   std::vector<std::int32_t> candidates_;  ///< victim pickers' candidates
   std::vector<std::int32_t> victims_;     ///< make_room phase-2 run

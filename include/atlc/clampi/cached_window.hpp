@@ -44,6 +44,10 @@ class CachedWindow {
   struct Pending {
     rma::GetHandle handle{};
     Key key{};
+    /// The row's element range: count * sizeof(T) is the entry's size,
+    /// and Debug builds digest the range at insert.
+    std::uint64_t offset = 0;
+    std::uint64_t count = 0;
     double score = 0.0;
     std::uint64_t epoch = 0;  ///< window epoch the transfer was issued at
   };
@@ -51,16 +55,19 @@ class CachedWindow {
   CachedWindow(rma::RankCtx& ctx, rma::Window<T> window, CacheConfig config)
       : ctx_(&ctx), window_(window), cache_(config) {}
 
-  /// Probe the cache for `count` elements at element `offset` of a remote
-  /// `target`'s exposed region. A hit is charged and returned as a
-  /// read-only view of the owner's exposed part, valid until this window's
-  /// next refresh_window. A miss returns nullopt; the caller then issues
-  /// the transfer with fetch().
+  /// Probe the cache for remote row `row` of `target`, which spans `count`
+  /// elements at element `offset` of the target's exposed region. The row
+  /// is the cache key; its range is where it lies in the current epoch. A
+  /// hit is charged and returned as a read-only view of the owner's exposed
+  /// part, valid until this window's next refresh_window. A miss returns
+  /// nullopt; the caller then issues the transfer with fetch().
   std::optional<std::span<const T>> lookup(std::uint32_t target,
+                                           std::uint32_t row,
                                            std::uint64_t offset,
                                            std::uint64_t count) {
     ATLC_DCHECK(target != ctx_->rank(), "local reads bypass the cache");
-    const Key key{target, offset * sizeof(T), count * sizeof(T)};
+    const Key key{target, row};
+    const std::uint64_t bytes = count * sizeof(T);
     // Pin the cache to the window's current data epoch: entries fetched
     // before the last refresh_window are recycled on probe instead of
     // served (stale-hit-as-miss; the always-cache assumption holds only
@@ -70,10 +77,10 @@ class CachedWindow {
     // delta distinguishes cache_stale from a plain cache_miss in traces.
     const std::uint64_t stale_before =
         ctx_->tracer().enabled() ? cache_.stats().stale_evictions : 0;
-    if (cache_.lookup(key)) {
-      ctx_->charge_comm(ctx_->net().time_cache_hit(key.bytes), "cache_hit");
+    if (cache_.lookup(key, bytes)) {
+      ctx_->charge_comm(ctx_->net().time_cache_hit(bytes), "cache_hit");
       ctx_->tracer().instant("cache_hit", {"epoch", window_.epoch()},
-                             {"bytes", key.bytes});
+                             {"bytes", bytes});
       const std::span<const T> hit = window_.view(target, offset, count);
 #ifndef NDEBUG
       ATLC_CHECK(digests_.at(key) == digest(hit),
@@ -86,18 +93,20 @@ class CachedWindow {
       ctx_->tracer().instant(
           cache_.stats().stale_evictions > stale_before ? "cache_stale"
                                                         : "cache_miss",
-          {"epoch", window_.epoch()}, {"bytes", key.bytes});
+          {"epoch", window_.epoch()}, {"bytes", bytes});
     return std::nullopt;
   }
 
-  /// Issue the remote get of a range lookup() just missed, into `dst`.
+  /// Issue the remote get of a row lookup() just missed, into `dst`.
   /// `score` is the application-defined eviction score (paper Section
   /// III-B2); ignored unless the cache policy is UserScore.
-  Pending fetch(std::uint32_t target, std::uint64_t offset,
+  Pending fetch(std::uint32_t target, std::uint32_t row, std::uint64_t offset,
                 std::uint64_t count, T* dst, double score = 0.0) {
     Pending p;
     p.handle = window_.get(target, offset, count, dst);
-    p.key = Key{target, offset * sizeof(T), count * sizeof(T)};
+    p.key = Key{target, row};
+    p.offset = offset;
+    p.count = count;
     p.score = score;
     p.epoch = window_.epoch();
     return p;
@@ -122,26 +131,26 @@ class CachedWindow {
     // later ones find the key resident and skip the duplicate insert —
     // their transfer happened and its miss bookkeeping is still charged.
     cache_.set_epoch(window_.epoch());
-    if (!cache_.contains(p.key) && cache_.insert(p.key, p.score)) {
+    if (!cache_.contains(p.key) &&
+        cache_.insert(p.key, p.count * sizeof(T), p.score)) {
 #ifndef NDEBUG
-      digests_[p.key] = digest(window_.view(
-          p.key.target, p.key.offset / sizeof(T), p.key.bytes / sizeof(T)));
+      digests_[p.key] = digest(window_.view(p.key.target, p.offset, p.count));
 #endif
     }
     ctx_->charge_comm(ctx_->net().cache_miss_overhead_s, "cache_insert");
   }
 
-  /// Synchronous cached get into `dst`: local targets read the window
-  /// directly, hits copy the view, misses fetch and finish.
-  void get(std::uint32_t target, std::uint64_t offset, std::uint64_t count,
-           T* dst, double score = 0.0) {
+  /// Synchronous cached get of row `row` into `dst`: local targets read
+  /// the window directly, hits copy the view, misses fetch and finish.
+  void get(std::uint32_t target, std::uint32_t row, std::uint64_t offset,
+           std::uint64_t count, T* dst, double score = 0.0) {
     if (target == ctx_->rank()) {
       // Local part: plain window get, never cached.
       ctx_->flush(window_.get(target, offset, count, dst));
-    } else if (const auto hit = lookup(target, offset, count)) {
+    } else if (const auto hit = lookup(target, row, offset, count)) {
       std::copy(hit->begin(), hit->end(), dst);
     } else {
-      finish(fetch(target, offset, count, dst, score));
+      finish(fetch(target, row, offset, count, dst, score));
     }
   }
 

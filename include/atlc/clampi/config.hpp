@@ -34,10 +34,9 @@ struct CacheConfig {
   std::uint64_t buffer_bytes = 1ull << 20;
   /// Number of hash-table slots, never resized. CLaMPI sizing heuristics
   /// (paper Section III-B1): ~ one slot per expected entry; see
-  /// `suggest_hash_slots_*` helpers in cache.hpp.
+  /// `suggest_hash_slots_*` helpers in cache.hpp. Linear probing looks at
+  /// 8 slots from a key's hash; a full window is a hash *conflict*.
   std::size_t hash_slots = 4096;
-  /// Linear-probing window; a full window is a hash *conflict*.
-  std::size_t probe_limit = 8;
   VictimPolicy policy = VictimPolicy::LruPositional;
 };
 

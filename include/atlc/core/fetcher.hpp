@@ -69,9 +69,10 @@ class AdjacencyFetcher {
   /// immediately; a transfer lands in `dest`. The two-get protocol is
   /// unchanged: the segment owner's local offsets delimit exactly its
   /// stored slice, so "fetch the owner's row lv" *is* the segment fetch.
-  /// CLaMPI entries are keyed by (target rank, offset, count) and
-  /// therefore already segment-granular; distinct segments of one row
-  /// never collide.
+  /// Both CLaMPI windows key their entries by that (owner, lv) pair, which
+  /// is therefore segment-granular: distinct segments of one row never
+  /// collide. A row keeps its key across refresh_window, so an epoch bump
+  /// recycles its C_adj entry even when the row's start has moved.
   [[nodiscard]] Token begin(VertexId v, std::uint32_t col_block,
                             std::vector<VertexId>& dest);
 

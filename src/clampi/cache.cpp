@@ -11,24 +11,22 @@ namespace atlc::clampi {
 
 /// LruPositional: how many LRU-tail candidates compete on positional score.
 constexpr std::size_t kLruWindow = 16;
+/// Linear-probing window; a full window is a hash *conflict*.
+constexpr std::size_t kProbeLimit = 8;
 
-std::uint64_t key_hash(const Key& k) {
-  std::uint64_t h = util::mix64(k.target, 0x9E3779B9u);
-  h = util::mix64(h ^ k.offset, 0x85EBCA6Bu);
-  h = util::mix64(h ^ k.bytes, 0xC2B2AE35u);
-  return h;
+std::uint64_t key_hash(Key k) {
+  const std::uint64_t h = util::mix64(k.target, 0x9E3779B9u);
+  return util::mix64(h ^ k.row, 0x85EBCA6Bu);
 }
 
 Cache::Cache(CacheConfig config)
     : config_(config),
       free_(config.buffer_bytes, config.policy == VictimPolicy::UserScore),
-      slots_(std::max<std::size_t>(1, config.hash_slots), kEmpty) {
-  ATLC_CHECK(config_.probe_limit > 0, "probe_limit must be positive");
-}
+      slots_(std::max<std::size_t>(1, config.hash_slots), kEmpty) {}
 
-std::int32_t Cache::find(const Key& key) const {
+std::int32_t Cache::find(Key key) const {
   const std::uint64_t base = key_hash(key);
-  for (std::size_t i = 0; i < config_.probe_limit; ++i) {
+  for (std::size_t i = 0; i < kProbeLimit; ++i) {
     const std::size_t s = (base + i) % slots_.size();
     const std::int32_t idx = slots_[s];
     if (idx == kEmpty) return -1;
@@ -66,7 +64,7 @@ void Cache::touch(std::int32_t idx) {
   pool_[idx].last_tick = ++tick_;
 }
 
-bool Cache::lookup(const Key& key) {
+bool Cache::lookup(Key key, std::uint64_t bytes) {
   const std::int32_t idx = find(key);
   if (idx >= 0) {
     if (pool_[idx].epoch != current_epoch_) {
@@ -76,25 +74,27 @@ bool Cache::lookup(const Key& key) {
       // (stale-hit-as-miss, DESIGN.md §7).
       evict(idx, GoneReason::Stale);
     } else {
+      ATLC_DCHECK(pool_[idx].bytes == bytes,
+                  "a row's size changed within an epoch");
       touch(idx);
       ++stats_.hits;
-      stats_.bytes_hit += key.bytes;
+      stats_.bytes_hit += bytes;
       return true;
     }
   }
   ++stats_.misses;
-  stats_.bytes_missed += key.bytes;
+  stats_.bytes_missed += bytes;
   classify_miss(key);
   return false;
 }
 
-void Cache::classify_miss(const Key& key) {
-  const auto it = gone_.find(key_hash(key));
-  if (it == gone_.end()) {
-    ++stats_.compulsory_misses;
-    return;
-  }
-  switch (it->second) {
+void Cache::classify_miss(Key key) {
+  const GoneReason reason =
+      key.target < gone_.size() && key.row < gone_[key.target].size()
+          ? gone_[key.target][key.row]
+          : GoneReason::Never;
+  switch (reason) {
+    case GoneReason::Never: ++stats_.compulsory_misses; break;
     case GoneReason::EvictedSpace: ++stats_.capacity_misses; break;
     case GoneReason::EvictedConflict: ++stats_.conflict_misses; break;
     // Epoch invalidation is a targeted flush of one entry.
@@ -103,8 +103,11 @@ void Cache::classify_miss(const Key& key) {
   }
 }
 
-void Cache::note_gone(const Key& key, GoneReason reason) {
-  gone_[key_hash(key)] = reason;
+void Cache::note_gone(Key key, GoneReason reason) {
+  if (key.target >= gone_.size()) gone_.resize(key.target + 1);
+  std::vector<GoneReason>& log = gone_[key.target];
+  if (key.row >= log.size()) log.resize(key.row + 1, GoneReason::Never);
+  log[key.row] = reason;
 }
 
 void Cache::evict(std::int32_t idx, GoneReason reason) {
@@ -134,9 +137,9 @@ std::int32_t Cache::lru_positional_pick() {
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     const Entry& e = pool_[candidates_[i]];
     const double benefit =
-        e.key.bytes > 0
+        e.bytes > 0
             ? std::min(2.0, static_cast<double>(free_.adjacent_free(e.block)) /
-                                static_cast<double>(e.key.bytes))
+                                static_cast<double>(e.bytes))
             : 0.0;
     const double weight =
         static_cast<double>(i) -
@@ -165,7 +168,7 @@ std::int32_t Cache::pick_victim_global() {
 
 std::int32_t Cache::pick_victim_in_probe_window(std::uint64_t hash_base) {
   candidates_.clear();
-  for (std::size_t i = 0; i < config_.probe_limit; ++i) {
+  for (std::size_t i = 0; i < kProbeLimit; ++i) {
     const std::int32_t idx = slots_[(hash_base + i) % slots_.size()];
     if (idx >= 0) candidates_.push_back(idx);
   }
@@ -236,8 +239,8 @@ bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
   return free_.largest_free() >= bytes;
 }
 
-bool Cache::insert(const Key& key, double user_score) {
-  if (key.bytes == 0 || key.bytes > config_.buffer_bytes) {
+bool Cache::insert(Key key, std::uint64_t bytes, double user_score) {
+  if (bytes == 0 || bytes > config_.buffer_bytes) {
     // Zero-byte entries carry no data worth caching (and cannot tile the
     // buffer layout); oversized ones cannot fit.
     ++stats_.insert_failures;
@@ -256,7 +259,7 @@ bool Cache::insert(const Key& key, double user_score) {
   // 1) Claim a hash slot (may require a conflict eviction).
   const std::uint64_t base = key_hash(key);
   std::int32_t slot = -1;
-  for (std::size_t i = 0; i < config_.probe_limit; ++i) {
+  for (std::size_t i = 0; i < kProbeLimit; ++i) {
     const std::size_t s = (base + i) % slots_.size();
     if (slots_[s] == kEmpty || slots_[s] == kTombstone) {
       slot = static_cast<std::int32_t>(s);
@@ -283,7 +286,7 @@ bool Cache::insert(const Key& key, double user_score) {
   // a block iff the largest free block is big enough. (Any victims evicted
   // here cannot occupy the slot claimed above: we claimed an
   // empty/tombstone slot and evict() only tombstones live slots.)
-  if (free_.largest_free() < key.bytes && !make_room(key.bytes, user_score)) {
+  if (free_.largest_free() < bytes && !make_room(bytes, user_score)) {
     ++stats_.admission_rejects;
     note_gone(key, GoneReason::NeverStored);
     return false;
@@ -299,10 +302,11 @@ bool Cache::insert(const Key& key, double user_score) {
     pool_.emplace_back();
   }
   const std::optional<FreeSpace::Handle> block =
-      free_.allocate(key.bytes, idx, user_score);
+      free_.allocate(bytes, idx, user_score);
   ATLC_CHECK(block.has_value(), "make_room must enable the allocation");
   Entry& e = pool_[idx];
   e.key = key;
+  e.bytes = bytes;
   e.block = *block;
   e.last_tick = ++tick_;
   e.epoch = current_epoch_;
@@ -314,7 +318,6 @@ bool Cache::insert(const Key& key, double user_score) {
   if (config_.policy == VictimPolicy::UserScore)
     e.by_score = by_score_.emplace(user_score, idx);
   ++live_entries_;
-  gone_.erase(key_hash(key));
   return true;
 }
 
@@ -322,7 +325,8 @@ std::vector<EntryInfo> Cache::entries() const {
   std::vector<EntryInfo> out;
   out.reserve(live_entries_);
   for (std::int32_t it = lru_head_; it != -1; it = pool_[it].lru_next)
-    out.push_back({pool_[it].key, pool_[it].user_score, pool_[it].last_tick});
+    out.push_back({pool_[it].key, pool_[it].bytes, pool_[it].user_score,
+                   pool_[it].last_tick});
   return out;
 }
 

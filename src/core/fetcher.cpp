@@ -101,7 +101,8 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
   // MPI_Get reads the offset of the adjacency list" (paper Fig. 3 step 4).
   EdgeIndex range[2];
   if (c_offsets_) {
-    c_offsets_->get(owner, lv, 2, range);
+    // Both windows key an entry by the row lv; here it is also the offset.
+    c_offsets_->get(owner, lv, lv, 2, range);
   } else {
     ctx_->flush(dg_->w_offsets.get(owner, lv, 2, range));
   }
@@ -117,7 +118,7 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
   // zero-copy from the owner's exposed part (valid until the window's next
   // refresh, like a hub row).
   if (c_adj_) {
-    if (const auto hit = c_adj_->lookup(owner, range[0], count)) {
+    if (const auto hit = c_adj_->lookup(owner, lv, range[0], count)) {
       t.span = *hit;
       return t;
     }
@@ -134,7 +135,7 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
     // The out-degree just learned becomes the application-defined eviction
     // score (Section III-B2).
     t.cached = true;
-    t.pending = c_adj_->fetch(owner, range[0], count, dest.data(),
+    t.pending = c_adj_->fetch(owner, lv, range[0], count, dest.data(),
                               static_cast<double>(count));
   } else {
     t.handle = dg_->w_adj.get(owner, range[0], count, dest.data());

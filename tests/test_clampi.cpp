@@ -26,9 +26,7 @@
 namespace atlc::clampi {
 namespace {
 
-Key key_of(std::uint32_t target, std::uint64_t off, std::uint64_t bytes) {
-  return Key{target, off, bytes};
-}
+Key key_of(std::uint32_t target, std::uint32_t row) { return Key{target, row}; }
 
 // -------------------------------------------------------------- FreeSpace ---
 
@@ -481,37 +479,38 @@ CacheConfig small_config() {
 
 TEST(Cache, InsertThenHit) {
   Cache cache(small_config());
-  const Key k = key_of(1, 0, 32);
-  EXPECT_TRUE(cache.insert(k));
-  EXPECT_TRUE(cache.lookup(k));
+  const Key k = key_of(1, 0);
+  EXPECT_TRUE(cache.insert(k, 32));
+  EXPECT_TRUE(cache.lookup(k, 32));
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(Cache, MissOnUnknownKey) {
   Cache cache(small_config());
-  EXPECT_FALSE(cache.lookup(key_of(0, 0, 8)));
+  EXPECT_FALSE(cache.lookup(key_of(0, 0), 8));
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().compulsory_misses, 1u);
 }
 
-TEST(Cache, DistinguishesKeysByAllFields) {
+TEST(Cache, DistinguishesKeysByTargetAndRow) {
   Cache cache(small_config());
-  EXPECT_TRUE(cache.insert(key_of(0, 0, 16)));
-  EXPECT_TRUE(cache.insert(key_of(1, 0, 16)));  // same offset, other target
-  EXPECT_TRUE(cache.lookup(key_of(1, 0, 16)));
-  EXPECT_FALSE(cache.lookup(key_of(2, 0, 16)));
+  EXPECT_TRUE(cache.insert(key_of(0, 0), 16));
+  EXPECT_TRUE(cache.insert(key_of(1, 0), 16));  // same row, other target
+  EXPECT_TRUE(cache.lookup(key_of(1, 0), 16));
+  EXPECT_FALSE(cache.lookup(key_of(2, 0), 16));
+  EXPECT_FALSE(cache.lookup(key_of(0, 1), 16));  // same target, other row
 }
 
 TEST(Cache, OversizedEntryRejected) {
   Cache cache(small_config());
-  EXPECT_FALSE(cache.insert(key_of(0, 0, 2048)));
+  EXPECT_FALSE(cache.insert(key_of(0, 0), 2048));
   EXPECT_EQ(cache.stats().insert_failures, 1u);
 }
 
 TEST(Cache, CapacityEvictionMakesRoom) {
   Cache cache(small_config());  // 1024 B buffer
   for (std::uint32_t i = 0; i < 6; ++i)
-    EXPECT_TRUE(cache.insert(key_of(0, i * 256, 256)));
+    EXPECT_TRUE(cache.insert(key_of(0, i), 256));
   EXPECT_LE(cache.num_entries(), 4u);
   EXPECT_GE(cache.stats().evictions_space, 2u);
 }
@@ -521,20 +520,20 @@ TEST(Cache, LruEvictsColdestEntry) {
   // the positional pick is pure LRU.
   Cache cache(small_config());
   for (std::uint32_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i * 256, 256)));
+    ASSERT_TRUE(cache.insert(key_of(0, i), 256));
   // Touch entry 0 so entry 1 becomes the coldest.
-  ASSERT_TRUE(cache.lookup(key_of(0, 0, 256)));
-  ASSERT_TRUE(cache.insert(key_of(0, 4 * 256, 256)));  // evicts #1
-  EXPECT_TRUE(cache.lookup(key_of(0, 0, 256)));
-  EXPECT_FALSE(cache.lookup(key_of(0, 1 * 256, 256)));
+  ASSERT_TRUE(cache.lookup(key_of(0, 0), 256));
+  ASSERT_TRUE(cache.insert(key_of(0, 4), 256));  // evicts #1
+  EXPECT_TRUE(cache.lookup(key_of(0, 0), 256));
+  EXPECT_FALSE(cache.lookup(key_of(0, 1), 256));
 }
 
 TEST(Cache, CapacityMissClassification) {
   Cache cache(small_config());
-  ASSERT_TRUE(cache.insert(key_of(0, 0, 512)));
-  ASSERT_TRUE(cache.insert(key_of(0, 512, 512)));
-  ASSERT_TRUE(cache.insert(key_of(0, 1024, 512)));  // evicts first
-  EXPECT_FALSE(cache.lookup(key_of(0, 0, 512)));
+  ASSERT_TRUE(cache.insert(key_of(0, 0), 512));
+  ASSERT_TRUE(cache.insert(key_of(0, 1), 512));
+  ASSERT_TRUE(cache.insert(key_of(0, 2), 512));  // evicts first
+  EXPECT_FALSE(cache.lookup(key_of(0, 0), 512));
   EXPECT_EQ(cache.stats().capacity_misses, 1u);
   EXPECT_EQ(cache.stats().compulsory_misses, 0u);
 }
@@ -544,15 +543,15 @@ TEST(Cache, UserScoreEvictsLowestScore) {
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   // Insert four entries with scores 10, 1, 7, 5 — capacity full.
-  ASSERT_TRUE(cache.insert(key_of(0, 0, 256), 10));
-  ASSERT_TRUE(cache.insert(key_of(0, 256, 256), 1));
-  ASSERT_TRUE(cache.insert(key_of(0, 512, 256), 7));
-  ASSERT_TRUE(cache.insert(key_of(0, 768, 256), 5));
+  ASSERT_TRUE(cache.insert(key_of(0, 0), 256, 10));
+  ASSERT_TRUE(cache.insert(key_of(0, 1), 256, 1));
+  ASSERT_TRUE(cache.insert(key_of(0, 2), 256, 7));
+  ASSERT_TRUE(cache.insert(key_of(0, 3), 256, 5));
   // Next insert evicts the score-1 entry regardless of recency.
-  ASSERT_TRUE(cache.lookup(key_of(0, 256, 256)));  // make it MRU
-  ASSERT_TRUE(cache.insert(key_of(0, 1024, 256), 8));
-  EXPECT_FALSE(cache.lookup(key_of(0, 256, 256)));
-  EXPECT_TRUE(cache.lookup(key_of(0, 0, 256)));
+  ASSERT_TRUE(cache.lookup(key_of(0, 1), 256));  // make it MRU
+  ASSERT_TRUE(cache.insert(key_of(0, 4), 256, 8));
+  EXPECT_FALSE(cache.lookup(key_of(0, 1), 256));
+  EXPECT_TRUE(cache.lookup(key_of(0, 0), 256));
 }
 
 TEST(Cache, UserScoreProtectsHighDegreeEntries) {
@@ -563,38 +562,37 @@ TEST(Cache, UserScoreProtectsHighDegreeEntries) {
   cfg.hash_slots = 256;
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
-  ASSERT_TRUE(cache.insert(key_of(9, 0, 1024), 1000.0));
+  ASSERT_TRUE(cache.insert(key_of(9, 0), 1024, 1000.0));
   for (std::uint32_t i = 0; i < 200; ++i)
-    (void)cache.insert(key_of(0, i * 64, 64), 2.0);
-  EXPECT_TRUE(cache.lookup(key_of(9, 0, 1024)));
+    (void)cache.insert(key_of(0, i), 64, 2.0);
+  EXPECT_TRUE(cache.lookup(key_of(9, 0), 1024));
 }
 
 TEST(Cache, ConflictEvictionWhenProbeWindowFull) {
   CacheConfig cfg;
   cfg.buffer_bytes = 1 << 20;  // space is NOT the constraint
-  cfg.hash_slots = 4;          // tiny table
-  cfg.probe_limit = 2;
+  cfg.hash_slots = 2;          // fewer slots than the probe window
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 64; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i * 16, 16)));
+    ASSERT_TRUE(cache.insert(key_of(0, i), 16));
   EXPECT_GT(cache.stats().evictions_conflict, 0u);
-  EXPECT_LE(cache.num_entries(), 4u);
+  EXPECT_LE(cache.num_entries(), 2u);
 }
 
 TEST(Cache, EpochBumpRecyclesEntryAndCountsFlushMisses) {
   Cache cache(small_config());
-  const Key k = key_of(0, 0, 64);
-  ASSERT_TRUE(cache.insert(k));
+  const Key k = key_of(0, 0);
+  ASSERT_TRUE(cache.insert(k, 64));
   cache.set_epoch(1);
   // The probe that finds the entry stale recycles it: one stale eviction,
   // and the miss is classified against the epoch bump.
-  EXPECT_FALSE(cache.lookup(k));
+  EXPECT_FALSE(cache.lookup(k, 64));
   EXPECT_EQ(cache.num_entries(), 0u);
   EXPECT_EQ(cache.stats().stale_evictions, 1u);
   EXPECT_EQ(cache.stats().flush_misses, 1u);
   // The next probe of the same key finds nothing and counts one more
   // flush miss; nothing is left to evict.
-  EXPECT_FALSE(cache.lookup(k));
+  EXPECT_FALSE(cache.lookup(k, 64));
   EXPECT_EQ(cache.stats().stale_evictions, 1u);
   EXPECT_EQ(cache.stats().flush_misses, 2u);
   EXPECT_EQ(cache.stats().compulsory_misses, 0u);
@@ -602,13 +600,18 @@ TEST(Cache, EpochBumpRecyclesEntryAndCountsFlushMisses) {
 
 TEST(Cache, EntriesSnapshotMatchesContents) {
   Cache cache(small_config());
-  ASSERT_TRUE(cache.insert(key_of(0, 0, 32), 3.5));
-  ASSERT_TRUE(cache.insert(key_of(1, 64, 32), 7.0));
+  ASSERT_TRUE(cache.insert(key_of(0, 0), 32, 3.5));
+  ASSERT_TRUE(cache.insert(key_of(1, 2), 48, 7.0));
   const auto entries = cache.entries();
   ASSERT_EQ(entries.size(), 2u);
   double score_sum = 0;
-  for (const auto& e : entries) score_sum += e.user_score;
+  std::uint64_t bytes_sum = 0;
+  for (const auto& e : entries) {
+    score_sum += e.user_score;
+    bytes_sum += e.bytes;
+  }
   EXPECT_DOUBLE_EQ(score_sum, 10.5);
+  EXPECT_EQ(bytes_sum, 80u);
 }
 
 TEST(Cache, SizingHeuristics) {
@@ -631,21 +634,34 @@ TEST(Cache, ShadowModelNoEvictionRegime) {
   cfg.hash_slots = 1 << 14;
   Cache cache(cfg);
   util::Xoshiro256 rng(42);
-  std::set<std::uint64_t> shadow;
+  std::set<std::uint32_t> shadow;
   for (int step = 0; step < 2000; ++step) {
-    const std::uint64_t off = rng.next_below(256) * 8;
-    const std::uint64_t bytes = 8 + rng.next_below(4) * 8;
-    const Key k = key_of(0, off, bytes);
-    const bool hit = cache.lookup(k);
-    EXPECT_EQ(hit, shadow.contains(key_hash(k))) << "step " << step;
+    // A row's size is fixed (within an epoch), so it follows from the row.
+    const auto row = static_cast<std::uint32_t>(rng.next_below(256));
+    const std::uint64_t bytes = 8 + (row * 7 % 4) * 8;
+    const Key k = key_of(0, row);
+    const bool hit = cache.lookup(k, bytes);
+    EXPECT_EQ(hit, shadow.contains(row)) << "step " << step;
     if (!hit) {
-      ASSERT_TRUE(cache.insert(k));
-      shadow.insert(key_hash(k));
+      ASSERT_TRUE(cache.insert(k, bytes));
+      shadow.insert(row);
     }
   }
   EXPECT_EQ(cache.num_entries(), shadow.size());
   EXPECT_EQ(cache.stats().evictions_space, 0u);
   EXPECT_EQ(cache.stats().evictions_conflict, 0u);
+}
+
+TEST(Cache, DebugHitChecksTheRowSize) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the hit size is checked in debug builds only";
+#else
+  testsupport::use_threadsafe_death_tests();
+  Cache cache(small_config());
+  ASSERT_TRUE(cache.insert(key_of(0, 3), 32));
+  EXPECT_DEATH((void)cache.lookup(key_of(0, 3), 64),
+               "a row's size changed within an epoch");
+#endif
 }
 
 // ---------------------------------------------- admission & run eviction ---
@@ -655,14 +671,14 @@ TEST(CacheAdmission, LowScoreNewcomerRejected) {
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i * 256, 256), 50.0));
+    ASSERT_TRUE(cache.insert(key_of(0, i), 256, 50.0));
   // Cache is full of score-50 residents; a score-10 newcomer must bounce.
-  EXPECT_FALSE(cache.insert(key_of(0, 9999, 256), 10.0));
+  EXPECT_FALSE(cache.insert(key_of(0, 9999), 256, 10.0));
   EXPECT_GT(cache.stats().admission_rejects, 0u);
   EXPECT_EQ(cache.num_entries(), 4u);
   // All residents still served.
   for (std::uint32_t i = 0; i < 4; ++i)
-    EXPECT_TRUE(cache.lookup(key_of(0, i * 256, 256)));
+    EXPECT_TRUE(cache.lookup(key_of(0, i), 256));
 }
 
 TEST(CacheAdmission, EqualScoreDoesNotChurn) {
@@ -670,9 +686,9 @@ TEST(CacheAdmission, EqualScoreDoesNotChurn) {
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i * 256, 256), 5.0));
+    ASSERT_TRUE(cache.insert(key_of(0, i), 256, 5.0));
   // Same-score newcomers must not displace residents (no cycling).
-  EXPECT_FALSE(cache.insert(key_of(1, 0, 256), 5.0));
+  EXPECT_FALSE(cache.insert(key_of(1, 0), 256, 5.0));
   EXPECT_EQ(cache.num_entries(), 4u);
 }
 
@@ -685,9 +701,9 @@ TEST(CacheRunEviction, AssemblesContiguousSpaceForLargeEntry) {
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 32; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i * 32, 32), 1.0));
-  EXPECT_TRUE(cache.insert(key_of(7, 0, 512), 100.0));
-  EXPECT_TRUE(cache.lookup(key_of(7, 0, 512)));
+    ASSERT_TRUE(cache.insert(key_of(0, i), 32, 1.0));
+  EXPECT_TRUE(cache.insert(key_of(7, 0), 512, 100.0));
+  EXPECT_TRUE(cache.lookup(key_of(7, 0), 512));
 }
 
 TEST(CacheRunEviction, HubsDoNotThrashEachOther) {
@@ -699,12 +715,12 @@ TEST(CacheRunEviction, HubsDoNotThrashEachOther) {
   cfg.hash_slots = 128;
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
-  ASSERT_TRUE(cache.insert(key_of(0, 0, 768), 1000.0));
+  ASSERT_TRUE(cache.insert(key_of(0, 0), 768, 1000.0));
   for (std::uint32_t i = 0; i < 4; ++i)
-    (void)cache.insert(key_of(1, i * 64, 64), 2.0);
+    (void)cache.insert(key_of(1, i), 64, 2.0);
   // Hub B (score 900) cannot fit without clearing hub A (score 1000).
-  EXPECT_FALSE(cache.insert(key_of(2, 0, 768), 900.0));
-  EXPECT_TRUE(cache.lookup(key_of(0, 0, 768)));
+  EXPECT_FALSE(cache.insert(key_of(2, 0), 768, 900.0));
+  EXPECT_TRUE(cache.lookup(key_of(0, 0), 768));
 }
 
 TEST(CacheRunEviction, LruPolicyStillAdmitsLargeEntries) {
@@ -713,9 +729,9 @@ TEST(CacheRunEviction, LruPolicyStillAdmitsLargeEntries) {
   cfg.hash_slots = 128;  // LruPositional default policy
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 32; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i * 32, 32)));
-  EXPECT_TRUE(cache.insert(key_of(3, 0, 900)));
-  EXPECT_TRUE(cache.lookup(key_of(3, 0, 900)));
+    ASSERT_TRUE(cache.insert(key_of(0, i), 32));
+  EXPECT_TRUE(cache.insert(key_of(3, 0), 900));
+  EXPECT_TRUE(cache.lookup(key_of(3, 0), 900));
 }
 
 // --------------------------------------------------------- CachedWindow ---
@@ -735,11 +751,11 @@ TEST(CachedWindow, HitsAvoidRemoteGets) {
 
     const std::uint32_t peer = 1 - ctx.rank();
     std::uint32_t buf[8];
-    win.get(peer, 16, 8, buf);  // miss -> remote
+    win.get(peer, 2, 16, 8, buf);  // row 2 spans [16, 24): miss -> remote
     EXPECT_EQ(ctx.stats().remote_gets, 1u);
     EXPECT_EQ(buf[0], peer * 1000 + 16);
 
-    win.get(peer, 16, 8, buf);  // hit -> served locally
+    win.get(peer, 2, 16, 8, buf);  // hit -> served locally
     EXPECT_EQ(ctx.stats().remote_gets, 1u);  // unchanged
     EXPECT_EQ(buf[7], peer * 1000 + 23);
     EXPECT_EQ(win.cache().stats().hits, 1u);
@@ -755,7 +771,7 @@ TEST(CachedWindow, LocalGetsBypassCache) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CachedWindow<std::uint32_t> win(ctx, raw, small_config());
     std::uint32_t buf[4];
-    win.get(ctx.rank(), 0, 4, buf);
+    win.get(ctx.rank(), 0, 0, 4, buf);
     EXPECT_EQ(win.cache().stats().accesses(), 0u);
     EXPECT_EQ(ctx.stats().local_gets, 1u);
     ctx.barrier();
@@ -775,10 +791,10 @@ TEST(CachedWindow, HitChargesLessThanMiss) {
     std::vector<std::uint32_t> buf(1024);
 
     const double t0 = ctx.now();
-    win.get(1 - ctx.rank(), 0, 1024, buf.data());
+    win.get(1 - ctx.rank(), 0, 0, 1024, buf.data());
     const double miss_cost = ctx.now() - t0;
     const double t1 = ctx.now();
-    win.get(1 - ctx.rank(), 0, 1024, buf.data());
+    win.get(1 - ctx.rank(), 0, 0, 1024, buf.data());
     const double hit_cost = ctx.now() - t1;
     EXPECT_LT(hit_cost, miss_cost / 5.0);
     ctx.barrier();
@@ -802,8 +818,7 @@ TEST(CachedWindow, HitViewEqualsPlainGet) {
       auto raw = ctx.create_window<std::uint32_t>(local);
       CacheConfig cfg;
       cfg.buffer_bytes = 4096;
-      cfg.hash_slots = 32;
-      cfg.probe_limit = 4;
+      cfg.hash_slots = 8;
       cfg.policy = policy;
       CachedWindow<std::uint32_t> win(ctx, raw, cfg);
       util::Xoshiro256 rng(7 + ctx.rank());
@@ -811,18 +826,18 @@ TEST(CachedWindow, HitViewEqualsPlainGet) {
       for (int step = 0; step < 4000; ++step) {
         const auto target = static_cast<std::uint32_t>(
             (ctx.rank() + 1 + rng.next_below(2)) % 3);
-        const std::uint64_t id = rng.next_below(96);
+        const auto id = static_cast<std::uint32_t>(rng.next_below(96));
         const std::uint64_t offset = id * 40;
         const std::uint64_t count = 1 + (id * 37) % 300;
         (void)raw.get(target, offset, count, plain.data());
         const std::span<const std::uint32_t> want(plain.data(), count);
-        if (const auto hit = win.lookup(target, offset, count)) {
+        if (const auto hit = win.lookup(target, id, offset, count)) {
           const auto part = raw.view(target, 0, raw.part_size(target));
           ASSERT_GE(hit->data(), part.data()) << "step " << step;
           ASSERT_LE(hit->data() + hit->size(), part.data() + part.size());
           ASSERT_TRUE(std::ranges::equal(*hit, want)) << "step " << step;
         } else {
-          win.finish(win.fetch(target, offset, count, dst.data(),
+          win.finish(win.fetch(target, id, offset, count, dst.data(),
                                static_cast<double>(count % 5)));
           ASSERT_TRUE(std::ranges::equal(
               std::span<const std::uint32_t>(dst.data(), count), want))
@@ -849,11 +864,11 @@ void hit_after_mutation_without_refresh() {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CachedWindow<std::uint32_t> win(ctx, raw, small_config());
     std::uint32_t buf[4];
-    if (ctx.rank() == 1) win.get(0, 8, 4, buf);  // miss: admitted
+    if (ctx.rank() == 1) win.get(0, 2, 8, 4, buf);  // miss: admitted
     ctx.barrier();
     if (ctx.rank() == 0) local[9] = 6;  // no refresh_window
     ctx.barrier();
-    if (ctx.rank() == 1) win.get(0, 8, 4, buf);  // hit on changed bytes
+    if (ctx.rank() == 1) win.get(0, 2, 8, 4, buf);  // hit on changed bytes
     ctx.barrier();
   });
 }
@@ -873,40 +888,41 @@ TEST(CachedWindow, DebugHitDigestCatchesMutationWithinEpoch) {
 
 TEST(CacheEpochs, StaleEntryServedAsMissAndRecycled) {
   Cache cache(small_config());
-  const Key k = key_of(1, 0, 32);
-  EXPECT_TRUE(cache.insert(k));
+  const Key k = key_of(1, 0);
+  EXPECT_TRUE(cache.insert(k, 32));
 
   cache.set_epoch(1);  // the window the entry came from was refreshed
-  EXPECT_FALSE(cache.lookup(k));  // never served stale
+  EXPECT_FALSE(cache.lookup(k, 32));  // never served stale
   EXPECT_EQ(cache.stats().stale_evictions, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.num_entries(), 0u);  // recycled, not resident
 
   // Re-insert at the new epoch: served again.
-  EXPECT_TRUE(cache.insert(k));
-  EXPECT_TRUE(cache.lookup(k));
+  EXPECT_TRUE(cache.insert(k, 32));
+  EXPECT_TRUE(cache.lookup(k, 32));
 }
 
 TEST(CacheEpochs, ContainsTreatsStaleAsAbsentAndInsertReplaces) {
   Cache cache(small_config());
-  const Key k = key_of(2, 8, 16);
-  EXPECT_TRUE(cache.insert(k));
+  const Key k = key_of(2, 8);
+  EXPECT_TRUE(cache.insert(k, 16));
   EXPECT_TRUE(cache.contains(k));
 
   cache.set_epoch(3);
   EXPECT_FALSE(cache.contains(k));  // stale reads as absent...
-  EXPECT_TRUE(cache.insert(k));     // ...and insert replaces it
+  EXPECT_TRUE(cache.insert(k, 24));  // ...and insert replaces it, resized
   EXPECT_EQ(cache.stats().stale_evictions, 1u);
-  EXPECT_TRUE(cache.lookup(k));
+  EXPECT_TRUE(cache.lookup(k, 24));
+  EXPECT_EQ(cache.entries().at(0).bytes, 24u);
 }
 
 TEST(CacheEpochs, SameEpochNeverInvalidates) {
   Cache cache(small_config());
-  const Key k = key_of(0, 0, 16);
-  EXPECT_TRUE(cache.insert(k));
+  const Key k = key_of(0, 0);
+  EXPECT_TRUE(cache.insert(k, 16));
   cache.set_epoch(0);  // unchanged epoch: nothing invalidated
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(cache.lookup(k));
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(cache.lookup(k, 16));
   EXPECT_EQ(cache.stats().stale_evictions, 0u);
 }
 
@@ -927,9 +943,9 @@ TEST(CachedWindow, RefreshWindowInvalidatesCachedEntries) {
 
     const std::uint32_t peer = 1 - ctx.rank();
     std::uint32_t buf[4] = {};
-    win.get(peer, 0, 4, buf);  // miss -> cached
+    win.get(peer, 0, 0, 4, buf);  // miss -> cached
     EXPECT_EQ(buf[0], peer + 1);
-    win.get(peer, 0, 4, buf);  // hit from cache
+    win.get(peer, 0, 0, 4, buf);  // hit from cache
     EXPECT_EQ(win.cache().stats().hits, 1u);
     EXPECT_EQ(raw.epoch(), 0u);
 
@@ -943,19 +959,51 @@ TEST(CachedWindow, RefreshWindowInvalidatesCachedEntries) {
     EXPECT_EQ(raw.epoch(), 1u);
 
     // The stale probe recycles the entry and misses; a fresh fetch follows.
-    EXPECT_FALSE(win.lookup(peer, 0, 4).has_value())
+    EXPECT_FALSE(win.lookup(peer, 0, 0, 4).has_value())
         << "stale entry must never be served";
-    win.finish(win.fetch(peer, 0, 4, buf));
+    win.finish(win.fetch(peer, 0, 0, 4, buf));
     EXPECT_EQ(buf[0], peer + 101);
     EXPECT_EQ(win.cache().stats().stale_evictions, 1u);
     EXPECT_EQ(win.cache().stats().hits, 1u);  // no new hit from the probe
 
     // Re-cached at the new epoch: hits again, viewing the new exposure.
-    const auto hit = win.lookup(peer, 0, 4);
+    const auto hit = win.lookup(peer, 0, 0, 4);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ((*hit)[0], peer + 101);
     EXPECT_EQ(win.cache().stats().hits, 2u);
     ctx.barrier();
+  });
+}
+
+TEST(CachedWindow, RefreshThatMovesARowRecyclesItsEntry) {
+  // The row is the key, not its position: a refresh that lengthens row 0
+  // moves row 1's start, and re-probing row 1 must find and recycle its
+  // old entry (one stale eviction, one flush miss), not take a compulsory
+  // miss on a key it has never seen while the old entry lingers.
+  rma::Runtime::Options o;
+  o.ranks = 2;
+  rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+    std::vector<std::uint32_t> local(8, ctx.rank() + 1);  // rows [0,4) [4,8)
+    auto raw = ctx.create_window<std::uint32_t>(local);
+    CacheConfig cfg;
+    cfg.buffer_bytes = 1 << 14;
+    cfg.hash_slots = 64;
+    CachedWindow<std::uint32_t> win(ctx, raw, cfg);
+
+    const std::uint32_t peer = 1 - ctx.rank();
+    std::uint32_t buf[4] = {};
+    win.get(peer, 1, 4, 4, buf);  // miss -> cached
+    ASSERT_EQ(win.cache().num_entries(), 1u);
+
+    std::vector<std::uint32_t> next(10, ctx.rank() + 50);  // rows [0,6) [6,10)
+    ctx.refresh_window(raw, std::span<const std::uint32_t>(next));
+    EXPECT_FALSE(win.lookup(peer, 1, 6, 4).has_value());
+    const CacheStats& st = win.cache().stats();
+    EXPECT_EQ(st.stale_evictions, 1u);
+    EXPECT_EQ(st.flush_misses, 1u);
+    EXPECT_EQ(st.compulsory_misses, 1u);  // the first probe's, no other
+    EXPECT_EQ(win.cache().num_entries(), 0u);
+    ctx.barrier();  // keep `next` exposed until all peers finished
   });
 }
 
@@ -976,15 +1024,15 @@ TEST(CachedWindow, PendingMissAcrossRefreshIsNotCached) {
 
     const std::uint32_t peer = 1 - ctx.rank();
     std::uint32_t buf[4] = {};
-    ASSERT_FALSE(win.lookup(peer, 0, 4).has_value());
-    const auto pending = win.fetch(peer, 0, 4, buf, 1.0);  // miss in flight
+    ASSERT_FALSE(win.lookup(peer, 0, 0, 4).has_value());
+    const auto pending = win.fetch(peer, 0, 0, 4, buf, 1.0);  // miss in flight
     std::vector<std::uint32_t> next(64, ctx.rank() + 77);
     ctx.refresh_window(raw, std::span<const std::uint32_t>(next));
     win.finish(pending);
     EXPECT_EQ(buf[0], peer + 1);  // caller sees the pre-refresh transfer
     EXPECT_EQ(win.cache().num_entries(), 0u) << "stale payload cached";
 
-    win.get(peer, 0, 4, buf);  // must refetch from the live exposure
+    win.get(peer, 0, 0, 4, buf);  // must refetch from the live exposure
     EXPECT_EQ(buf[0], peer + 77);
     EXPECT_EQ(win.cache().stats().hits, 0u);
     ctx.barrier();  // keep `next` exposed until all peers finished
@@ -1017,7 +1065,6 @@ std::uint64_t decision_digest(VictimPolicy policy) {
   CacheConfig cfg;
   cfg.buffer_bytes = 16 << 10;
   cfg.hash_slots = 64;
-  cfg.probe_limit = 3;
   cfg.policy = policy;
   Cache cache(cfg);
   util::Xoshiro256 rng(2022);
@@ -1032,18 +1079,19 @@ std::uint64_t decision_digest(VictimPolicy policy) {
     util::Xoshiro256 shape(id);
     const std::uint64_t bytes = std::min<std::uint64_t>(
         4096, 8 + shape.next_below(8ull << shape.next_below(10)));
-    const Key k = key_of(static_cast<std::uint32_t>(id % 4), id * 4096, bytes);
+    const auto row = static_cast<std::uint32_t>(id);
+    const Key k = key_of(row % 4, row);
     const double score = static_cast<double>(1 + id % 3);
     bool resident;
     if (rng.next_below(8) == 0) {
       resident = cache.contains(k);  // the CachedWindow::finish probe
     } else {
-      resident = cache.lookup(k);
+      resident = cache.lookup(k, bytes);
       ++calls;
     }
     d.fold(resident);
     if (!resident) {
-      d.fold(cache.insert(k, score));
+      d.fold(cache.insert(k, bytes, score));
       ++calls;
     }
   }
@@ -1056,8 +1104,8 @@ std::uint64_t decision_digest(VictimPolicy policy) {
     d.fold(v);
   for (const EntryInfo& e : cache.entries()) {
     d.fold(e.key.target);
-    d.fold(e.key.offset);
-    d.fold(e.key.bytes);
+    d.fold(e.key.row);
+    d.fold(e.bytes);
     d.fold(e.user_score);
     d.fold(e.last_tick);
   }
@@ -1076,11 +1124,11 @@ std::uint64_t decision_digest(VictimPolicy policy) {
 
 TEST(CacheGolden, LruPositionalDecisionDigest) {
   EXPECT_EQ(decision_digest(VictimPolicy::LruPositional),
-            0x998d17d3ca19bdcfull);
+            0xff8c4c730df8bc14ull);
 }
 
 TEST(CacheGolden, UserScoreDecisionDigest) {
-  EXPECT_EQ(decision_digest(VictimPolicy::UserScore), 0xf365f10dd22ab67cull);
+  EXPECT_EQ(decision_digest(VictimPolicy::UserScore), 0x176eaf1f7c9cabd5ull);
 }
 
 TEST(CachedWindow, OverlappedMissInsertsOnFinish) {
@@ -1094,8 +1142,9 @@ TEST(CachedWindow, OverlappedMissInsertsOnFinish) {
     cfg.hash_slots = 64;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
     std::vector<std::uint32_t> buf(512);
-    ASSERT_FALSE(win.lookup(1 - ctx.rank(), 0, 512).has_value());
-    const auto pending = win.fetch(1 - ctx.rank(), 0, 512, buf.data(), 3.0);
+    ASSERT_FALSE(win.lookup(1 - ctx.rank(), 0, 0, 512).has_value());
+    const auto pending =
+        win.fetch(1 - ctx.rank(), 0, 0, 512, buf.data(), 3.0);
     EXPECT_EQ(win.cache().num_entries(), 0u);  // not yet inserted
     ctx.charge_compute(1e-3);                  // overlapping work
     win.finish(pending);

@@ -176,12 +176,11 @@ TEST(HostileCache, SingleSlotTable) {
   clampi::CacheConfig cfg;
   cfg.buffer_bytes = 4096;
   cfg.hash_slots = 1;
-  cfg.probe_limit = 1;
   clampi::Cache cache(cfg);
-  // Everything maps to the one slot; behaviour must stay correct.
+  // Every probe wraps onto the one slot; behaviour must stay correct.
   for (std::uint32_t i = 0; i < 100; ++i) {
-    const clampi::Key k{0, i * 64, 64};
-    if (!cache.lookup(k)) (void)cache.insert(k);
+    const clampi::Key k{0, i};
+    if (!cache.lookup(k, 64)) (void)cache.insert(k, 64);
   }
   EXPECT_LE(cache.num_entries(), 1u);
 }
@@ -191,19 +190,19 @@ TEST(HostileCache, EntryExactlyBufferSize) {
   cfg.buffer_bytes = 256;
   cfg.hash_slots = 8;
   clampi::Cache cache(cfg);
-  EXPECT_TRUE(cache.insert({0, 0, 256}));
-  EXPECT_TRUE(cache.lookup({0, 0, 256}));
+  EXPECT_TRUE(cache.insert({0, 0}, 256));
+  EXPECT_TRUE(cache.lookup({0, 0}, 256));
   // A second full-buffer entry displaces the first entirely.
-  EXPECT_TRUE(cache.insert({0, 999, 256}));
-  EXPECT_FALSE(cache.lookup({0, 0, 256}));
+  EXPECT_TRUE(cache.insert({0, 999}, 256));
+  EXPECT_FALSE(cache.lookup({0, 0}, 256));
 }
 
 TEST(HostileCache, ZeroByteEntriesRejected) {
   // Contract: empty payloads are never cached (nothing to save, and a
   // zero-byte allocation would break the buffer-layout tiling).
   clampi::Cache cache({.buffer_bytes = 128, .hash_slots = 8});
-  EXPECT_FALSE(cache.insert({0, 0, 0}));
-  EXPECT_FALSE(cache.lookup({0, 0, 0}));
+  EXPECT_FALSE(cache.insert({0, 0}, 0));
+  EXPECT_FALSE(cache.lookup({0, 0}, 0));
   EXPECT_EQ(cache.num_entries(), 0u);
 }
 
