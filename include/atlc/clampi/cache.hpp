@@ -9,30 +9,7 @@
 
 namespace atlc::clampi {
 
-/// Cache key. CLaMPI indexes cached entries by (window, node, offset, size)
-/// — see paper Fig. 3. Here the window is implicit (one Cache per window)
-/// and the (offset, size) pair is replaced by the remote row it spans: both
-/// LCC windows are read one row at a time, and within an epoch a row maps
-/// 1:1 to its (offset, size). Unlike a byte offset, a row keeps its key when
-/// a refresh_window moves where the row starts, so epoch invalidation finds
-/// and recycles the old entry (DESIGN.md §7). The entry's size travels next
-/// to the key (lookup/insert) and is stored with the entry.
-struct Key {
-  std::uint32_t target = 0;
-  std::uint32_t row = 0;
-
-  friend bool operator==(const Key&, const Key&) = default;
-};
-
 [[nodiscard]] std::uint64_t key_hash(Key k);
-
-/// Introspection record (drives paper Fig. 5 right: entry sizes vs reuse).
-struct EntryInfo {
-  Key key;
-  std::uint64_t bytes = 0;
-  double user_score = 0.0;
-  std::uint64_t last_tick = 0;
-};
 
 /// CLaMPI-style software cache for RMA gets: variable-size entries in a
 /// bounded memory buffer, a hash-table index with bounded linear probing
@@ -42,7 +19,10 @@ struct EntryInfo {
 /// layout, but holds no payload bytes — the window is read-only
 /// within an epoch, so a hit is served from the owner's exposed memory.
 /// The cache itself is transport-agnostic; `CachedWindow`
-/// (cached_window.hpp) wires it to the RMA runtime.
+/// (cached_window.hpp) wires it to the RMA runtime. It is C_adj's cache;
+/// C_offsets, whose entries all have one size, uses the fixed-entry
+/// `FixedCache` (fixed_cache.hpp), which decides as this class does under
+/// LruPositional on a buffer of whole entries and no hash conflicts.
 class Cache {
  public:
   explicit Cache(CacheConfig config);
@@ -88,12 +68,10 @@ class Cache {
   [[nodiscard]] std::size_t num_entries() const { return live_entries_; }
   [[nodiscard]] std::vector<EntryInfo> entries() const;
 
-  /// Paper Section III-B1 sizing heuristics for the two LCC caches.
-  /// C_offsets holds fixed-size entries: one slot per entry that fits.
-  [[nodiscard]] static std::size_t suggest_hash_slots_fixed(
-      std::uint64_t cache_bytes, std::uint64_t entry_bytes);
-  /// C_adj under a power-law degree distribution: n * fraction^alpha
-  /// entries expected (paper: alpha = 2 approximates well).
+  /// Paper Section III-B1 sizing heuristic for C_adj's table under a
+  /// power-law degree distribution: n * fraction^alpha entries expected
+  /// (paper: alpha = 2 approximates well). C_offsets needs no table: its
+  /// fixed-size entries live in a FixedCache (fixed_cache.hpp).
   [[nodiscard]] static std::size_t suggest_hash_slots_power_law(
       std::uint64_t num_vertices, double cache_fraction, double alpha = 2.0);
 

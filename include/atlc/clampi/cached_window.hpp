@@ -20,7 +20,7 @@ namespace atlc::clampi {
 ///   - on hit, only the cache-probe + local-copy time is charged, and the
 ///     payload is served zero-copy as a read-only view of the owner's
 ///     exposed part: the window is immutable within an epoch, and the
-///     epoch stamp keeps a hit from outliving it (the Cache holds metadata
+///     epoch stamp keeps a hit from outliving it (the cache holds metadata
 ///     only);
 ///   - on miss, the get goes to the network and the entry is inserted into
 ///     the cache when the get completes (at finish()), paying the
@@ -37,7 +37,13 @@ namespace atlc::clampi {
 /// Debug builds record a digest of each entry's bytes at insert and check
 /// it on every hit, so exposed bytes that change within an epoch (a
 /// mutation without refresh_window) abort instead of being served.
-template <typename T>
+///
+/// `Table` makes the admission and eviction decisions: `Cache` (C_adj's
+/// variable-size CLaMPI cache) or `FixedCache` (C_offsets' fixed-entry LRU
+/// table). Both take (key, bytes[, score]) and keep one stats and epoch
+/// contract, so the charges, the trace events and the Debug digests here
+/// are the same for both windows.
+template <typename T, typename Table = Cache>
 class CachedWindow {
  public:
   /// A miss transfer in flight, from fetch() to finish().
@@ -52,7 +58,10 @@ class CachedWindow {
     std::uint64_t epoch = 0;  ///< window epoch the transfer was issued at
   };
 
-  CachedWindow(rma::RankCtx& ctx, rma::Window<T> window, CacheConfig config)
+  /// `config` builds the table: a CacheConfig for Cache, the buffer size
+  /// in bytes for FixedCache.
+  template <typename Config>
+  CachedWindow(rma::RankCtx& ctx, rma::Window<T> window, const Config& config)
       : ctx_(&ctx), window_(window), cache_(config) {}
 
   /// Probe the cache for remote row `row` of `target`, which spans `count`
@@ -154,14 +163,14 @@ class CachedWindow {
     }
   }
 
-  [[nodiscard]] Cache& cache() { return cache_; }
-  [[nodiscard]] const Cache& cache() const { return cache_; }
+  [[nodiscard]] Table& cache() { return cache_; }
+  [[nodiscard]] const Table& cache() const { return cache_; }
   [[nodiscard]] rma::Window<T>& window() { return window_; }
 
  private:
   rma::RankCtx* ctx_;
   rma::Window<T> window_;
-  Cache cache_;
+  Table cache_;
 #ifndef NDEBUG
   struct KeyHasher {
     std::size_t operator()(const Key& k) const { return key_hash(k); }

@@ -7,6 +7,29 @@
 
 namespace atlc::clampi {
 
+/// Cache key. CLaMPI indexes cached entries by (window, node, offset, size)
+/// — see paper Fig. 3. Here the window is implicit (one cache per window)
+/// and the (offset, size) pair is replaced by the remote row it spans: both
+/// LCC windows are read one row at a time, and within an epoch a row maps
+/// 1:1 to its (offset, size). Unlike a byte offset, a row keeps its key when
+/// a refresh_window moves where the row starts, so epoch invalidation finds
+/// and recycles the old entry (DESIGN.md §7). The entry's size travels next
+/// to the key (lookup/insert) and is stored with the entry.
+struct Key {
+  std::uint32_t target = 0;
+  std::uint32_t row = 0;
+
+  friend bool operator==(const Key&, const Key&) = default;
+};
+
+/// Introspection record (drives paper Fig. 5 right: entry sizes vs reuse).
+struct EntryInfo {
+  Key key;
+  std::uint64_t bytes = 0;
+  double user_score = 0.0;
+  std::uint64_t last_tick = 0;
+};
+
 /// Victim-selection policy.
 enum class VictimPolicy : std::uint8_t {
   /// CLaMPI default: least-recently-used weighted by a positional score
@@ -20,7 +43,9 @@ enum class VictimPolicy : std::uint8_t {
   UserScore,
 };
 
-/// Cache shape and policy, fixed for the cache's lifetime. There is no
+/// `Cache` shape and policy (C_adj's cache), fixed for the cache's
+/// lifetime. C_offsets' `FixedCache` takes only a buffer size: its entries
+/// have one size, so it needs neither a hash table nor a policy. There is no
 /// consistency-mode switch: the cached windows are read-only within a
 /// window epoch (the paper's "the graph is never modified during the
 /// computation"), and epoch stamping is the only invalidation
@@ -34,7 +59,7 @@ struct CacheConfig {
   std::uint64_t buffer_bytes = 1ull << 20;
   /// Number of hash-table slots, never resized. CLaMPI sizing heuristics
   /// (paper Section III-B1): ~ one slot per expected entry; see
-  /// `suggest_hash_slots_*` helpers in cache.hpp. Linear probing looks at
+  /// `Cache::suggest_hash_slots_power_law`. Linear probing looks at
   /// 8 slots from a key's hash; a full window is a hash *conflict*.
   std::size_t hash_slots = 4096;
   VictimPolicy policy = VictimPolicy::LruPositional;
@@ -46,7 +71,8 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t compulsory_misses = 0;  ///< key never seen before
   std::uint64_t capacity_misses = 0;    ///< key evicted earlier for space
-  std::uint64_t conflict_misses = 0;    ///< key evicted earlier by hash conflict
+  /// Key evicted earlier by a hash conflict (always 0 in a FixedCache).
+  std::uint64_t conflict_misses = 0;
   /// Key recycled by an epoch bump (the entry went stale, see
   /// stale_evictions) and probed again.
   std::uint64_t flush_misses = 0;

@@ -21,7 +21,8 @@ using graph::VertexId;
 /// memory budget, C_offsets gets room for 0.4*|V| (start,end) pairs —
 /// 6.4*|V| bytes with this engine's 64-bit offsets, capped at half the
 /// budget — and C_adj takes the remainder (see paper_default in
-/// src/core/edge_pipeline.cpp).
+/// src/core/edge_pipeline.cpp). C_offsets holds ⌊offsets_bytes / 16⌋
+/// pairs: a budget under one pair admits nothing.
 struct CacheSizing {
   std::uint64_t offsets_bytes = 1u << 20;
   std::uint64_t adj_bytes = 8u << 20;
@@ -64,8 +65,9 @@ struct EngineConfig {
   /// window's cache in isolation.
   bool use_cache = false;
   CacheSizing cache_sizing{};
-  /// Victim selection: LruPositional = CLaMPI default scores;
+  /// C_adj's victim selection: LruPositional = CLaMPI default scores;
   /// UserScore = this paper's degree-centrality extension (Fig. 8).
+  /// C_offsets is always LRU (clampi::FixedCache).
   clampi::VictimPolicy victim_policy = clampi::VictimPolicy::LruPositional;
 
   /// Prefetch-pipeline depth k >= 1 of the edge stream: the engine keeps up

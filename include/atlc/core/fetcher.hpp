@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "atlc/clampi/cached_window.hpp"
+#include "atlc/clampi/fixed_cache.hpp"
 #include "atlc/core/dist_graph.hpp"
 #include "atlc/core/engine_config.hpp"
 
@@ -22,7 +23,11 @@ namespace atlc::core {
 /// Per the paper, C_offsets always uses CLaMPI's default eviction scores
 /// (there is no useful application score before the degree is known), while
 /// C_adj uses the configured policy, scoring entries by the out-degree
-/// learned from step 1 (Section III-B2).
+/// learned from step 1 (Section III-B2). Every C_offsets entry is one
+/// 16-byte (start, end) pair (Obs. 3.2), so that window's table is a
+/// `clampi::FixedCache`: plain LRU over offsets_bytes / 16 entries, indexed
+/// by row, with no hash table and hence no conflict misses. C_adj's entries
+/// vary in size and keep the full `clampi::Cache`.
 ///
 /// When the DistGraph carries a hub replica (EngineConfig::hub_fraction),
 /// begin() resolves replicated hub rows like local ones — straight from
@@ -84,7 +89,9 @@ class AdjacencyFetcher {
     return c_offsets_.has_value();
   }
   [[nodiscard]] bool has_adj_cache() const { return c_adj_.has_value(); }
-  [[nodiscard]] clampi::Cache& offsets_cache() { return c_offsets_->cache(); }
+  [[nodiscard]] clampi::FixedCache& offsets_cache() {
+    return c_offsets_->cache();
+  }
   [[nodiscard]] clampi::Cache& adj_cache() { return c_adj_->cache(); }
 
   /// Remote adjacency fetches performed (== remote edges processed; per
@@ -94,7 +101,8 @@ class AdjacencyFetcher {
  private:
   rma::RankCtx* ctx_;
   const DistGraph* dg_;
-  std::optional<clampi::CachedWindow<EdgeIndex>> c_offsets_;
+  std::optional<clampi::CachedWindow<EdgeIndex, clampi::FixedCache>>
+      c_offsets_;
   std::optional<clampi::CachedWindow<VertexId>> c_adj_;
   std::uint64_t remote_fetches_ = 0;
   std::uint64_t in_flight_ = 0;  ///< begun, unfinished transfers (trace only)

@@ -330,12 +330,6 @@ std::vector<EntryInfo> Cache::entries() const {
   return out;
 }
 
-std::size_t Cache::suggest_hash_slots_fixed(std::uint64_t cache_bytes,
-                                            std::uint64_t entry_bytes) {
-  if (entry_bytes == 0) return 1;
-  return std::max<std::size_t>(16, cache_bytes / entry_bytes);
-}
-
 std::size_t Cache::suggest_hash_slots_power_law(std::uint64_t num_vertices,
                                                 double cache_fraction,
                                                 double alpha) {

@@ -8,17 +8,6 @@ namespace atlc::core {
 
 namespace {
 
-clampi::CacheConfig offsets_cache_config(const EngineConfig& cfg) {
-  clampi::CacheConfig c;
-  c.buffer_bytes = cfg.cache_sizing.offsets_bytes;
-  // C_offsets entries are fixed-size (start,end) pairs (paper Obs. 3.2):
-  // one slot per pair that fits.
-  c.hash_slots = clampi::Cache::suggest_hash_slots_fixed(
-      c.buffer_bytes, 2 * sizeof(EdgeIndex));
-  c.policy = clampi::VictimPolicy::LruPositional;
-  return c;
-}
-
 clampi::CacheConfig adj_cache_config(const EngineConfig& cfg,
                                      const DistGraph& dg) {
   clampi::CacheConfig c;
@@ -60,7 +49,7 @@ AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
                                    const EngineConfig& config)
     : ctx_(&ctx), dg_(&dg) {
   if (config.use_cache && config.cache_sizing.offsets_bytes > 0)
-    c_offsets_.emplace(ctx, dg.w_offsets, offsets_cache_config(config));
+    c_offsets_.emplace(ctx, dg.w_offsets, config.cache_sizing.offsets_bytes);
   if (config.use_cache && config.cache_sizing.adj_bytes > 0)
     c_adj_.emplace(ctx, dg.w_adj, adj_cache_config(config, dg));
 }
@@ -100,6 +89,8 @@ AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,
   // Step 1 (synchronous): (start, end) of the adjacency list. "The first
   // MPI_Get reads the offset of the adjacency list" (paper Fig. 3 step 4).
   EdgeIndex range[2];
+  static_assert(sizeof(range) == clampi::FixedCache::kEntryBytes,
+                "a C_offsets entry is one (start, end) pair");
   if (c_offsets_) {
     // Both windows key an entry by the row lv; here it is also the offset.
     c_offsets_->get(owner, lv, lv, 2, range);

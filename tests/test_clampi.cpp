@@ -3,8 +3,8 @@
 // gate index (against the run search), hash index, victim selection
 // (LRU+positional and user scores), miss classification, epoch
 // invalidation, the CachedWindow integration and its
-// zero-copy hits, and a golden digest pinning every admission and eviction
-// decision.
+// zero-copy hits, a golden digest pinning every admission and eviction
+// decision, and C_offsets' FixedCache against Cache call for call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include "atlc/clampi/cache.hpp"
 #include "atlc/clampi/cached_window.hpp"
+#include "atlc/clampi/fixed_cache.hpp"
 #include "atlc/clampi/free_space.hpp"
 #include "atlc/util/rng.hpp"
 #include "test_support.hpp"
@@ -615,13 +616,10 @@ TEST(Cache, EntriesSnapshotMatchesContents) {
 }
 
 TEST(Cache, SizingHeuristics) {
-  // Fixed-size entries: one slot per entry that fits.
-  EXPECT_EQ(Cache::suggest_hash_slots_fixed(1024, 16), 64u);
   // Power law (paper: n * f^alpha, alpha=2): half-the-graph cache on 1e6
   // vertices expects 1e6 * 0.25 entries.
   EXPECT_EQ(Cache::suggest_hash_slots_power_law(1000000, 0.5), 250000u);
   // Degenerate inputs stay sane.
-  EXPECT_GE(Cache::suggest_hash_slots_fixed(0, 16), 16u);
   EXPECT_GE(Cache::suggest_hash_slots_power_law(100, 0.0), 16u);
 }
 
@@ -1152,6 +1150,172 @@ TEST(CachedWindow, OverlappedMissInsertsOnFinish) {
     EXPECT_EQ(buf[0], 9u);
     ctx.barrier();
   });
+}
+
+// ------------------------------------------- FixedCache against Cache ---
+
+/// One seeded stream of C_offsets-shaped calls: 16-byte entries under
+/// skewed (target, row) keys, a contains() probe on one call in eight (the
+/// CachedWindow::finish probe), an insert after every miss, and an epoch
+/// bump every `epoch_every` steps.
+struct OffsetsStream {
+  std::uint64_t seed;
+  std::uint32_t targets;
+  std::uint32_t rows;
+  int steps;
+  int epoch_every;
+};
+
+/// Drives a FixedCache and Cache{LruPositional} over `buffer_bytes` with
+/// one stream and checks every answer (lookup, contains, insert) for
+/// equality, then CacheStats and entries() (keys and ticks, in LRU order).
+/// The Cache's hash table has at least 64 slots per entry it can hold, and
+/// the run asserts as a precondition that it saw no hash conflict: only
+/// then must the two agree. Returns the reference's stats.
+CacheStats expect_same_decisions(std::uint64_t buffer_bytes,
+                                 const OffsetsStream& stream) {
+  constexpr std::uint64_t kBytes = FixedCache::kEntryBytes;
+  CacheConfig cfg;
+  cfg.buffer_bytes = buffer_bytes;
+  cfg.hash_slots = 64 * std::max<std::uint64_t>(16, buffer_bytes / kBytes);
+  cfg.policy = VictimPolicy::LruPositional;
+  Cache ref(cfg);
+  FixedCache table(buffer_bytes);
+  EXPECT_EQ(table.capacity(), buffer_bytes / kBytes);
+  util::Xoshiro256 rng(stream.seed);
+  std::uint64_t epoch = 0;
+  const bool failed_before = ::testing::Test::HasFailure();
+  for (int step = 0; step < stream.steps; ++step) {
+    if (step % stream.epoch_every == stream.epoch_every - 1) {
+      ref.set_epoch(++epoch);
+      table.set_epoch(epoch);
+    }
+    // Small rows are hot, as hub rows are.
+    const auto row = static_cast<std::uint32_t>(
+        rng.next_below(1 + rng.next_below(stream.rows)));
+    const Key k{static_cast<std::uint32_t>(rng.next_below(stream.targets)),
+                row};
+    bool resident;
+    if (rng.next_below(8) == 0) {
+      resident = ref.contains(k);
+      EXPECT_EQ(table.contains(k), resident) << "contains, step " << step;
+    } else {
+      resident = ref.lookup(k, kBytes);
+      EXPECT_EQ(table.lookup(k, kBytes), resident) << "lookup, step " << step;
+    }
+    if (!resident) {
+      const bool admitted = ref.insert(k, kBytes);
+      EXPECT_EQ(table.insert(k, kBytes), admitted) << "insert, step " << step;
+    }
+    // Report the first diverging step only.
+    if (!failed_before && ::testing::Test::HasFailure()) break;
+  }
+  const CacheStats& want = ref.stats();
+  EXPECT_EQ(want.evictions_conflict, 0u) << "precondition: no hash conflict";
+  EXPECT_EQ(want.conflict_misses, 0u) << "precondition: no hash conflict";
+  EXPECT_EQ(table.stats(), want);
+  const auto got_entries = table.entries();
+  const auto want_entries = ref.entries();
+  EXPECT_EQ(table.num_entries(), ref.num_entries());
+  EXPECT_EQ(got_entries.size(), want_entries.size());
+  for (std::size_t i = 0;
+       i < std::min(got_entries.size(), want_entries.size()); ++i) {
+    EXPECT_EQ(got_entries[i].key, want_entries[i].key) << "entry " << i;
+    EXPECT_EQ(got_entries[i].bytes, want_entries[i].bytes) << "entry " << i;
+    EXPECT_EQ(got_entries[i].last_tick, want_entries[i].last_tick)
+        << "entry " << i;
+  }
+  return want;
+}
+
+TEST(FixedCacheDiff, MatchesLruPositionalCacheOnWholeEntryBuffers) {
+  // Every hole is refilled before any eviction on a buffer of whole
+  // entries, so no victim candidate borders free space and LruPositional's
+  // positional weight is pure LRU.
+  CacheStats total;
+  for (const std::uint64_t entries : {1, 2, 3, 7, 16, 64, 301}) {
+    for (const std::uint32_t targets : {1u, 3u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << entries << " entries, " << targets << " targets");
+      const OffsetsStream stream{.seed = 1000 * entries + targets,
+                                 .targets = targets,
+                                 .rows = static_cast<std::uint32_t>(
+                                     4 * entries / targets + 8),
+                                 .steps = 20000,
+                                 .epoch_every = 3000};
+      const CacheStats s = expect_same_decisions(16 * entries, stream);
+      EXPECT_GT(s.hits, 0u);
+      EXPECT_GT(s.evictions_space, 0u);
+      total += s;
+    }
+  }
+  // Together the streams reach every decision the two tables make.
+  EXPECT_GT(total.capacity_misses, 0u);
+  EXPECT_GT(total.stale_evictions, 0u);
+  EXPECT_GT(total.flush_misses, 0u);
+  EXPECT_GT(total.compulsory_misses, 0u);
+}
+
+TEST(FixedCacheDiff, MatchesCacheWithoutEvictionsAndWithNoRoom) {
+  // A buffer larger than every row ever probed never evicts for space; a
+  // buffer under one entry refuses every insert and logs it as a capacity
+  // miss. Neither depends on the buffer being whole entries.
+  const OffsetsStream stream{
+      .seed = 7, .targets = 2, .rows = 200, .steps = 5000, .epoch_every = 700};
+  const CacheStats roomy = expect_same_decisions(16 * 500 + 9, stream);
+  EXPECT_EQ(roomy.evictions_space, 0u);
+  EXPECT_GT(roomy.stale_evictions, 0u);
+  for (const std::uint64_t buffer_bytes : {0, 8, 15}) {
+    const CacheStats none = expect_same_decisions(buffer_bytes, stream);
+    EXPECT_EQ(none.hits, 0u);
+    EXPECT_GE(none.insert_failures, none.misses);
+    EXPECT_GT(none.capacity_misses, 0u);
+  }
+}
+
+TEST(FixedCacheDiff, RemainderBytesMakeCachePreferTheEntryNextToTheTail) {
+  // The one other divergence. 16 whole entries and an 8-byte tail: both
+  // tables hold 16 entries, but Cache's positional score rewards evicting
+  // the entry that borders the free tail, while FixedCache is pure LRU over
+  // the 16 entries.
+  constexpr std::uint64_t kBuffer = 16 * 16 + 8;
+  Cache ref({.buffer_bytes = kBuffer, .hash_slots = 64 * 16});
+  FixedCache table(kBuffer);
+  ASSERT_EQ(table.capacity(), 16u);
+  for (std::uint32_t row = 0; row < 16; ++row) {
+    ASSERT_TRUE(ref.insert(key_of(0, row), 16));
+    ASSERT_TRUE(table.insert(key_of(0, row), 16));
+  }
+  // Row 15 fills the last whole entry, next to the tail. Touch rows 1..14,
+  // so the LRU order from the cold end reads 0, 15, 1, ..., 14.
+  for (std::uint32_t row = 1; row < 15; ++row) {
+    ASSERT_TRUE(ref.lookup(key_of(0, row), 16));
+    ASSERT_TRUE(table.lookup(key_of(0, row), 16));
+  }
+  // The 17th entry evicts one. FixedCache takes row 0, the least recently
+  // used. Cache weighs its 16 coldest candidates: row 15's merge benefit
+  // 8/16 takes 0.5 * 16 / 4 = 2 off its rank 1, below row 0's rank 0.
+  ASSERT_TRUE(ref.insert(key_of(0, 16), 16));
+  ASSERT_TRUE(table.insert(key_of(0, 16), 16));
+  EXPECT_FALSE(table.contains(key_of(0, 0)));
+  EXPECT_TRUE(table.contains(key_of(0, 15)));
+  EXPECT_TRUE(ref.contains(key_of(0, 0)));
+  EXPECT_FALSE(ref.contains(key_of(0, 15)));
+  // Only the victim differs: the counters agree.
+  EXPECT_EQ(table.stats(), ref.stats());
+  EXPECT_EQ(ref.stats().evictions_conflict, 0u);
+}
+
+TEST(FixedCache, DebugHitChecksTheEntrySize) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the hit size is checked in debug builds only";
+#else
+  testsupport::use_threadsafe_death_tests();
+  FixedCache table(1024);
+  ASSERT_TRUE(table.insert(key_of(0, 3), 16));
+  EXPECT_DEATH((void)table.lookup(key_of(0, 3), 8),
+               "a row's size changed within an epoch");
+#endif
 }
 
 }  // namespace

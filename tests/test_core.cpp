@@ -106,12 +106,13 @@ TEST(AdjacencyFetcher, CacheHitIsAViewOfTheOwnersExposedPart) {
   });
 }
 
-TEST(AdjacencyFetcher, CacheTablesKeepTheSlotRuleTheyAreBuiltWith) {
-  // Nothing resizes a CLaMPI hash table at run time, so the slot counts the
-  // fetcher derives are the ones a whole run keeps. C_adj: the paper's
+TEST(AdjacencyFetcher, CacheTablesKeepTheSizesTheyAreBuiltWith) {
+  // Nothing resizes a CLaMPI hash table at run time, so the slot count the
+  // fetcher derives is the one a whole run keeps. C_adj: the paper's
   // n * f^2 power-law estimate (Section III-B1), floored at 4x the entries
-  // its buffer holds at this rank's mean row size. C_offsets: one slot per
-  // 16-byte (start,end) pair that fits.
+  // its buffer holds at this rank's mean row size. C_offsets has no hash
+  // table: its FixedCache holds one 16-byte (start,end) pair per 16 bytes
+  // of its budget.
   const CSRGraph g = rmat_graph(8, 8, 1);
   constexpr std::uint32_t kRanks = 4;
   const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
@@ -142,13 +143,59 @@ TEST(AdjacencyFetcher, CacheTablesKeepTheSlotRuleTheyAreBuiltWith) {
                                g.num_vertices(), f),
                            4 * std::max<std::size_t>(16, capacity)));
         EXPECT_EQ(adj.policy, policy);
-        EXPECT_EQ(fetcher.offsets_cache().config().hash_slots,
-                  clampi::Cache::suggest_hash_slots_fixed(
-                      cfg.cache_sizing.offsets_bytes, 16));
+        EXPECT_EQ(fetcher.offsets_cache().capacity(),
+                  cfg.cache_sizing.offsets_bytes / 16);
         ctx.barrier();  // windows expose dg's vectors; free collectively
       });
     }
   }
+}
+
+TEST(AdjacencyFetcher, OffsetsCacheRefusesEveryEntrySizeButOnePair) {
+  // Every C_offsets entry is one 16-byte (start,end) pair. An insert of any
+  // other size is a caller error: it counts an insert failure and leaves
+  // the residents, every other counter and the miss log as they were.
+  const CSRGraph g = rmat_graph(7, 8, 2);
+  const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
+                              2);
+  EngineConfig cfg;
+  cfg.use_cache = true;
+  cfg.cache_sizing = {.offsets_bytes = 16 * 8, .adj_bytes = 0};
+  rma::Runtime::Options o;
+  o.ranks = 2;
+  rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
+    const DistGraph dg = build_dist_graph(ctx, g, part);
+    AdjacencyFetcher fetcher(ctx, dg, cfg);
+    std::vector<VertexId> buffer;
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      (void)fetcher.finish(fetcher.begin(v, 0, buffer));
+    clampi::FixedCache& cache = fetcher.offsets_cache();
+    ASSERT_EQ(cache.num_entries(), 8u);  // full: evictions happened
+    ASSERT_GT(cache.stats().evictions_space, 0u);
+    const clampi::CacheStats before = cache.stats();
+    const auto entries_before = cache.entries();
+    const std::uint32_t peer = 1 - ctx.rank();
+    const clampi::Key resident = entries_before.back().key;  // next victim
+    const clampi::Key fresh{peer, part.part_size(peer) + 5};  // never seen
+    for (const std::uint64_t bytes : {0, 8, 15, 17, 24, 32})
+      for (const clampi::Key k : {resident, fresh})
+        EXPECT_FALSE(cache.insert(k, bytes)) << bytes << " bytes";
+    clampi::CacheStats want = before;
+    want.insert_failures += 12;
+    EXPECT_EQ(cache.stats(), want);
+    const auto entries_after = cache.entries();
+    ASSERT_EQ(entries_after.size(), entries_before.size());
+    for (std::size_t i = 0; i < entries_after.size(); ++i) {
+      EXPECT_EQ(entries_after[i].key, entries_before[i].key) << i;
+      EXPECT_EQ(entries_after[i].last_tick, entries_before[i].last_tick) << i;
+    }
+    // The refused key's miss is still compulsory (the log is unchanged) and
+    // the resident still hits.
+    EXPECT_FALSE(cache.lookup(fresh, 16));
+    EXPECT_EQ(cache.stats().compulsory_misses, before.compulsory_misses + 1);
+    EXPECT_TRUE(cache.lookup(resident, 16));
+    ctx.barrier();  // windows expose dg's vectors; free collectively
+  });
 }
 
 TEST(AdjacencyFetcher, WindowIsCachedIffCachingIsOnAndItsBudgetIsNonZero) {
