@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                static_cast<double>(cs.compulsory_misses) / denom),
            util::Table::fmt_percent(
                static_cast<double>(cs.capacity_misses) / denom),
-           util::Table::fmt_int(cs.evictions_space + cs.evictions_conflict)});
+           util::Table::fmt_int(cs.evictions_space)});
     }
     table.print("LCC on " + std::to_string(ranks) + " ranks (triangles: " +
                 std::to_string(reference_triangles) + ")");

@@ -6,6 +6,7 @@
 #include <span>
 
 #ifndef NDEBUG
+#include <functional>
 #include <unordered_map>
 #endif
 
@@ -173,7 +174,9 @@ class CachedWindow {
   Table cache_;
 #ifndef NDEBUG
   struct KeyHasher {
-    std::size_t operator()(const Key& k) const { return key_hash(k); }
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>{}(std::uint64_t{k.target} << 32 | k.row);
+    }
   };
   /// FNV-1a 64 over the bytes of `view`.
   static std::uint64_t digest(std::span<const T> view) {

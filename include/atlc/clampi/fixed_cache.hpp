@@ -10,22 +10,20 @@ namespace atlc::clampi {
 /// C_offsets' cache: a fully associative LRU table of fixed-size entries.
 /// Every C_offsets entry is one 16-byte (start, end) pair (paper Obs. 3.2),
 /// so the buffer holds exactly ⌊buffer_bytes / 16⌋ entries and needs no
-/// layout, no hash table and no positional score. Like `Cache` it is
+/// layout and no positional score. Like `Cache` it is
 /// metadata only and keeps `Cache`'s contract: stale-hit-as-miss under
 /// set_epoch, miss classification, CacheStats and entries().
 ///
-/// One int32 per (target, row) is both the index and the miss log: a value
-/// of 0 or more is the row's slot, a negative value is why the row is not
-/// resident. The slots hold {key, epoch, tick, prev, next} and form one LRU
-/// list; a full table evicts its least recently used entry.
+/// Its `RowIndex` maps each (target, row) to the row's slot, or logs why
+/// the row is not resident. The slots hold {key, epoch, tick, prev, next}
+/// and form one LRU list; a full table evicts its least recently used
+/// entry.
 ///
 /// On a buffer of whole entries this decides call for call as
-/// `Cache{LruPositional}` with a hash table that sees no conflicts: every
-/// hole is refilled before any eviction, so no victim candidate borders
-/// free space and the positional score reduces to LRU (DESIGN.md §7;
-/// test_clampi's `FixedCacheDiff` cases check it). It never counts a
-/// conflict miss or a conflict eviction, and it never rejects an entry
-/// for its score.
+/// `Cache{LruPositional}`: every hole is refilled before any eviction, so
+/// no victim candidate borders free space and the positional score reduces
+/// to LRU (DESIGN.md §7; test_clampi's `FixedCacheDiff` cases check it). It
+/// never rejects an entry for its score.
 class FixedCache {
  public:
   static constexpr std::uint64_t kEntryBytes = 16;
@@ -50,8 +48,8 @@ class FixedCache {
 
   /// True iff `key` is resident at the current epoch; counts nothing.
   [[nodiscard]] bool contains(Key key) const {
-    const std::int32_t v = index_of(key);
-    return v >= 0 && slots_[v].epoch == current_epoch_;
+    const std::int32_t s = index_[key];
+    return s >= 0 && slots_[s].epoch == current_epoch_;
   }
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
@@ -70,22 +68,9 @@ class FixedCache {
     std::int32_t next = -1;   ///< towards the least recently used; free list
   };
 
-  /// Index values below 0: why a row is not resident.
-  static constexpr std::int32_t kNever = -1;  ///< compulsory miss
-  /// Evicted for space, or never stored (capacity miss).
-  static constexpr std::int32_t kCapacity = -2;
-  static constexpr std::int32_t kStale = -3;  ///< recycled by an epoch bump
-
-  /// The row's index value; a row past the end reads as kNever.
-  [[nodiscard]] std::int32_t index_of(Key key) const {
-    return key.target < index_.size() && key.row < index_[key.target].size()
-               ? index_[key.target][key.row]
-               : kNever;
-  }
-  /// The row's index value, grown on first write.
-  std::int32_t& index_ref(Key key);
   void unlink(std::int32_t s);
   void push_front(std::int32_t s);
+  /// Evict a resident for `reason` (RowIndex::kCapacity or kStale).
   void evict(std::int32_t s, std::int32_t reason);
 
   std::size_t capacity_;
@@ -97,8 +82,7 @@ class FixedCache {
   std::uint64_t tick_ = 0;
   std::uint64_t current_epoch_ = 0;
   CacheStats stats_;
-  /// index_[target][row], a vector per target grown on first write.
-  std::vector<std::vector<std::int32_t>> index_;
+  RowIndex index_;  ///< slot of each resident row; the miss log
 };
 
 }  // namespace atlc::clampi

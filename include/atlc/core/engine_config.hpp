@@ -80,8 +80,9 @@ struct EngineConfig {
   ///
   /// Interaction with the cache (`use_cache`): each begin() probes the
   /// CLaMPI windows, so a depth-k run holds up to k-1 *cache-resolved*
-  /// transfers in flight too. Hits complete at hash-probe cost, freeing the
-  /// NIC injection port for the remaining misses — which is why the cached
+  /// transfers in flight too. Hits complete at the price of a CLaMPI probe
+  /// and local copy (NetworkModel::time_cache_hit), freeing the NIC
+  /// injection port for the remaining misses — which is why the cached
   /// columns of the `pipeline_depth` scenario keep improving past the depth
   /// where the uncached run saturates (DESIGN.md §6). Note the in-flight
   /// window also bounds span lifetime: a kernel's spans are valid only

@@ -25,9 +25,10 @@ namespace atlc::core {
 /// C_adj uses the configured policy, scoring entries by the out-degree
 /// learned from step 1 (Section III-B2). Every C_offsets entry is one
 /// 16-byte (start, end) pair (Obs. 3.2), so that window's table is a
-/// `clampi::FixedCache`: plain LRU over offsets_bytes / 16 entries, indexed
-/// by row, with no hash table and hence no conflict misses. C_adj's entries
-/// vary in size and keep the full `clampi::Cache`.
+/// `clampi::FixedCache`: plain LRU over offsets_bytes / 16 entries. C_adj's
+/// entries vary in size and keep the full `clampi::Cache`. Both tables index
+/// their entries by remote row (`clampi::RowIndex`), with no hash table and
+/// hence no conflict misses.
 ///
 /// When the DistGraph carries a hub replica (EngineConfig::hub_fraction),
 /// begin() resolves replicated hub rows like local ones — straight from

@@ -1,40 +1,18 @@
 #include "atlc/clampi/cache.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "atlc/util/check.hpp"
-#include "atlc/util/rng.hpp"
 
 namespace atlc::clampi {
 
 /// LruPositional: how many LRU-tail candidates compete on positional score.
 constexpr std::size_t kLruWindow = 16;
-/// Linear-probing window; a full window is a hash *conflict*.
-constexpr std::size_t kProbeLimit = 8;
-
-std::uint64_t key_hash(Key k) {
-  const std::uint64_t h = util::mix64(k.target, 0x9E3779B9u);
-  return util::mix64(h ^ k.row, 0x85EBCA6Bu);
-}
 
 Cache::Cache(CacheConfig config)
     : config_(config),
-      free_(config.buffer_bytes, config.policy == VictimPolicy::UserScore),
-      slots_(std::max<std::size_t>(1, config.hash_slots), kEmpty) {}
-
-std::int32_t Cache::find(Key key) const {
-  const std::uint64_t base = key_hash(key);
-  for (std::size_t i = 0; i < kProbeLimit; ++i) {
-    const std::size_t s = (base + i) % slots_.size();
-    const std::int32_t idx = slots_[s];
-    if (idx == kEmpty) return -1;
-    if (idx == kTombstone) continue;
-    if (pool_[idx].key == key) return idx;
-  }
-  return -1;
-}
+      free_(config.buffer_bytes, config.policy == VictimPolicy::UserScore) {}
 
 void Cache::lru_unlink(std::int32_t idx) {
   Entry& e = pool_[idx];
@@ -65,14 +43,13 @@ void Cache::touch(std::int32_t idx) {
 }
 
 bool Cache::lookup(Key key, std::uint64_t bytes) {
-  const std::int32_t idx = find(key);
-  if (idx >= 0) {
+  if (const std::int32_t idx = index_[key]; idx >= 0) {
     if (pool_[idx].epoch != current_epoch_) {
       // The window advanced past the epoch this entry was fetched at: the
       // target's exposure may have changed. Serving it would violate
       // coherence, so the entry is recycled and the probe reported as a miss
       // (stale-hit-as-miss, DESIGN.md §7).
-      evict(idx, GoneReason::Stale);
+      evict(idx, RowIndex::kStale);
     } else {
       ATLC_DCHECK(pool_[idx].bytes == bytes,
                   "a row's size changed within an epoch");
@@ -82,48 +59,20 @@ bool Cache::lookup(Key key, std::uint64_t bytes) {
       return true;
     }
   }
-  ++stats_.misses;
-  stats_.bytes_missed += bytes;
-  classify_miss(key);
+  index_.count_miss(key, bytes, stats_);
   return false;
 }
 
-void Cache::classify_miss(Key key) {
-  const GoneReason reason =
-      key.target < gone_.size() && key.row < gone_[key.target].size()
-          ? gone_[key.target][key.row]
-          : GoneReason::Never;
-  switch (reason) {
-    case GoneReason::Never: ++stats_.compulsory_misses; break;
-    case GoneReason::EvictedSpace: ++stats_.capacity_misses; break;
-    case GoneReason::EvictedConflict: ++stats_.conflict_misses; break;
-    // Epoch invalidation is a targeted flush of one entry.
-    case GoneReason::Stale: ++stats_.flush_misses; break;
-    case GoneReason::NeverStored: ++stats_.capacity_misses; break;
-  }
-}
-
-void Cache::note_gone(Key key, GoneReason reason) {
-  if (key.target >= gone_.size()) gone_.resize(key.target + 1);
-  std::vector<GoneReason>& log = gone_[key.target];
-  if (key.row >= log.size()) log.resize(key.row + 1, GoneReason::Never);
-  log[key.row] = reason;
-}
-
-void Cache::evict(std::int32_t idx, GoneReason reason) {
+void Cache::evict(std::int32_t idx, std::int32_t reason) {
   Entry& e = pool_[idx];
   ATLC_DCHECK(e.live, "evicting a dead entry");
-  note_gone(e.key, reason);
-  slots_[e.slot] = kTombstone;
+  index_.evicted(e.key, reason, stats_);
   free_.release(e.block);
   lru_unlink(idx);
   if (config_.policy == VictimPolicy::UserScore) by_score_.erase(e.by_score);
   e.live = false;
   pool_free_.push_back(idx);
   --live_entries_;
-  if (reason == GoneReason::EvictedSpace) ++stats_.evictions_space;
-  if (reason == GoneReason::EvictedConflict) ++stats_.evictions_conflict;
-  if (reason == GoneReason::Stale) ++stats_.stale_evictions;
 }
 
 std::int32_t Cache::lru_positional_pick() {
@@ -166,31 +115,6 @@ std::int32_t Cache::pick_victim_global() {
   return lru_positional_pick();
 }
 
-std::int32_t Cache::pick_victim_in_probe_window(std::uint64_t hash_base) {
-  candidates_.clear();
-  for (std::size_t i = 0; i < kProbeLimit; ++i) {
-    const std::int32_t idx = slots_[(hash_base + i) % slots_.size()];
-    if (idx >= 0) candidates_.push_back(idx);
-  }
-  if (candidates_.empty()) return -1;
-  if (config_.policy == VictimPolicy::UserScore) {
-    return *std::min_element(candidates_.begin(), candidates_.end(),
-                             [&](std::int32_t a, std::int32_t b) {
-                               if (pool_[a].user_score != pool_[b].user_score)
-                                 return pool_[a].user_score <
-                                        pool_[b].user_score;
-                               return pool_[a].last_tick < pool_[b].last_tick;
-                             });
-  }
-  // Order candidates oldest-first so positional weighting applies as in the
-  // global case.
-  std::sort(candidates_.begin(), candidates_.end(),
-            [&](std::int32_t a, std::int32_t b) {
-              return pool_[a].last_tick < pool_[b].last_tick;
-            });
-  return lru_positional_pick();
-}
-
 bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
   // Phase 1: bounded cheapest-first single evictions (CLaMPI's score-ordered
   // victim selection). Coalescing usually opens a fitting hole when the
@@ -204,7 +128,7 @@ bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
       // resident does: admission denied (paper Section III-B2 intent).
       return false;
     }
-    evict(victim, GoneReason::EvictedSpace);
+    evict(victim, RowIndex::kCapacity);
     if (free_.largest_free() >= bytes) return true;
   }
   if (live_entries_ == 0) return free_.largest_free() >= bytes;
@@ -235,64 +159,38 @@ bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
   if (!gate_open) return false;
   const std::optional<double> run = free_.cheapest_run(bytes, cost, victims_);
   if (!run || (by_score && *run >= incoming_score)) return false;
-  for (const std::int32_t v : victims_) evict(v, GoneReason::EvictedSpace);
+  for (const std::int32_t v : victims_) evict(v, RowIndex::kCapacity);
   return free_.largest_free() >= bytes;
 }
 
 bool Cache::insert(Key key, std::uint64_t bytes, double user_score) {
+  const std::int32_t prev = index_[key];
   if (bytes == 0 || bytes > config_.buffer_bytes) {
     // Zero-byte entries carry no data worth caching (and cannot tile the
-    // buffer layout); oversized ones cannot fit.
+    // buffer layout); oversized ones cannot fit. A stale resident keeps
+    // the row until a probe recycles it.
     ++stats_.insert_failures;
-    note_gone(key, GoneReason::NeverStored);
+    if (prev < 0) index_.set(key, RowIndex::kCapacity);
     return false;
   }
-  if (const std::int32_t prev = find(key); prev >= 0) {
+  if (prev >= 0) {
     // A stale resident from an older epoch still occupies the key (a deep
     // pipeline can complete a pre-refresh miss after the epoch advanced).
     // Recycle it; the incoming entry is the current-epoch replacement.
     ATLC_DCHECK(pool_[prev].epoch != current_epoch_,
                 "insert of an already-cached key");
-    evict(prev, GoneReason::Stale);
+    evict(prev, RowIndex::kStale);
   }
 
-  // 1) Claim a hash slot (may require a conflict eviction).
-  const std::uint64_t base = key_hash(key);
-  std::int32_t slot = -1;
-  for (std::size_t i = 0; i < kProbeLimit; ++i) {
-    const std::size_t s = (base + i) % slots_.size();
-    if (slots_[s] == kEmpty || slots_[s] == kTombstone) {
-      slot = static_cast<std::int32_t>(s);
-      break;
-    }
-  }
-  if (slot == -1) {
-    const std::int32_t victim = pick_victim_in_probe_window(base);
-    ATLC_DCHECK(victim >= 0, "full probe window with no live entry");
-    // Admission gate (paper Section III-B2): under application scores, a
-    // lower-scored entry must not displace a higher-scored resident —
-    // otherwise every miss cycles the cache and hubs never stay resident.
-    if (config_.policy == VictimPolicy::UserScore &&
-        pool_[victim].user_score >= user_score) {
-      ++stats_.admission_rejects;
-      note_gone(key, GoneReason::NeverStored);
-      return false;
-    }
-    slot = static_cast<std::int32_t>(pool_[victim].slot);
-    evict(victim, GoneReason::EvictedConflict);
-  }
-
-  // 2) Make buffer space (may require capacity evictions). Best fit finds
-  // a block iff the largest free block is big enough. (Any victims evicted
-  // here cannot occupy the slot claimed above: we claimed an
-  // empty/tombstone slot and evict() only tombstones live slots.)
+  // Make buffer space (may require capacity evictions). Best fit finds a
+  // block iff the largest free block is big enough.
   if (free_.largest_free() < bytes && !make_room(bytes, user_score)) {
     ++stats_.admission_rejects;
-    note_gone(key, GoneReason::NeverStored);
+    index_.set(key, RowIndex::kCapacity);
     return false;
   }
 
-  // 3) Materialise the entry.
+  // Materialise the entry.
   std::int32_t idx;
   if (!pool_free_.empty()) {
     idx = pool_free_.back();
@@ -311,9 +209,8 @@ bool Cache::insert(Key key, std::uint64_t bytes, double user_score) {
   e.last_tick = ++tick_;
   e.epoch = current_epoch_;
   e.user_score = user_score;
-  e.slot = static_cast<std::uint32_t>(slot);
   e.live = true;
-  slots_[slot] = idx;
+  index_.set(key, idx);
   lru_push_front(idx);
   if (config_.policy == VictimPolicy::UserScore)
     e.by_score = by_score_.emplace(user_score, idx);
@@ -328,14 +225,6 @@ std::vector<EntryInfo> Cache::entries() const {
     out.push_back({pool_[it].key, pool_[it].bytes, pool_[it].user_score,
                    pool_[it].last_tick});
   return out;
-}
-
-std::size_t Cache::suggest_hash_slots_power_law(std::uint64_t num_vertices,
-                                                double cache_fraction,
-                                                double alpha) {
-  const double expected = static_cast<double>(num_vertices) *
-                          std::pow(std::clamp(cache_fraction, 0.0, 1.0), alpha);
-  return std::max<std::size_t>(16, static_cast<std::size_t>(expected));
 }
 
 }  // namespace atlc::clampi

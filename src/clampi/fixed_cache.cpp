@@ -17,13 +17,6 @@ FixedCache::FixedCache(std::uint64_t buffer_bytes)
   slots_.reserve(capacity_);
 }
 
-std::int32_t& FixedCache::index_ref(Key key) {
-  if (key.target >= index_.size()) index_.resize(key.target + 1);
-  std::vector<std::int32_t>& rows = index_[key.target];
-  if (key.row >= rows.size()) rows.resize(key.row + 1, kNever);
-  return rows[key.row];
-}
-
 void FixedCache::unlink(std::int32_t s) {
   Slot& e = slots_[s];
   (e.prev != -1 ? slots_[e.prev].next : head_) = e.next;
@@ -39,20 +32,18 @@ void FixedCache::push_front(std::int32_t s) {
 }
 
 void FixedCache::evict(std::int32_t s, std::int32_t reason) {
-  index_ref(slots_[s].key) = reason;
+  index_.evicted(slots_[s].key, reason, stats_);
   unlink(s);
   slots_[s].next = free_;
   free_ = s;
   --live_;
-  if (reason == kCapacity) ++stats_.evictions_space;
-  if (reason == kStale) ++stats_.stale_evictions;
 }
 
 bool FixedCache::lookup(Key key, std::uint64_t bytes) {
-  if (const std::int32_t s = index_of(key); s >= 0) {
+  if (const std::int32_t s = index_[key]; s >= 0) {
     if (slots_[s].epoch != current_epoch_) {
       // Stale-hit-as-miss (DESIGN.md §7), as in Cache::lookup.
-      evict(s, kStale);
+      evict(s, RowIndex::kStale);
     } else {
       ATLC_DCHECK(bytes == kEntryBytes, "a row's size changed within an epoch");
       unlink(s);
@@ -63,14 +54,7 @@ bool FixedCache::lookup(Key key, std::uint64_t bytes) {
       return true;
     }
   }
-  ++stats_.misses;
-  stats_.bytes_missed += bytes;
-  switch (index_of(key)) {
-    case kNever: ++stats_.compulsory_misses; break;
-    case kCapacity: ++stats_.capacity_misses; break;
-    // Epoch invalidation is a targeted flush of one entry.
-    case kStale: ++stats_.flush_misses; break;
-  }
+  index_.count_miss(key, bytes, stats_);
   return false;
 }
 
@@ -79,24 +63,23 @@ bool FixedCache::insert(Key key, std::uint64_t bytes, double /*user_score*/) {
     ++stats_.insert_failures;
     return false;
   }
-  std::int32_t& index = index_ref(key);
   if (capacity_ == 0) {
     ++stats_.insert_failures;
-    index = kCapacity;
+    index_.set(key, RowIndex::kCapacity);
     return false;
   }
-  if (index >= 0) {
+  if (const std::int32_t prev = index_[key]; prev >= 0) {
     // A stale resident from an older epoch (see Cache::insert).
-    ATLC_DCHECK(slots_[index].epoch != current_epoch_,
+    ATLC_DCHECK(slots_[prev].epoch != current_epoch_,
                 "insert of an already-cached key");
-    evict(index, kStale);
+    evict(prev, RowIndex::kStale);
   }
   if (free_ == -1) {
     if (slots_.size() < capacity_) {
       free_ = static_cast<std::int32_t>(slots_.size());
       slots_.emplace_back();
     } else {
-      evict(tail_, kCapacity);
+      evict(tail_, RowIndex::kCapacity);
     }
   }
   const std::int32_t s = free_;
@@ -105,7 +88,7 @@ bool FixedCache::insert(Key key, std::uint64_t bytes, double /*user_score*/) {
   slots_[s].epoch = current_epoch_;
   slots_[s].tick = ++tick_;
   push_front(s);
-  index = s;
+  index_.set(key, s);
   ++live_;
   return true;
 }

@@ -1,49 +1,8 @@
 #include "atlc/core/fetcher.hpp"
 
-#include <algorithm>
-
 #include "atlc/util/check.hpp"
 
 namespace atlc::core {
-
-namespace {
-
-clampi::CacheConfig adj_cache_config(const EngineConfig& cfg,
-                                     const DistGraph& dg) {
-  clampi::CacheConfig c;
-  c.buffer_bytes = cfg.cache_sizing.adj_bytes;
-  // Paper Section III-B1: under a power-law degree distribution, a cache
-  // holding fraction f of the graph holds ~ n * f^2 entries. Estimate the
-  // total adjacency volume from this rank's slice (1D parts are
-  // approximately equal in vertices, roughly so in edges).
-  const double total_adj_bytes =
-      static_cast<double>(dg.adjacencies.size()) * sizeof(VertexId) *
-      static_cast<double>(dg.partition.num_ranks());
-  const double fraction =
-      total_adj_bytes > 0
-          ? static_cast<double>(c.buffer_bytes) / total_adj_bytes
-          : 1.0;
-  const std::size_t heuristic = clampi::Cache::suggest_hash_slots_power_law(
-      dg.partition.num_vertices(), fraction);
-  // Floor at 4x the buffer's entry capacity (slots cost 4 bytes each;
-  // conflict evictions cost residency). The table is never resized, so
-  // this floor is what keeps an undersized heuristic from turning most
-  // misses into conflict evictions.
-  const double avg_entry_bytes =
-      dg.num_local() > 0
-          ? std::max(8.0, static_cast<double>(dg.adjacencies.size()) *
-                              sizeof(VertexId) /
-                              static_cast<double>(dg.num_local()))
-          : 64.0;
-  const auto capacity_entries = static_cast<std::size_t>(
-      static_cast<double>(c.buffer_bytes) / avg_entry_bytes);
-  c.hash_slots =
-      std::max(heuristic, 4 * std::max<std::size_t>(16, capacity_entries));
-  c.policy = cfg.victim_policy;
-  return c;
-}
-
-}  // namespace
 
 AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
                                    const EngineConfig& config)
@@ -51,7 +10,9 @@ AdjacencyFetcher::AdjacencyFetcher(rma::RankCtx& ctx, const DistGraph& dg,
   if (config.use_cache && config.cache_sizing.offsets_bytes > 0)
     c_offsets_.emplace(ctx, dg.w_offsets, config.cache_sizing.offsets_bytes);
   if (config.use_cache && config.cache_sizing.adj_bytes > 0)
-    c_adj_.emplace(ctx, dg.w_adj, adj_cache_config(config, dg));
+    c_adj_.emplace(ctx, dg.w_adj,
+                   clampi::CacheConfig{config.cache_sizing.adj_bytes,
+                                       config.victim_policy});
 }
 
 AdjacencyFetcher::Token AdjacencyFetcher::begin(VertexId v,

@@ -1,6 +1,6 @@
 // Tests for the CLaMPI-style cache: free-space management (against a map
 // model), the one-pass run search (against the per-start scan) and the
-// gate index (against the run search), hash index, victim selection
+// gate index (against the run search), row index, victim selection
 // (LRU+positional and user scores), miss classification, epoch
 // invalidation, the CachedWindow integration and its
 // zero-copy hits, a golden digest pinning every admission and eviction
@@ -474,7 +474,6 @@ TEST(FreeSpace, GateQueryMatchesCheapestRun) {
 CacheConfig small_config() {
   CacheConfig c;
   c.buffer_bytes = 1024;
-  c.hash_slots = 64;
   return c;
 }
 
@@ -560,24 +559,12 @@ TEST(Cache, UserScoreProtectsHighDegreeEntries) {
   // floods of low-degree entries.
   CacheConfig cfg;
   cfg.buffer_bytes = 4096;
-  cfg.hash_slots = 256;
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   ASSERT_TRUE(cache.insert(key_of(9, 0), 1024, 1000.0));
   for (std::uint32_t i = 0; i < 200; ++i)
     (void)cache.insert(key_of(0, i), 64, 2.0);
   EXPECT_TRUE(cache.lookup(key_of(9, 0), 1024));
-}
-
-TEST(Cache, ConflictEvictionWhenProbeWindowFull) {
-  CacheConfig cfg;
-  cfg.buffer_bytes = 1 << 20;  // space is NOT the constraint
-  cfg.hash_slots = 2;          // fewer slots than the probe window
-  Cache cache(cfg);
-  for (std::uint32_t i = 0; i < 64; ++i)
-    ASSERT_TRUE(cache.insert(key_of(0, i), 16));
-  EXPECT_GT(cache.stats().evictions_conflict, 0u);
-  EXPECT_LE(cache.num_entries(), 2u);
 }
 
 TEST(Cache, EpochBumpRecyclesEntryAndCountsFlushMisses) {
@@ -615,21 +602,12 @@ TEST(Cache, EntriesSnapshotMatchesContents) {
   EXPECT_EQ(bytes_sum, 80u);
 }
 
-TEST(Cache, SizingHeuristics) {
-  // Power law (paper: n * f^alpha, alpha=2): half-the-graph cache on 1e6
-  // vertices expects 1e6 * 0.25 entries.
-  EXPECT_EQ(Cache::suggest_hash_slots_power_law(1000000, 0.5), 250000u);
-  // Degenerate inputs stay sane.
-  EXPECT_GE(Cache::suggest_hash_slots_power_law(100, 0.0), 16u);
-}
-
-// Shadow-model property test: with ample space and slots, the cache must
+// Shadow-model property test: with ample space, the cache must
 // behave exactly like a set (every inserted key hits; CachedWindow's tests
 // check the bytes a hit serves).
 TEST(Cache, ShadowModelNoEvictionRegime) {
   CacheConfig cfg;
   cfg.buffer_bytes = 1 << 20;
-  cfg.hash_slots = 1 << 14;
   Cache cache(cfg);
   util::Xoshiro256 rng(42);
   std::set<std::uint32_t> shadow;
@@ -647,7 +625,41 @@ TEST(Cache, ShadowModelNoEvictionRegime) {
   }
   EXPECT_EQ(cache.num_entries(), shadow.size());
   EXPECT_EQ(cache.stats().evictions_space, 0u);
-  EXPECT_EQ(cache.stats().evictions_conflict, 0u);
+}
+
+TEST(Cache, RoomyBufferKeepsEveryRow) {
+  // Rows are indexed directly, so nothing but space evicts: a buffer that
+  // holds 20,000 rows over 4 targets admits every one of them and then
+  // serves every one as a hit.
+  constexpr std::uint32_t kTargets = 4;
+  constexpr std::uint32_t kRows = 5000;
+  const auto bytes_of = [](std::uint32_t row) {
+    return std::uint64_t{8} + (row % 7) * 8;
+  };
+  CacheConfig cfg;
+  cfg.buffer_bytes = 0;  // exactly the rows' bytes
+  for (std::uint32_t row = 0; row < kRows; ++row)
+    cfg.buffer_bytes += kTargets * bytes_of(row);
+  for (const VictimPolicy policy :
+       {VictimPolicy::LruPositional, VictimPolicy::UserScore}) {
+    cfg.policy = policy;
+    Cache cache(cfg);
+    for (std::uint32_t t = 0; t < kTargets; ++t)
+      for (std::uint32_t row = 0; row < kRows; ++row) {
+        ASSERT_FALSE(cache.lookup(key_of(t, row), bytes_of(row)));
+        ASSERT_TRUE(cache.insert(key_of(t, row), bytes_of(row), 1.0));
+      }
+    for (std::uint32_t t = 0; t < kTargets; ++t)
+      for (std::uint32_t row = 0; row < kRows; ++row)
+        ASSERT_TRUE(cache.lookup(key_of(t, row), bytes_of(row)));
+    const CacheStats& st = cache.stats();
+    EXPECT_EQ(cache.num_entries(), std::size_t{kTargets} * kRows);
+    EXPECT_EQ(st.hits, std::uint64_t{kTargets} * kRows);
+    EXPECT_EQ(st.compulsory_misses, st.misses);
+    EXPECT_EQ(st.evictions_space + st.evictions_conflict + st.stale_evictions,
+              0u);
+    EXPECT_EQ(st.admission_rejects + st.insert_failures, 0u);
+  }
 }
 
 TEST(Cache, DebugHitChecksTheRowSize) {
@@ -695,7 +707,6 @@ TEST(CacheRunEviction, AssemblesContiguousSpaceForLargeEntry) {
   // half the buffer must be admitted by clearing a contiguous run.
   CacheConfig cfg;
   cfg.buffer_bytes = 1024;
-  cfg.hash_slots = 128;
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 32; ++i)
@@ -710,7 +721,6 @@ TEST(CacheRunEviction, HubsDoNotThrashEachOther) {
   // only — this is what keeps the paper's degree scores stable).
   CacheConfig cfg;
   cfg.buffer_bytes = 1024;
-  cfg.hash_slots = 128;
   cfg.policy = VictimPolicy::UserScore;
   Cache cache(cfg);
   ASSERT_TRUE(cache.insert(key_of(0, 0), 768, 1000.0));
@@ -724,7 +734,7 @@ TEST(CacheRunEviction, HubsDoNotThrashEachOther) {
 TEST(CacheRunEviction, LruPolicyStillAdmitsLargeEntries) {
   CacheConfig cfg;
   cfg.buffer_bytes = 1024;
-  cfg.hash_slots = 128;  // LruPositional default policy
+  // LruPositional default policy
   Cache cache(cfg);
   for (std::uint32_t i = 0; i < 32; ++i)
     ASSERT_TRUE(cache.insert(key_of(0, i), 32));
@@ -744,7 +754,6 @@ TEST(CachedWindow, HitsAvoidRemoteGets) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CacheConfig cfg;
     cfg.buffer_bytes = 1 << 16;
-    cfg.hash_slots = 256;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
 
     const std::uint32_t peer = 1 - ctx.rank();
@@ -784,7 +793,6 @@ TEST(CachedWindow, HitChargesLessThanMiss) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CacheConfig cfg;
     cfg.buffer_bytes = 1 << 16;
-    cfg.hash_slots = 64;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
     std::vector<std::uint32_t> buf(1024);
 
@@ -799,8 +807,8 @@ TEST(CachedWindow, HitChargesLessThanMiss) {
   });
 }
 
-/// Hits are zero-copy: under eviction pressure (space, contiguous-run and
-/// hash-conflict evictions, both policies, two remote targets whose parts
+/// Hits are zero-copy: under eviction pressure (space and contiguous-run
+/// evictions, both policies, two remote targets whose parts
 /// share offsets) every hit must be a view into the owner's exposed part
 /// equal to a plain Window::get of the same range, and every miss must
 /// deliver the same bytes into dst.
@@ -816,7 +824,6 @@ TEST(CachedWindow, HitViewEqualsPlainGet) {
       auto raw = ctx.create_window<std::uint32_t>(local);
       CacheConfig cfg;
       cfg.buffer_bytes = 4096;
-      cfg.hash_slots = 8;
       cfg.policy = policy;
       CachedWindow<std::uint32_t> win(ctx, raw, cfg);
       util::Xoshiro256 rng(7 + ctx.rank());
@@ -845,7 +852,6 @@ TEST(CachedWindow, HitViewEqualsPlainGet) {
       const CacheStats& st = win.cache().stats();
       EXPECT_GT(st.hits, 0u);
       EXPECT_GT(st.evictions_space, 0u);
-      EXPECT_GT(st.evictions_conflict, 0u);
       ctx.barrier();
     });
   }
@@ -915,6 +921,22 @@ TEST(CacheEpochs, ContainsTreatsStaleAsAbsentAndInsertReplaces) {
   EXPECT_EQ(cache.entries().at(0).bytes, 24u);
 }
 
+TEST(CacheEpochs, RefusedInsertLeavesTheStaleResidentToItsProbe) {
+  // An insert refused for its size keeps a stale resident's row: the next
+  // probe recycles the entry and counts a flush miss, not a capacity miss.
+  Cache cache(small_config());
+  const Key k = key_of(0, 5);
+  ASSERT_TRUE(cache.insert(k, 64));
+  cache.set_epoch(1);
+  EXPECT_FALSE(cache.insert(k, 4096));  // larger than the whole buffer
+  EXPECT_EQ(cache.stats().insert_failures, 1u);
+  EXPECT_FALSE(cache.lookup(k, 4096));
+  EXPECT_EQ(cache.stats().stale_evictions, 1u);
+  EXPECT_EQ(cache.stats().flush_misses, 1u);
+  EXPECT_EQ(cache.stats().capacity_misses, 0u);
+  EXPECT_EQ(cache.num_entries(), 0u);
+}
+
 TEST(CacheEpochs, SameEpochNeverInvalidates) {
   Cache cache(small_config());
   const Key k = key_of(0, 0);
@@ -936,7 +958,6 @@ TEST(CachedWindow, RefreshWindowInvalidatesCachedEntries) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CacheConfig cfg;
     cfg.buffer_bytes = 1 << 14;
-    cfg.hash_slots = 64;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
 
     const std::uint32_t peer = 1 - ctx.rank();
@@ -985,7 +1006,6 @@ TEST(CachedWindow, RefreshThatMovesARowRecyclesItsEntry) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CacheConfig cfg;
     cfg.buffer_bytes = 1 << 14;
-    cfg.hash_slots = 64;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
 
     const std::uint32_t peer = 1 - ctx.rank();
@@ -1017,7 +1037,6 @@ TEST(CachedWindow, PendingMissAcrossRefreshIsNotCached) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CacheConfig cfg;
     cfg.buffer_bytes = 1 << 14;
-    cfg.hash_slots = 64;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
 
     const std::uint32_t peer = 1 - ctx.rank();
@@ -1053,7 +1072,7 @@ struct Digest {
 };
 
 /// A seeded run of lookup/contains/insert calls over a buffer small enough
-/// to force phase-1, phase-2 (contiguous run) and hash-conflict evictions,
+/// to force phase-1 and phase-2 (contiguous run) evictions,
 /// with heavily tied scores and epoch bumps. Every
 /// return value, every CacheStats counter and the final entries() are
 /// folded into one digest: any change to an admission or eviction decision
@@ -1062,7 +1081,6 @@ struct Digest {
 std::uint64_t decision_digest(VictimPolicy policy) {
   CacheConfig cfg;
   cfg.buffer_bytes = 16 << 10;
-  cfg.hash_slots = 64;
   cfg.policy = policy;
   Cache cache(cfg);
   util::Xoshiro256 rng(2022);
@@ -1111,7 +1129,6 @@ std::uint64_t decision_digest(VictimPolicy policy) {
   EXPECT_GE(calls, 50000u);
   EXPECT_GT(s.hits, 0u);
   EXPECT_GT(s.evictions_space, 0u);
-  EXPECT_GT(s.evictions_conflict, 0u);
   EXPECT_GT(s.stale_evictions, 0u);
   // The admission gate, phase 2's included, is part of what it pins.
   if (policy == VictimPolicy::UserScore) {
@@ -1122,11 +1139,11 @@ std::uint64_t decision_digest(VictimPolicy policy) {
 
 TEST(CacheGolden, LruPositionalDecisionDigest) {
   EXPECT_EQ(decision_digest(VictimPolicy::LruPositional),
-            0xff8c4c730df8bc14ull);
+            0xb9528fe72a10dbd7ull);
 }
 
 TEST(CacheGolden, UserScoreDecisionDigest) {
-  EXPECT_EQ(decision_digest(VictimPolicy::UserScore), 0x176eaf1f7c9cabd5ull);
+  EXPECT_EQ(decision_digest(VictimPolicy::UserScore), 0xb9a3c8fe6d28ab4full);
 }
 
 TEST(CachedWindow, OverlappedMissInsertsOnFinish) {
@@ -1137,7 +1154,6 @@ TEST(CachedWindow, OverlappedMissInsertsOnFinish) {
     auto raw = ctx.create_window<std::uint32_t>(local);
     CacheConfig cfg;
     cfg.buffer_bytes = 1 << 16;
-    cfg.hash_slots = 64;
     CachedWindow<std::uint32_t> win(ctx, raw, cfg);
     std::vector<std::uint32_t> buf(512);
     ASSERT_FALSE(win.lookup(1 - ctx.rank(), 0, 0, 512).has_value());
@@ -1169,15 +1185,12 @@ struct OffsetsStream {
 /// Drives a FixedCache and Cache{LruPositional} over `buffer_bytes` with
 /// one stream and checks every answer (lookup, contains, insert) for
 /// equality, then CacheStats and entries() (keys and ticks, in LRU order).
-/// The Cache's hash table has at least 64 slots per entry it can hold, and
-/// the run asserts as a precondition that it saw no hash conflict: only
-/// then must the two agree. Returns the reference's stats.
+/// Returns the reference's stats.
 CacheStats expect_same_decisions(std::uint64_t buffer_bytes,
                                  const OffsetsStream& stream) {
   constexpr std::uint64_t kBytes = FixedCache::kEntryBytes;
   CacheConfig cfg;
   cfg.buffer_bytes = buffer_bytes;
-  cfg.hash_slots = 64 * std::max<std::uint64_t>(16, buffer_bytes / kBytes);
   cfg.policy = VictimPolicy::LruPositional;
   Cache ref(cfg);
   FixedCache table(buffer_bytes);
@@ -1211,8 +1224,6 @@ CacheStats expect_same_decisions(std::uint64_t buffer_bytes,
     if (!failed_before && ::testing::Test::HasFailure()) break;
   }
   const CacheStats& want = ref.stats();
-  EXPECT_EQ(want.evictions_conflict, 0u) << "precondition: no hash conflict";
-  EXPECT_EQ(want.conflict_misses, 0u) << "precondition: no hash conflict";
   EXPECT_EQ(table.stats(), want);
   const auto got_entries = table.entries();
   const auto want_entries = ref.entries();
@@ -1279,7 +1290,7 @@ TEST(FixedCacheDiff, RemainderBytesMakeCachePreferTheEntryNextToTheTail) {
   // the entry that borders the free tail, while FixedCache is pure LRU over
   // the 16 entries.
   constexpr std::uint64_t kBuffer = 16 * 16 + 8;
-  Cache ref({.buffer_bytes = kBuffer, .hash_slots = 64 * 16});
+  Cache ref({.buffer_bytes = kBuffer});
   FixedCache table(kBuffer);
   ASSERT_EQ(table.capacity(), 16u);
   for (std::uint32_t row = 0; row < 16; ++row) {
@@ -1303,7 +1314,6 @@ TEST(FixedCacheDiff, RemainderBytesMakeCachePreferTheEntryNextToTheTail) {
   EXPECT_FALSE(ref.contains(key_of(0, 15)));
   // Only the victim differs: the counters agree.
   EXPECT_EQ(table.stats(), ref.stats());
-  EXPECT_EQ(ref.stats().evictions_conflict, 0u);
 }
 
 TEST(FixedCache, DebugHitChecksTheEntrySize) {

@@ -107,12 +107,10 @@ TEST(AdjacencyFetcher, CacheHitIsAViewOfTheOwnersExposedPart) {
 }
 
 TEST(AdjacencyFetcher, CacheTablesKeepTheSizesTheyAreBuiltWith) {
-  // Nothing resizes a CLaMPI hash table at run time, so the slot count the
-  // fetcher derives is the one a whole run keeps. C_adj: the paper's
-  // n * f^2 power-law estimate (Section III-B1), floored at 4x the entries
-  // its buffer holds at this rank's mean row size. C_offsets has no hash
-  // table: its FixedCache holds one 16-byte (start,end) pair per 16 bytes
-  // of its budget.
+  // Each table takes its budget and nothing else: C_adj's Cache gets the
+  // adjacency budget and the configured policy, C_offsets' FixedCache one
+  // 16-byte (start,end) pair per 16 bytes of its budget. Both index rows
+  // directly, so there is no table size to derive.
   const CSRGraph g = rmat_graph(8, 8, 1);
   constexpr std::uint32_t kRanks = 4;
   const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
@@ -129,19 +127,8 @@ TEST(AdjacencyFetcher, CacheTablesKeepTheSizesTheyAreBuiltWith) {
       rma::Runtime::run(o, [&](rma::RankCtx& ctx) {
         const DistGraph dg = build_dist_graph(ctx, g, part);
         AdjacencyFetcher fetcher(ctx, dg, cfg);
-        const double adj_bytes =
-            static_cast<double>(dg.adjacencies.size()) * sizeof(VertexId);
-        const double f = static_cast<double>(cfg.cache_sizing.adj_bytes) /
-                         (adj_bytes * kRanks);
-        const double mean_row_bytes =
-            std::max(8.0, adj_bytes / static_cast<double>(dg.num_local()));
-        const auto capacity = static_cast<std::size_t>(
-            static_cast<double>(cfg.cache_sizing.adj_bytes) / mean_row_bytes);
         const clampi::CacheConfig& adj = fetcher.adj_cache().config();
-        EXPECT_EQ(adj.hash_slots,
-                  std::max(clampi::Cache::suggest_hash_slots_power_law(
-                               g.num_vertices(), f),
-                           4 * std::max<std::size_t>(16, capacity)));
+        EXPECT_EQ(adj.buffer_bytes, cfg.cache_sizing.adj_bytes);
         EXPECT_EQ(adj.policy, policy);
         EXPECT_EQ(fetcher.offsets_cache().capacity(),
                   cfg.cache_sizing.offsets_bytes / 16);
